@@ -1,18 +1,8 @@
 //! Batch-scaling bench: how does per-lane SpMSpV cost change with batch
-//! width `k` and frontier density — and does the adaptive dispatch pick the
-//! winning configuration at every point?
+//! width `k`?
 //!
-//! The headline artifact is **`BENCH_batch_scaling.json`** (written to the
-//! workspace root, override with `BENCH_BATCH_SCALING_OUT`): a
-//! `(k × frontier-nnz × family × SPA-backend)` sweep on a scale-free R-MAT
-//! graph, with the `Adaptive` family's resolved `(kernel, backend)` choice
-//! and its ratio against the best fixed configuration recorded per point.
-//! The perf trajectory across PRs is tracked through this file; the CI
-//! smoke lane (`BATCH_SCALING_SMOKE=1`) runs a reduced sweep and asserts
-//! the report is produced and well-formed.
-//!
-//! Full mode additionally runs the criterion groups and the per-lane
-//! amortization / masked / engine-coalescing tables of earlier PRs:
+//! Criterion groups plus the per-lane amortization / masked /
+//! engine-coalescing tables:
 //!
 //! * per-lane time (total / k): the fused kernel's per-lane time should
 //!   *fall* with `k` while the naive baseline's stays flat;
@@ -21,6 +11,10 @@
 //!   adds no extra pass;
 //! * serving-engine coalescing: one `Engine` flush of `k` seed requests vs
 //!   `k` independent single-vector `Mxv::run` calls.
+//!
+//! Whether the adaptive dispatch picks the winning family is the repo
+//! benchmark's job: see `adaptive.regret`, `batch.amortization` and
+//! `adaptive.choice.*` in `benchmark/results/`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::{Duration, Instant};
@@ -32,42 +26,15 @@ use spmspv::engine::{Engine, EngineConfig, MxvRequest};
 use spmspv::ops::Mxv;
 use spmspv::{
     BatchAlgorithmKind, BatchMaskView, MaskMode, MaskView, SpMSpVBucketBatch, SpMSpVOptions,
-    SpaBackend,
 };
-use spmspv_bench::Json;
 
 const KS: [usize; 4] = [1, 4, 16, 64];
 const FRONTIER_NNZ: usize = 512;
 
-/// Frontier sizes of the density sweep: seed probes, mid frontiers, bulk
-/// frontiers.
-const SWEEP_NNZ: [usize; 3] = [8, 64, 512];
-
-/// The fixed `(family, backend)` configurations the sweep compares the
-/// adaptive dispatch against. Backend varies where it matters: the naive
-/// family runs `k` single-vector kernels (plain per-row SPA), so only the
-/// bucket and row-split families sweep accumulator backends.
-const FIXED_CONFIGS: [(BatchAlgorithmKind, SpaBackend); 6] = [
-    (BatchAlgorithmKind::Bucket, SpaBackend::DenseIndexMajor),
-    (BatchAlgorithmKind::Bucket, SpaBackend::DenseLaneMajor),
-    (BatchAlgorithmKind::Bucket, SpaBackend::Hashed),
-    (BatchAlgorithmKind::Naive, SpaBackend::DenseIndexMajor),
-    (BatchAlgorithmKind::CombBlasRowSplit, SpaBackend::DenseIndexMajor),
-    (BatchAlgorithmKind::CombBlasRowSplit, SpaBackend::Hashed),
-];
-
-fn smoke_mode() -> bool {
-    std::env::var_os("BATCH_SCALING_SMOKE").is_some()
-}
-
-fn make_batch_with(n: usize, k: usize, nnz: usize) -> SparseVecBatch<f64> {
-    let lanes: Vec<SparseVec<f64>> =
-        (0..k).map(|l| random_sparse_vec(n, nnz, 1000 + l as u64)).collect();
-    SparseVecBatch::from_lanes(&lanes).expect("lanes share n")
-}
-
 fn make_batch(n: usize, k: usize) -> SparseVecBatch<f64> {
-    make_batch_with(n, k, FRONTIER_NNZ)
+    let lanes: Vec<SparseVec<f64>> =
+        (0..k).map(|l| random_sparse_vec(n, FRONTIER_NNZ, 1000 + l as u64)).collect();
+    SparseVecBatch::from_lanes(&lanes).expect("lanes share n")
 }
 
 /// A "visited" set covering roughly half the vertices (multiplicative-hash
@@ -76,156 +43,7 @@ fn make_visited(n: usize) -> MaskBits {
     MaskBits::from_indices(n, (0..n).filter(|v| (v.wrapping_mul(2654435761) >> 4) % 2 == 0))
 }
 
-/// One sweep cell: the timed configuration plus, for the adaptive run, what
-/// it resolved to.
-struct CellResult {
-    family: BatchAlgorithmKind,
-    backend: SpaBackend,
-    time: Duration,
-    chose: Option<(BatchAlgorithmKind, SpaBackend)>,
-}
-
-/// Times one `(family, backend)` configuration on one `(k, nnz)` point.
-fn time_config(
-    a: &sparse_substrate::CscMatrix<f64>,
-    x: &SparseVecBatch<f64>,
-    family: BatchAlgorithmKind,
-    backend: SpaBackend,
-    threads: usize,
-) -> CellResult {
-    let mut op = Mxv::over(a)
-        .semiring(&PlusTimes)
-        .batch_algorithm(family)
-        .options(SpMSpVOptions::with_threads(threads).spa_backend(backend))
-        .prepare::<f64>();
-    let time = median_time(|| {
-        op.run_batch(x);
-    });
-    let chose = (family == BatchAlgorithmKind::Adaptive)
-        .then(|| op.last_batch_run_info().map(|info| (info.kernel, info.backend)))
-        .flatten();
-    CellResult { family, backend, time, chose }
-}
-
-/// The `(k × frontier-nnz × family × backend)` sweep: prints the adaptive
-/// scoreboard and writes `BENCH_batch_scaling.json`.
-fn sweep_and_report(smoke: bool) {
-    // Full scale 18 (262k vertices): at k ≥ 16 the dense m × k accumulator
-    // (≥ 64 MB of values + stamps) far outgrows cache, which is the regime
-    // the hashed backend exists for; smoke stays small enough for CI.
-    // Override with BATCH_SCALING_SCALE to probe other graph sizes.
-    let (mut scale, edge_factor) = if smoke { (10u32, 8usize) } else { (18, 12) };
-    if let Some(s) = std::env::var("BATCH_SCALING_SCALE").ok().and_then(|s| s.parse().ok()) {
-        scale = s;
-    }
-    let a = rmat(scale, edge_factor, RmatParams::graph500(), 7);
-    let n = a.ncols();
-    let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-    let ks: &[usize] = if smoke { &KS[..2] } else { &KS };
-    let nnzs: &[usize] = if smoke { &SWEEP_NNZ[..2] } else { &SWEEP_NNZ };
-
-    eprintln!(
-        "\n== adaptive dispatch sweep (rmat scale {scale}, n = {n}, nnz(A) = {}, {threads} \
-         threads{}) ==",
-        a.nnz(),
-        if smoke { ", SMOKE" } else { "" },
-    );
-    eprintln!(
-        "{:>4} {:>6}  {:>12}  {:>28}  {:>12}  {:>9}",
-        "k", "nnz", "adaptive", "chose (kernel/backend)", "best fixed", "adpt/best"
-    );
-
-    let mut points = Vec::new();
-    for &k in ks {
-        for &nnz in nnzs {
-            let x = make_batch_with(n, k, nnz);
-            let mut configs = Vec::new();
-            let mut cells: Vec<CellResult> = FIXED_CONFIGS
-                .iter()
-                .map(|&(family, backend)| time_config(&a, &x, family, backend, threads))
-                .collect();
-            cells.push(time_config(
-                &a,
-                &x,
-                BatchAlgorithmKind::Adaptive,
-                SpaBackend::Auto,
-                threads,
-            ));
-            let best_fixed = cells[..FIXED_CONFIGS.len()]
-                .iter()
-                .min_by_key(|c| c.time)
-                .expect("fixed configs are non-empty");
-            let (best_time, best_family, best_backend) =
-                (best_fixed.time, best_fixed.family, best_fixed.backend);
-            let adaptive = cells.last().expect("adaptive cell pushed above");
-            let ratio = adaptive.time.as_secs_f64() / best_time.as_secs_f64().max(f64::EPSILON);
-            let (chose_kernel, chose_backend) =
-                adaptive.chose.expect("adaptive run records its resolution");
-            eprintln!(
-                "{:>4} {:>6}  {:>10.1}us  {:>28}  {:>10.1}us  {:>8.2}x",
-                k,
-                nnz,
-                adaptive.time.as_secs_f64() * 1e6,
-                format!("{}/{}", chose_kernel.label(), chose_backend.label()),
-                best_time.as_secs_f64() * 1e6,
-                ratio,
-            );
-            for cell in &cells {
-                let mut obj = vec![
-                    ("family", Json::str(cell.family.label())),
-                    ("backend", Json::str(cell.backend.label())),
-                    ("micros", Json::micros(cell.time)),
-                ];
-                if let Some((ck, cb)) = cell.chose {
-                    obj.push(("chose_family", Json::str(ck.label())));
-                    obj.push(("chose_backend", Json::str(cb.label())));
-                }
-                configs.push(Json::obj(obj));
-            }
-            points.push(Json::obj([
-                ("k", Json::Int(k as i64)),
-                ("frontier_nnz", Json::Int(nnz as i64)),
-                ("configs", Json::Arr(configs)),
-                ("best_fixed_family", Json::str(best_family.label())),
-                ("best_fixed_backend", Json::str(best_backend.label())),
-                ("best_fixed_micros", Json::micros(best_time)),
-                ("adaptive_micros", Json::micros(adaptive.time)),
-                ("adaptive_vs_best", Json::Num(ratio)),
-            ]));
-        }
-    }
-
-    let report = Json::obj([
-        ("bench", Json::str("batch_scaling")),
-        ("smoke", Json::Bool(smoke)),
-        (
-            "matrix",
-            Json::obj([
-                ("generator", Json::str("rmat-graph500")),
-                ("scale", Json::Int(scale as i64)),
-                ("edge_factor", Json::Int(edge_factor as i64)),
-                ("n", Json::Int(n as i64)),
-                ("nnz", Json::Int(a.nnz() as i64)),
-            ]),
-        ),
-        ("threads", Json::Int(threads as i64)),
-        ("points", Json::Arr(points)),
-    ]);
-    let path = std::env::var("BENCH_BATCH_SCALING_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_batch_scaling.json").to_string()
-    });
-    std::fs::write(&path, report.render() + "\n").expect("write bench report");
-    eprintln!("report written to {path}");
-}
-
 fn bench_batch_scaling(c: &mut Criterion) {
-    if smoke_mode() {
-        // CI smoke lane: only the sweep + JSON report, at reduced scale.
-        sweep_and_report(true);
-        return;
-    }
-    sweep_and_report(false);
-
     let a = rmat(13, 12, RmatParams::graph500(), 7);
     let n = a.ncols();
     let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
@@ -347,8 +165,7 @@ fn bench_batch_scaling(c: &mut Criterion) {
     let mut kernel = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(threads));
     let (_, timings) = kernel.multiply_batch_masked_with_timings(&x, &PlusTimes, Some(&view));
     eprintln!("\nmasked step breakdown at k = {k} (mask cost lives inside `merge`):");
-    let backend = kernel.last_backend().expect("kernel ran above");
-    eprintln!("  {timings} (backend: {backend})");
+    eprintln!("  {timings}");
     eprintln!(
         "  phases sum to {:.3} ms — there is no post-filter step to account for.",
         timings.total().as_secs_f64() * 1e3
@@ -434,10 +251,10 @@ fn make_seed_requests(n: usize, k: usize) -> Vec<SparseVec<f64>> {
 }
 
 /// Median wall time of `f`: 7 samples for slow cells, 21 for sub-millisecond
-/// ones (where scheduler jitter would otherwise dominate the medians the
-/// adaptive-vs-best comparison rests on). The cell is classified by the
-/// first *post-warm-up* sample — the warm-up call alone would overstate
-/// cells whose first call pays a large one-time allocation.
+/// ones (where scheduler jitter would otherwise dominate the medians). The
+/// cell is classified by the first *post-warm-up* sample — the warm-up call
+/// alone would overstate cells whose first call pays a large one-time
+/// allocation.
 fn median_time(mut f: impl FnMut()) -> Duration {
     f(); // warm-up (pays first-call allocation)
     let t = Instant::now();

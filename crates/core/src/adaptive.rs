@@ -1,41 +1,36 @@
-//! Density-driven dispatch: pick the kernel family and SPA backend per call.
+//! Density-driven dispatch: pick the kernel family per call.
 //!
 //! The paper's central claim is *work-efficiency*: the bucket algorithm does
 //! `O(flops)` work where SPA-based competitors pay `O(m)` (or `O(m·k)`
 //! batched) for accumulator setup. Generation stamps already removed the
-//! setup cost from every backend in this workspace, but the *constant
-//! factors* still cross over with frontier density and batch width:
+//! setup cost from every accumulator in this workspace, but the *constant
+//! factors* of the kernel families still cross over with frontier density,
+//! batch width and thread count:
 //!
-//! * a dense `m × k` accumulator scatters over a working set proportional to
-//!   `m · k` — cheap per touch, cache-hostile when the output is sparse;
-//! * a hashed accumulator touches `O(flops)` memory — compact and
-//!   cache-friendly for sparse outputs, but pays a probe per touch;
-//! * index-major vs lane-major dense layouts trade merge locality (lanes of
-//!   one row adjacent) against gather locality (rows of one lane adjacent);
-//! * for `k = 1` the fused batch pipeline is pure overhead over the
-//!   single-vector kernel, and for tiny frontiers the parallel pipeline is
-//!   overhead over the sequential SPA.
+//! * for tiny frontiers the parallel pipeline is overhead over the
+//!   sequential SPA, and for `k = 1` the fused batch pipeline is overhead
+//!   over the single-vector kernel;
+//! * with one worker, a single fused-SPA row-split pass has none of the
+//!   bucket pipeline's fixed costs and stays ahead until the working set
+//!   outgrows it;
+//! * a fused `m × k` accumulator that scatters over tens of megabytes loses
+//!   to `k` per-lane calls whose `O(m)` accumulators stay cache-friendly.
 //!
 //! [`AdaptiveSpMSpV`] (single-vector) and [`AdaptiveBatch`] (batched) sit in
 //! front of the fixed kernels and resolve these trade-offs per call from
-//! `(frontier nnz, k, m, mask)`. The crossover constants live in
-//! [`AdaptiveConfig`]: every field is optional, and unset fields fall back
-//! to the **one-shot calibration pass** ([`calibration`]) — which today
-//! derives the hashed-fill crossover from a dense-scatter vs hashed-probe
-//! micro-benchmark and carries static, dev-container-measured defaults for
-//! the rest — run at most once per process, and only if some field is
-//! actually unset.
+//! `(frontier nnz, k, m, threads)`. The crossovers are the named constants
+//! below — measured once on the reference dev container, not settable: no
+//! caller ever needed a different value, and the committed ledger under
+//! `benchmark/results/` (`adaptive.choice.*`, `adaptive.regret`) is where a
+//! change to one of them has to show up.
 //!
 //! Because every fixed kernel in this workspace reduces each `(row, lane)`
 //! in ascending-column order and emits sorted lanes (under the default
 //! options), the dispatcher's choice never changes the result — adaptive
-//! output is bit-identical to whichever fixed configuration it delegates
-//! to, which the property tests assert.
+//! output is bit-identical to whichever fixed family it delegates to, which
+//! the property tests assert.
 
-use std::sync::OnceLock;
-use std::time::Instant;
-
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
+use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{AlgorithmKind, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
@@ -43,293 +38,37 @@ use crate::batch::{
     BatchAlgorithmKind, BatchRunInfo, CombBlasSpaBatch, NaiveBatch, SpMSpVBatch, SpMSpVBucketBatch,
 };
 use crate::bucket::SpMSpVBucket;
-use crate::masked::{BatchMaskView, MaskMode, MaskView};
+use crate::masked::{BatchMaskView, MaskView};
 
-/// Crossover constants for the adaptive dispatchers. Every field is
-/// optional: `None` falls back to the one-shot [`calibration`] pass (see
-/// [`AdaptiveConfig::resolve`]), `Some` pins the constant.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Single-vector: estimated flops at or below which the sequential SPA
-    /// beats the parallel bucket pipeline's fixed costs.
-    pub sequential_flops_cutoff: Option<usize>,
-    /// Batched: widths `k` at or below this run as independent single-vector
-    /// calls ([`NaiveBatch`]) — fusing one lane is pure overhead.
-    pub naive_k_cutoff: Option<usize>,
-    /// Batched, single-threaded: minimum width for the *wide-batch naive
-    /// band* — at large `k`, per-lane single-vector calls keep every
-    /// accumulator at `O(m)` instead of `O(m·k)`, which beats fusion for
-    /// moderate per-lane work.
-    pub naive_wide_min_k: Option<usize>,
-    /// Batched, single-threaded: minimum estimated flops **per lane** for
-    /// the wide-batch naive band (below it, `k` kernel launches dominate).
-    pub naive_min_flops_per_lane: Option<usize>,
-    /// Batched, single-threaded: fused-accumulator footprint `m·k` (slots)
-    /// at or above which per-lane naive calls win outright — each lane's
-    /// `O(m)` accumulator stays TLB/cache-friendly where one `O(m·k)`
-    /// accumulator (any layout) scatters over tens of megabytes.
-    pub fused_max_slots: Option<usize>,
-    /// Batched: estimated flops at or below which (single-threaded) the
-    /// one-pass row-split kernel beats the three-pass fused bucket pipeline.
-    pub rowsplit_flops_cutoff: Option<usize>,
-    /// Batched/single-vector, single-threaded: largest row count `m` at
-    /// which a flat sequential SPA pass (row-split with one piece, or the
-    /// sequential kernel) still wins for non-tiny frontiers — beyond it the
-    /// `O(m)` accumulator's scatter is miss-dominated and the per-lane
-    /// bucket kernel takes over.
-    pub rowsplit_max_m: Option<usize>,
-    /// Backend: accumulator fill (`triples / (m·k)`, mask-adjusted) at or
-    /// below which the hashed backend's compact working set beats dense
-    /// direct addressing.
-    pub hashed_max_fill: Option<f64>,
-    /// Backend: minimum dense slot count `m·k` for the hashed backend to be
-    /// considered at all — below it the dense accumulator fits cache-side
-    /// working sets and direct addressing beats probing at any fill.
-    pub hashed_min_slots: Option<usize>,
-    /// Backend: minimum `k` for the lane-major dense layout to pay (below
-    /// it, gather strides are short either way).
-    pub lane_major_min_k: Option<usize>,
-    /// Backend: maximum mean activations per fused column for lane-major
-    /// (heavily shared columns favor index-major, whose `k` lane slots of
-    /// one row share a cache line).
-    pub lane_major_max_overlap: Option<f64>,
-}
-
-impl AdaptiveConfig {
-    /// Builder-style setter for [`AdaptiveConfig::sequential_flops_cutoff`].
-    pub fn sequential_flops_cutoff(mut self, flops: usize) -> Self {
-        self.sequential_flops_cutoff = Some(flops);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::naive_k_cutoff`].
-    pub fn naive_k_cutoff(mut self, k: usize) -> Self {
-        self.naive_k_cutoff = Some(k);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::naive_wide_min_k`].
-    pub fn naive_wide_min_k(mut self, k: usize) -> Self {
-        self.naive_wide_min_k = Some(k);
-        self
-    }
-
-    /// Builder-style setter for
-    /// [`AdaptiveConfig::naive_min_flops_per_lane`].
-    pub fn naive_min_flops_per_lane(mut self, flops: usize) -> Self {
-        self.naive_min_flops_per_lane = Some(flops);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::fused_max_slots`].
-    pub fn fused_max_slots(mut self, slots: usize) -> Self {
-        self.fused_max_slots = Some(slots);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::rowsplit_flops_cutoff`].
-    pub fn rowsplit_flops_cutoff(mut self, flops: usize) -> Self {
-        self.rowsplit_flops_cutoff = Some(flops);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::rowsplit_max_m`].
-    pub fn rowsplit_max_m(mut self, m: usize) -> Self {
-        self.rowsplit_max_m = Some(m);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::hashed_max_fill`].
-    pub fn hashed_max_fill(mut self, fill: f64) -> Self {
-        self.hashed_max_fill = Some(fill);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::hashed_min_slots`].
-    pub fn hashed_min_slots(mut self, slots: usize) -> Self {
-        self.hashed_min_slots = Some(slots);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::lane_major_min_k`].
-    pub fn lane_major_min_k(mut self, k: usize) -> Self {
-        self.lane_major_min_k = Some(k);
-        self
-    }
-
-    /// Builder-style setter for [`AdaptiveConfig::lane_major_max_overlap`].
-    pub fn lane_major_max_overlap(mut self, overlap: f64) -> Self {
-        self.lane_major_max_overlap = Some(overlap);
-        self
-    }
-
-    /// Fills the unset fields from the one-shot [`calibration`] pass and
-    /// returns the concrete constants the dispatchers consult. The probe
-    /// only runs (once per process) if a calibrated field is actually
-    /// unset — a fully pinned config never pays for it.
-    pub fn resolve(&self) -> ResolvedAdaptive {
-        ResolvedAdaptive {
-            sequential_flops_cutoff: self
-                .sequential_flops_cutoff
-                .unwrap_or_else(|| calibration().sequential_flops_cutoff),
-            naive_k_cutoff: self.naive_k_cutoff.unwrap_or(1),
-            naive_wide_min_k: self.naive_wide_min_k.unwrap_or(4),
-            naive_min_flops_per_lane: self.naive_min_flops_per_lane.unwrap_or(512),
-            fused_max_slots: self.fused_max_slots.unwrap_or(1 << 22),
-            rowsplit_flops_cutoff: self
-                .rowsplit_flops_cutoff
-                .unwrap_or_else(|| calibration().rowsplit_flops_cutoff),
-            rowsplit_max_m: self.rowsplit_max_m.unwrap_or(1 << 17),
-            hashed_max_fill: self.hashed_max_fill.unwrap_or_else(|| calibration().hashed_max_fill),
-            hashed_min_slots: self.hashed_min_slots.unwrap_or(1 << 21),
-            lane_major_min_k: self.lane_major_min_k.unwrap_or(16),
-            lane_major_max_overlap: self.lane_major_max_overlap.unwrap_or(1.5),
-        }
-    }
-}
-
-/// [`AdaptiveConfig`] with every constant resolved. See the field docs
-/// there.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ResolvedAdaptive {
-    /// See [`AdaptiveConfig::sequential_flops_cutoff`].
-    pub sequential_flops_cutoff: usize,
-    /// See [`AdaptiveConfig::naive_k_cutoff`].
-    pub naive_k_cutoff: usize,
-    /// See [`AdaptiveConfig::naive_wide_min_k`].
-    pub naive_wide_min_k: usize,
-    /// See [`AdaptiveConfig::naive_min_flops_per_lane`].
-    pub naive_min_flops_per_lane: usize,
-    /// See [`AdaptiveConfig::fused_max_slots`].
-    pub fused_max_slots: usize,
-    /// See [`AdaptiveConfig::rowsplit_flops_cutoff`].
-    pub rowsplit_flops_cutoff: usize,
-    /// See [`AdaptiveConfig::rowsplit_max_m`].
-    pub rowsplit_max_m: usize,
-    /// See [`AdaptiveConfig::hashed_max_fill`].
-    pub hashed_max_fill: f64,
-    /// See [`AdaptiveConfig::hashed_min_slots`].
-    pub hashed_min_slots: usize,
-    /// See [`AdaptiveConfig::lane_major_min_k`].
-    pub lane_major_min_k: usize,
-    /// See [`AdaptiveConfig::lane_major_max_overlap`].
-    pub lane_major_max_overlap: f64,
-}
-
-/// What the one-shot micro-probe measured on this machine.
-#[derive(Debug, Clone, Copy)]
-pub struct Calibration {
-    /// Nanoseconds per dense generation-stamped scatter over a
-    /// larger-than-cache footprint (the dense backend's sparse-output
-    /// regime).
-    pub dense_ns_per_op: f64,
-    /// Nanoseconds per open-addressing probe-and-insert in a cache-resident
-    /// table (the hashed backend's regime at low fill).
-    pub hashed_ns_per_op: f64,
-    /// Probe-derived [`ResolvedAdaptive::hashed_max_fill`] (the one
-    /// constant the timing probe actually informs today).
-    pub hashed_max_fill: f64,
-    /// Static default for [`ResolvedAdaptive::sequential_flops_cutoff`]
-    /// (measured once on the reference dev container, not probe-derived).
-    pub sequential_flops_cutoff: usize,
-    /// Static default for [`ResolvedAdaptive::rowsplit_flops_cutoff`]
-    /// (measured once on the reference dev container, not probe-derived).
-    pub rowsplit_flops_cutoff: usize,
-}
-
-/// The one-shot calibration pass: runs once per process (behind a
-/// [`OnceLock`]), in well under a millisecond, and is only consulted for
-/// [`AdaptiveConfig`] fields the caller left unset. It times
-///
-/// 1. a generation-stamped scatter over a dense footprint much larger than
-///    cache (what the dense backends pay per triple when the output is
-///    sparse relative to `m × k`), and
-/// 2. a probe-and-insert loop in a small open-addressing table (what the
-///    hashed backend pays per triple in the same regime),
-///
-/// then scales the default fill crossover by the measured cost ratio: the
-/// cheaper hashing is relative to missy dense scatter on this machine, the
-/// denser the accumulator may be while hashing still wins.
-pub fn calibration() -> &'static Calibration {
-    static CAL: OnceLock<Calibration> = OnceLock::new();
-    CAL.get_or_init(|| {
-        crate::obs::record_calibration();
-        // 8 MiB of stamps + 8 MiB of values: larger than typical L2/L3
-        // slices, so the dense probe is miss-dominated like the real
-        // sparse-output regime.
-        const DENSE_SLOTS: usize = 1 << 20;
-        const HASH_CAP: usize = 1 << 14; // cache-resident, like a real table
-        const OPS: usize = 1 << 15;
-        const LCG_MUL: u64 = 6364136223846793005;
-        const LCG_ADD: u64 = 1442695040888963407;
-
-        let mut stamps = vec![0u64; DENSE_SLOTS];
-        let mut values = vec![0u64; DENSE_SLOTS];
-        let mut state = 0x9E37_79B9u64;
-        let t0 = Instant::now();
-        for op in 0..OPS {
-            state = state.wrapping_mul(LCG_MUL).wrapping_add(LCG_ADD);
-            let s = (state >> 24) as usize & (DENSE_SLOTS - 1);
-            if stamps[s] == 1 {
-                values[s] = values[s].wrapping_add(op as u64);
-            } else {
-                stamps[s] = 1;
-                values[s] = op as u64;
-            }
-        }
-        let dense = t0.elapsed();
-        std::hint::black_box(&values);
-
-        let mut keys = vec![0u64; HASH_CAP];
-        let mut hstamps = vec![0u64; HASH_CAP];
-        let mut hvalues = vec![0u64; HASH_CAP];
-        let mut state = 0x517C_C1B7u64;
-        let t1 = Instant::now();
-        for op in 0..OPS {
-            state = state.wrapping_mul(LCG_MUL).wrapping_add(LCG_ADD);
-            // Keys drawn from half the table's capacity, so the load factor
-            // stays ≤ ½ (like the real windows) and probes terminate.
-            let key = (state >> 24) & (HASH_CAP as u64 / 2 - 1);
-            let mut pos = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (HASH_CAP - 1);
-            loop {
-                if hstamps[pos] != 1 {
-                    hstamps[pos] = 1;
-                    keys[pos] = key;
-                    hvalues[pos] = op as u64;
-                    break;
-                }
-                if keys[pos] == key {
-                    hvalues[pos] = hvalues[pos].wrapping_add(op as u64);
-                    break;
-                }
-                pos = (pos + 1) & (HASH_CAP - 1);
-            }
-        }
-        let hashed = t1.elapsed();
-        std::hint::black_box(&hvalues);
-
-        let dense_ns = (dense.as_nanos() as f64 / OPS as f64).max(0.01);
-        let hashed_ns = (hashed.as_nanos() as f64 / OPS as f64).max(0.01);
-        // Base crossover 1/32, scaled by how much cheaper (or dearer)
-        // hashing is than missy dense scatter here, clamped to sane bounds.
-        // The clamp ceiling is deliberately low: the probe overstates dense
-        // misses because the real merge is already cache-blocked per bucket,
-        // and `hashed_min_slots` separately keeps cache-resident dense
-        // accumulators out of the hashed path entirely.
-        let hashed_max_fill = (0.03125 * dense_ns / hashed_ns).clamp(1.0 / 128.0, 1.0 / 16.0);
-        Calibration {
-            dense_ns_per_op: dense_ns,
-            hashed_ns_per_op: hashed_ns,
-            hashed_max_fill,
-            sequential_flops_cutoff: 256,
-            // Measured on the dev container: with one worker the row-split
-            // baseline degenerates to a single fused-SPA pass with none of
-            // the bucket pipeline's fixed costs, and stays ahead of the
-            // fused bucket kernel well past a million flops.
-            rowsplit_flops_cutoff: 1 << 22,
-        }
-    })
-}
+/// Single-vector: estimated flops at or below which the sequential SPA beats
+/// the parallel bucket pipeline's fixed costs.
+const SEQUENTIAL_FLOPS_CUTOFF: usize = 256;
+/// Batched: widths `k` at or below this run as independent single-vector
+/// calls ([`NaiveBatch`]) — fusing one lane is pure overhead.
+const NAIVE_K_CUTOFF: usize = 1;
+/// Batched, single-threaded: minimum width for the *wide-batch naive band* —
+/// at large `k`, per-lane single-vector calls keep every accumulator at
+/// `O(m)` instead of `O(m·k)`, which beats fusion for moderate per-lane work.
+const NAIVE_WIDE_MIN_K: usize = 4;
+/// Batched, single-threaded: minimum estimated flops **per lane** for the
+/// wide-batch naive band (below it, `k` kernel launches dominate).
+const NAIVE_MIN_FLOPS_PER_LANE: usize = 512;
+/// Batched, single-threaded: fused-accumulator footprint `m·k` (slots) at or
+/// above which per-lane naive calls win outright — each lane's `O(m)`
+/// accumulator stays TLB/cache-friendly where one `O(m·k)` accumulator
+/// scatters over tens of megabytes.
+const FUSED_MAX_SLOTS: usize = 1 << 22;
+/// Single-threaded: estimated flops at or below which one flat SPA pass (the
+/// row-split kernel with one piece, or the sequential kernel) beats the
+/// three-pass bucket pipeline. With one worker the row-split baseline
+/// degenerates to a single fused-SPA pass with none of the bucket pipeline's
+/// fixed costs, and stays ahead well past a million flops.
+const ROWSPLIT_FLOPS_CUTOFF: usize = 1 << 22;
+/// Single-threaded: largest row count `m` at which a flat sequential SPA
+/// pass still wins for non-tiny frontiers — beyond it the `O(m)`
+/// accumulator's scatter is miss-dominated and the per-lane bucket kernel
+/// takes over.
+const ROWSPLIT_MAX_M: usize = 1 << 17;
 
 /// Resolved thread count an options value implies (mirrors
 /// [`crate::executor::Executor::new`] without building a pool).
@@ -343,61 +82,10 @@ fn resolved_threads(options: &SpMSpVOptions) -> usize {
 
 /// Estimated multiplications for a frontier of `nnz` entries against
 /// `matrix` (mean column degree × nnz — exact counting would cost a pass
-/// over the frontier, which dispatch must not). Shared with the kernels'
-/// `SpaBackend::Auto` paths so every dispatch site uses one estimator.
-pub(crate) fn estimated_flops<A: Scalar>(matrix: &CscMatrix<A>, nnz: usize) -> usize {
+/// over the frontier, which dispatch must not).
+fn estimated_flops<A: Scalar>(matrix: &CscMatrix<A>, nnz: usize) -> usize {
     let cols = matrix.ncols().max(1);
     nnz.saturating_mul(matrix.nnz()) / cols
-}
-
-/// Picks the SPA backend for one batched merge, from the **exact** triple
-/// count the estimate pass produced, the accumulator shape, the fused
-/// input's column-sharing profile, and the mask's keep fraction (masked-out
-/// triples never occupy a slot, so the effective fill is lower).
-pub fn choose_backend(
-    triples: usize,
-    m: usize,
-    k: usize,
-    fused_cols: usize,
-    activations: usize,
-    keep_fraction: f64,
-    cfg: &ResolvedAdaptive,
-) -> SpaBackend {
-    let slots = (m * k).max(1);
-    let fill = (triples as f64 * keep_fraction.clamp(0.0, 1.0)) / slots as f64;
-    if slots >= cfg.hashed_min_slots && fill <= cfg.hashed_max_fill {
-        return SpaBackend::Hashed;
-    }
-    let overlap = activations as f64 / fused_cols.max(1) as f64;
-    if k >= cfg.lane_major_min_k && overlap <= cfg.lane_major_max_overlap {
-        return SpaBackend::DenseLaneMajor;
-    }
-    SpaBackend::DenseIndexMajor
-}
-
-/// The fraction of `(row, lane)` slots a mask lets through — `1.0` when
-/// unmasked, the mean keep probability otherwise.
-pub(crate) fn keep_fraction(mask: Option<&BatchMaskView<'_>>) -> f64 {
-    let of_view = |view: &MaskView<'_>| {
-        let len = view.bits().len().max(1) as f64;
-        let set = view.bits().count() as f64;
-        match view.mode() {
-            MaskMode::Keep => set / len,
-            MaskMode::Complement => 1.0 - set / len,
-        }
-    };
-    match mask {
-        None => 1.0,
-        Some(BatchMaskView::Shared(view)) => of_view(view),
-        Some(BatchMaskView::PerLane { masks, mode }) => {
-            if masks.is_empty() {
-                return 1.0;
-            }
-            let sum: f64 =
-                masks.iter().map(|bits| of_view(&MaskView::new(bits.as_ref(), *mode))).sum();
-            sum / masks.len() as f64
-        }
-    }
 }
 
 /// [`AlgorithmKind::Adaptive`]: dispatches each single-vector call between
@@ -412,7 +100,6 @@ pub(crate) fn keep_fraction(mask: Option<&BatchMaskView<'_>>) -> f64 {
 pub struct AdaptiveSpMSpV<'a, A, X, S: Semiring<A, X>> {
     matrix: &'a CscMatrix<A>,
     options: SpMSpVOptions,
-    resolved: ResolvedAdaptive,
     threads: usize,
     bucket: Option<SpMSpVBucket<'a, A, X, S>>,
     sequential: Option<SequentialSpa<'a, A, S::Output>>,
@@ -428,17 +115,8 @@ where
     /// Prepares the dispatcher (no kernel is instantiated until the first
     /// call needs it).
     pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
-        let resolved = options.adaptive.resolve();
         let threads = resolved_threads(&options);
-        AdaptiveSpMSpV {
-            matrix,
-            options,
-            resolved,
-            threads,
-            bucket: None,
-            sequential: None,
-            last: None,
-        }
+        AdaptiveSpMSpV { matrix, options, threads, bucket: None, sequential: None, last: None }
     }
 
     /// The fixed family the most recent call delegated to (`None` before
@@ -458,10 +136,10 @@ where
         // single-thread cutoff is the (much larger) row-split one — but
         // only while m is small enough that the flat O(m) SPA's scatter
         // stays cache-friendly.
-        let cutoff = if self.threads == 1 && self.matrix.nrows() <= self.resolved.rowsplit_max_m {
-            self.resolved.sequential_flops_cutoff.max(self.resolved.rowsplit_flops_cutoff)
+        let cutoff = if self.threads == 1 && self.matrix.nrows() <= ROWSPLIT_MAX_M {
+            SEQUENTIAL_FLOPS_CUTOFF.max(ROWSPLIT_FLOPS_CUTOFF)
         } else {
-            self.resolved.sequential_flops_cutoff
+            SEQUENTIAL_FLOPS_CUTOFF
         };
         if order_compatible && flops <= cutoff {
             AlgorithmKind::Sequential
@@ -521,14 +199,11 @@ where
 
 /// [`BatchAlgorithmKind::Adaptive`]: dispatches each batched call between
 /// the fused bucket kernel, the per-lane naive fallback, and the row-split
-/// baseline from `(total nnz, k, m, threads)`; the SPA backend inside the
-/// bucket delegate stays on [`SpaBackend::Auto`] unless the options pin it,
-/// so family and backend adapt together. Delegates are lazy and keep their
-/// workspaces across calls.
+/// baseline from `(total nnz, k, m, threads)`. Delegates are lazy and keep
+/// their workspaces across calls.
 pub struct AdaptiveBatch<'a, A, X, S: Semiring<A, X>> {
     matrix: &'a CscMatrix<A>,
     options: SpMSpVOptions,
-    resolved: ResolvedAdaptive,
     threads: usize,
     bucket: Option<SpMSpVBucketBatch<'a, A, X, S>>,
     naive: Option<NaiveBatch<'a, A, X, S>>,
@@ -545,12 +220,10 @@ where
     /// Prepares the dispatcher (no kernel is instantiated until the first
     /// call needs it).
     pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
-        let resolved = options.adaptive.resolve();
         let threads = resolved_threads(&options);
         AdaptiveBatch {
             matrix,
             options,
-            resolved,
             threads,
             bucket: None,
             naive: None,
@@ -559,8 +232,8 @@ where
         }
     }
 
-    /// The fixed `(kernel, backend)` the most recent call delegated to
-    /// (`None` before the first call).
+    /// What the most recent call executed (`None` before the first call and
+    /// after a call that merged nothing).
     pub fn last_choice(&self) -> Option<BatchRunInfo> {
         self.last
     }
@@ -569,10 +242,8 @@ where
     /// the bench can compare the adaptive run against its delegate).
     pub fn choose(&self, total_nnz: usize, k: usize) -> BatchAlgorithmKind {
         let flops = estimated_flops(self.matrix, total_nnz);
-        let r = &self.resolved;
-        if self.threads == 1 && flops <= r.rowsplit_flops_cutoff {
-            // Single-threaded regime, measured on the batch_scaling sweep
-            // (see BENCH_batch_scaling.json). Per-lane naive calls win when
+        if self.threads == 1 && flops <= ROWSPLIT_FLOPS_CUTOFF {
+            // Single-threaded regime. Per-lane naive calls win when
             // each lane carries enough work to amortize its kernel launch,
             // or when the fused accumulator's m·k footprint is so large
             // that any one-accumulator layout scatters over tens of
@@ -582,18 +253,18 @@ where
             // is left, provided m itself is small enough that its flat
             // scatter is not miss-dominated — past that, naive again.
             let per_lane = flops / k.max(1);
-            if k >= r.naive_wide_min_k && per_lane >= r.naive_min_flops_per_lane {
+            if k >= NAIVE_WIDE_MIN_K && per_lane >= NAIVE_MIN_FLOPS_PER_LANE {
                 return BatchAlgorithmKind::Naive;
             }
-            if self.matrix.nrows().saturating_mul(k) >= r.fused_max_slots {
+            if self.matrix.nrows().saturating_mul(k) >= FUSED_MAX_SLOTS {
                 return BatchAlgorithmKind::Naive;
             }
-            if self.matrix.nrows() <= r.rowsplit_max_m || per_lane <= r.sequential_flops_cutoff {
+            if self.matrix.nrows() <= ROWSPLIT_MAX_M || per_lane <= SEQUENTIAL_FLOPS_CUTOFF {
                 return BatchAlgorithmKind::CombBlasRowSplit;
             }
             return BatchAlgorithmKind::Naive;
         }
-        if k <= r.naive_k_cutoff {
+        if k <= NAIVE_K_CUTOFF {
             return BatchAlgorithmKind::Naive;
         }
         // Past the single-pass cutoff (or with real parallelism) bulk work
@@ -657,9 +328,7 @@ where
                 (y, bucket.last_run_info())
             }
         };
-        if info.is_some() {
-            self.last = info;
-        }
+        self.last = info;
         y
     }
 
@@ -671,110 +340,51 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sparse_substrate::fixtures::tridiagonal;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::spmspv_reference;
     use sparse_substrate::PlusTimes;
 
-    #[test]
-    fn calibration_is_sane_and_cached() {
-        let c1 = calibration();
-        let c2 = calibration();
-        assert!(std::ptr::eq(c1, c2), "calibration must run once");
-        assert!(c1.dense_ns_per_op > 0.0 && c1.hashed_ns_per_op > 0.0);
-        assert!((1.0 / 128.0..=0.25).contains(&c1.hashed_max_fill));
-    }
-
-    #[test]
-    fn config_overrides_beat_calibration() {
-        let r = AdaptiveConfig::default()
-            .hashed_max_fill(0.125)
-            .hashed_min_slots(9)
-            .sequential_flops_cutoff(7)
-            .naive_k_cutoff(2)
-            .rowsplit_flops_cutoff(11)
-            .lane_major_min_k(3)
-            .lane_major_max_overlap(2.0)
-            .resolve();
-        assert_eq!(r.hashed_max_fill, 0.125);
-        assert_eq!(r.hashed_min_slots, 9);
-        assert_eq!(r.sequential_flops_cutoff, 7);
-        assert_eq!(r.naive_k_cutoff, 2);
-        assert_eq!(r.rowsplit_flops_cutoff, 11);
-        assert_eq!(r.lane_major_min_k, 3);
-        assert_eq!(r.lane_major_max_overlap, 2.0);
-        // Unset fields come from calibration / static defaults.
-        let d = AdaptiveConfig::default().resolve();
-        assert_eq!(d.naive_k_cutoff, 1);
-        assert_eq!(d.hashed_min_slots, 1 << 21);
-        assert_eq!(d.fused_max_slots, 1 << 22);
-        assert_eq!(d.rowsplit_max_m, 1 << 17);
-        assert_eq!(d.hashed_max_fill, calibration().hashed_max_fill);
-    }
-
-    #[test]
-    fn backend_choice_follows_fill_k_and_overlap() {
-        let cfg = AdaptiveConfig::default()
-            .hashed_max_fill(1.0 / 32.0)
-            .hashed_min_slots(1)
-            .lane_major_min_k(16)
-            .lane_major_max_overlap(1.5)
-            .resolve();
-        // Sparse output → hashed.
-        assert_eq!(choose_backend(100, 10_000, 32, 90, 100, 1.0, &cfg), SpaBackend::Hashed);
-        // Dense output, wide batch, disjoint lanes → lane-major.
-        assert_eq!(
-            choose_backend(50_000, 10_000, 32, 45_000, 50_000, 1.0, &cfg),
-            SpaBackend::DenseLaneMajor
-        );
-        // Dense output, heavy column sharing → index-major.
-        assert_eq!(
-            choose_backend(50_000, 10_000, 32, 5_000, 50_000, 1.0, &cfg),
-            SpaBackend::DenseIndexMajor
-        );
-        // Narrow batch never goes lane-major.
-        assert_eq!(
-            choose_backend(50_000, 10_000, 4, 45_000, 50_000, 1.0, &cfg),
-            SpaBackend::DenseIndexMajor
-        );
-        // A selective keep-mask reduces effective fill into hashed range.
-        assert_eq!(
-            choose_backend(50_000, 10_000, 32, 45_000, 50_000, 0.01, &cfg),
-            SpaBackend::Hashed
-        );
+    /// A frontier size whose estimated flops against `a` exceed `flops`.
+    fn nnz_past(a: &CscMatrix<f64>, flops: usize) -> usize {
+        (flops + 1) * a.ncols() / a.nnz() + 1
     }
 
     #[test]
     fn single_adaptive_matches_its_delegates() {
         let a = erdos_renyi(300, 6.0, 5);
-        let opts = SpMSpVOptions::with_threads(2)
-            .adaptive(AdaptiveConfig::default().sequential_flops_cutoff(64));
+        let opts = SpMSpVOptions::with_threads(2);
+        let mut seen = Vec::new();
+        // ~6 flops per frontier entry: 1 and 4 sit under the sequential
+        // cutoff, 200 well past it.
         for nnz in [1usize, 4, 200] {
             let x = random_sparse_vec(300, nnz, 7 + nnz as u64).sorted();
             let mut adaptive: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
                 AdaptiveSpMSpV::new(&a, opts.clone());
             let y = adaptive.multiply(&x, &PlusTimes);
             let choice = adaptive.last_choice().expect("ran above");
-            let mut fixed = crate::build_algorithm::<f64, f64, PlusTimes>(
-                &a,
-                choice,
-                SpMSpVOptions::with_threads(2),
-            );
+            let mut fixed = crate::build_algorithm::<f64, f64, PlusTimes>(&a, choice, opts.clone());
             assert_eq!(y, fixed.multiply(&x, &PlusTimes), "adaptive ≠ its {choice} delegate");
             let expected = spmspv_reference(&a, &x, &PlusTimes);
             assert!(y.approx_same_entries(&expected, 1e-9));
+            seen.push(choice);
         }
+        assert_eq!(
+            seen,
+            [AlgorithmKind::Sequential, AlgorithmKind::Sequential, AlgorithmKind::Bucket],
+            "the frontier sizes must cross the sequential cutoff"
+        );
     }
 
     #[test]
     fn tiny_sorted_frontiers_go_sequential_big_ones_bucket() {
         let a = erdos_renyi(500, 8.0, 3);
-        let opts = SpMSpVOptions::with_threads(4)
-            .adaptive(AdaptiveConfig::default().sequential_flops_cutoff(32));
-        let mut adaptive: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> = AdaptiveSpMSpV::new(&a, opts);
+        let mut adaptive: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
+            AdaptiveSpMSpV::new(&a, SpMSpVOptions::with_threads(4));
         let tiny = random_sparse_vec(500, 2, 1).sorted();
         let _ = adaptive.multiply(&tiny, &PlusTimes);
         assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Sequential));
-        let big = random_sparse_vec(500, 400, 2).sorted();
+        let big = random_sparse_vec(500, nnz_past(&a, SEQUENTIAL_FLOPS_CUTOFF), 2).sorted();
         let _ = adaptive.multiply(&big, &PlusTimes);
         assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Bucket));
         // Unsorted frontier under sorted output: reduction orders differ,
@@ -785,27 +395,54 @@ mod tests {
         assert!(!unsorted.is_sorted());
         let _ = adaptive.multiply(&unsorted, &PlusTimes);
         assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Bucket));
+
+        // One worker: the same big frontier stays on the flat SPA pass while
+        // m is small, and goes back to the bucket kernel once m outgrows it.
+        let mut one: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
+            AdaptiveSpMSpV::new(&a, SpMSpVOptions::with_threads(1));
+        let _ = one.multiply(&big, &PlusTimes);
+        assert_eq!(one.last_choice(), Some(AlgorithmKind::Sequential));
+        let tall = tridiagonal(ROWSPLIT_MAX_M + 1);
+        let mut one: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
+            AdaptiveSpMSpV::new(&tall, SpMSpVOptions::with_threads(1));
+        let big =
+            random_sparse_vec(tall.ncols(), nnz_past(&tall, SEQUENTIAL_FLOPS_CUTOFF), 2).sorted();
+        let _ = one.multiply(&big, &PlusTimes);
+        assert_eq!(one.last_choice(), Some(AlgorithmKind::Bucket));
     }
 
     #[test]
     fn batch_adaptive_family_decision() {
+        use BatchAlgorithmKind::{Bucket, CombBlasRowSplit, Naive};
         let a = erdos_renyi(400, 6.0, 9);
-        let opts = SpMSpVOptions::with_threads(1)
-            .adaptive(AdaptiveConfig::default().rowsplit_flops_cutoff(64));
-        let adaptive: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(&a, opts);
-        assert_eq!(adaptive.choose(100, 1), BatchAlgorithmKind::Naive);
-        assert_eq!(adaptive.choose(4, 8), BatchAlgorithmKind::CombBlasRowSplit);
-        assert_eq!(adaptive.choose(1_000, 8), BatchAlgorithmKind::Bucket);
-        // Wide-batch naive band: enough per-lane work, bounded total.
-        let wide: AdaptiveBatch<'_, f64, f64, PlusTimes> =
+        let past_single_pass = nnz_past(&a, ROWSPLIT_FLOPS_CUTOFF);
+
+        let one: AdaptiveBatch<'_, f64, f64, PlusTimes> =
             AdaptiveBatch::new(&a, SpMSpVOptions::with_threads(1));
-        assert_eq!(wide.choose(1_600, 16), BatchAlgorithmKind::Naive);
-        assert_eq!(wide.choose(64, 16), BatchAlgorithmKind::CombBlasRowSplit, "too little/lane");
-        assert_eq!(wide.choose(1_600, 2), BatchAlgorithmKind::CombBlasRowSplit, "too narrow");
+        assert_eq!(one.choose(4, 8), CombBlasRowSplit);
+        assert_eq!(one.choose(100, 1), CombBlasRowSplit, "one flat pass beats k = 1 naive");
+        // Wide-batch naive band: enough per-lane work, bounded total.
+        assert_eq!(one.choose(1_600, 16), Naive);
+        assert_eq!(one.choose(64, 16), CombBlasRowSplit, "too little/lane");
+        assert_eq!(one.choose(1_600, 2), CombBlasRowSplit, "too narrow");
+        // A fused accumulator of FUSED_MAX_SLOTS or more never pays.
+        assert_eq!(one.choose(64, FUSED_MAX_SLOTS / 400 - 1), CombBlasRowSplit);
+        assert_eq!(one.choose(64, FUSED_MAX_SLOTS / 400 + 1), Naive);
+        // Past the single-pass cutoff the thread count stops mattering.
+        assert_eq!(one.choose(past_single_pass, 8), Bucket);
+        assert_eq!(one.choose(past_single_pass, 1), Naive);
+
+        // Past ROWSPLIT_MAX_M rows the flat pass only keeps tiny lanes.
+        let tall = tridiagonal(ROWSPLIT_MAX_M + 1);
+        let one: AdaptiveBatch<'_, f64, f64, PlusTimes> =
+            AdaptiveBatch::new(&tall, SpMSpVOptions::with_threads(1));
+        assert_eq!(one.choose(64, 2), CombBlasRowSplit);
+        assert_eq!(one.choose(2 * nnz_past(&tall, SEQUENTIAL_FLOPS_CUTOFF), 2), Naive);
+
         // Multi-threaded: row-split duplicates work, never chosen.
-        let opts = SpMSpVOptions::with_threads(4)
-            .adaptive(AdaptiveConfig::default().rowsplit_flops_cutoff(64));
-        let adaptive: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(&a, opts);
-        assert_eq!(adaptive.choose(4, 8), BatchAlgorithmKind::Bucket);
+        let four: AdaptiveBatch<'_, f64, f64, PlusTimes> =
+            AdaptiveBatch::new(&a, SpMSpVOptions::with_threads(4));
+        assert_eq!(four.choose(4, 8), Bucket);
+        assert_eq!(four.choose(100, 1), Naive);
     }
 }

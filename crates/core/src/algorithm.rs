@@ -1,8 +1,7 @@
 //! The common interface every SpMSpV implementation exposes.
 
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SpaBackend, SparseVec};
+use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
-use crate::adaptive::AdaptiveConfig;
 use crate::executor::Executor;
 use crate::masked::MaskView;
 
@@ -22,15 +21,6 @@ pub struct SpMSpVOptions {
     /// writes into the buckets (§III-A "Cache efficiency"). `0` disables the
     /// optimization and writes straight into the buckets.
     pub staging_buffer: usize,
-    /// Which [`sparse_substrate::BatchAccumulator`] backend the batched
-    /// kernels merge through. [`SpaBackend::Auto`] (the default) lets each
-    /// call pick from the measured triple count, `m`, `k` and the mask —
-    /// see [`crate::adaptive`].
-    pub spa_backend: SpaBackend,
-    /// Cost-model constants for [`SpaBackend::Auto`] and the `Adaptive`
-    /// algorithm families. Unset fields fall back to the one-shot
-    /// calibration pass ([`AdaptiveConfig::resolve`]).
-    pub adaptive: AdaptiveConfig,
 }
 
 impl Default for SpMSpVOptions {
@@ -40,8 +30,6 @@ impl Default for SpMSpVOptions {
             buckets_per_thread: 4,
             sorted_output: true,
             staging_buffer: 512,
-            spa_backend: SpaBackend::Auto,
-            adaptive: AdaptiveConfig::default(),
         }
     }
 }
@@ -67,18 +55,6 @@ impl SpMSpVOptions {
     /// Builder-style setter for [`SpMSpVOptions::staging_buffer`].
     pub fn staging_buffer(mut self, entries: usize) -> Self {
         self.staging_buffer = entries;
-        self
-    }
-
-    /// Builder-style setter for [`SpMSpVOptions::spa_backend`].
-    pub fn spa_backend(mut self, backend: SpaBackend) -> Self {
-        self.spa_backend = backend;
-        self
-    }
-
-    /// Builder-style setter for [`SpMSpVOptions::adaptive`].
-    pub fn adaptive(mut self, config: AdaptiveConfig) -> Self {
-        self.adaptive = config;
         self
     }
 

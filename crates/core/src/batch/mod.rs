@@ -47,12 +47,8 @@ use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
-use sparse_substrate::{
-    AccumulatorWindow, BatchAccumulator, CscMatrix, HashLaneSpa, LaneMajorSpa, LaneSpa, Scalar,
-    Semiring, SpaBackend, SparseVecBatch,
-};
+use sparse_substrate::{CscMatrix, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
 
-use crate::adaptive::{choose_backend, keep_fraction};
 use crate::algorithm::SpMSpVOptions;
 use crate::bucket::{bucket_of, bucket_row_ranges, BucketPlan};
 use crate::disjoint::{split_by_boundaries, DisjointWriter, SliceWriter};
@@ -101,19 +97,19 @@ pub trait SpMSpVBatch<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
         }
     }
 
-    /// The concrete `(kernel family, SPA backend)` the most recent call
-    /// resolved to. Every kernel in this crate reports `Some` once a
-    /// multiplication has actually merged (adaptive ones report their
-    /// delegate); before the first call — or when a call short-circuits on
-    /// an empty input without merging — there is nothing to report. `None`
-    /// by default so third-party implementations stay source-compatible.
+    /// The concrete kernel family (and accumulator) the most recent call
+    /// executed. The info is **per call**: every kernel in this crate
+    /// reports `Some` after a multiplication that actually merged (adaptive
+    /// ones report their delegate) and `None` before the first call and
+    /// after a call on an all-empty input, which merges nothing. `None` by
+    /// default so third-party implementations stay source-compatible.
     fn last_run_info(&self) -> Option<BatchRunInfo> {
         None
     }
 }
 
 /// The concrete configuration one batched call executed with: which kernel
-/// family ran and which [`SpaBackend`] it merged through. Surfaced through
+/// family ran and which accumulator it merged through. Surfaced through
 /// [`SpMSpVBatch::last_run_info`] so the serving engine's telemetry
 /// ([`crate::stats::EngineStats`]) can record what the adaptive dispatch
 /// actually chose per flush.
@@ -123,8 +119,7 @@ pub struct BatchRunInfo {
     /// [`BatchAlgorithmKind::Adaptive`] — dispatchers report their
     /// delegate).
     pub kernel: BatchAlgorithmKind,
-    /// The accumulator backend the merge ran through (never
-    /// [`SpaBackend::Auto`] — kernels report what `Auto` resolved to).
+    /// The accumulator the merge ran through.
     pub backend: SpaBackend,
 }
 
@@ -176,9 +171,8 @@ pub enum BatchAlgorithmKind {
     /// each scanning the whole fused input with a private lane-aware SPA —
     /// the honest batched counterpart of the paper's CombBLAS-SPA baseline.
     CombBlasRowSplit,
-    /// Cost-model dispatch per call between the fixed families (and, inside
-    /// the bucket delegate, the SPA backends) from `(total nnz, k, m,
-    /// threads)` — see [`crate::adaptive::AdaptiveBatch`].
+    /// Cost-model dispatch per call between the fixed families from
+    /// `(total nnz, k, m, threads)` — see [`crate::adaptive::AdaptiveBatch`].
     Adaptive,
 }
 
@@ -244,15 +238,11 @@ where
     }
 }
 
-/// Reusable buffers of one [`SpMSpVBucketBatch`] instance: one lazily
-/// instantiated accumulator per [`SpaBackend`] (each retaining its
-/// high-water allocation, so alternating backends between flushes never
-/// reallocates) and the shared triple buffer (capacity retained across
-/// calls).
+/// Reusable buffers of one [`SpMSpVBucketBatch`] instance: the lane-aware
+/// accumulator (high-water allocation, so a narrow flush after a wide one
+/// never reallocates) and the triple buffer (capacity retained across calls).
 struct BatchWorkspace<Y> {
-    dense: LaneSpa<Y>,
-    lane_major: Option<LaneMajorSpa<Y>>,
-    hashed: Option<HashLaneSpa<Y>>,
+    spa: LaneSpa<Y>,
     /// `(row, lane, scaled value)` triples, all buckets back to back.
     entries: Vec<(usize, u32, Y)>,
 }
@@ -263,9 +253,9 @@ pub struct SpMSpVBucketBatch<'a, A, X, S: Semiring<A, X>> {
     options: SpMSpVOptions,
     executor: Executor,
     workspace: BatchWorkspace<S::Output>,
-    /// What [`SpaBackend::Auto`] resolved to on the most recent call
-    /// (`None` until the first multiplication runs).
-    last_backend: Option<SpaBackend>,
+    /// Whether the most recent call merged anything (see
+    /// [`SpMSpVBatch::last_run_info`]).
+    merged: bool,
     _marker: PhantomData<fn(X, S)>,
 }
 
@@ -289,18 +279,13 @@ where
         options: SpMSpVOptions,
         executor: Executor,
     ) -> Self {
-        let workspace = BatchWorkspace {
-            dense: LaneSpa::new(0, 0),
-            lane_major: None,
-            hashed: None,
-            entries: Vec::new(),
-        };
+        let workspace = BatchWorkspace { spa: LaneSpa::new(0, 0), entries: Vec::new() };
         SpMSpVBucketBatch {
             matrix,
             options,
             executor,
             workspace,
-            last_backend: None,
+            merged: false,
             _marker: PhantomData,
         }
     }
@@ -308,13 +293,6 @@ where
     /// The options this instance was built with.
     pub fn options(&self) -> &SpMSpVOptions {
         &self.options
-    }
-
-    /// The SPA backend the most recent call merged through (what
-    /// [`SpaBackend::Auto`] resolved to, or the pinned backend); `None`
-    /// before the first call.
-    pub fn last_backend(&self) -> Option<SpaBackend> {
-        self.last_backend
     }
 
     /// Computes `Y ← A ⊕.⊗ X` and returns the per-step wall-clock breakdown
@@ -354,7 +332,8 @@ where
             n
         );
         let mut timings = StepTimings::default();
-        if x.is_empty() {
+        self.merged = !x.is_empty();
+        if !self.merged {
             return (SparseVecBatch::new(m, k), timings);
         }
 
@@ -437,23 +416,7 @@ where
             panic!("failpoint batch.merge: {msg}");
         }
 
-        // ---------------- Merge + Output (pluggable SPA backend) ----------
-        // The backend decision runs *after* estimate, when the exact triple
-        // count is known: fill = triples / (m·k) (scaled by the mask's keep
-        // fraction) is the quantity the cost model keys on.
-        let backend = match self.options.spa_backend {
-            SpaBackend::Auto => choose_backend(
-                total,
-                m,
-                k,
-                fused.num_cols(),
-                fused.total_activations(),
-                keep_fraction(mask),
-                &self.options.adaptive.resolve(),
-            ),
-            fixed => fixed,
-        };
-        self.last_backend = Some(backend);
+        // ---------------- Merge + Output ----------------
         let row_ranges = bucket_row_ranges(m, nb);
         let params = MergeParams {
             executor: &self.executor,
@@ -465,33 +428,18 @@ where
             mask,
             sorted_output: self.options.sorted_output,
         };
-        let (y, merge_time, output_time) = match backend {
-            SpaBackend::DenseIndexMajor | SpaBackend::Auto => {
-                merge_and_output(&mut ws.dense, semiring, &params)
-            }
-            SpaBackend::DenseLaneMajor => merge_and_output(
-                ws.lane_major.get_or_insert_with(|| LaneMajorSpa::new(0, 0)),
-                semiring,
-                &params,
-            ),
-            SpaBackend::Hashed => merge_and_output(
-                ws.hashed.get_or_insert_with(|| HashLaneSpa::new(0, 0)),
-                semiring,
-                &params,
-            ),
-        };
+        let (y, merge_time, output_time) = merge_and_output(&mut ws.spa, semiring, &params);
         timings.merge = merge_time;
         timings.output = output_time;
         crate::obs::record_batch_phases(&timings);
-        crate::obs::record_backend_choice(backend);
+        crate::obs::record_dense_merge();
 
         (y, timings)
     }
 }
 
-/// The merge/output inputs shared by every backend instantiation of
-/// [`merge_and_output`] (bundled so the generic helper's signature stays
-/// readable).
+/// The inputs of [`merge_and_output`] besides the accumulator and the
+/// semiring (bundled so its signature stays readable).
 struct MergeParams<'p, Y> {
     executor: &'p Executor,
     /// `(row, lane, scaled value)` triples, all buckets back to back.
@@ -506,16 +454,12 @@ struct MergeParams<'p, Y> {
     sorted_output: bool,
 }
 
-/// Steps 2 + 3 of the batched pipeline, generic over the SPA backend: merge
-/// every bucket's triples into disjoint accumulator windows in parallel,
-/// then gather the per-`(bucket, lane)` unique rows into a
-/// [`SparseVecBatch`]. Returns the result plus the (merge, output) timings.
-///
-/// Monomorphized per backend so the accumulate fast path — including the
-/// semiring add — inlines; the backend decision is a single `match` in the
-/// caller.
-fn merge_and_output<A, X, S, Acc>(
-    spa: &mut Acc,
+/// Steps 2 + 3 of the batched pipeline: merge every bucket's triples into
+/// disjoint accumulator windows in parallel, then gather the
+/// per-`(bucket, lane)` unique rows into a [`SparseVecBatch`]. Returns the
+/// result plus the (merge, output) timings.
+fn merge_and_output<A, X, S>(
+    spa: &mut LaneSpa<S::Output>,
     semiring: &S,
     p: &MergeParams<'_, S::Output>,
 ) -> (SparseVecBatch<S::Output>, Duration, Duration)
@@ -523,17 +467,15 @@ where
     A: Scalar,
     X: Scalar,
     S: Semiring<A, X>,
-    Acc: BatchAccumulator<S::Output>,
 {
     let (m, k) = (p.m, p.k);
     let t2 = Instant::now();
     spa.ensure_shape(m, k);
-    let bucket_counts: Vec<usize> = p.bucket_starts.windows(2).map(|w| w[1] - w[0]).collect();
     let mask = p.mask;
     let sorted_output = p.sorted_output;
     // Per (bucket, lane) unique row lists.
     let uinds: Vec<Vec<Vec<usize>>> = {
-        let windows = spa.split_windows(p.row_ranges, &bucket_counts);
+        let windows = spa.split_index_ranges(p.row_ranges);
         let entry_slices = split_by_boundaries(p.entries, p.bucket_starts);
         p.executor.install(|| {
             entry_slices
@@ -599,22 +541,20 @@ where
     {
         let spa = &*spa;
         p.executor.install(|| {
-            uinds.par_iter().zip(window_starts.par_iter()).enumerate().for_each(
-                |(b, (bucket_uind, starts))| {
-                    for (l, lane_uind) in bucket_uind.iter().enumerate() {
-                        let base = starts[l];
-                        for (off, &i) in lane_uind.iter().enumerate() {
-                            // SAFETY: the (bucket, lane) windows computed
-                            // above partition 0..y_nnz, so every offset
-                            // is written exactly once.
-                            unsafe {
-                                idx_writer.write(base + off, i);
-                                val_writer.write(base + off, *spa.value_at_window(b, i, l));
-                            }
+            uinds.par_iter().zip(window_starts.par_iter()).for_each(|(bucket_uind, starts)| {
+                for (l, lane_uind) in bucket_uind.iter().enumerate() {
+                    let base = starts[l];
+                    for (off, &i) in lane_uind.iter().enumerate() {
+                        // SAFETY: the (bucket, lane) windows computed
+                        // above partition 0..y_nnz, so every offset
+                        // is written exactly once.
+                        unsafe {
+                            idx_writer.write(base + off, i);
+                            val_writer.write(base + off, *spa.value_at(i, l));
                         }
                     }
-                },
-            );
+                }
+            });
         });
     }
     // SAFETY: the windows partition 0..y_nnz and every slot was written
@@ -659,8 +599,10 @@ where
     }
 
     fn last_run_info(&self) -> Option<BatchRunInfo> {
-        self.last_backend
-            .map(|backend| BatchRunInfo { kernel: BatchAlgorithmKind::Bucket, backend })
+        self.merged.then_some(BatchRunInfo {
+            kernel: BatchAlgorithmKind::Bucket,
+            backend: SpaBackend::Dense,
+        })
     }
 }
 

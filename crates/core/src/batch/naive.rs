@@ -20,7 +20,8 @@ use super::{BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
 /// the single-vector kernel still applies).
 pub struct NaiveBatch<'a, A, X, S: Semiring<A, X>> {
     inner: SpMSpVBucket<'a, A, X, S>,
-    /// Whether any multiplication has run (gates [`SpMSpVBatch::last_run_info`]).
+    /// Whether the most recent call had anything to multiply (gates
+    /// [`SpMSpVBatch::last_run_info`]).
     ran: bool,
 }
 
@@ -55,10 +56,7 @@ where
     }
 
     fn multiply_batch(&mut self, x: &SparseVecBatch<X>, semiring: &S) -> SparseVecBatch<S::Output> {
-        self.ran = true;
-        let lanes: Vec<SparseVec<S::Output>> =
-            (0..x.k()).map(|l| self.inner.multiply(&x.lane_vec(l), semiring)).collect();
-        SparseVecBatch::from_lanes(&lanes).expect("every lane shares the matrix's row dimension")
+        self.multiply_batch_masked(x, semiring, None)
     }
 
     fn multiply_batch_masked(
@@ -70,7 +68,7 @@ where
         if let Some(mask) = mask {
             mask.check_lanes(x.k());
         }
-        self.ran = true;
+        self.ran = !x.is_empty();
         let lanes: Vec<SparseVec<S::Output>> = (0..x.k())
             .map(|l| {
                 self.inner.multiply_masked(&x.lane_vec(l), semiring, mask.map(|m| m.lane_view(l)))
@@ -84,7 +82,7 @@ where
         // k = 1 degenerate case of the dense index-major layout.
         self.ran.then_some(BatchRunInfo {
             kernel: BatchAlgorithmKind::Naive,
-            backend: SpaBackend::DenseIndexMajor,
+            backend: SpaBackend::Dense,
         })
     }
 }

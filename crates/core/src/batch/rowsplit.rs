@@ -18,10 +18,9 @@
 //! beat a batched row-split, not only the `k`-independent-calls
 //! [`NaiveBatch`](super::NaiveBatch).
 //!
-//! The per-piece accumulator is pluggable like the fused kernel's
-//! ([`SpMSpVOptions::spa_backend`]): dense index-major, dense lane-major, or
-//! hashed, with [`SpaBackend::Auto`] resolving per call from the estimated
-//! fill of each piece's `m/t × k` slot space.
+//! Each piece merges through the same accumulator as the fused kernel — a
+//! private [`LaneSpa`] over its `m/t × k` slot space, used directly instead
+//! of through windows.
 //!
 //! Output determinism matches the rest of the crate: under `sorted_output`
 //! each lane is sorted ascending, so results are comparable entry-for-entry
@@ -31,24 +30,14 @@
 
 use rayon::prelude::*;
 use sparse_substrate::{
-    BatchAccumulator, CscMatrix, DcscMatrix, FusedColumns, HashLaneSpa, LaneMajorSpa, LaneSpa,
-    Scalar, Semiring, SpaBackend, SparseVecBatch,
+    CscMatrix, DcscMatrix, FusedColumns, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch,
 };
 
-use crate::adaptive::{choose_backend, estimated_flops, keep_fraction};
 use crate::algorithm::SpMSpVOptions;
 use crate::executor::Executor;
 use crate::masked::BatchMaskView;
 
 use super::{BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
-
-/// One piece's lazily instantiated accumulators, one per backend, each
-/// keeping its high-water allocation across calls.
-struct PiecePool<Y> {
-    dense: LaneSpa<Y>,
-    lane_major: Option<LaneMajorSpa<Y>>,
-    hashed: Option<HashLaneSpa<Y>>,
-}
 
 /// Row-split CombBLAS-style batched SpMSpV with one private lane-aware
 /// accumulator per piece.
@@ -57,13 +46,13 @@ pub struct CombBlasSpaBatch<'a, A, X, S: Semiring<A, X>> {
     pieces: Vec<DcscMatrix<A>>,
     /// Row offset of each piece within the full matrix.
     offsets: Vec<usize>,
-    /// One accumulator pool per piece, grown amortized as `k` varies.
-    spas: Vec<PiecePool<S::Output>>,
+    /// One accumulator per piece, grown amortized as `k` varies.
+    spas: Vec<LaneSpa<S::Output>>,
     executor: Executor,
     options: SpMSpVOptions,
-    /// What [`SpaBackend::Auto`] resolved to on the most recent call
-    /// (`None` until the first multiplication runs).
-    last_backend: Option<SpaBackend>,
+    /// Whether the most recent call merged anything (see
+    /// [`SpMSpVBatch::last_run_info`]).
+    merged: bool,
     _marker: std::marker::PhantomData<fn(X, S)>,
 }
 
@@ -79,14 +68,7 @@ where
         let t = executor.threads().max(1);
         let pieces = DcscMatrix::row_split(matrix, t);
         let offsets = matrix.row_split_offsets(t);
-        let spas = pieces
-            .iter()
-            .map(|p| PiecePool {
-                dense: LaneSpa::new(p.nrows(), 0),
-                lane_major: None,
-                hashed: None,
-            })
-            .collect();
+        let spas = pieces.iter().map(|p| LaneSpa::new(p.nrows(), 0)).collect();
         CombBlasSpaBatch {
             matrix,
             pieces,
@@ -94,7 +76,7 @@ where
             spas,
             executor,
             options,
-            last_backend: None,
+            merged: false,
             _marker: std::marker::PhantomData,
         }
     }
@@ -103,22 +85,15 @@ where
     pub fn pieces(&self) -> usize {
         self.pieces.len()
     }
-
-    /// The SPA backend the most recent call merged through; `None` before
-    /// the first call.
-    pub fn last_backend(&self) -> Option<SpaBackend> {
-        self.last_backend
-    }
 }
 
 /// One piece's merge: scan the whole fused input against the piece,
 /// accumulate into `spa`, and emit lane-major `(global row, value)` lists.
-/// Generic over the accumulator backend so the inner loop inlines.
 #[allow(clippy::too_many_arguments)]
-fn rowsplit_piece<A, X, S, Acc>(
+fn rowsplit_piece<A, X, S>(
     piece: &DcscMatrix<A>,
     piece_base: usize,
-    spa: &mut Acc,
+    spa: &mut LaneSpa<S::Output>,
     fused: &FusedColumns<X>,
     k: usize,
     mask: Option<&BatchMaskView<'_>>,
@@ -129,7 +104,6 @@ where
     A: Scalar,
     X: Scalar,
     S: Semiring<A, X>,
-    Acc: BatchAccumulator<S::Output>,
 {
     spa.ensure_shape(piece.nrows().max(1), k.max(1));
     let mut uind: Vec<Vec<usize>> = vec![Vec::new(); k];
@@ -203,7 +177,8 @@ where
         if let Some(mask) = mask {
             mask.check_lanes(k);
         }
-        if x.is_empty() {
+        self.merged = !x.is_empty();
+        if !self.merged {
             return SparseVecBatch::new(m, k);
         }
 
@@ -213,26 +188,6 @@ where
         // matrix column is still read once per piece for all lanes, which is
         // the batched amortization this baseline exists to measure.
         let fused = x.fuse_columns();
-        // Backend per call: the exact flop count would need a pre-pass, so
-        // Auto estimates fill from total activations × mean column degree
-        // (each piece's slot space scales with its row share, so global fill
-        // ≈ per-piece fill).
-        let backend = match self.options.spa_backend {
-            SpaBackend::Auto => {
-                let est_flops = estimated_flops(self.matrix, fused.total_activations());
-                choose_backend(
-                    est_flops,
-                    m,
-                    k,
-                    fused.num_cols(),
-                    fused.total_activations(),
-                    keep_fraction(mask),
-                    &self.options.adaptive.resolve(),
-                )
-            }
-            fixed => fixed,
-        };
-        self.last_backend = Some(backend);
 
         let offsets = &self.offsets;
         let pieces = &self.pieces;
@@ -245,40 +200,8 @@ where
                 .par_iter()
                 .zip(self.spas.par_iter_mut())
                 .enumerate()
-                .map(|(p, (piece, pool))| {
-                    let base = offsets[p];
-                    match backend {
-                        SpaBackend::DenseIndexMajor | SpaBackend::Auto => rowsplit_piece(
-                            piece,
-                            base,
-                            &mut pool.dense,
-                            fused,
-                            k,
-                            mask,
-                            semiring,
-                            sorted,
-                        ),
-                        SpaBackend::DenseLaneMajor => rowsplit_piece(
-                            piece,
-                            base,
-                            pool.lane_major.get_or_insert_with(|| LaneMajorSpa::new(0, 0)),
-                            fused,
-                            k,
-                            mask,
-                            semiring,
-                            sorted,
-                        ),
-                        SpaBackend::Hashed => rowsplit_piece(
-                            piece,
-                            base,
-                            pool.hashed.get_or_insert_with(|| HashLaneSpa::new(0, 0)),
-                            fused,
-                            k,
-                            mask,
-                            semiring,
-                            sorted,
-                        ),
-                    }
+                .map(|(p, (piece, spa))| {
+                    rowsplit_piece(piece, offsets[p], spa, fused, k, mask, semiring, sorted)
                 })
                 .collect()
         });
@@ -304,8 +227,10 @@ where
     }
 
     fn last_run_info(&self) -> Option<BatchRunInfo> {
-        self.last_backend
-            .map(|backend| BatchRunInfo { kernel: BatchAlgorithmKind::CombBlasRowSplit, backend })
+        self.merged.then_some(BatchRunInfo {
+            kernel: BatchAlgorithmKind::CombBlasRowSplit,
+            backend: SpaBackend::Dense,
+        })
     }
 }
 
@@ -316,7 +241,7 @@ mod tests {
     use sparse_substrate::ops::spmspv_batch_reference;
     use sparse_substrate::{fixtures, MaskBits, PlusTimes, Select2ndMin, SparseVec};
 
-    use crate::batch::{mask_filter_batch, SpMSpVBucketBatch};
+    use crate::batch::{mask_filter_batch, NaiveBatch, SpMSpVBucketBatch};
     use crate::masked::{MaskMode, MaskView};
 
     fn random_batch(n: usize, k: usize, nnz: usize, seed: u64) -> SparseVecBatch<f64> {
@@ -343,26 +268,24 @@ mod tests {
         }
     }
 
+    /// The run info is per call: `None` before the first run and after an
+    /// all-empty batch, the row-split family after a run that merged.
     #[test]
     fn every_backend_produces_identical_output() {
         let a = erdos_renyi(220, 5.0, 8);
         let x = random_batch(220, 6, 35, 3);
-        let run = |backend: SpaBackend| {
-            let mut alg =
-                CombBlasSpaBatch::new(&a, SpMSpVOptions::with_threads(3).spa_backend(backend));
-            let y = alg.multiply_batch(&x, &PlusTimes);
-            assert_eq!(alg.last_backend(), Some(backend));
-            assert_eq!(alg.last_run_info().unwrap().kernel, BatchAlgorithmKind::CombBlasRowSplit);
-            y
-        };
-        let dense = run(SpaBackend::DenseIndexMajor);
-        assert_eq!(dense, run(SpaBackend::DenseLaneMajor), "lane-major backend diverged");
-        assert_eq!(dense, run(SpaBackend::Hashed), "hashed backend diverged");
-        // Auto resolves to one of the concrete backends and agrees too.
-        let mut auto = CombBlasSpaBatch::new(&a, SpMSpVOptions::with_threads(3));
-        assert_eq!(auto.last_backend(), None, "no run yet, nothing to report");
-        assert_eq!(dense, auto.multiply_batch(&x, &PlusTimes));
-        assert!(matches!(auto.last_backend(), Some(b) if b != SpaBackend::Auto));
+        let mut alg = CombBlasSpaBatch::new(&a, SpMSpVOptions::with_threads(3));
+        assert_eq!(alg.last_run_info(), None, "no run yet, nothing to report");
+        let y = alg.multiply_batch(&x, &PlusTimes);
+        assert_eq!(
+            y,
+            NaiveBatch::new(&a, SpMSpVOptions::with_threads(3)).multiply_batch(&x, &PlusTimes)
+        );
+        let info = alg.last_run_info().expect("merged above");
+        assert_eq!(info.kernel, BatchAlgorithmKind::CombBlasRowSplit);
+        assert_eq!(info.backend, SpaBackend::Dense);
+        let _ = alg.multiply_batch(&SparseVecBatch::<f64>::new(220, 6), &PlusTimes);
+        assert_eq!(alg.last_run_info(), None, "an empty batch merges nothing");
     }
 
     #[test]
@@ -393,19 +316,11 @@ mod tests {
                 BatchMaskView::Shared(MaskView::new(&shared, mode)),
                 BatchMaskView::PerLane { masks: &per_lane, mode },
             ] {
-                for backend in SpaBackend::concrete() {
-                    let mut alg = CombBlasSpaBatch::new(
-                        &a,
-                        SpMSpVOptions::with_threads(4).spa_backend(backend),
-                    );
-                    let masked = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
-                    let unmasked = alg.multiply_batch(&x, &PlusTimes);
-                    let oracle = mask_filter_batch(&unmasked, &view);
-                    assert_eq!(
-                        masked, oracle,
-                        "{mode:?}/{backend} diverged from the post-filter oracle"
-                    );
-                }
+                let mut alg = CombBlasSpaBatch::new(&a, SpMSpVOptions::with_threads(4));
+                let masked = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
+                let unmasked = alg.multiply_batch(&x, &PlusTimes);
+                let oracle = mask_filter_batch(&unmasked, &view);
+                assert_eq!(masked, oracle, "{mode:?} diverged from the post-filter oracle");
             }
         }
     }

@@ -251,10 +251,10 @@ impl Default for EngineConfig {
             queue_capacity: 0,
             overload: OverloadPolicy::Block,
             linger: Duration::from_micros(200),
-            // Adaptive: each flush resolves the kernel family and SPA
-            // backend from the coalesced batch's width and density, so
-            // serving traffic auto-tunes without caller hints. What each
-            // flush chose is recorded in [`EngineStats::choices`].
+            // Adaptive: each flush resolves the kernel family from the
+            // coalesced batch's width and density, so serving traffic
+            // auto-tunes without caller hints. What each flush chose is
+            // recorded in [`EngineStats::choices`].
             batch_algorithm: BatchAlgorithmKind::Adaptive,
             options: SpMSpVOptions::default(),
             obs: ObsConfig::default(),
@@ -590,9 +590,8 @@ struct EngineMetrics {
     shed: Arc<Counter>,
     panics_recovered: Arc<Counter>,
     degraded_flushes: Arc<Counter>,
-    /// `engine.choice.<kernel>.<backend>`, indexed like
-    /// [`ChoiceCounts::KERNELS`] × [`ChoiceCounts::BACKENDS`].
-    choice: [[Arc<Counter>; 3]; 3],
+    /// `engine.choice.<kernel>.dense`, indexed like [`ChoiceCounts::KERNELS`].
+    choice: [Arc<Counter>; 3],
     queue_depth: Arc<Gauge>,
     widest_flush: Arc<Gauge>,
     queue_wait: Arc<Histogram>,
@@ -604,13 +603,11 @@ impl EngineMetrics {
     fn new(config: &ObsConfig) -> Self {
         let registry = Registry::new(config.clone());
         let choice = ChoiceCounts::KERNELS.map(|k| {
-            ChoiceCounts::BACKENDS.map(|b| {
-                registry.counter(&format!(
-                    "engine.choice.{}.{}",
-                    obs::kernel_slug(k),
-                    obs::backend_slug(b)
-                ))
-            })
+            registry.counter(&format!(
+                "engine.choice.{}.{}",
+                obs::kernel_slug(k),
+                obs::backend_slug(SpaBackend::Dense)
+            ))
         });
         EngineMetrics {
             requests: registry.counter("engine.requests"),
@@ -646,12 +643,6 @@ impl EngineMetrics {
         } else {
             Span::disabled()
         }
-    }
-
-    fn choice_counter(&self, kernel: BatchAlgorithmKind, backend: SpaBackend) -> Option<&Counter> {
-        let k = ChoiceCounts::KERNELS.iter().position(|&x| x == kernel)?;
-        let b = ChoiceCounts::BACKENDS.iter().position(|&x| x == backend)?;
-        Some(&self.choice[k][b])
     }
 }
 
@@ -810,12 +801,7 @@ where
     /// all-zero when observability is disabled.
     pub fn stats(&self) -> EngineStats {
         let m = &self.metrics;
-        let mut counts = [[0usize; 3]; 3];
-        for (row, handles) in counts.iter_mut().zip(m.choice.iter()) {
-            for (cell, counter) in row.iter_mut().zip(handles.iter()) {
-                *cell = counter.get() as usize;
-            }
-        }
+        let counts = m.choice.each_ref().map(|c| c.get() as usize);
         EngineStats {
             requests: m.requests.get() as usize,
             retired: m.retired.get() as usize,
@@ -860,10 +846,8 @@ where
         m.timeouts.add(outcome.timeouts as u64);
         m.panics_recovered.add(outcome.panics_recovered as u64);
         m.degraded_flushes.add(outcome.degraded_flushes as u64);
-        for (kernel, backend, n) in outcome.choices.iter() {
-            if let Some(counter) = m.choice_counter(kernel, backend) {
-                counter.add(n as u64);
-            }
+        for (kernel, counter) in ChoiceCounts::KERNELS.iter().zip(&m.choice) {
+            counter.add(outcome.choices.count(*kernel) as u64);
         }
         if outcome.timeouts > 0 {
             m.registry.trace(TraceKind::DeadlineExpired { lanes: outcome.timeouts });
@@ -1383,8 +1367,8 @@ pub struct FlushOutcome {
     pub degraded_flushes: usize,
     /// Wall-clock breakdown of this flush.
     pub timings: FlushTimings,
-    /// The concrete `(kernel family, SPA backend)` each fused batch of this
-    /// flush resolved to.
+    /// The concrete kernel family each fused batch of this flush resolved to
+    /// (a group of all-empty frontiers executes nothing and records none).
     pub choices: ChoiceCounts,
 }
 
@@ -1850,6 +1834,27 @@ mod tests {
             Mxv::over(&a).semiring(&Select2ndMin).mask(&visited, MaskMode::Complement).prepare();
         assert_eq!(y, op.run(&frontier));
         assert!(y.get(4).is_none(), "¬visited mask dropped the source");
+    }
+
+    #[test]
+    fn an_all_empty_group_records_no_choice() {
+        let a = erdos_renyi(200, 6.0, 9);
+        let engine = Engine::over(&a, PlusTimes);
+        let busy: Vec<Ticket<f64>> =
+            requests(200, 3, 5).into_iter().map(|x| engine.submit(MxvRequest::new(x))).collect();
+        assert_eq!(engine.flush().choices.total(), 1);
+        drop(busy);
+        // The pooled descriptor has now run once. A group of empty frontiers
+        // executes nothing, so it must not re-report that run as its own.
+        let idle: Vec<Ticket<f64>> =
+            (0..3).map(|_| engine.submit(MxvRequest::new(SparseVec::new(200)))).collect();
+        let outcome = engine.flush();
+        assert_eq!(outcome.batches, 1);
+        assert_eq!(outcome.choices.total(), 0, "stale run info leaked into an empty flush");
+        for ticket in idle {
+            assert!(ticket.try_take().expect("flushed").expect("served").is_empty());
+        }
+        assert_eq!(engine.stats().choices.total(), 1);
     }
 
     #[test]

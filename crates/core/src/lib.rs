@@ -62,15 +62,14 @@
 //!   [`baselines::GraphMatSpMSpV`], [`baselines::SortBased`],
 //!   [`baselines::SequentialSpa`]);
 //! * [`SpMSpVBatch`] — batched kernels ([`SpMSpVBucketBatch`],
-//!   [`NaiveBatch`], [`CombBlasSpaBatch`]), merging through a pluggable
-//!   [`SpaBackend`] (dense index-major, dense lane-major, or hashed
-//!   accumulators — all generation-stamped, O(1) logical reset).
+//!   [`NaiveBatch`], [`CombBlasSpaBatch`]), merging through one dense,
+//!   generation-stamped `(row, lane)` accumulator
+//!   ([`sparse_substrate::LaneSpa`], O(1) logical reset).
 //!
 //! `AlgorithmKind::Adaptive` / `BatchAlgorithmKind::Adaptive` (the
 //! defaults) dispatch each call — see [`adaptive`] — to the fixed family
-//! and backend a cost model predicts fastest for its shape; telemetry of
-//! what was chosen flows through [`batch::BatchRunInfo`] and
-//! [`stats::ChoiceCounts`].
+//! a cost model predicts fastest for its shape; telemetry of what was
+//! chosen flows through [`batch::BatchRunInfo`] and [`stats::ChoiceCounts`].
 //!
 //! Both traits carry masked entry points (`multiply_masked`,
 //! `multiply_batch_masked`) whose mask check lives **inside** each kernel's
@@ -137,7 +136,7 @@ pub mod shard;
 pub mod stats;
 pub mod timing;
 
-pub use adaptive::{AdaptiveBatch, AdaptiveConfig, AdaptiveSpMSpV, ResolvedAdaptive};
+pub use adaptive::{AdaptiveBatch, AdaptiveSpMSpV};
 pub use algorithm::{build_algorithm, AlgorithmKind, SpMSpV, SpMSpVOptions};
 pub use batch::{
     build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, CombBlasSpaBatch, NaiveBatch,

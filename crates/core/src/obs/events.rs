@@ -33,8 +33,8 @@ pub enum TraceKind {
         /// Request id of the group's first lane (ties the trace to tickets).
         first_id: u64,
     },
-    /// The adaptive layer (or a fixed kernel's `Auto` backend) resolved a
-    /// concrete `(kernel, backend)` pair.
+    /// A fused group executed on this concrete kernel family (what the
+    /// adaptive layer resolved to, or the pinned one).
     AdaptiveChoice(
         /// What executed.
         BatchRunInfo,

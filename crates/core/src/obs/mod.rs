@@ -25,8 +25,9 @@
 //! Histograms record **nanoseconds** unless noted; counters are unitless
 //! event counts; gauges are instantaneous levels. `<kernel>` ranges over
 //! `bucket` | `naive` | `rowsplit` (the fixed batch families, see
-//! [`kernel_slug`]) and `<backend>` over `dense` | `lanemajor` | `hashed`
-//! (the concrete SPA backends, see [`backend_slug`]).
+//! [`kernel_slug`]); `<backend>` is always `dense` (the one batched
+//! accumulator, see [`backend_slug`]) and stays in the names so dashboards
+//! and the benchmark ledger keep their keys.
 //!
 //! **Per-engine registry**
 //!
@@ -42,7 +43,7 @@
 //! | `engine.shed` | counter | queued lanes dropped under `OverloadPolicy::ShedOldest` |
 //! | `engine.panics_recovered` | counter | kernel panics/failures contained by the flush |
 //! | `engine.degraded_flushes` | counter | flushes that served a group via the naive degrade retry |
-//! | `engine.choice.<kernel>.<backend>` | counter | lanes executed per resolved `(kernel, backend)` |
+//! | `engine.choice.<kernel>.dense` | counter | fused batches executed per resolved kernel family |
 //! | `engine.queue.depth` | gauge | requests currently queued |
 //! | `engine.widest_flush` | gauge | high-water mark of lanes in one flush |
 //! | `engine.queue.wait` | histogram | ns from `submit` to flush drain, one sample per request |
@@ -89,13 +90,12 @@
 //! |---|---|---|
 //! | `batch.estimate` | histogram | ns in the bucket kernel's estimate/plan step |
 //! | `batch.bucketing` | histogram | ns scattering triples into buckets |
-//! | `batch.merge` | histogram | ns merging buckets through the SPA backend |
+//! | `batch.merge` | histogram | ns merging buckets through the lane-aware SPA |
 //! | `batch.output` | histogram | ns emitting the output lanes |
-//! | `batch.backend.<backend>` | counter | batched merges per concrete SPA backend |
+//! | `batch.backend.dense` | counter | fused bucket merges (all through the dense accumulator) |
 //! | `adaptive.batch.<kernel>` | counter | batched calls per family the dispatcher chose |
 //! | `adaptive.single.sequential` | counter | single-vector calls dispatched to the sequential SPA |
 //! | `adaptive.single.bucket` | counter | single-vector calls dispatched to the bucket kernel |
-//! | `adaptive.calibrations` | counter | one-shot calibration probes run (0 or 1 per process) |
 //! | `executor.threads` | gauge | high-water mark of worker threads in any pool built |
 //! | `executor.inflight` | gauge | `install`/`scope` calls currently inside a pool |
 //! | `failpoint.hits` | counter | armed failpoints fired (only with the `failpoints` feature) |
@@ -117,8 +117,8 @@
 //! With [`ObsConfig::disabled`] the engine skips histogram samples and
 //! traces entirely but keeps its counters (they are single atomic adds and
 //! [`crate::stats::EngineStats`] must stay exact); the global helpers become
-//! one-load no-ops. The `batch_scaling` CI smoke holds the enabled/disabled
-//! gap under 5%.
+//! one-load no-ops. The benchmark ledger's `obs.overhead_ratio` records the
+//! enabled/disabled gap.
 //!
 //! # Export
 //!
@@ -210,14 +210,9 @@ pub fn kernel_slug(kind: BatchAlgorithmKind) -> &'static str {
     }
 }
 
-/// Short stable slug for an SPA backend, used in metric names.
+/// Short stable slug for the batched accumulator, used in metric names.
 pub fn backend_slug(backend: SpaBackend) -> &'static str {
-    match backend {
-        SpaBackend::DenseIndexMajor => "dense",
-        SpaBackend::DenseLaneMajor => "lanemajor",
-        SpaBackend::Hashed => "hashed",
-        SpaBackend::Auto => "auto",
-    }
+    backend.label()
 }
 
 type Named<T> = Mutex<Vec<(String, Arc<T>)>>;
@@ -539,19 +534,14 @@ pub fn record_batch_phases(timings: &StepTimings) {
     }
 }
 
-/// Counts a batched merge's concrete SPA backend (`batch.backend.<slug>`).
-pub fn record_backend_choice(backend: SpaBackend) {
+/// Counts one fused bucket merge (`batch.backend.dense`).
+pub fn record_dense_merge() {
     let g = global();
     if !g.enabled() {
         return;
     }
-    static C: OnceLock<[Arc<Counter>; 3]> = OnceLock::new();
-    let c = C.get_or_init(|| {
-        SpaBackend::concrete().map(|b| g.counter(&format!("batch.backend.{}", backend_slug(b))))
-    });
-    if let Some(i) = SpaBackend::concrete().iter().position(|b| *b == backend) {
-        c[i].inc();
-    }
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| g.counter("batch.backend.dense")).inc();
 }
 
 /// Counts a batched adaptive dispatch decision (`adaptive.batch.<slug>`).
@@ -584,14 +574,6 @@ pub fn record_adaptive_single(kind: AlgorithmKind) {
     match kind {
         AlgorithmKind::Sequential => c[0].inc(),
         _ => c[1].inc(),
-    }
-}
-
-/// Counts one run of the one-shot adaptive calibration probe.
-pub fn record_calibration() {
-    let g = global();
-    if g.enabled() {
-        g.counter("adaptive.calibrations").inc();
     }
 }
 
@@ -706,10 +688,7 @@ mod tests {
         for k in BatchAlgorithmKind::all() {
             assert!(!kernel_slug(k).is_empty());
         }
-        for b in SpaBackend::concrete() {
-            assert_ne!(backend_slug(b), "auto");
-        }
-        assert_eq!(backend_slug(SpaBackend::Auto), "auto");
+        assert_eq!(backend_slug(SpaBackend::Dense), "dense");
     }
 
     #[test]

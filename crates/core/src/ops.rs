@@ -38,12 +38,10 @@
 //!
 //! Algorithm selection is pluggable in both shapes: [`AlgorithmKind`] picks
 //! the single-vector kernel (bucket, the CombBLAS/GraphMat baselines, …)
-//! and [`BatchAlgorithmKind`] picks the batched one (fused bucket with a
-//! pluggable SPA backend, the naive per-lane fallback, or the row-split
-//! baseline). Both default to the `Adaptive` dispatchers
-//! ([`crate::adaptive`]), which resolve the family — and the batched SPA
-//! backend — per call from the frontier's density without changing any
-//! result.
+//! and [`BatchAlgorithmKind`] picks the batched one (fused bucket, the
+//! naive per-lane fallback, or the row-split baseline). Both default to the
+//! `Adaptive` dispatchers ([`crate::adaptive`]), which resolve the family
+//! per call from the frontier's density without changing any result.
 
 use std::sync::Arc;
 
@@ -71,10 +69,10 @@ pub struct Mxv;
 
 impl Mxv {
     /// Starts describing a multiplication over `matrix`. Defaults: adaptive
-    /// kernel dispatch in both shapes (each call picks the family — and the
-    /// batched SPA backend — from the frontier's density; see
-    /// [`crate::adaptive`]), default options, no mask. Results never depend
-    /// on the dispatch: every family reduces in the same order.
+    /// kernel dispatch in both shapes (each call picks the family from the
+    /// frontier's density; see [`crate::adaptive`]), default options, no
+    /// mask. Results never depend on the dispatch: every family reduces in
+    /// the same order.
     pub fn over<A: Scalar>(matrix: &CscMatrix<A>) -> MxvOp<'_, A, ()> {
         MxvOp {
             matrix,
@@ -310,9 +308,10 @@ where
             .map_err(|payload| EngineError::KernelFailed(panic_message(payload.as_ref())))
     }
 
-    /// The concrete `(kernel family, SPA backend)` the most recent
-    /// [`PreparedMxv::run_batch`] resolved to (`None` before the first
-    /// batched run) — what an adaptive descriptor actually executed.
+    /// The concrete kernel family the most recent [`PreparedMxv::run_batch`]
+    /// resolved to — what an adaptive descriptor actually executed. `None`
+    /// before the first batched run and after a run on an all-empty batch,
+    /// which executes nothing.
     pub fn last_batch_run_info(&self) -> Option<BatchRunInfo> {
         self.last_batch_info
     }
@@ -481,7 +480,31 @@ mod tests {
         assert_eq!(op.mask_mode(), None);
         let info = op.last_batch_run_info().expect("batched run recorded its resolution");
         assert_ne!(info.kernel, BatchAlgorithmKind::Adaptive, "info must be concrete");
-        assert_ne!(info.backend, sparse_substrate::SpaBackend::Auto);
+    }
+
+    #[test]
+    fn batch_run_info_is_per_call() {
+        let a = erdos_renyi(150, 6.0, 11);
+        let lanes: Vec<SparseVec<f64>> = (0..3).map(|l| random_sparse_vec(150, 30, l)).collect();
+        let busy = SparseVecBatch::from_lanes(&lanes).unwrap();
+        let idle = SparseVecBatch::<f64>::new(150, 3);
+        for kind in BatchAlgorithmKind::all() {
+            for threads in [1usize, 2] {
+                let mut op = Mxv::over(&a)
+                    .semiring(&PlusTimes)
+                    .batch_algorithm(kind)
+                    .options(SpMSpVOptions::with_threads(threads))
+                    .prepare();
+                assert_eq!(op.last_batch_run_info(), None, "{kind}: nothing ran yet");
+                let _ = op.run_batch(&busy);
+                assert!(op.last_batch_run_info().is_some(), "{kind}: a run that merged");
+                // An all-empty batch executes nothing; reporting the
+                // previous call's kernel here is what the engine used to
+                // record as a flush's choice.
+                assert!(op.run_batch(&idle).is_empty());
+                assert_eq!(op.last_batch_run_info(), None, "{kind}/{threads}t: stale run info");
+            }
+        }
     }
 
     #[test]

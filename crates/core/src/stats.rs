@@ -108,23 +108,23 @@ pub struct EngineStats {
     pub degraded_flushes: usize,
     /// Accumulated wall-clock breakdown across every flush.
     pub flush_timings: FlushTimings,
-    /// Which concrete `(kernel family, SPA backend)` each fused batch
-    /// resolved to — the adaptive dispatch's audit trail.
+    /// Which concrete kernel family each fused batch resolved to — the
+    /// adaptive dispatch's audit trail.
     pub choices: ChoiceCounts,
 }
 
-/// Counts of the concrete `(kernel family, SPA backend)` configurations
-/// batched multiplications resolved to — what [`BatchAlgorithmKind::Adaptive`]
-/// (or a fixed configuration) actually executed.
+/// Counts of the concrete kernel family batched multiplications resolved to
+/// — what [`BatchAlgorithmKind::Adaptive`] (or a fixed configuration)
+/// actually executed. Every family merges through the one dense accumulator,
+/// so cells are reported as `(kernel, SpaBackend::Dense, count)`.
 ///
 /// Fixed-size and `Copy` so it can live inside the engine's snapshot-able
 /// [`EngineStats`] and per-flush
 /// [`FlushOutcome`](crate::engine::FlushOutcome).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChoiceCounts {
-    /// `counts[kernel][backend]`, indexed by [`ChoiceCounts::KERNELS`] and
-    /// [`ChoiceCounts::BACKENDS`] positions.
-    counts: [[usize; 3]; 3],
+    /// `counts[kernel]`, indexed by [`ChoiceCounts::KERNELS`] positions.
+    counts: [usize; 3],
 }
 
 impl ChoiceCounts {
@@ -132,70 +132,53 @@ impl ChoiceCounts {
     /// (derived from [`BatchAlgorithmKind::fixed`], the single source).
     pub const KERNELS: [BatchAlgorithmKind; 3] = BatchAlgorithmKind::fixed();
 
-    /// The concrete SPA backends a run can resolve to, in index order
-    /// (derived from [`SpaBackend::concrete`], the single source).
-    pub const BACKENDS: [SpaBackend; 3] = SpaBackend::concrete();
-
-    /// Rebuilds a table from raw `counts[kernel][backend]` cells, indexed by
-    /// [`ChoiceCounts::KERNELS`] / [`ChoiceCounts::BACKENDS`] positions — how
-    /// the engine's registry-backed [`EngineStats`] view reconstitutes the
-    /// audit trail from its per-cell atomic counters.
-    pub const fn from_counts(counts: [[usize; 3]; 3]) -> ChoiceCounts {
+    /// Rebuilds a table from raw `counts[kernel]` cells, indexed by
+    /// [`ChoiceCounts::KERNELS`] positions — how the engine's
+    /// registry-backed [`EngineStats`] view reconstitutes the audit trail
+    /// from its per-cell atomic counters.
+    pub const fn from_counts(counts: [usize; 3]) -> ChoiceCounts {
         ChoiceCounts { counts }
     }
 
+    /// Position of `kind` in [`ChoiceCounts::KERNELS`]; `None` for the
+    /// unresolved [`BatchAlgorithmKind::Adaptive`] marker.
     fn kernel_index(kind: BatchAlgorithmKind) -> Option<usize> {
         Self::KERNELS.iter().position(|&k| k == kind)
     }
 
-    fn backend_index(backend: SpaBackend) -> Option<usize> {
-        Self::BACKENDS.iter().position(|&b| b == backend)
-    }
-
-    /// Records one resolved run. Unresolved markers
-    /// ([`BatchAlgorithmKind::Adaptive`], [`SpaBackend::Auto`]) are ignored
-    /// — kernels report what they resolved to, never the marker.
+    /// Records one resolved run. The unresolved marker
+    /// ([`BatchAlgorithmKind::Adaptive`]) is ignored — kernels report what
+    /// they resolved to, never the marker.
     pub fn record(&mut self, info: BatchRunInfo) {
-        match (Self::kernel_index(info.kernel), Self::backend_index(info.backend)) {
-            (Some(k), Some(b)) => self.counts[k][b] += 1,
-            _ => debug_assert!(
-                info.kernel == BatchAlgorithmKind::Adaptive || info.backend == SpaBackend::Auto,
-                "unregistered concrete configuration {info}: grow ChoiceCounts' tables \
-                 alongside BatchAlgorithmKind::fixed() / SpaBackend::concrete()"
-            ),
+        if let Some(k) = Self::kernel_index(info.kernel) {
+            self.counts[k] += 1;
         }
     }
 
-    /// How many runs resolved to `(kernel, backend)`.
-    pub fn count(&self, kernel: BatchAlgorithmKind, backend: SpaBackend) -> usize {
-        match (Self::kernel_index(kernel), Self::backend_index(backend)) {
-            (Some(k), Some(b)) => self.counts[k][b],
-            _ => 0,
-        }
+    /// How many runs resolved to `kernel`.
+    pub fn count(&self, kernel: BatchAlgorithmKind) -> usize {
+        Self::kernel_index(kernel).map_or(0, |k| self.counts[k])
     }
 
     /// Total recorded runs.
     pub fn total(&self) -> usize {
-        self.counts.iter().flatten().sum()
+        self.counts.iter().sum()
     }
 
     /// Adds another count table into this one (flush → engine aggregation).
     pub fn merge(&mut self, other: &ChoiceCounts) {
-        for (row, other_row) in self.counts.iter_mut().zip(other.counts.iter()) {
-            for (slot, &v) in row.iter_mut().zip(other_row.iter()) {
-                *slot += v;
-            }
+        for (slot, &v) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *slot += v;
         }
     }
 
     /// Iterates the non-zero `(kernel, backend, count)` cells.
     pub fn iter(&self) -> impl Iterator<Item = (BatchAlgorithmKind, SpaBackend, usize)> + '_ {
-        Self::KERNELS.iter().enumerate().flat_map(move |(ki, &kernel)| {
-            Self::BACKENDS.iter().enumerate().filter_map(move |(bi, &backend)| {
-                let n = self.counts[ki][bi];
-                (n > 0).then_some((kernel, backend, n))
-            })
-        })
+        Self::KERNELS
+            .iter()
+            .zip(self.counts)
+            .filter(|&(_, n)| n > 0)
+            .map(|(&kernel, n)| (kernel, SpaBackend::Dense, n))
     }
 }
 
@@ -453,7 +436,7 @@ mod tests {
         let mut choices = ChoiceCounts::default();
         choices.record(BatchRunInfo {
             kernel: BatchAlgorithmKind::Bucket,
-            backend: SpaBackend::DenseIndexMajor,
+            backend: SpaBackend::Dense,
         });
         let outcome = FlushOutcome {
             requests: 9,
@@ -490,7 +473,7 @@ mod tests {
         assert_eq!(stats.failures(), 20);
         assert_eq!(stats.flush_timings.execute, Duration::from_millis(16));
         assert_eq!(stats.flush_timings.recover, Duration::from_millis(6));
-        assert_eq!(stats.choices.count(BatchAlgorithmKind::Bucket, SpaBackend::DenseIndexMajor), 2);
+        assert_eq!(stats.choices.count(BatchAlgorithmKind::Bucket), 2);
         // `requests` is submit-side: a flush must never touch it.
         assert_eq!(stats.requests, 0);
         let rendered = stats.to_string();

@@ -146,10 +146,10 @@ impl BfsFrontDoor for ShardedEngine<f64, usize, Select2ndMin> {
 }
 
 /// Runs BFS from every vertex in `sources` simultaneously through the
-/// adaptive batched dispatch: each level picks the kernel family (and SPA
-/// backend) from that level's width and frontier density, so early seed
-/// levels, bulk middle levels, and retiring tail levels each run the
-/// configuration that wins for their shape.
+/// adaptive batched dispatch: each level picks the kernel family from that
+/// level's width and frontier density, so early seed levels, bulk middle
+/// levels, and retiring tail levels each run the family that wins for their
+/// shape.
 ///
 /// Equivalent to calling [`crate::bfs()`] once per source (the property tests
 /// assert exactly that), but amortizing each level's matrix traversal over

@@ -19,11 +19,9 @@
 //! * [`BitVec`] — bitmap + rank structure, GraphMat's vector format — and
 //!   [`MaskBits`], the mutable bitmap the masked SpMSpV kernels consult;
 //! * [`Spa`] — the sparse accumulator with generation-based partial
-//!   initialization (Gilbert, Moler & Schreiber) — and the three
-//!   lane-aware [`BatchAccumulator`] backends the batched kernels merge
-//!   through: dense index-major [`LaneSpa`], dense lane-major
-//!   [`LaneMajorSpa`], and the open-addressing [`HashLaneSpa`] (selected by
-//!   [`SpaBackend`]);
+//!   initialization (Gilbert, Moler & Schreiber) — and [`LaneSpa`], the
+//!   dense index-major `(row, lane)` accumulator the batched kernels merge
+//!   through;
 //! * [`semiring`] — GraphBLAS-style `(add, multiply)` abstractions so the
 //!   same SpMSpV kernels drive numerical multiplication, BFS, and other
 //!   graph algorithms;
@@ -65,9 +63,7 @@ pub use dcsc::DcscMatrix;
 pub use dense::DenseVec;
 pub use error::SparseError;
 pub use semiring::{BoolOrAnd, MinPlus, PlusTimes, Select2ndMin, Semiring};
-pub use spa::{
-    AccumulatorWindow, BatchAccumulator, HashLaneSpa, LaneMajorSpa, LaneSpa, Spa, SpaBackend,
-};
+pub use spa::{LaneSpa, Spa, SpaBackend};
 pub use spvec::SparseVec;
 
 /// Trait bound shared by every value stored in a sparse object.

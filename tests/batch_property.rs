@@ -17,8 +17,8 @@ use sparse_substrate::{
 };
 use spmspv::batch::{NaiveBatch, SpMSpVBatch, SpMSpVBucketBatch};
 use spmspv::{
-    build_batch_algorithm, AdaptiveBatch, AdaptiveConfig, BatchMaskView, MaskMode, SpMSpV,
-    SpMSpVBucket, SpMSpVOptions, SpaBackend,
+    build_batch_algorithm, AdaptiveBatch, BatchAlgorithmKind, BatchMaskView, MaskMode, SpMSpV,
+    SpMSpVBucket, SpMSpVOptions,
 };
 
 /// Strategy: a random sparse matrix with up to `max_dim` rows/columns and
@@ -158,12 +158,9 @@ proptest! {
         }
     }
 
-    /// Tentpole property: the three SPA backends are **bit-identical** to
-    /// each other on the fused bucket kernel — any semiring, any
-    /// sortedness, any mask mode, k ∈ {1, 3, 32} — and match the
-    /// [`NaiveBatch`] oracle (bit-identical when sorted, entry-identical
-    /// otherwise). The accumulate order is backend-independent, so storage
-    /// layout must never leak into results.
+    /// The fused bucket kernel matches the [`NaiveBatch`] oracle — any
+    /// sortedness, any mask shape, k ∈ {1, 3, 32}, any thread count:
+    /// bit-identical when sorted, entry-identical otherwise.
     #[test]
     fn every_spa_backend_matches_the_naive_oracle(
         (a, x) in batch_operands(40),
@@ -192,46 +189,30 @@ proptest! {
         let opts = SpMSpVOptions::with_threads(threads).sorted(sorted);
         let mut naive = NaiveBatch::new(&a, opts.clone());
         let oracle = naive.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
-
-        let mut first: Option<SparseVecBatch<f64>> = None;
-        for backend in SpaBackend::concrete() {
-            let mut fused =
-                SpMSpVBucketBatch::new(&a, opts.clone().spa_backend(backend));
-            let y = fused.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
-            if sorted {
-                prop_assert_eq!(
-                    &y, &oracle,
-                    "{} not bit-identical to the naive oracle (mask {})",
-                    backend, mask_case
-                );
-            } else {
-                prop_assert!(
-                    y.same_entries(&oracle),
-                    "{} entries diverged from the naive oracle (mask {})",
-                    backend, mask_case
-                );
-            }
-            match &first {
-                None => first = Some(y),
-                Some(reference) => prop_assert_eq!(
-                    reference, &y,
-                    "backends diverged bit-wise at {} (mask {})",
-                    backend, mask_case
-                ),
-            }
+        let mut fused = SpMSpVBucketBatch::new(&a, opts);
+        let y = fused.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
+        if sorted {
+            prop_assert_eq!(&y, &oracle, "not bit-identical to the oracle (mask {})", mask_case);
+        } else {
+            prop_assert!(
+                y.same_entries(&oracle),
+                "entries diverged from the naive oracle (mask {})",
+                mask_case
+            );
         }
     }
 
-    /// The adaptive batch dispatcher always produces exactly what its
-    /// resolved `(kernel, backend)` delegate produces — whatever it picks.
+    /// The adaptive batch dispatcher always produces exactly what the fixed
+    /// family it resolved to produces. On operands this small the fixed
+    /// thresholds reduce to: one worker → one flat row-split pass; more
+    /// workers → per-lane naive for k = 1, the fused bucket kernel otherwise
+    /// — so the property reaches all three delegates.
     #[test]
     fn adaptive_always_matches_its_resolved_delegate(
         (a, x) in batch_operands(40),
         threads in 1usize..5,
-        cutoff in prop_oneof![Just(0usize), Just(64), Just(1 << 22)],
     ) {
-        let opts = SpMSpVOptions::with_threads(threads)
-            .adaptive(AdaptiveConfig::default().rowsplit_flops_cutoff(cutoff));
+        let opts = SpMSpVOptions::with_threads(threads);
         let mut adaptive: AdaptiveBatch<'_, f64, f64, PlusTimes> =
             AdaptiveBatch::new(&a, opts.clone());
         let y = adaptive.multiply_batch(&x, &PlusTimes);
@@ -240,11 +221,14 @@ proptest! {
             // legitimately nothing to report.
             None => prop_assert!(x.is_empty(), "run info may only be absent for empty inputs"),
             Some(info) => {
-                let mut fixed = build_batch_algorithm::<f64, f64, PlusTimes>(
-                    &a,
-                    info.kernel,
-                    opts.spa_backend(info.backend),
-                );
+                let expected = match (threads, x.k()) {
+                    (1, _) => BatchAlgorithmKind::CombBlasRowSplit,
+                    (_, 1) => BatchAlgorithmKind::Naive,
+                    _ => BatchAlgorithmKind::Bucket,
+                };
+                prop_assert_eq!(info.kernel, expected);
+                let mut fixed =
+                    build_batch_algorithm::<f64, f64, PlusTimes>(&a, info.kernel, opts);
                 let y_fixed = fixed.multiply_batch(&x, &PlusTimes);
                 prop_assert_eq!(y, y_fixed, "adaptive diverged from its {} delegate", info);
             }
