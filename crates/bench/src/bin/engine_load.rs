@@ -21,7 +21,7 @@
 //!
 //! The report — p50/p95/p99/max ticket latency, per-outcome counts, shed
 //! rate, recovery counters — prints to stdout and is written as JSON to
-//! `BENCH_engine_load.json` (override with `BENCH_ENGINE_LOAD_OUT`).
+//! `target/engine_load.json` (override with `BENCH_ENGINE_LOAD_OUT`).
 //! Latency percentiles come from per-client [`Histogram`]s (log-linear,
 //! relative error ≤ 1/16) merged lock-free at the end, the same machinery
 //! the serving stack's own metrics use — not from sorting raw sample
@@ -778,8 +778,11 @@ fn main() {
         ),
     ]);
     let out = std::env::var("BENCH_ENGINE_LOAD_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_engine_load.json").to_string()
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../target/engine_load.json").to_string()
     });
+    if let Some(dir) = std::path::Path::new(&out).parent() {
+        std::fs::create_dir_all(dir).expect("create the report's directory");
+    }
     std::fs::write(&out, report.render() + "\n").expect("write JSON report");
     println!("\nwrote {out}");
 

@@ -70,16 +70,6 @@ const ROWSPLIT_FLOPS_CUTOFF: usize = 1 << 22;
 /// takes over.
 const ROWSPLIT_MAX_M: usize = 1 << 17;
 
-/// Resolved thread count an options value implies (mirrors
-/// [`crate::executor::Executor::new`] without building a pool).
-fn resolved_threads(options: &SpMSpVOptions) -> usize {
-    if options.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    } else {
-        options.threads
-    }
-}
-
 /// Estimated multiplications for a frontier of `nnz` entries against
 /// `matrix` (mean column degree × nnz — exact counting would cost a pass
 /// over the frontier, which dispatch must not).
@@ -115,7 +105,7 @@ where
     /// Prepares the dispatcher (no kernel is instantiated until the first
     /// call needs it).
     pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
-        let threads = resolved_threads(&options);
+        let threads = options.build_executor().threads();
         AdaptiveSpMSpV { matrix, options, threads, bucket: None, sequential: None, last: None }
     }
 
@@ -220,7 +210,7 @@ where
     /// Prepares the dispatcher (no kernel is instantiated until the first
     /// call needs it).
     pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
-        let threads = resolved_threads(&options);
+        let threads = options.build_executor().threads();
         AdaptiveBatch {
             matrix,
             options,

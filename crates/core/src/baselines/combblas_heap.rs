@@ -10,7 +10,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use rayon::prelude::*;
 use sparse_substrate::{CscMatrix, DcscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{SpMSpV, SpMSpVOptions};
@@ -67,55 +66,50 @@ where
         assert_eq!(x.len(), self.matrix.ncols(), "dimension mismatch");
         let offsets = &self.offsets;
         let pieces = &self.pieces;
-        let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.install(|| {
-            pieces
-                .par_iter()
-                .enumerate()
-                .map(|(p, piece)| {
-                    // The selected columns of this piece, each a list sorted
-                    // by row id.
-                    let mut columns: Vec<(&[usize], &[A], &X)> = Vec::new();
-                    for (j, xv) in x.iter() {
-                        if let Some((rows, vals)) = piece.column(j) {
-                            if !rows.is_empty() {
-                                columns.push((rows, vals, xv));
+        let per_piece: Vec<Vec<(usize, S::Output)>> =
+            self.executor.map(pieces.iter().enumerate(), |(p, piece)| {
+                // The selected columns of this piece, each a list sorted
+                // by row id.
+                let mut columns: Vec<(&[usize], &[A], &X)> = Vec::new();
+                for (j, xv) in x.iter() {
+                    if let Some((rows, vals)) = piece.column(j) {
+                        if !rows.is_empty() {
+                            columns.push((rows, vals, xv));
+                        }
+                    }
+                }
+                // K-way merge keyed by (row, column position) via a
+                // min-heap of per-column cursors.
+                let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+                    BinaryHeap::with_capacity(columns.len());
+                let mut cursors = vec![0usize; columns.len()];
+                for (c, (rows, _, _)) in columns.iter().enumerate() {
+                    heap.push(Reverse((rows[0], c)));
+                }
+                let base = offsets[p];
+                let mut out: Vec<(usize, S::Output)> = Vec::new();
+                while let Some(Reverse((row, c))) = heap.pop() {
+                    let (rows, vals, xv) = columns[c];
+                    let k = cursors[c];
+                    // In-kernel mask: the cursor still advances past a
+                    // dropped row, but no product is formed or merged.
+                    let keeps = mask.map(|m| m.keeps(row + base)).unwrap_or(true);
+                    if keeps {
+                        let prod = semiring.multiply(&vals[k], xv);
+                        match out.last_mut() {
+                            Some(last) if last.0 == row + base => {
+                                last.1 = semiring.add(last.1, prod);
                             }
+                            _ => out.push((row + base, prod)),
                         }
                     }
-                    // K-way merge keyed by (row, column position) via a
-                    // min-heap of per-column cursors.
-                    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-                        BinaryHeap::with_capacity(columns.len());
-                    let mut cursors = vec![0usize; columns.len()];
-                    for (c, (rows, _, _)) in columns.iter().enumerate() {
-                        heap.push(Reverse((rows[0], c)));
+                    cursors[c] += 1;
+                    if cursors[c] < rows.len() {
+                        heap.push(Reverse((rows[cursors[c]], c)));
                     }
-                    let base = offsets[p];
-                    let mut out: Vec<(usize, S::Output)> = Vec::new();
-                    while let Some(Reverse((row, c))) = heap.pop() {
-                        let (rows, vals, xv) = columns[c];
-                        let k = cursors[c];
-                        // In-kernel mask: the cursor still advances past a
-                        // dropped row, but no product is formed or merged.
-                        let keeps = mask.map(|m| m.keeps(row + base)).unwrap_or(true);
-                        if keeps {
-                            let prod = semiring.multiply(&vals[k], xv);
-                            match out.last_mut() {
-                                Some(last) if last.0 == row + base => {
-                                    last.1 = semiring.add(last.1, prod);
-                                }
-                                _ => out.push((row + base, prod)),
-                            }
-                        }
-                        cursors[c] += 1;
-                        if cursors[c] < rows.len() {
-                            heap.push(Reverse((rows[cursors[c]], c)));
-                        }
-                    }
-                    out
-                })
-                .collect()
-        });
+                }
+                out
+            });
 
         let mut y = SparseVec::new(self.matrix.nrows());
         for piece in per_piece {

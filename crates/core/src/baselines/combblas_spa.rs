@@ -11,7 +11,6 @@
 //! disjoint slice of `y`. Reproducing that inefficiency faithfully is the
 //! point: it is what Figures 3–5 measure.
 
-use rayon::prelude::*;
 use sparse_substrate::{CscMatrix, DcscMatrix, Scalar, Semiring, Spa, SparseVec};
 
 use crate::algorithm::{SpMSpV, SpMSpVOptions};
@@ -86,38 +85,34 @@ where
         let sorted = self.sorted_output;
         let offsets = &self.offsets;
         let pieces = &self.pieces;
-        let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.install(|| {
-            pieces
-                .par_iter()
-                .zip(self.spas.par_iter_mut())
-                .enumerate()
-                .map(|(p, (piece, spa))| {
-                    // Work inefficiency on purpose: the whole of x is scanned
-                    // by every piece. The mask is checked against the global
-                    // row id (piece rows are piece-local) before the SPA.
-                    let piece_base = offsets[p];
-                    for (j, xv) in x.iter() {
-                        if let Some((rows, vals)) = piece.column(j) {
-                            for (&i, av) in rows.iter().zip(vals.iter()) {
-                                if let Some(mask) = mask {
-                                    if !mask.keeps(i + piece_base) {
-                                        continue;
-                                    }
+        let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.map(
+            pieces.iter().zip(&mut self.spas).enumerate(),
+            |(p, (piece, spa))| {
+                // Work inefficiency on purpose: the whole of x is scanned
+                // by every piece. The mask is checked against the global
+                // row id (piece rows are piece-local) before the SPA.
+                let piece_base = offsets[p];
+                for (j, xv) in x.iter() {
+                    if let Some((rows, vals)) = piece.column(j) {
+                        for (&i, av) in rows.iter().zip(vals.iter()) {
+                            if let Some(mask) = mask {
+                                if !mask.keeps(i + piece_base) {
+                                    continue;
                                 }
-                                let prod = semiring.multiply(av, xv);
-                                spa.accumulate(i, prod, |a, b| semiring.add(a, b));
                             }
+                            let prod = semiring.multiply(av, xv);
+                            spa.accumulate(i, prod, |a, b| semiring.add(a, b));
                         }
                     }
-                    let mut pairs = spa.drain();
-                    if sorted {
-                        pairs.sort_unstable_by_key(|&(i, _)| i);
-                    }
-                    let base = offsets[p];
-                    pairs.into_iter().map(|(i, v)| (i + base, v)).collect()
-                })
-                .collect()
-        });
+                }
+                let mut pairs = spa.drain();
+                if sorted {
+                    pairs.sort_unstable_by_key(|&(i, _)| i);
+                }
+                let base = offsets[p];
+                pairs.into_iter().map(|(i, v)| (i + base, v)).collect()
+            },
+        );
 
         let mut y = SparseVec::new(self.matrix.nrows());
         for piece in per_piece {

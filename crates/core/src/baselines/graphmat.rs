@@ -9,7 +9,6 @@
 //! magnitude on very sparse frontiers, while staying competitive on dense
 //! ones.
 
-use rayon::prelude::*;
 use sparse_substrate::{CscMatrix, DcscMatrix, Scalar, Semiring, Spa, SparseVec};
 
 use crate::algorithm::{SpMSpV, SpMSpVOptions};
@@ -93,40 +92,36 @@ where
         let offsets = &self.offsets;
         let pieces = &self.pieces;
         let sorted = self.sorted_output;
-        let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.install(|| {
-            pieces
-                .par_iter()
-                .zip(self.spas.par_iter_mut())
-                .enumerate()
-                .map(|(p, (piece, spa))| {
-                    // Matrix-driven scan: every stored (non-empty) column of
-                    // the piece is visited, regardless of nnz(x). The mask is
-                    // checked against the global row id before the SPA.
-                    let piece_base = offsets[p];
-                    for (j, rows, vals) in piece.iter_columns() {
-                        if (bitmap[j / 64] >> (j % 64)) & 1 == 0 {
-                            continue;
-                        }
-                        let xv = &xvals[j];
-                        for (&i, av) in rows.iter().zip(vals.iter()) {
-                            if let Some(mask) = mask {
-                                if !mask.keeps(i + piece_base) {
-                                    continue;
-                                }
+        let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.map(
+            pieces.iter().zip(&mut self.spas).enumerate(),
+            |(p, (piece, spa))| {
+                // Matrix-driven scan: every stored (non-empty) column of
+                // the piece is visited, regardless of nnz(x). The mask is
+                // checked against the global row id before the SPA.
+                let piece_base = offsets[p];
+                for (j, rows, vals) in piece.iter_columns() {
+                    if (bitmap[j / 64] >> (j % 64)) & 1 == 0 {
+                        continue;
+                    }
+                    let xv = &xvals[j];
+                    for (&i, av) in rows.iter().zip(vals.iter()) {
+                        if let Some(mask) = mask {
+                            if !mask.keeps(i + piece_base) {
+                                continue;
                             }
-                            let prod = semiring.multiply(av, xv);
-                            spa.accumulate(i, prod, |a, b| semiring.add(a, b));
                         }
+                        let prod = semiring.multiply(av, xv);
+                        spa.accumulate(i, prod, |a, b| semiring.add(a, b));
                     }
-                    let mut pairs = spa.drain();
-                    if sorted {
-                        pairs.sort_unstable_by_key(|&(i, _)| i);
-                    }
-                    let base = offsets[p];
-                    pairs.into_iter().map(|(i, v)| (i + base, v)).collect()
-                })
-                .collect()
-        });
+                }
+                let mut pairs = spa.drain();
+                if sorted {
+                    pairs.sort_unstable_by_key(|&(i, _)| i);
+                }
+                let base = offsets[p];
+                pairs.into_iter().map(|(i, v)| (i + base, v)).collect()
+            },
+        );
 
         // Clear only the bits we set: O(f), keeping the workspace reusable.
         for (j, _) in x.iter() {

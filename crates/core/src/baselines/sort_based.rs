@@ -7,7 +7,6 @@
 //! parallelizes over `x`'s nonzeros, the sort is a parallel merge sort), but
 //! pays the `lg` factor the bucket algorithm avoids.
 
-use rayon::prelude::*;
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{SpMSpV, SpMSpVOptions};
@@ -66,37 +65,27 @@ where
         // Gather: each chunk of x produces its own (row, product) list.
         // The mask is applied here, before the sort — dropped rows are never
         // gathered, so they do not even inflate the sort.
-        let mut gathered: Vec<(usize, S::Output)> = self.executor.install(|| {
-            let mut parts: Vec<Vec<(usize, S::Output)>> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    let mut out = Vec::new();
-                    for k in chunk.clone() {
-                        let j = x.indices()[k];
-                        let xv = &x.values()[k];
-                        let (rows, vals) = matrix.column(j);
-                        for (&i, av) in rows.iter().zip(vals.iter()) {
-                            if let Some(mask) = mask {
-                                if !mask.keeps(i) {
-                                    continue;
-                                }
-                            }
-                            out.push((i, semiring.multiply(av, xv)));
+        let parts: Vec<Vec<(usize, S::Output)>> = self.executor.map(&chunks, |chunk| {
+            let mut out = Vec::new();
+            for k in chunk.clone() {
+                let j = x.indices()[k];
+                let xv = &x.values()[k];
+                let (rows, vals) = matrix.column(j);
+                for (&i, av) in rows.iter().zip(vals.iter()) {
+                    if let Some(mask) = mask {
+                        if !mask.keeps(i) {
+                            continue;
                         }
                     }
-                    out
-                })
-                .collect();
-            let total: usize = parts.iter().map(|p| p.len()).sum();
-            let mut all = Vec::with_capacity(total);
-            for p in parts.iter_mut() {
-                all.append(p);
+                    out.push((i, semiring.multiply(av, xv)));
+                }
             }
-            all
+            out
         });
+        let mut gathered = parts.concat();
 
         // Sort by row (parallel) and prune by reducing runs of equal rows.
-        self.executor.install(|| gathered.par_sort_unstable_by_key(|&(i, _)| i));
+        sort_by_row(&self.executor, &mut gathered);
         let mut y = SparseVec::new(matrix.nrows());
         let mut iter = gathered.into_iter();
         if let Some((first_i, first_v)) = iter.next() {
@@ -115,6 +104,40 @@ where
         }
         y
     }
+}
+
+/// Sorts `pairs` by row: one run per participant is sorted in parallel, then
+/// the runs are k-way merged through an auxiliary buffer. Like
+/// `sort_unstable_by_key`, equal rows end up in no particular order.
+fn sort_by_row<Y: Scalar>(executor: &Executor, pairs: &mut [(usize, Y)]) {
+    let threads = executor.threads();
+    if threads == 1 || pairs.len() < 2048 {
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        return;
+    }
+    let run_len = pairs.len().div_ceil(threads);
+    executor.for_each(pairs.chunks_mut(run_len), |run| run.sort_unstable_by_key(|&(i, _)| i));
+    // (next unmerged position, end) of every run that still has entries.
+    let mut runs: Vec<(usize, usize)> = (0..pairs.len())
+        .step_by(run_len)
+        .map(|start| (start, (start + run_len).min(pairs.len())))
+        .collect();
+    let mut merged = Vec::with_capacity(pairs.len());
+    while !runs.is_empty() {
+        let mut best = 0;
+        for r in 1..runs.len() {
+            if pairs[runs[r].0].0 < pairs[runs[best].0].0 {
+                best = r;
+            }
+        }
+        let (pos, end) = &mut runs[best];
+        merged.push(pairs[*pos]);
+        *pos += 1;
+        if *pos == *end {
+            runs.swap_remove(best);
+        }
+    }
+    pairs.copy_from_slice(&merged);
 }
 
 #[cfg(test)]

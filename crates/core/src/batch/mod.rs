@@ -46,7 +46,6 @@ pub use rowsplit::CombBlasSpaBatch;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-use rayon::prelude::*;
 use sparse_substrate::{CscMatrix, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
 
 use crate::algorithm::SpMSpVOptions;
@@ -270,15 +269,6 @@ where
     /// and then grown amortized.
     pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
         let executor = options.build_executor();
-        Self::with_executor(matrix, options, executor)
-    }
-
-    /// Prepares the batched kernel reusing an existing executor.
-    pub fn with_executor(
-        matrix: &'a CscMatrix<A>,
-        options: SpMSpVOptions,
-        executor: Executor,
-    ) -> Self {
         let workspace = BatchWorkspace { spa: LaneSpa::new(0, 0), entries: Vec::new() };
         SpMSpVBucketBatch {
             matrix,
@@ -337,10 +327,11 @@ where
             return (SparseVecBatch::new(m, k), timings);
         }
 
-        // Same work-proportional thread cap as the single-vector kernel,
-        // measured in total activations across lanes.
-        const MIN_NNZ_PER_THREAD: usize = 32;
-        let t = self.executor.threads().min(x.total_nnz().div_ceil(MIN_NNZ_PER_THREAD)).max(1);
+        // Same work-proportional participant count as the single-vector
+        // kernel, for all four steps, measured in total activations across
+        // lanes.
+        let executor = self.executor.capped_for(x.total_nnz());
+        let t = executor.threads();
         let nb = (self.options.buckets_per_thread * t).max(1);
 
         // ---------------- Fuse + Estimate ----------------
@@ -348,24 +339,19 @@ where
         let fused = x.fuse_columns();
         let chunks = even_ranges(fused.num_cols(), t);
         let matrix = self.matrix;
-        let plan = self.executor.install(|| {
-            let boffset: Vec<Vec<usize>> = chunks
-                .par_iter()
-                .map(|chunk| {
-                    let mut counts = vec![0usize; nb];
-                    for c in chunk.clone() {
-                        let j = fused.cols()[c];
-                        let weight = fused.activations(c).0.len();
-                        let (rows, _) = matrix.column(j);
-                        for &i in rows {
-                            counts[bucket_of(i, m, nb)] += weight;
-                        }
-                    }
-                    counts
-                })
-                .collect();
-            BucketPlan::from_boffset(boffset, nb)
+        let boffset: Vec<Vec<usize>> = executor.map(&chunks, |chunk| {
+            let mut counts = vec![0usize; nb];
+            for c in chunk.clone() {
+                let j = fused.cols()[c];
+                let weight = fused.activations(c).0.len();
+                let (rows, _) = matrix.column(j);
+                for &i in rows {
+                    counts[bucket_of(i, m, nb)] += weight;
+                }
+            }
+            counts
         });
+        let plan = BucketPlan::from_boffset(boffset, nb);
         timings.estimate = t0.elapsed();
 
         // ---------------- Bucketing ----------------
@@ -376,35 +362,31 @@ where
         ws.entries.reserve(total);
         {
             let writer = SliceWriter::new(&mut ws.entries.spare_capacity_mut()[..total]);
-            let write_offsets = &plan.write_offsets;
-            let fused = &fused;
-            self.executor.install(|| {
-                chunks.par_iter().zip(write_offsets.par_iter()).for_each(|(chunk, offsets)| {
-                    let mut cursor = offsets.clone();
-                    for c in chunk.clone() {
-                        let j = fused.cols()[c];
-                        let (lanes, xvals) = fused.activations(c);
-                        let (rows, avals) = matrix.column(j);
-                        for (&i, av) in rows.iter().zip(avals.iter()) {
-                            let b = bucket_of(i, m, nb);
-                            for (&lane, xv) in lanes.iter().zip(xvals.iter()) {
-                                let prod = semiring.multiply(av, xv);
-                                // SAFETY: cursor[b] lies inside this
-                                // thread's exclusive window for bucket b
-                                // (estimate counted `lanes.len()` slots
-                                // per stored row) and is bumped after
-                                // every write, so no slot repeats.
-                                unsafe { writer.write(cursor[b], (i, lane, prod)) };
-                                cursor[b] += 1;
-                            }
+            executor.for_each(chunks.iter().zip(&plan.write_offsets), |(chunk, offsets)| {
+                let mut cursor = offsets.clone();
+                for c in chunk.clone() {
+                    let j = fused.cols()[c];
+                    let (lanes, xvals) = fused.activations(c);
+                    let (rows, avals) = matrix.column(j);
+                    for (&i, av) in rows.iter().zip(avals.iter()) {
+                        let b = bucket_of(i, m, nb);
+                        for (&lane, xv) in lanes.iter().zip(xvals.iter()) {
+                            let prod = semiring.multiply(av, xv);
+                            // SAFETY: cursor[b] lies inside this
+                            // thread's exclusive window for bucket b
+                            // (estimate counted `lanes.len()` slots
+                            // per stored row) and is bumped after
+                            // every write, so no slot repeats.
+                            unsafe { writer.write(cursor[b], (i, lane, prod)) };
+                            cursor[b] += 1;
                         }
                     }
-                });
+                }
             });
         }
         // SAFETY: the estimate pass counted exactly `total` triples and the
-        // loop above wrote each one at a distinct offset; the parallel scope
-        // has ended, so all writes happened-before this point.
+        // loop above wrote each one at a distinct offset; `for_each` has
+        // returned, so all writes happened-before this point.
         unsafe { ws.entries.set_len(total) };
         timings.bucketing = t1.elapsed();
 
@@ -419,7 +401,7 @@ where
         // ---------------- Merge + Output ----------------
         let row_ranges = bucket_row_ranges(m, nb);
         let params = MergeParams {
-            executor: &self.executor,
+            executor: &executor,
             entries: &ws.entries,
             bucket_starts: &plan.bucket_starts,
             row_ranges: &row_ranges,
@@ -477,30 +459,24 @@ where
     let uinds: Vec<Vec<Vec<usize>>> = {
         let windows = spa.split_index_ranges(p.row_ranges);
         let entry_slices = split_by_boundaries(p.entries, p.bucket_starts);
-        p.executor.install(|| {
-            entry_slices
-                .into_par_iter()
-                .zip(windows.into_par_iter())
-                .map(|(bucket_entries, mut window)| {
-                    let mut uind: Vec<Vec<usize>> = vec![Vec::new(); k];
-                    for &(i, lane, ref v) in bucket_entries {
-                        if let Some(mask) = mask {
-                            if !mask.keeps(i, lane as usize) {
-                                continue;
-                            }
-                        }
-                        if window.accumulate(i, lane as usize, *v, |a, b| semiring.add(a, b)) {
-                            uind[lane as usize].push(i);
-                        }
+        p.executor.map(entry_slices.into_iter().zip(windows), |(bucket_entries, mut window)| {
+            let mut uind: Vec<Vec<usize>> = vec![Vec::new(); k];
+            for &(i, lane, ref v) in bucket_entries {
+                if let Some(mask) = mask {
+                    if !mask.keeps(i, lane as usize) {
+                        continue;
                     }
-                    if sorted_output {
-                        for lane_uind in uind.iter_mut() {
-                            lane_uind.sort_unstable();
-                        }
-                    }
-                    uind
-                })
-                .collect()
+                }
+                if window.accumulate(i, lane as usize, *v, |a, b| semiring.add(a, b)) {
+                    uind[lane as usize].push(i);
+                }
+            }
+            if sorted_output {
+                for lane_uind in uind.iter_mut() {
+                    lane_uind.sort_unstable();
+                }
+            }
+            uind
         })
     };
     let merge_time = t2.elapsed();
@@ -540,25 +516,23 @@ where
     let val_writer = DisjointWriter::new(y_nnz);
     {
         let spa = &*spa;
-        p.executor.install(|| {
-            uinds.par_iter().zip(window_starts.par_iter()).for_each(|(bucket_uind, starts)| {
-                for (l, lane_uind) in bucket_uind.iter().enumerate() {
-                    let base = starts[l];
-                    for (off, &i) in lane_uind.iter().enumerate() {
-                        // SAFETY: the (bucket, lane) windows computed
-                        // above partition 0..y_nnz, so every offset
-                        // is written exactly once.
-                        unsafe {
-                            idx_writer.write(base + off, i);
-                            val_writer.write(base + off, *spa.value_at(i, l));
-                        }
+        p.executor.for_each(uinds.iter().zip(&window_starts), |(bucket_uind, starts)| {
+            for (l, lane_uind) in bucket_uind.iter().enumerate() {
+                let base = starts[l];
+                for (off, &i) in lane_uind.iter().enumerate() {
+                    // SAFETY: the (bucket, lane) windows computed
+                    // above partition 0..y_nnz, so every offset
+                    // is written exactly once.
+                    unsafe {
+                        idx_writer.write(base + off, i);
+                        val_writer.write(base + off, *spa.value_at(i, l));
                     }
                 }
-            });
+            }
         });
     }
     // SAFETY: the windows partition 0..y_nnz and every slot was written
-    // above; the parallel scope has ended (happens-before established).
+    // above; `for_each` has returned (happens-before established).
     let (out_indices, out_values) =
         unsafe { (idx_writer.assume_filled(), val_writer.assume_filled()) };
     let y = SparseVecBatch::from_parts_trusted(m, lane_ptr, out_indices, out_values)

@@ -28,7 +28,6 @@
 //! the row-split reduction order *within* one `(row, lane)` follows column
 //! order, same as every other family here).
 
-use rayon::prelude::*;
 use sparse_substrate::{
     CscMatrix, DcscMatrix, FusedColumns, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch,
 };
@@ -195,16 +194,12 @@ where
         let fused = &fused;
         // Per-piece, lane-major `(row, value)` lists with global row ids.
         type PieceLanes<Y> = Vec<Vec<(usize, Y)>>;
-        let per_piece: Vec<PieceLanes<S::Output>> = self.executor.install(|| {
-            pieces
-                .par_iter()
-                .zip(self.spas.par_iter_mut())
-                .enumerate()
-                .map(|(p, (piece, spa))| {
-                    rowsplit_piece(piece, offsets[p], spa, fused, k, mask, semiring, sorted)
-                })
-                .collect()
-        });
+        let per_piece: Vec<PieceLanes<S::Output>> = self.executor.map(
+            pieces.iter().zip(&mut self.spas).enumerate(),
+            |(p, (piece, spa))| {
+                rowsplit_piece(piece, offsets[p], spa, fused, k, mask, semiring, sorted)
+            },
+        );
 
         // Concatenate: lane l = piece 0's lane l, then piece 1's, … — pieces
         // cover ascending row ranges, so sorted pieces concatenate into a

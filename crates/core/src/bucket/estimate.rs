@@ -7,8 +7,9 @@
 //! `(thread, bucket)` pair, which is what makes the bucketing step of
 //! Algorithm 1 free of synchronization.
 
-use rayon::prelude::*;
 use sparse_substrate::{CscMatrix, Scalar, SparseVec};
+
+use crate::executor::Executor;
 
 /// Bucket that row `i` of an `m`-row matrix maps to when `nb` buckets are
 /// used: `⌊i · nb / m⌋` (line 5 of Algorithm 1).
@@ -99,26 +100,24 @@ impl BucketPlan {
 /// (the prefix sums are `O(t·nb)` work on the calling thread, matching the
 /// paper's "on the master thread" note for Step 3's prefix sum).
 pub fn estimate_buckets<A: Scalar, X: Scalar>(
+    executor: &Executor,
     matrix: &CscMatrix<A>,
     x: &SparseVec<X>,
     chunks: &[std::ops::Range<usize>],
     nb: usize,
     m: usize,
 ) -> BucketPlan {
-    let boffset: Vec<Vec<usize>> = chunks
-        .par_iter()
-        .map(|chunk| {
-            let mut counts = vec![0usize; nb];
-            for k in chunk.clone() {
-                let j = x.indices()[k];
-                let (rows, _) = matrix.column(j);
-                for &i in rows {
-                    counts[bucket_of(i, m, nb)] += 1;
-                }
+    let boffset: Vec<Vec<usize>> = executor.map(chunks, |chunk| {
+        let mut counts = vec![0usize; nb];
+        for k in chunk.clone() {
+            let j = x.indices()[k];
+            let (rows, _) = matrix.column(j);
+            for &i in rows {
+                counts[bucket_of(i, m, nb)] += 1;
             }
-            counts
-        })
-        .collect();
+        }
+        counts
+    });
 
     BucketPlan::from_boffset(boffset, nb)
 }
@@ -156,7 +155,7 @@ mod tests {
         let a = figure1_matrix();
         let x = figure1_vector();
         let chunks = even_ranges(x.nnz(), 1);
-        let plan = estimate_buckets(&a, &x, &chunks, 4, 8);
+        let plan = estimate_buckets(&Executor::new(1), &a, &x, &chunks, 4, 8);
         assert_eq!(plan.total_entries(), 7);
         // Buckets receive: rows {0,0}=2, {2,3}=2, {4,4}=2, {6}=1
         assert_eq!(plan.bucket_size(0), 2);
@@ -171,7 +170,8 @@ mod tests {
         let x = random_sparse_vec(300, 60, 3);
         for threads in [1usize, 2, 5] {
             let chunks = even_ranges(x.nnz(), threads);
-            let plan = estimate_buckets(&a, &x, &chunks, 4 * threads, a.nrows());
+            let plan =
+                estimate_buckets(&Executor::new(threads), &a, &x, &chunks, 4 * threads, a.nrows());
             assert_eq!(plan.total_entries(), required_multiplications(&a, &x));
         }
     }
@@ -183,7 +183,7 @@ mod tests {
         let t = 3;
         let nb = 12;
         let chunks = even_ranges(x.nnz(), t);
-        let plan = estimate_buckets(&a, &x, &chunks, nb, a.nrows());
+        let plan = estimate_buckets(&Executor::new(t), &a, &x, &chunks, nb, a.nrows());
         for b in 0..nb {
             // windows within bucket b: [write_offsets[k][b], +boffset[k][b])
             let mut cursor = plan.bucket_starts[b];
@@ -200,7 +200,7 @@ mod tests {
         let a = figure1_matrix();
         let x = sparse_substrate::SparseVec::<f64>::new(8);
         let chunks = even_ranges(x.nnz(), 1);
-        let plan = estimate_buckets(&a, &x, &chunks, 4, 8);
+        let plan = estimate_buckets(&Executor::new(1), &a, &x, &chunks, 4, 8);
         assert_eq!(plan.total_entries(), 0);
         assert_eq!(plan.num_buckets(), 4);
     }

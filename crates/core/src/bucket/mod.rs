@@ -26,7 +26,6 @@ pub use workspace::BucketWorkspace;
 use std::marker::PhantomData;
 use std::time::Instant;
 
-use rayon::prelude::*;
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{SpMSpV, SpMSpVOptions};
@@ -57,17 +56,6 @@ where
     /// `O(nnz(A))` and are then reused.
     pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
         let executor = options.build_executor();
-        let workspace = BucketWorkspace::new(matrix.nrows());
-        SpMSpVBucket { matrix, options, executor, workspace, _marker: PhantomData }
-    }
-
-    /// Prepares the algorithm reusing an existing executor (so several
-    /// algorithm instances — e.g. inside one BFS — share a single pool).
-    pub fn with_executor(
-        matrix: &'a CscMatrix<A>,
-        options: SpMSpVOptions,
-        executor: Executor,
-    ) -> Self {
         let workspace = BucketWorkspace::new(matrix.nrows());
         SpMSpVBucket { matrix, options, executor, workspace, _marker: PhantomData }
     }
@@ -114,18 +102,9 @@ where
             return (SparseVec::new(m), timings);
         }
 
-        // The paper assumes at most f threads take part (§III-B); with fewer
-        // nonzeros than threads the extra threads would only add overhead.
-        // We additionally require a minimum amount of input per thread
-        // (work-proportional thread count): BFS on high-diameter graphs
-        // issues thousands of multiplications whose frontiers hold only a
-        // handful of vertices, and fanning those out to every core costs more
-        // in scheduling than the multiplication itself. This is the same
-        // observation §IV-D makes ("our work-efficient algorithm might not
-        // scale well when the vector is very sparse ... due to the scarcity
-        // of work for all threads").
-        const MIN_NNZ_PER_THREAD: usize = 32;
-        let t = self.executor.threads().min(x.nnz().div_ceil(MIN_NNZ_PER_THREAD)).max(1);
+        // All four steps run on the same work-proportional participant count.
+        let executor = self.executor.capped_for(x.nnz());
+        let t = executor.threads();
         let nb = (self.options.buckets_per_thread * t).max(1);
 
         // Sorted variant: keep the input sorted for cache-friendly column
@@ -142,9 +121,7 @@ where
 
         // ---------------- Estimate (Algorithm 2) ----------------
         let t0 = Instant::now();
-        let plan = self
-            .executor
-            .install(|| estimate::estimate_buckets(self.matrix, x_ref, &chunks, nb, m));
+        let plan = estimate::estimate_buckets(&executor, self.matrix, x_ref, &chunks, nb, m);
         timings.estimate = t0.elapsed();
 
         // ---------------- Step 1: bucketing ----------------
@@ -157,49 +134,47 @@ where
             let writer = SliceWriter::new(&mut ws.entries.spare_capacity_mut()[..total]);
             let matrix = self.matrix;
             let staging = self.options.staging_buffer;
-            let write_offsets = &plan.write_offsets;
-            self.executor.install(|| {
-                chunks.par_iter().zip(write_offsets.par_iter()).enumerate().for_each(
-                    |(thread_id, (chunk, offsets))| {
-                        let mut cursor = offsets.clone();
-                        let mut stage: Vec<(usize, usize, S::Output)> = Vec::with_capacity(staging);
-                        for k in chunk.clone() {
-                            let j = x_ref.indices()[k];
-                            let xv = &x_ref.values()[k];
-                            let (rows, vals) = matrix.column(j);
-                            for (&i, av) in rows.iter().zip(vals.iter()) {
-                                let b = bucket_of(i, m, nb);
-                                let prod = semiring.multiply(av, xv);
-                                if staging == 0 {
-                                    // SAFETY: cursor[b] lies inside this
-                                    // thread's exclusive window for bucket b
-                                    // (pre-computed by estimate_buckets) and
-                                    // is bumped after every write, so no slot
-                                    // is written twice.
-                                    unsafe { writer.write(cursor[b], (i, prod)) };
-                                    cursor[b] += 1;
-                                } else {
-                                    stage.push((b, i, prod));
-                                    if stage.len() == staging {
-                                        flush_stage(&writer, &mut stage, &mut cursor);
-                                    }
+            executor.for_each(
+                chunks.iter().zip(&plan.write_offsets).enumerate(),
+                |(thread_id, (chunk, offsets))| {
+                    let mut cursor = offsets.clone();
+                    let mut stage: Vec<(usize, usize, S::Output)> = Vec::with_capacity(staging);
+                    for k in chunk.clone() {
+                        let j = x_ref.indices()[k];
+                        let xv = &x_ref.values()[k];
+                        let (rows, vals) = matrix.column(j);
+                        for (&i, av) in rows.iter().zip(vals.iter()) {
+                            let b = bucket_of(i, m, nb);
+                            let prod = semiring.multiply(av, xv);
+                            if staging == 0 {
+                                // SAFETY: cursor[b] lies inside this
+                                // thread's exclusive window for bucket b
+                                // (pre-computed by estimate_buckets) and
+                                // is bumped after every write, so no slot
+                                // is written twice.
+                                unsafe { writer.write(cursor[b], (i, prod)) };
+                                cursor[b] += 1;
+                            } else {
+                                stage.push((b, i, prod));
+                                if stage.len() == staging {
+                                    flush_stage(&writer, &mut stage, &mut cursor);
                                 }
                             }
                         }
-                        if !stage.is_empty() {
-                            flush_stage(&writer, &mut stage, &mut cursor);
-                        }
-                        // Postcondition: each cursor reached the end of its
-                        // exclusive window.
-                        debug_assert!((0..cursor.len())
-                            .all(|b| { cursor[b] == offsets[b] + plan.boffset_for(thread_id, b) }));
-                    },
-                );
-            });
+                    }
+                    if !stage.is_empty() {
+                        flush_stage(&writer, &mut stage, &mut cursor);
+                    }
+                    // Postcondition: each cursor reached the end of its
+                    // exclusive window.
+                    debug_assert!((0..cursor.len())
+                        .all(|b| { cursor[b] == offsets[b] + plan.boffset_for(thread_id, b) }));
+                },
+            );
         }
         // SAFETY: estimate_buckets counted exactly `total` entries and the
-        // loop above wrote every one of them at a distinct offset; the Rayon
-        // scope has ended, so all writes happened-before this point.
+        // loop above wrote every one of them at a distinct offset; `for_each`
+        // has returned, so all writes happened-before this point.
         unsafe { ws.entries.set_len(total) };
         timings.bucketing = t1.elapsed();
 
@@ -213,39 +188,34 @@ where
             let spa_val_slices = split_ranges(&mut ws.spa_values, &row_ranges);
             let spa_stamp_slices = split_ranges(&mut ws.spa_stamps, &row_ranges);
             let entry_slices = split_by_boundaries(&ws.entries, &plan.bucket_starts);
-            self.executor.install(|| {
-                entry_slices
-                    .into_par_iter()
-                    .zip(spa_val_slices.into_par_iter())
-                    .zip(spa_stamp_slices.into_par_iter())
-                    .zip(row_ranges.par_iter())
-                    .map(|(((bucket_entries, spa_vals), spa_stamps), range)| {
-                        let lo = range.start;
-                        // Reserve for the worst case (every entry unique) to
-                        // avoid repeated growth inside the hot loop.
-                        let mut uind = Vec::with_capacity(bucket_entries.len());
-                        for &(i, ref v) in bucket_entries {
-                            if let Some(mask) = mask {
-                                if !mask.keeps(i) {
-                                    continue;
-                                }
-                            }
-                            let local = i - lo;
-                            if spa_stamps[local] != generation {
-                                spa_stamps[local] = generation;
-                                spa_vals[local] = *v;
-                                uind.push(i);
-                            } else {
-                                spa_vals[local] = semiring.add(spa_vals[local], *v);
+            executor.map(
+                entry_slices.into_iter().zip(spa_val_slices).zip(spa_stamp_slices).zip(&row_ranges),
+                |(((bucket_entries, spa_vals), spa_stamps), range)| {
+                    let lo = range.start;
+                    // Reserve for the worst case (every entry unique) to
+                    // avoid repeated growth inside the hot loop.
+                    let mut uind = Vec::with_capacity(bucket_entries.len());
+                    for &(i, ref v) in bucket_entries {
+                        if let Some(mask) = mask {
+                            if !mask.keeps(i) {
+                                continue;
                             }
                         }
-                        if sorted_output {
-                            uind.sort_unstable();
+                        let local = i - lo;
+                        if spa_stamps[local] != generation {
+                            spa_stamps[local] = generation;
+                            spa_vals[local] = *v;
+                            uind.push(i);
+                        } else {
+                            spa_vals[local] = semiring.add(spa_vals[local], *v);
                         }
-                        uind
-                    })
-                    .collect()
-            })
+                    }
+                    if sorted_output {
+                        uind.sort_unstable();
+                    }
+                    uind
+                },
+            )
         };
         timings.merge = t2.elapsed();
 
@@ -265,21 +235,16 @@ where
             let idx_slices = split_ranges(&mut out_indices, &out_ranges);
             let val_slices = split_ranges(&mut out_values, &out_ranges);
             let spa_values = &ws.spa_values;
-            let row_ranges = &row_ranges;
-            self.executor.install(|| {
-                uinds
-                    .par_iter()
-                    .zip(idx_slices.into_par_iter())
-                    .zip(val_slices.into_par_iter())
-                    .zip(row_ranges.par_iter())
-                    .for_each(|(((uind, idx_out), val_out), range)| {
-                        debug_assert!(uind.iter().all(|&i| range.contains(&i)));
-                        for (k, &i) in uind.iter().enumerate() {
-                            idx_out[k] = i;
-                            val_out[k] = spa_values[i];
-                        }
-                    });
-            });
+            executor.for_each(
+                uinds.iter().zip(idx_slices).zip(val_slices).zip(&row_ranges),
+                |(((uind, idx_out), val_out), range)| {
+                    debug_assert!(uind.iter().all(|&i| range.contains(&i)));
+                    for (k, &i) in uind.iter().enumerate() {
+                        idx_out[k] = i;
+                        val_out[k] = spa_values[i];
+                    }
+                },
+            );
         }
         let y = SparseVec::from_parts(m, out_indices, out_values)
             .expect("bucket output indices are in bounds by construction");

@@ -8,7 +8,8 @@
 //!
 //! [`DisjointWriter`] is the narrow unsafe primitive that expresses "many
 //! threads write to statically disjoint positions of one buffer". All other
-//! parallelism in the crate uses safe Rayon iterators or `split_at_mut`.
+//! parallelism in the crate hands [`Executor::map`](crate::Executor::map)
+//! items pre-split with `split_at_mut`.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -23,7 +24,8 @@ use std::mem::MaybeUninit;
 ///   exactly once, at the offsets pre-computed by `ESTIMATE-BUCKETS`).
 /// * [`DisjointWriter::assume_filled`] may only be called after every index
 ///   in `0..len` has been written and all writing threads have been joined
-///   (the Rayon scope ending provides the necessary happens-before edge).
+///   (`Executor::for_each` returning provides the necessary happens-before
+///   edge).
 pub struct DisjointWriter<T> {
     buf: Vec<UnsafeCell<MaybeUninit<T>>>,
 }

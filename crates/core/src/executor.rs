@@ -1,64 +1,136 @@
-//! Thread-pool management.
+//! The parallel runtime: one fork-join primitive over one process-wide pool.
 //!
-//! The paper's experiments pin the number of OpenMP threads per run
-//! (1, 2, 4, …, 24 on Edison; up to 64 on KNL). We mirror that with a
-//! dedicated Rayon pool of exactly `threads` workers so strong-scaling
-//! sweeps are meaningful and the per-thread `Boffset` table of Algorithm 2
-//! has a fixed, known number of rows.
+//! The paper's kernel needs exactly one parallel construct, an OpenMP-style
+//! `parallel for`: over `t` chunks of the input in the estimate and bucketing
+//! steps, and over `nb = 4t` buckets that threads claim *dynamically* in the
+//! merge and output steps (§III-A, "Load balancing" — more buckets than
+//! threads only balances load if a thread that finishes a light bucket can
+//! take the next one). [`Executor::map`] is that construct.
+//!
+//! The model:
+//!
+//! * An [`Executor`] is a **participant count** `t` (the paper pins the
+//!   OpenMP thread count per run; so do [`SpMSpVOptions`](crate::SpMSpVOptions)
+//!   and the strong-scaling sweeps). It owns no threads.
+//! * The **participants** of one `map` call are the calling thread plus up
+//!   to `t − 1` workers of a single pool, started on the first parallel call
+//!   with one worker per logical CPU and kept for the life of the process.
+//!   Workers park on a condvar between calls.
+//! * Every participant repeatedly **claims the next unstarted item** with
+//!   one atomic increment and runs the closure on it, until no item is left.
+//!   Results come back in item order whichever participant produced them.
+//! * The caller never waits for a worker that has not joined: when it runs
+//!   out of items it withdraws the call's invitation and waits only for the
+//!   workers already inside, each of which is finishing an item. A call
+//!   therefore completes even when every worker is busy elsewhere, which is
+//!   what keeps nested calls and concurrent submitters (the shard router's
+//!   per-shard engines) free of deadlock.
+//! * A panic in the closure, on any participant, is re-raised on the caller
+//!   after every participant has left.
 
-use std::sync::Arc;
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, LockResult, Mutex, Once, PoisonError};
 
-/// A fixed-size thread pool shared by the SpMSpV algorithms.
-#[derive(Clone)]
+/// Fewest input nonzeros that justify one more participant (see
+/// [`Executor::capped_for`]).
+const MIN_NNZ_PER_THREAD: usize = 32;
+
+/// A participant count plus the fork-join primitive that honours it. See the
+/// [module docs](self) for the execution model.
+#[derive(Debug, Clone, Copy)]
 pub struct Executor {
-    pool: Arc<rayon::ThreadPool>,
     threads: usize,
 }
 
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor").field("threads", &self.threads).finish()
-    }
-}
-
 impl Executor {
-    /// Creates an executor with exactly `threads` worker threads
-    /// (`0` means "all logical CPUs").
+    /// Creates an executor of `threads` participants (`0` means "all logical
+    /// CPUs").
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 { num_cpus() } else { threads };
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .thread_name(|i| format!("spmspv-{i}"))
-            .build()
-            .expect("failed to build thread pool");
         crate::obs::executor_gauges().0.record_max(threads as u64);
-        Executor { pool: Arc::new(pool), threads }
+        Executor { threads }
     }
 
-    /// Number of worker threads (`t` in the paper's notation).
+    /// Number of participants (`t` in the paper's notation).
     #[inline]
     pub fn threads(&self) -> usize {
         self.threads
     }
 
-    /// Runs `f` inside the pool so nested Rayon parallelism uses exactly
-    /// this pool's workers.
-    pub fn install<R: Send>(&self, f: impl FnOnce() -> R + Send) -> R {
-        let _depth = InflightGuard::enter();
-        self.pool.install(f)
+    /// The executor every step of one multiplication over `nnz` input
+    /// nonzeros should run on: at most one participant per
+    /// `MIN_NNZ_PER_THREAD` nonzeros.
+    ///
+    /// The paper assumes at most `f` threads take part (§III-B). We
+    /// additionally ask for a minimum amount of input per participant: BFS
+    /// on a high-diameter graph issues thousands of multiplications whose
+    /// frontiers hold a handful of vertices, and fanning those out costs
+    /// more in hand-off than the multiplication itself — the observation
+    /// §IV-D makes ("our work-efficient algorithm might not scale well when
+    /// the vector is very sparse ... due to the scarcity of work for all
+    /// threads").
+    pub fn capped_for(&self, nnz: usize) -> Executor {
+        Executor { threads: self.threads.min(nnz.div_ceil(MIN_NNZ_PER_THREAD)).max(1) }
     }
 
-    /// Runs a scope inside the pool; used for the "one task per logical
-    /// thread" pattern Algorithm 1/2 needs.
-    pub fn scope<'scope, R: Send>(&self, f: impl FnOnce(&rayon::Scope<'scope>) -> R + Send) -> R {
-        let _depth = InflightGuard::enter();
-        self.pool.scope(f)
+    /// Runs `f` on every item, in parallel across this executor's
+    /// participants, and returns the results in item order.
+    pub fn map<I, R, F>(&self, items: I, f: F) -> Vec<R>
+    where
+        I: IntoIterator,
+        I::Item: Send,
+        R: Send,
+        F: Fn(I::Item) -> R + Sync,
+    {
+        let _inflight = InflightGuard::enter();
+        let items = items.into_iter();
+        if self.threads == 1 {
+            return items.map(f).collect();
+        }
+        // A slot hands its item to whichever participant claims its index;
+        // the lock is never contended (an index is claimed once).
+        let slots: Vec<Mutex<Option<I::Item>>> = items.map(|item| Mutex::new(Some(item))).collect();
+        let next = AtomicUsize::new(0);
+        let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(slots.len()));
+        let participate = || {
+            let mut mine = Vec::new();
+            loop {
+                // Relaxed: the counter only hands out indices; the item
+                // itself is published by its slot's mutex.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let item = recover(slot.lock()).take().expect("an index is claimed once");
+                mine.push((i, f(item)));
+            }
+            recover(finished.lock()).append(&mut mine);
+        };
+        match self.threads.min(slots.len()).saturating_sub(1) {
+            0 => participate(),
+            helpers => fork_join(&participate, helpers),
+        }
+        let mut finished = recover(finished.into_inner());
+        finished.sort_unstable_by_key(|&(i, _)| i);
+        finished.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// Runs `f` on every item, in parallel across this executor's
+    /// participants.
+    pub fn for_each<I, F>(&self, items: I, f: F)
+    where
+        I: IntoIterator,
+        I::Item: Send,
+        F: Fn(I::Item) + Sync,
+    {
+        self.map(items, f);
     }
 }
 
-/// Keeps the `executor.inflight` gauge equal to the number of
-/// `install`/`scope` calls currently inside a pool — decrements on drop, so
-/// an unwinding kernel cannot leave the gauge stuck high.
+/// Keeps the `executor.inflight` gauge equal to the number of parallel steps
+/// currently running — decrements on drop, so an unwinding kernel cannot
+/// leave the gauge stuck high.
 struct InflightGuard;
 
 impl InflightGuard {
@@ -74,9 +146,120 @@ impl Drop for InflightGuard {
     }
 }
 
-impl Default for Executor {
-    fn default() -> Self {
-        Executor::new(0)
+/// Takes the guard out of a lock or wait result, poisoned or not. No caller
+/// code ever runs under the runtime's locks (closures run between them), and
+/// every update under them is a single push, pop or counter step, so the
+/// data is valid even if a lock were poisoned — and [`fork_join`] must not
+/// unwind between posting a call and seeing its last participant leave.
+fn recover<G>(result: LockResult<G>) -> G {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
+type Panic = Box<dyn Any + Send>;
+
+/// One `map` call as the pool sees it.
+struct Call {
+    /// The participant loop, borrowed from the caller's frame with its
+    /// lifetime erased (see [`fork_join`]).
+    participate: &'static (dyn Fn() + Sync),
+    /// Workers currently inside `participate`, and the first panic one of
+    /// them raised.
+    inside: Mutex<(usize, Option<Panic>)>,
+    all_left: Condvar,
+}
+
+struct Pool {
+    /// Calls still inviting workers, each with the number it still wants.
+    inviting: Mutex<VecDeque<(Arc<Call>, usize)>>,
+    posted: Condvar,
+}
+
+/// The process-wide pool. Its workers are detached on purpose: they serve
+/// until the process exits and hold no state a join could flush (a panicking
+/// closure is caught and handed to its caller).
+static POOL: Pool = Pool { inviting: Mutex::new(VecDeque::new()), posted: Condvar::new() };
+
+/// Starts the pool's workers, one per logical CPU, on the first call.
+fn start_workers() {
+    static STARTED: Once = Once::new();
+    STARTED.call_once(|| {
+        for i in 0..num_cpus() {
+            std::thread::Builder::new()
+                .name(format!("spmspv-{i}"))
+                .spawn(worker)
+                .expect("failed to spawn pool worker");
+        }
+    });
+}
+
+fn worker() {
+    let mut inviting = recover(POOL.inviting.lock());
+    loop {
+        let Some((call, wanted)) = inviting.front_mut() else {
+            inviting = recover(POOL.posted.wait(inviting));
+            continue;
+        };
+        // Join while still holding the pool lock: the caller withdraws its
+        // invitation under the same lock, so it sees every worker that got in.
+        let call = Arc::clone(call);
+        recover(call.inside.lock()).0 += 1;
+        *wanted -= 1;
+        if *wanted == 0 {
+            inviting.pop_front();
+        }
+        drop(inviting);
+
+        let panic = catch_unwind(AssertUnwindSafe(call.participate)).err();
+        let mut inside = recover(call.inside.lock());
+        inside.0 -= 1;
+        if inside.1.is_none() {
+            inside.1 = panic;
+        }
+        if inside.0 == 0 {
+            call.all_left.notify_one();
+        }
+        drop(inside);
+        inviting = recover(POOL.inviting.lock());
+    }
+}
+
+/// Runs `participate` on the calling thread and on up to `helpers` pool
+/// workers at once; returns when all of them have left it, re-raising the
+/// first panic any of them hit.
+fn fork_join(participate: &(dyn Fn() + Sync), helpers: usize) {
+    start_workers();
+    // SAFETY: only the lifetime changes. A worker obtains this reference
+    // solely by joining the call while it sits in `POOL.inviting`, and
+    // joining registers the worker in `inside` under the pool lock. Below,
+    // the call is taken out of `inviting` under that lock (so no later
+    // worker can join) and this function then blocks until `inside` is back
+    // to zero, i.e. until every worker that holds the reference has returned
+    // from it. Nothing in between can unwind: the caller's own turn runs
+    // under `catch_unwind`, and the locks are taken through `recover`. So
+    // the borrow is never used after this function gives it back.
+    let erased = unsafe {
+        std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(participate)
+    };
+    let call = Arc::new(Call {
+        participate: erased,
+        inside: Mutex::new((0, None)),
+        all_left: Condvar::new(),
+    });
+    recover(POOL.inviting.lock()).push_back((Arc::clone(&call), helpers));
+    for _ in 0..helpers {
+        POOL.posted.notify_one();
+    }
+
+    let own_panic = catch_unwind(AssertUnwindSafe(participate)).err();
+
+    recover(POOL.inviting.lock()).retain(|(other, _)| !Arc::ptr_eq(other, &call));
+    let mut inside = recover(call.inside.lock());
+    while inside.0 > 0 {
+        inside = recover(call.all_left.wait(inside));
+    }
+    if let Some(panic) = own_panic.or(inside.1.take()) {
+        drop(inside);
+        resume_unwind(panic);
     }
 }
 
@@ -96,6 +279,13 @@ pub fn even_ranges(len: usize, pieces: usize) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
+
+    /// The pool sizes ROADMAP 5(a) names: sequential, the host's own, an odd
+    /// one, and one past any CI host's CPU count.
+    const SIZES: [usize; 4] = [1, 2, 3, 8];
 
     #[test]
     fn executor_reports_thread_count() {
@@ -103,13 +293,6 @@ mod tests {
         assert_eq!(ex.threads(), 3);
         let ex0 = Executor::new(0);
         assert!(ex0.threads() >= 1);
-    }
-
-    #[test]
-    fn install_runs_inside_the_pool() {
-        let ex = Executor::new(2);
-        let inside = ex.install(rayon::current_num_threads);
-        assert_eq!(inside, 2);
     }
 
     #[test]
@@ -130,16 +313,128 @@ mod tests {
     }
 
     #[test]
-    fn scope_spawns_parallel_tasks() {
-        let ex = Executor::new(4);
-        let counter = std::sync::atomic::AtomicUsize::new(0);
-        ex.scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| {
-                    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    fn map_returns_results_in_item_order() {
+        for threads in SIZES {
+            let ex = Executor::new(threads);
+            for n in [0usize, 1, 2, 7, 1000] {
+                let doubled = ex.map(0..n, |i| i * 2);
+                assert_eq!(doubled, (0..n).map(|i| i * 2).collect::<Vec<_>>(), "t={threads} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn items_may_be_disjoint_mutable_borrows() {
+        for threads in SIZES {
+            let ex = Executor::new(threads);
+            let mut v = vec![0usize; 64];
+            ex.for_each(v.iter_mut().enumerate(), |(i, slot)| *slot = i);
+            assert_eq!(v, (0..64).collect::<Vec<_>>());
+
+            // The kernels' shape: pre-split windows zipped with shared data.
+            let offsets: Vec<usize> = (0..8).map(|w| w * 8).collect();
+            let sums = ex.map(v.chunks_mut(8).zip(&offsets), |(window, &base)| {
+                window.iter_mut().for_each(|x| *x -= base);
+                window.iter().sum::<usize>()
+            });
+            assert_eq!(sums, vec![28; 8]);
+        }
+    }
+
+    /// Distinct threads that ran an item of `ex.map` over `n` items.
+    fn threads_used(ex: &Executor, n: usize) -> HashSet<ThreadId> {
+        ex.map(0..n, |_| thread::current().id()).into_iter().collect()
+    }
+
+    #[test]
+    fn one_participant_means_the_calling_thread() {
+        let used = threads_used(&Executor::new(1), 100);
+        assert_eq!(used, HashSet::from([thread::current().id()]));
+    }
+
+    #[test]
+    fn a_second_participant_really_runs_concurrently() {
+        // Both items block until two threads are inside the closure at once,
+        // so this returns only if a pool worker joins the caller.
+        let barrier = Barrier::new(2);
+        let ids = Executor::new(2).map(0..2, |_| {
+            barrier.wait();
+            thread::current().id()
+        });
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&thread::current().id()), "the caller takes part");
+    }
+
+    #[test]
+    fn never_more_participants_than_asked_for() {
+        for threads in SIZES {
+            let used = threads_used(&Executor::new(threads), 500);
+            assert!(used.len() <= threads, "{} threads ran a t={threads} call", used.len());
+        }
+    }
+
+    #[test]
+    fn asking_for_more_participants_than_the_pool_has_workers() {
+        let ex = Executor::new(num_cpus() + 62);
+        let squares = ex.map(0..2000usize, |i| i * i);
+        assert_eq!(squares, (0..2000).map(|i| i * i).collect::<Vec<_>>());
+        assert!(threads_used(&ex, 2000).len() <= num_cpus() + 1);
+    }
+
+    #[test]
+    fn capped_for_scales_participants_with_the_input() {
+        let ex = Executor::new(8);
+        for (nnz, expect) in [(0, 1), (1, 1), (32, 1), (33, 2), (64, 2), (255, 8), (100_000, 8)] {
+            assert_eq!(ex.capped_for(nnz).threads(), expect, "nnz = {nnz}");
+        }
+        assert_eq!(Executor::new(1).capped_for(100_000).threads(), 1);
+    }
+
+    #[test]
+    fn nested_and_concurrent_submitters_all_finish() {
+        // More submitters than workers, each nesting a call inside every
+        // item: completes only because no call waits on an unjoined worker.
+        let ex = Executor::new(3);
+        let expect: usize = (0..8).map(|i| (0..8).map(|j| i * j).sum::<usize>()).sum();
+        thread::scope(|s| {
+            for _ in 0..2 * num_cpus() + 2 {
+                s.spawn(|| {
+                    for _ in 0..20 {
+                        let rows = ex.map(0..8usize, |i| ex.map(0..8usize, |j| i * j));
+                        assert_eq!(rows.iter().flatten().sum::<usize>(), expect);
+                    }
                 });
             }
         });
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 8);
+    }
+
+    fn panic_message(result: thread::Result<()>) -> String {
+        let payload = result.expect_err("the call should have panicked");
+        payload.downcast_ref::<&str>().map(|s| s.to_string()).expect("a &str payload")
+    }
+
+    #[test]
+    fn a_panic_reaches_the_caller_and_the_pool_keeps_serving() {
+        let ex = Executor::new(2);
+        // On whichever participant claims item 7 …
+        let anywhere = catch_unwind(|| ex.for_each(0..16, |i| assert!(i != 7, "item seven")));
+        assert_eq!(panic_message(anywhere), "item seven");
+        // … and on a pool worker for certain: the barrier puts the two items
+        // on two threads, and only the one that is not the caller panics.
+        let caller = thread::current().id();
+        let barrier = Barrier::new(2);
+        let on_worker = catch_unwind(AssertUnwindSafe(|| {
+            ex.for_each(0..2, |_| {
+                barrier.wait();
+                assert!(thread::current().id() == caller, "worker side");
+            })
+        }));
+        assert_eq!(panic_message(on_worker), "worker side");
+        // The pool lost no worker to either panic.
+        let barrier = Barrier::new(2);
+        ex.for_each(0..2, |_| {
+            barrier.wait();
+        });
+        assert_eq!(ex.map(0..100, |i| i + 1), (1..=100).collect::<Vec<_>>());
     }
 }

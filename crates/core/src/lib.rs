@@ -76,22 +76,6 @@
 //! merge loop; a default post-filtering implementation keeps third-party
 //! implementations source-compatible.
 //!
-//! ## Migrating from the pre-`Mxv` entry points
-//!
-//! The deprecated shims of the previous release (`MaskedSpMSpV`,
-//! `graphs::bfs_with`, `graphs::bfs_algorithm`, `graphs::numeric_algorithm`)
-//! have been **removed**; the kernel traits themselves remain the supported
-//! SPI beneath the descriptor.
-//!
-//! | removed / old | replacement |
-//! |---|---|
-//! | `SpMSpVBucket::new(&a, opts).multiply(&x, &s)` | `Mxv::over(&a).semiring(&s).options(opts).prepare().run(&x)` |
-//! | `SpMSpVBucketBatch::new(&a, opts).multiply_batch(&xs, &s)` | `Mxv::over(&a).semiring(&s).options(opts).prepare().run_batch(&xs)` |
-//! | `MaskedSpMSpV::new(alg, n, mode)` + `set`/`clear` | `Mxv::over(&a).semiring(&s).masked(mode)` + `mask_mut()` / `mask_clear()` |
-//! | `graphs::bfs_algorithm(&a, kind, opts)` | `build_algorithm(&a, kind, opts)` (any semiring) |
-//! | `graphs::numeric_algorithm(&a, kind, opts)` | `build_algorithm(&a, kind, opts)` |
-//! | `graphs::bfs_with(&mut alg, &a, src)` | `graphs::bfs_prepared(&mut op, src)` on a `.masked(MaskMode::Complement)` descriptor |
-//!
 //! ## Serving many clients: the `engine` layer
 //!
 //! [`engine::Engine`] turns the descriptor into a serving front door: many

@@ -96,8 +96,8 @@
 //! | `adaptive.batch.<kernel>` | counter | batched calls per family the dispatcher chose |
 //! | `adaptive.single.sequential` | counter | single-vector calls dispatched to the sequential SPA |
 //! | `adaptive.single.bucket` | counter | single-vector calls dispatched to the bucket kernel |
-//! | `executor.threads` | gauge | high-water mark of worker threads in any pool built |
-//! | `executor.inflight` | gauge | `install`/`scope` calls currently inside a pool |
+//! | `executor.threads` | gauge | largest participant count any `Executor` was built with |
+//! | `executor.inflight` | gauge | parallel steps (`Executor::map` calls) currently running |
 //! | `failpoint.hits` | counter | armed failpoints fired (only with the `failpoints` feature) |
 //!
 //! # Trace events
@@ -577,8 +577,8 @@ pub fn record_adaptive_single(kind: AlgorithmKind) {
     }
 }
 
-/// The executor pool gauges: worker-thread high-water mark and in-flight
-/// `install`/`scope` depth.
+/// The executor gauges: participant-count high-water mark and parallel steps
+/// in flight.
 pub fn executor_gauges() -> (Arc<Gauge>, Arc<Gauge>) {
     static G: OnceLock<(Arc<Gauge>, Arc<Gauge>)> = OnceLock::new();
     let (threads, inflight) =
