@@ -167,6 +167,9 @@ where
         semiring: &S,
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
+        if let Some(mask) = mask {
+            mask.check_rows(self.matrix.nrows());
+        }
         let choice = self.choose(x);
         self.last = Some(choice);
         crate::obs::record_adaptive_single(choice);
@@ -293,6 +296,9 @@ where
         semiring: &S,
         mask: Option<&BatchMaskView<'_>>,
     ) -> SparseVecBatch<S::Output> {
+        if let Some(mask) = mask {
+            mask.check_rows(self.matrix.nrows());
+        }
         let kernel = self.choose(x.total_nnz(), x.k());
         crate::obs::record_adaptive_batch_kernel(kernel);
         let (y, info) = match kernel {

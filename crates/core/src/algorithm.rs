@@ -10,27 +10,16 @@ use crate::masked::MaskView;
 pub struct SpMSpVOptions {
     /// Number of worker threads (`t`). `0` means all logical CPUs.
     pub threads: usize,
-    /// Buckets per thread (`nb = buckets_per_thread · t`). The paper uses 4.
-    pub buckets_per_thread: usize,
     /// Whether the output vector must be sorted by index. The paper's
     /// "sorted" variant (Figure 2) also keeps the input sorted for cache
     /// locality; when this flag is set and the input is unsorted, the
     /// algorithm sorts an internal copy first.
     pub sorted_output: bool,
-    /// Size (in entries) of the per-thread staging buffer used to batch
-    /// writes into the buckets (§III-A "Cache efficiency"). `0` disables the
-    /// optimization and writes straight into the buckets.
-    pub staging_buffer: usize,
 }
 
 impl Default for SpMSpVOptions {
     fn default() -> Self {
-        SpMSpVOptions {
-            threads: 0,
-            buckets_per_thread: 4,
-            sorted_output: true,
-            staging_buffer: 512,
-        }
+        SpMSpVOptions { threads: 0, sorted_output: true }
     }
 }
 
@@ -43,18 +32,6 @@ impl SpMSpVOptions {
     /// Builder-style setter for [`SpMSpVOptions::sorted_output`].
     pub fn sorted(mut self, sorted: bool) -> Self {
         self.sorted_output = sorted;
-        self
-    }
-
-    /// Builder-style setter for [`SpMSpVOptions::buckets_per_thread`].
-    pub fn buckets_per_thread(mut self, k: usize) -> Self {
-        self.buckets_per_thread = k.max(1);
-        self
-    }
-
-    /// Builder-style setter for [`SpMSpVOptions::staging_buffer`].
-    pub fn staging_buffer(mut self, entries: usize) -> Self {
-        self.staging_buffer = entries;
         self
     }
 
@@ -102,6 +79,9 @@ pub trait SpMSpV<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
         semiring: &S,
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
+        if let Some(mask) = mask {
+            mask.check_rows(self.nrows());
+        }
         let mut y = self.multiply(x, semiring);
         if let Some(mask) = mask {
             y.retain(|i, _| mask.keeps(i));
@@ -197,25 +177,16 @@ mod tests {
     #[test]
     fn default_options_match_the_paper() {
         let o = SpMSpVOptions::default();
-        assert_eq!(o.buckets_per_thread, 4);
+        assert_eq!(o.threads, 0);
         assert!(o.sorted_output);
     }
 
     #[test]
     fn builder_setters_compose() {
-        let o =
-            SpMSpVOptions::with_threads(2).sorted(false).buckets_per_thread(8).staging_buffer(0);
+        let o = SpMSpVOptions::with_threads(2).sorted(false);
         assert_eq!(o.threads, 2);
         assert!(!o.sorted_output);
-        assert_eq!(o.buckets_per_thread, 8);
-        assert_eq!(o.staging_buffer, 0);
         assert_eq!(o.build_executor().threads(), 2);
-    }
-
-    #[test]
-    fn buckets_per_thread_floor_is_one() {
-        let o = SpMSpVOptions::default().buckets_per_thread(0);
-        assert_eq!(o.buckets_per_thread, 1);
     }
 
     #[test]

@@ -64,6 +64,9 @@ where
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
         assert_eq!(x.len(), self.matrix.ncols(), "dimension mismatch");
+        if let Some(mask) = mask {
+            mask.check_rows(self.matrix.nrows());
+        }
         let offsets = &self.offsets;
         let pieces = &self.pieces;
         let per_piece: Vec<Vec<(usize, S::Output)>> =

@@ -82,6 +82,9 @@ where
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
         assert_eq!(x.len(), self.matrix.ncols(), "dimension mismatch");
+        if let Some(mask) = mask {
+            mask.check_rows(self.matrix.nrows());
+        }
         let sorted = self.sorted_output;
         let offsets = &self.offsets;
         let pieces = &self.pieces;

@@ -80,6 +80,9 @@ where
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
         assert_eq!(x.len(), self.matrix.ncols(), "dimension mismatch");
+        if let Some(mask) = mask {
+            mask.check_rows(self.matrix.nrows());
+        }
 
         // Load the input into the (pre-allocated) bitvector: O(f).
         for (j, v) in x.iter() {

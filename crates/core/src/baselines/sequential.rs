@@ -58,6 +58,9 @@ where
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
         assert_eq!(x.len(), self.matrix.ncols(), "dimension mismatch");
+        if let Some(mask) = mask {
+            mask.check_rows(self.matrix.nrows());
+        }
         for (j, xv) in x.iter() {
             let (rows, vals) = self.matrix.column(j);
             for (&i, av) in rows.iter().zip(vals.iter()) {

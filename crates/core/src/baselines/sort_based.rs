@@ -55,6 +55,9 @@ where
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
         assert_eq!(x.len(), self.matrix.ncols(), "dimension mismatch");
+        if let Some(mask) = mask {
+            mask.check_rows(self.matrix.nrows());
+        }
         let matrix = self.matrix;
         if x.is_empty() {
             return SparseVec::new(matrix.nrows());

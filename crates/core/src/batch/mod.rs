@@ -25,8 +25,8 @@
 //!    parallel gather into a [`SparseVecBatch`] output.
 //!
 //! [`NaiveBatch`] — `k` independent [`SpMSpVBucket`](crate::SpMSpVBucket) calls — is the
-//! correctness oracle and the baseline the `batch_scaling` bench compares
-//! against. Both implement the [`SpMSpVBatch`] trait.
+//! correctness oracle and the baseline the benchmark's `batch.amortization`
+//! row compares against. Both implement the [`SpMSpVBatch`] trait.
 //!
 //! ## Determinism
 //!
@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use sparse_substrate::{CscMatrix, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
 
 use crate::algorithm::SpMSpVOptions;
-use crate::bucket::{bucket_of, bucket_row_ranges, BucketPlan};
+use crate::bucket::{bucket_of, bucket_row_ranges, BucketPlan, BUCKETS_PER_THREAD};
 use crate::disjoint::{split_by_boundaries, DisjointWriter, SliceWriter};
 use crate::executor::{even_ranges, Executor};
 use crate::masked::BatchMaskView;
@@ -137,6 +137,7 @@ pub fn mask_filter_batch<T: Scalar>(
 ) -> SparseVecBatch<T> {
     let k = y.k();
     mask.check_lanes(k);
+    mask.check_rows(y.len());
     let mut lane_ptr = Vec::with_capacity(k + 1);
     let mut indices = Vec::with_capacity(y.total_nnz());
     let mut values = Vec::with_capacity(y.total_nnz());
@@ -176,7 +177,7 @@ pub enum BatchAlgorithmKind {
 }
 
 impl BatchAlgorithmKind {
-    /// Display name matching the `batch_scaling` bench legends.
+    /// Display name, the batch counterpart of [`crate::AlgorithmKind::label`].
     pub fn label(&self) -> &'static str {
         match self {
             BatchAlgorithmKind::Bucket => "SpMSpV-bucket-batch",
@@ -186,8 +187,7 @@ impl BatchAlgorithmKind {
         }
     }
 
-    /// Every batched family, in bench-legend order ([`Self::Adaptive`]
-    /// last).
+    /// Every batched family, fixed ones first ([`Self::Adaptive`] last).
     pub fn all() -> [BatchAlgorithmKind; 4] {
         [
             BatchAlgorithmKind::Bucket,
@@ -310,6 +310,7 @@ where
     ) -> (SparseVecBatch<S::Output>, StepTimings) {
         if let Some(mask) = mask {
             mask.check_lanes(x.k());
+            mask.check_rows(self.matrix.nrows());
         }
         let m = self.matrix.nrows();
         let n = self.matrix.ncols();
@@ -332,7 +333,7 @@ where
         // lanes.
         let executor = self.executor.capped_for(x.total_nnz());
         let t = executor.threads();
-        let nb = (self.options.buckets_per_thread * t).max(1);
+        let nb = BUCKETS_PER_THREAD * t;
 
         // ---------------- Fuse + Estimate ----------------
         let t0 = Instant::now();

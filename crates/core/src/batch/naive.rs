@@ -3,9 +3,9 @@
 //!
 //! This is both the correctness oracle for [`super::SpMSpVBucketBatch`]
 //! (every batched result must match it lane for lane) and the baseline the
-//! `batch_scaling` bench compares against: it traverses the matrix's column
-//! structure once **per lane**, where the fused kernel traverses it once per
-//! *distinct* active column of the whole batch.
+//! benchmark's `batch.amortization` row compares against: it traverses the
+//! matrix's column structure once **per lane**, where the fused kernel
+//! traverses it once per *distinct* active column of the whole batch.
 
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
 
@@ -67,6 +67,7 @@ where
     ) -> SparseVecBatch<S::Output> {
         if let Some(mask) = mask {
             mask.check_lanes(x.k());
+            mask.check_rows(self.inner.nrows());
         }
         self.ran = !x.is_empty();
         let lanes: Vec<SparseVec<S::Output>> = (0..x.k())

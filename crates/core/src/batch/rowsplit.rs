@@ -175,6 +175,7 @@ where
         );
         if let Some(mask) = mask {
             mask.check_lanes(k);
+            mask.check_rows(m);
         }
         self.merged = !x.is_empty();
         if !self.merged {

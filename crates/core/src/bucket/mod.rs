@@ -34,6 +34,15 @@ use crate::executor::{even_ranges, Executor};
 use crate::masked::MaskView;
 use crate::timing::StepTimings;
 
+/// Buckets per participating thread: `nb = 4t` (§III-A), enough slack for
+/// dynamic scheduling to balance skewed buckets. Shared with the fused batch
+/// kernel.
+pub(crate) const BUCKETS_PER_THREAD: usize = 4;
+
+/// Entries in the thread-private staging buffer that batches the irregular
+/// bucket writes of Step 1 (§III-A "Cache efficiency").
+const STAGING_ENTRIES: usize = 512;
+
 /// The paper's work-efficient, synchronization-avoiding SpMSpV algorithm,
 /// prepared for one matrix and reusable across many input vectors.
 pub struct SpMSpVBucket<'a, A, X, S: Semiring<A, X>> {
@@ -97,6 +106,9 @@ where
             x.len(),
             n
         );
+        if let Some(mask) = mask {
+            mask.check_rows(m);
+        }
         let mut timings = StepTimings::default();
         if x.is_empty() {
             return (SparseVec::new(m), timings);
@@ -105,7 +117,7 @@ where
         // All four steps run on the same work-proportional participant count.
         let executor = self.executor.capped_for(x.nnz());
         let t = executor.threads();
-        let nb = (self.options.buckets_per_thread * t).max(1);
+        let nb = BUCKETS_PER_THREAD * t;
 
         // Sorted variant: keep the input sorted for cache-friendly column
         // access (Figure 2's "with sorting" curve).
@@ -133,12 +145,12 @@ where
         {
             let writer = SliceWriter::new(&mut ws.entries.spare_capacity_mut()[..total]);
             let matrix = self.matrix;
-            let staging = self.options.staging_buffer;
             executor.for_each(
                 chunks.iter().zip(&plan.write_offsets).enumerate(),
                 |(thread_id, (chunk, offsets))| {
                     let mut cursor = offsets.clone();
-                    let mut stage: Vec<(usize, usize, S::Output)> = Vec::with_capacity(staging);
+                    let mut stage: Vec<(usize, usize, S::Output)> =
+                        Vec::with_capacity(STAGING_ENTRIES);
                     for k in chunk.clone() {
                         let j = x_ref.indices()[k];
                         let xv = &x_ref.values()[k];
@@ -146,19 +158,9 @@ where
                         for (&i, av) in rows.iter().zip(vals.iter()) {
                             let b = bucket_of(i, m, nb);
                             let prod = semiring.multiply(av, xv);
-                            if staging == 0 {
-                                // SAFETY: cursor[b] lies inside this
-                                // thread's exclusive window for bucket b
-                                // (pre-computed by estimate_buckets) and
-                                // is bumped after every write, so no slot
-                                // is written twice.
-                                unsafe { writer.write(cursor[b], (i, prod)) };
-                                cursor[b] += 1;
-                            } else {
-                                stage.push((b, i, prod));
-                                if stage.len() == staging {
-                                    flush_stage(&writer, &mut stage, &mut cursor);
-                                }
+                            stage.push((b, i, prod));
+                            if stage.len() == STAGING_ENTRIES {
+                                flush_stage(&writer, &mut stage, &mut cursor);
                             }
                         }
                     }
@@ -264,7 +266,9 @@ fn flush_stage<Y: Scalar>(
     cursor: &mut [usize],
 ) {
     for &(b, i, v) in stage.iter() {
-        // SAFETY: same exclusive-window argument as the direct-write path.
+        // SAFETY: cursor[b] lies inside the calling thread's exclusive window
+        // for bucket b (pre-computed by estimate_buckets) and is bumped after
+        // every write, so no slot is written twice.
         unsafe { writer.write(cursor[b], (i, v)) };
         cursor[b] += 1;
     }
@@ -308,7 +312,7 @@ mod tests {
     use super::*;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec, rmat, RmatParams};
     use sparse_substrate::ops::spmspv_reference;
-    use sparse_substrate::{fixtures, PlusTimes, Select2ndMin};
+    use sparse_substrate::{fixtures, CooMatrix, PlusTimes, Select2ndMin};
 
     #[test]
     fn figure1_example() {
@@ -371,23 +375,17 @@ mod tests {
     }
 
     #[test]
-    fn staging_buffer_on_and_off_agree() {
-        let a = erdos_renyi(500, 8.0, 13);
-        let x = random_sparse_vec(500, 120, 5);
-        let mut direct = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(4).staging_buffer(0));
-        let mut staged = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(4).staging_buffer(8));
-        let y1 = direct.multiply(&x, &PlusTimes);
-        let y2 = staged.multiply(&x, &PlusTimes);
-        assert!(y1.approx_same_entries(&y2, 1e-9));
-    }
-
-    #[test]
     fn more_buckets_than_entries_is_fine() {
-        // nb can exceed the number of output rows touched; empty buckets must
-        // be handled gracefully.
-        let a = fixtures::tridiagonal(50);
-        let x = SparseVec::from_pairs(50, vec![(0, 1.0)]).unwrap();
-        let mut alg = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(8).buckets_per_thread(16));
+        // A 10-row matrix under 8 participants (nb = 32): most buckets own an
+        // empty row range and no entries, and must be handled gracefully.
+        let (m, n) = (10, 300);
+        let mut coo = CooMatrix::new(m, n);
+        for j in 0..n {
+            coo.push(j % m, j, 1.0 + j as f64);
+        }
+        let a = CscMatrix::from_coo(coo, |a, b| a + b);
+        let x = random_sparse_vec(n, n, 3);
+        let mut alg = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(8));
         let y = alg.multiply(&x, &PlusTimes);
         let expected = spmspv_reference(&a, &x, &PlusTimes);
         assert!(y.approx_same_entries(&expected, 1e-9));

@@ -283,7 +283,7 @@ mod tests {
     use std::sync::Barrier;
     use std::thread::{self, ThreadId};
 
-    /// The pool sizes ROADMAP 5(a) names: sequential, the host's own, an odd
+    /// The pool sizes ROADMAP 8(a) names: sequential, the host's own, an odd
     /// one, and one past any CI host's CPU count.
     const SIZES: [usize; 4] = [1, 2, 3, 8];
 

@@ -66,6 +66,20 @@ impl<'m> MaskView<'m> {
             MaskMode::Complement => !self.bits.contains(i),
         }
     }
+
+    /// Asserts that the bitmap spans exactly the `m` output rows of the
+    /// matrix. Every masked entry point calls this on the calling thread:
+    /// [`MaskBits::contains`] bounds-checks only in debug builds, so a short
+    /// bitmap would otherwise read the uncovered rows of its last word as
+    /// unset and panic with an index error on a pool worker past it.
+    pub fn check_rows(&self, m: usize) {
+        assert_eq!(
+            self.bits.len(),
+            m,
+            "mask covers {} rows but the matrix has {m} output rows",
+            self.bits.len()
+        );
+    }
 }
 
 /// A borrowed output mask for one batched multiplication: either one bitmap
@@ -120,6 +134,16 @@ impl<'m> BatchMaskView<'m> {
                 lanes, k,
                 "per-lane mask has {lanes} lanes but the input batch has {k} lanes"
             );
+        }
+    }
+
+    /// [`MaskView::check_rows`] for every lane's bitmap.
+    pub fn check_rows(&self, m: usize) {
+        match self {
+            BatchMaskView::Shared(view) => view.check_rows(m),
+            BatchMaskView::PerLane { masks, mode } => {
+                masks.iter().for_each(|bits| MaskView::new(bits, *mode).check_rows(m))
+            }
         }
     }
 }

@@ -126,15 +126,15 @@ impl<'a, A: Scalar, SR> MxvOp<'a, A, SR> {
         }
     }
 
-    /// Selects the single-vector algorithm family (default: the paper's
-    /// bucket algorithm).
+    /// Selects the single-vector algorithm family (default:
+    /// [`AlgorithmKind::Adaptive`]).
     pub fn algorithm(mut self, kind: AlgorithmKind) -> Self {
         self.algorithm = kind;
         self
     }
 
-    /// Selects the batched algorithm family (default: the fused bucket
-    /// kernel).
+    /// Selects the batched algorithm family (default:
+    /// [`BatchAlgorithmKind::Adaptive`]).
     pub fn batch_algorithm(mut self, kind: BatchAlgorithmKind) -> Self {
         self.batch_algorithm = kind;
         self
@@ -154,13 +154,7 @@ impl<'a, A: Scalar, SR> MxvOp<'a, A, SR> {
     /// shorter bitmap would silently treat the uncovered rows as unset (and
     /// panic on probes past its last word inside the parallel merge).
     pub fn mask(mut self, bits: &MaskBits, mode: MaskMode) -> Self {
-        assert_eq!(
-            bits.len(),
-            self.matrix.nrows(),
-            "mask covers {} rows but the matrix has {} output rows",
-            bits.len(),
-            self.matrix.nrows()
-        );
+        MaskView::new(bits, mode).check_rows(self.matrix.nrows());
         self.mask = MaskStore::Shared { bits: bits.clone(), mode };
         self
     }

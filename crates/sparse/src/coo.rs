@@ -1,8 +1,8 @@
 //! Coordinate (triple) format — the construction and interchange format.
 //!
 //! Every generator and the Matrix Market reader produce a [`CooMatrix`];
-//! the compressed formats ([`crate::CscMatrix`], [`crate::DcscMatrix`],
-//! [`crate::CsrMatrix`]) are built from it.
+//! the compressed formats ([`crate::CscMatrix`], [`crate::DcscMatrix`]) are
+//! built from it.
 
 use crate::error::SparseError;
 use crate::Scalar;
@@ -123,13 +123,6 @@ impl<T: Scalar> CooMatrix<T> {
     pub fn sort_column_major(&mut self) {
         let mut perm: Vec<usize> = (0..self.nnz()).collect();
         perm.sort_unstable_by_key(|&k| (self.cols[k], self.rows[k]));
-        self.apply_permutation(&perm);
-    }
-
-    /// Sorts triples by `(row, col)`, the order required by CSR construction.
-    pub fn sort_row_major(&mut self) {
-        let mut perm: Vec<usize> = (0..self.nnz()).collect();
-        perm.sort_unstable_by_key(|&k| (self.rows[k], self.cols[k]));
         self.apply_permutation(&perm);
     }
 

@@ -12,7 +12,6 @@
 //! * [`CscMatrix`] — Compressed Sparse Columns (what SpMSpV-bucket consumes);
 //! * [`DcscMatrix`] — Double-Compressed Sparse Columns with an auxiliary
 //!   column index (what the CombBLAS and GraphMat baselines consume);
-//! * [`CsrMatrix`] — Compressed Sparse Rows (used for reference SpMV);
 //! * [`SparseVec`] — `(index, value)` list format, sorted or unsorted;
 //! * [`SparseVecBatch`] — `k` sparse vectors (lanes) over a shared index
 //!   pool, the substrate of batched multi-source SpMSpV;
@@ -41,7 +40,6 @@ pub mod batch;
 pub mod bitvec;
 pub mod coo;
 pub mod csc;
-pub mod csr;
 pub mod dcsc;
 pub mod dense;
 pub mod error;
@@ -58,7 +56,6 @@ pub use batch::{FusedColumns, SparseVecBatch};
 pub use bitvec::{BitVec, MaskBits};
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
-pub use csr::CsrMatrix;
 pub use dcsc::DcscMatrix;
 pub use dense::DenseVec;
 pub use error::SparseError;

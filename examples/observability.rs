@@ -7,8 +7,8 @@
 //! 1. prints the human dashboard — counters, gauges, latency histograms,
 //!    and the flush trace ring — from the **merged** snapshot of
 //!    `engine.obs()` and [`spmspv::obs::global()`];
-//! 2. writes the machine-readable JSON snapshot (the exact shape the CI
-//!    lane validates) to `OBS_EXAMPLE_OUT` (default `obs_snapshot.json`).
+//! 2. writes the machine-readable JSON snapshot to `OBS_EXAMPLE_OUT`
+//!    (default `obs_snapshot.json`).
 //!
 //! Env knobs:
 //!

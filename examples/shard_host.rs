@@ -8,7 +8,7 @@
 //! `cargo run --example remote_shards`, which does all of this in one go.
 //!
 //! ```text
-//! cargo run --release -p spmspv-bench --bin shard_host -- \
+//! cargo run --release --example shard_host -- \
 //!     --shard 0 --shards 3 [--listen 127.0.0.1:7070] [--scale 12] \
 //!     [--edge-factor 12] [--seed 7] [--semiring plus-times|min-plus] \
 //!     [--max-lanes 16]

@@ -72,12 +72,9 @@ proptest! {
     fn bucket_batch_equals_naive_equals_reference_plus_times(
         (a, x) in batch_operands(50),
         threads in 1usize..5,
-        buckets_per_thread in 1usize..6,
         sorted in any::<bool>(),
     ) {
-        let opts = SpMSpVOptions::with_threads(threads)
-            .sorted(sorted)
-            .buckets_per_thread(buckets_per_thread);
+        let opts = SpMSpVOptions::with_threads(threads).sorted(sorted);
         let expected = spmspv_batch_reference(&a, &x, &PlusTimes);
 
         let mut fused = SpMSpVBucketBatch::new(&a, opts.clone());

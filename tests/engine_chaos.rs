@@ -12,18 +12,27 @@
 //! The failpoint registry is process-global, so every test takes `FP_LOCK`
 //! for its whole body and relies on `FailGuard` drops to disarm on all exit
 //! paths.
-#![cfg(feature = "failpoints")]
+//!
+//! Every test but one needs the `failpoints` feature and is compiled only
+//! with it. `saturated_serve_loop_conserves_requests` runs in both feature
+//! states: overload alone must already conserve requests, and the feature
+//! adds re-armed faults on top of the same traffic.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
+#[cfg(feature = "failpoints")]
 use proptest::prelude::*;
 use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
 use sparse_substrate::{CscMatrix, MaskBits, PlusTimes, SparseVec};
 use spmspv::engine::{Engine, EngineConfig, EngineError, MxvRequest, OverloadPolicy};
+#[cfg(feature = "failpoints")]
 use spmspv::failpoint::{self, FailAction};
 use spmspv::ops::Mxv;
-use spmspv::{BatchAlgorithmKind, MaskMode};
+#[cfg(feature = "failpoints")]
+use spmspv::BatchAlgorithmKind;
+use spmspv::MaskMode;
 
 /// Serializes every test in this file: failpoint sites are process-global.
 static FP_LOCK: Mutex<()> = Mutex::new(());
@@ -51,9 +60,159 @@ fn independent_run(
     op.run(x)
 }
 
+/// How the requests of [`saturated_serve_loop_conserves_requests`] resolved.
+#[derive(Debug, Default)]
+struct Tally {
+    submitted: usize,
+    ok: usize,
+    deadline_exceeded: usize,
+    overloaded: usize,
+    kernel_failed: usize,
+    cancelled: usize,
+}
+
+/// Keeps re-arming short-lived one-shot faults across the flush path while
+/// traffic flows: merge panics (degrade path), execute errors (retry path),
+/// demux delays (deadline races). Each guard drops at the end of its cycle,
+/// so an unconsumed plan never outlives the run.
+#[cfg(feature = "failpoints")]
+fn rearm_faults_until(stop: &AtomicBool) {
+    for cycle in 0u64.. {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        let _guard = match cycle % 3 {
+            0 => failpoint::arm("batch.merge", FailAction::Panic("chaos: merge".into()), Some(1)),
+            1 => failpoint::arm(
+                "engine.flush.execute",
+                FailAction::Error("chaos: execute".into()),
+                Some(1),
+            ),
+            _ => failpoint::arm(
+                "engine.flush.demux",
+                FailAction::Delay(Duration::from_millis(2)),
+                Some(2),
+            ),
+        };
+        std::thread::sleep(Duration::from_millis(3));
+    }
+}
+
+/// Closed-loop clients saturate a tiny `ShedOldest` queue under the `serve`
+/// loop: bursts of 1–4 requests, masked and unmasked mixed, every fifth with
+/// a deadline tight enough for queueing to expire it. No ticket may be lost —
+/// each resolves, within a bounded wait, to a value or one of the four
+/// terminal errors — the client-side counts must equal the engine's own, and
+/// sampled successes are bit-identical to an independent run. With the
+/// `failpoints` feature the same traffic also survives re-armed kernel
+/// panics, execute errors and demux delays.
+#[test]
+fn saturated_serve_loop_conserves_requests() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 30;
+    let _fp = fp_lock();
+    let a = erdos_renyi(256, 6.0, 33);
+    let n = a.ncols();
+    // Eight slots against ten requests per round of bursts, held for a linger
+    // far longer than a burst takes to submit: shedding must fire.
+    let engine = Engine::over_with(
+        &a,
+        PlusTimes,
+        EngineConfig::default()
+            .max_lanes(16)
+            .queue_capacity(2 * CLIENTS)
+            .overload_policy(OverloadPolicy::ShedOldest)
+            .linger(Duration::from_millis(1)),
+    );
+
+    let stop_faults = AtomicBool::new(false);
+    let client = |engine: &Engine<'_, f64, f64, PlusTimes>, c: usize| {
+        let session = engine.session();
+        let mut tally = Tally::default();
+        for round in 0..ROUNDS {
+            let burst: Vec<_> = (0..1 + (c + round) % 4)
+                .map(|_| {
+                    tally.submitted += 1;
+                    let reqno = tally.submitted;
+                    let x =
+                        random_sparse_vec(n, 16 + (reqno * 13) % 48, (c * 10_007 + reqno) as u64);
+                    let mask = reqno
+                        .is_multiple_of(3)
+                        .then(|| MaskBits::from_indices(n, (c % 3..n).step_by(2 + reqno % 3)));
+                    let mut request = MxvRequest::new(x.clone());
+                    if let Some(bits) = &mask {
+                        request = request.mask(bits.clone(), MaskMode::Complement);
+                    }
+                    let budget = if reqno.is_multiple_of(5) { 3 } else { 500 };
+                    let ticket = session.submit(request.timeout(Duration::from_millis(budget)));
+                    (ticket, x, mask)
+                })
+                .collect();
+            // Closed loop: claim the whole burst before the next round.
+            for (ticket, x, mask) in burst {
+                match claim(&ticket) {
+                    Ok(y) => {
+                        tally.ok += 1;
+                        if tally.ok.is_multiple_of(10) {
+                            let mask = mask.as_ref().map(|bits| (bits, MaskMode::Complement));
+                            assert_eq!(y, independent_run(&a, &x, mask), "served result diverged");
+                        }
+                    }
+                    Err(EngineError::DeadlineExceeded) => tally.deadline_exceeded += 1,
+                    Err(EngineError::Overloaded) => tally.overloaded += 1,
+                    Err(EngineError::KernelFailed(_)) => tally.kernel_failed += 1,
+                    Err(EngineError::Cancelled) => tally.cancelled += 1,
+                    Err(lost) => panic!("a ticket never resolved terminally: {lost}"),
+                }
+            }
+        }
+        session.close();
+        tally
+    };
+    let tallies: Vec<Tally> = engine.serve(|engine| {
+        std::thread::scope(|scope| {
+            #[cfg(feature = "failpoints")]
+            scope.spawn(|| rearm_faults_until(&stop_faults));
+            let clients: Vec<_> =
+                (0..CLIENTS).map(|c| scope.spawn(move || client(engine, c))).collect();
+            let tallies = clients.into_iter().map(|h| h.join().expect("client panicked")).collect();
+            stop_faults.store(true, Ordering::Relaxed);
+            tallies
+        })
+    });
+
+    let sum = |field: fn(&Tally) -> usize| tallies.iter().map(field).sum::<usize>();
+    let submitted = sum(|t| t.submitted);
+    let resolved = sum(|t| t.ok)
+        + sum(|t| t.deadline_exceeded)
+        + sum(|t| t.overloaded)
+        + sum(|t| t.kernel_failed)
+        + sum(|t| t.cancelled);
+    assert_eq!(submitted, resolved, "every submitted request resolves exactly once: {tallies:?}");
+    let stats = engine.stats();
+    assert_eq!(stats.requests, submitted, "the engine saw every submission");
+    assert!(stats.shed > 0, "the overload policy must have fired: {stats}");
+    assert_eq!(stats.shed, sum(|t| t.overloaded), "every shed request told its client");
+    assert_eq!(stats.timeouts, sum(|t| t.deadline_exceeded), "every expiry told its client");
+    assert!(sum(|t| t.ok) > 0, "a saturated engine still serves");
+    assert_eq!(
+        engine.obs().snapshot().gauge("engine.queue.depth"),
+        Some(0),
+        "the queue must be empty once `serve` has returned"
+    );
+    if cfg!(feature = "failpoints") {
+        assert!(stats.panics_recovered > 0, "the armed faults left no trace: {stats}");
+        assert!(
+            stats.degraded_flushes <= stats.panics_recovered,
+            "a degraded flush is the retry of a recovered failure: {stats}"
+        );
+    }
+}
+
 /// A panic inside the fused kernel's merge step must not take the flush
 /// down: the engine catches it, retries the group on the naive oracle, and
 /// every ticket still gets its bit-exact result.
+#[cfg(feature = "failpoints")]
 #[test]
 fn merge_panic_degrades_to_oracle_and_still_serves_exactly() {
     let _fp = fp_lock();
@@ -92,6 +251,7 @@ fn merge_panic_degrades_to_oracle_and_still_serves_exactly() {
 /// When the retry fails too (two consecutive injected errors), only the
 /// doomed group's tickets fail — a different group in the same flush is
 /// served untouched, and the third group in the next flush is healthy.
+#[cfg(feature = "failpoints")]
 #[test]
 fn double_execute_failure_fails_only_its_group() {
     let _fp = fp_lock();
@@ -135,6 +295,7 @@ fn double_execute_failure_fails_only_its_group() {
 /// A delay injected between execution and demux pushes an in-flight request
 /// past its deadline: the engine must drop the stale result and fail the
 /// ticket rather than deliver it as fresh.
+#[cfg(feature = "failpoints")]
 #[test]
 fn demux_delay_expires_in_flight_deadlines() {
     let _fp = fp_lock();
@@ -158,6 +319,7 @@ fn demux_delay_expires_in_flight_deadlines() {
 /// A panic before any group runs (queue drained, nothing resolved yet) is
 /// the worst case for waiters: the resolution guard must fail every drained
 /// ticket on the way out so no client is stranded.
+#[cfg(feature = "failpoints")]
 #[test]
 fn assemble_panic_resolves_every_drained_ticket() {
     let _fp = fp_lock();
@@ -189,6 +351,7 @@ fn assemble_panic_resolves_every_drained_ticket() {
 /// Same panic under the `serve` loop: the loop catches the crashed flush,
 /// restarts, and keeps serving — clients after the crash succeed, clients
 /// drained into the crashed flush get an error, nobody hangs.
+#[cfg(feature = "failpoints")]
 #[test]
 fn serve_loop_restarts_after_a_crashed_flush() {
     let _fp = fp_lock();
@@ -222,6 +385,7 @@ fn serve_loop_restarts_after_a_crashed_flush() {
 /// group was pinned to Bucket, but the Bucket attempt died before running,
 /// so the audit trail (`EngineStats::choices`) must show one Naive run and
 /// zero Bucket runs, and the trace ring must narrate the `degrade.retry`.
+#[cfg(feature = "failpoints")]
 #[test]
 fn degrade_retry_is_recorded_in_choices_and_trace() {
     use spmspv::obs::TraceKind;
@@ -263,6 +427,7 @@ fn degrade_retry_is_recorded_in_choices_and_trace() {
 }
 
 /// The generated fault plan for the chaos property.
+#[cfg(feature = "failpoints")]
 #[derive(Debug, Clone)]
 enum Fault {
     None,
@@ -271,6 +436,7 @@ enum Fault {
     ExecuteDelay,
 }
 
+#[cfg(feature = "failpoints")]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -370,6 +536,7 @@ proptest! {
 /// An Erdős–Rényi matrix with its values remapped to small integers, so
 /// cross-shard ⊕-merges stay exact and sharded results compare bit-for-bit
 /// against the unsharded oracle.
+#[cfg(feature = "failpoints")]
 fn integral_matrix(n: usize, d: f64, seed: u64) -> CscMatrix<f64> {
     let a = erdos_renyi(n, d, seed);
     let mut coo = sparse_substrate::CooMatrix::new(n, n);
@@ -381,6 +548,7 @@ fn integral_matrix(n: usize, d: f64, seed: u64) -> CscMatrix<f64> {
 
 /// A small integral-valued frontier confined to `range`'s columns, so its
 /// fan-out touches exactly one shard.
+#[cfg(feature = "failpoints")]
 fn confined_vec(n: usize, range: &std::ops::Range<usize>, seed: u64) -> SparseVec<f64> {
     let want = range.len().clamp(1, 6);
     let mut pairs: Vec<(usize, f64)> = (0..want)
@@ -400,6 +568,7 @@ fn confined_vec(n: usize, range: &std::ops::Range<usize>, seed: u64) -> SparseVe
 /// columns are served in the *same flush*, bit-identical to the oracle —
 /// and once the shot is spent, the previously doomed frontiers (including
 /// cross-shard merges) serve exactly.
+#[cfg(feature = "failpoints")]
 #[test]
 fn single_shard_outage_fails_only_routed_tickets() {
     use spmspv::shard::ShardedEngine;
@@ -467,6 +636,7 @@ fn single_shard_outage_fails_only_routed_tickets() {
 /// downed shard's tickets fail with the transport's `shard 1:` attribution,
 /// sibling hosts serve bit-exact in the same flush, and the injected outage
 /// never touches the wire (healing needs no reconnect).
+#[cfg(feature = "failpoints")]
 #[test]
 fn single_shard_outage_has_the_same_blast_radius_over_tcp() {
     use spmspv::net::{ShardHost, TcpConfig};
@@ -566,6 +736,7 @@ fn single_shard_outage_has_the_same_blast_radius_over_tcp() {
 
 /// Spawns `replicas` hosts per shard of `plan`, every replica of a shard
 /// loaded with the same column slice of `a`.
+#[cfg(feature = "failpoints")]
 fn spawn_replicated_fleet(
     a: &CscMatrix<f64>,
     plan: &spmspv::shard::ShardPlan,
@@ -598,6 +769,7 @@ fn spawn_replicated_fleet(
 
 /// Transport config for byzantine tests: no background heartbeat (the
 /// exchange must catch the lie itself) and fast re-dials.
+#[cfg(feature = "failpoints")]
 fn byzantine_config() -> spmspv::net::TcpConfig {
     spmspv::net::TcpConfig {
         connect_retries: 1,
@@ -611,6 +783,7 @@ fn byzantine_config() -> spmspv::net::TcpConfig {
 /// quarantined within the flush (`shard.replica.quarantined` incremented),
 /// its replica absorbs the batch, and every result stays bit-identical to
 /// the oracle — zero failed tickets.
+#[cfg(feature = "failpoints")]
 #[test]
 fn byzantine_wrong_id_is_quarantined_and_failed_over() {
     use spmspv::obs::ObsConfig;
@@ -682,6 +855,7 @@ fn byzantine_wrong_id_is_quarantined_and_failed_over() {
 /// the tickets routed through that shard (with byzantine attribution),
 /// sibling shards serve in the same flush, and the fleet heals once the
 /// shot is spent.
+#[cfg(feature = "failpoints")]
 #[test]
 fn byzantine_bad_index_fails_only_routed_tickets_then_heals() {
     use spmspv::obs::ObsConfig;
@@ -758,6 +932,7 @@ fn byzantine_bad_index_fails_only_routed_tickets_then_heals() {
 /// Same blast radius for a host that **truncates** its reply mid-header:
 /// the undecodable frame quarantines the connection, only its routed
 /// tickets fail, and the fleet heals on the next flush.
+#[cfg(feature = "failpoints")]
 #[test]
 fn byzantine_truncated_reply_quarantines_then_heals() {
     use spmspv::obs::ObsConfig;

@@ -13,6 +13,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use sparse_substrate::ops::{spmspv_batch_reference, spmspv_reference};
 use sparse_substrate::{
     CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, SparseVec, SparseVecBatch,
 };
@@ -20,7 +21,7 @@ use spmspv::batch::mask_filter_batch;
 use spmspv::ops::Mxv;
 use spmspv::{
     build_algorithm, build_batch_algorithm, AlgorithmKind, BatchAlgorithmKind, BatchMaskView,
-    MaskMode, MaskView, SpMSpVOptions,
+    MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVOptions,
 };
 
 const ALL_KINDS: [AlgorithmKind; 6] = [
@@ -320,6 +321,103 @@ fn bfs_shaped_mask_on_rmat_and_grid_fixtures() {
             let view = BatchMaskView::Shared(MaskView::new(&visited, MaskMode::Complement));
             let oracle = mask_filter_batch(&unmasked_op.run_batch(&x), &view);
             assert_eq!(y, oracle, "{name}: masked k={k} batch differs from post-filter oracle");
+        }
+    }
+}
+
+/// A kernel that implements only the unmasked entry points, so its masked
+/// calls go through the two traits' post-filter defaults.
+struct PostFilterOnly<'a>(&'a CscMatrix<f64>);
+
+impl SpMSpV<f64, f64, PlusTimes> for PostFilterOnly<'_> {
+    fn name(&self) -> &'static str {
+        "post-filter default"
+    }
+    fn nrows(&self) -> usize {
+        self.0.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.0.ncols()
+    }
+    fn multiply(&mut self, x: &SparseVec<f64>, semiring: &PlusTimes) -> SparseVec<f64> {
+        spmspv_reference(self.0, x, semiring)
+    }
+}
+
+impl SpMSpVBatch<f64, f64, PlusTimes> for PostFilterOnly<'_> {
+    fn name(&self) -> &'static str {
+        "post-filter default"
+    }
+    fn nrows(&self) -> usize {
+        self.0.nrows()
+    }
+    fn ncols(&self) -> usize {
+        self.0.ncols()
+    }
+    fn multiply_batch(
+        &mut self,
+        x: &SparseVecBatch<f64>,
+        semiring: &PlusTimes,
+    ) -> SparseVecBatch<f64> {
+        spmspv_batch_reference(self.0, x, semiring)
+    }
+}
+
+/// The kernels' own entry points (not only `Mxv::mask` and `Engine::submit`
+/// above them) reject a mask that does not span the matrix's rows, with the
+/// same message and before any work: an empty frontier is rejected too, and
+/// the panic is the assert on the calling thread, not an index error on a
+/// pool worker. One row per algorithm family of both shapes, plus the two
+/// traits' post-filter defaults.
+#[test]
+fn short_masks_are_rejected_at_every_kernel_entry_point() {
+    use sparse_substrate::fixtures::{figure1_matrix, figure1_vector};
+    type Single<'a> = Box<dyn SpMSpV<f64, f64, PlusTimes> + 'a>;
+    type Batch<'a> = Box<dyn SpMSpVBatch<f64, f64, PlusTimes> + 'a>;
+
+    let a = figure1_matrix();
+    let short = [Arc::new(MaskBits::new(4))];
+    let view = MaskView::new(&short[0], MaskMode::Complement);
+    let batch_views = [
+        BatchMaskView::Shared(view),
+        BatchMaskView::PerLane { masks: &short, mode: MaskMode::Complement },
+    ];
+    let assert_rejected = |what: &str, run: &mut dyn FnMut()| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+            .expect_err(&format!("{what}: a 4-row mask over 8 rows must be rejected"));
+        let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(
+            msg.contains("mask covers 4 rows but the matrix has 8 output rows"),
+            "{what}: panicked with {msg:?}"
+        );
+    };
+
+    let opts = SpMSpVOptions::with_threads(2);
+    let mut singles: Vec<Single<'_>> = ALL_KINDS
+        .into_iter()
+        .chain([AlgorithmKind::Adaptive])
+        .map(|kind| build_algorithm(&a, kind, opts.clone()))
+        .collect();
+    singles.push(Box::new(PostFilterOnly(&a)));
+    let mut batches: Vec<Batch<'_>> = BatchAlgorithmKind::all()
+        .into_iter()
+        .map(|kind| build_batch_algorithm(&a, kind, opts.clone()))
+        .collect();
+    batches.push(Box::new(PostFilterOnly(&a)));
+
+    for x in [figure1_vector(), SparseVec::new(a.ncols())] {
+        for alg in &mut singles {
+            let what = format!("{} with nnz(x) = {}", alg.name(), x.nnz());
+            assert_rejected(&what, &mut || drop(alg.multiply_masked(&x, &PlusTimes, Some(view))));
+        }
+        let xb = SparseVecBatch::from_single(&x);
+        for alg in &mut batches {
+            for mask in &batch_views {
+                let what = format!("{} with nnz(x) = {} under {mask:?}", alg.name(), x.nnz());
+                assert_rejected(&what, &mut || {
+                    drop(alg.multiply_batch_masked(&xb, &PlusTimes, Some(mask)))
+                });
+            }
         }
     }
 }

@@ -169,3 +169,109 @@ proptest! {
         prop_assert_eq!(&left, &snap(&all), "merged snapshots must equal direct recording");
     }
 }
+
+/// The metric taxonomy over a live engine: every documented counter, gauge
+/// and histogram is registered, the hot-path histograms carry ordered
+/// quantiles, the trace ring is sequenced — and a disabled registry keeps its
+/// counters exact while sampling and tracing nothing.
+#[test]
+fn engine_snapshot_carries_the_documented_taxonomy() {
+    use std::time::Duration;
+
+    use sparse_substrate::gen::{random_sparse_vec, rmat, RmatParams};
+    use sparse_substrate::{MaskBits, PlusTimes};
+    use spmspv::engine::{Engine, EngineConfig, MxvRequest};
+    use spmspv::{obs, BatchAlgorithmKind, MaskMode, ObsConfig};
+
+    let a = rmat(8, 8, RmatParams::graph500(), 3);
+    let n = a.ncols();
+    // Mixed traffic as in `examples/observability.rs`: adaptive requests, a
+    // few masked, a few pinned to the bucket kernel so `batch.*` fills.
+    let drive = |config: ObsConfig| {
+        let engine =
+            Engine::over_with(&a, PlusTimes, EngineConfig::default().max_lanes(16).obs(config));
+        for round in 0..3usize {
+            let tickets: Vec<_> = (0..10usize)
+                .map(|i| {
+                    let x =
+                        random_sparse_vec(n, 8 + (round * 10 + i) % 40, (round * 1009 + i) as u64);
+                    let mut req = MxvRequest::new(x);
+                    if i.is_multiple_of(3) {
+                        let bits = MaskBits::from_indices(n, (i..n).step_by(2 + i % 3));
+                        req = req.mask(bits, MaskMode::Complement);
+                    }
+                    if i.is_multiple_of(4) {
+                        req = req.algorithm(BatchAlgorithmKind::Bucket);
+                    }
+                    engine.submit(req)
+                })
+                .collect();
+            engine.flush();
+            for t in tickets {
+                t.wait_timeout(Duration::from_secs(10)).expect("request served");
+            }
+        }
+        engine.obs().snapshot()
+    };
+
+    let mut on = drive(ObsConfig::default());
+    assert!(!on.events.is_empty(), "an enabled engine traces its flushes");
+    assert!(
+        on.events.windows(2).all(|w| w[0].seq < w[1].seq),
+        "event sequence numbers must be strictly increasing"
+    );
+    on.merge(&obs::global().snapshot());
+    for name in [
+        "engine.requests",
+        "engine.retired",
+        "engine.flushes",
+        "engine.fused_batches",
+        "engine.lanes_executed",
+        "engine.timeouts",
+        "engine.rejected",
+        "engine.shed",
+        "engine.panics_recovered",
+        "engine.degraded_flushes",
+        "engine.choice.bucket.dense",
+        "engine.choice.naive.dense",
+        "engine.choice.rowsplit.dense",
+        "adaptive.batch.bucket",
+    ] {
+        assert!(on.counter(name).is_some(), "counter {name:?} missing");
+    }
+    assert_eq!(on.counter("engine.requests"), Some(30));
+    for name in
+        ["engine.queue.depth", "engine.widest_flush", "executor.threads", "executor.inflight"]
+    {
+        assert!(on.gauge(name).is_some(), "gauge {name:?} missing");
+    }
+    for name in [
+        "engine.queue.wait",
+        "engine.flush.assemble",
+        "engine.flush.execute",
+        "engine.flush.demux",
+        "engine.flush.recover",
+        "batch.estimate",
+        "batch.bucketing",
+        "batch.merge",
+        "batch.output",
+    ] {
+        let h = on.histogram(name).unwrap_or_else(|| panic!("histogram {name:?} missing"));
+        if name == "engine.flush.recover" {
+            continue; // only fills when a kernel fails
+        }
+        assert!(h.count > 0, "histogram {name:?} is empty");
+        let ladder = [h.min, h.quantile(0.5), h.quantile(0.9), h.quantile(0.95), h.quantile(0.99)];
+        assert!(
+            ladder.windows(2).all(|w| w[0] <= w[1]) && ladder[4] <= h.max,
+            "{name}: quantiles not monotone inside [min, max]: {ladder:?} max {}",
+            h.max
+        );
+        assert!(h.sum >= h.count * h.min);
+    }
+
+    let off = drive(ObsConfig::disabled());
+    assert_eq!(off.counter("engine.requests"), Some(30), "counters keep running when disabled");
+    assert_eq!(off.histogram("engine.queue.wait").map(|h| h.count), Some(0), "no samples");
+    assert!(off.events.is_empty(), "a disabled engine must not trace");
+}

@@ -740,6 +740,70 @@ proptest! {
     }
 }
 
+/// The proptest above kills the primaries before the first flush; here they
+/// die **between flushes of a fleet that has already served through them**,
+/// so the router discovers each corpse on a connection it has used. Every
+/// round after the kill must still serve every ticket, bit-identical to the
+/// unsharded oracle, and each shard's primary must register as a failover.
+#[test]
+fn primaries_killed_between_flushes_lose_no_ticket() {
+    let n = 24;
+    let shards = 3;
+    let a = chaos_fixture(n);
+    let plan = ShardPlan::uniform(n, shards).with_fingerprints_of(&a);
+    // Four requests per round; each touches one column of every shard, every
+    // third one under a complement mask.
+    let request = |round: usize, i: usize| {
+        let pairs = (0..shards).map(|s| (8 * s + (round + 3 * i) % 8, (1 + round + i) as f64));
+        let req = MxvRequest::new(SparseVec::from_pairs(n, pairs.collect()).unwrap());
+        if (round + i).is_multiple_of(3) {
+            req.mask(MaskBits::from_indices(n, (i..n).step_by(2)), MaskMode::Complement)
+        } else {
+            req
+        }
+    };
+    let oracle = Engine::over(&a, PlusTimes);
+
+    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2);
+    let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
+        plan,
+        n,
+        PlusTimes,
+        &groups,
+        failover_config(),
+        ObsConfig::default(),
+    )
+    .expect("dial the replicated fleet");
+
+    let failovers = || router.obs().snapshot().counter("shard.replica.failovers").unwrap_or(0);
+    for round in 0..4 {
+        if round == 1 {
+            assert_eq!(failovers(), 0, "round 0 must have been served by the primaries");
+            for group in &mut hosts {
+                group.remove(0).kill();
+            }
+        }
+        let tickets: Vec<_> = (0..4).map(|i| router.submit(request(round, i))).collect();
+        let expect: Vec<_> = (0..4).map(|i| oracle.submit(request(round, i))).collect();
+        let outcome = router.flush();
+        oracle.flush();
+        assert_eq!(outcome.failed, 0, "round {round}: {:?}", outcome.failures);
+        for (t, want) in tickets.iter().zip(&expect) {
+            let got = t.try_take().expect("resolved").expect("a replica serves");
+            let want = want.try_take().expect("oracle flush serves").expect("oracle cannot fail");
+            assert!(got.same_entries(&want), "round {round} diverged from the oracle");
+        }
+    }
+    assert!(failovers() >= shards as u64, "each dead primary is one failover: {}", failovers());
+
+    drop(router);
+    for group in hosts {
+        for host in group {
+            host.shutdown();
+        }
+    }
+}
+
 /// Satellite: the `single_shard_outage` blast radius shrinks to **zero**
 /// when the shard has a replica — the same kill that fails one ticket on a
 /// replica-less fleet fails none here.
