@@ -13,16 +13,18 @@
 //!    ([`sparse_substrate::SparseVecBatch::fuse_columns`]).
 //! 2. **Estimate**: count, per `(thread, bucket)`, how many `(row, lane,
 //!    scaled value)` triples the thread will produce — a column with `L`
-//!    active lanes contributes `L` triples per stored row — and prefix-sum
-//!    into exclusive write windows (Algorithm 2, with lane-weighted counts).
-//! 3. **Bucketing**: scatter the triples lock-free into row-range buckets;
+//!    active lanes contributes `L` triples per stored row — which sizes one
+//!    exclusive `&mut` write window per `(thread, bucket)` (Algorithm 2,
+//!    with lane-weighted counts).
+//! 3. **Bucketing**: scatter the triples lock-free into those windows;
 //!    each matrix column is read **once** and scaled by all of its
 //!    activations while it is hot in cache.
 //! 4. **Merge**: per-bucket merge into a lane-aware SPA
 //!    ([`sparse_substrate::LaneSpa`]) whose per-`(row, lane)` generation
 //!    stamps make the `O(m·k)` accumulator logically resettable in `O(1)`.
-//! 5. **Output**: per-`(bucket, lane)` unique counts, prefix sums, and a
-//!    parallel gather into a [`SparseVecBatch`] output.
+//! 5. **Output**: per-`(bucket, lane)` unique counts size one `&mut` window
+//!    per `(bucket, lane)` of the lane-major output arrays, which the
+//!    buckets fill in parallel to form the [`SparseVecBatch`].
 //!
 //! [`NaiveBatch`] — `k` independent [`SpMSpVBucket`](crate::SpMSpVBucket) calls — is the
 //! correctness oracle and the baseline the benchmark's `batch.amortization`
@@ -49,8 +51,10 @@ use std::time::{Duration, Instant};
 use sparse_substrate::{CscMatrix, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
 
 use crate::algorithm::SpMSpVOptions;
-use crate::bucket::{bucket_of, bucket_row_ranges, BucketPlan, BUCKETS_PER_THREAD};
-use crate::disjoint::{split_by_boundaries, DisjointWriter, SliceWriter};
+use crate::bucket::{
+    assert_windows_filled, bucket_of, bucket_row_ranges, high_water, BucketPlan, BUCKETS_PER_THREAD,
+};
+use crate::disjoint::{split_by_boundaries, split_grouped};
 use crate::executor::{even_ranges, Executor};
 use crate::masked::BatchMaskView;
 use crate::timing::StepTimings;
@@ -238,11 +242,12 @@ where
 }
 
 /// Reusable buffers of one [`SpMSpVBucketBatch`] instance: the lane-aware
-/// accumulator (high-water allocation, so a narrow flush after a wide one
-/// never reallocates) and the triple buffer (capacity retained across calls).
+/// accumulator and the triple buffer, both kept at their high-water size so
+/// a narrow flush after a wide one never reallocates.
 struct BatchWorkspace<Y> {
     spa: LaneSpa<Y>,
-    /// `(row, lane, scaled value)` triples, all buckets back to back.
+    /// `(row, lane, scaled value)` triples, all buckets back to back; a call
+    /// uses the prefix it needs.
     entries: Vec<(usize, u32, Y)>,
 }
 
@@ -356,39 +361,30 @@ where
         timings.estimate = t0.elapsed();
 
         // ---------------- Bucketing ----------------
+        // Into the first `total` triples of the high-water buffer, through
+        // per-(participant, bucket) `&mut` windows sized by the estimate.
         let t1 = Instant::now();
         let total = plan.total_entries();
         let ws = &mut self.workspace;
-        ws.entries.clear();
-        ws.entries.reserve(total);
-        {
-            let writer = SliceWriter::new(&mut ws.entries.spare_capacity_mut()[..total]);
-            executor.for_each(chunks.iter().zip(&plan.write_offsets), |(chunk, offsets)| {
-                let mut cursor = offsets.clone();
-                for c in chunk.clone() {
-                    let j = fused.cols()[c];
-                    let (lanes, xvals) = fused.activations(c);
-                    let (rows, avals) = matrix.column(j);
-                    for (&i, av) in rows.iter().zip(avals.iter()) {
-                        let b = bucket_of(i, m, nb);
-                        for (&lane, xv) in lanes.iter().zip(xvals.iter()) {
-                            let prod = semiring.multiply(av, xv);
-                            // SAFETY: cursor[b] lies inside this
-                            // thread's exclusive window for bucket b
-                            // (estimate counted `lanes.len()` slots
-                            // per stored row) and is bumped after
-                            // every write, so no slot repeats.
-                            unsafe { writer.write(cursor[b], (i, lane, prod)) };
-                            cursor[b] += 1;
-                        }
+        let entries = high_water(&mut ws.entries, total, (0, 0, S::Output::default()));
+        let windows = split_grouped(entries, &plan.boffset);
+        executor.for_each(chunks.iter().zip(windows), |(chunk, mut windows)| {
+            let mut cursor = vec![0usize; nb];
+            for c in chunk.clone() {
+                let j = fused.cols()[c];
+                let (lanes, xvals) = fused.activations(c);
+                let (rows, avals) = matrix.column(j);
+                for (&i, av) in rows.iter().zip(avals.iter()) {
+                    let b = bucket_of(i, m, nb);
+                    let (window, at) = (&mut windows[b], &mut cursor[b]);
+                    for (&lane, xv) in lanes.iter().zip(xvals.iter()) {
+                        window[*at] = (i, lane, semiring.multiply(av, xv));
+                        *at += 1;
                     }
                 }
-            });
-        }
-        // SAFETY: the estimate pass counted exactly `total` triples and the
-        // loop above wrote each one at a distinct offset; `for_each` has
-        // returned, so all writes happened-before this point.
-        unsafe { ws.entries.set_len(total) };
+            }
+            assert_windows_filled(&windows, &cursor);
+        });
         timings.bucketing = t1.elapsed();
 
         // Chaos-testing hook, consulted at the last sequential point before
@@ -403,7 +399,7 @@ where
         let row_ranges = bucket_row_ranges(m, nb);
         let params = MergeParams {
             executor: &executor,
-            entries: &ws.entries,
+            entries: &ws.entries[..total],
             bucket_starts: &plan.bucket_starts,
             row_ranges: &row_ranges,
             m,
@@ -483,59 +479,35 @@ where
     let merge_time = t2.elapsed();
 
     let t3 = Instant::now();
-    // lane_ptr[l] = total unique rows of lanes < l; within a lane, the
-    // buckets' contributions land in ascending bucket (= row-range)
-    // order, so sorted buckets concatenate into a sorted lane.
-    let mut lane_sizes = vec![0usize; k];
-    for bucket_uind in &uinds {
-        for (l, lane_uind) in bucket_uind.iter().enumerate() {
-            lane_sizes[l] += lane_uind.len();
-        }
-    }
+    // The output is lane-major: lane_ptr[l] = total unique rows of lanes
+    // < l, and within a lane the buckets' rows follow in ascending bucket
+    // (= row-range) order, so sorted buckets concatenate into a sorted lane.
+    // Each (bucket, lane) list gets its own `&mut` window of that layout.
+    let counts: Vec<Vec<usize>> =
+        uinds.iter().map(|bucket_uind| bucket_uind.iter().map(Vec::len).collect()).collect();
     let mut lane_ptr = Vec::with_capacity(k + 1);
     lane_ptr.push(0usize);
-    for &s in &lane_sizes {
-        lane_ptr.push(lane_ptr.last().unwrap() + s);
+    for l in 0..k {
+        lane_ptr.push(lane_ptr[l] + counts.iter().map(|c| c[l]).sum::<usize>());
     }
-    let y_nnz = *lane_ptr.last().unwrap();
+    let y_nnz = lane_ptr[k];
 
-    // Exclusive write window per (bucket, lane) inside the output pool.
-    let mut window_starts: Vec<Vec<usize>> = Vec::with_capacity(uinds.len());
-    {
-        let mut lane_cursor = lane_ptr[..k].to_vec();
-        for bucket_uind in &uinds {
-            let mut starts = Vec::with_capacity(k);
-            for (l, lane_uind) in bucket_uind.iter().enumerate() {
-                starts.push(lane_cursor[l]);
-                lane_cursor[l] += lane_uind.len();
-            }
-            window_starts.push(starts);
-        }
-    }
-
-    let idx_writer = DisjointWriter::new(y_nnz);
-    let val_writer = DisjointWriter::new(y_nnz);
+    let mut out_indices = vec![0usize; y_nnz];
+    let mut out_values = vec![S::Output::default(); y_nnz];
     {
         let spa = &*spa;
-        p.executor.for_each(uinds.iter().zip(&window_starts), |(bucket_uind, starts)| {
-            for (l, lane_uind) in bucket_uind.iter().enumerate() {
-                let base = starts[l];
-                for (off, &i) in lane_uind.iter().enumerate() {
-                    // SAFETY: the (bucket, lane) windows computed
-                    // above partition 0..y_nnz, so every offset
-                    // is written exactly once.
-                    unsafe {
-                        idx_writer.write(base + off, i);
-                        val_writer.write(base + off, *spa.value_at(i, l));
-                    }
+        let idx_windows = split_grouped(&mut out_indices, &counts);
+        let val_windows = split_grouped(&mut out_values, &counts);
+        let windows = idx_windows.into_iter().zip(val_windows);
+        p.executor.for_each(uinds.iter().zip(windows), |(uind, (mut idx, mut val))| {
+            for (l, lane_uind) in uind.iter().enumerate() {
+                for (n, &i) in lane_uind.iter().enumerate() {
+                    idx[l][n] = i;
+                    val[l][n] = *spa.value_at(i, l);
                 }
             }
         });
     }
-    // SAFETY: the windows partition 0..y_nnz and every slot was written
-    // above; `for_each` has returned (happens-before established).
-    let (out_indices, out_values) =
-        unsafe { (idx_writer.assume_filled(), val_writer.assume_filled()) };
     let y = SparseVecBatch::from_parts_trusted(m, lane_ptr, out_indices, out_values)
         .expect("batched bucket output is consistent by construction");
     let output_time = t3.elapsed();

@@ -1,11 +1,12 @@
 //! `ESTIMATE-BUCKETS` (Algorithm 2) and the bucket geometry helpers.
 //!
 //! A preprocessing pass over the selected columns counts how many scaled
-//! entries each thread will contribute to each bucket. Prefix sums over that
-//! `t × nb` count matrix give (a) the storage layout of the buckets inside
-//! one contiguous buffer and (b) an exclusive write window per
-//! `(thread, bucket)` pair, which is what makes the bucketing step of
-//! Algorithm 1 free of synchronization.
+//! entries each thread will contribute to each bucket. That `t × nb` count
+//! matrix gives (a) the storage layout of the buckets inside one contiguous
+//! buffer (a prefix sum) and (b) an exclusive write window per
+//! `(thread, bucket)` pair, cut off that buffer by
+//! [`split_grouped`](crate::disjoint::split_grouped), which is what makes
+//! the bucketing step of Algorithm 1 free of synchronization.
 
 use sparse_substrate::{CscMatrix, Scalar, SparseVec};
 
@@ -38,21 +39,18 @@ pub fn bucket_row_ranges(m: usize, nb: usize) -> Vec<std::ops::Range<usize>> {
 #[derive(Debug, Clone)]
 pub struct BucketPlan {
     /// `boffset[k][b]`: number of entries thread `k` will insert into bucket
-    /// `b` (Algorithm 2's output).
+    /// `b` (Algorithm 2's output) — the size of its write window there.
     pub boffset: Vec<Vec<usize>>,
     /// `bucket_starts[b]`: position of bucket `b`'s first entry in the shared
     /// bucket buffer; `bucket_starts[nb]` is the total entry count.
     pub bucket_starts: Vec<usize>,
-    /// `write_offsets[k][b]`: position where thread `k` writes its first
-    /// entry of bucket `b` (exclusive window start).
-    pub write_offsets: Vec<Vec<usize>>,
 }
 
 impl BucketPlan {
-    /// Derives the bucket layout and per-thread write windows from a
-    /// per-`(thread, bucket)` count matrix via prefix sums — the second half
-    /// of Algorithm 2, shared by the single-vector and batched kernels
-    /// (which differ only in how they count).
+    /// Derives the bucket layout from a per-`(thread, bucket)` count matrix
+    /// via a prefix sum — the second half of Algorithm 2, shared by the
+    /// single-vector and batched kernels (which differ only in how they
+    /// count).
     pub fn from_boffset(boffset: Vec<Vec<usize>>, nb: usize) -> Self {
         let t = boffset.len();
         let mut bucket_starts = vec![0usize; nb + 1];
@@ -60,17 +58,7 @@ impl BucketPlan {
             let size: usize = (0..t).map(|k| boffset[k][b]).sum();
             bucket_starts[b + 1] = bucket_starts[b] + size;
         }
-
-        let mut write_offsets = vec![vec![0usize; nb]; t];
-        for b in 0..nb {
-            let mut cursor = bucket_starts[b];
-            for k in 0..t {
-                write_offsets[k][b] = cursor;
-                cursor += boffset[k][b];
-            }
-        }
-
-        BucketPlan { boffset, bucket_starts, write_offsets }
+        BucketPlan { boffset, bucket_starts }
     }
 
     /// Total number of scaled entries that will be produced
@@ -96,9 +84,9 @@ impl BucketPlan {
 }
 
 /// Algorithm 2: counts per-(thread, bucket) contributions in parallel, then
-/// derives bucket layout and per-thread write windows with prefix sums
-/// (the prefix sums are `O(t·nb)` work on the calling thread, matching the
-/// paper's "on the master thread" note for Step 3's prefix sum).
+/// derives the bucket layout with a prefix sum (`O(t·nb)` work on the
+/// calling thread, matching the paper's "on the master thread" note for
+/// Step 3's prefix sum).
 pub fn estimate_buckets<A: Scalar, X: Scalar>(
     executor: &Executor,
     matrix: &CscMatrix<A>,
@@ -125,6 +113,7 @@ pub fn estimate_buckets<A: Scalar, X: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disjoint::split_grouped;
     use crate::executor::even_ranges;
     use sparse_substrate::fixtures::{figure1_matrix, figure1_vector};
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
@@ -184,14 +173,19 @@ mod tests {
         let nb = 12;
         let chunks = even_ranges(x.nnz(), t);
         let plan = estimate_buckets(&Executor::new(t), &a, &x, &chunks, nb, a.nrows());
+        // Each slot holds its own position, so a window shows where it sits.
+        let mut buf: Vec<usize> = (0..plan.total_entries()).collect();
+        let windows = split_grouped(&mut buf, &plan.boffset);
+        for (k, group) in windows.iter().enumerate() {
+            assert_eq!(group.iter().map(|w| w.len()).collect::<Vec<_>>(), plan.boffset[k]);
+        }
         for b in 0..nb {
-            // windows within bucket b: [write_offsets[k][b], +boffset[k][b])
-            let mut cursor = plan.bucket_starts[b];
-            for k in 0..t {
-                assert_eq!(plan.write_offsets[k][b], cursor);
-                cursor += plan.boffset[k][b];
-            }
-            assert_eq!(cursor, plan.bucket_starts[b + 1]);
+            // Bucket b is thread 0's window, then thread 1's, …, exactly.
+            let in_bucket: Vec<usize> = windows.iter().flat_map(|g| g[b].to_vec()).collect();
+            assert_eq!(
+                in_bucket,
+                (plan.bucket_starts[b]..plan.bucket_starts[b + 1]).collect::<Vec<_>>()
+            );
         }
     }
 

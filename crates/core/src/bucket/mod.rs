@@ -11,8 +11,8 @@
 //!
 //! ```text
 //!  estimate   Boffset[k][b]  = entries thread k will send to bucket b   (Alg. 2)
-//!  (prefix)   write window of thread k in bucket b = exclusive range
-//!  bucketing  scatter (row, A(i,j) ⊗ x(j)) into buckets, lock-free      (Step 1)
+//!  (split)    &mut window of thread k in bucket b, Boffset[k][b] slots
+//!  bucketing  scatter (row, A(i,j) ⊗ x(j)) into the windows, lock-free  (Step 1)
 //!  merge      per-bucket SPA merge, one bucket at a time per thread     (Step 2)
 //!  output     prefix sum over per-bucket unique counts, then gather     (Step 3)
 //! ```
@@ -21,15 +21,17 @@ pub mod estimate;
 mod workspace;
 
 pub use estimate::{bucket_of, bucket_row_ranges, BucketPlan};
+pub(crate) use workspace::high_water;
 pub use workspace::BucketWorkspace;
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::time::Instant;
 
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{SpMSpV, SpMSpVOptions};
-use crate::disjoint::{split_by_boundaries, split_ranges, SliceWriter};
+use crate::disjoint::{split_by_boundaries, split_grouped, split_ranges};
 use crate::executor::{even_ranges, Executor};
 use crate::masked::MaskView;
 use crate::timing::StepTimings;
@@ -137,47 +139,12 @@ where
         timings.estimate = t0.elapsed();
 
         // ---------------- Step 1: bucketing ----------------
+        // Into the first `total` entries of the high-water buffer, through
+        // per-(participant, bucket) `&mut` windows sized by the estimate.
         let t1 = Instant::now();
-        let total = plan.total_entries();
         let ws = &mut self.workspace;
-        ws.entries.clear();
-        ws.entries.reserve(total);
-        {
-            let writer = SliceWriter::new(&mut ws.entries.spare_capacity_mut()[..total]);
-            let matrix = self.matrix;
-            executor.for_each(
-                chunks.iter().zip(&plan.write_offsets).enumerate(),
-                |(thread_id, (chunk, offsets))| {
-                    let mut cursor = offsets.clone();
-                    let mut stage: Vec<(usize, usize, S::Output)> =
-                        Vec::with_capacity(STAGING_ENTRIES);
-                    for k in chunk.clone() {
-                        let j = x_ref.indices()[k];
-                        let xv = &x_ref.values()[k];
-                        let (rows, vals) = matrix.column(j);
-                        for (&i, av) in rows.iter().zip(vals.iter()) {
-                            let b = bucket_of(i, m, nb);
-                            let prod = semiring.multiply(av, xv);
-                            stage.push((b, i, prod));
-                            if stage.len() == STAGING_ENTRIES {
-                                flush_stage(&writer, &mut stage, &mut cursor);
-                            }
-                        }
-                    }
-                    if !stage.is_empty() {
-                        flush_stage(&writer, &mut stage, &mut cursor);
-                    }
-                    // Postcondition: each cursor reached the end of its
-                    // exclusive window.
-                    debug_assert!((0..cursor.len())
-                        .all(|b| { cursor[b] == offsets[b] + plan.boffset_for(thread_id, b) }));
-                },
-            );
-        }
-        // SAFETY: estimate_buckets counted exactly `total` entries and the
-        // loop above wrote every one of them at a distinct offset; `for_each`
-        // has returned, so all writes happened-before this point.
-        unsafe { ws.entries.set_len(total) };
+        let entries = high_water(&mut ws.entries, plan.total_entries(), (0, S::Output::default()));
+        scatter(&executor, self.matrix, x_ref, &chunks, &plan.boffset, entries, semiring);
         timings.bucketing = t1.elapsed();
 
         // ---------------- Step 2: per-bucket SPA merge ----------------
@@ -222,6 +189,8 @@ where
         timings.merge = t2.elapsed();
 
         // ---------------- Step 3: output ----------------
+        // A prefix sum over the unique counts places each bucket's rows;
+        // each bucket then fills its own `&mut` window of the output.
         let t3 = Instant::now();
         let mut out_starts = Vec::with_capacity(nb + 1);
         out_starts.push(0usize);
@@ -256,23 +225,71 @@ where
     }
 }
 
-/// Flushes a thread-private staging buffer into the shared bucket storage.
-/// Batching the irregular bucket writes behind a small sequential buffer is
-/// the cache optimization of §III-A.
+/// Step 1: participant `k` scales the columns of its chunk of `x` and writes
+/// each `(row, product)` into its own window of the row's bucket —
+/// `boffset[k][b]` slots of `entries`, cut off with `split_at_mut`, so the
+/// writes need no lock, no atomic and no `unsafe`.
+fn scatter<A: Scalar, X: Scalar, S: Semiring<A, X>>(
+    executor: &Executor,
+    matrix: &CscMatrix<A>,
+    x: &SparseVec<X>,
+    chunks: &[Range<usize>],
+    boffset: &[Vec<usize>],
+    entries: &mut [(usize, S::Output)],
+    semiring: &S,
+) {
+    let m = matrix.nrows();
+    let nb = boffset.first().map_or(0, Vec::len);
+    let windows = split_grouped(entries, boffset);
+    executor.for_each(chunks.iter().zip(windows), |(chunk, mut windows)| {
+        let mut cursor = vec![0usize; nb];
+        let mut stage: Vec<(usize, usize, S::Output)> = Vec::with_capacity(STAGING_ENTRIES);
+        for k in chunk.clone() {
+            let j = x.indices()[k];
+            let xv = &x.values()[k];
+            let (rows, vals) = matrix.column(j);
+            for (&i, av) in rows.iter().zip(vals.iter()) {
+                stage.push((bucket_of(i, m, nb), i, semiring.multiply(av, xv)));
+                if stage.len() == STAGING_ENTRIES {
+                    flush_stage(&mut windows, &mut stage, &mut cursor);
+                }
+            }
+        }
+        flush_stage(&mut windows, &mut stage, &mut cursor);
+        assert_windows_filled(&windows, &cursor);
+    });
+}
+
+/// Flushes a thread-private staging buffer into the participant's bucket
+/// windows. Batching the irregular bucket writes behind a small sequential
+/// buffer is the cache optimization of §III-A.
 #[inline]
 fn flush_stage<Y: Scalar>(
-    writer: &SliceWriter<'_, (usize, Y)>,
+    windows: &mut [&mut [(usize, Y)]],
     stage: &mut Vec<(usize, usize, Y)>,
     cursor: &mut [usize],
 ) {
     for &(b, i, v) in stage.iter() {
-        // SAFETY: cursor[b] lies inside the calling thread's exclusive window
-        // for bucket b (pre-computed by estimate_buckets) and is bumped after
-        // every write, so no slot is written twice.
-        unsafe { writer.write(cursor[b], (i, v)) };
+        windows[b][cursor[b]] = (i, v);
         cursor[b] += 1;
     }
     stage.clear();
+}
+
+/// Checks, once per participant after its chunk (`nb` compares), that it
+/// filled each of its windows exactly: an overrun already panicked on the
+/// bounds check, and a window left short would carry stale entries into the
+/// merge. Either way estimate and bucketing disagreed; the panic reaches the
+/// caller through [`Executor::map`].
+pub(crate) fn assert_windows_filled<T>(windows: &[&mut [T]], cursor: &[usize]) {
+    for (b, (window, &written)) in windows.iter().zip(cursor).enumerate() {
+        assert_eq!(
+            written,
+            window.len(),
+            "bucket {b}: bucketing wrote {written} entries into a window the estimate sized {}",
+            window.len()
+        );
+    }
 }
 
 impl<'a, A, X, S> SpMSpV<A, X, S> for SpMSpVBucket<'a, A, X, S>
@@ -422,5 +439,31 @@ mod tests {
         let x = SparseVec::<f64>::from_pairs(9, vec![(0, 1.0)]).unwrap();
         let mut alg = SpMSpVBucket::new(&a, SpMSpVOptions::default());
         let _ = alg.multiply(&x, &PlusTimes);
+    }
+
+    /// Runs Step 1 over a plan whose count for (participant 1, bucket 3) is
+    /// off by `skew` from what bucketing will write.
+    fn scatter_with_skewed_plan(skew: isize) {
+        let a = erdos_renyi(200, 6.0, 8);
+        let x = random_sparse_vec(200, 80, 2);
+        let executor = Executor::new(2);
+        let chunks = even_ranges(x.nnz(), 2);
+        let mut plan = estimate::estimate_buckets(&executor, &a, &x, &chunks, 8, a.nrows());
+        assert!(plan.boffset[1][3] > 0, "the fixture must put entries there");
+        plan.boffset[1][3] = plan.boffset[1][3].checked_add_signed(skew).unwrap();
+        let mut entries = vec![(0, 0.0); plan.boffset.iter().flatten().sum()];
+        scatter(&executor, &a, &x, &chunks, &plan.boffset, &mut entries, &PlusTimes);
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 3: bucketing wrote")]
+    fn a_window_left_short_panics_instead_of_returning() {
+        scatter_with_skewed_plan(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn a_window_overrun_panics_instead_of_returning() {
+        scatter_with_skewed_plan(-1);
     }
 }

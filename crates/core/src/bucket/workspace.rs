@@ -4,8 +4,9 @@
 //! and for the SPA in advance and pass them to the SpMSpV-bucket algorithm"*,
 //! because allocation cost would otherwise dominate iterative workloads such
 //! as BFS. The workspace owns the dense SPA arrays (sized `m`, allocated
-//! once) and the shared bucket entry buffer, which keeps its capacity across
-//! multiplications and never exceeds `O(nnz(A))` entries.
+//! once) and the shared bucket entry buffer, which stays initialised at the
+//! high-water length of the multiplications so far (never more than
+//! `O(nnz(A))` entries) so each call cuts its write windows off it.
 
 use sparse_substrate::Scalar;
 
@@ -23,8 +24,20 @@ pub struct BucketWorkspace<Y> {
     pub(crate) spa_stamps: Vec<u64>,
     generation: u64,
     /// Shared bucket buffer: all buckets laid out back to back, entries are
-    /// `(row, scaled value)` pairs. Capacity is retained across calls.
+    /// `(row, scaled value)` pairs. Its length is a high-water mark; a call
+    /// uses the prefix it needs (see [`high_water`]).
     pub(crate) entries: Vec<(usize, Y)>,
+}
+
+/// Returns the first `len` entries of `buf`, first replacing `buf` with a
+/// fresh zeroed buffer of `len` entries if it is shorter. Never `resize`:
+/// `vec![zero; len]` gets its pages zeroed lazily by the OS, so neither the
+/// growing call nor any later one pays a pass that fills the buffer.
+pub(crate) fn high_water<T: Copy>(buf: &mut Vec<T>, len: usize, zero: T) -> &mut [T] {
+    if buf.len() < len {
+        *buf = vec![zero; len];
+    }
+    &mut buf[..len]
 }
 
 impl<Y: Scalar> BucketWorkspace<Y> {
@@ -55,9 +68,9 @@ impl<Y: Scalar> BucketWorkspace<Y> {
         self.spa_values.len()
     }
 
-    /// Current capacity of the shared bucket buffer, in entries.
+    /// High-water length of the shared bucket buffer, in entries.
     pub fn bucket_capacity(&self) -> usize {
-        self.entries.capacity()
+        self.entries.len()
     }
 }
 

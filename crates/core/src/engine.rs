@@ -779,6 +779,7 @@ where
             // extended reference live inside `self.pool`, which is declared
             // before `source` and therefore dropped first; no public API
             // returns anything borrowed for `'m`.
+            #[allow(unsafe_code)]
             MatrixSource::Owned(arc) => unsafe { &*Arc::as_ptr(arc) },
         }
     }
@@ -1350,15 +1351,6 @@ pub struct FlushOutcome {
     /// Requests failed with [`EngineError::DeadlineExceeded`] — expired
     /// before fusing or between execution and demux.
     pub timeouts: usize,
-    /// Requests rejected by [`OverloadPolicy::Reject`]. Always zero in a
-    /// flush's own outcome (rejection happens at submit time); present so
-    /// one [`crate::stats::EngineStats::record_flush`] merge covers every
-    /// counter.
-    pub rejected: usize,
-    /// Requests shed by [`OverloadPolicy::ShedOldest`]. Always zero in a
-    /// flush's own outcome (shedding happens at submit time); see
-    /// [`FlushOutcome::rejected`].
-    pub shed: usize,
     /// Kernel failures (caught panics or injected errors) this flush
     /// survived — one per failed execution attempt.
     pub panics_recovered: usize,
@@ -1556,6 +1548,15 @@ mod tests {
             independent_run(&a, &xs[2], None)
         );
         assert_eq!(engine.stats().retired, 1);
+
+        // A flush whose every request was retired runs no batch: its
+        // retirements count, but it is not a serving flush.
+        let late = engine.submit(MxvRequest::new(xs[0].clone()));
+        assert!(late.cancel());
+        let outcome = engine.flush();
+        assert_eq!((outcome.retired, outcome.batches), (1, 0));
+        let stats = engine.stats();
+        assert_eq!((stats.retired, stats.flushes), (2, 1));
     }
 
     #[test]

@@ -237,6 +237,7 @@ fn fork_join(participate: &(dyn Fn() + Sync), helpers: usize) {
     // from it. Nothing in between can unwind: the caller's own turn runs
     // under `catch_unwind`, and the locks are taken through `recover`. So
     // the borrow is never used after this function gives it back.
+    #[allow(unsafe_code)]
     let erased = unsafe {
         std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(participate)
     };

@@ -36,7 +36,8 @@
 //!
 //! 1. **Estimate** (Algorithm 2): count, per `(thread, bucket)` pair, how
 //!    many scaled entries the thread will produce, so every thread gets an
-//!    exclusive, pre-computed write window — no locks, no atomics.
+//!    exclusive, pre-computed write window — no locks, no atomics, no
+//!    `unsafe`.
 //! 2. **Bucketing** (Step 1): scatter `(row, A(i,j) ⊗ x(j))` pairs from the
 //!    selected matrix columns into row-range buckets.
 //! 3. **SPA merge** (Step 2): merge each bucket independently with a
@@ -101,7 +102,7 @@
 //! and its unit.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(unsafe_code)]
 
 pub mod adaptive;
 pub mod algorithm;

@@ -578,12 +578,12 @@ pub fn record_adaptive_single(kind: AlgorithmKind) {
 }
 
 /// The executor gauges: participant-count high-water mark and parallel steps
-/// in flight.
-pub fn executor_gauges() -> (Arc<Gauge>, Arc<Gauge>) {
+/// in flight. Borrowed for `'static`, so the hot path touches no refcount.
+pub fn executor_gauges() -> (&'static Gauge, &'static Gauge) {
     static G: OnceLock<(Arc<Gauge>, Arc<Gauge>)> = OnceLock::new();
     let (threads, inflight) =
         G.get_or_init(|| (global().gauge("executor.threads"), global().gauge("executor.inflight")));
-    (Arc::clone(threads), Arc::clone(inflight))
+    (threads, inflight)
 }
 
 /// Records a fired failpoint: bumps `failpoint.hits` and traces the site.

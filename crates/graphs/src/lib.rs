@@ -17,6 +17,7 @@
 //! as the paper does.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bfs;
 pub mod components;

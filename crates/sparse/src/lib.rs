@@ -34,7 +34,7 @@
 //! parallel algorithms live in the `spmspv` crate.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod bitvec;
