@@ -692,6 +692,35 @@ mod tests {
     }
 
     #[test]
+    fn batch_run_info_is_per_call() {
+        let a = erdos_renyi(150, 6.0, 11);
+        let busy = random_batch(150, 3, 30, 0);
+        let idle = SparseVecBatch::<f64>::new(150, 3);
+        for kind in BatchAlgorithmKind::all() {
+            for threads in [1usize, 2] {
+                let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(
+                    &a,
+                    kind,
+                    SpMSpVOptions::with_threads(threads),
+                );
+                assert_eq!(alg.last_run_info(), None, "{kind}: nothing ran yet");
+                let _ = alg.multiply_batch(&busy, &PlusTimes);
+                let info = alg.last_run_info().expect("a run that merged reports its family");
+                assert_ne!(
+                    info.kernel,
+                    BatchAlgorithmKind::Adaptive,
+                    "{kind}: info must be concrete"
+                );
+                // An all-empty batch executes nothing; reporting the previous
+                // call's kernel here is what the engine would record as a
+                // flush's choice.
+                assert!(alg.multiply_batch(&idle, &PlusTimes).is_empty());
+                assert_eq!(alg.last_run_info(), None, "{kind}/{threads}t: stale run info");
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "columns")]
     fn dimension_mismatch_panics() {
         let a = fixtures::figure1_matrix();

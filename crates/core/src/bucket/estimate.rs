@@ -72,11 +72,6 @@ impl BucketPlan {
         self.bucket_starts.len() - 1
     }
 
-    /// Entries thread `k` contributes to bucket `b`.
-    pub fn boffset_for(&self, k: usize, b: usize) -> usize {
-        self.boffset[k][b]
-    }
-
     /// Number of entries that land in bucket `b` across all threads.
     pub fn bucket_size(&self, b: usize) -> usize {
         self.bucket_starts[b + 1] - self.bucket_starts[b]

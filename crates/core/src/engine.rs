@@ -7,22 +7,23 @@
 //! [`SparseVecBatch`] to get that win. Serving workloads (personalized
 //! PageRank for many users, landmark BFS probes, reachability queries) do
 //! not arrive pre-batched: they arrive as **independent requests from
-//! independent logical clients**. This module turns the [`crate::ops::Mxv`]
-//! descriptor into exactly that serving layer:
+//! independent logical clients**. This module is that serving layer:
 //!
 //! * [`Engine::load`] / [`Engine::over`] bind a matrix (owned or borrowed)
-//!   to a pool of [`crate::ops::PreparedMxv`] descriptors — one per batched
-//!   algorithm family, instantiated lazily, workspaces reused across every
-//!   flush;
+//!   to **one** batched kernel of the [`EngineConfig::batch_algorithm`]
+//!   family — built on the first flush, workspaces reused across every
+//!   flush after it;
 //! * clients open [`Session`]s and submit [`MxvRequest`]s (frontier +
-//!   optional output mask + optional algorithm hint + optional deadline),
-//!   receiving a [`Ticket`] per request;
+//!   optional output mask + optional deadline), receiving a [`Ticket`] per
+//!   request;
 //! * the **coalescer** ([`Engine::flush`]) drains the queue, groups
-//!   compatible requests (same algorithm family, same mask mode — the
-//!   semiring is fixed by the engine's type), fuses each group into
-//!   [`SparseVecBatch`] lanes up to the [`EngineConfig::max_lanes`] width
-//!   budget, executes **one** masked batched multiplication per group chunk,
-//!   and demultiplexes the per-lane results back to the tickets;
+//!   compatible requests (same mask mode — the semiring is fixed by the
+//!   engine's type, the kernel family by its configuration), fuses each
+//!   group into [`SparseVecBatch`] lanes up to the
+//!   [`EngineConfig::max_lanes`] width budget, executes **one** masked
+//!   batched multiplication per group chunk — each request's mask becoming
+//!   its lane's [`BatchMaskView::PerLane`] mask — and demultiplexes the
+//!   per-lane results back to the tickets;
 //! * requests retired mid-flight — a cancelled [`Ticket`], a closed
 //!   [`Session`], an expired deadline — leave the batch before lanes are
 //!   assembled, so a slow client that gave up never costs kernel time.
@@ -54,10 +55,11 @@
 //! # Failure semantics
 //!
 //! A panic inside a fused kernel is **isolated to its flush group**: the
-//! execution runs under [`crate::ops::PreparedMxv::try_run_batch`]
-//! (`catch_unwind`), the panicking group's pooled descriptor is evicted
-//! (its workspaces may be mid-mutation), and the group is retried **once**
-//! on the [`crate::NaiveBatch`] oracle kernel — graceful degradation,
+//! kernel call runs under `catch_unwind`, which turns the panic into an
+//! [`EngineError::KernelFailed`] carrying its message; the engine's kernel
+//! is evicted (its workspaces may be mid-mutation; the next flush rebuilds
+//! it), and the group is retried **once** on a freshly built
+//! [`crate::NaiveBatch`] oracle kernel — graceful degradation,
 //! recorded as `degraded_flushes` in [`crate::stats::EngineStats`]. Only if
 //! the retry also fails do the group's tickets resolve as
 //! [`EngineError::KernelFailed`]; every other group of the same flush, and
@@ -113,10 +115,10 @@
 //! ```
 //!
 //! Results are **bit-identical** to running every request through its own
-//! single-vector [`crate::ops::PreparedMxv::run`] call (the engine property
-//! test asserts exactly that): under the default sorted options, the fused
-//! bucket kernel reduces each lane in the same order as the single-vector
-//! kernel.
+//! single-vector [`crate::SpMSpV::multiply_masked`] call (the engine
+//! property test asserts exactly that): under the default sorted options,
+//! every batched family reduces each lane in the same order as the
+//! single-vector kernel.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,11 +130,12 @@ use sparse_substrate::{
 };
 
 use crate::algorithm::SpMSpVOptions;
-use crate::batch::{BatchAlgorithmKind, BatchRunInfo};
+use crate::batch::{
+    build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, NaiveBatch, SpMSpVBatch,
+};
 use crate::failpoint;
-use crate::masked::MaskMode;
+use crate::masked::{BatchMaskView, MaskMode};
 use crate::obs::{self, Counter, Gauge, Histogram, ObsConfig, Registry, Span, TraceKind};
-use crate::ops::{Mxv, PreparedMxv};
 use crate::stats::{ChoiceCounts, EngineStats};
 use crate::timing::FlushTimings;
 
@@ -233,9 +236,10 @@ pub struct EngineConfig {
     /// How long the [`Engine::serve`] loop waits for more requests to
     /// coalesce before flushing a partially filled batch.
     pub linger: Duration,
-    /// Batched algorithm family for requests without an explicit hint.
+    /// The batched algorithm family every flush of this engine runs. To
+    /// serve two families, run two engines.
     pub batch_algorithm: BatchAlgorithmKind,
-    /// Kernel tuning options shared by every pooled descriptor.
+    /// Kernel tuning options of the engine's kernel.
     pub options: SpMSpVOptions,
     /// Observability configuration for the engine's own [`Registry`]
     /// (reachable via [`Engine::obs`]). Disabling it skips latency
@@ -306,23 +310,20 @@ impl EngineConfig {
     }
 }
 
-/// One client request: a frontier, an optional in-kernel output mask, an
-/// optional batched-algorithm hint, and an optional deadline. Requests with
-/// the same mask *mode* and algorithm family coalesce into one fused
-/// multiplication; each request's mask becomes its lane's mask.
+/// One client request: a frontier, an optional in-kernel output mask, and
+/// an optional deadline. Requests with the same mask *mode* coalesce into
+/// one fused multiplication; each request's mask becomes its lane's mask.
 #[derive(Debug, Clone)]
 pub struct MxvRequest<X> {
     pub(crate) frontier: SparseVec<X>,
     pub(crate) mask: Option<(Arc<MaskBits>, MaskMode)>,
-    pub(crate) algorithm: Option<BatchAlgorithmKind>,
     pub(crate) deadline: Option<Instant>,
 }
 
 impl<X: Scalar> MxvRequest<X> {
-    /// A plain unmasked request under the engine's default algorithm, with
-    /// no deadline.
+    /// A plain unmasked request with no deadline.
     pub fn new(frontier: SparseVec<X>) -> Self {
-        MxvRequest { frontier, mask: None, algorithm: None, deadline: None }
+        MxvRequest { frontier, mask: None, deadline: None }
     }
 
     /// Attaches this request's own output mask (the BFS `¬visited` idiom:
@@ -336,13 +337,6 @@ impl<X: Scalar> MxvRequest<X> {
     /// has dropped its reference by then.
     pub fn mask(mut self, bits: impl Into<Arc<MaskBits>>, mode: MaskMode) -> Self {
         self.mask = Some((bits.into(), mode));
-        self
-    }
-
-    /// Pins the batched algorithm family for this request; requests with
-    /// different families never fuse.
-    pub fn algorithm(mut self, kind: BatchAlgorithmKind) -> Self {
-        self.algorithm = kind.into();
         self
     }
 
@@ -528,7 +522,6 @@ struct QueueEntry<X, Y> {
     session: u64,
     frontier: SparseVec<X>,
     mask: Option<(Arc<MaskBits>, MaskMode)>,
-    algorithm: BatchAlgorithmKind,
     deadline: Option<Instant>,
     ticket: Arc<TicketShared<Y>>,
 }
@@ -547,8 +540,22 @@ enum MatrixSource<'m, A> {
     Owned(Arc<CscMatrix<A>>),
 }
 
-/// The engine's pool of prepared descriptors, one per batched family.
-type DescriptorPool<'m, A, X, S> = Vec<(BatchAlgorithmKind, PreparedMxv<'m, A, X, S>)>;
+/// The engine's batched kernel, borrowing the engine's matrix.
+type Kernel<'m, A, X, S> = Box<dyn SpMSpVBatch<A, X, S> + 'm>;
+
+/// Turns a caught kernel panic into the error its group's tickets resolve
+/// to, keeping the panic's message (`panic!` with a formatted message boxes
+/// a `String`; a literal boxes a `&'static str`).
+fn kernel_failure(payload: Box<dyn std::any::Any + Send>) -> EngineError {
+    let msg = match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => match payload.downcast_ref::<&str>() {
+            Some(msg) => (*msg).to_string(),
+            None => "kernel panicked with a non-string payload".to_string(),
+        },
+    };
+    EngineError::KernelFailed(msg)
+}
 
 /// Fails every still-pending ticket of a drained flush when dropped. On a
 /// normal flush this is a no-op (the flush resolved them all); on unwind —
@@ -655,13 +662,14 @@ impl EngineMetrics {
 /// request with [`EngineError::Disconnected`], so no client waits on a dead
 /// engine.
 pub struct Engine<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> {
-    /// One prepared descriptor per batched algorithm family, created lazily,
-    /// reused across flushes (the amortization the engine exists for).
+    /// The [`EngineConfig::batch_algorithm`] kernel, built on the first
+    /// flush and reused by every later one (the amortization the engine
+    /// exists for); `None` until then and after a panic evicted it.
     ///
-    /// Field order matters: `pool` holds matrix borrows that, for an owned
-    /// matrix, are derived from `source` — it must drop first, and struct
-    /// fields drop in declaration order.
-    pool: Mutex<DescriptorPool<'m, A, X, S>>,
+    /// Field order matters: the kernel borrows the matrix, which for an
+    /// owned matrix is derived from `source` — it must drop first, and
+    /// struct fields drop in declaration order.
+    kernel: Mutex<Option<Kernel<'m, A, X, S>>>,
     queue: RequestQueue<X, S::Output>,
     metrics: EngineMetrics,
     config: EngineConfig,
@@ -753,7 +761,7 @@ where
     fn from_source(source: MatrixSource<'m, A>, semiring: S, config: EngineConfig) -> Self {
         let metrics = EngineMetrics::new(&config.obs);
         Engine {
-            pool: Mutex::new(Vec::new()),
+            kernel: Mutex::new(None),
             queue: RequestQueue {
                 entries: Mutex::new(VecDeque::new()),
                 grew: Condvar::new(),
@@ -768,7 +776,7 @@ where
         }
     }
 
-    /// The matrix reference the pooled descriptors are prepared over.
+    /// The matrix reference the engine's kernel is built over.
     fn matrix_ref(&self) -> &'m CscMatrix<A> {
         match &self.source {
             MatrixSource::Borrowed(m) => m,
@@ -776,9 +784,10 @@ where
             // whole life and never swapped or released early, so the matrix
             // sits at a stable heap address and is never mutated (no API
             // takes it by `&mut`). The only borrows derived from this
-            // extended reference live inside `self.pool`, which is declared
-            // before `source` and therefore dropped first; no public API
-            // returns anything borrowed for `'m`.
+            // extended reference live inside `self.kernel` (and the retry
+            // kernel local to one flush), which is declared before `source`
+            // and therefore dropped first; no public API returns anything
+            // borrowed for `'m`.
             #[allow(unsafe_code)]
             MatrixSource::Owned(arc) => unsafe { &*Arc::as_ptr(arc) },
         }
@@ -899,7 +908,6 @@ where
             session,
             frontier: request.frontier,
             mask: request.mask,
-            algorithm: request.algorithm.unwrap_or(self.config.batch_algorithm),
             deadline: request.deadline,
             ticket: Arc::clone(&shared),
         };
@@ -988,10 +996,9 @@ where
 
         let mut outcome = FlushOutcome { requests: drained.len(), ..FlushOutcome::default() };
         let sp_group = self.metrics.phase_span(PHASE_ASSEMBLE);
-        // Group by (algorithm family, mask mode), preserving arrival order
-        // within each group — the demux order clients observe.
-        type Key = (BatchAlgorithmKind, Option<MaskMode>);
-        type Group<X, Y> = (Key, Vec<QueueEntry<X, Y>>);
+        // Group by mask mode, preserving arrival order within each group —
+        // the demux order clients observe.
+        type Group<X, Y> = (Option<MaskMode>, Vec<QueueEntry<X, Y>>);
         let now = Instant::now();
         let mut groups: Vec<Group<X, S::Output>> = Vec::new();
         for entry in drained {
@@ -1007,7 +1014,7 @@ where
                 outcome.retired += 1;
                 continue;
             }
-            let key = (entry.algorithm, entry.mask.as_ref().map(|&(_, mode)| mode));
+            let key = entry.mask.as_ref().map(|&(_, mode)| mode);
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(entry),
                 None => groups.push((key, vec![entry])),
@@ -1016,8 +1023,9 @@ where
         outcome.timings.assemble += sp_group.stop();
 
         let width = if self.config.max_lanes == 0 { usize::MAX } else { self.config.max_lanes };
-        let mut pool = lock(&self.pool);
-        for ((kind, mode), members) in groups {
+        let kind = self.config.batch_algorithm;
+        let mut kernel = lock(&self.kernel);
+        for (mode, members) in groups {
             let mut members = members.into_iter().peekable();
             while members.peek().is_some() {
                 let sp_assemble = self.metrics.phase_span(PHASE_ASSEMBLE);
@@ -1040,28 +1048,21 @@ where
                 }
                 let first_id = chunk[0].id;
                 // Disassemble the entries: frontiers fuse into the batch,
-                // masks move into the pooled descriptor, tickets stay for
-                // the demux — no per-request copies. The masks are kept as
-                // `Arc`s here too, so a degraded retry re-installs them by
-                // refcount.
+                // masks become the lanes' masks by refcount, tickets stay
+                // for the demux — no per-request copies.
                 let mut tickets = Vec::with_capacity(chunk.len());
                 let mut deadlines = Vec::with_capacity(chunk.len());
                 let mut lanes = Vec::with_capacity(chunk.len());
-                let mut masks = mode.map(|_| Vec::with_capacity(chunk.len()));
+                let mut masks = Vec::with_capacity(if mode.is_some() { chunk.len() } else { 0 });
                 for entry in chunk {
                     tickets.push(entry.ticket);
                     deadlines.push(entry.deadline);
                     lanes.push(entry.frontier);
-                    if let Some(masks) = masks.as_mut() {
-                        masks.push(entry.mask.expect("grouped as masked").0);
-                    }
+                    masks.extend(entry.mask.map(|(bits, _)| bits));
                 }
                 let x = SparseVecBatch::from_lanes(&lanes)
                     .expect("request dimensions are validated at submit");
-                let mask_arg = || match (&masks, mode) {
-                    (Some(m), Some(mode)) => Some((m.as_slice(), mode)),
-                    _ => None,
-                };
+                let mask = mode.map(|mode| BatchMaskView::PerLane { masks: &masks, mode });
                 outcome.timings.assemble += sp_assemble.stop();
                 self.metrics.registry.trace(TraceKind::GroupFused {
                     kernel: kind,
@@ -1071,15 +1072,7 @@ where
                 });
 
                 let sp_execute = self.metrics.phase_span(PHASE_EXECUTE);
-                let first = Self::run_group(
-                    &mut pool,
-                    kind,
-                    self.matrix_ref(),
-                    &self.semiring,
-                    &self.config.options,
-                    &x,
-                    mask_arg(),
-                );
+                let first = self.execute(Some(&mut *kernel), &x, mask.as_ref());
                 outcome.timings.execute += sp_execute.stop();
                 let served = match first {
                     Ok(ok) => Some(ok),
@@ -1099,15 +1092,7 @@ where
                             // most conservative path we have).
                             self.metrics.registry.trace(TraceKind::DegradeRetry { from: kind });
                             let sp_recover = self.metrics.phase_span(PHASE_RECOVER);
-                            let retry = Self::run_group(
-                                &mut pool,
-                                BatchAlgorithmKind::Naive,
-                                self.matrix_ref(),
-                                &self.semiring,
-                                &self.config.options,
-                                &x,
-                                mask_arg(),
-                            );
+                            let retry = self.execute(None, &x, mask.as_ref());
                             outcome.timings.recover += sp_recover.stop();
                             match retry {
                                 Ok(ok) => {
@@ -1155,62 +1140,49 @@ where
                 outcome.timings.demux += sp_demux.stop();
             }
         }
-        drop(pool);
+        drop(kernel);
 
         self.record_flush_outcome(&outcome);
         outcome
     }
 
-    /// Executes one fused group on `kind`'s pooled descriptor with panic
-    /// isolation. On failure the descriptor is evicted from the pool — its
-    /// workspaces may be mid-mutation from the unwound kernel — so the next
-    /// flush rebuilds it cleanly.
-    fn run_group(
-        pool: &mut DescriptorPool<'m, A, X, S>,
-        kind: BatchAlgorithmKind,
-        matrix: &'m CscMatrix<A>,
-        semiring: &S,
-        options: &SpMSpVOptions,
+    /// Executes one fused group with panic isolation: on the engine's
+    /// kernel (built on first use) when `kernel` is given, else on a freshly
+    /// built [`NaiveBatch`] — the one-shot degraded retry. A kernel panic
+    /// comes back as [`EngineError::KernelFailed`], and the engine's kernel
+    /// is then evicted: its workspaces may be mid-mutation from the unwound
+    /// call, so the next flush rebuilds it cleanly.
+    fn execute(
+        &self,
+        kernel: Option<&mut Option<Kernel<'m, A, X, S>>>,
         x: &SparseVecBatch<X>,
-        mask: Option<(&[Arc<MaskBits>], MaskMode)>,
+        mask: Option<&BatchMaskView<'_>>,
     ) -> Result<(SparseVecBatch<S::Output>, Option<BatchRunInfo>), EngineError> {
         failpoint::act("engine.flush.execute").map_err(EngineError::KernelFailed)?;
-        let prepared = Self::pool_entry(pool, kind, matrix, semiring, options);
-        match mask {
-            Some((masks, mode)) => prepared.set_lane_masks(masks.to_vec(), mode),
-            None => prepared.unmask(),
-        }
-        match prepared.try_run_batch(x) {
-            Ok(y) => {
-                let info = prepared.last_batch_run_info();
-                // Release this chunk's masks; the kernels stay pooled.
-                prepared.unmask();
-                Ok((y, info))
+        let run = |kernel: &mut (dyn SpMSpVBatch<A, X, S> + 'm)| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let y = kernel.multiply_batch_masked(x, &self.semiring, mask);
+                (y, kernel.last_run_info())
+            }))
+            .map_err(kernel_failure)
+        };
+        match kernel {
+            Some(slot) => {
+                let built = slot.get_or_insert_with(|| {
+                    build_batch_algorithm(
+                        self.matrix_ref(),
+                        self.config.batch_algorithm,
+                        self.config.options.clone(),
+                    )
+                });
+                let served = run(built.as_mut());
+                if served.is_err() {
+                    *slot = None;
+                }
+                served
             }
-            Err(err) => {
-                pool.retain(|(k, _)| *k != kind);
-                Err(err)
-            }
+            None => run(&mut NaiveBatch::new(self.matrix_ref(), self.config.options.clone())),
         }
-    }
-
-    fn pool_entry<'p>(
-        pool: &'p mut DescriptorPool<'m, A, X, S>,
-        kind: BatchAlgorithmKind,
-        matrix: &'m CscMatrix<A>,
-        semiring: &S,
-        options: &SpMSpVOptions,
-    ) -> &'p mut PreparedMxv<'m, A, X, S> {
-        if let Some(pos) = pool.iter().position(|(k, _)| *k == kind) {
-            return &mut pool[pos].1;
-        }
-        let prepared = Mxv::over(matrix)
-            .semiring(semiring)
-            .batch_algorithm(kind)
-            .options(options.clone())
-            .prepare::<X>();
-        pool.push((kind, prepared));
-        &mut pool.last_mut().expect("just pushed").1
     }
 
     /// Runs `body` with a background flush loop serving the engine: the loop
@@ -1415,6 +1387,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::{build_algorithm, AlgorithmKind};
+    use crate::masked::MaskView;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::{fixtures, PlusTimes, Select2ndMin};
 
@@ -1422,19 +1396,19 @@ mod tests {
         (0..count).map(|i| random_sparse_vec(n, (n / 4).max(1), seed + i as u64)).collect()
     }
 
-    /// The oracle: one independent single-vector `PreparedMxv::run` per
-    /// request, same options.
-    fn independent_run(
+    /// The oracle: one independent single-vector kernel call per request,
+    /// same options.
+    fn independent_run<X: Scalar, S: Semiring<f64, X>>(
         a: &CscMatrix<f64>,
-        x: &SparseVec<f64>,
+        semiring: &S,
+        x: &SparseVec<X>,
         mask: Option<(&MaskBits, MaskMode)>,
-    ) -> SparseVec<f64> {
-        let op = Mxv::over(a).semiring(&PlusTimes);
-        let mut op = match mask {
-            Some((bits, mode)) => op.mask(bits, mode).prepare(),
-            None => op.prepare(),
-        };
-        op.run(x)
+    ) -> SparseVec<S::Output> {
+        build_algorithm(a, AlgorithmKind::Adaptive, SpMSpVOptions::default()).multiply_masked(
+            x,
+            semiring,
+            mask.map(|(bits, mode)| MaskView::new(bits, mode)),
+        )
     }
 
     #[test]
@@ -1450,7 +1424,7 @@ mod tests {
         assert_eq!(outcome.batches, 1, "six compatible requests must fuse into one batch");
         for (ticket, x) in tickets.into_iter().zip(frontiers.iter()) {
             let y = ticket.try_take().expect("flushed").expect("served");
-            assert_eq!(y, independent_run(&a, x, None), "engine lane diverged");
+            assert_eq!(y, independent_run(&a, &PlusTimes, x, None), "engine lane diverged");
         }
         let stats = engine.stats();
         assert_eq!(stats.requests, 6);
@@ -1463,7 +1437,7 @@ mod tests {
     fn owned_matrix_engine_serves_after_load() {
         let a = fixtures::figure1_matrix();
         let x = fixtures::figure1_vector();
-        let expected = independent_run(&a, &x, None);
+        let expected = independent_run(&a, &PlusTimes, &x, None);
         let engine = Engine::load(a, PlusTimes);
         let t = engine.submit(MxvRequest::new(x));
         engine.flush();
@@ -1489,7 +1463,7 @@ mod tests {
         assert_eq!(outcome.batches, 1, "same mask mode must coalesce");
         for ((ticket, x), bits) in tickets.into_iter().zip(&frontiers).zip(&masks) {
             let y = ticket.try_take().expect("flushed").expect("served");
-            assert_eq!(y, independent_run(&a, x, Some((bits, MaskMode::Complement))));
+            assert_eq!(y, independent_run(&a, &PlusTimes, x, Some((bits, MaskMode::Complement))));
         }
     }
 
@@ -1502,9 +1476,9 @@ mod tests {
         engine.submit(MxvRequest::new(xs[0].clone()));
         engine.submit(MxvRequest::new(xs[1].clone()).mask(bits.clone(), MaskMode::Keep));
         engine.submit(MxvRequest::new(xs[2].clone()).mask(bits, MaskMode::Complement));
-        engine.submit(MxvRequest::new(xs[3].clone()).algorithm(BatchAlgorithmKind::Naive));
+        engine.submit(MxvRequest::new(xs[3].clone()));
         let outcome = engine.flush();
-        assert_eq!(outcome.batches, 4, "four mutually incompatible requests");
+        assert_eq!(outcome.batches, 3, "three mask modes, three groups");
         assert_eq!(outcome.lanes, 4);
     }
 
@@ -1520,7 +1494,7 @@ mod tests {
         for (ticket, x) in tickets.into_iter().zip(&xs) {
             assert_eq!(
                 ticket.try_take().expect("flushed").expect("served"),
-                independent_run(&a, x, None)
+                independent_run(&a, &PlusTimes, x, None)
             );
         }
     }
@@ -1541,11 +1515,11 @@ mod tests {
         assert_eq!(dropped.try_take(), Some(Err(EngineError::Cancelled)));
         assert_eq!(
             keep0.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[0], None)
+            independent_run(&a, &PlusTimes, &xs[0], None)
         );
         assert_eq!(
             keep1.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[2], None)
+            independent_run(&a, &PlusTimes, &xs[2], None)
         );
         assert_eq!(engine.stats().retired, 1);
 
@@ -1577,7 +1551,7 @@ mod tests {
         assert_eq!(dead2.try_take(), Some(Err(EngineError::Cancelled)));
         assert_eq!(
             live.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[1], None)
+            independent_run(&a, &PlusTimes, &xs[1], None)
         );
     }
 
@@ -1598,7 +1572,7 @@ mod tests {
         assert_eq!(orphan.wait(), Err(EngineError::Cancelled));
         assert_eq!(
             live.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[1], None)
+            independent_run(&a, &PlusTimes, &xs[1], None)
         );
     }
 
@@ -1626,7 +1600,7 @@ mod tests {
         engine.flush();
         assert_eq!(
             ticket.wait_timeout(Duration::from_secs(5)).expect("served after flush"),
-            independent_run(&a, &x, None)
+            independent_run(&a, &PlusTimes, &x, None)
         );
     }
 
@@ -1645,7 +1619,7 @@ mod tests {
         assert_eq!(expired.wait(), Err(EngineError::DeadlineExceeded));
         assert_eq!(
             fresh.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[1], None)
+            independent_run(&a, &PlusTimes, &xs[1], None)
         );
         assert_eq!(engine.stats().timeouts, 1);
     }
@@ -1666,7 +1640,7 @@ mod tests {
         engine.flush();
         assert_eq!(
             queued.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[0], None)
+            independent_run(&a, &PlusTimes, &xs[0], None)
         );
         let stats = engine.stats();
         assert_eq!(stats.rejected, 1);
@@ -1689,11 +1663,11 @@ mod tests {
         engine.flush();
         assert_eq!(
             middle.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[1], None)
+            independent_run(&a, &PlusTimes, &xs[1], None)
         );
         assert_eq!(
             newest.try_take().expect("served").expect("succeeded"),
-            independent_run(&a, &xs[2], None)
+            independent_run(&a, &PlusTimes, &xs[2], None)
         );
         assert_eq!(engine.stats().shed, 1);
     }
@@ -1723,7 +1697,7 @@ mod tests {
             })
         });
         for (y, x) in &results {
-            assert_eq!(*y, independent_run(&a, x, None), "served lane diverged");
+            assert_eq!(*y, independent_run(&a, &PlusTimes, x, None), "served lane diverged");
         }
         let stats = engine.stats();
         assert_eq!(stats.requests, 8);
@@ -1763,7 +1737,7 @@ mod tests {
             })
         });
         for (y, x) in &results {
-            assert_eq!(*y, independent_run(&a, x, None));
+            assert_eq!(*y, independent_run(&a, &PlusTimes, x, None));
         }
         let stats = engine.stats();
         assert_eq!(stats.lanes_executed, 6);
@@ -1831,9 +1805,8 @@ mod tests {
             .submit(MxvRequest::new(frontier.clone()).mask(visited.clone(), MaskMode::Complement));
         engine.flush();
         let y = t.try_take().expect("served").expect("succeeded");
-        let mut op =
-            Mxv::over(&a).semiring(&Select2ndMin).mask(&visited, MaskMode::Complement).prepare();
-        assert_eq!(y, op.run(&frontier));
+        let mask = Some((&visited, MaskMode::Complement));
+        assert_eq!(y, independent_run(&a, &Select2ndMin, &frontier, mask));
         assert!(y.get(4).is_none(), "¬visited mask dropped the source");
     }
 
@@ -1845,7 +1818,7 @@ mod tests {
             requests(200, 3, 5).into_iter().map(|x| engine.submit(MxvRequest::new(x))).collect();
         assert_eq!(engine.flush().choices.total(), 1);
         drop(busy);
-        // The pooled descriptor has now run once. A group of empty frontiers
+        // The engine's kernel has now run once. A group of empty frontiers
         // executes nothing, so it must not re-report that run as its own.
         let idle: Vec<Ticket<f64>> =
             (0..3).map(|_| engine.submit(MxvRequest::new(SparseVec::new(200)))).collect();
@@ -1886,6 +1859,23 @@ mod tests {
             }
         }
         assert!(rendered[3].contains("lane SPA index out of range"), "message must survive");
+    }
+
+    #[test]
+    fn kernel_panic_payloads_become_kernel_failed() {
+        let literal: Box<dyn std::any::Any + Send> = Box::new("lane SPA index out of range");
+        let formatted: Box<dyn std::any::Any + Send> =
+            Box::new(format!("per-lane mask has {} lanes", 3));
+        assert_eq!(
+            kernel_failure(literal),
+            EngineError::KernelFailed("lane SPA index out of range".to_string())
+        );
+        assert_eq!(
+            kernel_failure(formatted),
+            EngineError::KernelFailed("per-lane mask has 3 lanes".to_string())
+        );
+        assert!(matches!(kernel_failure(Box::new(7u8)), EngineError::KernelFailed(msg)
+            if msg.contains("non-string payload")));
     }
 
     #[test]

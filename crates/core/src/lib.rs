@@ -48,9 +48,10 @@
 //!
 //! The same descriptor executes batches through [`SpMSpVBucketBatch`]
 //! (`k` frontiers in **one** traversal of the matrix's column structure) or
-//! the [`NaiveBatch`] fallback, selected by [`batch::BatchAlgorithmKind`];
-//! per-lane masks serve multi-source BFS, where every source keeps its own
-//! visited set.
+//! the [`NaiveBatch`] fallback, selected by [`batch::BatchAlgorithmKind`],
+//! one mask shared by every lane. Per-lane masks — multi-source BFS, where
+//! every source keeps its own visited set — reach the batched kernels
+//! through the serving [`engine`], one request's mask per lane.
 //!
 //! ## Kernel layer
 //!
@@ -79,8 +80,8 @@
 //!
 //! ## Serving many clients: the `engine` layer
 //!
-//! [`engine::Engine`] turns the descriptor into a serving front door: many
-//! logical clients submit [`engine::MxvRequest`]s through
+//! [`engine::Engine`] puts one batched kernel behind a serving front door:
+//! many logical clients submit [`engine::MxvRequest`]s through
 //! [`engine::Session`] handles, and a coalescer fuses compatible requests
 //! into one batched multiplication per flush. The engine has full failure
 //! semantics — per-request deadlines, [`engine::OverloadPolicy`] queue

@@ -17,18 +17,18 @@ use std::sync::Arc;
 
 use sparse_substrate::{MaskBits, Scalar, SparseVec};
 
-use crate::batch::BatchAlgorithmKind;
 use crate::engine::EngineError;
 use crate::masked::MaskMode;
-use crate::shard::ShardMsg;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SMSV";
 /// Wire protocol version carried by every frame header. Version 2 added the
 /// discovery/health frames (`Hello`/`Welcome`, `Ping`/`Pong`) and made
 /// `Partial` index order a protocol invariant (encoded sorted, rejected at
-/// decode when not strictly increasing).
-pub const VERSION: u8 = 2;
+/// decode when not strictly increasing). Version 3 dropped the `Frontier`
+/// frame's trailing batched-algorithm byte: a host's engine runs the one
+/// kernel family it was configured with.
+pub const VERSION: u8 = 3;
 /// Bytes of `magic | version | tag | payload_len: u32`.
 pub const HEADER_LEN: usize = 10;
 /// Default upper bound on one frame's payload (64 MiB). Both sides of a
@@ -198,10 +198,10 @@ impl WireScalar for bool {
     }
 }
 
-/// A `Frontier` plus the sidecars the in-process router passes out of band:
-/// the output mask (rows, shared by every shard) and the batched-algorithm
-/// hint. On the wire they are part of the frame; [`ShardMsg`] stays the
-/// mask-free core protocol.
+/// A `Frontier` plus the sidecar the in-process router passes out of band:
+/// the output mask (rows, shared by every shard). On the wire it is part of
+/// the frame; [`ShardMsg`](crate::shard::ShardMsg) stays the mask-free core
+/// protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireFrontier<X> {
     /// Router-unique request id, echoed by the reply.
@@ -215,17 +215,15 @@ pub struct WireFrontier<X> {
     pub deadline_micros: Option<u64>,
     /// Output mask sidecar (full output height, shared by all shards).
     pub mask: Option<(MaskBits, MaskMode)>,
-    /// Batched-algorithm hint sidecar.
-    pub algorithm: Option<BatchAlgorithmKind>,
 }
 
-/// Everything that can travel on a shard connection: the three [`ShardMsg`]
-/// variants plus the control frames (`Flush` = "execute everything queued
+/// Everything that can travel on a shard connection: the three
+/// [`ShardMsg`](crate::shard::ShardMsg) variants plus the control frames (`Flush` = "execute everything queued
 /// on this connection", `Done` = the host's flush summary, `Goodbye` =
 /// orderly close).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<X, Y> {
-    /// Router → host: one request's frontier slice (+ sidecars).
+    /// Router → host: one request's frontier slice (+ mask sidecar).
     Frontier(WireFrontier<X>),
     /// Host → router: one full-height partial product.
     Partial {
@@ -293,54 +291,6 @@ pub enum Frame<X, Y> {
         /// The nonce from the matching [`Frame::Ping`].
         nonce: u64,
     },
-}
-
-impl<X: Scalar, Y: Scalar> Frame<X, Y> {
-    /// Wraps a router→host reply-shaped [`ShardMsg`] (`Partial`/`Error`) or
-    /// a bare frontier (no sidecars) as a frame.
-    pub fn from_msg(msg: ShardMsg<X, Y>) -> Self {
-        match msg {
-            ShardMsg::Frontier { request, shard, len, indices, values, deadline_micros } => {
-                Frame::Frontier(WireFrontier {
-                    request,
-                    shard,
-                    slice: SparseVec::from_parts(len, indices, values)
-                        .expect("ShardMsg frontier was a valid vector"),
-                    deadline_micros,
-                    mask: None,
-                    algorithm: None,
-                })
-            }
-            ShardMsg::Partial { request, shard, len, indices, values } => Frame::Partial {
-                request,
-                shard,
-                partial: SparseVec::from_parts(len, indices, values)
-                    .expect("ShardMsg partial was a valid vector"),
-            },
-            ShardMsg::Error { request, shard, error } => Frame::Error { request, shard, error },
-        }
-    }
-
-    /// Unwraps a protocol frame back into its [`ShardMsg`] (sidecars
-    /// dropped). `None` for control frames.
-    pub fn into_msg(self) -> Option<ShardMsg<X, Y>> {
-        match self {
-            Frame::Frontier(w) => {
-                Some(ShardMsg::frontier(w.request, w.shard, w.slice, w.deadline_micros))
-            }
-            Frame::Partial { request, shard, partial } => {
-                Some(ShardMsg::partial(request, shard, partial))
-            }
-            Frame::Error { request, shard, error } => Some(ShardMsg::error(request, shard, error)),
-            Frame::Flush
-            | Frame::Done { .. }
-            | Frame::Goodbye
-            | Frame::Hello
-            | Frame::Welcome { .. }
-            | Frame::Ping { .. }
-            | Frame::Pong { .. } => None,
-        }
-    }
 }
 
 /// Bounds-checked little-endian cursor over a payload slice. Public only
@@ -421,27 +371,6 @@ fn mask_mode_byte(mode: MaskMode) -> u8 {
     }
 }
 
-fn algorithm_byte(kind: Option<BatchAlgorithmKind>) -> u8 {
-    match kind {
-        None => 0,
-        Some(BatchAlgorithmKind::Bucket) => 1,
-        Some(BatchAlgorithmKind::Naive) => 2,
-        Some(BatchAlgorithmKind::CombBlasRowSplit) => 3,
-        Some(BatchAlgorithmKind::Adaptive) => 4,
-    }
-}
-
-fn algorithm_from_byte(b: u8) -> Result<Option<BatchAlgorithmKind>, DecodeError> {
-    Ok(match b {
-        0 => None,
-        1 => Some(BatchAlgorithmKind::Bucket),
-        2 => Some(BatchAlgorithmKind::Naive),
-        3 => Some(BatchAlgorithmKind::CombBlasRowSplit),
-        4 => Some(BatchAlgorithmKind::Adaptive),
-        _ => return Err(DecodeError::Corrupt("unknown algorithm byte")),
-    })
-}
-
 fn error_code(e: &EngineError) -> u8 {
     match e {
         EngineError::Cancelled => 1,
@@ -517,7 +446,6 @@ pub fn encode_frame<X: WireScalar, Y: WireScalar>(
                     }
                 }
             }
-            payload.push(algorithm_byte(w.algorithm));
             TAG_FRONTIER
         }
         Frame::Partial { request, shard, partial } => {
@@ -648,15 +576,7 @@ fn decode_payload<X: WireScalar, Y: WireScalar>(
                 }
                 _ => return Err(DecodeError::Corrupt("unknown mask flag")),
             };
-            let algorithm = algorithm_from_byte(r.u8()?)?;
-            Frame::Frontier(WireFrontier {
-                request,
-                shard,
-                slice,
-                deadline_micros,
-                mask,
-                algorithm,
-            })
+            Frame::Frontier(WireFrontier { request, shard, slice, deadline_micros, mask })
         }
         TAG_PARTIAL => {
             let request = r.u64()?;
@@ -781,16 +701,15 @@ pub fn read_frame<X: WireScalar, Y: WireScalar, R: Read>(
     Ok(Some((frame, HEADER_LEN + payload_len)))
 }
 
-/// Builds the wire frontier for one routed sub-request: the [`ShardMsg`]
-/// core plus the mask/algorithm sidecars the in-process router passes by
-/// reference.
+/// Builds the wire frontier for one routed sub-request: the
+/// [`ShardMsg`](crate::shard::ShardMsg) core plus the mask sidecar the
+/// in-process router passes by reference.
 pub fn wire_frontier<X: Scalar>(
     request: u64,
     shard: usize,
     slice: SparseVec<X>,
     deadline_micros: Option<u64>,
     mask: Option<(Arc<MaskBits>, MaskMode)>,
-    algorithm: Option<BatchAlgorithmKind>,
 ) -> WireFrontier<X> {
     WireFrontier {
         request,
@@ -798,6 +717,5 @@ pub fn wire_frontier<X: Scalar>(
         slice,
         deadline_micros,
         mask: mask.map(|(bits, mode)| ((*bits).clone(), mode)),
-        algorithm,
     }
 }

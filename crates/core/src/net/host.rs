@@ -7,7 +7,10 @@
 //! *relative* budgets and are re-anchored to a local `Instant` the moment
 //! the frame is read, so elapsed transit time is clamped out of the budget
 //! (a budget that is already zero resolves `DeadlineExceeded` without ever
-//! touching the engine).
+//! touching the engine). A frontier whose slice is not as wide as the
+//! shard, or whose mask does not span the output rows, resolves
+//! `KernelFailed` naming both numbers the same way, and the connection
+//! keeps serving.
 //!
 //! The host also answers the discovery/health frames at any point in a
 //! connection's life: `Hello` → `Welcome` (shard id, column range, output
@@ -34,7 +37,9 @@ use sparse_substrate::{CscMatrix, Scalar, Semiring};
 
 use crate::engine::{Engine, EngineConfig, EngineError, MxvRequest, Ticket};
 
-use super::codec::{read_frame, write_frame, Frame, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN};
+use super::codec::{
+    read_frame, write_frame, Frame, WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN,
+};
 
 /// How long the accept loop sleeps between polls for new connections and
 /// the shutdown flag.
@@ -266,6 +271,27 @@ struct ByzantineSites {
 /// the header plus `request u64 | shard u32 | ytag u8 | len u64 | nnz u64`.
 const PARTIAL_FIRST_INDEX: usize = HEADER_LEN + 8 + 4 + 1 + 8 + 8;
 
+/// Why a decoded frontier cannot be submitted to this host's engine: a
+/// slice that is not as wide as the shard's column range, or a mask that
+/// does not span the output rows. `None` for a well-formed frontier.
+fn malformed<X: Scalar>(info: &HostInfo, w: &WireFrontier<X>) -> Option<EngineError> {
+    let (shard, cols) = (info.shard, info.col_end - info.col_start);
+    if w.slice.len() != cols {
+        return Some(EngineError::KernelFailed(format!(
+            "shard {shard}: frontier slice has dimension {} but the shard has {cols} columns",
+            w.slice.len()
+        )));
+    }
+    match &w.mask {
+        Some((bits, _)) if bits.len() != info.nrows => Some(EngineError::KernelFailed(format!(
+            "shard {shard}: mask covers {} rows but the shard has {} output rows",
+            bits.len(),
+            info.nrows
+        ))),
+        _ => None,
+    }
+}
+
 fn serve_connection<A, X, S>(
     engine: Arc<Engine<'static, A, X, S>>,
     info: HostInfo,
@@ -295,17 +321,19 @@ fn serve_connection<A, X, S>(
                 // touching the engine — the router gets `DeadlineExceeded`,
                 // never a hung ticket.
                 let received = Instant::now();
-                let entry = match w.deadline_micros {
-                    Some(0) => Inflight::Resolved(EngineError::DeadlineExceeded),
-                    budget => {
-                        let request = MxvRequest {
-                            frontier: w.slice,
-                            mask: w.mask.map(|(bits, mode)| (Arc::new(bits), mode)),
-                            algorithm: w.algorithm,
-                            deadline: budget.map(|b| received + Duration::from_micros(b)),
-                        };
-                        Inflight::Ticket(engine.submit(request))
-                    }
+                let entry = if let Some(err) = malformed(&info, &w) {
+                    // `Engine::submit` asserts on both shapes; a peer's bad
+                    // frame must fail its own request, not this connection.
+                    Inflight::Resolved(err)
+                } else if w.deadline_micros == Some(0) {
+                    Inflight::Resolved(EngineError::DeadlineExceeded)
+                } else {
+                    let request = MxvRequest {
+                        frontier: w.slice,
+                        mask: w.mask.map(|(bits, mode)| (Arc::new(bits), mode)),
+                        deadline: w.deadline_micros.map(|b| received + Duration::from_micros(b)),
+                    };
+                    Inflight::Ticket(engine.submit(request))
                 };
                 inflight.push((w.request, entry));
             }

@@ -19,13 +19,13 @@
 //! | offset | bytes | field |
 //! |---|---|---|
 //! | 0 | 4 | magic `"SMSV"` |
-//! | 4 | 1 | protocol version (currently 2) |
+//! | 4 | 1 | protocol version (currently 3) |
 //! | 5 | 1 | frame tag |
 //! | 6 | 4 | payload length `u32` |
 //!
 //! | tag | frame | direction | payload |
 //! |---|---|---|---|
-//! | 1 | `Frontier` | router → host | `request u64 \| shard u32 \| scalar tag u8 \| dim u64 \| nnz u64 \| indices u64×nnz \| values X×nnz \| deadline flag u8 (+ budget µs u64) \| mask flag u8 (0 none / 1 keep / 2 complement; + dim u64, words u64, bitmap u64×words) \| algorithm u8` |
+//! | 1 | `Frontier` | router → host | `request u64 \| shard u32 \| scalar tag u8 \| dim u64 \| nnz u64 \| indices u64×nnz \| values X×nnz \| deadline flag u8 (+ budget µs u64) \| mask flag u8 (0 none / 1 keep / 2 complement; + dim u64, words u64, bitmap u64×words)` |
 //! | 2 | `Partial` | host → router | `request u64 \| shard u32 \| scalar tag u8 \| dim u64 \| nnz u64 \| indices u64×nnz \| values Y×nnz` — indices strictly increasing (enforced at decode) |
 //! | 3 | `Error` | host → router | `request u64 \| shard u32 \| error code u8 (+ message u32-len + UTF-8 for KernelFailed)` |
 //! | 4 | `Flush` | router → host | empty — "flush the engine, reply to every frontier on this connection" |

@@ -704,7 +704,6 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                 req.slice.clone(),
                 budget,
                 req.mask.clone(),
-                req.algorithm,
             ));
             if let Err(e) = encode_frame(&frame, &mut buf, shared.config.max_frame) {
                 // An unencodable frontier (oversize) fails only its own

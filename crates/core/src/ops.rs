@@ -32,9 +32,13 @@
 //! [`SparseVecBatch`] ([`PreparedMxv::run_batch`]) interchangeably. The
 //! descriptor owns the algorithm instances and their pre-allocated
 //! workspaces (instantiated lazily, reused across calls — the paper's
-//! amortization strategy), owns the mask bitmap(s) so iterative algorithms
-//! can update membership between runs, and applies the mask **inside** the
-//! kernels' merge step, never as an output post-filter.
+//! amortization strategy), owns at most one mask bitmap — shared by every
+//! lane of a batch — so iterative algorithms can update membership between
+//! runs, and applies the mask **inside** the kernels' merge step, never as
+//! an output post-filter. Per-lane masks (one visited set per source) are
+//! not a descriptor concern: the serving [`crate::engine::Engine`] hands each
+//! request's own mask to the batched kernel as a
+//! [`BatchMaskView::PerLane`] view.
 //!
 //! Algorithm selection is pluggable in both shapes: [`AlgorithmKind`] picks
 //! the single-vector kernel (bucket, the CombBLAS/GraphMat baselines, …)
@@ -43,26 +47,11 @@
 //! `Adaptive` dispatchers ([`crate::adaptive`]), which resolve the family
 //! per call from the frontier's density without changing any result.
 
-use std::sync::Arc;
-
 use sparse_substrate::{CscMatrix, MaskBits, Scalar, Semiring, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{build_algorithm, AlgorithmKind, SpMSpV, SpMSpVOptions};
-use crate::batch::{build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
-use crate::engine::EngineError;
+use crate::batch::{build_batch_algorithm, BatchAlgorithmKind, SpMSpVBatch};
 use crate::masked::{BatchMaskView, MaskMode, MaskView};
-
-/// Best-effort extraction of a panic payload's message (`panic!` with a
-/// formatted message boxes a `String`; a literal boxes a `&'static str`).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "kernel panicked with a non-string payload".to_string()
-    }
-}
 
 /// Entry point of the unified operation API. See the [module docs](self).
 pub struct Mxv;
@@ -80,20 +69,9 @@ impl Mxv {
             options: SpMSpVOptions::default(),
             algorithm: AlgorithmKind::Adaptive,
             batch_algorithm: BatchAlgorithmKind::Adaptive,
-            mask: MaskStore::Unmasked,
+            mask: None,
         }
     }
-}
-
-/// The mask a descriptor owns: nothing, one shared bitmap, or one bitmap per
-/// batch lane. Per-lane bitmaps are `Arc`-shared with the callers that
-/// submitted them (the serving engine's requests), so installing them for a
-/// flush moves refcounts, not `O(n)` bits.
-#[derive(Debug, Clone)]
-enum MaskStore {
-    Unmasked,
-    Shared { bits: MaskBits, mode: MaskMode },
-    PerLane { masks: Vec<Arc<MaskBits>>, mode: MaskMode },
 }
 
 /// The operation descriptor under construction: matrix, semiring, algorithm
@@ -108,7 +86,7 @@ pub struct MxvOp<'a, A, SR> {
     options: SpMSpVOptions,
     algorithm: AlgorithmKind,
     batch_algorithm: BatchAlgorithmKind,
-    mask: MaskStore,
+    mask: Option<(MaskBits, MaskMode)>,
 }
 
 impl<'a, A: Scalar, SR> MxvOp<'a, A, SR> {
@@ -155,7 +133,7 @@ impl<'a, A: Scalar, SR> MxvOp<'a, A, SR> {
     /// panic on probes past its last word inside the parallel merge).
     pub fn mask(mut self, bits: &MaskBits, mode: MaskMode) -> Self {
         MaskView::new(bits, mode).check_rows(self.matrix.nrows());
-        self.mask = MaskStore::Shared { bits: bits.clone(), mode };
+        self.mask = Some((bits.clone(), mode));
         self
     }
 
@@ -164,20 +142,7 @@ impl<'a, A: Scalar, SR> MxvOp<'a, A, SR> {
     /// vertices through [`PreparedMxv::mask_mut`] as the traversal claims
     /// them.
     pub fn masked(mut self, mode: MaskMode) -> Self {
-        self.mask = MaskStore::Shared { bits: MaskBits::new(self.matrix.nrows()), mode };
-        self
-    }
-
-    /// Masks batched runs with one initially empty bitmap **per lane**
-    /// (multi-source BFS: each source keeps its own visited set). Update
-    /// lane `l` through [`PreparedMxv::lane_mask_mut`]; retire lanes with
-    /// [`PreparedMxv::retain_lanes`]. Single-vector [`PreparedMxv::run`]
-    /// panics under a per-lane mask.
-    pub fn lane_masks(mut self, k: usize, mode: MaskMode) -> Self {
-        // One Arc per lane (not `vec![arc; k]`, which would share a single
-        // allocation and force a copy-on-write on the first insert).
-        let masks = (0..k).map(|_| Arc::new(MaskBits::new(self.matrix.nrows()))).collect();
-        self.mask = MaskStore::PerLane { masks, mode };
+        self.mask = Some((MaskBits::new(self.matrix.nrows()), mode));
         self
     }
 }
@@ -200,13 +165,12 @@ impl<'a, A: Scalar, S> MxvOp<'a, A, S> {
             mask: self.mask,
             single: None,
             batch: None,
-            last_batch_info: None,
         }
     }
 }
 
 /// A compiled [`Mxv`] descriptor: owns the (lazily instantiated) algorithm
-/// instances with their pre-allocated workspaces and the mask bitmap(s), and
+/// instances with their pre-allocated workspaces and the mask bitmap, and
 /// executes single vectors and batches through one interface.
 ///
 /// ```
@@ -226,10 +190,9 @@ pub struct PreparedMxv<'a, A, X, S: Semiring<A, X>> {
     options: SpMSpVOptions,
     algorithm: AlgorithmKind,
     batch_algorithm: BatchAlgorithmKind,
-    mask: MaskStore,
+    mask: Option<(MaskBits, MaskMode)>,
     single: Option<Box<dyn SpMSpV<A, X, S> + 'a>>,
     batch: Option<Box<dyn SpMSpVBatch<A, X, S> + 'a>>,
-    last_batch_info: Option<BatchRunInfo>,
 }
 
 impl<'a, A, X, S> PreparedMxv<'a, A, X, S>
@@ -241,73 +204,28 @@ where
     /// Executes the operation on one sparse vector: `y ← ⟨mask⟩ (A ⊕.⊗ x)`.
     ///
     /// The single-vector algorithm instance (and its workspaces) is created
-    /// on first use and reused afterwards. Panics when the descriptor
-    /// carries per-lane masks (those only make sense for batches).
+    /// on first use and reused afterwards.
     pub fn run(&mut self, x: &SparseVec<X>) -> SparseVec<S::Output> {
-        if self.single.is_none() {
-            self.single = Some(build_algorithm(self.matrix, self.algorithm, self.options.clone()));
-        }
-        let mask = match &self.mask {
-            MaskStore::Unmasked => None,
-            MaskStore::Shared { bits, mode } => Some(MaskView::new(bits, *mode)),
-            MaskStore::PerLane { .. } => {
-                panic!("per-lane masks apply to run_batch; use .mask()/.masked() for single runs")
-            }
-        };
-        self.single.as_mut().expect("instantiated above").multiply_masked(x, &self.semiring, mask)
+        let single = self.single.get_or_insert_with(|| {
+            build_algorithm(self.matrix, self.algorithm, self.options.clone())
+        });
+        let mask = self.mask.as_ref().map(|(bits, mode)| MaskView::new(bits, *mode));
+        single.multiply_masked(x, &self.semiring, mask)
     }
 
     /// Executes the operation on a sparse multi-vector, lane-wise:
-    /// `Y[l] ← ⟨mask_l⟩ (A ⊕.⊗ X[l])`. A shared mask filters every lane; a
-    /// per-lane mask must have exactly `x.k()` bitmaps.
+    /// `Y[l] ← ⟨mask⟩ (A ⊕.⊗ X[l])`, the one mask filtering every lane.
     ///
     /// The batched algorithm instance is created on first use and reused.
     pub fn run_batch(&mut self, x: &SparseVecBatch<X>) -> SparseVecBatch<S::Output> {
-        if self.batch.is_none() {
-            self.batch = Some(build_batch_algorithm(
-                self.matrix,
-                self.batch_algorithm,
-                self.options.clone(),
-            ));
-        }
-        let mask = match &self.mask {
-            MaskStore::Unmasked => None,
-            MaskStore::Shared { bits, mode } => {
-                Some(BatchMaskView::Shared(MaskView::new(bits, *mode)))
-            }
-            MaskStore::PerLane { masks, mode } => {
-                Some(BatchMaskView::PerLane { masks, mode: *mode })
-            }
-        };
-        let batch = self.batch.as_mut().expect("instantiated above");
-        let y = batch.multiply_batch_masked(x, &self.semiring, mask.as_ref());
-        self.last_batch_info = batch.last_run_info();
-        y
-    }
-
-    /// [`PreparedMxv::run_batch`] with panic isolation: a kernel panic is
-    /// caught and surfaced as [`EngineError::KernelFailed`] carrying the
-    /// panic message, instead of unwinding into the caller.
-    ///
-    /// This is the serving engine's execution entry point — a malformed
-    /// request that trips a kernel assertion must fail *its* flush group,
-    /// not the process. After an `Err` the descriptor's workspaces may be
-    /// mid-mutation; callers that reuse descriptors should discard this one
-    /// (the engine evicts it from its pool and rebuilds lazily).
-    pub fn try_run_batch(
-        &mut self,
-        x: &SparseVecBatch<X>,
-    ) -> Result<SparseVecBatch<S::Output>, EngineError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_batch(x)))
-            .map_err(|payload| EngineError::KernelFailed(panic_message(payload.as_ref())))
-    }
-
-    /// The concrete kernel family the most recent [`PreparedMxv::run_batch`]
-    /// resolved to — what an adaptive descriptor actually executed. `None`
-    /// before the first batched run and after a run on an all-empty batch,
-    /// which executes nothing.
-    pub fn last_batch_run_info(&self) -> Option<BatchRunInfo> {
-        self.last_batch_info
+        let batch = self.batch.get_or_insert_with(|| {
+            build_batch_algorithm(self.matrix, self.batch_algorithm, self.options.clone())
+        });
+        let mask = self
+            .mask
+            .as_ref()
+            .map(|(bits, mode)| BatchMaskView::Shared(MaskView::new(bits, *mode)));
+        batch.multiply_batch_masked(x, &self.semiring, mask.as_ref())
     }
 
     /// The matrix the descriptor was prepared over.
@@ -327,105 +245,25 @@ where
 
     /// The mask interpretation, when the descriptor is masked.
     pub fn mask_mode(&self) -> Option<MaskMode> {
-        match &self.mask {
-            MaskStore::Unmasked => None,
-            MaskStore::Shared { mode, .. } | MaskStore::PerLane { mode, .. } => Some(*mode),
-        }
+        self.mask.as_ref().map(|&(_, mode)| mode)
     }
 
-    /// Mutable access to the shared mask bitmap, for iterative algorithms
-    /// that grow the membership set between runs (BFS inserts every newly
-    /// visited vertex). Panics when the descriptor is unmasked or carries
-    /// per-lane masks.
+    /// Mutable access to the mask bitmap, for iterative algorithms that grow
+    /// the membership set between runs (BFS inserts every newly visited
+    /// vertex). Panics when the descriptor is unmasked.
     pub fn mask_mut(&mut self) -> &mut MaskBits {
         match &mut self.mask {
-            MaskStore::Shared { bits, .. } => bits,
-            MaskStore::Unmasked => panic!("descriptor has no mask; build with .mask()/.masked()"),
-            MaskStore::PerLane { .. } => {
-                panic!("descriptor has per-lane masks; use lane_mask_mut(lane)")
-            }
+            Some((bits, _)) => bits,
+            None => panic!("descriptor has no mask; build with .mask()/.masked()"),
         }
     }
 
-    /// Mutable access to lane `lane`'s mask bitmap. Panics when the
-    /// descriptor does not carry per-lane masks.
-    ///
-    /// Per-lane masks are `Arc`-shared; between flushes the descriptor's
-    /// reference is unique, so this is the zero-copy `Arc::make_mut` path —
-    /// a clone only happens if the caller still holds the same `Arc`.
-    pub fn lane_mask_mut(&mut self, lane: usize) -> &mut MaskBits {
-        match &mut self.mask {
-            MaskStore::PerLane { masks, .. } => Arc::make_mut(&mut masks[lane]),
-            _ => panic!("descriptor has no per-lane masks; build with .lane_masks(k, mode)"),
-        }
-    }
-
-    /// Number of per-lane masks, when the descriptor carries them.
-    pub fn lane_mask_count(&self) -> Option<usize> {
-        match &self.mask {
-            MaskStore::PerLane { masks, .. } => Some(masks.len()),
-            _ => None,
-        }
-    }
-
-    /// Drops the per-lane masks whose `keep` flag is `false`, compacting the
-    /// rest in order — the lane-retirement idiom of multi-source BFS: when a
-    /// source's frontier drains, its lane leaves the batch and its mask must
-    /// leave the descriptor so lane indices stay aligned. Panics when the
-    /// descriptor does not carry per-lane masks or `keep` has the wrong
-    /// length.
-    pub fn retain_lanes(&mut self, keep: &[bool]) {
-        match &mut self.mask {
-            MaskStore::PerLane { masks, .. } => {
-                assert_eq!(keep.len(), masks.len(), "keep flags must cover every lane mask");
-                let mut lane = 0usize;
-                masks.retain(|_| {
-                    let k = keep[lane];
-                    lane += 1;
-                    k
-                });
-            }
-            _ => panic!("descriptor has no per-lane masks; build with .lane_masks(k, mode)"),
-        }
-    }
-
-    /// Empties every mask bitmap (shared or per-lane), keeping allocations
-    /// where the descriptor is the sole owner, so it can serve a fresh
-    /// traversal.
+    /// Empties the mask bitmap, keeping its allocation, so the descriptor
+    /// can serve a fresh traversal. A no-op when the descriptor is unmasked.
     pub fn mask_clear(&mut self) {
-        match &mut self.mask {
-            MaskStore::Unmasked => {}
-            MaskStore::Shared { bits, .. } => bits.clear(),
-            MaskStore::PerLane { masks, .. } => {
-                masks.iter_mut().for_each(|m| Arc::make_mut(m).clear())
-            }
+        if let Some((bits, _)) = &mut self.mask {
+            bits.clear();
         }
-    }
-
-    /// Replaces the descriptor's mask with one caller-provided bitmap per
-    /// lane — the serving-engine idiom, where every coalesced request brings
-    /// its own `Arc`-shared mask and the pooled descriptor is re-masked
-    /// before each fused flush by moving refcounts, never bits. The
-    /// prepared kernels (and their workspaces) are kept.
-    ///
-    /// Panics when any bitmap does not span the matrix's row space.
-    pub fn set_lane_masks(&mut self, masks: Vec<Arc<MaskBits>>, mode: MaskMode) {
-        for bits in &masks {
-            assert_eq!(
-                bits.len(),
-                self.matrix.nrows(),
-                "lane mask covers {} rows but the matrix has {} output rows",
-                bits.len(),
-                self.matrix.nrows()
-            );
-        }
-        self.mask = MaskStore::PerLane { masks, mode };
-    }
-
-    /// Removes the mask entirely (keeping the prepared kernels), so the same
-    /// pooled descriptor can serve masked and unmasked flushes alternately.
-    pub fn unmask(&mut self) {
-        self.mask = MaskStore::Unmasked;
     }
 }
 
@@ -434,7 +272,7 @@ mod tests {
     use super::*;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::spmspv_reference;
-    use sparse_substrate::{fixtures, PlusTimes, Select2ndMin};
+    use sparse_substrate::{fixtures, PlusTimes};
 
     #[test]
     fn unmasked_run_matches_reference_for_every_algorithm() {
@@ -472,33 +310,6 @@ mod tests {
         assert_eq!(op.algorithm_kind(), AlgorithmKind::Adaptive);
         assert_eq!(op.batch_algorithm_kind(), BatchAlgorithmKind::Adaptive);
         assert_eq!(op.mask_mode(), None);
-        let info = op.last_batch_run_info().expect("batched run recorded its resolution");
-        assert_ne!(info.kernel, BatchAlgorithmKind::Adaptive, "info must be concrete");
-    }
-
-    #[test]
-    fn batch_run_info_is_per_call() {
-        let a = erdos_renyi(150, 6.0, 11);
-        let lanes: Vec<SparseVec<f64>> = (0..3).map(|l| random_sparse_vec(150, 30, l)).collect();
-        let busy = SparseVecBatch::from_lanes(&lanes).unwrap();
-        let idle = SparseVecBatch::<f64>::new(150, 3);
-        for kind in BatchAlgorithmKind::all() {
-            for threads in [1usize, 2] {
-                let mut op = Mxv::over(&a)
-                    .semiring(&PlusTimes)
-                    .batch_algorithm(kind)
-                    .options(SpMSpVOptions::with_threads(threads))
-                    .prepare();
-                assert_eq!(op.last_batch_run_info(), None, "{kind}: nothing ran yet");
-                let _ = op.run_batch(&busy);
-                assert!(op.last_batch_run_info().is_some(), "{kind}: a run that merged");
-                // An all-empty batch executes nothing; reporting the
-                // previous call's kernel here is what the engine used to
-                // record as a flush's choice.
-                assert!(op.run_batch(&idle).is_empty());
-                assert_eq!(op.last_batch_run_info(), None, "{kind}/{threads}t: stale run info");
-            }
-        }
     }
 
     #[test]
@@ -534,36 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn per_lane_masks_filter_each_lane_independently() {
-        let a = fixtures::figure1_matrix();
-        let x = fixtures::figure1_vector();
-        let batch = SparseVecBatch::from_lanes(&[x.clone(), x.clone()]).unwrap();
-        let mut op =
-            Mxv::over(&a).semiring(&PlusTimes).lane_masks(2, MaskMode::Complement).prepare();
-        let unmasked = spmspv_reference(&a, &x, &PlusTimes);
-        let lane1_first = unmasked.iter().next().unwrap().0;
-        op.lane_mask_mut(1).insert(lane1_first);
-        let y = op.run_batch(&batch);
-        assert_eq!(y.lane_vec(0).nnz(), unmasked.nnz(), "lane 0 unmasked");
-        assert!(y.lane_vec(1).get(lane1_first).is_none(), "lane 1 masked");
-        assert_eq!(op.lane_mask_count(), Some(2));
-    }
-
-    #[test]
-    fn retain_lanes_tracks_retirement() {
-        let a = fixtures::tridiagonal(10);
-        let mut op: PreparedMxv<'_, f64, usize, Select2ndMin> =
-            Mxv::over(&a).semiring(&Select2ndMin).lane_masks(3, MaskMode::Complement).prepare();
-        op.lane_mask_mut(0).insert(0);
-        op.lane_mask_mut(2).insert(2);
-        op.retain_lanes(&[false, true, true]);
-        assert_eq!(op.lane_mask_count(), Some(2));
-        // The surviving masks kept their contents and shifted down.
-        assert!(!op.lane_mask_mut(0).contains(0));
-        assert!(op.lane_mask_mut(1).contains(2));
-    }
-
-    #[test]
     fn every_batch_selector_agrees_with_fused() {
         let a = erdos_renyi(120, 5.0, 7);
         let lanes: Vec<_> = (0..3).map(|l| random_sparse_vec(120, 20, l as u64)).collect();
@@ -584,58 +365,9 @@ mod tests {
     }
 
     #[test]
-    fn try_run_batch_catches_kernel_panics_as_errors() {
-        use crate::engine::EngineError;
-        let a = fixtures::tridiagonal(6);
-        let x = SparseVec::from_pairs(6, vec![(0, 1.0)]).unwrap();
-        let batch = SparseVecBatch::from_lanes(&[x.clone(), x.clone()]).unwrap();
-        // 3 lane masks against a 2-lane batch trips a kernel assertion; the
-        // fallible entry point must surface it, not unwind.
-        let mut op = Mxv::over(&a)
-            .semiring(&PlusTimes)
-            .batch_algorithm(BatchAlgorithmKind::Naive)
-            .lane_masks(3, MaskMode::Keep)
-            .prepare();
-        let err = op.try_run_batch(&batch).map(drop).expect_err("mismatched lane masks must fail");
-        match err {
-            EngineError::KernelFailed(msg) => {
-                assert!(msg.contains("lanes"), "panic message lost: {msg}")
-            }
-            other => panic!("expected KernelFailed, got {other:?}"),
-        }
-        // A healthy call through the same entry point still succeeds.
-        let mut ok = Mxv::over(&a).semiring(&PlusTimes).prepare();
-        let y = ok.try_run_batch(&batch).expect("healthy batch run");
-        assert_eq!(y.lane_vec(0), ok.run(&x));
-    }
-
-    #[test]
     #[should_panic(expected = "mask covers 4 rows but the matrix has 8 output rows")]
     fn undersized_mask_is_rejected_at_description_time() {
         let a = fixtures::figure1_matrix();
         let _ = Mxv::over(&a).semiring(&PlusTimes).mask(&MaskBits::new(4), MaskMode::Keep);
-    }
-
-    #[test]
-    #[should_panic(expected = "per-lane mask has 3 lanes but the input batch has 2 lanes")]
-    fn lane_mask_count_mismatch_panics_on_every_batch_family() {
-        let a = fixtures::tridiagonal(6);
-        let x = SparseVec::from_pairs(6, vec![(0, 1.0)]).unwrap();
-        let batch = SparseVecBatch::from_lanes(&[x.clone(), x]).unwrap();
-        let mut op = Mxv::over(&a)
-            .semiring(&PlusTimes)
-            .batch_algorithm(BatchAlgorithmKind::Naive)
-            .lane_masks(3, MaskMode::Keep)
-            .prepare();
-        let _ = op.run_batch(&batch);
-    }
-
-    #[test]
-    #[should_panic(expected = "per-lane masks apply to run_batch")]
-    fn single_run_under_per_lane_masks_panics() {
-        let a = fixtures::tridiagonal(4);
-        let x = SparseVec::from_pairs(4, vec![(0, 1.0)]).unwrap();
-        let mut op = Mxv::over(&a).semiring(&PlusTimes).lane_masks(2, MaskMode::Keep).prepare();
-        let _ = op.run(&x);
     }
 }

@@ -166,24 +166,6 @@ impl ShardPlan {
         ShardPlan { fingerprints, ..self }
     }
 
-    /// Attaches explicit per-shard fingerprints (one per shard), for callers
-    /// that computed them out of band (e.g. from a manifest rather than the
-    /// assembled matrix).
-    ///
-    /// # Panics
-    ///
-    /// When the list length does not match the shard count.
-    pub fn with_fingerprints(self, fingerprints: Vec<u64>) -> ShardPlan {
-        assert_eq!(
-            fingerprints.len(),
-            self.num_shards(),
-            "expected {} fingerprints, got {}",
-            self.num_shards(),
-            fingerprints.len()
-        );
-        ShardPlan { fingerprints: Some(fingerprints), ..self }
-    }
-
     /// The expected matrix fingerprint for shard `s`, when the plan carries
     /// fingerprints. `None` means "don't verify".
     pub fn fingerprint(&self, s: usize) -> Option<u64> {

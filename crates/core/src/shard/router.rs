@@ -306,7 +306,6 @@ where
                 deadline_micros: budget,
                 deadline: request.deadline,
                 mask: request.mask.clone(),
-                algorithm: request.algorithm,
             });
             self.metrics.queue_depth[s].set(self.transport.queued(s) as u64);
             fanout.push(s);

@@ -16,7 +16,6 @@ use std::time::{Duration, Instant};
 
 use sparse_substrate::{MaskBits, Scalar, Semiring, SparseVec};
 
-use crate::batch::BatchAlgorithmKind;
 use crate::engine::{Engine, EngineError, FlushOutcome, MxvRequest, Ticket};
 use crate::masked::MaskMode;
 use crate::obs::Registry;
@@ -26,8 +25,7 @@ use super::ShardMsg;
 
 /// One routed sub-request handed to a transport: the frontier slice
 /// (re-based to the shard's column range) plus the sidecars that ride
-/// outside [`ShardMsg`] — the shared output mask, the algorithm hint, and
-/// both flavors of the deadline (absolute for in-process engines and the
+/// outside [`ShardMsg`] — the shared output mask and both flavors of the deadline (absolute for in-process engines and the
 /// gather-side re-check; relative for the wire).
 pub struct WireRequest<X> {
     /// Router-unique request id.
@@ -44,8 +42,6 @@ pub struct WireRequest<X> {
     pub deadline: Option<Instant>,
     /// Output mask sidecar (full output height — every shard shares it).
     pub mask: Option<(Arc<MaskBits>, MaskMode)>,
-    /// Batched-algorithm hint sidecar.
-    pub algorithm: Option<BatchAlgorithmKind>,
 }
 
 /// What one [`ShardTransport::exchange`] produced: the gathered replies in
@@ -156,7 +152,6 @@ where
         let sub = MxvRequest {
             frontier: msg.into_frontier().expect("just packed a frontier"),
             mask: request.mask,
-            algorithm: request.algorithm,
             deadline: request.deadline,
         };
         let ticket = self.engines[request.shard].submit(sub);

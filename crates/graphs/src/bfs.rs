@@ -77,7 +77,7 @@ pub fn bfs_prepared(
     assert!(source < n, "source vertex {source} out of range for {n} vertices");
     assert_eq!(a.nrows(), a.ncols(), "BFS expects a square adjacency matrix");
     assert!(
-        op.mask_mode() == Some(MaskMode::Complement) && op.lane_mask_count().is_none(),
+        op.mask_mode() == Some(MaskMode::Complement),
         "BFS needs a shared ¬visited mask; build the descriptor with .masked(MaskMode::Complement)"
     );
 

@@ -36,19 +36,9 @@ impl<T: Scalar> DenseVec<T> {
         &self.data
     }
 
-    /// Mutable view of the data.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Converts to the list format, keeping entries for which `keep` holds.
     pub fn to_sparse(&self, keep: impl Fn(&T) -> bool) -> SparseVec<T> {
         SparseVec::from_dense_filtered(&self.data, keep)
-    }
-
-    /// Consumes the wrapper and returns the underlying `Vec`.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 }
 

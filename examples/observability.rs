@@ -1,12 +1,13 @@
 //! Observability demo: one engine under mixed traffic, one merged report.
 //!
-//! Drives a serving [`Engine`] (with a few masked requests and a
-//! multi-source BFS on the side, so both the per-engine and the
-//! process-global registries have something to say), then:
+//! Drives a serving [`Engine`] (with a few masked requests, a second engine
+//! pinned to the bucket kernel, and a multi-source BFS on the side, so both
+//! the per-engine and the process-global registries have something to
+//! say), then:
 //!
 //! 1. prints the human dashboard — counters, gauges, latency histograms,
-//!    and the flush trace ring — from the **merged** snapshot of
-//!    `engine.obs()` and [`spmspv::obs::global()`];
+//!    and the flush trace ring — from the **merged** snapshot of both
+//!    engines' `obs()` and [`spmspv::obs::global()`];
 //! 2. writes the machine-readable JSON snapshot to `OBS_EXAMPLE_OUT`
 //!    (default `obs_snapshot.json`).
 //!
@@ -48,19 +49,19 @@ fn main() {
     println!("graph: {n} vertices, {} stored entries\n", a.nnz());
 
     let threads = std::thread::available_parallelism().map(|t| t.get()).unwrap_or(1);
-    let engine = Engine::load_with(
-        a.clone(),
-        PlusTimes,
-        EngineConfig::default()
-            .max_lanes(16)
-            .options(SpMSpVOptions::with_threads(threads))
-            .obs(obs_config),
-    );
+    let config = EngineConfig::default()
+        .max_lanes(16)
+        .options(SpMSpVOptions::with_threads(threads))
+        .obs(obs_config);
+    let engine = Engine::load_with(a.clone(), PlusTimes, config.clone());
+    // An engine runs one kernel family; pinning one takes an engine of its own.
+    let bucket =
+        Engine::load_with(a.clone(), PlusTimes, config.batch_algorithm(BatchAlgorithmKind::Bucket));
 
     // Three rounds of mixed traffic: unmasked adaptive requests, a few
-    // masked ones, and a couple pinned to the bucket kernel — enough variety
-    // that the choice counters, queue-wait histogram, and trace ring all
-    // light up.
+    // masked ones, and a couple for the bucket engine — enough variety that
+    // the choice counters, queue-wait histogram, and trace ring all light
+    // up.
     for round in 0..3usize {
         let mut tickets = Vec::new();
         for i in 0..10usize {
@@ -71,13 +72,15 @@ fn main() {
                 let bits = MaskBits::from_indices(nrows, (i..nrows).step_by(2 + i % 3));
                 req = req.mask(bits, MaskMode::Complement);
             }
-            if i % 4 == 0 {
-                req = req.algorithm(BatchAlgorithmKind::Bucket);
-            }
-            tickets.push(engine.submit(req));
+            let target = if i % 4 == 0 { &bucket } else { &engine };
+            tickets.push(target.submit(req));
         }
-        let outcome = engine.flush();
-        println!("flush {round}: {} lanes in {} fused batches", outcome.lanes, outcome.batches);
+        let (outcome, pinned) = (engine.flush(), bucket.flush());
+        println!(
+            "flush {round}: {} lanes in {} fused batches",
+            outcome.lanes + pinned.lanes,
+            outcome.batches + pinned.batches
+        );
         for t in tickets {
             t.wait_timeout(Duration::from_secs(10)).expect("demo request served");
         }
@@ -89,13 +92,15 @@ fn main() {
     let bfs = multi_bfs(&a, &[0, 1, 2, 3], SpMSpVOptions::with_threads(threads));
     println!("multi-BFS: {} levels, visited {:?}\n", bfs.iterations, bfs.num_visited);
 
-    // One merged report: the engine's registry plus the process-global one.
+    // One merged report: both engines' registries plus the process-global
+    // one.
     let mut snapshot = engine.obs().snapshot();
+    snapshot.merge(&bucket.obs().snapshot());
     snapshot.merge(&obs::global().snapshot());
     println!("=== merged dashboard ===\n{snapshot}");
 
-    let stats = engine.stats();
-    assert_eq!(stats.requests, 30, "EngineStats counters are exact with obs on or off");
+    let requests = engine.stats().requests + bucket.stats().requests;
+    assert_eq!(requests, 30, "EngineStats counters are exact with obs on or off");
     let queue_wait = snapshot.histogram("engine.queue.wait").expect("engine histogram registered");
     if disabled {
         assert_eq!(queue_wait.count, 0, "disabled: no histogram samples");

@@ -47,6 +47,13 @@ fn claim(ticket: &spmspv::engine::Ticket<f64>) -> Result<SparseVec<f64>, EngineE
     ticket.wait_timeout(Duration::from_secs(10))
 }
 
+/// An engine pinned to the fused bucket kernel, whose merge step carries the
+/// `batch.merge` failpoint.
+#[cfg(feature = "failpoints")]
+fn bucket_config() -> EngineConfig {
+    EngineConfig::default().batch_algorithm(BatchAlgorithmKind::Bucket)
+}
+
 fn independent_run(
     a: &CscMatrix<f64>,
     x: &SparseVec<f64>,
@@ -217,17 +224,14 @@ fn saturated_serve_loop_conserves_requests() {
 fn merge_panic_degrades_to_oracle_and_still_serves_exactly() {
     let _fp = fp_lock();
     let a = erdos_renyi(150, 5.0, 21);
-    let engine = Engine::over(&a, PlusTimes);
-    let xs: Vec<SparseVec<f64>> = (0..5).map(|i| random_sparse_vec(150, 30, 60 + i)).collect();
-    let _g =
-        failpoint::arm("batch.merge", FailAction::Panic("chaos: merge blew up".into()), Some(1));
     // Pin the bucket family so the flush is guaranteed to reach the armed
     // merge step (the adaptive dispatcher might pick it anyway; pinning
     // removes the maybe).
-    let tickets: Vec<_> = xs
-        .iter()
-        .map(|x| engine.submit(MxvRequest::new(x.clone()).algorithm(BatchAlgorithmKind::Bucket)))
-        .collect();
+    let engine = Engine::over_with(&a, PlusTimes, bucket_config());
+    let xs: Vec<SparseVec<f64>> = (0..5).map(|i| random_sparse_vec(150, 30, 60 + i)).collect();
+    let _g =
+        failpoint::arm("batch.merge", FailAction::Panic("chaos: merge blew up".into()), Some(1));
+    let tickets: Vec<_> = xs.iter().map(|x| engine.submit(MxvRequest::new(x.clone()))).collect();
     let outcome = engine.flush();
     assert!(failpoint::hits("batch.merge") >= 1, "the fault plan must have fired");
     assert_eq!(outcome.panics_recovered, 1, "exactly one kernel failure survived");
@@ -238,8 +242,8 @@ fn merge_panic_degrades_to_oracle_and_still_serves_exactly() {
         assert_eq!(y, independent_run(&a, x, None), "degraded result diverged from oracle");
     }
     // The engine keeps serving cleanly after recovery: the evicted
-    // descriptor is rebuilt lazily and the spent failpoint stays dormant.
-    let again = engine.submit(MxvRequest::new(xs[0].clone()).algorithm(BatchAlgorithmKind::Bucket));
+    // kernel is rebuilt lazily and the spent failpoint stays dormant.
+    let again = engine.submit(MxvRequest::new(xs[0].clone()));
     let outcome = engine.flush();
     assert_eq!(outcome.panics_recovered, 0);
     assert_eq!(claim(&again).expect("healthy flush"), independent_run(&a, &xs[0], None));
@@ -250,29 +254,33 @@ fn merge_panic_degrades_to_oracle_and_still_serves_exactly() {
 
 /// When the retry fails too (two consecutive injected errors), only the
 /// doomed group's tickets fail — a different group in the same flush is
-/// served untouched, and the third group in the next flush is healthy.
+/// served untouched.
 #[cfg(feature = "failpoints")]
 #[test]
 fn double_execute_failure_fails_only_its_group() {
     let _fp = fp_lock();
     let a = erdos_renyi(120, 5.0, 33);
-    let engine = Engine::over(&a, PlusTimes);
+    let engine = Engine::over_with(&a, PlusTimes, bucket_config());
     let xs: Vec<SparseVec<f64>> = (0..4).map(|i| random_sparse_vec(120, 25, 90 + i)).collect();
+    // An empty ¬mask keeps every row, but its mask mode puts the healthy
+    // requests in a group of their own.
+    let nothing = MaskBits::new(120);
     // Two shots: the doomed group's first attempt AND its oracle retry.
-    // Submission order makes the Bucket group run first, so both shots land
-    // on it; the Naive group's attempt comes third and finds the site spent.
+    // Submission order makes the unmasked group run first, so both shots
+    // land on it; the masked group's attempt comes third and finds the site
+    // spent.
     let _g = failpoint::arm(
         "engine.flush.execute",
         FailAction::Error("chaos: executor unavailable".into()),
         Some(2),
     );
-    let doomed: Vec<_> = xs[..2]
-        .iter()
-        .map(|x| engine.submit(MxvRequest::new(x.clone()).algorithm(BatchAlgorithmKind::Bucket)))
-        .collect();
+    let doomed: Vec<_> =
+        xs[..2].iter().map(|x| engine.submit(MxvRequest::new(x.clone()))).collect();
     let healthy: Vec<_> = xs[2..]
         .iter()
-        .map(|x| engine.submit(MxvRequest::new(x.clone()).algorithm(BatchAlgorithmKind::Naive)))
+        .map(|x| {
+            engine.submit(MxvRequest::new(x.clone()).mask(nothing.clone(), MaskMode::Complement))
+        })
         .collect();
     let outcome = engine.flush();
     assert_eq!(outcome.panics_recovered, 2, "first attempt + failed retry");
@@ -288,7 +296,7 @@ fn double_execute_failure_fails_only_its_group() {
     }
     for (t, x) in healthy.iter().zip(&xs[2..]) {
         let y = claim(t).expect("healthy group must be served");
-        assert_eq!(y, independent_run(&a, x, None));
+        assert_eq!(y, independent_run(&a, x, Some((&nothing, MaskMode::Complement))));
     }
 }
 
@@ -391,7 +399,7 @@ fn degrade_retry_is_recorded_in_choices_and_trace() {
     use spmspv::obs::TraceKind;
     let _fp = fp_lock();
     let a = erdos_renyi(100, 4.0, 55);
-    let engine = Engine::over(&a, PlusTimes);
+    let engine = Engine::over_with(&a, PlusTimes, bucket_config());
     let xs: Vec<SparseVec<f64>> = (0..3).map(|i| random_sparse_vec(100, 20, 200 + i)).collect();
     // One shot: the Bucket group's first attempt dies at the execute site;
     // the naive retry finds the site spent and serves the group.
@@ -400,10 +408,7 @@ fn degrade_retry_is_recorded_in_choices_and_trace() {
         FailAction::Error("chaos: first attempt only".into()),
         Some(1),
     );
-    let tickets: Vec<_> = xs
-        .iter()
-        .map(|x| engine.submit(MxvRequest::new(x.clone()).algorithm(BatchAlgorithmKind::Bucket)))
-        .collect();
+    let tickets: Vec<_> = xs.iter().map(|x| engine.submit(MxvRequest::new(x.clone()))).collect();
     let outcome = engine.flush();
     assert_eq!(outcome.degraded_flushes, 1, "the retry must have served the group");
     for (t, x) in tickets.iter().zip(&xs) {
@@ -458,13 +463,14 @@ proptest! {
     ) {
         let _fp = fp_lock();
         let a = erdos_renyi(90, 4.0, seed);
+        // Pin Bucket so MergePanic plans actually reach their site.
         let config = if shed {
             // A queue smaller than the traffic forces Overloaded outcomes.
-            EngineConfig::default()
+            bucket_config()
                 .queue_capacity(nreq.saturating_sub(2).max(1))
                 .overload_policy(OverloadPolicy::ShedOldest)
         } else {
-            EngineConfig::default()
+            bucket_config()
         };
         let engine = Engine::over_with(&a, PlusTimes, config);
         let _guard = match fault {
@@ -487,13 +493,7 @@ proptest! {
         };
         let xs: Vec<SparseVec<f64>> =
             (0..nreq).map(|i| random_sparse_vec(90, 20, seed * 31 + i as u64)).collect();
-        let tickets: Vec<_> = xs
-            .iter()
-            .map(|x| {
-                // Pin Bucket so MergePanic plans actually reach their site.
-                engine.submit(MxvRequest::new(x.clone()).algorithm(BatchAlgorithmKind::Bucket))
-            })
-            .collect();
+        let tickets: Vec<_> = xs.iter().map(|x| engine.submit(MxvRequest::new(x.clone()))).collect();
         engine.flush();
         let mut successes = 0usize;
         for (ticket, x) in tickets.iter().zip(&xs) {

@@ -421,3 +421,29 @@ fn short_masks_are_rejected_at_every_kernel_entry_point() {
         }
     }
 }
+
+/// A per-lane mask with more bitmaps than the batch has lanes is rejected
+/// with one message by every batched family, adaptive included.
+#[test]
+fn lane_mask_count_mismatch_panics_on_every_batch_family() {
+    use sparse_substrate::fixtures::tridiagonal;
+
+    let a = tridiagonal(6);
+    let x = SparseVec::from_pairs(6, vec![(0, 1.0)]).unwrap();
+    let batch = SparseVecBatch::from_lanes(&[x.clone(), x]).unwrap();
+    let masks: Vec<Arc<MaskBits>> = (0..3).map(|_| Arc::new(MaskBits::new(6))).collect();
+    let view = BatchMaskView::PerLane { masks: &masks, mode: MaskMode::Keep };
+    for kind in BatchAlgorithmKind::all() {
+        let mut alg =
+            build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, SpMSpVOptions::default());
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drop(alg.multiply_batch_masked(&batch, &PlusTimes, Some(&view)))
+        }))
+        .expect_err(&format!("{kind}: 3 lane masks over 2 lanes must be rejected"));
+        let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(
+            msg.contains("per-lane mask has 3 lanes but the input batch has 2 lanes"),
+            "{kind}: panicked with {msg:?}"
+        );
+    }
+}

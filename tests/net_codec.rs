@@ -15,7 +15,7 @@ use spmspv::net::{
     decode_frame, encode_frame, read_frame, write_frame, DecodeError, Frame, WireError,
     WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
 };
-use spmspv::{BatchAlgorithmKind, MaskMode};
+use spmspv::MaskMode;
 
 /// Round-trips `frame` through the buffer codec *and* the streaming codec,
 /// asserting byte counts agree and both decoded frames equal the original.
@@ -58,7 +58,6 @@ struct GenFrontier {
     shard: usize,
     deadline_micros: Option<u64>,
     mask: Option<(Vec<usize>, MaskMode)>,
-    algorithm: Option<BatchAlgorithmKind>,
 }
 
 impl GenFrontier {
@@ -73,7 +72,6 @@ impl GenFrontier {
                 .mask
                 .as_ref()
                 .map(|(rows, mode)| (MaskBits::from_indices(self.n, rows.iter().copied()), *mode)),
-            algorithm: self.algorithm,
         })
     }
 }
@@ -92,22 +90,14 @@ fn frontier_strategy() -> impl Strategy<Value = GenFrontier> {
                 }
             ),
         ];
-        let algorithm = (0u64..5).prop_map(|b| match b {
-            0 => None,
-            1 => Some(BatchAlgorithmKind::Bucket),
-            2 => Some(BatchAlgorithmKind::Naive),
-            3 => Some(BatchAlgorithmKind::CombBlasRowSplit),
-            _ => Some(BatchAlgorithmKind::Adaptive),
-        });
-        (Just(n), entries, ids, (deadline, mask, algorithm)).prop_map(
-            |(n, entries, (request, shard), (deadline_micros, mask, algorithm))| GenFrontier {
+        (Just(n), entries, ids, (deadline, mask)).prop_map(
+            |(n, entries, (request, shard), (deadline_micros, mask))| GenFrontier {
                 n,
                 entries: entries.into_iter().collect(),
                 request,
                 shard,
                 deadline_micros,
                 mask,
-                algorithm,
             },
         )
     })
@@ -223,7 +213,7 @@ proptest! {
 /// Encodes one minimal frontier (`dim 4`, one entry, no sidecars) for the
 /// byte-surgery tests below. The payload layout is pinned by the protocol:
 /// `request u64 | shard u32 | scalar tag u8 | dim u64 | nnz u64 | indices |
-/// values | deadline flag | mask flag | algorithm`.
+/// values | deadline flag | mask flag`.
 fn tiny_frontier_bytes() -> Vec<u8> {
     let frame: Frame<f64, f64> = Frame::Frontier(WireFrontier {
         request: 7,
@@ -231,7 +221,6 @@ fn tiny_frontier_bytes() -> Vec<u8> {
         slice: SparseVec::from_pairs(4, vec![(2, 1.5)]).unwrap(),
         deadline_micros: None,
         mask: None,
-        algorithm: None,
     });
     let mut buf = Vec::new();
     encode_frame(&frame, &mut buf, DEFAULT_MAX_FRAME).unwrap();
@@ -318,20 +307,18 @@ fn scalar_mismatch_is_loud_in_both_directions() {
 fn corrupt_payloads_are_typed_not_panics() {
     // Payload byte offsets for the tiny frontier (one entry, no sidecars):
     // request 0..8 | shard 8..12 | tag 12 | dim 13..21 | nnz 21..29 |
-    // index 29..37 | value 37..45 | deadline flag 45 | mask flag 46 |
-    // algorithm 47.
+    // index 29..37 | value 37..45 | deadline flag 45 | mask flag 46.
     let good = tiny_frontier_bytes();
     let p = HEADER_LEN;
+    assert_eq!(good.len(), p + 47, "the payload ends at the mask flag");
 
     // Out-of-range sparse index.
     let mut buf = good.clone();
     buf[p + 29..p + 37].copy_from_slice(&100u64.to_le_bytes());
     assert_eq!(decode_err(&buf), DecodeError::Corrupt("vector index out of range"));
 
-    // Unknown deadline flag / mask flag / algorithm byte.
-    for (offset, want) in
-        [(45, "unknown deadline flag"), (46, "unknown mask flag"), (47, "unknown algorithm byte")]
-    {
+    // Unknown deadline flag / mask flag.
+    for (offset, want) in [(45, "unknown deadline flag"), (46, "unknown mask flag")] {
         let mut buf = good.clone();
         buf[p + offset] = 0xEE;
         assert_eq!(decode_err(&buf), DecodeError::Corrupt(want), "offset {offset}");
@@ -357,13 +344,12 @@ fn corrupt_payloads_are_typed_not_panics() {
         slice: SparseVec::new(10),
         deadline_micros: None,
         mask: Some((MaskBits::from_indices(10, [3usize]), MaskMode::Keep)),
-        algorithm: None,
     });
     let mut buf = Vec::new();
     encode_frame(&masked, &mut buf, DEFAULT_MAX_FRAME).unwrap();
     // Empty slice ⇒ mask flag sits at payload offset 30; its single word
-    // occupies the final 9..1 bytes before the algorithm byte.
-    let word_at = buf.len() - 9;
+    // occupies the final 8 bytes.
+    let word_at = buf.len() - 8;
     buf[word_at..word_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(decode_err(&buf), DecodeError::Corrupt("inconsistent mask words"));
 
@@ -397,7 +383,6 @@ fn empty_and_huge_frontiers_round_trip() {
         slice: SparseVec::new(1),
         deadline_micros: Some(0),
         mask: None,
-        algorithm: None,
     });
     assert_round_trip(&empty).unwrap();
 
@@ -411,7 +396,6 @@ fn empty_and_huge_frontiers_round_trip() {
         slice: SparseVec::from_pairs(n, pairs).unwrap(),
         deadline_micros: Some(u64::MAX),
         mask: Some((MaskBits::from_indices(n, (0..n).step_by(3)), MaskMode::Complement)),
-        algorithm: Some(BatchAlgorithmKind::Adaptive),
     });
     assert_round_trip(&huge).unwrap();
 }
@@ -424,7 +408,6 @@ fn encoder_enforces_the_frame_limit_and_restores_the_buffer() {
         slice: SparseVec::from_pairs(64, (0..64).map(|i| (i, i as f64)).collect()).unwrap(),
         deadline_micros: None,
         mask: None,
-        algorithm: None,
     });
     let mut buf = b"prefix".to_vec();
     let err = encode_frame(&frame, &mut buf, 16).unwrap_err();

@@ -186,10 +186,22 @@ fn engine_snapshot_carries_the_documented_taxonomy() {
     let a = rmat(8, 8, RmatParams::graph500(), 3);
     let n = a.ncols();
     // Mixed traffic as in `examples/observability.rs`: adaptive requests, a
-    // few masked, a few pinned to the bucket kernel so `batch.*` fills.
+    // few masked, a few served by a second engine pinned to the bucket
+    // kernel so `batch.*` fills. Returns each engine's snapshot.
     let drive = |config: ObsConfig| {
-        let engine =
-            Engine::over_with(&a, PlusTimes, EngineConfig::default().max_lanes(16).obs(config));
+        let engine = Engine::over_with(
+            &a,
+            PlusTimes,
+            EngineConfig::default().max_lanes(16).obs(config.clone()),
+        );
+        let bucket = Engine::over_with(
+            &a,
+            PlusTimes,
+            EngineConfig::default()
+                .max_lanes(16)
+                .batch_algorithm(BatchAlgorithmKind::Bucket)
+                .obs(config),
+        );
         for round in 0..3usize {
             let tickets: Vec<_> = (0..10usize)
                 .map(|i| {
@@ -200,26 +212,28 @@ fn engine_snapshot_carries_the_documented_taxonomy() {
                         let bits = MaskBits::from_indices(n, (i..n).step_by(2 + i % 3));
                         req = req.mask(bits, MaskMode::Complement);
                     }
-                    if i.is_multiple_of(4) {
-                        req = req.algorithm(BatchAlgorithmKind::Bucket);
-                    }
-                    engine.submit(req)
+                    let target = if i.is_multiple_of(4) { &bucket } else { &engine };
+                    target.submit(req)
                 })
                 .collect();
             engine.flush();
+            bucket.flush();
             for t in tickets {
                 t.wait_timeout(Duration::from_secs(10)).expect("request served");
             }
         }
-        engine.obs().snapshot()
+        [engine.obs().snapshot(), bucket.obs().snapshot()]
     };
 
-    let mut on = drive(ObsConfig::default());
-    assert!(!on.events.is_empty(), "an enabled engine traces its flushes");
-    assert!(
-        on.events.windows(2).all(|w| w[0].seq < w[1].seq),
-        "event sequence numbers must be strictly increasing"
-    );
+    let [mut on, on_bucket] = drive(ObsConfig::default());
+    for snap in [&on, &on_bucket] {
+        assert!(!snap.events.is_empty(), "an enabled engine traces its flushes");
+        assert!(
+            snap.events.windows(2).all(|w| w[0].seq < w[1].seq),
+            "event sequence numbers must be strictly increasing"
+        );
+    }
+    on.merge(&on_bucket);
     on.merge(&obs::global().snapshot());
     for name in [
         "engine.requests",
@@ -270,7 +284,8 @@ fn engine_snapshot_carries_the_documented_taxonomy() {
         assert!(h.sum >= h.count * h.min);
     }
 
-    let off = drive(ObsConfig::disabled());
+    let [mut off, off_bucket] = drive(ObsConfig::disabled());
+    off.merge(&off_bucket);
     assert_eq!(off.counter("engine.requests"), Some(30), "counters keep running when disabled");
     assert_eq!(off.histogram("engine.queue.wait").map(|h| h.count), Some(0), "no samples");
     assert!(off.events.is_empty(), "a disabled engine must not trace");

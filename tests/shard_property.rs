@@ -87,8 +87,8 @@ fn operands(max_dim: usize) -> impl Strategy<Value = (CscMatrix<f64>, Vec<GenReq
     })
 }
 
-fn build_request(r: &GenRequest, kind: BatchAlgorithmKind) -> MxvRequest<f64> {
-    let mut req = MxvRequest::new(r.frontier.clone()).algorithm(kind);
+fn build_request(r: &GenRequest) -> MxvRequest<f64> {
+    let mut req = MxvRequest::new(r.frontier.clone());
     if let Some((bits, mode)) = &r.mask {
         req = req.mask(bits.clone(), *mode);
     }
@@ -109,10 +109,10 @@ where
     S: Semiring<f64, f64> + Clone + 'static,
     S::Output: Scalar + PartialOrd + std::fmt::Debug,
 {
-    let oracle = Engine::over_with(a, semiring.clone(), EngineConfig::default());
+    let config = EngineConfig::default().batch_algorithm(kind);
+    let oracle = Engine::over_with(a, semiring.clone(), config.clone());
     let expect: Vec<SparseVec<S::Output>> = {
-        let tickets: Vec<_> =
-            requests.iter().map(|r| oracle.submit(build_request(r, kind))).collect();
+        let tickets: Vec<_> = requests.iter().map(|r| oracle.submit(build_request(r))).collect();
         oracle.flush();
         tickets
             .iter()
@@ -120,9 +120,9 @@ where
             .collect()
     };
 
-    let router = ShardedEngine::partition(a, semiring, shards);
+    let router = ShardedEngine::partition_with(a, semiring, ShardPlan::balanced(a, shards), config);
     prop_assert!(router.num_shards() <= shards.max(1));
-    let tickets: Vec<_> = requests.iter().map(|r| router.submit(build_request(r, kind))).collect();
+    let tickets: Vec<_> = requests.iter().map(|r| router.submit(build_request(r))).collect();
     let outcome = router.flush();
     prop_assert_eq!(outcome.requests, requests.len());
     prop_assert_eq!(outcome.merged + outcome.failed + outcome.retired, outcome.requests);
@@ -298,6 +298,7 @@ fn spawn_hosts<S>(
     a: &CscMatrix<f64>,
     plan: &ShardPlan,
     semiring: S,
+    config: &EngineConfig,
 ) -> (Vec<ShardHostHandle>, Vec<SocketAddr>)
 where
     S: Semiring<f64, f64> + Clone + 'static,
@@ -312,7 +313,7 @@ where
             plan.range(s),
             part,
             semiring.clone(),
-            EngineConfig::default(),
+            config.clone(),
         )
         .expect("bind an ephemeral localhost port");
         addrs.push(host.local_addr().expect("bound listener has an address"));
@@ -336,10 +337,10 @@ where
     S: Semiring<f64, f64> + Clone + 'static,
     S::Output: WireScalar + PartialOrd + std::fmt::Debug,
 {
-    let oracle = Engine::over_with(a, semiring.clone(), EngineConfig::default());
+    let config = EngineConfig::default().batch_algorithm(kind);
+    let oracle = Engine::over_with(a, semiring.clone(), config.clone());
     let expect: Vec<SparseVec<S::Output>> = {
-        let tickets: Vec<_> =
-            requests.iter().map(|r| oracle.submit(build_request(r, kind))).collect();
+        let tickets: Vec<_> = requests.iter().map(|r| oracle.submit(build_request(r))).collect();
         oracle.flush();
         tickets
             .iter()
@@ -348,9 +349,8 @@ where
     };
 
     let plan = ShardPlan::balanced(a, shards);
-    let local =
-        ShardedEngine::partition_with(a, semiring.clone(), plan.clone(), EngineConfig::default());
-    let (hosts, addrs) = spawn_hosts(a, &plan, semiring.clone());
+    let local = ShardedEngine::partition_with(a, semiring.clone(), plan.clone(), config.clone());
+    let (hosts, addrs) = spawn_hosts(a, &plan, semiring.clone(), &config);
     let remote = ShardedEngine::<f64, f64, S>::connect(
         plan,
         a.nrows(),
@@ -361,10 +361,8 @@ where
     )
     .expect("dial every freshly spawned host");
 
-    let local_tickets: Vec<_> =
-        requests.iter().map(|r| local.submit(build_request(r, kind))).collect();
-    let remote_tickets: Vec<_> =
-        requests.iter().map(|r| remote.submit(build_request(r, kind))).collect();
+    let local_tickets: Vec<_> = requests.iter().map(|r| local.submit(build_request(r))).collect();
+    let remote_tickets: Vec<_> = requests.iter().map(|r| remote.submit(build_request(r))).collect();
     local.flush();
     let outcome = remote.flush();
     prop_assert_eq!(outcome.requests, requests.len());
@@ -460,7 +458,7 @@ fn killed_host_fails_only_its_tickets_then_reconnects() {
     let want: Vec<SparseVec<f64>> =
         [1, 9, 17].iter().map(|&c| oracle_result(&a, &frontier(c))).collect();
 
-    let (mut hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes);
+    let (mut hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes, &EngineConfig::default());
     let router = ShardedEngine::<f64, f64, PlusTimes>::connect(
         plan.clone(),
         n,
@@ -566,7 +564,6 @@ fn deadline_expiring_in_flight_resolves_not_hangs() {
         slice: SparseVec::from_pairs(n, vec![(1, 1.0)]).unwrap(),
         deadline_micros: Some(0),
         mask: None,
-        algorithm: None,
     });
     write_frame(&mut stream, &dead, DEFAULT_MAX_FRAME).unwrap();
     write_frame::<f64, f64, _>(&mut stream, &Frame::Flush, DEFAULT_MAX_FRAME).unwrap();
@@ -592,7 +589,7 @@ fn deadline_expiring_in_flight_resolves_not_hangs() {
     // End to end: through a connected router, an already-expired deadline
     // resolves `DeadlineExceeded` while a generous one still serves.
     let plan = ShardPlan::uniform(n, 2);
-    let (hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes);
+    let (hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes, &EngineConfig::default());
     let router = ShardedEngine::<f64, f64, PlusTimes>::connect(
         plan,
         n,
@@ -619,6 +616,69 @@ fn deadline_expiring_in_flight_resolves_not_hangs() {
     }
 }
 
+/// A frontier the host's engine would reject — a slice of the wrong
+/// dimension, a mask of the wrong height — comes back as a typed `Error`
+/// naming both numbers, and the same connection then serves a valid
+/// frontier.
+#[test]
+fn malformed_frontiers_get_typed_errors_and_the_connection_keeps_serving() {
+    let n = 8;
+    let a = chaos_fixture(n);
+    let host =
+        ShardHost::bind("127.0.0.1:0", 0, 0..n, a.clone(), PlusTimes, EngineConfig::default())
+            .expect("bind");
+    let handle = host.spawn();
+    let mut stream = TcpStream::connect(handle.addr()).expect("dial the host");
+    let frontier = |request, slice, mask| {
+        Frame::<f64, f64>::Frontier(WireFrontier {
+            request,
+            shard: 0,
+            slice,
+            deadline_micros: None,
+            mask,
+        })
+    };
+    let x = SparseVec::from_pairs(n, vec![(1, 1.0), (6, 2.0)]).unwrap();
+    let wide = SparseVec::from_pairs(n + 1, vec![(1, 1.0)]).unwrap();
+    let short_mask = Some((MaskBits::new(n / 2), MaskMode::Complement));
+    for frame in
+        [frontier(1, wide, None), frontier(2, x.clone(), short_mask), frontier(3, x.clone(), None)]
+    {
+        write_frame(&mut stream, &frame, DEFAULT_MAX_FRAME).unwrap();
+    }
+    write_frame::<f64, f64, _>(&mut stream, &Frame::Flush, DEFAULT_MAX_FRAME).unwrap();
+    let mut next = || {
+        read_frame::<f64, f64, _>(&mut stream, DEFAULT_MAX_FRAME)
+            .expect("reply arrives")
+            .expect("not EOF")
+            .0
+    };
+    for (id, numbers) in [(1, ["dimension 9", "8 columns"]), (2, ["4 rows", "8 output rows"])] {
+        match next() {
+            Frame::Error { request, error: EngineError::KernelFailed(msg), .. }
+                if request == id =>
+            {
+                assert!(numbers.iter().all(|n| msg.contains(n)), "request {id}: {msg}")
+            }
+            other => panic!("request {id} must get a typed error, got {other:?}"),
+        }
+    }
+    match next() {
+        Frame::Partial { request: 3, partial, .. } => {
+            assert!(partial.same_entries(&oracle_result(&a, &x)), "valid frontier diverged")
+        }
+        other => panic!("the valid frontier must be served, got {other:?}"),
+    }
+    match next() {
+        Frame::Done { requests, .. } => {
+            assert_eq!(requests, 1, "only the valid frontier reached the engine")
+        }
+        other => panic!("expected the Done summary, got {other:?}"),
+    }
+    write_frame::<f64, f64, _>(&mut stream, &Frame::Goodbye, DEFAULT_MAX_FRAME).unwrap();
+    handle.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Replication: failover, discovery handshake, heartbeat.
 // ---------------------------------------------------------------------------
@@ -629,6 +689,7 @@ fn spawn_replicated_hosts(
     a: &CscMatrix<f64>,
     plan: &ShardPlan,
     replicas: usize,
+    config: &EngineConfig,
 ) -> (Vec<Vec<ShardHostHandle>>, Vec<Vec<SocketAddr>>) {
     let mut handles = Vec::new();
     let mut groups = Vec::new();
@@ -642,7 +703,7 @@ fn spawn_replicated_hosts(
                 plan.range(s),
                 part.clone(),
                 PlusTimes,
-                EngineConfig::default(),
+                config.clone(),
             )
             .expect("bind an ephemeral localhost port");
             addrs.push(host.local_addr().expect("bound listener has an address"));
@@ -678,11 +739,12 @@ proptest! {
         (a, requests) in operands(28),
         shards in 2usize..4,
     ) {
-        let oracle = Engine::over_with(&a, PlusTimes, EngineConfig::default());
+        let bucket = EngineConfig::default().batch_algorithm(BatchAlgorithmKind::Bucket);
+        let oracle = Engine::over_with(&a, PlusTimes, bucket.clone());
         let expect: Vec<SparseVec<f64>> = {
             let tickets: Vec<_> = requests
                 .iter()
-                .map(|r| oracle.submit(build_request(r, BatchAlgorithmKind::Bucket)))
+                .map(|r| oracle.submit(build_request(r)))
                 .collect();
             oracle.flush();
             tickets
@@ -692,7 +754,7 @@ proptest! {
         };
 
         let plan = ShardPlan::balanced(&a, shards).with_fingerprints_of(&a);
-        let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2);
+        let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &bucket);
         let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
             plan,
             a.nrows(),
@@ -710,7 +772,7 @@ proptest! {
 
         let tickets: Vec<_> = requests
             .iter()
-            .map(|r| router.submit(build_request(r, BatchAlgorithmKind::Bucket)))
+            .map(|r| router.submit(build_request(r)))
             .collect();
         let outcome = router.flush();
         prop_assert_eq!(
@@ -764,7 +826,7 @@ fn primaries_killed_between_flushes_lose_no_ticket() {
     };
     let oracle = Engine::over(&a, PlusTimes);
 
-    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2);
+    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &EngineConfig::default());
     let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
         plan,
         n,
@@ -816,7 +878,7 @@ fn replica_shrinks_outage_blast_radius_to_zero() {
     let want: Vec<SparseVec<f64>> =
         [1, 9, 17].iter().map(|&c| oracle_result(&a, &frontier(c))).collect();
 
-    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2);
+    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &EngineConfig::default());
     let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
         plan,
         n,
@@ -864,7 +926,7 @@ fn plan_mismatch_is_rejected_at_dial_time() {
     let plan = ShardPlan::uniform(n, 2).with_fingerprints_of(&a);
 
     // Wrong shard/range: cross-wire the two hosts' addresses.
-    let (hosts, groups) = spawn_replicated_hosts(&a, &plan, 1);
+    let (hosts, groups) = spawn_replicated_hosts(&a, &plan, 1, &EngineConfig::default());
     let crossed = vec![groups[1].clone(), groups[0].clone()];
     match ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
         plan.clone(),
@@ -932,7 +994,7 @@ fn heartbeat_marks_dead_replica_unhealthy_before_a_flush() {
     let frontier = SparseVec::from_pairs(n, vec![(5, 2.0)]).unwrap();
     let want = oracle_result(&a, &frontier);
 
-    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2);
+    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &EngineConfig::default());
     let config = TcpConfig {
         connect_retries: 0,
         heartbeat: Some(Duration::from_millis(10)),
