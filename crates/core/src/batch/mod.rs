@@ -14,8 +14,9 @@
 //! 2. **Estimate**: count, per `(thread, bucket)`, how many `(row, lane,
 //!    scaled value)` triples the thread will produce — a column with `L`
 //!    active lanes contributes `L` triples per stored row — which sizes one
-//!    exclusive `&mut` write window per `(thread, bucket)` (Algorithm 2,
-//!    with lane-weighted counts).
+//!    exclusive `&mut` write window per `(thread, bucket)`. This is the
+//!    single-vector kernel's Algorithm 2 ([`estimate_buckets`]) run over
+//!    the union of active columns with lane-count weights.
 //! 3. **Bucketing**: scatter the triples lock-free into those windows;
 //!    each matrix column is read **once** and scaled by all of its
 //!    activations while it is hot in cache.
@@ -51,8 +52,9 @@ use std::time::{Duration, Instant};
 use sparse_substrate::{CscMatrix, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
 
 use crate::algorithm::SpMSpVOptions;
+use crate::bucket::estimate::estimate_buckets;
 use crate::bucket::{
-    assert_windows_filled, bucket_of, bucket_row_ranges, high_water, BucketPlan, BUCKETS_PER_THREAD,
+    assert_windows_filled, bucket_of, bucket_row_ranges, high_water, BUCKETS_PER_THREAD,
 };
 use crate::disjoint::{split_by_boundaries, split_grouped};
 use crate::executor::{even_ranges, Executor};
@@ -345,19 +347,8 @@ where
         let fused = x.fuse_columns();
         let chunks = even_ranges(fused.num_cols(), t);
         let matrix = self.matrix;
-        let boffset: Vec<Vec<usize>> = executor.map(&chunks, |chunk| {
-            let mut counts = vec![0usize; nb];
-            for c in chunk.clone() {
-                let j = fused.cols()[c];
-                let weight = fused.activations(c).0.len();
-                let (rows, _) = matrix.column(j);
-                for &i in rows {
-                    counts[bucket_of(i, m, nb)] += weight;
-                }
-            }
-            counts
-        });
-        let plan = BucketPlan::from_boffset(boffset, nb);
+        let lanes_of = |c| fused.activations(c).0.len();
+        let plan = estimate_buckets(&executor, matrix, fused.cols(), lanes_of, &chunks, nb);
         timings.estimate = t0.elapsed();
 
         // ---------------- Bucketing ----------------

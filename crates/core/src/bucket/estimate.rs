@@ -8,7 +8,7 @@
 //! [`split_grouped`](crate::disjoint::split_grouped), which is what makes
 //! the bucketing step of Algorithm 1 free of synchronization.
 
-use sparse_substrate::{CscMatrix, Scalar, SparseVec};
+use sparse_substrate::{CscMatrix, Scalar};
 
 use crate::executor::Executor;
 
@@ -47,20 +47,6 @@ pub struct BucketPlan {
 }
 
 impl BucketPlan {
-    /// Derives the bucket layout from a per-`(thread, bucket)` count matrix
-    /// via a prefix sum — the second half of Algorithm 2, shared by the
-    /// single-vector and batched kernels (which differ only in how they
-    /// count).
-    pub fn from_boffset(boffset: Vec<Vec<usize>>, nb: usize) -> Self {
-        let t = boffset.len();
-        let mut bucket_starts = vec![0usize; nb + 1];
-        for b in 0..nb {
-            let size: usize = (0..t).map(|k| boffset[k][b]).sum();
-            bucket_starts[b + 1] = bucket_starts[b] + size;
-        }
-        BucketPlan { boffset, bucket_starts }
-    }
-
     /// Total number of scaled entries that will be produced
     /// (= `Σ_{j: x(j)≠0} nnz(A(:,j))`, the paper's `d·f`).
     pub fn total_entries(&self) -> usize {
@@ -82,27 +68,39 @@ impl BucketPlan {
 /// derives the bucket layout with a prefix sum (`O(t·nb)` work on the
 /// calling thread, matching the paper's "on the master thread" note for
 /// Step 3's prefix sum).
-pub fn estimate_buckets<A: Scalar, X: Scalar>(
+///
+/// Participant `k` counts the selected columns `cols[chunks[k]]`; each
+/// stored row of column `cols[c]` adds `weight(c)` entries to its bucket.
+/// The single-vector kernel passes `x`'s indices with weight 1; the fused
+/// batch kernel passes the union of active columns, each weighted by its
+/// number of active lanes.
+pub fn estimate_buckets<A: Scalar>(
     executor: &Executor,
     matrix: &CscMatrix<A>,
-    x: &SparseVec<X>,
+    cols: &[usize],
+    weight: impl Fn(usize) -> usize + Sync,
     chunks: &[std::ops::Range<usize>],
     nb: usize,
-    m: usize,
 ) -> BucketPlan {
+    let m = matrix.nrows();
     let boffset: Vec<Vec<usize>> = executor.map(chunks, |chunk| {
         let mut counts = vec![0usize; nb];
-        for k in chunk.clone() {
-            let j = x.indices()[k];
-            let (rows, _) = matrix.column(j);
+        for c in chunk.clone() {
+            let w = weight(c);
+            let (rows, _) = matrix.column(cols[c]);
             for &i in rows {
-                counts[bucket_of(i, m, nb)] += 1;
+                counts[bucket_of(i, m, nb)] += w;
             }
         }
         counts
     });
 
-    BucketPlan::from_boffset(boffset, nb)
+    let mut bucket_starts = vec![0usize; nb + 1];
+    for b in 0..nb {
+        let size: usize = boffset.iter().map(|counts| counts[b]).sum();
+        bucket_starts[b + 1] = bucket_starts[b] + size;
+    }
+    BucketPlan { boffset, bucket_starts }
 }
 
 #[cfg(test)]
@@ -113,6 +111,7 @@ mod tests {
     use sparse_substrate::fixtures::{figure1_matrix, figure1_vector};
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::required_multiplications;
+    use sparse_substrate::SparseVecBatch;
 
     #[test]
     fn bucket_of_partitions_rows() {
@@ -139,7 +138,7 @@ mod tests {
         let a = figure1_matrix();
         let x = figure1_vector();
         let chunks = even_ranges(x.nnz(), 1);
-        let plan = estimate_buckets(&Executor::new(1), &a, &x, &chunks, 4, 8);
+        let plan = estimate_buckets(&Executor::new(1), &a, x.indices(), |_| 1, &chunks, 4);
         assert_eq!(plan.total_entries(), 7);
         // Buckets receive: rows {0,0}=2, {2,3}=2, {4,4}=2, {6}=1
         assert_eq!(plan.bucket_size(0), 2);
@@ -152,11 +151,20 @@ mod tests {
     fn totals_equal_required_multiplications() {
         let a = erdos_renyi(300, 5.0, 2);
         let x = random_sparse_vec(300, 60, 3);
+        let lanes: Vec<_> = (0..4).map(|l| random_sparse_vec(300, 40, 10 + l)).collect();
+        let fused = SparseVecBatch::from_lanes(&lanes).unwrap().fuse_columns();
+        let batch_flops: usize = lanes.iter().map(|x| required_multiplications(&a, x)).sum();
         for threads in [1usize, 2, 5] {
+            let executor = Executor::new(threads);
             let chunks = even_ranges(x.nnz(), threads);
-            let plan =
-                estimate_buckets(&Executor::new(threads), &a, &x, &chunks, 4 * threads, a.nrows());
+            let plan = estimate_buckets(&executor, &a, x.indices(), |_| 1, &chunks, 4 * threads);
             assert_eq!(plan.total_entries(), required_multiplications(&a, &x));
+            // Weighted by active lanes, a batch's plan holds every lane's
+            // products.
+            let chunks = even_ranges(fused.num_cols(), threads);
+            let weight = |c| fused.activations(c).0.len();
+            let plan = estimate_buckets(&executor, &a, fused.cols(), weight, &chunks, 4 * threads);
+            assert_eq!(plan.total_entries(), batch_flops);
         }
     }
 
@@ -167,7 +175,7 @@ mod tests {
         let t = 3;
         let nb = 12;
         let chunks = even_ranges(x.nnz(), t);
-        let plan = estimate_buckets(&Executor::new(t), &a, &x, &chunks, nb, a.nrows());
+        let plan = estimate_buckets(&Executor::new(t), &a, x.indices(), |_| 1, &chunks, nb);
         // Each slot holds its own position, so a window shows where it sits.
         let mut buf: Vec<usize> = (0..plan.total_entries()).collect();
         let windows = split_grouped(&mut buf, &plan.boffset);
@@ -187,9 +195,8 @@ mod tests {
     #[test]
     fn empty_vector_plan() {
         let a = figure1_matrix();
-        let x = sparse_substrate::SparseVec::<f64>::new(8);
-        let chunks = even_ranges(x.nnz(), 1);
-        let plan = estimate_buckets(&Executor::new(1), &a, &x, &chunks, 4, 8);
+        let chunks = even_ranges(0, 1);
+        let plan = estimate_buckets(&Executor::new(1), &a, &[], |_| 1, &chunks, 4);
         assert_eq!(plan.total_entries(), 0);
         assert_eq!(plan.num_buckets(), 4);
     }

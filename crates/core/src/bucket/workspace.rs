@@ -30,9 +30,13 @@ pub struct BucketWorkspace<Y> {
 }
 
 /// Returns the first `len` entries of `buf`, first replacing `buf` with a
-/// fresh zeroed buffer of `len` entries if it is shorter. Never `resize`:
-/// `vec![zero; len]` gets its pages zeroed lazily by the OS, so neither the
-/// growing call nor any later one pays a pass that fills the buffer.
+/// fresh zeroed buffer of `len` entries if it is shorter. Never `resize`,
+/// which would also copy the stale prefix. `vec![zero; len]` asks for zeroed
+/// memory; pages fresh from the OS come zeroed for free, but inside a warmed
+/// process the allocator usually recycles heap memory and must fill it, so
+/// the growing call does pay one pass over the buffer (measured as a
+/// `bfs_rmat` `setup_s` cost). Calls at or below the high-water length pay
+/// nothing.
 pub(crate) fn high_water<T: Copy>(buf: &mut Vec<T>, len: usize, zero: T) -> &mut [T] {
     if buf.len() < len {
         *buf = vec![zero; len];

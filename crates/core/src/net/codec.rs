@@ -198,10 +198,8 @@ impl WireScalar for bool {
     }
 }
 
-/// A `Frontier` plus the sidecar the in-process router passes out of band:
-/// the output mask (rows, shared by every shard). On the wire it is part of
-/// the frame; [`ShardMsg`](crate::shard::ShardMsg) stays the mask-free core
-/// protocol.
+/// One routed sub-request on the wire: the frontier slice, its relative
+/// deadline budget and the output mask (rows, shared by every shard).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireFrontier<X> {
     /// Router-unique request id, echoed by the reply.
@@ -217,10 +215,11 @@ pub struct WireFrontier<X> {
     pub mask: Option<(MaskBits, MaskMode)>,
 }
 
-/// Everything that can travel on a shard connection: the three
-/// [`ShardMsg`](crate::shard::ShardMsg) variants plus the control frames (`Flush` = "execute everything queued
-/// on this connection", `Done` = the host's flush summary, `Goodbye` =
-/// orderly close).
+/// Everything that can travel on a shard connection: a `Frontier`, the two
+/// [`ShardMsg`](crate::shard::ShardMsg) replies (`Partial`, `Error`), and
+/// the control frames (`Flush` = "execute everything queued on this
+/// connection", `Done` = the host's flush summary, `Goodbye` = orderly
+/// close, plus the handshake and heartbeat frames).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<X, Y> {
     /// Router → host: one request's frontier slice (+ mask sidecar).
@@ -701,9 +700,8 @@ pub fn read_frame<X: WireScalar, Y: WireScalar, R: Read>(
     Ok(Some((frame, HEADER_LEN + payload_len)))
 }
 
-/// Builds the wire frontier for one routed sub-request: the
-/// [`ShardMsg`](crate::shard::ShardMsg) core plus the mask sidecar the
-/// in-process router passes by reference.
+/// Builds the wire frontier for one routed sub-request, copying the mask
+/// sidecar the router shares by reference.
 pub fn wire_frontier<X: Scalar>(
     request: u64,
     shard: usize,

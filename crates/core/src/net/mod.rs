@@ -1,8 +1,9 @@
 //! Remote sharding: the shard protocol over sockets.
 //!
-//! The [`shard`](crate::shard) router was built against the plain-data
-//! [`ShardMsg`](crate::shard::ShardMsg) protocol precisely so the
-//! per-shard hop could leave the process. This module is that step — the
+//! The [`shard`](crate::shard) router hands its transport plain-data
+//! sub-requests and reads back plain-data
+//! [`ShardMsg`](crate::shard::ShardMsg) replies precisely so the per-shard
+//! hop could leave the process. This module is that step — the
 //! CombBLAS lineage's distributed-memory decomposition realized as a
 //! serving fleet: shard engines live in [`ShardHost`] daemons, and a
 //! [`TcpTransport`] behind the unchanged

@@ -677,7 +677,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         s: usize,
         rep: &mut Replica,
         batch: &[WireRequest<X>],
-        replies: &mut Vec<ShardMsg<X, Y>>,
+        replies: &mut Vec<ShardMsg<Y>>,
     ) -> Result<Option<FlushOutcome>, AttemptError> {
         let shared = &self.shared;
         shared.ensure_connected(s, rep, shared.config.connect_retries)?;
@@ -735,7 +735,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         // Anything the host sends that we did not ask for — an unknown or
         // duplicate correlation id, a wrong shard, a wrong height, bytes
         // that do not decode — is byzantine and quarantines the replica.
-        let mut gathered: Vec<ShardMsg<X, Y>> = Vec::with_capacity(expect.len());
+        let mut gathered: Vec<ShardMsg<Y>> = Vec::with_capacity(expect.len());
         let done = loop {
             let t_decode = Instant::now();
             let frame = match read_frame::<X, Y, _>(stream, shared.config.max_frame) {
@@ -870,11 +870,11 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         &self,
         s: usize,
         batch: Vec<WireRequest<X>>,
-    ) -> (Vec<ShardMsg<X, Y>>, Option<FlushOutcome>) {
+    ) -> (Vec<ShardMsg<Y>>, Option<FlushOutcome>) {
         let shared = &self.shared;
         // Fails every sub-request that has no reply yet — the invariant is
         // one reply per routed sub-request, whatever broke.
-        let fail_unanswered = |replies: &mut Vec<ShardMsg<X, Y>>, msg: &str| {
+        let fail_unanswered = |replies: &mut Vec<ShardMsg<Y>>, msg: &str| {
             for req in &batch {
                 if !replies.iter().any(|m| m.request() == req.request) {
                     replies.push(ShardMsg::error(
@@ -951,7 +951,7 @@ where
         }
     }
 
-    fn exchange(&self, down: &[Option<String>], retired: &[u64]) -> Exchange<X, Y> {
+    fn exchange(&self, down: &[Option<String>], retired: &[u64]) -> Exchange<Y> {
         let shards = self.shared.replicas.len();
         let mut per_shard = vec![FlushOutcome::default(); shards];
         let mut shards_flushed = 0;

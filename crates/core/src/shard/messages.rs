@@ -1,42 +1,25 @@
-//! The process-agnostic router ↔ shard protocol.
+//! The process-agnostic shard → router reply.
 //!
-//! Every payload that crosses the shard boundary is a [`ShardMsg`]: plain
+//! Every reply that crosses the shard boundary is a [`ShardMsg`]: plain
 //! owned data — `Vec`s of scalars, `u64` request ids, `String` errors —
 //! with no `Arc`s, borrows, thread handles, or `Instant`s. The in-process
-//! [`ShardedEngine`](super::ShardedEngine) routes these directly; a socket
-//! transport only needs an encoding for this enum (and a mask/deadline
-//! sidecar, both already plain data) to host shards out-of-process. See the
-//! [module docs](super) for the transport-readiness contract.
+//! transport builds these from its shard engines' tickets; a socket
+//! transport decodes them from `Partial` / `Error` frames. See the
+//! [module docs](super) for the transport contract.
 
 use sparse_substrate::{Scalar, SparseVec};
 
 use crate::engine::EngineError;
 
-/// One message of the scatter/merge protocol. `X` is the input element
-/// type, `Y` the semiring's output type.
+/// One shard → router reply of the scatter/merge protocol. `Y` is the
+/// semiring's output type. Frontier slices travel the other way as a
+/// [`WireRequest`](super::transport::WireRequest): in-process they are
+/// submitted to the shard engine as they are, over TCP they are encoded as
+/// a `Frontier` frame.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ShardMsg<X, Y> {
-    /// Router → shard: one request's frontier slice, re-based to the
-    /// shard's local column range (`indices[i] < len`, where `len` is the
-    /// width of the shard's sub-matrix).
-    Frontier {
-        /// Router-unique request id, echoed by the shard's reply.
-        request: u64,
-        /// Destination shard.
-        shard: usize,
-        /// Local (re-based) dimension of the slice = shard width.
-        len: usize,
-        /// Shard-local indices of the slice's entries.
-        indices: Vec<usize>,
-        /// Values parallel to `indices`.
-        values: Vec<X>,
-        /// Deadline budget in microseconds from send time (`None` = no
-        /// deadline). Relative, not absolute: wall clocks don't cross
-        /// process boundaries.
-        deadline_micros: Option<u64>,
-    },
-    /// Shard → router: one full-height partial product, to be ⊕-merged
-    /// with the other owning shards' partials.
+pub enum ShardMsg<Y> {
+    /// One full-height partial product, to be ⊕-merged with the other
+    /// owning shards' partials.
     Partial {
         /// Echoed request id.
         request: u64,
@@ -49,8 +32,8 @@ pub enum ShardMsg<X, Y> {
         /// Values parallel to `indices`.
         values: Vec<Y>,
     },
-    /// Shard → router: the sub-request failed. Fails only the tickets
-    /// routed through this shard.
+    /// The sub-request failed. Fails only the tickets routed through this
+    /// shard.
     Error {
         /// Echoed request id.
         request: u64,
@@ -62,19 +45,7 @@ pub enum ShardMsg<X, Y> {
     },
 }
 
-impl<X: Scalar, Y: Scalar> ShardMsg<X, Y> {
-    /// Packs a frontier slice for the wire (consumes the slice — the
-    /// message owns its payload).
-    pub fn frontier(
-        request: u64,
-        shard: usize,
-        slice: SparseVec<X>,
-        deadline_micros: Option<u64>,
-    ) -> Self {
-        let (len, indices, values) = slice.into_parts();
-        ShardMsg::Frontier { request, shard, len, indices, values, deadline_micros }
-    }
-
+impl<Y: Scalar> ShardMsg<Y> {
     /// Packs a shard's partial product.
     pub fn partial(request: u64, shard: usize, partial: SparseVec<Y>) -> Self {
         let (len, indices, values) = partial.into_parts();
@@ -89,43 +60,25 @@ impl<X: Scalar, Y: Scalar> ShardMsg<X, Y> {
     /// The request this message belongs to.
     pub fn request(&self) -> u64 {
         match self {
-            ShardMsg::Frontier { request, .. }
-            | ShardMsg::Partial { request, .. }
-            | ShardMsg::Error { request, .. } => *request,
+            ShardMsg::Partial { request, .. } | ShardMsg::Error { request, .. } => *request,
         }
     }
 
-    /// The shard this message is addressed to (`Frontier`) or from
-    /// (`Partial` / `Error`).
+    /// The shard this message comes from.
     pub fn shard(&self) -> usize {
         match self {
-            ShardMsg::Frontier { shard, .. }
-            | ShardMsg::Partial { shard, .. }
-            | ShardMsg::Error { shard, .. } => *shard,
+            ShardMsg::Partial { shard, .. } | ShardMsg::Error { shard, .. } => *shard,
         }
     }
 
-    /// Unpacks a `Frontier` payload back into a local sparse vector (the
-    /// shard side of the protocol). `None` for other variants.
-    pub fn into_frontier(self) -> Option<SparseVec<X>> {
-        match self {
-            ShardMsg::Frontier { len, indices, values, .. } => {
-                Some(SparseVec::from_parts(len, indices, values).expect("slice was a valid vector"))
-            }
-            _ => None,
-        }
-    }
-
-    /// Unpacks the router side of the protocol: `Ok(partial)` for a
-    /// `Partial`, `Err(error)` for an `Error`. `None` for a `Frontier`.
-    pub fn into_result(self) -> Option<Result<SparseVec<Y>, EngineError>> {
+    /// Unpacks the reply: `Ok(partial)` for a `Partial`, `Err(error)` for an
+    /// `Error`.
+    pub fn into_result(self) -> Result<SparseVec<Y>, EngineError> {
         match self {
             ShardMsg::Partial { len, indices, values, .. } => {
-                Some(Ok(SparseVec::from_parts(len, indices, values)
-                    .expect("partial was a valid vector")))
+                Ok(SparseVec::from_parts(len, indices, values).expect("partial was a valid vector"))
             }
-            ShardMsg::Error { error, .. } => Some(Err(error)),
-            ShardMsg::Frontier { .. } => None,
+            ShardMsg::Error { error, .. } => Err(error),
         }
     }
 }
@@ -135,34 +88,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn frontier_roundtrips_through_plain_parts() {
-        let slice = SparseVec::from_pairs(5, vec![(1, 2.0), (4, 8.0)]).unwrap();
-        let msg: ShardMsg<f64, f64> = ShardMsg::frontier(7, 2, slice.clone(), Some(1500));
-        assert_eq!(msg.request(), 7);
-        assert_eq!(msg.shard(), 2);
-        match &msg {
-            ShardMsg::Frontier { len, deadline_micros, .. } => {
-                assert_eq!(*len, 5);
-                assert_eq!(*deadline_micros, Some(1500));
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-        assert_eq!(msg.into_frontier(), Some(slice));
-    }
-
-    #[test]
     fn partial_and_error_unpack_as_results() {
         let partial = SparseVec::from_pairs(4, vec![(0, 1.0)]).unwrap();
-        let ok: ShardMsg<f64, f64> = ShardMsg::partial(3, 1, partial.clone());
-        assert_eq!(ok.into_result(), Some(Ok(partial)));
-        let err: ShardMsg<f64, f64> =
-            ShardMsg::error(3, 1, EngineError::KernelFailed("boom".into()));
-        assert_eq!(err.request(), 3);
-        assert_eq!(err.into_result(), Some(Err(EngineError::KernelFailed("boom".into()))));
-        // A frontier is not a result, and vice versa.
-        let f: ShardMsg<f64, f64> = ShardMsg::frontier(1, 0, SparseVec::new(2), None);
-        assert!(f.into_result().is_none());
-        let p: ShardMsg<f64, f64> = ShardMsg::partial(1, 0, SparseVec::new(2));
-        assert!(p.into_frontier().is_none());
+        let ok: ShardMsg<f64> = ShardMsg::partial(3, 1, partial.clone());
+        assert_eq!(ok.into_result(), Ok(partial));
+        let err: ShardMsg<f64> = ShardMsg::error(3, 1, EngineError::KernelFailed("boom".into()));
+        assert_eq!((err.request(), err.shard()), (3, 1));
+        assert_eq!(err.into_result(), Err(EngineError::KernelFailed("boom".into())));
     }
 }

@@ -50,14 +50,15 @@
 //!
 //! ## Transports
 //!
-//! Everything that crosses the router↔shard boundary is expressed as a
-//! [`ShardMsg`] — a plain-data enum (frontier slice / partial result /
-//! error) with no `Arc`s, borrows, handles, or `Instant`s in its payload.
-//! The per-shard hop itself is pluggable: the router drives a
-//! [`ShardTransport`], with [`transport::InProcess`] submitting into shard
-//! engines in this address space (the [`ShardedEngine::partition`] path)
-//! and [`crate::net::TcpTransport`] carrying the same frames over sockets
-//! to [`crate::net::ShardHost`] daemons
+//! A sub-request goes out as a [`transport::WireRequest`] (frontier slice
+//! plus mask and deadline sidecars) and comes back as a [`ShardMsg`] — a
+//! plain-data enum (partial result / error) with no `Arc`s, borrows,
+//! handles, or `Instant`s in its payload. The per-shard hop itself is
+//! pluggable: the router drives a [`ShardTransport`], with
+//! [`transport::InProcess`] submitting each slice straight into its shard
+//! engine in this address space (the [`ShardedEngine::partition`] path)
+//! and [`crate::net::TcpTransport`] encoding requests and replies as
+//! frames over sockets to [`crate::net::ShardHost`] daemons
 //! ([`ShardedEngine::connect`](crate::net)), optionally N replicas deep
 //! per shard ([`ShardedEngine::connect_replicated`](crate::net)) with
 //! mid-flush failover, per-replica circuit breakers, and byzantine-frame

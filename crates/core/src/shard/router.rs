@@ -271,9 +271,10 @@ where
     }
 
     /// Submits an anonymous request. Scattering happens here: the frontier
-    /// is sliced per owning shard ([`SparseVec::slice_remap`]), packed
-    /// through the [`ShardMsg`] protocol, and queued into the transport.
-    /// The returned ticket resolves at the next [`ShardedEngine::flush`].
+    /// is sliced per owning shard ([`SparseVec::slice_remap`]) and each
+    /// slice is queued into the transport. The returned ticket resolves at
+    /// the next [`ShardedEngine::flush`]. Like [`Engine::submit`], panics on
+    /// a frontier or mask that does not fit the matrix, over any transport.
     pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
         self.submit_tagged(0, request)
     }
@@ -286,6 +287,15 @@ where
             request.frontier.len(),
             self.plan.ncols()
         );
+        if let Some((bits, _)) = &request.mask {
+            assert_eq!(
+                bits.len(),
+                self.nrows,
+                "request mask covers {} rows but the matrix has {} output rows",
+                bits.len(),
+                self.nrows
+            );
+        }
         let id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (ticket, shared) = Ticket::detached();
         let mut fanout = Vec::new();
@@ -369,7 +379,7 @@ where
         }
         outcome.lanes = outcome.per_shard.iter().map(|o| o.lanes).sum();
 
-        let mut replies: HashMap<(u64, usize), ShardMsg<X, S::Output>> =
+        let mut replies: HashMap<(u64, usize), ShardMsg<S::Output>> =
             exchange.replies.into_iter().map(|msg| ((msg.request(), msg.shard()), msg)).collect();
 
         for r in routed {
@@ -382,7 +392,7 @@ where
             let mut error: Option<EngineError> = None;
             for &s in &r.fanout {
                 let result = match replies.remove(&(r.id, s)) {
-                    Some(reply) => reply.into_result().expect("partial or error"),
+                    Some(reply) => reply.into_result(),
                     // The transport contract says every live sub-request
                     // gets a reply; a hole is a transport fault.
                     None => Err(EngineError::KernelFailed(format!(

@@ -6,8 +6,9 @@
 //! in this address space — and [`crate::net::TcpTransport`] carries the
 //! same protocol over sockets to [`crate::net::ShardHost`] processes,
 //! failing over between replica hosts of a shard without the router
-//! noticing. The router is written purely against [`ShardMsg`]-shaped
-//! replies, so the transports are behaviorally interchangeable (the shard
+//! noticing. The router hands every transport [`WireRequest`]s and reads
+//! back [`ShardMsg`] replies, so the transports are behaviorally
+//! interchangeable (the shard
 //! property suite asserts bit-identical results across them, replicated
 //! fleets with killed primaries included).
 
@@ -24,9 +25,9 @@ use crate::stats::EngineStats;
 use super::ShardMsg;
 
 /// One routed sub-request handed to a transport: the frontier slice
-/// (re-based to the shard's column range) plus the sidecars that ride
-/// outside [`ShardMsg`] — the shared output mask and both flavors of the deadline (absolute for in-process engines and the
-/// gather-side re-check; relative for the wire).
+/// (re-based to the shard's column range) plus its sidecars — the shared
+/// output mask and both flavors of the deadline (absolute for in-process
+/// engines and the gather-side re-check; relative for the wire).
 pub struct WireRequest<X> {
     /// Router-unique request id.
     pub request: u64,
@@ -47,10 +48,10 @@ pub struct WireRequest<X> {
 /// What one [`ShardTransport::exchange`] produced: the gathered replies in
 /// wire shape plus the execution telemetry the router folds into its
 /// [`ShardFlushOutcome`](super::ShardFlushOutcome).
-pub struct Exchange<X, Y> {
+pub struct Exchange<Y> {
     /// One `Partial`/`Error` reply per live sub-request, keyed by
     /// `(request, shard)`.
-    pub replies: Vec<ShardMsg<X, Y>>,
+    pub replies: Vec<ShardMsg<Y>>,
     /// Each shard engine's own flush outcome, indexed by shard. A remote
     /// transport fills in the summary fields its host ships back (lanes,
     /// requests, execute time); a downed shard's slot stays default.
@@ -96,7 +97,7 @@ pub trait ShardTransport<X: Scalar, Y: Scalar>: Send + Sync {
     /// the shard must not execute, and its sub-requests must come back as
     /// `KernelFailed` errors. `retired` lists request ids cancelled after
     /// enqueue; their sub-requests produce no reply.
-    fn exchange(&self, down: &[Option<String>], retired: &[u64]) -> Exchange<X, Y>;
+    fn exchange(&self, down: &[Option<String>], retired: &[u64]) -> Exchange<Y>;
 
     /// Shard `s`'s engine stats — `None` when the shard lives in another
     /// process (its stats are local to the host).
@@ -110,8 +111,8 @@ pub trait ShardTransport<X: Scalar, Y: Scalar>: Send + Sync {
 /// ticket)`.
 type Inflight<Y> = (u64, usize, Ticket<Y>);
 
-/// The original transport: one [`Engine`] per shard in this process,
-/// sub-requests submitted straight into its queue. Sub-request tickets are
+/// The original transport: one [`Engine`] per shard in this process, each
+/// slice submitted as it is straight into its shard's queue. Sub-request tickets are
 /// held here between `enqueue` and `exchange`.
 pub struct InProcess<A: Scalar, X: Scalar, S: Semiring<A, X> + Clone + 'static> {
     engines: Vec<Engine<'static, A, X, S>>,
@@ -141,19 +142,8 @@ where
     }
 
     fn enqueue(&self, request: WireRequest<X>) {
-        // Round-trip the slice through the wire shape: the transport is
-        // written against the protocol, not against in-process access.
-        let msg: ShardMsg<X, S::Output> = ShardMsg::frontier(
-            request.request,
-            request.shard,
-            request.slice,
-            request.deadline_micros,
-        );
-        let sub = MxvRequest {
-            frontier: msg.into_frontier().expect("just packed a frontier"),
-            mask: request.mask,
-            deadline: request.deadline,
-        };
+        let sub =
+            MxvRequest { frontier: request.slice, mask: request.mask, deadline: request.deadline };
         let ticket = self.engines[request.shard].submit(sub);
         crate::engine::lock(&self.inflight).push((request.request, request.shard, ticket));
     }
@@ -178,7 +168,7 @@ where
         });
     }
 
-    fn exchange(&self, down: &[Option<String>], retired: &[u64]) -> Exchange<X, S::Output> {
+    fn exchange(&self, down: &[Option<String>], retired: &[u64]) -> Exchange<S::Output> {
         let entries: Vec<(u64, usize, Ticket<S::Output>)> = {
             let mut inflight = crate::engine::lock(&self.inflight);
             inflight.drain(..).collect()

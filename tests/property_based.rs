@@ -48,30 +48,6 @@ fn operands(max_dim: usize) -> impl Strategy<Value = (CscMatrix<f64>, SparseVec<
     })
 }
 
-/// The generated operands above never give one chunk more products than the
-/// bucket kernel's 512-entry staging buffer holds. Here each chunk does: a
-/// dense 40 × 40 matrix times a dense vector is 1600 products, so with one
-/// participant the buffer is flushed full three times and once with a
-/// 64-entry remainder, and with two (800 each) once full, once partial.
-#[test]
-fn staged_bucket_writes_flush_mid_chunk() {
-    let n = 40;
-    let mut coo = CooMatrix::new(n, n);
-    for i in 0..n {
-        for j in 0..n {
-            coo.push(i, j, ((i + 2 * j) % 7 + 1) as f64);
-        }
-    }
-    let a = CscMatrix::from_coo(coo, |a, b| a + b);
-    let x = SparseVec::from_pairs(n, (0..n).map(|j| (j, (j % 5 + 1) as f64)).collect())
-        .expect("indices are unique and in range");
-    let expected = spmspv_reference(&a, &x, &PlusTimes);
-    for threads in [1, 2] {
-        let mut alg = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(threads));
-        assert!(alg.multiply(&x, &PlusTimes).same_entries(&expected), "threads = {threads}");
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -679,6 +679,43 @@ fn malformed_frontiers_get_typed_errors_and_the_connection_keeps_serving() {
     handle.shutdown();
 }
 
+/// A mask of the wrong height panics at submit, as it does on an unsharded
+/// engine, whichever transport carries the shards — it never reaches a
+/// host to come back later as a per-shard error.
+#[test]
+fn wrong_height_mask_panics_at_submit_over_every_transport() {
+    let n = 8;
+    let a = chaos_fixture(n);
+    let plan = ShardPlan::uniform(n, 2);
+    let local = ShardedEngine::partition_with(&a, PlusTimes, plan.clone(), EngineConfig::default());
+    let (hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes, &EngineConfig::default());
+    let remote = ShardedEngine::<f64, f64, PlusTimes>::connect(
+        plan,
+        n,
+        PlusTimes,
+        &addrs,
+        TcpConfig::default(),
+        ObsConfig::default(),
+    )
+    .expect("dial both hosts");
+
+    let x = SparseVec::from_pairs(n, vec![(1, 1.0), (6, 2.0)]).unwrap();
+    let short = || MxvRequest::new(x.clone()).mask(MaskBits::new(n / 2), MaskMode::Keep);
+    for (what, router) in [("in-process", &local), ("tcp", &remote)] {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            router.submit(short());
+        }))
+        .expect_err(&format!("{what}: a 4-row mask over 8 rows must panic at submit"));
+        let msg = payload.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(msg.contains("mask covers"), "{what}: panicked with {msg:?}");
+        assert_eq!(router.pending(), 0, "{what}: nothing may be queued");
+    }
+    drop(remote);
+    for host in hosts {
+        host.shutdown();
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Replication: failover, discovery handshake, heartbeat.
 // ---------------------------------------------------------------------------
