@@ -32,7 +32,7 @@
 
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec, SparseVecBatch};
 
-use crate::algorithm::{AlgorithmKind, SpMSpV, SpMSpVOptions};
+use crate::algorithm::{AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
 use crate::batch::{
     BatchAlgorithmKind, BatchRunInfo, CombBlasSpaBatch, NaiveBatch, SpMSpVBatch, SpMSpVBucketBatch,
@@ -195,7 +195,7 @@ where
 /// baseline from `(total nnz, k, m, threads)`. Delegates are lazy and keep
 /// their workspaces across calls.
 pub struct AdaptiveBatch<'a, A, X, S: Semiring<A, X>> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
     threads: usize,
     bucket: Option<SpMSpVBucketBatch<'a, A, X, S>>,
@@ -212,10 +212,10 @@ where
 {
     /// Prepares the dispatcher (no kernel is instantiated until the first
     /// call needs it).
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         let threads = options.build_executor().threads();
         AdaptiveBatch {
-            matrix,
+            matrix: matrix.into(),
             options,
             threads,
             bucket: None,
@@ -234,7 +234,7 @@ where
     /// The family a batch of this shape dispatches to (exposed so tests and
     /// the bench can compare the adaptive run against its delegate).
     pub fn choose(&self, total_nnz: usize, k: usize) -> BatchAlgorithmKind {
-        let flops = estimated_flops(self.matrix, total_nnz);
+        let flops = estimated_flops(&self.matrix, total_nnz);
         if self.threads == 1 && flops <= ROWSPLIT_FLOPS_CUTOFF {
             // Single-threaded regime. Per-lane naive calls win when
             // each lane carries enough work to amortize its kernel launch,
@@ -303,22 +303,22 @@ where
         crate::obs::record_adaptive_batch_kernel(kernel);
         let (y, info) = match kernel {
             BatchAlgorithmKind::Naive => {
-                let naive = self
-                    .naive
-                    .get_or_insert_with(|| NaiveBatch::new(self.matrix, self.options.clone()));
+                let naive = self.naive.get_or_insert_with(|| {
+                    NaiveBatch::new(self.matrix.clone(), self.options.clone())
+                });
                 let y = naive.multiply_batch_masked(x, semiring, mask);
                 (y, naive.last_run_info())
             }
             BatchAlgorithmKind::CombBlasRowSplit => {
                 let rowsplit = self.rowsplit.get_or_insert_with(|| {
-                    CombBlasSpaBatch::new(self.matrix, self.options.clone())
+                    CombBlasSpaBatch::new(self.matrix.clone(), self.options.clone())
                 });
                 let y = rowsplit.multiply_batch_masked(x, semiring, mask);
                 (y, rowsplit.last_run_info())
             }
             _ => {
                 let bucket = self.bucket.get_or_insert_with(|| {
-                    SpMSpVBucketBatch::new(self.matrix, self.options.clone())
+                    SpMSpVBucketBatch::new(self.matrix.clone(), self.options.clone())
                 });
                 let y = bucket.multiply_batch_masked(x, semiring, mask);
                 (y, bucket.last_run_info())

@@ -1,9 +1,58 @@
 //! The common interface every SpMSpV implementation exposes.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::executor::Executor;
 use crate::masked::MaskView;
+
+/// How a kernel holds its matrix: borrowed from the caller, or shared with
+/// whoever else owns it (an owning [`crate::Engine`] and the kernels it
+/// builds hold the same `Arc`).
+///
+/// Cloning copies the reference or bumps the `Arc` count, never the matrix.
+/// Kernels dereference it once per call, not per entry.
+#[derive(Debug)]
+pub enum MatrixRef<'a, A> {
+    /// A caller-owned matrix that outlives the kernel.
+    Borrowed(&'a CscMatrix<A>),
+    /// A matrix shared by reference count.
+    Shared(Arc<CscMatrix<A>>),
+}
+
+impl<A> Clone for MatrixRef<'_, A> {
+    fn clone(&self) -> Self {
+        match self {
+            MatrixRef::Borrowed(m) => MatrixRef::Borrowed(m),
+            MatrixRef::Shared(m) => MatrixRef::Shared(Arc::clone(m)),
+        }
+    }
+}
+
+impl<A> Deref for MatrixRef<'_, A> {
+    type Target = CscMatrix<A>;
+
+    fn deref(&self) -> &CscMatrix<A> {
+        match self {
+            MatrixRef::Borrowed(m) => m,
+            MatrixRef::Shared(m) => m,
+        }
+    }
+}
+
+impl<'a, A> From<&'a CscMatrix<A>> for MatrixRef<'a, A> {
+    fn from(matrix: &'a CscMatrix<A>) -> Self {
+        MatrixRef::Borrowed(matrix)
+    }
+}
+
+impl<A> From<Arc<CscMatrix<A>>> for MatrixRef<'_, A> {
+    fn from(matrix: Arc<CscMatrix<A>>) -> Self {
+        MatrixRef::Shared(matrix)
+    }
+}
 
 /// Tuning knobs shared by the parallel algorithms.
 #[derive(Debug, Clone)]

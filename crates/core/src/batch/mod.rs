@@ -49,9 +49,9 @@ pub use rowsplit::CombBlasSpaBatch;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-use sparse_substrate::{CscMatrix, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
+use sparse_substrate::{LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
 
-use crate::algorithm::SpMSpVOptions;
+use crate::algorithm::{MatrixRef, SpMSpVOptions};
 use crate::bucket::estimate::estimate_buckets;
 use crate::bucket::{
     assert_windows_filled, bucket_of, bucket_row_ranges, high_water, BUCKETS_PER_THREAD,
@@ -223,8 +223,10 @@ impl std::fmt::Display for BatchAlgorithmKind {
 
 /// Builds a boxed [`SpMSpVBatch`] instance of the requested batched family,
 /// generic over the semiring — mirrors [`crate::algorithm::build_algorithm`].
+/// `matrix` is borrowed (`&CscMatrix`) or shared (`Arc<CscMatrix>`); see
+/// [`MatrixRef`].
 pub fn build_batch_algorithm<'a, A, X, S>(
-    matrix: &'a CscMatrix<A>,
+    matrix: impl Into<MatrixRef<'a, A>>,
     kind: BatchAlgorithmKind,
     options: SpMSpVOptions,
 ) -> Box<dyn SpMSpVBatch<A, X, S> + 'a>
@@ -233,6 +235,7 @@ where
     X: Scalar,
     S: Semiring<A, X> + 'a,
 {
+    let matrix = matrix.into();
     match kind {
         BatchAlgorithmKind::Bucket => Box::new(SpMSpVBucketBatch::new(matrix, options)),
         BatchAlgorithmKind::Naive => Box::new(NaiveBatch::new(matrix, options)),
@@ -255,7 +258,7 @@ struct BatchWorkspace<Y> {
 
 /// The batched bucket kernel. See the [module docs](self) for the pipeline.
 pub struct SpMSpVBucketBatch<'a, A, X, S: Semiring<A, X>> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
     executor: Executor,
     workspace: BatchWorkspace<S::Output>,
@@ -274,11 +277,11 @@ where
     /// Prepares the batched kernel for `matrix`. The `O(m·k)` lane-aware SPA
     /// is allocated lazily on the first multiplication (when `k` is known)
     /// and then grown amortized.
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         let executor = options.build_executor();
         let workspace = BatchWorkspace { spa: LaneSpa::new(0, 0), entries: Vec::new() };
         SpMSpVBucketBatch {
-            matrix,
+            matrix: matrix.into(),
             options,
             executor,
             workspace,
@@ -315,12 +318,13 @@ where
         semiring: &S,
         mask: Option<&BatchMaskView<'_>>,
     ) -> (SparseVecBatch<S::Output>, StepTimings) {
+        let matrix = &*self.matrix;
         if let Some(mask) = mask {
             mask.check_lanes(x.k());
-            mask.check_rows(self.matrix.nrows());
+            mask.check_rows(matrix.nrows());
         }
-        let m = self.matrix.nrows();
-        let n = self.matrix.ncols();
+        let m = matrix.nrows();
+        let n = matrix.ncols();
         let k = x.k();
         assert_eq!(
             x.len(),
@@ -346,7 +350,6 @@ where
         let t0 = Instant::now();
         let fused = x.fuse_columns();
         let chunks = even_ranges(fused.num_cols(), t);
-        let matrix = self.matrix;
         let lanes_of = |c| fused.activations(c).0.len();
         let plan = estimate_buckets(&executor, matrix, fused.cols(), lanes_of, &chunks, nb);
         timings.estimate = t0.elapsed();
@@ -707,6 +710,38 @@ mod tests {
                 // flush's choice.
                 assert!(alg.multiply_batch(&idle, &PlusTimes).is_empty());
                 assert_eq!(alg.last_run_info(), None, "{kind}/{threads}t: stale run info");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_handle_shares_the_matrix_and_matches_a_borrowed_one() {
+        use std::sync::Arc;
+        let a = Arc::new(erdos_renyi(200, 6.0, 13));
+        let wide = random_batch(200, 3, 40, 1);
+        let single = random_batch(200, 1, 40, 2);
+        for kind in BatchAlgorithmKind::all() {
+            for threads in [1usize, 2] {
+                let opts = SpMSpVOptions::with_threads(threads);
+                let mut shared = build_batch_algorithm::<f64, f64, PlusTimes>(
+                    Arc::clone(&a),
+                    kind,
+                    opts.clone(),
+                );
+                let mut borrowed = build_batch_algorithm::<f64, f64, PlusTimes>(&*a, kind, opts);
+                for x in [&wide, &single] {
+                    let y = shared.multiply_batch(x, &PlusTimes);
+                    assert_eq!(y, borrowed.multiply_batch(x, &PlusTimes), "{kind}/{threads}t");
+                    assert_eq!(shared.last_run_info(), borrowed.last_run_info());
+                }
+                assert!(Arc::strong_count(&a) > 1, "{kind}: the kernel holds the Arc");
+                if kind == BatchAlgorithmKind::Adaptive && threads == 2 {
+                    // `a`, the dispatcher, and its two lazily built delegates
+                    // (bucket for k = 3, naive for k = 1) — one matrix.
+                    assert_eq!(Arc::strong_count(&a), 4);
+                }
+                drop(shared);
+                assert_eq!(Arc::strong_count(&a), 1, "{kind}: dropping the kernel releases it");
             }
         }
     }

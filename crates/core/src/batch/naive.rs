@@ -7,9 +7,9 @@
 //! matrix's column structure once **per lane**, where the fused kernel
 //! traverses it once per *distinct* active column of the whole batch.
 
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
+use sparse_substrate::{Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
 
-use crate::algorithm::{SpMSpV, SpMSpVOptions};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::bucket::SpMSpVBucket;
 use crate::masked::BatchMaskView;
 
@@ -32,7 +32,7 @@ where
     S: Semiring<A, X>,
 {
     /// Prepares the fallback for `matrix` with the given options.
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         NaiveBatch { inner: SpMSpVBucket::new(matrix, options), ran: false }
     }
 }

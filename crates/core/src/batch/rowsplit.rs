@@ -29,10 +29,10 @@
 //! order, same as every other family here).
 
 use sparse_substrate::{
-    CscMatrix, DcscMatrix, FusedColumns, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch,
+    DcscMatrix, FusedColumns, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch,
 };
 
-use crate::algorithm::SpMSpVOptions;
+use crate::algorithm::{MatrixRef, SpMSpVOptions};
 use crate::executor::Executor;
 use crate::masked::BatchMaskView;
 
@@ -41,7 +41,7 @@ use super::{BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
 /// Row-split CombBLAS-style batched SpMSpV with one private lane-aware
 /// accumulator per piece.
 pub struct CombBlasSpaBatch<'a, A, X, S: Semiring<A, X>> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     pieces: Vec<DcscMatrix<A>>,
     /// Row offset of each piece within the full matrix.
     offsets: Vec<usize>,
@@ -62,10 +62,11 @@ where
     S: Semiring<A, X>,
 {
     /// Splits `matrix` row-wise into one DCSC piece per thread.
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
+        let matrix = matrix.into();
         let executor = options.build_executor();
         let t = executor.threads().max(1);
-        let pieces = DcscMatrix::row_split(matrix, t);
+        let pieces = DcscMatrix::row_split(&matrix, t);
         let offsets = matrix.row_split_offsets(t);
         let spas = pieces.iter().map(|p| LaneSpa::new(p.nrows(), 0)).collect();
         CombBlasSpaBatch {

@@ -52,16 +52,6 @@ impl BucketPlan {
     pub fn total_entries(&self) -> usize {
         *self.bucket_starts.last().expect("bucket_starts is never empty")
     }
-
-    /// Number of buckets in the plan.
-    pub fn num_buckets(&self) -> usize {
-        self.bucket_starts.len() - 1
-    }
-
-    /// Number of entries that land in bucket `b` across all threads.
-    pub fn bucket_size(&self, b: usize) -> usize {
-        self.bucket_starts[b + 1] - self.bucket_starts[b]
-    }
 }
 
 /// Algorithm 2: counts per-(thread, bucket) contributions in parallel, then
@@ -141,10 +131,7 @@ mod tests {
         let plan = estimate_buckets(&Executor::new(1), &a, x.indices(), |_| 1, &chunks, 4);
         assert_eq!(plan.total_entries(), 7);
         // Buckets receive: rows {0,0}=2, {2,3}=2, {4,4}=2, {6}=1
-        assert_eq!(plan.bucket_size(0), 2);
-        assert_eq!(plan.bucket_size(1), 2);
-        assert_eq!(plan.bucket_size(2), 2);
-        assert_eq!(plan.bucket_size(3), 1);
+        assert_eq!(plan.bucket_starts, [0, 2, 4, 6, 7]);
     }
 
     #[test]
@@ -198,6 +185,6 @@ mod tests {
         let chunks = even_ranges(0, 1);
         let plan = estimate_buckets(&Executor::new(1), &a, &[], |_| 1, &chunks, 4);
         assert_eq!(plan.total_entries(), 0);
-        assert_eq!(plan.num_buckets(), 4);
+        assert_eq!(plan.bucket_starts, [0; 5]);
     }
 }

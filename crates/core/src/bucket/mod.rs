@@ -34,7 +34,7 @@ use std::time::Instant;
 
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
-use crate::algorithm::{SpMSpV, SpMSpVOptions};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::disjoint::{split_by_boundaries, split_grouped, split_ranges};
 use crate::executor::{even_ranges, Executor};
 use crate::masked::MaskView;
@@ -48,7 +48,7 @@ pub(crate) const BUCKETS_PER_THREAD: usize = 4;
 /// The paper's work-efficient, synchronization-avoiding SpMSpV algorithm,
 /// prepared for one matrix and reusable across many input vectors.
 pub struct SpMSpVBucket<'a, A, X, S: Semiring<A, X>> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
     executor: Executor,
     workspace: BucketWorkspace<S::Output>,
@@ -65,7 +65,8 @@ where
     ///
     /// Allocates the `O(m)` SPA once; buckets grow lazily up to
     /// `O(nnz(A))` and are then reused.
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
+        let matrix = matrix.into();
         let executor = options.build_executor();
         let workspace = BucketWorkspace::new(matrix.nrows());
         SpMSpVBucket { matrix, options, executor, workspace, _marker: PhantomData }
@@ -99,8 +100,9 @@ where
         semiring: &S,
         mask: Option<MaskView<'_>>,
     ) -> (SparseVec<S::Output>, StepTimings) {
-        let m = self.matrix.nrows();
-        let n = self.matrix.ncols();
+        let matrix = &*self.matrix;
+        let m = matrix.nrows();
+        let n = matrix.ncols();
         assert_eq!(
             x.len(),
             n,
@@ -136,7 +138,7 @@ where
         // ---------------- Estimate (Algorithm 2) ----------------
         let t0 = Instant::now();
         let plan =
-            estimate::estimate_buckets(&executor, self.matrix, x_ref.indices(), |_| 1, &chunks, nb);
+            estimate::estimate_buckets(&executor, matrix, x_ref.indices(), |_| 1, &chunks, nb);
         timings.estimate = t0.elapsed();
 
         // ---------------- Step 1: bucketing ----------------
@@ -145,7 +147,7 @@ where
         let t1 = Instant::now();
         let ws = &mut self.workspace;
         let entries = high_water(&mut ws.entries, plan.total_entries(), (0, S::Output::default()));
-        scatter(&executor, self.matrix, x_ref, &chunks, &plan.boffset, entries, semiring);
+        scatter(&executor, matrix, x_ref, &chunks, &plan.boffset, entries, semiring);
         timings.bucketing = t1.elapsed();
 
         // ---------------- Step 2: per-bucket SPA merge ----------------

@@ -66,16 +66,6 @@ impl<Y: Scalar> BucketWorkspace<Y> {
     pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
-
-    /// Number of SPA slots (matrix rows).
-    pub fn spa_len(&self) -> usize {
-        self.spa_values.len()
-    }
-
-    /// High-water length of the shared bucket buffer, in entries.
-    pub fn bucket_capacity(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[cfg(test)]
@@ -85,8 +75,8 @@ mod tests {
     #[test]
     fn new_workspace_is_sized_to_rows() {
         let ws: BucketWorkspace<f64> = BucketWorkspace::new(17);
-        assert_eq!(ws.spa_len(), 17);
-        assert_eq!(ws.bucket_capacity(), 0);
+        assert_eq!(ws.spa_values.len(), 17);
+        assert_eq!(ws.entries.len(), 0);
         assert_eq!(ws.generation(), 0);
     }
 

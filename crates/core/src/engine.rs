@@ -12,7 +12,8 @@
 //! * [`Engine::load`] / [`Engine::over`] bind a matrix (owned or borrowed)
 //!   to **one** batched kernel of the [`EngineConfig::batch_algorithm`]
 //!   family — built on the first flush, workspaces reused across every
-//!   flush after it;
+//!   flush after it. The engine and its kernel hold the same [`MatrixRef`]:
+//!   the caller's borrow, or for an owned matrix one `Arc` they share;
 //! * clients open [`Session`]s and submit [`MxvRequest`]s (frontier +
 //!   optional output mask + optional deadline), receiving a [`Ticket`] per
 //!   request;
@@ -129,7 +130,7 @@ use sparse_substrate::{
     CscMatrix, MaskBits, Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch,
 };
 
-use crate::algorithm::SpMSpVOptions;
+use crate::algorithm::{MatrixRef, SpMSpVOptions};
 use crate::batch::{
     build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, NaiveBatch, SpMSpVBatch,
 };
@@ -534,13 +535,8 @@ struct RequestQueue<X, Y> {
     shrank: Condvar,
 }
 
-/// How the engine holds its matrix: borrowed from the caller, or owned.
-enum MatrixSource<'m, A> {
-    Borrowed(&'m CscMatrix<A>),
-    Owned(Arc<CscMatrix<A>>),
-}
-
-/// The engine's batched kernel, borrowing the engine's matrix.
+/// The engine's batched kernel, holding a clone of the engine's matrix
+/// handle.
 type Kernel<'m, A, X, S> = Box<dyn SpMSpVBatch<A, X, S> + 'm>;
 
 /// Turns a caught kernel panic into the error its group's tickets resolve
@@ -665,10 +661,6 @@ pub struct Engine<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> {
     /// The [`EngineConfig::batch_algorithm`] kernel, built on the first
     /// flush and reused by every later one (the amortization the engine
     /// exists for); `None` until then and after a panic evicted it.
-    ///
-    /// Field order matters: the kernel borrows the matrix, which for an
-    /// owned matrix is derived from `source` — it must drop first, and
-    /// struct fields drop in declaration order.
     kernel: Mutex<Option<Kernel<'m, A, X, S>>>,
     queue: RequestQueue<X, S::Output>,
     metrics: EngineMetrics,
@@ -676,7 +668,9 @@ pub struct Engine<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> {
     semiring: S,
     next_session: AtomicU64,
     next_request: AtomicU64,
-    source: MatrixSource<'m, A>,
+    /// Borrowed for [`Engine::over`], shared with the kernel for
+    /// [`Engine::load`].
+    matrix: MatrixRef<'m, A>,
 }
 
 /// Methods available under the struct's own bounds — shared by the `Drop`
@@ -744,7 +738,7 @@ where
 
     /// [`Engine::over`] with an explicit configuration.
     pub fn over_with(matrix: &'m CscMatrix<A>, semiring: S, config: EngineConfig) -> Self {
-        Self::from_source(MatrixSource::Borrowed(matrix), semiring, config)
+        Self::from_matrix(MatrixRef::Borrowed(matrix), semiring, config)
     }
 
     /// An engine **owning** `matrix`, with default configuration — the
@@ -755,10 +749,10 @@ where
 
     /// [`Engine::load`] with an explicit configuration.
     pub fn load_with(matrix: CscMatrix<A>, semiring: S, config: EngineConfig) -> Self {
-        Self::from_source(MatrixSource::Owned(Arc::new(matrix)), semiring, config)
+        Self::from_matrix(MatrixRef::Shared(Arc::new(matrix)), semiring, config)
     }
 
-    fn from_source(source: MatrixSource<'m, A>, semiring: S, config: EngineConfig) -> Self {
+    fn from_matrix(matrix: MatrixRef<'m, A>, semiring: S, config: EngineConfig) -> Self {
         let metrics = EngineMetrics::new(&config.obs);
         Engine {
             kernel: Mutex::new(None),
@@ -772,30 +766,13 @@ where
             semiring,
             next_session: AtomicU64::new(1),
             next_request: AtomicU64::new(0),
-            source,
-        }
-    }
-
-    /// The matrix reference the engine's kernel is built over.
-    fn matrix_ref(&self) -> &'m CscMatrix<A> {
-        match &self.source {
-            MatrixSource::Borrowed(m) => m,
-            // SAFETY: the Arc is owned by `self.source` for the engine's
-            // whole life and never swapped or released early, so the matrix
-            // sits at a stable heap address and is never mutated (no API
-            // takes it by `&mut`). The only borrows derived from this
-            // extended reference live inside `self.kernel` (and the retry
-            // kernel local to one flush), which is declared before `source`
-            // and therefore dropped first; no public API returns anything
-            // borrowed for `'m`.
-            #[allow(unsafe_code)]
-            MatrixSource::Owned(arc) => unsafe { &*Arc::as_ptr(arc) },
+            matrix,
         }
     }
 
     /// The matrix this engine serves.
     pub fn matrix(&self) -> &CscMatrix<A> {
-        self.matrix_ref()
+        &self.matrix
     }
 
     /// The engine's configuration.
@@ -881,7 +858,7 @@ where
     }
 
     fn submit_tagged(&self, session: u64, request: MxvRequest<X>) -> Ticket<S::Output> {
-        let m = self.matrix_ref();
+        let m = &*self.matrix;
         assert_eq!(
             request.frontier.len(),
             m.ncols(),
@@ -1170,7 +1147,7 @@ where
             Some(slot) => {
                 let built = slot.get_or_insert_with(|| {
                     build_batch_algorithm(
-                        self.matrix_ref(),
+                        self.matrix.clone(),
                         self.config.batch_algorithm,
                         self.config.options.clone(),
                     )
@@ -1181,7 +1158,7 @@ where
                 }
                 served
             }
-            None => run(&mut NaiveBatch::new(self.matrix_ref(), self.config.options.clone())),
+            None => run(&mut NaiveBatch::new(self.matrix.clone(), self.config.options.clone())),
         }
     }
 

@@ -123,7 +123,7 @@ pub mod stats;
 pub mod timing;
 
 pub use adaptive::{AdaptiveBatch, AdaptiveSpMSpV};
-pub use algorithm::{build_algorithm, AlgorithmKind, SpMSpV, SpMSpVOptions};
+pub use algorithm::{build_algorithm, AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 pub use batch::{
     build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, CombBlasSpaBatch, NaiveBatch,
     SpMSpVBatch, SpMSpVBucketBatch,

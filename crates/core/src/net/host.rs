@@ -63,7 +63,6 @@ where
     engine: Arc<Engine<'static, A, X, S>>,
     listener: TcpListener,
     info: HostInfo,
-    max_frame: usize,
     shutdown: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<TcpStream>>>,
     workers: Arc<Mutex<Vec<JoinHandle<()>>>>,
@@ -129,18 +128,10 @@ where
             engine: Arc::new(Engine::load_with(matrix, semiring, config)),
             listener,
             info,
-            max_frame: DEFAULT_MAX_FRAME,
             shutdown: Arc::new(AtomicBool::new(false)),
             conns: Arc::new(Mutex::new(Vec::new())),
             workers: Arc::new(Mutex::new(Vec::new())),
         })
-    }
-
-    /// Caps the accepted frame payload size (default
-    /// [`DEFAULT_MAX_FRAME`]).
-    pub fn max_frame(mut self, bytes: usize) -> Self {
-        self.max_frame = bytes;
-        self
     }
 
     /// The bound address (resolves the actual port after binding port 0).
@@ -176,9 +167,8 @@ where
                     }
                     let engine = Arc::clone(&self.engine);
                     let info = self.info.clone();
-                    let max_frame = self.max_frame;
                     let worker = std::thread::spawn(move || {
-                        serve_connection(engine, info, stream, max_frame);
+                        serve_connection(engine, info, stream);
                     });
                     crate::engine::lock(&self.workers).push(worker);
                 }
@@ -296,7 +286,6 @@ fn serve_connection<A, X, S>(
     engine: Arc<Engine<'static, A, X, S>>,
     info: HostInfo,
     mut stream: TcpStream,
-    max_frame: usize,
 ) where
     A: Scalar,
     X: WireScalar,
@@ -312,7 +301,7 @@ fn serve_connection<A, X, S>(
     let mut inflight: Vec<(u64, Inflight<S::Output>)> = Vec::new();
     // Clean EOF, stream failure, or a peer speaking garbage all end the
     // connection the same way.
-    while let Ok(Some((frame, _))) = read_frame::<X, S::Output, _>(&mut stream, max_frame) {
+    while let Ok(Some((frame, _))) = read_frame::<X, S::Output, _>(&mut stream, DEFAULT_MAX_FRAME) {
         match frame {
             Frame::Frontier(w) => {
                 // Re-anchor the relative budget to the local clock *now*:
@@ -369,7 +358,7 @@ fn serve_connection<A, X, S>(
                         }
                     }
                     let frame_start = buf.len();
-                    if write_frame(&mut buf, &reply, max_frame).is_err() {
+                    if write_frame(&mut buf, &reply, DEFAULT_MAX_FRAME).is_err() {
                         ok = false;
                         break;
                     }
@@ -390,7 +379,7 @@ fn serve_connection<A, X, S>(
                     execute_micros: u64::try_from(outcome.timings.execute.as_micros())
                         .unwrap_or(u64::MAX),
                 };
-                if !ok || write_frame(&mut buf, &done, max_frame).is_err() {
+                if !ok || write_frame(&mut buf, &done, DEFAULT_MAX_FRAME).is_err() {
                     break;
                 }
                 // Malicious variant: send half a header and hang up —
@@ -415,13 +404,13 @@ fn serve_connection<A, X, S>(
                     nrows: info.nrows,
                     fingerprint: info.fingerprint,
                 };
-                if write_frame(&mut stream, &welcome, max_frame).is_err() {
+                if write_frame(&mut stream, &welcome, DEFAULT_MAX_FRAME).is_err() {
                     break;
                 }
             }
             Frame::Ping { nonce } => {
                 let pong: Frame<X, S::Output> = Frame::Pong { nonce };
-                if write_frame(&mut stream, &pong, max_frame).is_err() {
+                if write_frame(&mut stream, &pong, DEFAULT_MAX_FRAME).is_err() {
                     break;
                 }
             }

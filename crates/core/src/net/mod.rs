@@ -37,7 +37,8 @@
 //! | 9 | `Ping` | router → host | `nonce u64` — heartbeat probe |
 //! | 10 | `Pong` | host → router | `nonce u64` — heartbeat reply, nonce echoed |
 //!
-//! Frames are bounded ([`DEFAULT_MAX_FRAME`], configurable) and decoding
+//! Frames are bounded ([`DEFAULT_MAX_FRAME`] on both sides of a
+//! connection; the codec functions take the bound as a parameter) and decoding
 //! is total: truncation, bad magic/version/tag, over-limit lengths, and
 //! inconsistent payloads all come back as a typed [`DecodeError`], never a
 //! panic. Scalar tags ([`WireScalar::TAG`]) make a router and host

@@ -52,30 +52,30 @@ use super::codec::{
     DEFAULT_MAX_FRAME,
 };
 
-/// Tuning knobs of a [`TcpTransport`].
+/// Ceiling on the exponential re-dial backoff.
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(500);
+/// Socket read/write timeout: an exchange that exceeds it fails over to the
+/// next replica instead of blocking forever.
+const IO_TIMEOUT: Option<Duration> = Some(Duration::from_secs(30));
+/// `TCP_NODELAY` on shard connections: frontier frames are
+/// latency-sensitive.
+const NODELAY: bool = true;
+/// Consecutive failures that trip a replica's circuit breaker. Byzantine
+/// frames and plan mismatches trip it immediately regardless.
+const BREAKER_THRESHOLD: u32 = 3;
+
+/// Tuning knobs of a [`TcpTransport`]: the re-dial, breaker and heartbeat
+/// timings tests shorten. Fixed: the frame cap ([`DEFAULT_MAX_FRAME`]), a
+/// 500 ms backoff ceiling, a 30 s socket timeout, `TCP_NODELAY`, and a
+/// breaker that trips after 3 consecutive failures.
 #[derive(Debug, Clone)]
 pub struct TcpConfig {
-    /// Upper bound on one frame's payload, enforced when encoding and
-    /// decoding (default [`DEFAULT_MAX_FRAME`]).
-    pub max_frame: usize,
     /// Re-dial attempts per exchange when a replica's connection is down.
     pub connect_retries: u32,
-    /// Base sleep before a re-dial retry; doubles per attempt up to
-    /// [`retry_backoff_cap`](Self::retry_backoff_cap), with ±25% jitter so
-    /// a restarted fleet does not thundering-herd one host.
+    /// Base sleep before a re-dial retry; doubles per attempt up to 500 ms,
+    /// with ±25% jitter so a restarted fleet does not thundering-herd one
+    /// host.
     pub retry_backoff: Duration,
-    /// Ceiling on the exponential re-dial backoff (default 500 ms).
-    pub retry_backoff_cap: Duration,
-    /// Socket read/write timeout; an exchange that exceeds it fails over
-    /// to the next replica instead of blocking forever (`None` = block).
-    pub io_timeout: Option<Duration>,
-    /// `TCP_NODELAY` on shard connections (default on — frontier frames
-    /// are latency-sensitive).
-    pub nodelay: bool,
-    /// Consecutive failures that trip a replica's circuit breaker
-    /// (default 3). Byzantine frames and plan mismatches trip it
-    /// immediately regardless of this threshold.
-    pub breaker_threshold: u32,
     /// How long a tripped breaker stays open before a half-open probe may
     /// re-admit the replica (default 250 ms).
     pub breaker_cooldown: Duration,
@@ -89,13 +89,8 @@ pub struct TcpConfig {
 impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
-            max_frame: DEFAULT_MAX_FRAME,
             connect_retries: 3,
             retry_backoff: Duration::from_millis(10),
-            retry_backoff_cap: Duration::from_millis(500),
-            io_timeout: Some(Duration::from_secs(30)),
-            nodelay: true,
-            breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(250),
             heartbeat: Some(Duration::from_millis(500)),
         }
@@ -356,7 +351,7 @@ impl Shared {
                     let seed = u64::from(rep.addr.port()) ^ ((s as u64) << 17);
                     std::thread::sleep(backoff_delay(
                         self.config.retry_backoff,
-                        self.config.retry_backoff_cap,
+                        RETRY_BACKOFF_CAP,
                         attempt,
                         seed,
                     ));
@@ -364,9 +359,9 @@ impl Shared {
                 }
             }
         };
-        let _ = stream.set_nodelay(self.config.nodelay);
-        let _ = stream.set_read_timeout(self.config.io_timeout);
-        let _ = stream.set_write_timeout(self.config.io_timeout);
+        let _ = stream.set_nodelay(NODELAY);
+        let _ = stream.set_read_timeout(IO_TIMEOUT);
+        let _ = stream.set_write_timeout(IO_TIMEOUT);
         if let Err(e) = self.handshake(s, rep.addr, &mut stream) {
             if matches!(e, AttemptError::Mismatch(_)) {
                 self.metrics.handshake_rejected.inc();
@@ -398,8 +393,8 @@ impl Shared {
                 AttemptError::Mismatch(format!("handshake reply does not decode: {e}"))
             }
         };
-        write_frame::<f64, f64, _>(stream, &Frame::Hello, self.config.max_frame).map_err(hs_io)?;
-        let frame = match read_frame::<f64, f64, _>(stream, self.config.max_frame) {
+        write_frame::<f64, f64, _>(stream, &Frame::Hello, DEFAULT_MAX_FRAME).map_err(hs_io)?;
+        let frame = match read_frame::<f64, f64, _>(stream, DEFAULT_MAX_FRAME) {
             Ok(Some((frame, _))) => frame,
             Ok(None) => {
                 return Err(AttemptError::Outage(format!(
@@ -447,11 +442,11 @@ impl Shared {
         }
     }
 
-    /// Records an ordinary failure; trips the breaker at the configured
-    /// consecutive threshold.
+    /// Records an ordinary failure; trips the breaker at
+    /// [`BREAKER_THRESHOLD`] consecutive ones.
     fn record_failure(&self, rep: &mut Replica) {
         rep.breaker.consecutive = rep.breaker.consecutive.saturating_add(1);
-        if rep.breaker.consecutive >= self.config.breaker_threshold {
+        if rep.breaker.consecutive >= BREAKER_THRESHOLD {
             self.trip(rep);
         }
     }
@@ -505,16 +500,15 @@ impl Shared {
 /// the heartbeat (the caller's timeout is restored afterwards).
 fn ping(shared: &Shared, stream: &mut TcpStream, deadline: Duration) -> bool {
     let nonce = shared.nonce.fetch_add(1, Ordering::Relaxed);
-    let max_frame = shared.config.max_frame;
-    if write_frame::<f64, f64, _>(stream, &Frame::Ping { nonce }, max_frame).is_err() {
+    if write_frame::<f64, f64, _>(stream, &Frame::Ping { nonce }, DEFAULT_MAX_FRAME).is_err() {
         return false;
     }
     let _ = stream.set_read_timeout(Some(deadline.max(Duration::from_millis(10))));
     let ok = matches!(
-        read_frame::<f64, f64, _>(stream, max_frame),
+        read_frame::<f64, f64, _>(stream, DEFAULT_MAX_FRAME),
         Ok(Some((Frame::Pong { nonce: echoed }, _))) if echoed == nonce
     );
-    let _ = stream.set_read_timeout(shared.config.io_timeout);
+    let _ = stream.set_read_timeout(IO_TIMEOUT);
     ok
 }
 
@@ -705,7 +699,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                 budget,
                 req.mask.clone(),
             ));
-            if let Err(e) = encode_frame(&frame, &mut buf, shared.config.max_frame) {
+            if let Err(e) = encode_frame(&frame, &mut buf, DEFAULT_MAX_FRAME) {
                 // An unencodable frontier (oversize) fails only its own
                 // request — deterministically, so no replica retries it.
                 replies.push(ShardMsg::error(
@@ -716,7 +710,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
             }
         }
         let flush: Frame<X, Y> = Frame::Flush;
-        if let Err(e) = encode_frame(&flush, &mut buf, shared.config.max_frame) {
+        if let Err(e) = encode_frame(&flush, &mut buf, DEFAULT_MAX_FRAME) {
             return Err(AttemptError::Outage(format!("encode: flush frame: {e}")));
         }
         shared.metrics.encode_time.record_duration(t_encode.elapsed());
@@ -738,7 +732,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         let mut gathered: Vec<ShardMsg<Y>> = Vec::with_capacity(expect.len());
         let done = loop {
             let t_decode = Instant::now();
-            let frame = match read_frame::<X, Y, _>(stream, shared.config.max_frame) {
+            let frame = match read_frame::<X, Y, _>(stream, DEFAULT_MAX_FRAME) {
                 Ok(Some((frame, n))) => {
                     shared.metrics.bytes_in.add(n as u64);
                     shared.metrics.decode_time.record_duration(t_decode.elapsed());

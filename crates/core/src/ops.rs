@@ -233,16 +233,6 @@ where
         self.matrix
     }
 
-    /// The selected single-vector algorithm family.
-    pub fn algorithm_kind(&self) -> AlgorithmKind {
-        self.algorithm
-    }
-
-    /// The selected batched algorithm family.
-    pub fn batch_algorithm_kind(&self) -> BatchAlgorithmKind {
-        self.batch_algorithm
-    }
-
     /// The mask interpretation, when the descriptor is masked.
     pub fn mask_mode(&self) -> Option<MaskMode> {
         self.mask.as_ref().map(|&(_, mode)| mode)
@@ -307,8 +297,8 @@ mod tests {
         let batch = op.run_batch(&SparseVecBatch::from_single(&x));
         assert_eq!(batch.k(), 1);
         assert_eq!(batch.lane_vec(0), single);
-        assert_eq!(op.algorithm_kind(), AlgorithmKind::Adaptive);
-        assert_eq!(op.batch_algorithm_kind(), BatchAlgorithmKind::Adaptive);
+        assert_eq!(op.algorithm, AlgorithmKind::Adaptive);
+        assert_eq!(op.batch_algorithm, BatchAlgorithmKind::Adaptive);
         assert_eq!(op.mask_mode(), None);
     }
 

@@ -7,7 +7,7 @@
 //! `colptr` prefix sums and places each boundary where the *entry count*
 //! crosses the next `total · s / shards` threshold instead.
 
-use sparse_substrate::{CscMatrix, DcscMatrix, Scalar};
+use sparse_substrate::{CscMatrix, Scalar};
 
 /// A 1D column partition: `shards + 1` non-decreasing boundaries over
 /// `0..=ncols`. Shard `s` owns columns `[bounds[s], bounds[s + 1])`.
@@ -40,37 +40,6 @@ impl ShardPlan {
     /// 0` is treated as 1.
     pub fn balanced<T: Scalar>(matrix: &CscMatrix<T>, shards: usize) -> ShardPlan {
         Self::from_prefix_nnz(matrix.ncols(), matrix.colptr(), shards)
-    }
-
-    /// [`ShardPlan::balanced`] for a hypersparse [`DcscMatrix`]: the prefix
-    /// sums are reconstructed from the stored (non-empty) columns only, in
-    /// `O(nzc)`, without materializing an `O(ncols)` `colptr`.
-    pub fn balanced_dcsc<T: Scalar>(matrix: &DcscMatrix<T>, shards: usize) -> ShardPlan {
-        // Cumulative nnz *after* each non-empty column, as (col_id, cum).
-        let mut cum = 0usize;
-        let marks: Vec<(usize, usize)> = matrix
-            .iter_columns()
-            .map(|(j, rows, _)| {
-                cum += rows.len();
-                (j, cum)
-            })
-            .collect();
-        let total = cum;
-        let shards = shards.max(1);
-        if total == 0 {
-            return Self::uniform(matrix.ncols(), shards);
-        }
-        let mut bounds = vec![0usize];
-        for s in 1..shards {
-            let target = total * s / shards;
-            // First stored column whose cumulative count exceeds the target
-            // is the largest valid boundary with ≤ target mass to its left —
-            // the same cut `from_prefix_nnz` derives from a dense `colptr`.
-            let cut =
-                marks.iter().find(|&&(_, c)| c > target).map(|&(j, _)| j).unwrap_or(matrix.ncols());
-            Self::push_bound(&mut bounds, cut, matrix.ncols());
-        }
-        Self::finish(bounds, matrix.ncols())
     }
 
     /// A width-balanced plan (equal column counts, ignoring nnz) — the
@@ -191,16 +160,6 @@ impl ShardPlan {
     pub fn range(&self, s: usize) -> std::ops::Range<usize> {
         self.bounds[s]..self.bounds[s + 1]
     }
-
-    /// Which shard owns column `col`.
-    ///
-    /// # Panics
-    ///
-    /// When `col >= ncols`.
-    pub fn owner(&self, col: usize) -> usize {
-        assert!(col < self.ncols, "column {col} out of range for {} columns", self.ncols);
-        self.bounds.partition_point(|&b| b <= col) - 1
-    }
 }
 
 impl std::fmt::Display for ShardPlan {
@@ -259,8 +218,8 @@ mod tests {
         let a = erdos_renyi(100, 4.0, 7);
         let plan = ShardPlan::balanced(&a, 5);
         for col in 0..a.ncols() {
-            let s = plan.owner(col);
-            assert!(plan.range(s).contains(&col), "column {col} not in its owner's range");
+            let owners = (0..plan.num_shards()).filter(|&s| plan.range(s).contains(&col));
+            assert_eq!(owners.count(), 1, "column {col} must be in exactly one shard's range");
         }
     }
 
@@ -319,25 +278,10 @@ mod tests {
     }
 
     #[test]
-    fn dcsc_plan_matches_csc_plan() {
-        for seed in [3u64, 11, 29] {
-            let a = rmat(8, 6, RmatParams::graph500(), seed);
-            let d = DcscMatrix::from_csc(&a);
-            for shards in [1, 2, 3, 7] {
-                assert_eq!(
-                    ShardPlan::balanced(&a, shards),
-                    ShardPlan::balanced_dcsc(&d, shards),
-                    "seed {seed}, {shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn from_bounds_validates() {
         let plan = ShardPlan::from_bounds(10, vec![0, 4, 10]);
         assert_eq!(plan.num_shards(), 2);
-        assert_eq!(plan.owner(4), 1);
+        assert_eq!(plan.range(1), 4..10);
         assert_eq!(plan.to_string(), "2 shards over 10 columns [0..4, 4..10]");
     }
 

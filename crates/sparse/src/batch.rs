@@ -143,12 +143,6 @@ impl<T: Scalar> SparseVecBatch<T> {
         self.indices.len()
     }
 
-    /// Stored entries in lane `l`.
-    #[inline]
-    pub fn lane_nnz(&self, l: usize) -> usize {
-        self.lane_ptr[l + 1] - self.lane_ptr[l]
-    }
-
     /// `true` when no lane stores any entry.
     #[inline]
     pub fn is_empty(&self) -> bool {
@@ -177,23 +171,6 @@ impl<T: Scalar> SparseVecBatch<T> {
     /// Whether every lane's indices are sorted strictly ascending.
     pub fn is_sorted(&self) -> bool {
         (0..self.k()).all(|l| self.lane(l).0.windows(2).all(|w| w[0] < w[1]))
-    }
-
-    /// Sorts each lane by index in place.
-    pub fn sort_lanes(&mut self) {
-        for l in 0..self.k() {
-            let r = self.lane_ptr[l]..self.lane_ptr[l + 1];
-            let idx = &self.indices[r.clone()];
-            if idx.windows(2).all(|w| w[0] < w[1]) {
-                continue;
-            }
-            let mut perm: Vec<usize> = (0..idx.len()).collect();
-            perm.sort_unstable_by_key(|&p| idx[p]);
-            let sorted_idx: Vec<usize> = perm.iter().map(|&p| idx[p]).collect();
-            let sorted_val: Vec<T> = perm.iter().map(|&p| self.values[r.start + p]).collect();
-            self.indices[r.clone()].copy_from_slice(&sorted_idx);
-            self.values[r].copy_from_slice(&sorted_val);
-        }
     }
 
     /// Lane-wise [`SparseVec::slice_remap`]: every lane keeps only its
@@ -363,12 +340,6 @@ impl<T: Scalar> FusedColumns<T> {
         self.cols.len()
     }
 
-    /// Total `(column, lane)` activations (= total batch nnz).
-    #[inline]
-    pub fn total_activations(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// The `(lane, value)` activations of the `c`-th active column (position
     /// in [`FusedColumns::cols`], not the column index itself).
     #[inline]
@@ -391,15 +362,21 @@ mod tests {
         .unwrap()
     }
 
+    /// `b` with every lane sorted by index.
+    fn sorted_lanes(b: &SparseVecBatch<f64>) -> SparseVecBatch<f64> {
+        let lanes: Vec<SparseVec<f64>> = b.to_lanes().iter().map(SparseVec::sorted).collect();
+        SparseVecBatch::from_lanes(&lanes).unwrap()
+    }
+
     #[test]
     fn from_lanes_roundtrips() {
         let b = demo_batch();
         assert_eq!(b.k(), 3);
         assert_eq!(b.len(), 6);
         assert_eq!(b.total_nnz(), 5);
-        assert_eq!(b.lane_nnz(0), 2);
-        assert_eq!(b.lane_nnz(1), 0);
-        assert_eq!(b.lane_nnz(2), 3);
+        assert_eq!(b.lane(0).0.len(), 2);
+        assert_eq!(b.lane(1).0.len(), 0);
+        assert_eq!(b.lane(2).0.len(), 3);
         let lanes = b.to_lanes();
         assert_eq!(lanes[0].indices(), &[4, 1]);
         assert_eq!(lanes[2].values(), &[10.0, 50.0, 30.0]);
@@ -428,24 +405,13 @@ mod tests {
         let b = demo_batch();
         let fused = b.fuse_columns();
         assert_eq!(fused.cols(), &[1, 3, 4, 5]);
-        assert_eq!(fused.total_activations(), 5);
+        assert_eq!(fused.lanes.len(), 5);
         // column 1 is activated by lanes 0 and 2, in lane order
         let (lanes, vals) = fused.activations(0);
         assert_eq!(lanes, &[0, 2]);
         assert_eq!(vals, &[1.0, 10.0]);
         // column 3 only by lane 2
         assert_eq!(fused.activations(1).0, &[2]);
-    }
-
-    #[test]
-    fn sort_lanes_orders_each_lane() {
-        let mut b = demo_batch();
-        assert!(!b.is_sorted());
-        b.sort_lanes();
-        assert!(b.is_sorted());
-        assert_eq!(b.lane(0).0, &[1, 4]);
-        assert_eq!(b.lane(0).1, &[1.0, 4.0]);
-        assert_eq!(b.lane(2).0, &[1, 3, 5]);
     }
 
     #[test]
@@ -462,7 +428,7 @@ mod tests {
         assert!(b.is_empty());
         let fused = b.fuse_columns();
         assert_eq!(fused.num_cols(), 0);
-        assert_eq!(fused.total_activations(), 0);
+        assert_eq!(fused.lanes.len(), 0);
     }
 
     #[test]
@@ -494,9 +460,7 @@ mod tests {
         let via_public = b.fuse_columns();
         assert_eq!(via_public, b.fuse_columns_sort());
         // A sorted copy of the same logical batch fuses to the same layout.
-        let mut sorted = b.clone();
-        sorted.sort_lanes();
-        assert_eq!(sorted.fuse_columns_merge(), via_public);
+        assert_eq!(sorted_lanes(&b).fuse_columns_merge(), via_public);
     }
 
     #[test]
@@ -506,7 +470,7 @@ mod tests {
         assert_eq!(s.k(), 3, "lane count survives slicing");
         assert_eq!(s.len(), 4);
         assert_eq!(s.lane(0).0, &[3, 0]); // 4, 1 re-based by 1
-        assert_eq!(s.lane_nnz(1), 0);
+        assert_eq!(s.lane(1).0.len(), 0);
         assert_eq!(s.lane(2).0, &[0, 2]); // 1, 3 survive; 5 is cut
         assert_eq!(s.lane(2).1, &[10.0, 30.0]);
         // Lane-wise agreement with the vector primitive.
@@ -521,8 +485,7 @@ mod tests {
     #[test]
     fn same_entries_is_lane_wise() {
         let a = demo_batch();
-        let mut b = demo_batch();
-        b.sort_lanes();
+        let b = sorted_lanes(&a);
         assert!(a.same_entries(&b));
         let c = SparseVecBatch::from_lanes(&[
             SparseVec::from_pairs(6, vec![(4, 4.0), (1, 1.0)]).unwrap(),

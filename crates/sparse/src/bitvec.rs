@@ -145,12 +145,6 @@ impl MaskBits {
         mask
     }
 
-    /// Builds a mask from the set positions of a [`BitVec`] (values ignored).
-    pub fn from_bitvec<T>(b: &BitVec<T>) -> Self {
-        let count = b.values.len();
-        MaskBits { len: b.len, words: b.words.clone(), count }
-    }
-
     /// The raw bitmap words (`len.div_ceil(64)` of them, LSB-first). This is
     /// the wire representation of a mask: together with
     /// [`MaskBits::from_words`] it lets a transport ship the membership set
@@ -364,17 +358,6 @@ mod tests {
         let m = MaskBits::from_indices(200, [199, 0, 63, 64, 130]);
         let got: Vec<usize> = m.iter().collect();
         assert_eq!(got, vec![0, 63, 64, 130, 199]);
-    }
-
-    #[test]
-    fn mask_from_bitvec_shares_membership() {
-        let b = sample();
-        let m = MaskBits::from_bitvec(&b);
-        assert_eq!(m.count(), b.nnz());
-        assert_eq!(m.len(), b.len());
-        for i in 0..b.len() {
-            assert_eq!(m.contains(i), b.contains(i), "membership differs at {i}");
-        }
     }
 
     #[test]

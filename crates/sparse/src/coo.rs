@@ -38,30 +38,6 @@ impl<T: Scalar> CooMatrix<T> {
         }
     }
 
-    /// Builds a matrix from parallel triple arrays, validating bounds.
-    pub fn from_triples(
-        nrows: usize,
-        ncols: usize,
-        rows: Vec<usize>,
-        cols: Vec<usize>,
-        values: Vec<T>,
-    ) -> Result<Self, SparseError> {
-        if rows.len() != cols.len() || rows.len() != values.len() {
-            return Err(SparseError::InvalidStructure(format!(
-                "triple arrays have mismatched lengths: {} rows, {} cols, {} values",
-                rows.len(),
-                cols.len(),
-                values.len()
-            )));
-        }
-        for (&r, &c) in rows.iter().zip(cols.iter()) {
-            if r >= nrows || c >= ncols {
-                return Err(SparseError::IndexOutOfBounds { row: r, col: c, nrows, ncols });
-            }
-        }
-        Ok(CooMatrix { nrows, ncols, rows, cols, values })
-    }
-
     /// Number of rows.
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -250,16 +226,6 @@ mod tests {
         assert!(m.try_push(3, 0, 1.0).is_err());
         assert!(m.try_push(0, 4, 1.0).is_err());
         assert!(m.try_push(2, 3, 1.0).is_ok());
-    }
-
-    #[test]
-    fn from_triples_validates() {
-        let err = CooMatrix::from_triples(2, 2, vec![0, 5], vec![0, 1], vec![1.0, 2.0]);
-        assert!(err.is_err());
-        let mismatch = CooMatrix::from_triples(2, 2, vec![0], vec![0, 1], vec![1.0, 2.0]);
-        assert!(mismatch.is_err());
-        let ok = CooMatrix::from_triples(2, 2, vec![0, 1], vec![0, 1], vec![1.0, 2.0]);
-        assert!(ok.is_ok());
     }
 
     #[test]

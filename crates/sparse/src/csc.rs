@@ -203,15 +203,6 @@ impl<T: Scalar> CscMatrix<T> {
         (0..self.ncols).map(|j| self.column_nnz(j)).max().unwrap_or(0)
     }
 
-    /// Converts back to triples (column-major order).
-    pub fn to_coo(&self) -> CooMatrix<T> {
-        let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz());
-        for (i, j, v) in self.iter() {
-            coo.push(i, j, *v);
-        }
-        coo
-    }
-
     /// Returns the transpose as a new CSC matrix.
     ///
     /// Implemented as a linear-time bucket scatter (Gustavson's
@@ -550,12 +541,5 @@ mod tests {
         let a = figure1_matrix();
         assert!((a.avg_column_degree() - 19.0 / 8.0).abs() < 1e-12);
         assert_eq!(a.max_column_degree(), 4);
-    }
-
-    #[test]
-    fn to_coo_roundtrip() {
-        let a = figure1_matrix();
-        let back = CscMatrix::from_coo(a.to_coo(), |x, _| x);
-        assert_eq!(back, a);
     }
 }

@@ -161,12 +161,6 @@ impl<T: Scalar> DcscMatrix<T> {
         self.jc.len()
     }
 
-    /// Ids of the non-empty columns, strictly increasing.
-    #[inline]
-    pub fn nonempty_column_ids(&self) -> &[usize] {
-        &self.jc
-    }
-
     /// Row ids and values of logical column `j`, or `None` when the column is
     /// empty. Uses the auxiliary index for expected-constant-time lookup.
     pub fn column(&self, j: usize) -> Option<(&[usize], &[T])> {
@@ -250,7 +244,7 @@ mod tests {
         let d = DcscMatrix::from_csc(&hypersparse());
         assert_eq!(d.nzc(), 3);
         assert_eq!(d.nnz(), 6);
-        assert_eq!(d.nonempty_column_ids(), &[1, 4, 9]);
+        assert_eq!(d.jc, [1, 4, 9]);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! definition of `y ← A ⊕.⊗ x` with no regard for performance.
 
 use crate::csc::CscMatrix;
-use crate::dense::DenseVec;
 use crate::semiring::Semiring;
 use crate::spvec::SparseVec;
 use crate::Scalar;
@@ -54,29 +53,6 @@ where
     y
 }
 
-/// Column-oriented sparse matrix–dense vector product, used to cross-check
-/// SpMSpV against SpMV when the input vector happens to be fully dense.
-pub fn spmv_dense_reference<A, X, S>(
-    a: &CscMatrix<A>,
-    x: &DenseVec<X>,
-    semiring: &S,
-) -> DenseVec<S::Output>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X>,
-{
-    assert_eq!(a.ncols(), x.len(), "dimension mismatch in SpMV");
-    let mut y = vec![semiring.zero(); a.nrows()];
-    for j in 0..a.ncols() {
-        let (rows, vals) = a.column(j);
-        for (&i, av) in rows.iter().zip(vals.iter()) {
-            y[i] = semiring.add(y[i], semiring.multiply(av, &x[j]));
-        }
-    }
-    DenseVec::from_vec(y)
-}
-
 /// Reference batched SpMSpV: `k` independent [`spmspv_reference`] calls,
 /// one per lane. Every batched kernel is tested against this.
 pub fn spmspv_batch_reference<A, X, S>(
@@ -105,6 +81,7 @@ pub fn required_multiplications<A: Scalar, X: Scalar>(a: &CscMatrix<A>, x: &Spar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseVec;
     use crate::fixtures::{figure1_matrix, figure1_vector, tridiagonal};
     use crate::semiring::{PlusTimes, Select2ndMin};
 
@@ -139,7 +116,14 @@ mod tests {
         let xd = DenseVec::from_vec((0..30).map(|i| i as f64 + 1.0).collect());
         let xs = xd.to_sparse(|_| true);
         let via_spmspv = spmspv_reference(&a, &xs, &PlusTimes).to_dense(0.0);
-        let via_spmv = spmv_dense_reference(&a, &xd, &PlusTimes);
+        // Column-oriented SpMV: every column scaled by its dense x entry.
+        let mut via_spmv = vec![0.0; 30];
+        for j in 0..30 {
+            let (rows, vals) = a.column(j);
+            for (&i, &av) in rows.iter().zip(vals.iter()) {
+                via_spmv[i] += av * xd[j];
+            }
+        }
         for i in 0..30 {
             assert!((via_spmspv[i] - via_spmv[i]).abs() < 1e-12);
         }

@@ -174,12 +174,6 @@ impl<T: Scalar> LaneSpa<T> {
         }
     }
 
-    /// Index-space size `m`.
-    #[inline]
-    pub fn index_len(&self) -> usize {
-        self.m
-    }
-
     /// Lane count `k`.
     #[inline]
     pub fn lanes(&self) -> usize {
@@ -438,14 +432,14 @@ mod tests {
         spa.ensure_shape(4, 1); // same shape, just reset
         assert_eq!(spa.get(0, 0), None);
         spa.ensure_shape(6, 3); // grows: capacity becomes 18
-        assert_eq!(spa.index_len(), 6);
+        assert_eq!(spa.m, 6);
         assert_eq!(spa.lanes(), 3);
         assert_eq!(spa.capacity(), 18);
         assert!(spa.accumulate(5, 2, 1, |a, b| a + b));
         // Shrinking k (and m) keeps the allocation but takes the new
         // logical shape — the serving-engine narrow-after-wide flush.
         spa.ensure_shape(2, 2);
-        assert_eq!(spa.index_len(), 2);
+        assert_eq!(spa.m, 2);
         assert_eq!(spa.lanes(), 2);
         assert_eq!(spa.capacity(), 18, "shrinking must not reallocate");
         // Slots remapped by the new k are logically empty (generation bump).

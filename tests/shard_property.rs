@@ -1002,6 +1002,53 @@ fn plan_mismatch_is_rejected_at_dial_time() {
         Ok(_) => panic!("a stale fingerprint must not dial"),
     }
 
+    // Wrong height: shard 0's slice, one row taller than the plan's output.
+    let part = a.column_split(plan.bounds()).swap_remove(0);
+    let mut coo = CooMatrix::new(n + 1, part.ncols());
+    for (i, j, &v) in part.iter() {
+        coo.push(i, j, v);
+    }
+    let tall = ShardHost::bind(
+        "127.0.0.1:0",
+        0,
+        plan.range(0),
+        CscMatrix::from_coo(coo, |x, _| x),
+        PlusTimes,
+        EngineConfig::default(),
+    )
+    .expect("bind an ephemeral localhost port");
+    let tall_addr = tall.local_addr().expect("bound listener has an address");
+    let tall = tall.spawn();
+    let dial = |fleet: &[Vec<SocketAddr>]| {
+        ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
+            plan.clone(),
+            n,
+            PlusTimes,
+            fleet,
+            failover_config(),
+            ObsConfig::default(),
+        )
+    };
+    match dial(&[vec![tall_addr], groups[1].clone()]) {
+        Err(ConnectError::PlanMismatch { shard: 0, reason, .. }) => {
+            assert!(reason.contains("height"), "reason should name the height: {reason}")
+        }
+        Err(other) => panic!("a wrong-height Welcome must be PlanMismatch, got {other:?}"),
+        Ok(_) => panic!("a wrong-height host must not dial"),
+    }
+
+    // A misconfigured replica beside a healthy primary: the dial fails too,
+    // naming the misconfigured address, not the healthy one.
+    match dial(&[vec![groups[0][0], tall_addr], groups[1].clone()]) {
+        Err(ConnectError::PlanMismatch { shard: 0, addr, reason }) => {
+            assert_eq!(addr, tall_addr, "the error must name the misconfigured replica");
+            assert!(reason.contains("height"), "reason should name the height: {reason}")
+        }
+        Err(other) => panic!("a misconfigured replica must be PlanMismatch, got {other:?}"),
+        Ok(_) => panic!("a fleet with a misconfigured replica must not dial"),
+    }
+    tall.shutdown();
+
     // The matching plan still dials fine — and counts the rejections above.
     let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
         plan,
