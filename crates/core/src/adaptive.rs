@@ -25,8 +25,8 @@
 //! change to one of them has to show up.
 //!
 //! Because every fixed kernel in this workspace reduces each `(row, lane)`
-//! in ascending-column order and emits sorted lanes (under the default
-//! options), the dispatcher's choice never changes the result — adaptive
+//! in ascending-column order and emits ascending lanes, the dispatcher's
+//! choice never changes the result — adaptive
 //! output is bit-identical to whichever fixed family it delegates to, which
 //! the property tests assert.
 
@@ -83,10 +83,8 @@ fn estimated_flops<A: Scalar>(matrix: &CscMatrix<A>, nnz: usize) -> usize {
 /// estimated flops. Both delegates are instantiated lazily and keep their
 /// workspaces across calls, exactly like a fixed-family descriptor.
 ///
-/// The sequential delegate is only eligible when it is bit-compatible with
-/// the bucket kernel's reduction order (sorted input under sorted output,
-/// or unsorted output), so switching families mid-traversal never changes a
-/// result.
+/// Both delegates reduce each row in ascending-column order, so switching
+/// families mid-traversal never changes a result.
 pub struct AdaptiveSpMSpV<'a, A, X, S: Semiring<A, X>> {
     matrix: &'a CscMatrix<A>,
     options: SpMSpVOptions,
@@ -117,10 +115,6 @@ where
 
     fn choose(&self, x: &SparseVec<X>) -> AlgorithmKind {
         let flops = estimated_flops(self.matrix, x.nnz());
-        // The sequential SPA accumulates in the frontier's storage order;
-        // the bucket kernel accumulates in ascending-column order. They are
-        // bit-identical only when those coincide.
-        let order_compatible = !self.options.sorted_output || x.is_sorted();
         // With one worker the parallel pipeline's fixed costs never pay
         // until the working set outgrows a single SPA pass, so the
         // single-thread cutoff is the (much larger) row-split one — but
@@ -131,7 +125,7 @@ where
         } else {
             SEQUENTIAL_FLOPS_CUTOFF
         };
-        if order_compatible && flops <= cutoff {
+        if flops <= cutoff {
             AlgorithmKind::Sequential
         } else {
             AlgorithmKind::Bucket
@@ -354,7 +348,7 @@ mod tests {
         // ~6 flops per frontier entry: 1 and 4 sit under the sequential
         // cutoff, 200 well past it.
         for nnz in [1usize, 4, 200] {
-            let x = random_sparse_vec(300, nnz, 7 + nnz as u64).sorted();
+            let x = random_sparse_vec(300, nnz, 7 + nnz as u64);
             let mut adaptive: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
                 AdaptiveSpMSpV::new(&a, opts.clone());
             let y = adaptive.multiply(&x, &PlusTimes);
@@ -377,19 +371,11 @@ mod tests {
         let a = erdos_renyi(500, 8.0, 3);
         let mut adaptive: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
             AdaptiveSpMSpV::new(&a, SpMSpVOptions::with_threads(4));
-        let tiny = random_sparse_vec(500, 2, 1).sorted();
+        let tiny = random_sparse_vec(500, 2, 1);
         let _ = adaptive.multiply(&tiny, &PlusTimes);
         assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Sequential));
-        let big = random_sparse_vec(500, nnz_past(&a, SEQUENTIAL_FLOPS_CUTOFF), 2).sorted();
+        let big = random_sparse_vec(500, nnz_past(&a, SEQUENTIAL_FLOPS_CUTOFF), 2);
         let _ = adaptive.multiply(&big, &PlusTimes);
-        assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Bucket));
-        // Unsorted frontier under sorted output: reduction orders differ,
-        // so the dispatcher must stay on the bucket kernel.
-        let unsorted =
-            sparse_substrate::SparseVec::from_pairs(500, vec![(9, 1.0), (2, 1.0), (5, 1.0)])
-                .unwrap();
-        assert!(!unsorted.is_sorted());
-        let _ = adaptive.multiply(&unsorted, &PlusTimes);
         assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Bucket));
 
         // One worker: the same big frontier stays on the flat SPA pass while
@@ -401,8 +387,7 @@ mod tests {
         let tall = tridiagonal(ROWSPLIT_MAX_M + 1);
         let mut one: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
             AdaptiveSpMSpV::new(&tall, SpMSpVOptions::with_threads(1));
-        let big =
-            random_sparse_vec(tall.ncols(), nnz_past(&tall, SEQUENTIAL_FLOPS_CUTOFF), 2).sorted();
+        let big = random_sparse_vec(tall.ncols(), nnz_past(&tall, SEQUENTIAL_FLOPS_CUTOFF), 2);
         let _ = one.multiply(&big, &PlusTimes);
         assert_eq!(one.last_choice(), Some(AlgorithmKind::Bucket));
     }

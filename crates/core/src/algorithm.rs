@@ -55,33 +55,16 @@ impl<A> From<Arc<CscMatrix<A>>> for MatrixRef<'_, A> {
 }
 
 /// Tuning knobs shared by the parallel algorithms.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SpMSpVOptions {
     /// Number of worker threads (`t`). `0` means all logical CPUs.
     pub threads: usize,
-    /// Whether the output vector must be sorted by index. The paper's
-    /// "sorted" variant (Figure 2) also keeps the input sorted for cache
-    /// locality; when this flag is set and the input is unsorted, the
-    /// algorithm sorts an internal copy first.
-    pub sorted_output: bool,
-}
-
-impl Default for SpMSpVOptions {
-    fn default() -> Self {
-        SpMSpVOptions { threads: 0, sorted_output: true }
-    }
 }
 
 impl SpMSpVOptions {
     /// Convenience constructor pinning the thread count.
     pub fn with_threads(threads: usize) -> Self {
-        SpMSpVOptions { threads, ..Default::default() }
-    }
-
-    /// Builder-style setter for [`SpMSpVOptions::sorted_output`].
-    pub fn sorted(mut self, sorted: bool) -> Self {
-        self.sorted_output = sorted;
-        self
+        SpMSpVOptions { threads }
     }
 
     /// Materializes the executor implied by `threads`.
@@ -107,11 +90,8 @@ pub trait SpMSpV<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
     /// Number of matrix columns (`n`, the dimension of `x`).
     fn ncols(&self) -> usize;
 
-    /// Computes `y ← A ⊕.⊗ x`.
-    ///
-    /// The output follows the sortedness convention of the implementation's
-    /// options: sorted by index when `sorted_output` is set (the default),
-    /// otherwise in unspecified order. Entries are unique either way.
+    /// Computes `y ← A ⊕.⊗ x`. Like every [`SparseVec`], `y` holds unique
+    /// indices in ascending order.
     fn multiply(&mut self, x: &SparseVec<X>, semiring: &S) -> SparseVec<S::Output>;
 
     /// Computes `y ← ⟨mask⟩ (A ⊕.⊗ x)`: like [`SpMSpV::multiply`], but only
@@ -227,14 +207,12 @@ mod tests {
     fn default_options_match_the_paper() {
         let o = SpMSpVOptions::default();
         assert_eq!(o.threads, 0);
-        assert!(o.sorted_output);
     }
 
     #[test]
     fn builder_setters_compose() {
-        let o = SpMSpVOptions::with_threads(2).sorted(false);
+        let o = SpMSpVOptions::with_threads(2);
         assert_eq!(o.threads, 2);
-        assert!(!o.sorted_output);
         assert_eq!(o.build_executor().threads(), 2);
     }
 

@@ -138,7 +138,6 @@ mod tests {
         let mut alg = CombBlasHeap::new(&a, SpMSpVOptions::with_threads(2));
         let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
         assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
-        assert!(y.is_sorted(), "heap merge emits rows in ascending order");
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct CombBlasSpa<'a, A, Y> {
     /// One private SPA per piece, allocated once.
     spas: Vec<Spa<Y>>,
     executor: Executor,
-    sorted_output: bool,
 }
 
 impl<'a, A: Scalar, Y: Scalar> CombBlasSpa<'a, A, Y> {
@@ -37,14 +36,7 @@ impl<'a, A: Scalar, Y: Scalar> CombBlasSpa<'a, A, Y> {
         let pieces = DcscMatrix::row_split(matrix, t);
         let offsets = matrix.row_split_offsets(t);
         let spas = pieces.iter().map(|p| Spa::new(p.nrows())).collect();
-        CombBlasSpa {
-            matrix,
-            pieces,
-            offsets,
-            spas,
-            executor,
-            sorted_output: options.sorted_output,
-        }
+        CombBlasSpa { matrix, pieces, offsets, spas, executor }
     }
 
     /// Number of row pieces (= threads the algorithm was prepared for).
@@ -85,7 +77,6 @@ where
         if let Some(mask) = mask {
             mask.check_rows(self.matrix.nrows());
         }
-        let sorted = self.sorted_output;
         let offsets = &self.offsets;
         let pieces = &self.pieces;
         let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.map(
@@ -109,9 +100,7 @@ where
                     }
                 }
                 let mut pairs = spa.drain();
-                if sorted {
-                    pairs.sort_unstable_by_key(|&(i, _)| i);
-                }
+                pairs.sort_unstable_by_key(|&(i, _)| i);
                 let base = offsets[p];
                 pairs.into_iter().map(|(i, v)| (i + base, v)).collect()
             },
@@ -141,7 +130,6 @@ mod tests {
         let mut alg = CombBlasSpa::new(&a, SpMSpVOptions::with_threads(3));
         let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
         assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
-        assert!(y.is_sorted(), "per-piece sort + in-order concat gives sorted output");
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct GraphMatSpMSpV<'a, A, X, Y> {
     /// Reusable dense value array over the input dimension.
     xvals: Vec<X>,
     executor: Executor,
-    sorted_output: bool,
 }
 
 impl<'a, A: Scalar, X: Scalar, Y: Scalar> GraphMatSpMSpV<'a, A, X, Y> {
@@ -46,7 +45,6 @@ impl<'a, A: Scalar, X: Scalar, Y: Scalar> GraphMatSpMSpV<'a, A, X, Y> {
             bitmap: vec![0u64; n.div_ceil(64)],
             xvals: vec![X::default(); n],
             executor,
-            sorted_output: options.sorted_output,
         }
     }
 }
@@ -94,7 +92,6 @@ where
         let xvals = &self.xvals;
         let offsets = &self.offsets;
         let pieces = &self.pieces;
-        let sorted = self.sorted_output;
         let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.map(
             pieces.iter().zip(&mut self.spas).enumerate(),
             |(p, (piece, spa))| {
@@ -118,9 +115,7 @@ where
                     }
                 }
                 let mut pairs = spa.drain();
-                if sorted {
-                    pairs.sort_unstable_by_key(|&(i, _)| i);
-                }
+                pairs.sort_unstable_by_key(|&(i, _)| i);
                 let base = offsets[p];
                 pairs.into_iter().map(|(i, v)| (i + base, v)).collect()
             },
@@ -155,7 +150,6 @@ mod tests {
         let mut alg = GraphMatSpMSpV::new(&a, SpMSpVOptions::with_threads(3));
         let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
         assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
-        assert!(y.is_sorted());
     }
 
     #[test]

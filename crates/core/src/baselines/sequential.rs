@@ -15,17 +15,14 @@ use crate::masked::MaskView;
 pub struct SequentialSpa<'a, A, Y> {
     matrix: &'a CscMatrix<A>,
     spa: Spa<Y>,
-    sorted_output: bool,
 }
 
 impl<'a, A: Scalar, Y: Scalar> SequentialSpa<'a, A, Y> {
-    /// Prepares the algorithm (allocates the SPA once).
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
-        SequentialSpa {
-            matrix,
-            spa: Spa::new(matrix.nrows()),
-            sorted_output: options.sorted_output,
-        }
+    /// Prepares the algorithm (allocates the SPA once). The options are
+    /// taken for uniformity with the parallel kernels; one thread has none
+    /// to read.
+    pub fn new(matrix: &'a CscMatrix<A>, _options: SpMSpVOptions) -> Self {
+        SequentialSpa { matrix, spa: Spa::new(matrix.nrows()) }
     }
 }
 
@@ -75,9 +72,7 @@ where
             }
         }
         let mut pairs = self.spa.drain();
-        if self.sorted_output {
-            pairs.sort_unstable_by_key(|&(i, _)| i);
-        }
+        pairs.sort_unstable_by_key(|&(i, _)| i);
         let mut y = SparseVec::new(self.matrix.nrows());
         for (i, v) in pairs {
             y.push(i, v);
@@ -98,7 +93,6 @@ mod tests {
         let x = fixtures::figure1_vector();
         let mut alg = SequentialSpa::new(&a, SpMSpVOptions::default());
         let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
-        assert!(y.is_sorted());
         assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
     }
 
@@ -111,14 +105,5 @@ mod tests {
             let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
             assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
         }
-    }
-
-    #[test]
-    fn unsorted_option_still_correct() {
-        let a = fixtures::figure1_matrix();
-        let x = fixtures::figure1_vector();
-        let mut alg = SequentialSpa::new(&a, SpMSpVOptions::default().sorted(false));
-        let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
-        assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
     }
 }

@@ -33,12 +33,11 @@
 //!
 //! ## Determinism
 //!
-//! With `sorted_output` (the default), lane `l`'s entries traverse the
-//! kernel in exactly the order the single-vector kernel would traverse them
-//! (ascending column, then CSC row order), so the batched result is
-//! **bit-identical** to `k` independent sorted [`SpMSpVBucket`](crate::SpMSpVBucket) calls — for
-//! any semiring, including floating-point `(+, ×)` where reduction order
-//! matters.
+//! Lane `l`'s entries traverse the kernel in exactly the order the
+//! single-vector kernel would traverse them (ascending column, then CSC row
+//! order), so the batched result is **bit-identical** to `k` independent
+//! [`SpMSpVBucket`](crate::SpMSpVBucket) calls — for any semiring, including
+//! floating-point `(+, ×)` where reduction order matters.
 
 mod naive;
 mod rowsplit;
@@ -77,8 +76,7 @@ pub trait SpMSpVBatch<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
     fn ncols(&self) -> usize;
 
     /// Computes `Y ← A ⊕.⊗ X` lane-wise: output lane `l` is
-    /// `A ⊕.⊗ X[l]`. Output lanes follow the implementation's sortedness
-    /// convention (sorted by index under the default options).
+    /// `A ⊕.⊗ X[l]`, its indices ascending like every lane's.
     fn multiply_batch(&mut self, x: &SparseVecBatch<X>, semiring: &S) -> SparseVecBatch<S::Output>;
 
     /// Computes `Y ← ⟨mask⟩ (A ⊕.⊗ X)`: like
@@ -158,7 +156,7 @@ pub fn mask_filter_batch<T: Scalar>(
         }
         lane_ptr.push(indices.len());
     }
-    SparseVecBatch::from_parts_trusted(y.len(), lane_ptr, indices, values)
+    SparseVecBatch::from_parts(y.len(), lane_ptr, indices, values)
         .expect("filtering preserves batch invariants")
 }
 
@@ -399,7 +397,6 @@ where
             m,
             k,
             mask,
-            sorted_output: self.options.sorted_output,
         };
         let (y, merge_time, output_time) = merge_and_output(&mut ws.spa, semiring, &params);
         timings.merge = merge_time;
@@ -424,7 +421,6 @@ struct MergeParams<'p, Y> {
     m: usize,
     k: usize,
     mask: Option<&'p BatchMaskView<'p>>,
-    sorted_output: bool,
 }
 
 /// Steps 2 + 3 of the batched pipeline: merge every bucket's triples into
@@ -445,7 +441,6 @@ where
     let t2 = Instant::now();
     spa.ensure_shape(m, k);
     let mask = p.mask;
-    let sorted_output = p.sorted_output;
     // Per (bucket, lane) unique row lists.
     let uinds: Vec<Vec<Vec<usize>>> = {
         let windows = spa.split_index_ranges(p.row_ranges);
@@ -462,10 +457,8 @@ where
                     uind[lane as usize].push(i);
                 }
             }
-            if sorted_output {
-                for lane_uind in uind.iter_mut() {
-                    lane_uind.sort_unstable();
-                }
+            for lane_uind in uind.iter_mut() {
+                lane_uind.sort_unstable();
             }
             uind
         })
@@ -502,7 +495,7 @@ where
             }
         });
     }
-    let y = SparseVecBatch::from_parts_trusted(m, lane_ptr, out_indices, out_values)
+    let y = SparseVecBatch::from_parts(m, lane_ptr, out_indices, out_values)
         .expect("batched bucket output is consistent by construction");
     let output_time = t3.elapsed();
     (y, merge_time, output_time)
@@ -662,16 +655,6 @@ mod tests {
             let y = alg.multiply_batch(&x, &PlusTimes);
             assert!(y.approx_same_entries(&expected, 1e-9), "call {call} (k={k}) diverged");
         }
-    }
-
-    #[test]
-    fn unsorted_option_produces_same_entries() {
-        let a = erdos_renyi(250, 6.0, 23);
-        let x = random_batch(250, 4, 60, 1);
-        let expected = spmspv_batch_reference(&a, &x, &PlusTimes);
-        let mut alg = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(3).sorted(false));
-        let y = alg.multiply_batch(&x, &PlusTimes);
-        assert!(y.approx_same_entries(&expected, 1e-9));
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! private [`LaneSpa`] over its `m/t × k` slot space, used directly instead
 //! of through windows.
 //!
-//! Output determinism matches the rest of the crate: under `sorted_output`
-//! each lane is sorted ascending, so results are comparable entry-for-entry
+//! Output determinism matches the rest of the crate: each lane is sorted
+//! ascending, so results are comparable entry-for-entry
 //! with the bucket kernels (bit-identical for order-insensitive semirings;
 //! the row-split reduction order *within* one `(row, lane)` follows column
 //! order, same as every other family here).
@@ -48,7 +48,6 @@ pub struct CombBlasSpaBatch<'a, A, X, S: Semiring<A, X>> {
     /// One accumulator per piece, grown amortized as `k` varies.
     spas: Vec<LaneSpa<S::Output>>,
     executor: Executor,
-    options: SpMSpVOptions,
     /// Whether the most recent call merged anything (see
     /// [`SpMSpVBatch::last_run_info`]).
     merged: bool,
@@ -75,7 +74,6 @@ where
             offsets,
             spas,
             executor,
-            options,
             merged: false,
             _marker: std::marker::PhantomData,
         }
@@ -89,7 +87,6 @@ where
 
 /// One piece's merge: scan the whole fused input against the piece,
 /// accumulate into `spa`, and emit lane-major `(global row, value)` lists.
-#[allow(clippy::too_many_arguments)]
 fn rowsplit_piece<A, X, S>(
     piece: &DcscMatrix<A>,
     piece_base: usize,
@@ -98,7 +95,6 @@ fn rowsplit_piece<A, X, S>(
     k: usize,
     mask: Option<&BatchMaskView<'_>>,
     semiring: &S,
-    sorted: bool,
 ) -> Vec<Vec<(usize, S::Output)>>
 where
     A: Scalar,
@@ -128,9 +124,7 @@ where
     uind.into_iter()
         .enumerate()
         .map(|(lane, mut lane_uind)| {
-            if sorted {
-                lane_uind.sort_unstable();
-            }
+            lane_uind.sort_unstable();
             lane_uind.into_iter().map(|i| (i + piece_base, *spa.value_at(i, lane))).collect()
         })
         .collect()
@@ -192,16 +186,14 @@ where
 
         let offsets = &self.offsets;
         let pieces = &self.pieces;
-        let sorted = self.options.sorted_output;
         let fused = &fused;
         // Per-piece, lane-major `(row, value)` lists with global row ids.
         type PieceLanes<Y> = Vec<Vec<(usize, Y)>>;
-        let per_piece: Vec<PieceLanes<S::Output>> = self.executor.map(
-            pieces.iter().zip(&mut self.spas).enumerate(),
-            |(p, (piece, spa))| {
-                rowsplit_piece(piece, offsets[p], spa, fused, k, mask, semiring, sorted)
-            },
-        );
+        let per_piece: Vec<PieceLanes<S::Output>> = self
+            .executor
+            .map(pieces.iter().zip(&mut self.spas).enumerate(), |(p, (piece, spa))| {
+                rowsplit_piece(piece, offsets[p], spa, fused, k, mask, semiring)
+            });
 
         // Concatenate: lane l = piece 0's lane l, then piece 1's, … — pieces
         // cover ascending row ranges, so sorted pieces concatenate into a
@@ -219,7 +211,7 @@ where
             }
             lane_ptr.push(indices.len());
         }
-        SparseVecBatch::from_parts_trusted(m, lane_ptr, indices, values)
+        SparseVecBatch::from_parts(m, lane_ptr, indices, values)
             .expect("row-split output is consistent by construction")
     }
 

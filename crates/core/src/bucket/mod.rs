@@ -123,22 +123,11 @@ where
         let t = executor.threads();
         let nb = BUCKETS_PER_THREAD * t;
 
-        // Sorted variant: keep the input sorted for cache-friendly column
-        // access (Figure 2's "with sorting" curve).
-        let sorted_holder;
-        let x_ref: &SparseVec<X> = if self.options.sorted_output && !x.is_sorted() {
-            sorted_holder = x.sorted();
-            &sorted_holder
-        } else {
-            x
-        };
-
-        let chunks = even_ranges(x_ref.nnz(), t);
+        let chunks = even_ranges(x.nnz(), t);
 
         // ---------------- Estimate (Algorithm 2) ----------------
         let t0 = Instant::now();
-        let plan =
-            estimate::estimate_buckets(&executor, matrix, x_ref.indices(), |_| 1, &chunks, nb);
+        let plan = estimate::estimate_buckets(&executor, matrix, x.indices(), |_| 1, &chunks, nb);
         timings.estimate = t0.elapsed();
 
         // ---------------- Step 1: bucketing ----------------
@@ -147,7 +136,7 @@ where
         let t1 = Instant::now();
         let ws = &mut self.workspace;
         let entries = high_water(&mut ws.entries, plan.total_entries(), (0, S::Output::default()));
-        scatter(&executor, matrix, x_ref, &chunks, &plan.boffset, entries, semiring);
+        scatter(&executor, matrix, x, &chunks, &plan.boffset, entries, semiring);
         timings.bucketing = t1.elapsed();
 
         // ---------------- Step 2: per-bucket SPA merge ----------------
@@ -155,7 +144,6 @@ where
         let row_ranges = bucket_row_ranges(m, nb);
         ws.bump_generation();
         let generation = ws.generation();
-        let sorted_output = self.options.sorted_output;
         let uinds: Vec<Vec<usize>> = {
             let spa_val_slices = split_ranges(&mut ws.spa_values, &row_ranges);
             let spa_stamp_slices = split_ranges(&mut ws.spa_stamps, &row_ranges);
@@ -182,9 +170,7 @@ where
                             spa_vals[local] = semiring.add(spa_vals[local], *v);
                         }
                     }
-                    if sorted_output {
-                        uind.sort_unstable();
-                    }
+                    uind.sort_unstable();
                     uind
                 },
             )
@@ -221,7 +207,7 @@ where
             );
         }
         let y = SparseVec::from_parts(m, out_indices, out_values)
-            .expect("bucket output indices are in bounds by construction");
+            .expect("bucket output indices are ascending and in bounds by construction");
         timings.output = t3.elapsed();
 
         (y, timings)
@@ -324,7 +310,6 @@ mod tests {
         let y = alg.multiply(&x, &PlusTimes);
         let expected = spmspv_reference(&a, &x, &PlusTimes);
         assert!(y.approx_same_entries(&expected, 1e-9));
-        assert!(y.is_sorted());
     }
 
     #[test]
@@ -352,16 +337,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn unsorted_variant_produces_the_same_entries() {
-        let a = rmat(9, 8, RmatParams::graph500(), 21);
-        let x = random_sparse_vec(a.ncols(), 300, 9);
-        let expected = spmspv_reference(&a, &x, &PlusTimes);
-        let mut unsorted = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(4).sorted(false));
-        let y = unsorted.multiply(&x, &PlusTimes);
-        assert!(y.approx_same_entries(&expected, 1e-9));
     }
 
     #[test]

@@ -117,9 +117,8 @@
 //!
 //! Results are **bit-identical** to running every request through its own
 //! single-vector [`crate::SpMSpV::multiply_masked`] call (the engine
-//! property test asserts exactly that): under the default sorted options,
-//! every batched family reduces each lane in the same order as the
-//! single-vector kernel.
+//! property test asserts exactly that): every batched family reduces each
+//! lane in the same order as the single-vector kernel.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

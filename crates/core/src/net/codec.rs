@@ -15,7 +15,7 @@
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use sparse_substrate::{MaskBits, Scalar, SparseVec};
+use sparse_substrate::{MaskBits, Scalar, SparseError, SparseVec};
 
 use crate::engine::EngineError;
 use crate::masked::MaskMode;
@@ -24,10 +24,11 @@ use crate::masked::MaskMode;
 pub const MAGIC: [u8; 4] = *b"SMSV";
 /// Wire protocol version carried by every frame header. Version 2 added the
 /// discovery/health frames (`Hello`/`Welcome`, `Ping`/`Pong`) and made
-/// `Partial` index order a protocol invariant (encoded sorted, rejected at
-/// decode when not strictly increasing). Version 3 dropped the `Frontier`
-/// frame's trailing batched-algorithm byte: a host's engine runs the one
-/// kernel family it was configured with.
+/// `Partial` index order a protocol invariant. Version 3 dropped the
+/// `Frontier` frame's trailing batched-algorithm byte: a host's engine runs
+/// the one kernel family it was configured with. Every vector on the wire,
+/// `Frontier` slice and `Partial` alike, carries strictly increasing
+/// indices; the decoder rejects anything else as corrupt.
 pub const VERSION: u8 = 3;
 /// Bytes of `magic | version | tag | payload_len: u32`.
 pub const HEADER_LEN: usize = 10;
@@ -404,8 +405,15 @@ fn read_spvec<T: WireScalar>(r: &mut Reader<'_>) -> Result<SparseVec<T>, DecodeE
     for _ in 0..nnz {
         values.push(T::read_le(r)?);
     }
-    SparseVec::from_parts(len, indices, values)
-        .map_err(|_| DecodeError::Corrupt("vector index out of range"))
+    // `from_parts` checks the list-format invariant, so a hostile or buggy
+    // peer cannot hand a kernel or the merge fold a repeated, shuffled or
+    // out-of-range row.
+    SparseVec::from_parts(len, indices, values).map_err(|e| match e {
+        SparseError::VectorIndexOutOfBounds { .. } => {
+            DecodeError::Corrupt("vector index out of range")
+        }
+        _ => DecodeError::Corrupt("vector indices not strictly increasing"),
+    })
 }
 
 /// Appends the encoding of `frame` to `out`, returning the encoded byte
@@ -451,15 +459,7 @@ pub fn encode_frame<X: WireScalar, Y: WireScalar>(
             put_u64(&mut payload, *request);
             put_u32(&mut payload, *shard as u32);
             payload.push(Y::TAG);
-            // Partial index order is a protocol invariant (the decoder
-            // rejects anything non-monotone as hostile), so canonicalize
-            // kernel output that arrives unsorted. Values ride along with
-            // their indices — entry content is untouched.
-            if partial.is_sorted() {
-                spvec_payload(&mut payload, partial);
-            } else {
-                spvec_payload(&mut payload, &partial.sorted());
-            }
+            spvec_payload(&mut payload, partial);
             TAG_PARTIAL
         }
         Frame::Error { request, shard, error } => {
@@ -585,12 +585,6 @@ fn decode_payload<X: WireScalar, Y: WireScalar>(
                 return Err(DecodeError::ScalarMismatch { expected: Y::TAG, got: ytag });
             }
             let partial = read_spvec::<Y>(&mut r)?;
-            // A hostile or buggy host could otherwise inject duplicate or
-            // shuffled rows into the merge; `read_spvec` already rejected
-            // out-of-range indices via `SparseVec::from_parts`.
-            if !partial.is_sorted() {
-                return Err(DecodeError::Corrupt("partial indices not strictly increasing"));
-            }
             Frame::Partial { request, shard, partial }
         }
         TAG_ERROR => {

@@ -43,11 +43,12 @@
 //! inconsistent payloads all come back as a typed [`DecodeError`], never a
 //! panic. Scalar tags ([`WireScalar::TAG`]) make a router and host
 //! compiled for different semirings fail loudly with
-//! [`DecodeError::ScalarMismatch`]. `Partial` index order is a protocol
-//! invariant since version 2: the encoder canonicalizes (sorting unsorted
-//! kernel output), and the decoder rejects non-monotone or duplicate
-//! indices as [`DecodeError::Corrupt`] — a hostile host cannot inject
-//! shuffled or duplicated rows into the merge.
+//! [`DecodeError::ScalarMismatch`]. Every vector on the wire — `Frontier`
+//! slice or `Partial` — carries strictly increasing indices, as every
+//! [`sparse_substrate::SparseVec`] does, and the decoder rejects non-monotone
+//! or duplicate indices as [`DecodeError::Corrupt`]: a hostile peer cannot
+//! make a host multiply a column twice or inject shuffled or duplicated rows
+//! into the merge.
 //!
 //! ## Deadline semantics
 //!

@@ -182,7 +182,7 @@ pub enum ByzantineFrame {
         got: usize,
     },
     /// Bytes that do not decode: bad magic/version/tag, truncation inside
-    /// a frame, out-of-range or unsorted partial indices, …
+    /// a frame, out-of-range or non-increasing vector indices, …
     Corrupt(DecodeError),
     /// A structurally valid frame that has no business in the reply
     /// direction (e.g. a `Frontier` or `Flush` from a host).

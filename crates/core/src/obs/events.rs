@@ -4,8 +4,7 @@
 //! decision: a flush starting, a group being fused, an adaptive choice, a
 //! degrade retry, a failpoint firing. Events land in an [`EventRing`] — a
 //! bounded FIFO that drops its oldest entries under pressure (the drop count
-//! is reported, never hidden) and can sample (keep every Nth event) when a
-//! deployment wants traces cheaper still.
+//! is reported, never hidden).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -104,8 +103,7 @@ impl std::fmt::Display for TraceKind {
 /// One entry in the trace ring.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Global sequence number (counts every *offered* event, sampled-out
-    /// ones included, so gaps reveal the sampling).
+    /// Global sequence number: the count of events offered before this one.
     pub seq: u64,
     /// Microseconds since the owning registry was created.
     pub micros: u64,
@@ -127,28 +125,24 @@ pub struct EventRing {
     seq: AtomicU64,
     dropped: AtomicU64,
     capacity: usize,
-    sample_every: usize,
     entries: Mutex<VecDeque<TraceEvent>>,
 }
 
 impl EventRing {
-    /// Creates a ring holding at most `capacity` events, keeping every
-    /// `sample_every`-th offered event (0/1 = keep all).
-    pub fn new(capacity: usize, sample_every: usize) -> Self {
+    /// Creates a ring holding at most `capacity` events.
+    pub fn new(capacity: usize) -> Self {
         EventRing {
             seq: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             capacity,
-            sample_every: sample_every.max(1),
             entries: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
         }
     }
 
-    /// Offers an event at `micros` since registry start. Sampled-out events
-    /// only pay the sequence fetch-add.
+    /// Offers an event at `micros` since registry start.
     pub fn push(&self, micros: u64, kind: TraceKind) {
         let seq = self.seq.fetch_add(1, Relaxed);
-        if self.capacity == 0 || !seq.is_multiple_of(self.sample_every as u64) {
+        if self.capacity == 0 {
             return;
         }
         let mut entries = self.entries.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -169,13 +163,12 @@ impl EventRing {
             .collect()
     }
 
-    /// Events evicted because the ring was full (sampled-out events are not
-    /// drops — their sequence gaps document the sampling instead).
+    /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Relaxed)
     }
 
-    /// Total events ever offered (kept, sampled-out, and dropped alike).
+    /// Total events ever offered (kept and dropped alike).
     pub fn offered(&self) -> u64 {
         self.seq.load(Relaxed)
     }
@@ -187,7 +180,7 @@ mod tests {
 
     #[test]
     fn ring_keeps_newest_and_counts_drops() {
-        let ring = EventRing::new(2, 1);
+        let ring = EventRing::new(2);
         for i in 0..5usize {
             ring.push(i as u64, TraceKind::FlushBegin { requests: i });
         }
@@ -197,17 +190,6 @@ mod tests {
         assert_eq!(events[1].seq, 4);
         assert_eq!(ring.dropped(), 3);
         assert_eq!(ring.offered(), 5);
-    }
-
-    #[test]
-    fn sampling_keeps_every_nth() {
-        let ring = EventRing::new(64, 3);
-        for i in 0..9usize {
-            ring.push(0, TraceKind::FlushBegin { requests: i });
-        }
-        let seqs: Vec<u64> = ring.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 3, 6]);
-        assert_eq!(ring.dropped(), 0, "sampling is not dropping");
     }
 
     #[test]

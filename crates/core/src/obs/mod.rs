@@ -107,8 +107,7 @@
 //! `adaptive.choice`, `degrade.retry`, `kernel.failure`, `overload`,
 //! `deadline.expired`, `failpoint.hit`, and `bfs.level` (from
 //! `multi_bfs`). Events carry a sequence number and microseconds since
-//! registry creation, live in a bounded ring ([`ObsConfig::ring_capacity`]),
-//! and can be sampled ([`ObsConfig::sample_every`]).
+//! registry creation and live in a bounded ring of the newest 256.
 //!
 //! # Overhead
 //!
@@ -158,44 +157,29 @@ use crate::algorithm::AlgorithmKind;
 use crate::batch::BatchAlgorithmKind;
 use crate::timing::StepTimings;
 
-/// Observability configuration: the off switch, trace sampling, and ring
-/// sizing. Metrics themselves are cheap enough to have no knobs beyond
-/// `enabled`.
+/// Trace events a registry's ring holds; older ones are evicted (and
+/// counted as dropped).
+const TRACE_RING_CAPACITY: usize = 256;
+
+/// Observability configuration: the off switch. Metrics and traces are
+/// cheap enough to have no other knob.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Master switch. Off: histogram samples and trace events are skipped
     /// (engine counters still run so [`crate::stats::EngineStats`] stays exact).
     pub enabled: bool,
-    /// Keep every Nth trace event (0/1 = keep all). Metrics are never
-    /// sampled.
-    pub sample_every: usize,
-    /// Bounded trace-ring capacity; the oldest events are evicted (and
-    /// counted as dropped) under pressure.
-    pub ring_capacity: usize,
 }
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        ObsConfig { enabled: true, sample_every: 1, ring_capacity: 256 }
+        ObsConfig { enabled: true }
     }
 }
 
 impl ObsConfig {
     /// Everything off: no histogram samples, no traces.
     pub fn disabled() -> Self {
-        ObsConfig { enabled: false, ..ObsConfig::default() }
-    }
-
-    /// Builder-style setter for [`ObsConfig::sample_every`].
-    pub fn sample_every(mut self, n: usize) -> Self {
-        self.sample_every = n;
-        self
-    }
-
-    /// Builder-style setter for [`ObsConfig::ring_capacity`].
-    pub fn ring_capacity(mut self, n: usize) -> Self {
-        self.ring_capacity = n;
-        self
+        ObsConfig { enabled: false }
     }
 }
 
@@ -257,7 +241,7 @@ impl Registry {
     pub fn new(config: ObsConfig) -> Self {
         Registry {
             enabled: AtomicBool::new(config.enabled),
-            ring: EventRing::new(config.ring_capacity, config.sample_every),
+            ring: EventRing::new(TRACE_RING_CAPACITY),
             config,
             start: Instant::now(),
             counters: Mutex::new(Vec::new()),

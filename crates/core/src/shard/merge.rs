@@ -15,10 +15,8 @@ use sparse_substrate::{Scalar, SparseVec};
 /// A row present in several partials is folded left-to-right across them; a
 /// row present in exactly one passes through untouched (no spurious
 /// `add(zero, v)` is introduced, matching what a single engine's kernel
-/// would have produced). When every partial is index-sorted — the kernels'
-/// steady state — a k-way cursor merge produces sorted output in one linear
-/// pass; otherwise a stable sort by row index (which preserves the
-/// shard-order of equal rows) restores the fold order first.
+/// would have produced). The partials' rows are ascending, so a k-way cursor
+/// merge produces the ascending output in one linear pass.
 pub fn merge_partials<Y, F>(len: usize, partials: &[SparseVec<Y>], mut add: F) -> SparseVec<Y>
 where
     Y: Scalar,
@@ -30,13 +28,12 @@ where
     match partials {
         [] => SparseVec::new(len),
         [only] => only.clone(),
-        many if many.iter().all(|p| p.is_sorted()) => merge_sorted(len, many, &mut add),
-        many => merge_unsorted(len, many, &mut add),
+        many => merge_sorted(len, many, &mut add),
     }
 }
 
-/// K-way cursor merge over index-sorted partials. `k` is the shard fan-out
-/// of one request — small — so a linear min-scan over cursors beats a heap.
+/// K-way cursor merge over the partials. `k` is the shard fan-out of one
+/// request — small — so a linear min-scan over cursors beats a heap.
 fn merge_sorted<Y, F>(len: usize, partials: &[SparseVec<Y>], add: &mut F) -> SparseVec<Y>
 where
     Y: Scalar,
@@ -70,36 +67,6 @@ where
     }
 }
 
-/// Fallback for unsorted partials: flatten in shard order, stable-sort by
-/// row (preserving shard order within a row), fold runs.
-fn merge_unsorted<Y, F>(len: usize, partials: &[SparseVec<Y>], add: &mut F) -> SparseVec<Y>
-where
-    Y: Scalar,
-    F: FnMut(Y, Y) -> Y,
-{
-    let mut entries: Vec<(usize, Y)> = Vec::with_capacity(partials.iter().map(|p| p.nnz()).sum());
-    for p in partials {
-        entries.extend(p.iter().map(|(i, v)| (i, *v)));
-    }
-    entries.sort_by_key(|&(i, _)| i);
-    let mut out = SparseVec::new(len);
-    let mut run: Option<(usize, Y)> = None;
-    for (i, v) in entries {
-        run = Some(match run {
-            Some((ri, rv)) if ri == i => (ri, add(rv, v)),
-            Some((ri, rv)) => {
-                out.push(ri, rv);
-                (i, v)
-            }
-            None => (i, v),
-        });
-    }
-    if let Some((ri, rv)) = run {
-        out.push(ri, rv);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +80,6 @@ mod tests {
         let merged =
             merge_partials(6, &[sv(6, &[(0, 1.0), (4, 4.0)]), sv(6, &[(2, 2.0)])], |a, b| a + b);
         assert_eq!(merged, sv(6, &[(0, 1.0), (2, 2.0), (4, 4.0)]));
-        assert!(merged.is_sorted());
     }
 
     #[test]
@@ -131,22 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn single_partial_passes_through_even_unsorted() {
-        let mut p = SparseVec::new(4);
-        p.push(3, 9.0);
-        p.push(0, 1.0);
-        let merged = merge_partials(4, &[p.clone()], |a, b| a + b);
-        assert_eq!(merged, p, "single shard: no re-ordering, no touching values");
-    }
-
-    #[test]
-    fn unsorted_partials_take_the_sort_fallback_and_agree() {
-        let mut a = SparseVec::new(5);
-        a.push(4, 1.0);
-        a.push(0, 2.0);
-        let b = sv(5, &[(0, 3.0), (4, 5.0)]);
-        let merged = merge_partials(5, &[a, b], |x, y| x + y);
-        assert_eq!(merged, sv(5, &[(0, 5.0), (4, 6.0)]));
+    fn single_partial_passes_through_untouched() {
+        let p = sv(4, &[(0, 1.0), (3, 9.0)]);
+        let merged =
+            merge_partials(4, std::slice::from_ref(&p), |_, _| unreachable!("nothing to fold"));
+        assert_eq!(merged, p);
     }
 
     #[test]

@@ -10,25 +10,21 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sparse_substrate::{CscMatrix, SparseVec};
-use spmspv::{AlgorithmKind, SpMSpV, SpMSpVBucket, SpMSpVOptions};
+use spmspv::{SpMSpV, SpMSpVBucket, SpMSpVOptions};
 
 use crate::semirings::Select2ndMax;
 
 /// Computes a maximal independent set of the undirected graph `a`
-/// (symmetric adjacency matrix) with Luby's randomized algorithm.
-/// Returns the selected vertices in increasing order.
+/// (symmetric adjacency matrix) with Luby's randomized algorithm, one
+/// bucket-kernel SpMSpV per round. Returns the selected vertices in
+/// increasing order.
 pub fn maximal_independent_set(
     a: &CscMatrix<f64>,
-    kind: AlgorithmKind,
     options: SpMSpVOptions,
     seed: u64,
 ) -> Vec<usize> {
     assert_eq!(a.nrows(), a.ncols(), "adjacency matrix must be square");
     let n = a.ncols();
-    // Only the bucket algorithm and the sequential reference are commonly
-    // used here; other kinds fall back to the bucket implementation since the
-    // semiring type differs from the BFS factory.
-    let _ = kind;
     let mut alg: SpMSpVBucket<'_, f64, f64, Select2ndMax> = SpMSpVBucket::new(a, options);
 
     #[derive(Clone, Copy, PartialEq)]
@@ -118,8 +114,7 @@ mod tests {
     #[test]
     fn grid_mis_is_valid_and_maximal() {
         let a = grid2d(10, 10);
-        let set =
-            maximal_independent_set(&a, AlgorithmKind::Bucket, SpMSpVOptions::with_threads(2), 42);
+        let set = maximal_independent_set(&a, SpMSpVOptions::with_threads(2), 42);
         assert!(!set.is_empty());
         assert!(is_maximal_independent_set(&a, &set));
     }
@@ -128,12 +123,7 @@ mod tests {
     fn scale_free_mis_is_valid_for_multiple_seeds() {
         let a = rmat(8, 6, RmatParams::graph500(), 3);
         for seed in [1u64, 7, 99] {
-            let set = maximal_independent_set(
-                &a,
-                AlgorithmKind::Bucket,
-                SpMSpVOptions::with_threads(4),
-                seed,
-            );
+            let set = maximal_independent_set(&a, SpMSpVOptions::with_threads(4), seed);
             assert!(is_maximal_independent_set(&a, &set), "seed {seed} produced invalid MIS");
         }
     }

@@ -15,9 +15,14 @@
 //! active indices, each carrying the `(lane, value)` pairs that activate it.
 //! One pass over the matrix's columns then serves every lane — the
 //! amortization that makes batching pay.
+//!
+//! Every lane keeps [`SparseVec`]'s invariant — strictly ascending indices —
+//! checked by the constructors in the pass that checks bounds.
+
+use std::ops::Range;
 
 use crate::error::SparseError;
-use crate::spvec::SparseVec;
+use crate::spvec::{check_ascending, run_in, SparseVec};
 use crate::Scalar;
 
 /// `k` sparse vectors of one logical dimension, stored lane-major over a
@@ -28,8 +33,7 @@ use crate::Scalar;
 /// * `lane_ptr.len() == k + 1`, `lane_ptr[0] == 0`, non-decreasing, and
 ///   `lane_ptr[k] == indices.len() == values.len()`;
 /// * every stored index is `< len`;
-/// * indices within one lane are unique (sorted or not, matching
-///   [`SparseVec`]'s convention).
+/// * indices within one lane are strictly ascending, as in a [`SparseVec`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseVecBatch<T> {
     len: usize,
@@ -68,33 +72,10 @@ impl<T: Scalar> SparseVecBatch<T> {
         Ok(SparseVecBatch { len, lane_ptr, indices, values })
     }
 
-    /// Builds a batch from raw parts, validating every invariant including
-    /// per-lane index uniqueness.
+    /// Builds a batch from raw parts, validating every invariant: the lane
+    /// structure, then each lane's indices in one O(nnz) pass (in bounds
+    /// and strictly ascending).
     pub fn from_parts(
-        len: usize,
-        lane_ptr: Vec<usize>,
-        indices: Vec<usize>,
-        values: Vec<T>,
-    ) -> Result<Self, SparseError> {
-        let batch = Self::from_parts_trusted(len, lane_ptr, indices, values)?;
-        for (l, w) in batch.lane_ptr.windows(2).enumerate() {
-            let mut lane_indices = batch.indices[w[0]..w[1]].to_vec();
-            lane_indices.sort_unstable();
-            if lane_indices.windows(2).any(|p| p[0] == p[1]) {
-                return Err(SparseError::InvalidStructure(format!(
-                    "duplicate index in batch lane {l}"
-                )));
-            }
-        }
-        Ok(batch)
-    }
-
-    /// Like [`SparseVecBatch::from_parts`] but skipping the per-lane
-    /// duplicate-index scan (structure and bounds are still validated).
-    /// For hot paths whose construction guarantees unique indices — e.g.
-    /// the output step of batched SpMSpV, where the SPA's generation check
-    /// admits each `(row, lane)` at most once.
-    pub fn from_parts_trusted(
         len: usize,
         lane_ptr: Vec<usize>,
         indices: Vec<usize>,
@@ -114,8 +95,8 @@ impl<T: Scalar> SparseVecBatch<T> {
                 values.len()
             )));
         }
-        if let Some(&bad) = indices.iter().find(|&&i| i >= len) {
-            return Err(SparseError::VectorIndexOutOfBounds { index: bad, len });
+        for w in lane_ptr.windows(2) {
+            check_ascending(&indices[w[0]..w[1]], len)?;
         }
         Ok(SparseVecBatch { len, lane_ptr, indices, values })
     }
@@ -168,11 +149,6 @@ impl<T: Scalar> SparseVecBatch<T> {
         (0..self.k()).map(|l| self.lane_vec(l)).collect()
     }
 
-    /// Whether every lane's indices are sorted strictly ascending.
-    pub fn is_sorted(&self) -> bool {
-        (0..self.k()).all(|l| self.lane(l).0.windows(2).all(|w| w[0] < w[1]))
-    }
-
     /// Lane-wise [`SparseVec::slice_remap`]: every lane keeps only its
     /// entries with indices in `range`, re-based to the range start, and the
     /// batch's logical dimension becomes `range.len()`. The lane count is
@@ -182,7 +158,7 @@ impl<T: Scalar> SparseVecBatch<T> {
     /// # Panics
     ///
     /// When the range is decreasing or extends past [`SparseVecBatch::len`].
-    pub fn slice_remap(&self, range: std::ops::Range<usize>) -> SparseVecBatch<T> {
+    pub fn slice_remap(&self, range: Range<usize>) -> SparseVecBatch<T> {
         assert!(
             range.start <= range.end && range.end <= self.len,
             "slice_remap range {range:?} out of bounds for length {}",
@@ -194,12 +170,9 @@ impl<T: Scalar> SparseVecBatch<T> {
         lane_ptr.push(0);
         for l in 0..self.k() {
             let (idx, val) = self.lane(l);
-            for (&i, &v) in idx.iter().zip(val.iter()) {
-                if range.contains(&i) {
-                    indices.push(i - range.start);
-                    values.push(v);
-                }
-            }
+            let run = run_in(idx, &range);
+            indices.extend(idx[run.clone()].iter().map(|&i| i - range.start));
+            values.extend_from_slice(&val[run]);
             lane_ptr.push(indices.len());
         }
         SparseVecBatch { len: range.end - range.start, lane_ptr, indices, values }
@@ -212,26 +185,12 @@ impl<T: Scalar> SparseVecBatch<T> {
     /// makes a batched bucket kernel's per-lane accumulation order identical
     /// to the single-vector kernel's.
     ///
-    /// When every lane is already sorted (the common case: BFS frontiers and
-    /// kernel outputs are sorted under the default options), the fusion is a
-    /// `O(nnz · log k)` k-way merge of the lanes; otherwise it falls back to
-    /// sorting `(col, lane, value)` triples in `O(nnz · log nnz)`.
+    /// An `O(nnz · log k)` k-way merge of the ascending lanes: one cursor per
+    /// lane, a min-heap keyed on `(col, lane)`.
     pub fn fuse_columns(&self) -> FusedColumns<T> {
-        if self.is_sorted() {
-            self.fuse_columns_merge()
-        } else {
-            self.fuse_columns_sort()
-        }
-    }
-
-    /// K-way merge fusion for sorted lanes: one cursor per lane, a min-heap
-    /// keyed on `(col, lane)` pops the activations in exactly the order the
-    /// sort-based fallback would produce them.
-    fn fuse_columns_merge(&self) -> FusedColumns<T> {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
-        debug_assert!(self.is_sorted());
         let k = self.k();
         let total = self.total_nnz();
         let mut cursor: Vec<usize> = self.lane_ptr[..k].to_vec();
@@ -261,43 +220,12 @@ impl<T: Scalar> SparseVecBatch<T> {
         }
         FusedColumns { cols, offsets, lanes, values }
     }
-
-    /// Sort-based fusion, the fallback for unsorted lanes.
-    fn fuse_columns_sort(&self) -> FusedColumns<T> {
-        let mut triples: Vec<(usize, u32, T)> = Vec::with_capacity(self.total_nnz());
-        for l in 0..self.k() {
-            let (idx, val) = self.lane(l);
-            for (&j, &v) in idx.iter().zip(val.iter()) {
-                triples.push((j, l as u32, v));
-            }
-        }
-        // Stable by column: within a column, lanes stay in ascending lane
-        // order because the pool above was walked lane-major.
-        triples.sort_by_key(|&(j, _, _)| j);
-        let mut cols = Vec::new();
-        let mut offsets = vec![0usize];
-        let mut lanes = Vec::with_capacity(triples.len());
-        let mut values = Vec::with_capacity(triples.len());
-        for (j, l, v) in triples {
-            if cols.last() != Some(&j) {
-                cols.push(j);
-                offsets.push(lanes.len());
-            }
-            lanes.push(l);
-            values.push(v);
-            *offsets.last_mut().unwrap() = lanes.len();
-        }
-        FusedColumns { cols, offsets, lanes, values }
-    }
 }
 
 impl<T: Scalar + PartialOrd> SparseVecBatch<T> {
-    /// Lane-wise [`SparseVec::same_entries`]: equal dimensions, lane counts
-    /// and per-lane entry sets (ignoring storage order).
+    /// Lane-wise [`SparseVec::same_entries`]: `==`.
     pub fn same_entries(&self, other: &Self) -> bool {
-        self.len == other.len
-            && self.k() == other.k()
-            && (0..self.k()).all(|l| self.lane_vec(l).same_entries(&other.lane_vec(l)))
+        self == other
     }
 }
 
@@ -362,12 +290,6 @@ mod tests {
         .unwrap()
     }
 
-    /// `b` with every lane sorted by index.
-    fn sorted_lanes(b: &SparseVecBatch<f64>) -> SparseVecBatch<f64> {
-        let lanes: Vec<SparseVec<f64>> = b.to_lanes().iter().map(SparseVec::sorted).collect();
-        SparseVecBatch::from_lanes(&lanes).unwrap()
-    }
-
     #[test]
     fn from_lanes_roundtrips() {
         let b = demo_batch();
@@ -378,8 +300,8 @@ mod tests {
         assert_eq!(b.lane(1).0.len(), 0);
         assert_eq!(b.lane(2).0.len(), 3);
         let lanes = b.to_lanes();
-        assert_eq!(lanes[0].indices(), &[4, 1]);
-        assert_eq!(lanes[2].values(), &[10.0, 50.0, 30.0]);
+        assert_eq!(lanes[0].indices(), &[1, 4]);
+        assert_eq!(lanes[2].values(), &[10.0, 30.0, 50.0]);
     }
 
     #[test]
@@ -396,6 +318,8 @@ mod tests {
         assert!(SparseVecBatch::from_parts(4, vec![0, 1], vec![2], vec![1.0]).is_ok());
         // duplicate index within one lane is rejected...
         assert!(SparseVecBatch::from_parts(4, vec![0, 2], vec![3, 3], vec![1.0, 2.0]).is_err());
+        // ...so is a descending one...
+        assert!(SparseVecBatch::from_parts(4, vec![0, 2], vec![3, 1], vec![1.0, 2.0]).is_err());
         // ...but the same index in different lanes is fine
         assert!(SparseVecBatch::from_parts(4, vec![0, 1, 2], vec![3, 3], vec![1.0, 2.0]).is_ok());
     }
@@ -431,11 +355,37 @@ mod tests {
         assert_eq!(fused.lanes.len(), 0);
     }
 
+    /// Fusion by sorting `(col, lane, value)` triples — the oracle the
+    /// k-way merge must reproduce.
+    fn fuse_by_sort(b: &SparseVecBatch<f64>) -> FusedColumns<f64> {
+        let mut triples: Vec<(usize, u32, f64)> = (0..b.k())
+            .flat_map(|l| b.lane_vec(l).iter().map(|(j, &v)| (j, l as u32, v)).collect::<Vec<_>>())
+            .collect();
+        // Stable by column: lanes stay in ascending lane order within one.
+        triples.sort_by_key(|&(j, _, _)| j);
+        let mut fused = FusedColumns {
+            cols: Vec::new(),
+            offsets: vec![0],
+            lanes: Vec::new(),
+            values: Vec::new(),
+        };
+        for (j, l, v) in triples {
+            if fused.cols.last() != Some(&j) {
+                fused.cols.push(j);
+                fused.offsets.push(fused.lanes.len());
+            }
+            fused.lanes.push(l);
+            fused.values.push(v);
+            *fused.offsets.last_mut().unwrap() = fused.lanes.len();
+        }
+        fused
+    }
+
     #[test]
     fn merge_fusion_is_identical_to_sort_fusion() {
-        // Pseudo-random sorted lanes (multiplicative hash) across several
-        // shapes; the k-way merge must reproduce the sort fallback bit for
-        // bit: same column union, same (lane, value) order within columns.
+        // Pseudo-random lanes (multiplicative hash) across several shapes;
+        // the k-way merge must reproduce a sort of the triples bit for bit:
+        // same column union, same (lane, value) order within columns.
         for (n, k, per_lane) in [(40usize, 1usize, 7usize), (64, 3, 13), (100, 8, 25), (9, 5, 9)] {
             let lanes: Vec<SparseVec<f64>> = (0..k)
                 .map(|l| {
@@ -448,19 +398,8 @@ mod tests {
                 })
                 .collect();
             let b = SparseVecBatch::from_lanes(&lanes).unwrap();
-            assert!(b.is_sorted());
-            assert_eq!(b.fuse_columns_merge(), b.fuse_columns_sort(), "n={n} k={k}");
+            assert_eq!(b.fuse_columns(), fuse_by_sort(&b), "n={n} k={k}");
         }
-    }
-
-    #[test]
-    fn unsorted_lanes_take_the_sort_fallback_and_agree() {
-        let b = demo_batch(); // lane 0 stored descending: unsorted
-        assert!(!b.is_sorted());
-        let via_public = b.fuse_columns();
-        assert_eq!(via_public, b.fuse_columns_sort());
-        // A sorted copy of the same logical batch fuses to the same layout.
-        assert_eq!(sorted_lanes(&b).fuse_columns_merge(), via_public);
     }
 
     #[test]
@@ -469,7 +408,7 @@ mod tests {
         let s = b.slice_remap(1..5);
         assert_eq!(s.k(), 3, "lane count survives slicing");
         assert_eq!(s.len(), 4);
-        assert_eq!(s.lane(0).0, &[3, 0]); // 4, 1 re-based by 1
+        assert_eq!(s.lane(0).0, &[0, 3]); // 1, 4 re-based by 1
         assert_eq!(s.lane(1).0.len(), 0);
         assert_eq!(s.lane(2).0, &[0, 2]); // 1, 3 survive; 5 is cut
         assert_eq!(s.lane(2).1, &[10.0, 30.0]);
@@ -485,7 +424,7 @@ mod tests {
     #[test]
     fn same_entries_is_lane_wise() {
         let a = demo_batch();
-        let b = sorted_lanes(&a);
+        let b = demo_batch();
         assert!(a.same_entries(&b));
         let c = SparseVecBatch::from_lanes(&[
             SparseVec::from_pairs(6, vec![(4, 4.0), (1, 1.0)]).unwrap(),

@@ -26,15 +26,14 @@ pub struct BitVec<T> {
 }
 
 impl<T: Scalar> BitVec<T> {
-    /// Builds a bitvector from a sparse list vector. The list does not need
-    /// to be sorted.
+    /// Builds a bitvector from a sparse list vector. The list is already in
+    /// index order, so its values copy straight into the value list.
     pub fn from_sparse(v: &SparseVec<T>) -> Self {
-        let sorted = v.sorted();
-        let len = sorted.len();
+        let len = v.len();
         let nwords = len.div_ceil(64);
         let mut words = vec![0u64; nwords];
-        let mut values = Vec::with_capacity(sorted.nnz());
-        for (i, val) in sorted.iter() {
+        let mut values = Vec::with_capacity(v.nnz());
+        for (i, val) in v.iter() {
             words[i / 64] |= 1u64 << (i % 64);
             values.push(*val);
         }

@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 
 /// Generates a sparse vector of dimension `n` with exactly
 /// `min(nnz, n)` distinct nonzero positions and values uniform in `(0, 1]`.
-/// The returned vector is **unsorted** (positions in random order); call
-/// [`SparseVec::sort_by_index`] for the sorted variant.
+/// All positions are drawn before any value; the `(position, value)` pairs
+/// are then sorted by index.
 pub fn random_sparse_vec(n: usize, nnz: usize, seed: u64) -> SparseVec<f64> {
     random_sparse_vec_with(n, nnz, seed, |rng| 1.0 - rng.gen::<f64>())
 }
@@ -42,11 +42,8 @@ pub fn random_sparse_vec_with<T: crate::Scalar>(
         }
         out
     };
-    let mut v = SparseVec::new(n);
-    for i in indices {
-        v.push(i, value(&mut rng));
-    }
-    v
+    let pairs = indices.into_iter().map(|i| (i, value(&mut rng))).collect();
+    SparseVec::from_pairs(n, pairs).expect("distinct in-range draws")
 }
 
 #[cfg(test)]
@@ -63,6 +60,26 @@ mod tests {
             idx.dedup();
             assert_eq!(idx.len(), v.nnz(), "indices must be distinct");
             assert!(idx.iter().all(|&i| i < n));
+        }
+    }
+
+    #[test]
+    fn seeds_keep_their_entries_in_index_order() {
+        // Checksums of the entries these seeds have always drawn, recorded
+        // from the generator that returned them in draw order and sorted
+        // afterwards: sorting inside the generator changes the order only.
+        // Covers both index paths (rejection sampling and the shuffle).
+        for (n, f, seed, check) in [
+            (40usize, 6usize, 7u64, 0x914a_754b_94f7_35a2u64),
+            (40, 30, 7, 0xfb29_81c2_42c3_6e79),
+            (5000, 300, 11, 0x13cb_1c10_afbf_d359),
+        ] {
+            let v = random_sparse_vec(n, f, seed);
+            let got = v
+                .iter()
+                .fold(0u64, |h, (i, x)| (h ^ i as u64).wrapping_mul(0x100_0000_01b3) ^ x.to_bits());
+            assert_eq!(got, check, "n={n} f={f} seed={seed}");
+            assert!(v.indices().windows(2).all(|w| w[0] < w[1]));
         }
     }
 

@@ -12,7 +12,7 @@
 //! * [`CscMatrix`] — Compressed Sparse Columns (what SpMSpV-bucket consumes);
 //! * [`DcscMatrix`] — Double-Compressed Sparse Columns with an auxiliary
 //!   column index (what the CombBLAS and GraphMat baselines consume);
-//! * [`SparseVec`] — `(index, value)` list format, sorted or unsorted;
+//! * [`SparseVec`] — `(index, value)` list format, indices strictly ascending;
 //! * [`SparseVecBatch`] — `k` sparse vectors (lanes) over a shared index
 //!   pool, the substrate of batched multi-source SpMSpV;
 //! * [`BitVec`] — bitmap + rank structure, GraphMat's vector format — and

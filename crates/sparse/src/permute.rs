@@ -130,11 +130,11 @@ mod tests {
         let x = figure1_vector();
         let p = Permutation::random(8, 123);
         let permute_vector = |v: &SparseVec<f64>| {
-            let mut out = SparseVec::new(v.len());
-            for (i, &value) in v.iter() {
-                out.push(p.apply(i), value);
-            }
-            out
+            SparseVec::from_pairs(
+                v.len(),
+                v.iter().map(|(i, &value)| (p.apply(i), value)).collect(),
+            )
+            .unwrap()
         };
         let y_then_permute = permute_vector(&spmspv_reference(&a, &x, &PlusTimes));
         let permute_then_y =

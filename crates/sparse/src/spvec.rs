@@ -2,21 +2,45 @@
 //! SpMSpV algorithms.
 //!
 //! The "list" format of §II-C: a compact array of `(index, value)` pairs plus
-//! the logical dimension. The list may be kept sorted by index or left
-//! unsorted; both variants of SpMSpV-bucket are evaluated in the paper
-//! (Figure 2), and the algorithm must return its output in the same
-//! convention it received its input.
+//! the logical dimension. The paper lets the list be kept sorted or unsorted
+//! (Figure 2 compares the two); this workspace keeps one order. A
+//! [`SparseVec`]'s indices are **strictly ascending** — sorted and unique —
+//! by construction: every constructor checks it in the pass that checks
+//! bounds, so no consumer sorts, deduplicates or branches on the order.
+
+use std::ops::Range;
 
 use crate::dense::DenseVec;
 use crate::error::SparseError;
 use crate::Scalar;
 
-/// A sparse vector stored as parallel `indices`/`values` arrays.
+/// A sparse vector stored as parallel `indices`/`values` arrays, indices
+/// strictly ascending and below `len`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseVec<T> {
     len: usize,
     indices: Vec<usize>,
     values: Vec<T>,
+}
+
+/// Checks the list-format invariant in one pass: every index below `len`
+/// and above its predecessor. Shared with [`crate::SparseVecBatch`], whose
+/// lanes carry the same invariant.
+pub(crate) fn check_ascending(indices: &[usize], len: usize) -> Result<(), SparseError> {
+    // `next` is the smallest index the next entry may carry.
+    let mut next = 0usize;
+    for &i in indices {
+        if i >= len {
+            return Err(SparseError::VectorIndexOutOfBounds { index: i, len });
+        }
+        if i < next {
+            return Err(SparseError::InvalidStructure(format!(
+                "index {i} repeats or descends (indices must be strictly ascending)"
+            )));
+        }
+        next = i + 1;
+    }
+    Ok(())
 }
 
 impl<T: Scalar> SparseVec<T> {
@@ -25,29 +49,17 @@ impl<T: Scalar> SparseVec<T> {
         SparseVec { len, indices: Vec::new(), values: Vec::new() }
     }
 
-    /// Builds a vector from `(index, value)` pairs, rejecting out-of-bounds
-    /// or duplicate indices.
-    pub fn from_pairs(len: usize, pairs: Vec<(usize, T)>) -> Result<Self, SparseError> {
-        let mut indices = Vec::with_capacity(pairs.len());
-        let mut values = Vec::with_capacity(pairs.len());
-        for (i, v) in pairs {
-            if i >= len {
-                return Err(SparseError::VectorIndexOutOfBounds { index: i, len });
-            }
-            indices.push(i);
-            values.push(v);
-        }
-        let mut sorted = indices.clone();
-        sorted.sort_unstable();
-        if sorted.windows(2).any(|w| w[0] == w[1]) {
-            return Err(SparseError::InvalidStructure("duplicate index in sparse vector".into()));
-        }
-        Ok(SparseVec { len, indices, values })
+    /// Builds a vector from `(index, value)` pairs in any order: sorts them
+    /// by index, then rejects out-of-bounds or duplicate indices.
+    pub fn from_pairs(len: usize, mut pairs: Vec<(usize, T)>) -> Result<Self, SparseError> {
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        let (indices, values) = pairs.into_iter().unzip();
+        Self::from_parts(len, indices, values)
     }
 
-    /// Builds a vector from raw parallel arrays without checking for
-    /// duplicates (bounds are still validated). Used on hot paths where the
-    /// caller constructs the arrays itself (e.g. the output step of SpMSpV).
+    /// Builds a vector from raw parallel arrays, rejecting a length
+    /// mismatch and any index that is out of bounds or not strictly above
+    /// its predecessor (one O(nnz) pass).
     pub fn from_parts(
         len: usize,
         indices: Vec<usize>,
@@ -60,9 +72,7 @@ impl<T: Scalar> SparseVec<T> {
                 values.len()
             )));
         }
-        if let Some(&bad) = indices.iter().find(|&&i| i >= len) {
-            return Err(SparseError::VectorIndexOutOfBounds { index: bad, len });
-        }
+        check_ascending(&indices, len)?;
         Ok(SparseVec { len, indices, values })
     }
 
@@ -110,49 +120,44 @@ impl<T: Scalar> SparseVec<T> {
         &self.values
     }
 
-    /// Iterates over `(index, &value)` pairs in storage order.
+    /// Iterates over `(index, &value)` pairs in ascending index order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
         self.indices.iter().copied().zip(self.values.iter())
     }
 
-    /// Appends an entry without checking for duplicates.
+    /// Appends an entry after the last one.
+    ///
+    /// # Panics
+    ///
+    /// When `index` is out of bounds or not above the last stored index.
     pub fn push(&mut self, index: usize, value: T) {
-        debug_assert!(index < self.len, "index {index} out of bounds for length {}", self.len);
+        assert!(
+            index < self.len && self.indices.last().is_none_or(|&last| last < index),
+            "push of index {index} after {:?}: out of bounds or not ascending (length {})",
+            self.indices.last(),
+            self.len
+        );
         self.indices.push(index);
         self.values.push(value);
     }
 
-    /// Whether the stored indices are sorted strictly ascending.
+    /// Whether the stored indices are strictly ascending: always, since
+    /// every constructor enforces it.
     pub fn is_sorted(&self) -> bool {
-        self.indices.windows(2).all(|w| w[0] < w[1])
+        true
     }
 
-    /// Sorts the entries by index (stable with respect to values).
-    pub fn sort_by_index(&mut self) {
-        if self.is_sorted() {
-            return;
-        }
-        let mut perm: Vec<usize> = (0..self.nnz()).collect();
-        perm.sort_unstable_by_key(|&k| self.indices[k]);
-        self.indices = perm.iter().map(|&k| self.indices[k]).collect();
-        self.values = perm.iter().map(|&k| self.values[k]).collect();
-    }
+    /// Sorts the entries by index: a no-op, since they always are.
+    pub fn sort_by_index(&mut self) {}
 
-    /// Returns a sorted copy, leaving `self` untouched.
+    /// A copy in index order: a plain clone, since the entries always are.
     pub fn sorted(&self) -> Self {
-        let mut c = self.clone();
-        c.sort_by_index();
-        c
+        self.clone()
     }
 
-    /// Value at logical position `i`, if stored. O(log nnz) when sorted,
-    /// O(nnz) otherwise.
+    /// Value at logical position `i`, if stored. O(log nnz).
     pub fn get(&self, i: usize) -> Option<&T> {
-        if self.is_sorted() {
-            self.indices.binary_search(&i).ok().map(|k| &self.values[k])
-        } else {
-            self.indices.iter().position(|&idx| idx == i).map(|k| &self.values[k])
-        }
+        self.indices.binary_search(&i).ok().map(|k| &self.values[k])
     }
 
     /// Scatters into a dense vector of length `len`, filling holes with
@@ -194,8 +199,8 @@ impl<T: Scalar> SparseVec<T> {
     /// Extracts the entries whose indices fall in `range`, re-based to the
     /// range start: an entry `(i, v)` with `range.start <= i < range.end`
     /// becomes `(i - range.start, v)` in a vector of logical dimension
-    /// `range.len()`. Storage order is preserved, so a sorted input yields a
-    /// sorted slice.
+    /// `range.len()`. The entries in `range` are one contiguous run of the
+    /// ascending index array, found by two binary searches.
     ///
     /// This is the frontier-scatter primitive of 1D column-partitioned
     /// SpMSpV (CombBLAS-style): a shard owning columns `[lo, hi)` of the
@@ -204,33 +209,32 @@ impl<T: Scalar> SparseVec<T> {
     /// # Panics
     ///
     /// When the range is decreasing or extends past [`SparseVec::len`].
-    pub fn slice_remap(&self, range: std::ops::Range<usize>) -> SparseVec<T> {
+    pub fn slice_remap(&self, range: Range<usize>) -> SparseVec<T> {
         assert!(
             range.start <= range.end && range.end <= self.len,
             "slice_remap range {range:?} out of bounds for length {}",
             self.len
         );
-        let mut out = SparseVec::new(range.end - range.start);
-        for (i, v) in self.iter() {
-            if range.contains(&i) {
-                out.push(i - range.start, *v);
-            }
+        let run = run_in(&self.indices, &range);
+        SparseVec {
+            len: range.end - range.start,
+            indices: self.indices[run.clone()].iter().map(|&i| i - range.start).collect(),
+            values: self.values[run].to_vec(),
         }
-        out
     }
 }
 
+/// Positions in the ascending `indices` of the entries that fall in `range`.
+pub(crate) fn run_in(indices: &[usize], range: &Range<usize>) -> Range<usize> {
+    let lo = indices.partition_point(|&i| i < range.start);
+    lo..lo + indices[lo..].partition_point(|&i| i < range.end)
+}
+
 impl<T: Scalar + PartialOrd> SparseVec<T> {
-    /// Equality check that ignores storage order: both vectors are compared
-    /// after sorting by index. Intended for tests comparing sorted and
-    /// unsorted algorithm variants.
+    /// Same dimension, indices and values — `==`, named for the tests that
+    /// compare kernels entry by entry.
     pub fn same_entries(&self, other: &Self) -> bool {
-        if self.len != other.len || self.nnz() != other.nnz() {
-            return false;
-        }
-        let a = self.sorted();
-        let b = other.sorted();
-        a.indices == b.indices && a.values == b.values
+        self == other
     }
 }
 
@@ -243,18 +247,12 @@ impl SparseVec<f64> {
     /// correct implementations agree only up to floating-point rounding; this
     /// is the comparison every cross-algorithm test uses.
     pub fn approx_same_entries(&self, other: &Self, rel_tol: f64) -> bool {
-        if self.len != other.len || self.nnz() != other.nnz() {
-            return false;
-        }
-        let a = self.sorted();
-        let b = other.sorted();
-        if a.indices != b.indices {
-            return false;
-        }
-        a.values.iter().zip(b.values.iter()).all(|(&x, &y)| {
-            let scale = x.abs().max(y.abs()).max(1.0);
-            (x - y).abs() <= rel_tol * scale
-        })
+        self.len == other.len
+            && self.indices == other.indices
+            && self.values.iter().zip(&other.values).all(|(&x, &y)| {
+                let scale = x.abs().max(y.abs()).max(1.0);
+                (x - y).abs() <= rel_tol * scale
+            })
     }
 }
 
@@ -278,16 +276,17 @@ mod tests {
         assert!(SparseVec::from_pairs(4, vec![(0, 1.0), (5, 2.0)]).is_err());
         assert!(SparseVec::from_pairs(4, vec![(1, 1.0), (1, 2.0)]).is_err());
         let v = SparseVec::from_pairs(4, vec![(3, 1.0), (1, 2.0)]).unwrap();
-        assert_eq!(v.nnz(), 2);
-        assert!(!v.is_sorted());
+        assert_eq!(v.indices(), &[1, 3], "pairs are sorted by index");
+        assert_eq!(v.values(), &[2.0, 1.0], "values travel with their indices");
     }
 
     #[test]
     fn sort_and_get() {
         let mut v = SparseVec::from_pairs(10, vec![(7, 7.0), (2, 2.0), (5, 5.0)]).unwrap();
         assert_eq!(v.get(5).copied(), Some(5.0));
+        let before = v.clone();
         v.sort_by_index();
-        assert!(v.is_sorted());
+        assert_eq!(v, before, "already in index order");
         assert_eq!(v.indices(), &[2, 5, 7]);
         assert_eq!(v.values(), &[2.0, 5.0, 7.0]);
         assert_eq!(v.get(7).copied(), Some(7.0));
@@ -334,6 +333,17 @@ mod tests {
         assert!(SparseVec::from_parts(3, vec![0, 1], vec![1.0]).is_err());
         assert!(SparseVec::from_parts(3, vec![0, 9], vec![1.0, 2.0]).is_err());
         assert!(SparseVec::from_parts(3, vec![0, 2], vec![1.0, 2.0]).is_ok());
+        // Descending and repeated indices break the invariant.
+        assert!(SparseVec::from_parts(3, vec![2, 0], vec![1.0, 2.0]).is_err());
+        assert!(SparseVec::from_parts(3, vec![1, 1], vec![1.0, 2.0]).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "not ascending")]
+    fn push_rejects_a_repeated_index() {
+        let mut v = SparseVec::new(5);
+        v.push(3, 1.0);
+        v.push(3, 2.0);
     }
 
     #[test]
@@ -341,13 +351,9 @@ mod tests {
         let v = SparseVec::from_pairs(10, vec![(7, 7.0), (2, 2.0), (5, 5.0), (4, 4.0)]).unwrap();
         let s = v.slice_remap(4..8);
         assert_eq!(s.len(), 4);
-        // Storage order preserved: 7, 5, 4 arrive in that order, re-based.
-        assert_eq!(s.indices(), &[3, 1, 0]);
-        assert_eq!(s.values(), &[7.0, 5.0, 4.0]);
-        // A sorted input slices to a sorted output.
-        let sorted = v.sorted().slice_remap(4..8);
-        assert!(sorted.is_sorted());
-        assert_eq!(sorted.indices(), &[0, 1, 3]);
+        // 4, 5, 7 survive in index order, re-based.
+        assert_eq!(s.indices(), &[0, 1, 3]);
+        assert_eq!(s.values(), &[4.0, 5.0, 7.0]);
         // Empty and full ranges.
         assert_eq!(v.slice_remap(0..0).len(), 0);
         assert_eq!(v.slice_remap(0..10).nnz(), v.nnz());
@@ -365,7 +371,7 @@ mod tests {
     fn sorted_returns_copy_without_mutating_original() {
         let v = SparseVec::from_pairs(6, vec![(5, 5.0), (0, 0.5)]).unwrap();
         let s = v.sorted();
-        assert!(s.is_sorted());
-        assert_eq!(v.indices(), &[5, 0]);
+        assert_eq!(s, v);
+        assert_eq!(v.indices(), &[0, 5]);
     }
 }

@@ -17,7 +17,7 @@ fn main() {
     println!("  connected components: {components}");
     println!("  pseudo-diameter     : {}", pseudo_diameter(&mesh, 0, 3));
 
-    let set = maximal_independent_set(&mesh, AlgorithmKind::Bucket, SpMSpVOptions::default(), 7);
+    let set = maximal_independent_set(&mesh, SpMSpVOptions::default(), 7);
     println!(
         "  maximal independent set: {} vertices ({:.1}% of the graph), valid = {}",
         set.len(),

@@ -1,8 +1,7 @@
 //! Property-based tests for the batched SpMSpV subsystem: for any operands,
 //! the fused kernel [`SpMSpVBucketBatch`], the fallback [`NaiveBatch`] and
 //! `k` independent [`spmspv_reference`] calls must agree — across semirings
-//! (`PlusTimes`, the BFS `Select2ndMin`), sorted and unsorted lane storage,
-//! and batch widths `k ∈ {1, 3, 32}`.
+//! (`PlusTimes`, the BFS `Select2ndMin`) and batch widths `k ∈ {1, 3, 32}`.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
 //! floating-point addition is exact and results compare exactly regardless
@@ -36,20 +35,12 @@ fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = CscMatrix<f64>> {
     })
 }
 
-/// Strategy: one sparse lane of dimension `n` with integer values, stored in
-/// ascending or (when `reversed`) descending index order so both sorted and
-/// unsorted inputs are exercised.
+/// Strategy: one sparse lane of dimension `n` with integer values.
 fn lane_strategy(n: usize) -> impl Strategy<Value = SparseVec<f64>> {
-    (proptest::collection::btree_map(0..n, 1i32..16, 0..n.min(40)), any::<bool>()).prop_map(
-        move |(map, reversed)| {
-            let mut pairs: Vec<(usize, f64)> =
-                map.into_iter().map(|(i, v)| (i, v as f64)).collect();
-            if reversed {
-                pairs.reverse();
-            }
-            SparseVec::from_pairs(n, pairs).expect("btree_map keys are unique and in range")
-        },
-    )
+    proptest::collection::btree_map(0..n, 1i32..16, 0..n.min(40)).prop_map(move |map| {
+        let pairs = map.into_iter().map(|(i, v)| (i, v as f64)).collect();
+        SparseVec::from_pairs(n, pairs).expect("btree_map keys are unique and in range")
+    })
 }
 
 /// Strategy: a batch of `k ∈ {1, 3, 32}` lanes conforming to `a`.
@@ -72,36 +63,25 @@ proptest! {
     fn bucket_batch_equals_naive_equals_reference_plus_times(
         (a, x) in batch_operands(50),
         threads in 1usize..5,
-        sorted in any::<bool>(),
     ) {
-        let opts = SpMSpVOptions::with_threads(threads).sorted(sorted);
+        let opts = SpMSpVOptions::with_threads(threads);
         let expected = spmspv_batch_reference(&a, &x, &PlusTimes);
 
         let mut fused = SpMSpVBucketBatch::new(&a, opts.clone());
         let y = fused.multiply_batch(&x, &PlusTimes);
-        prop_assert!(y.same_entries(&expected), "fused kernel diverged from reference");
+        prop_assert_eq!(&y, &expected, "fused kernel diverged from reference");
 
         let mut naive = NaiveBatch::new(&a, opts);
         let yn = naive.multiply_batch(&x, &PlusTimes);
-        prop_assert!(y.same_entries(&yn), "fused kernel diverged from NaiveBatch");
+        prop_assert_eq!(&y, &yn, "fused kernel diverged from NaiveBatch");
 
         // Structural invariants, lane by lane.
         prop_assert_eq!(y.len(), a.nrows());
         prop_assert_eq!(y.k(), x.k());
         for l in 0..y.k() {
             let (indices, _) = y.lane(l);
-            let mut seen = indices.to_vec();
-            seen.sort_unstable();
-            let before = seen.len();
-            seen.dedup();
-            prop_assert_eq!(before, seen.len(), "duplicate indices in lane {}", l);
-            prop_assert!(seen.iter().all(|&i| i < a.nrows()), "lane {} out of bounds", l);
-            if sorted {
-                prop_assert!(
-                    indices.windows(2).all(|w| w[0] < w[1]),
-                    "lane {} unsorted despite sorted_output", l
-                );
-            }
+            prop_assert!(indices.windows(2).all(|w| w[0] < w[1]), "lane {} not ascending", l);
+            prop_assert!(indices.iter().all(|&i| i < a.nrows()), "lane {} out of bounds", l);
         }
     }
 
@@ -124,11 +104,11 @@ proptest! {
         let expected = spmspv_batch_reference(&a, &frontiers, &Select2ndMin);
         let mut fused = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(threads));
         let y = fused.multiply_batch(&frontiers, &Select2ndMin);
-        prop_assert!(y.same_entries(&expected), "Select2ndMin batch diverged from reference");
+        prop_assert_eq!(&y, &expected, "Select2ndMin batch diverged from reference");
 
         let mut naive = NaiveBatch::new(&a, SpMSpVOptions::with_threads(threads));
         let yn = naive.multiply_batch(&frontiers, &Select2ndMin);
-        prop_assert!(y.same_entries(&yn), "Select2ndMin batch diverged from NaiveBatch");
+        prop_assert_eq!(&y, &yn, "Select2ndMin batch diverged from NaiveBatch");
     }
 
     #[test]
@@ -137,10 +117,10 @@ proptest! {
         batch_threads in 1usize..5,
         single_threads in 1usize..5,
     ) {
-        // With sorted output, lane l's reduction order inside the batched
-        // kernel is identical to the single-vector kernel's, so equality is
-        // exact (bit-level), not just up to rounding — even though thread
-        // counts differ between the two runs.
+        // Lane l's reduction order inside the batched kernel is identical
+        // to the single-vector kernel's, so equality is exact (bit-level),
+        // not just up to rounding — even though thread counts differ
+        // between the two runs.
         let mut fused =
             SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(batch_threads));
         let y = fused.multiply_batch(&x, &PlusTimes);
@@ -155,14 +135,12 @@ proptest! {
         }
     }
 
-    /// The fused bucket kernel matches the [`NaiveBatch`] oracle — any
-    /// sortedness, any mask shape, k ∈ {1, 3, 32}, any thread count:
-    /// bit-identical when sorted, entry-identical otherwise.
+    /// The fused bucket kernel matches the [`NaiveBatch`] oracle bit for
+    /// bit — any mask shape, k ∈ {1, 3, 32}, any thread count.
     #[test]
     fn every_spa_backend_matches_the_naive_oracle(
         (a, x) in batch_operands(40),
         threads in 1usize..5,
-        sorted in any::<bool>(),
         mask_case in 0usize..5,
     ) {
         let m = a.nrows();
@@ -183,20 +161,12 @@ proptest! {
             _ => Some(BatchMaskView::PerLane { masks: &per_lane, mode: MaskMode::Complement }),
         };
 
-        let opts = SpMSpVOptions::with_threads(threads).sorted(sorted);
+        let opts = SpMSpVOptions::with_threads(threads);
         let mut naive = NaiveBatch::new(&a, opts.clone());
         let oracle = naive.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
         let mut fused = SpMSpVBucketBatch::new(&a, opts);
         let y = fused.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
-        if sorted {
-            prop_assert_eq!(&y, &oracle, "not bit-identical to the oracle (mask {})", mask_case);
-        } else {
-            prop_assert!(
-                y.same_entries(&oracle),
-                "entries diverged from the naive oracle (mask {})",
-                mask_case
-            );
-        }
+        prop_assert_eq!(&y, &oracle, "not bit-identical to the oracle (mask {})", mask_case);
     }
 
     /// The adaptive batch dispatcher always produces exactly what the fixed

@@ -2,12 +2,10 @@
 //! [`Engine`] produce results identical to N independent
 //! [`PreparedMxv::run`] calls** — across semirings (`PlusTimes`,
 //! `Select2ndMin`), mask modes (unmasked / keep / complement, mixed within
-//! one flush), sorted and unsorted request storage, width budgets that force
-//! multi-chunk flushes, and mid-flight lane retirement (cancelled tickets
-//! and closed sessions).
+//! one flush), width budgets that force multi-chunk flushes, and mid-flight
+//! lane retirement (cancelled tickets and closed sessions).
 //!
-//! Entry values are small integers so floating-point addition is exact and
-//! sorted-mode results compare bit-for-bit.
+//! Entry values are small integers, and results compare bit-for-bit.
 
 use proptest::prelude::*;
 use sparse_substrate::{CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, SparseVec};
@@ -29,8 +27,8 @@ fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = CscMatrix<f64>> {
     })
 }
 
-/// One generated client request: frontier (possibly stored in descending
-/// order), mask choice, and whether the client retires it before the flush.
+/// One generated client request: frontier, mask choice, and whether the
+/// client retires it before the flush.
 #[derive(Debug, Clone)]
 struct GenRequest {
     frontier: SparseVec<f64>,
@@ -39,13 +37,9 @@ struct GenRequest {
 }
 
 fn request_strategy(m: usize, n: usize) -> impl Strategy<Value = GenRequest> {
-    let frontier = (proptest::collection::btree_map(0..n, 1i32..16, 0..n.min(30)), any::<bool>())
-        .prop_map(move |(map, reversed)| {
-            let mut pairs: Vec<(usize, f64)> =
-                map.into_iter().map(|(i, v)| (i, v as f64)).collect();
-            if reversed {
-                pairs.reverse();
-            }
+    let frontier =
+        proptest::collection::btree_map(0..n, 1i32..16, 0..n.min(30)).prop_map(move |map| {
+            let pairs = map.into_iter().map(|(i, v)| (i, v as f64)).collect();
             SparseVec::from_pairs(n, pairs).expect("unique in-range indices")
         });
     let mask = prop_oneof![
@@ -92,15 +86,14 @@ proptest! {
 
     /// The headline property: submit everything, cancel the retiring
     /// subset mid-flight, flush once, and every surviving ticket must equal
-    /// its independent single-vector run — bit-identical in sorted mode.
+    /// its independent single-vector run, bit for bit.
     #[test]
     fn engine_equals_independent_runs(
         (a, requests) in operands(40),
         threads in 1usize..5,
         max_lanes in 0usize..5,
-        sorted in any::<bool>(),
     ) {
-        let options = SpMSpVOptions::with_threads(threads).sorted(sorted);
+        let options = SpMSpVOptions::with_threads(threads);
         let engine = Engine::over_with(
             &a,
             PlusTimes,
@@ -140,17 +133,7 @@ proptest! {
                 .expect("surviving request must be served by the flush")
                 .expect("surviving request must succeed");
             let oracle = independent_run(&a, r, &options);
-            if sorted {
-                prop_assert_eq!(
-                    y, oracle,
-                    "sorted engine lane must be bit-identical to its independent run"
-                );
-            } else {
-                prop_assert!(
-                    y.same_entries(&oracle),
-                    "unsorted engine lane must match its independent run's entries"
-                );
-            }
+            prop_assert_eq!(y, oracle, "engine lane must be bit-identical to its independent run");
         }
         let stats = engine.stats();
         prop_assert_eq!(stats.requests, requests.len());

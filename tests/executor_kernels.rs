@@ -92,12 +92,11 @@ fn small_frontiers_never_leave_the_calling_thread() {
 }
 
 /// Pool sizes {1, 2, 3, 8} on frontiers of at least `32 · 8` nonzeros, so
-/// the input really is split `t` ways and merged from `4t` buckets: with
-/// sorted output the result must be *equal* — not approximately — across
-/// sizes under `f64` `(+, ×)`, whose sums depend on reduction order, for
-/// single, batched, shared-mask and per-lane-mask calls on sorted and
-/// unsorted input. Guards the chunking against the scheduler changes
-/// ROADMAP direction 1 plans.
+/// the input really is split `t` ways and merged from `4t` buckets: the
+/// result must be *equal* — not approximately — across sizes under `f64`
+/// `(+, ×)`, whose sums depend on reduction order, for single, batched,
+/// shared-mask and per-lane-mask calls. Guards the chunking against
+/// scheduler changes.
 #[test]
 fn outputs_are_identical_across_pool_sizes() {
     const SIZES: [usize; 4] = [1, 2, 3, 8];
@@ -111,38 +110,27 @@ fn outputs_are_identical_across_pool_sizes() {
     let shared = BatchMaskView::Shared(view);
     let lanewise = BatchMaskView::PerLane { masks: &per_lane, mode: MaskMode::Keep };
 
-    for sorted_input in [true, false] {
-        // `random_sparse_vec` stores its entries in random order.
-        let lane = |seed: u64| {
-            let x = random_sparse_vec(n, 32 * 8 + 44, seed);
-            assert!(!x.is_sorted());
-            if sorted_input {
-                x.sorted()
-            } else {
-                x
-            }
-        };
-        let x = lane(1);
-        let xs = SparseVecBatch::from_lanes(&(0..K as u64).map(lane).collect::<Vec<_>>()).unwrap();
+    let lane = |seed: u64| random_sparse_vec(n, 32 * 8 + 44, seed);
+    let x = lane(1);
+    let xs = SparseVecBatch::from_lanes(&(0..K as u64).map(lane).collect::<Vec<_>>()).unwrap();
 
-        let run = |threads: usize| {
-            let opts = SpMSpVOptions::with_threads(threads);
-            let mut single = SpMSpVBucket::new(&a, opts.clone());
-            let mut batch = SpMSpVBucketBatch::new(&a, opts);
-            (
-                single.multiply(&x, &PlusTimes),
-                single.multiply_masked(&x, &PlusTimes, Some(view)),
-                batch.multiply_batch(&xs, &PlusTimes),
-                batch.multiply_batch_masked(&xs, &PlusTimes, Some(&shared)),
-                batch.multiply_batch_masked(&xs, &PlusTimes, Some(&lanewise)),
-            )
-        };
-        let reference = run(1);
-        assert!(reference.0.nnz() > 500 && reference.0.is_sorted());
-        assert!(reference.1.nnz() < reference.0.nnz(), "the mask removes rows");
-        assert!(reference.4.total_nnz() < reference.2.total_nnz());
-        for threads in &SIZES[1..] {
-            assert_eq!(run(*threads), reference, "threads={threads} sorted_input={sorted_input}");
-        }
+    let run = |threads: usize| {
+        let opts = SpMSpVOptions::with_threads(threads);
+        let mut single = SpMSpVBucket::new(&a, opts.clone());
+        let mut batch = SpMSpVBucketBatch::new(&a, opts);
+        (
+            single.multiply(&x, &PlusTimes),
+            single.multiply_masked(&x, &PlusTimes, Some(view)),
+            batch.multiply_batch(&xs, &PlusTimes),
+            batch.multiply_batch_masked(&xs, &PlusTimes, Some(&shared)),
+            batch.multiply_batch_masked(&xs, &PlusTimes, Some(&lanewise)),
+        )
+    };
+    let reference = run(1);
+    assert!(reference.0.nnz() > 500);
+    assert!(reference.1.nnz() < reference.0.nnz(), "the mask removes rows");
+    assert!(reference.4.total_nnz() < reference.2.total_nnz());
+    for threads in &SIZES[1..] {
+        assert_eq!(run(*threads), reference, "threads={threads}");
     }
 }

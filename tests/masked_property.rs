@@ -3,7 +3,7 @@
 //! must equal the post-filtered unmasked oracle (multiply, then drop the
 //! rows the mask rejects) — across [`MaskMode::Keep`] and
 //! [`MaskMode::Complement`], semirings (`PlusTimes`, the BFS
-//! `Select2ndMin`), sorted and unsorted storage, every algorithm family,
+//! `Select2ndMin`), every algorithm family,
 //! and batch widths `k ∈ {1, 3, 32}` with shared and per-lane masks.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
@@ -48,20 +48,12 @@ fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = CscMatrix<f64>> {
     })
 }
 
-/// Strategy: one sparse lane of dimension `n` with integer values, stored in
-/// ascending or (when `reversed`) descending index order so both sorted and
-/// unsorted inputs are exercised.
+/// Strategy: one sparse lane of dimension `n` with integer values.
 fn lane_strategy(n: usize) -> impl Strategy<Value = SparseVec<f64>> {
-    (proptest::collection::btree_map(0..n, 1i32..16, 0..n.min(40)), any::<bool>()).prop_map(
-        move |(map, reversed)| {
-            let mut pairs: Vec<(usize, f64)> =
-                map.into_iter().map(|(i, v)| (i, v as f64)).collect();
-            if reversed {
-                pairs.reverse();
-            }
-            SparseVec::from_pairs(n, pairs).expect("btree_map keys are unique and in range")
-        },
-    )
+    proptest::collection::btree_map(0..n, 1i32..16, 0..n.min(40)).prop_map(move |map| {
+        let pairs = map.into_iter().map(|(i, v)| (i, v as f64)).collect();
+        SparseVec::from_pairs(n, pairs).expect("btree_map keys are unique and in range")
+    })
 }
 
 /// Strategy: a mask over the output dimension `m` — an arbitrary subset of
@@ -122,18 +114,18 @@ proptest! {
     fn masked_single_kernels_equal_post_filter_oracle_plus_times(
         (a, x, mask, mode) in single_operands(40),
         threads in 1usize..5,
-        sorted in any::<bool>(),
     ) {
-        let opts = SpMSpVOptions::with_threads(threads).sorted(sorted);
+        let opts = SpMSpVOptions::with_threads(threads);
         let view = MaskView::new(&mask, mode);
         for kind in ALL_KINDS {
             let mut alg = build_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
             let y = alg.multiply_masked(&x, &PlusTimes, Some(view));
             let mut oracle = alg.multiply(&x, &PlusTimes);
             oracle.retain(|i, _| view.keeps(i));
-            prop_assert!(
-                y.same_entries(&oracle),
-                "{kind} in-kernel mask diverged from post-filter ({mode:?}, sorted={sorted})"
+            prop_assert_eq!(
+                &y,
+                &oracle,
+                "{kind} in-kernel mask diverged from post-filter ({mode:?})"
             );
             // No masked-out row may survive.
             prop_assert!(
@@ -170,8 +162,9 @@ proptest! {
                 .prepare();
             let mut oracle = unmasked_op.run(&frontier);
             oracle.retain(|i, _| view.keeps(i));
-            prop_assert!(
-                y.same_entries(&oracle),
+            prop_assert_eq!(
+                &y,
+                &oracle,
                 "{kind} Mxv mask diverged from post-filter under Select2ndMin ({mode:?})"
             );
         }
@@ -182,18 +175,18 @@ proptest! {
     fn masked_batch_kernels_equal_post_filter_oracle_shared(
         (a, x, masks, mode) in batch_operands(40),
         threads in 1usize..5,
-        sorted in any::<bool>(),
     ) {
-        let opts = SpMSpVOptions::with_threads(threads).sorted(sorted);
+        let opts = SpMSpVOptions::with_threads(threads);
         let shared = &masks[0];
         let view = BatchMaskView::Shared(MaskView::new(shared, mode));
         for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Naive] {
             let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
             let oracle = mask_filter_batch(&alg.multiply_batch(&x, &PlusTimes), &view);
-            prop_assert!(
-                y.same_entries(&oracle),
-                "{kind} shared mask diverged from post-filter ({mode:?}, sorted={sorted}, k={})",
+            prop_assert_eq!(
+                &y,
+                &oracle,
+                "{kind} shared mask diverged from post-filter ({mode:?}, k={})",
                 x.k()
             );
         }
@@ -212,8 +205,9 @@ proptest! {
             let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
             let oracle = mask_filter_batch(&alg.multiply_batch(&x, &PlusTimes), &view);
-            prop_assert!(
-                y.same_entries(&oracle),
+            prop_assert_eq!(
+                &y,
+                &oracle,
                 "{kind} per-lane mask diverged from post-filter ({mode:?}, k={})",
                 x.k()
             );

@@ -426,7 +426,7 @@ fn encoder_enforces_the_frame_limit_and_restores_the_buffer() {
 }
 
 // ---------------------------------------------------------------------------
-// Version 2: discovery / health frames and the Partial sort invariant.
+// Version 2: discovery / health frames; the vector index invariant.
 // ---------------------------------------------------------------------------
 
 /// The v2 handshake and heartbeat frames round-trip bit-identically over
@@ -464,29 +464,6 @@ fn inverted_welcome_range_is_corrupt() {
     assert!(matches!(decode_err(&buf), DecodeError::Corrupt(_)));
 }
 
-/// Unsorted kernel output is canonicalized at encode time: the frame on
-/// the wire carries strictly increasing indices and decodes to the sorted
-/// vector, so a cross-transport merge sees one canonical order.
-#[test]
-fn unsorted_partial_encodes_canonically() {
-    let mut partial = SparseVec::<f64>::new(8);
-    partial.push(5, 5.0);
-    partial.push(1, 1.0);
-    partial.push(3, 3.0);
-    assert!(!partial.is_sorted());
-    let frame: Frame<f64, f64> = Frame::Partial { request: 9, shard: 1, partial: partial.clone() };
-    let mut buf = Vec::new();
-    encode_frame(&frame, &mut buf, DEFAULT_MAX_FRAME).unwrap();
-    let (decoded, _) = decode_frame::<f64, f64>(&buf, DEFAULT_MAX_FRAME).unwrap();
-    match decoded {
-        Frame::Partial { request: 9, shard: 1, partial: got } => {
-            assert!(got.is_sorted(), "wire order must be canonical");
-            assert_eq!(got, partial.sorted());
-        }
-        other => panic!("expected the partial back, got {other:?}"),
-    }
-}
-
 /// Byte-surgery: a `Partial` whose indices are non-monotone or duplicated
 /// on the wire is rejected at decode time — a hostile host cannot smuggle
 /// shuffled or repeated rows into the merge fold.
@@ -507,17 +484,51 @@ fn non_monotone_partial_bytes_are_corrupt() {
     swapped[first_index + 8..first_index + 16].copy_from_slice(&1u64.to_le_bytes());
     assert_eq!(
         decode_err(&swapped),
-        DecodeError::Corrupt("partial indices not strictly increasing")
+        DecodeError::Corrupt("vector indices not strictly increasing")
     );
 
     // Duplicate an index: 1, 1, 5 — monotone requires *strictly* increasing.
     let mut duped = good.clone();
     duped[first_index + 8..first_index + 16].copy_from_slice(&1u64.to_le_bytes());
-    assert_eq!(decode_err(&duped), DecodeError::Corrupt("partial indices not strictly increasing"));
+    assert_eq!(decode_err(&duped), DecodeError::Corrupt("vector indices not strictly increasing"));
 
     // And the byzantine host's signature move: an index past the vector's
     // length is out of range, not merged.
     let mut oversize = good;
     oversize[first_index + 16..first_index + 24].copy_from_slice(&u64::MAX.to_le_bytes());
     assert_eq!(decode_err(&oversize), DecodeError::Corrupt("vector index out of range"));
+}
+
+/// Byte-surgery on a `Frontier`: a slice that repeats or reorders an index
+/// is corrupt too. A host fed a repeated column would multiply it twice and
+/// return a silently wrong partial.
+#[test]
+fn non_monotone_frontier_bytes_are_corrupt() {
+    // Payload layout: request u64 | shard u32 | xtag u8 | len u64 | nnz u64
+    // | indices u64×nnz | values | flags — first index at HEADER_LEN + 29.
+    let first_index = HEADER_LEN + 8 + 4 + 1 + 8 + 8;
+    let slice = SparseVec::from_pairs(8, vec![(1, 1.0), (3, 3.0), (5, 5.0)]).unwrap();
+    let frame: Frame<f64, f64> = Frame::Frontier(WireFrontier {
+        request: 4,
+        shard: 0,
+        slice,
+        deadline_micros: None,
+        mask: None,
+    });
+    let mut good = Vec::new();
+    encode_frame(&frame, &mut good, DEFAULT_MAX_FRAME).unwrap();
+    assert!(decode_frame::<f64, f64>(&good, DEFAULT_MAX_FRAME).is_ok());
+
+    // Duplicate an index: 1, 1, 5.
+    let mut duped = good.clone();
+    duped[first_index + 8..first_index + 16].copy_from_slice(&1u64.to_le_bytes());
+    assert_eq!(decode_err(&duped), DecodeError::Corrupt("vector indices not strictly increasing"));
+
+    // Descend: 1, 3, 2.
+    let mut descending = good;
+    descending[first_index + 16..first_index + 24].copy_from_slice(&2u64.to_le_bytes());
+    assert_eq!(
+        decode_err(&descending),
+        DecodeError::Corrupt("vector indices not strictly increasing")
+    );
 }

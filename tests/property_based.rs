@@ -5,16 +5,36 @@
 //! operand pair:
 //!
 //! * every parallel algorithm agrees with the sequential reference,
-//! * sorted and unsorted bucket variants agree,
 //! * the output never contains duplicate or out-of-range indices,
+//! * sparse vectors are strictly ascending by construction, and every
+//!   kernel's output is,
 //! * format conversions round-trip,
 //! * SpMSpV is linear in the input vector.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use proptest::prelude::*;
 use sparse_substrate::ops::{required_multiplications, spmspv_reference};
-use sparse_substrate::{CooMatrix, CscMatrix, DcscMatrix, PlusTimes, SparseVec};
+use sparse_substrate::{CooMatrix, CscMatrix, DcscMatrix, PlusTimes, SparseVec, SparseVecBatch};
 use spmspv::baselines::{CombBlasHeap, CombBlasSpa, GraphMatSpMSpV, SortBased};
-use spmspv::{SpMSpV, SpMSpVBucket, SpMSpVOptions};
+use spmspv::{
+    build_algorithm, build_batch_algorithm, AlgorithmKind, BatchAlgorithmKind, SpMSpV,
+    SpMSpVBucket, SpMSpVOptions,
+};
+
+const ALL_KINDS: [AlgorithmKind; 7] = [
+    AlgorithmKind::Bucket,
+    AlgorithmKind::CombBlasSpa,
+    AlgorithmKind::CombBlasHeap,
+    AlgorithmKind::GraphMat,
+    AlgorithmKind::SortBased,
+    AlgorithmKind::Sequential,
+    AlgorithmKind::Adaptive,
+];
+
+fn ascending(indices: &[usize]) -> bool {
+    indices.windows(2).all(|w| w[0] < w[1])
+}
 
 /// Strategy: a random sparse matrix with up to `max_dim` rows/columns and
 /// integer-valued entries (so floating-point addition is exact and results
@@ -55,24 +75,15 @@ proptest! {
     fn bucket_matches_reference_for_any_operands(
         (a, x) in operands(80),
         threads in 1usize..6,
-        sorted in any::<bool>(),
     ) {
         let expected = spmspv_reference(&a, &x, &PlusTimes);
-        let opts = SpMSpVOptions::with_threads(threads).sorted(sorted);
-        let mut alg = SpMSpVBucket::new(&a, opts);
+        let mut alg = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(threads));
         let y = alg.multiply(&x, &PlusTimes);
-        prop_assert!(y.same_entries(&expected));
+        prop_assert_eq!(&y, &expected);
         // structural invariants
         prop_assert_eq!(y.len(), a.nrows());
-        let mut seen = y.indices().to_vec();
-        seen.sort_unstable();
-        let before = seen.len();
-        seen.dedup();
-        prop_assert_eq!(before, seen.len(), "duplicate output indices");
-        prop_assert!(seen.iter().all(|&i| i < a.nrows()));
-        if sorted {
-            prop_assert!(y.is_sorted());
-        }
+        prop_assert!(ascending(y.indices()), "output not ascending");
+        prop_assert!(y.indices().iter().all(|&i| i < a.nrows()));
     }
 
     #[test]
@@ -90,7 +101,7 @@ proptest! {
         ];
         for alg in algs.iter_mut() {
             let y = alg.multiply(&x, &PlusTimes);
-            prop_assert!(y.same_entries(&expected), "{} diverged", alg.name());
+            prop_assert_eq!(&y, &expected, "{} diverged", alg.name());
         }
     }
 
@@ -110,7 +121,7 @@ proptest! {
             y1.indices().to_vec(),
             y1.values().iter().map(|v| v * 2.0).collect(),
         ).unwrap();
-        prop_assert!(y2.same_entries(&y1_doubled));
+        prop_assert_eq!(y2, y1_doubled);
     }
 
     #[test]
@@ -138,13 +149,61 @@ proptest! {
         }
     }
 
+    /// Strictly ascending indices are an invariant of every sparse vector
+    /// and batch lane: `from_pairs` sorts whatever order it is given, the
+    /// other constructors reject a repeated or descending index, and every
+    /// kernel family's output keeps the order.
     #[test]
-    fn sorted_and_unsorted_bucket_variants_agree((a, x) in operands(70)) {
-        let mut sorted = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(3).sorted(true));
-        let mut unsorted = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(3).sorted(false));
-        let ys = sorted.multiply(&x, &PlusTimes);
-        let yu = unsorted.multiply(&x, &PlusTimes);
-        prop_assert!(ys.same_entries(&yu));
-        prop_assert!(ys.is_sorted());
+    fn sparse_vectors_are_strictly_ascending_by_construction(
+        (a, x) in operands(50),
+        shuffle in any::<u64>(),
+        threads in 1usize..4,
+    ) {
+        let n = x.len();
+        let pairs: Vec<(usize, f64)> = x.iter().map(|(i, &v)| (i, v)).collect();
+        let mut shuffled = pairs.clone();
+        shuffled.sort_by_key(|&(i, _)| (i as u64 ^ shuffle).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        prop_assert_eq!(
+            SparseVec::from_pairs(n, shuffled).unwrap(),
+            SparseVec::from_pairs(n, pairs.clone()).unwrap()
+        );
+
+        if x.nnz() >= 2 {
+            let (idx, vals) = (x.indices(), x.values().to_vec());
+            let mut descending = idx.to_vec();
+            descending.swap(0, 1);
+            let mut repeated = idx.to_vec();
+            repeated[1] = repeated[0];
+            for bad in [descending, repeated] {
+                prop_assert!(SparseVec::from_parts(n, bad.clone(), vals.clone()).is_err());
+                let lane_ptr = vec![0, bad.len()];
+                prop_assert!(
+                    SparseVecBatch::from_parts(n, lane_ptr, bad.clone(), vals.clone()).is_err()
+                );
+                let mut pushed = SparseVec::new(n);
+                let pushes = catch_unwind(AssertUnwindSafe(|| {
+                    for &i in &bad {
+                        pushed.push(i, 1.0);
+                    }
+                }));
+                prop_assert!(pushes.is_err(), "push accepted {:?}", bad);
+            }
+        }
+
+        let opts = SpMSpVOptions::with_threads(threads);
+        for kind in ALL_KINDS {
+            let mut alg = build_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+            prop_assert!(ascending(alg.multiply(&x, &PlusTimes).indices()), "{kind}");
+        }
+        let mut evens = x.clone();
+        evens.retain(|i, _| i % 2 == 0);
+        let batch = SparseVecBatch::from_lanes(&[x.clone(), SparseVec::new(n), evens]).unwrap();
+        for kind in BatchAlgorithmKind::all() {
+            let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+            let y = alg.multiply_batch(&batch, &PlusTimes);
+            for l in 0..y.k() {
+                prop_assert!(ascending(y.lane(l).0), "{kind} lane {l}");
+            }
+        }
     }
 }
