@@ -235,8 +235,8 @@ where
             // or when the fused accumulator's m·k footprint is so large
             // that any one-accumulator layout scatters over tens of
             // megabytes — per-lane O(m) accumulators stay TLB/cache
-            // friendly. The single fused-SPA row-split pass (no estimate/
-            // bucket/gather costs, no multi-piece duplication) takes what
+            // friendly. The single fused-SPA row-split pass (no bucket/
+            // gather costs, no multi-piece duplication) takes what
             // is left, provided m itself is small enough that its flat
             // scatter is not miss-dominated — past that, naive again.
             let per_lane = flops / k.max(1);

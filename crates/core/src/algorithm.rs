@@ -99,8 +99,9 @@ pub trait SpMSpV<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
     ///
     /// The default implementation post-filters an unmasked product, which is
     /// correct for any implementation; every algorithm in this crate
-    /// overrides it to consult the mask **during its merge step**, so masked
-    /// rows are never accumulated and no output-sized filter pass runs.
+    /// overrides it to consult the mask **before it forms a product** (the
+    /// bucket kernel in Step 1), so masked rows are never accumulated and no
+    /// output-sized filter pass runs.
     /// Result entries (rows, values, and order) are identical either way.
     fn multiply_masked(
         &mut self,

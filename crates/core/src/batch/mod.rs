@@ -5,25 +5,25 @@
 //! personalized PageRank, betweenness-centrality-style sweeps — present `k`
 //! sparse frontiers at once. Calling the single-vector kernel `k` times
 //! traverses the CSC column structure of `A` up to `k` times (once per lane
-//! that activates a column). [`SpMSpVBucketBatch`] instead runs the paper's
-//! estimate/bucket/merge pipeline over the **union** of active columns:
+//! that activates a column). [`SpMSpVBucketBatch`] instead runs the
+//! single-vector kernel's bucket/merge pipeline over the **union** of active
+//! columns:
 //!
 //! 1. **Fuse**: build the sorted union of the lanes' active indices, each
 //!    with its `(lane, value)` activations
-//!    ([`sparse_substrate::SparseVecBatch::fuse_columns`]).
-//! 2. **Estimate**: count, per `(thread, bucket)`, how many `(row, lane,
-//!    scaled value)` triples the thread will produce — a column with `L`
-//!    active lanes contributes `L` triples per stored row — which sizes one
-//!    exclusive `&mut` write window per `(thread, bucket)`. This is the
-//!    single-vector kernel's Algorithm 2 ([`estimate_buckets`]) run over
-//!    the union of active columns with lane-count weights.
-//! 3. **Bucketing**: scatter the triples lock-free into those windows;
-//!    each matrix column is read **once** and scaled by all of its
-//!    activations while it is hot in cache.
-//! 4. **Merge**: per-bucket merge into a lane-aware SPA
+//!    ([`sparse_substrate::SparseVecBatch::fuse_columns`]). Timed as
+//!    `estimate`; there is no estimate pass.
+//! 2. **Bucketing**: each participant pushes `(row, lane, scaled value)`
+//!    triples onto its own per-bucket `Vec`s, as the single-vector kernel
+//!    does; each matrix column is read **once** and scaled by all of its
+//!    activations while it is hot in cache. The mask is applied here, per
+//!    `(row, lane)` — once per row for a [`BatchMaskView::Shared`] mask —
+//!    so a masked-out triple is never formed.
+//! 3. **Merge**: per-bucket merge, reading bucket `b` from participants
+//!    `0..t` in order, into a lane-aware SPA
 //!    ([`sparse_substrate::LaneSpa`]) whose per-`(row, lane)` generation
 //!    stamps make the `O(m·k)` accumulator logically resettable in `O(1)`.
-//! 5. **Output**: per-`(bucket, lane)` unique counts size one `&mut` window
+//! 4. **Output**: per-`(bucket, lane)` unique counts size one `&mut` window
 //!    per `(bucket, lane)` of the lane-major output arrays, which the
 //!    buckets fill in parallel to form the [`SparseVecBatch`].
 //!
@@ -48,16 +48,17 @@ pub use rowsplit::CombBlasSpaBatch;
 use std::marker::PhantomData;
 use std::time::{Duration, Instant};
 
-use sparse_substrate::{LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch};
+use sparse_substrate::{
+    CscMatrix, FusedColumns, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch,
+};
 
 use crate::algorithm::{MatrixRef, SpMSpVOptions};
-use crate::bucket::estimate::estimate_buckets;
 use crate::bucket::{
-    assert_windows_filled, bucket_of, bucket_row_ranges, high_water, BUCKETS_PER_THREAD,
+    bucket_of, bucket_row_ranges, participant_buckets, Buckets, BUCKETS_PER_THREAD,
 };
-use crate::disjoint::{split_by_boundaries, split_grouped};
+use crate::disjoint::split_grouped;
 use crate::executor::{even_ranges, Executor};
-use crate::masked::BatchMaskView;
+use crate::masked::{BatchMaskView, MaskView};
 use crate::timing::StepTimings;
 
 /// A prepared batched SpMSpV computation `Y ← A ⊕.⊗ X` over a fixed matrix,
@@ -84,9 +85,9 @@ pub trait SpMSpVBatch<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
     /// (per lane, for a [`BatchMaskView::PerLane`] mask) may appear.
     ///
     /// The default implementation post-filters an unmasked product; the
-    /// implementations in this crate override it to consult the mask during
-    /// their merge step so masked rows are never accumulated. Result entries
-    /// are identical either way.
+    /// implementations in this crate override it to consult the mask before
+    /// they form a product, so masked rows are never accumulated. Result
+    /// entries are identical either way.
     fn multiply_batch_masked(
         &mut self,
         x: &SparseVecBatch<X>,
@@ -245,13 +246,13 @@ where
 }
 
 /// Reusable buffers of one [`SpMSpVBucketBatch`] instance: the lane-aware
-/// accumulator and the triple buffer, both kept at their high-water size so
-/// a narrow flush after a wide one never reallocates.
+/// accumulator and the per-participant buckets, both kept at their
+/// high-water size so a narrow flush after a wide one never reallocates.
 struct BatchWorkspace<Y> {
     spa: LaneSpa<Y>,
-    /// `(row, lane, scaled value)` triples, all buckets back to back; a call
-    /// uses the prefix it needs.
-    entries: Vec<(usize, u32, Y)>,
+    /// `buckets[k][b]`: participant `k`'s triples for bucket `b`, cleared
+    /// per call with their capacity kept.
+    buckets: Vec<Buckets<(usize, u32, Y)>>,
 }
 
 /// The batched bucket kernel. See the [module docs](self) for the pipeline.
@@ -277,7 +278,7 @@ where
     /// and then grown amortized.
     pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         let executor = options.build_executor();
-        let workspace = BatchWorkspace { spa: LaneSpa::new(0, 0), entries: Vec::new() };
+        let workspace = BatchWorkspace { spa: LaneSpa::new(0, 0), buckets: Vec::new() };
         SpMSpVBucketBatch {
             matrix: matrix.into(),
             options,
@@ -294,7 +295,8 @@ where
     }
 
     /// Computes `Y ← A ⊕.⊗ X` and returns the per-step wall-clock breakdown
-    /// (the fuse pass is accounted under `estimate`).
+    /// (the fuse pass is accounted under `estimate`; there is no estimate
+    /// pass).
     pub fn multiply_batch_with_timings(
         &mut self,
         x: &SparseVecBatch<X>,
@@ -305,11 +307,12 @@ where
 
     /// Computes `Y ← ⟨mask⟩ (A ⊕.⊗ X)` with the per-step breakdown.
     ///
-    /// The mask is consulted **inside the merge step**: a masked-out
-    /// `(row, lane)` triple is skipped before it touches the lane-aware SPA,
-    /// so it never enters the unique lists, the output gather, or a
-    /// post-filter pass. The mask's entire cost is one bitmap probe per
-    /// bucket triple, accounted under `merge` in the returned timings.
+    /// The mask is consulted **inside Step 1** (bucketing): a masked-out
+    /// `(row, lane)` triple is never formed, so it never enters a bucket,
+    /// the lane-aware SPA, the unique lists, the output gather, or a
+    /// post-filter pass. The mask's cost is one bitmap probe per stored row
+    /// of a selected column and active lane (per row for a shared mask),
+    /// accounted under `bucketing` in the returned timings.
     pub fn multiply_batch_masked_with_timings(
         &mut self,
         x: &SparseVecBatch<X>,
@@ -338,45 +341,37 @@ where
         }
 
         // Same work-proportional participant count as the single-vector
-        // kernel, for all four steps, measured in total activations across
-        // lanes.
+        // kernel, for all steps, measured in total activations across lanes.
         let executor = self.executor.capped_for(x.total_nnz());
         let t = executor.threads();
         let nb = BUCKETS_PER_THREAD * t;
 
-        // ---------------- Fuse + Estimate ----------------
+        // ---------------- Fuse ----------------
         let t0 = Instant::now();
         let fused = x.fuse_columns();
-        let chunks = even_ranges(fused.num_cols(), t);
-        let lanes_of = |c| fused.activations(c).0.len();
-        let plan = estimate_buckets(&executor, matrix, fused.cols(), lanes_of, &chunks, nb);
         timings.estimate = t0.elapsed();
 
         // ---------------- Bucketing ----------------
-        // Into the first `total` triples of the high-water buffer, through
-        // per-(participant, bucket) `&mut` windows sized by the estimate.
+        // Each participant pushes the triples the mask keeps into its own
+        // buckets: one probe per row for a shared mask, one per (row, lane)
+        // for per-lane masks.
         let t1 = Instant::now();
-        let total = plan.total_entries();
         let ws = &mut self.workspace;
-        let entries = high_water(&mut ws.entries, total, (0, 0, S::Output::default()));
-        let windows = split_grouped(entries, &plan.boffset);
-        executor.for_each(chunks.iter().zip(windows), |(chunk, mut windows)| {
-            let mut cursor = vec![0usize; nb];
-            for c in chunk.clone() {
-                let j = fused.cols()[c];
-                let (lanes, xvals) = fused.activations(c);
-                let (rows, avals) = matrix.column(j);
-                for (&i, av) in rows.iter().zip(avals.iter()) {
-                    let b = bucket_of(i, m, nb);
-                    let (window, at) = (&mut windows[b], &mut cursor[b]);
-                    for (&lane, xv) in lanes.iter().zip(xvals.iter()) {
-                        window[*at] = (i, lane, semiring.multiply(av, xv));
-                        *at += 1;
-                    }
-                }
+        let buckets = participant_buckets(&mut ws.buckets, t, nb);
+        let (e, f) = (&executor, &fused);
+        match mask {
+            None => scatter_lanes(e, matrix, f, buckets, semiring, |_| true, |_, _| true),
+            Some(BatchMaskView::Shared(view)) => {
+                let keeps_row = view.row_filter();
+                scatter_lanes(e, matrix, f, buckets, semiring, keeps_row, |_, _| true)
             }
-            assert_windows_filled(&windows, &cursor);
-        });
+            Some(&BatchMaskView::PerLane { masks, mode }) => {
+                let lanes: Vec<_> =
+                    masks.iter().map(|bits| MaskView::new(bits, mode).row_filter()).collect();
+                let keeps_lane = |i, lane: u32| lanes[lane as usize](i);
+                scatter_lanes(e, matrix, f, buckets, semiring, |_| true, keeps_lane)
+            }
+        }
         timings.bucketing = t1.elapsed();
 
         // Chaos-testing hook, consulted at the last sequential point before
@@ -391,12 +386,10 @@ where
         let row_ranges = bucket_row_ranges(m, nb);
         let params = MergeParams {
             executor: &executor,
-            entries: &ws.entries[..total],
-            bucket_starts: &plan.bucket_starts,
+            buckets: &ws.buckets[..t],
             row_ranges: &row_ranges,
             m,
             k,
-            mask,
         };
         let (y, merge_time, output_time) = merge_and_output(&mut ws.spa, semiring, &params);
         timings.merge = merge_time;
@@ -408,19 +401,52 @@ where
     }
 }
 
+/// Step 1 of the fused kernel: participant `k` scales the `k`-th of `t` even
+/// chunks of the fused columns and pushes each `(row, lane, product)` that
+/// `keeps_row` and `keeps_lane` accept onto `buckets[k][bucket_of(row)]`,
+/// lanes in activation (= ascending lane) order. A rejected row costs one
+/// probe and no product.
+fn scatter_lanes<A: Scalar, X: Scalar, S: Semiring<A, X>>(
+    executor: &Executor,
+    matrix: &CscMatrix<A>,
+    fused: &FusedColumns<X>,
+    buckets: &mut [Buckets<(usize, u32, S::Output)>],
+    semiring: &S,
+    keeps_row: impl Fn(usize) -> bool + Sync,
+    keeps_lane: impl Fn(usize, u32) -> bool + Sync,
+) {
+    let (m, t) = (matrix.nrows(), executor.threads());
+    let nb = BUCKETS_PER_THREAD * t;
+    let chunks = even_ranges(fused.num_cols(), t);
+    executor.for_each(chunks.into_iter().zip(buckets), |(chunk, mine)| {
+        for c in chunk {
+            let (lanes, xvals) = fused.activations(c);
+            let (rows, avals) = matrix.column(fused.cols()[c]);
+            for (&i, av) in rows.iter().zip(avals.iter()) {
+                if !keeps_row(i) {
+                    continue;
+                }
+                let bucket = &mut mine[bucket_of(i, m, nb)];
+                for (&lane, xv) in lanes.iter().zip(xvals.iter()) {
+                    if keeps_lane(i, lane) {
+                        bucket.push((i, lane, semiring.multiply(av, xv)));
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// The inputs of [`merge_and_output`] besides the accumulator and the
 /// semiring (bundled so its signature stays readable).
 struct MergeParams<'p, Y> {
     executor: &'p Executor,
-    /// `(row, lane, scaled value)` triples, all buckets back to back.
-    entries: &'p [(usize, u32, Y)],
-    /// `bucket_starts[b]..bucket_starts[b+1]` is bucket `b`'s triple range.
-    bucket_starts: &'p [usize],
+    /// `buckets[k][b]`: participant `k`'s triples for bucket `b`.
+    buckets: &'p [Buckets<(usize, u32, Y)>],
     /// Output-row range of each bucket (contiguous from 0, covering `0..m`).
     row_ranges: &'p [std::ops::Range<usize>],
     m: usize,
     k: usize,
-    mask: Option<&'p BatchMaskView<'p>>,
 }
 
 /// Steps 2 + 3 of the batched pipeline: merge every bucket's triples into
@@ -440,21 +466,19 @@ where
     let (m, k) = (p.m, p.k);
     let t2 = Instant::now();
     spa.ensure_shape(m, k);
-    let mask = p.mask;
     // Per (bucket, lane) unique row lists.
     let uinds: Vec<Vec<Vec<usize>>> = {
         let windows = spa.split_index_ranges(p.row_ranges);
-        let entry_slices = split_by_boundaries(p.entries, p.bucket_starts);
-        p.executor.map(entry_slices.into_iter().zip(windows), |(bucket_entries, mut window)| {
+        let buckets = p.buckets;
+        p.executor.map(windows.into_iter().enumerate(), |(bucket, mut window)| {
             let mut uind: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for &(i, lane, ref v) in bucket_entries {
-                if let Some(mask) = mask {
-                    if !mask.keeps(i, lane as usize) {
-                        continue;
+            // Participants in order: lane `l`'s entries arrive in the order
+            // the single-vector kernel sees them.
+            for participant in buckets {
+                for &(i, lane, ref v) in &participant[bucket] {
+                    if window.accumulate(i, lane as usize, *v, |a, b| semiring.add(a, b)) {
+                        uind[lane as usize].push(i);
                     }
-                }
-                if window.accumulate(i, lane as usize, *v, |a, b| semiring.add(a, b)) {
-                    uind[lane as usize].push(i);
                 }
             }
             for lane_uind in uind.iter_mut() {

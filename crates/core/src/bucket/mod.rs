@@ -1,4 +1,5 @@
-//! The SpMSpV-bucket algorithm (Algorithm 1 + Algorithm 2 of the paper).
+//! The SpMSpV-bucket algorithm (Algorithm 1 of the paper), masked in Step 1
+//! and without Algorithm 2's estimate pass.
 //!
 //! The algorithm is vector-driven and work-efficient: its total work is
 //! `O(d·f)` (the number of required multiplications) regardless of the
@@ -10,23 +11,32 @@
 //! Parallel structure, per multiplication:
 //!
 //! ```text
-//!  estimate   Boffset[k][b]  = entries thread k will send to bucket b   (Alg. 2)
-//!  (split)    &mut window of thread k in bucket b, Boffset[k][b] slots
-//!  bucketing  write (row, A(i,j) ⊗ x(j)) into the windows, lock-free    (Step 1)
-//!  merge      per-bucket SPA merge, one bucket at a time per thread     (Step 2)
-//!  output     prefix sum over per-bucket unique counts, then gather     (Step 3)
+//!  bucketing  participant k pushes (row, A(i,j) ⊗ x(j)) for every row the   (Step 1)
+//!             mask keeps into its own bucket buckets[k][bucket_of(row)]
+//!  merge      per-bucket SPA merge of buckets[0][b], …, buckets[t-1][b],    (Step 2)
+//!             one bucket at a time per thread
+//!  output     prefix sum over per-bucket unique counts, then gather         (Step 3)
 //! ```
 //!
-//! Step 1 writes each product straight into its window. §III-A's
-//! thread-private staging buffer is not used: on this code it copied every
-//! product twice and measured slower than the direct write.
+//! Two departures from the paper, both output-neutral:
+//!
+//! * **The mask is applied in Step 1.** A masked-out row's product is never
+//!   formed, stored or merged. On BFS that is most of them: 81 % of a
+//!   seed-7 R-MAT sweep's products and 67 % of a mesh sweep's.
+//! * **No Algorithm 2.** The paper counts every `(thread, bucket)` pair's
+//!   entries first so that all buckets share one contiguous buffer with an
+//!   exclusive write window per pair (§III-A). That argument is about
+//!   layout, not speed: here each participant pushes into its own `Vec` per
+//!   bucket, kept in the [`BucketWorkspace`] with its capacity, so Step 1
+//!   needs no counting pass and stays free of synchronization. Step 2 reads
+//!   bucket `b` from participants `0..t` in order — the order the shared
+//!   buffer's windows had — so every output is bit-identical to the
+//!   windowed kernel's. [`StepTimings::estimate`] reads zero.
 
-pub mod estimate;
 mod workspace;
 
-pub use estimate::{bucket_of, bucket_row_ranges, BucketPlan};
-pub(crate) use workspace::high_water;
 pub use workspace::BucketWorkspace;
+pub(crate) use workspace::{participant_buckets, Buckets};
 
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -35,7 +45,7 @@ use std::time::Instant;
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
-use crate::disjoint::{split_by_boundaries, split_grouped, split_ranges};
+use crate::disjoint::split_ranges;
 use crate::executor::{even_ranges, Executor};
 use crate::masked::MaskView;
 use crate::timing::StepTimings;
@@ -44,6 +54,28 @@ use crate::timing::StepTimings;
 /// dynamic scheduling to balance skewed buckets. Shared with the fused batch
 /// kernel.
 pub(crate) const BUCKETS_PER_THREAD: usize = 4;
+
+/// Bucket that row `i` of an `m`-row matrix maps to when `nb` buckets are
+/// used: `⌊i · nb / m⌋` (line 5 of Algorithm 1).
+#[inline]
+pub fn bucket_of(i: usize, m: usize, nb: usize) -> usize {
+    debug_assert!(i < m);
+    (i * nb) / m
+}
+
+/// The contiguous row range `[lo, hi)` owned by bucket `b`: exactly the rows
+/// `i` with `bucket_of(i, m, nb) == b`. The ranges of all buckets partition
+/// `0..m`, which is what lets Step 2 hand each bucket a disjoint slice of
+/// the SPA.
+pub fn bucket_row_ranges(m: usize, nb: usize) -> Vec<Range<usize>> {
+    (0..nb)
+        .map(|b| {
+            let lo = (b * m).div_ceil(nb);
+            let hi = ((b + 1) * m).div_ceil(nb);
+            lo..hi
+        })
+        .collect()
+}
 
 /// The paper's work-efficient, synchronization-avoiding SpMSpV algorithm,
 /// prepared for one matrix and reusable across many input vectors.
@@ -63,8 +95,8 @@ where
 {
     /// Prepares the algorithm for `matrix` with the given options.
     ///
-    /// Allocates the `O(m)` SPA once; buckets grow lazily up to
-    /// `O(nnz(A))` and are then reused.
+    /// Allocates the `O(m)` SPA once; buckets grow lazily and are then
+    /// reused (see [`BucketWorkspace`] for their bound).
     pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         let matrix = matrix.into();
         let executor = options.build_executor();
@@ -89,11 +121,13 @@ where
 
     /// Computes `y ← ⟨mask⟩ (A ⊕.⊗ x)` with the per-step breakdown.
     ///
-    /// The mask is consulted **inside Step 2** (the per-bucket SPA merge):
-    /// masked-out rows are skipped before they touch the SPA, so they never
-    /// enter the unique-index lists, the output gather, or a post-filter
-    /// pass — the mask's entire cost is one bitmap probe per bucket entry,
-    /// accounted under `merge` in the returned timings.
+    /// The mask is consulted **inside Step 1** (bucketing): a masked-out
+    /// row's product is never formed, so it never enters a bucket, the SPA,
+    /// the unique-index lists, the output gather, or a post-filter pass.
+    /// The mask's entire cost is one bitmap probe per matrix entry of the
+    /// selected columns, accounted under `bucketing` in the returned
+    /// timings. `estimate` always reads zero: this kernel has no estimate
+    /// pass (see the [module docs](self)).
     pub fn multiply_masked_with_timings(
         &mut self,
         x: &SparseVec<X>,
@@ -118,25 +152,22 @@ where
             return (SparseVec::new(m), timings);
         }
 
-        // All four steps run on the same work-proportional participant count.
+        // All three steps run on the same work-proportional participant
+        // count.
         let executor = self.executor.capped_for(x.nnz());
         let t = executor.threads();
         let nb = BUCKETS_PER_THREAD * t;
 
-        let chunks = even_ranges(x.nnz(), t);
-
-        // ---------------- Estimate (Algorithm 2) ----------------
-        let t0 = Instant::now();
-        let plan = estimate::estimate_buckets(&executor, matrix, x.indices(), |_| 1, &chunks, nb);
-        timings.estimate = t0.elapsed();
-
         // ---------------- Step 1: bucketing ----------------
-        // Into the first `total` entries of the high-water buffer, through
-        // per-(participant, bucket) `&mut` windows sized by the estimate.
+        // Each participant pushes the products the mask keeps into its own
+        // buckets.
         let t1 = Instant::now();
         let ws = &mut self.workspace;
-        let entries = high_water(&mut ws.entries, plan.total_entries(), (0, S::Output::default()));
-        scatter(&executor, matrix, x, &chunks, &plan.boffset, entries, semiring);
+        let buckets = participant_buckets(&mut ws.buckets, t, nb);
+        match mask {
+            None => scatter(&executor, matrix, x, buckets, semiring, |_| true),
+            Some(mask) => scatter(&executor, matrix, x, buckets, semiring, mask.row_filter()),
+        }
         timings.bucketing = t1.elapsed();
 
         // ---------------- Step 2: per-bucket SPA merge ----------------
@@ -147,27 +178,26 @@ where
         let uinds: Vec<Vec<usize>> = {
             let spa_val_slices = split_ranges(&mut ws.spa_values, &row_ranges);
             let spa_stamp_slices = split_ranges(&mut ws.spa_stamps, &row_ranges);
-            let entry_slices = split_by_boundaries(&ws.entries, &plan.bucket_starts);
+            let buckets = &ws.buckets[..t];
             executor.map(
-                entry_slices.into_iter().zip(spa_val_slices).zip(spa_stamp_slices).zip(&row_ranges),
-                |(((bucket_entries, spa_vals), spa_stamps), range)| {
+                spa_val_slices.into_iter().zip(spa_stamp_slices).zip(&row_ranges).enumerate(),
+                |(b, ((spa_vals, spa_stamps), range))| {
                     let lo = range.start;
                     // Reserve for the worst case (every entry unique) to
                     // avoid repeated growth inside the hot loop.
-                    let mut uind = Vec::with_capacity(bucket_entries.len());
-                    for &(i, ref v) in bucket_entries {
-                        if let Some(mask) = mask {
-                            if !mask.keeps(i) {
-                                continue;
+                    let mut uind = Vec::with_capacity(buckets.iter().map(|p| p[b].len()).sum());
+                    // Participants in order: each bucket's entries arrive in
+                    // ascending column order, whatever `t` is.
+                    for participant in buckets {
+                        for &(i, ref v) in &participant[b] {
+                            let local = i - lo;
+                            if spa_stamps[local] != generation {
+                                spa_stamps[local] = generation;
+                                spa_vals[local] = *v;
+                                uind.push(i);
+                            } else {
+                                spa_vals[local] = semiring.add(spa_vals[local], *v);
                             }
-                        }
-                        let local = i - lo;
-                        if spa_stamps[local] != generation {
-                            spa_stamps[local] = generation;
-                            spa_vals[local] = *v;
-                            uind.push(i);
-                        } else {
-                            spa_vals[local] = semiring.add(spa_vals[local], *v);
                         }
                     }
                     uind.sort_unstable();
@@ -190,8 +220,7 @@ where
         let mut out_indices = vec![0usize; y_nnz];
         let mut out_values = vec![S::Output::default(); y_nnz];
         {
-            let out_ranges: Vec<std::ops::Range<usize>> =
-                out_starts.windows(2).map(|w| w[0]..w[1]).collect();
+            let out_ranges: Vec<Range<usize>> = out_starts.windows(2).map(|w| w[0]..w[1]).collect();
             let idx_slices = split_ranges(&mut out_indices, &out_ranges);
             let val_slices = split_ranges(&mut out_values, &out_ranges);
             let spa_values = &ws.spa_values;
@@ -214,53 +243,33 @@ where
     }
 }
 
-/// Step 1: participant `k` scales the columns of its chunk of `x` and writes
-/// each `(row, product)` straight into its own window of the row's bucket —
-/// `boffset[k][b]` slots of `entries`, cut off with `split_at_mut`, so the
-/// writes need no lock, no atomic and no `unsafe`. The fused batch kernel
-/// runs the same loop over `(row, lane, product)` triples.
+/// Step 1: participant `k` scales the columns of its chunk of `x` and pushes
+/// each `(row, product)` whose row `keeps` accepts onto its own bucket
+/// `buckets[k][bucket_of(row)]` — no lock, no atomic, no counting pass. A
+/// row `keeps` rejects costs one probe and no product. Participant `k`
+/// takes the `k`-th of `t` even chunks of `x`, so bucket `b` read from
+/// participants `0..t` in order holds its entries in ascending column order.
 fn scatter<A: Scalar, X: Scalar, S: Semiring<A, X>>(
     executor: &Executor,
     matrix: &CscMatrix<A>,
     x: &SparseVec<X>,
-    chunks: &[Range<usize>],
-    boffset: &[Vec<usize>],
-    entries: &mut [(usize, S::Output)],
+    buckets: &mut [Buckets<(usize, S::Output)>],
     semiring: &S,
+    keeps: impl Fn(usize) -> bool + Sync,
 ) {
-    let m = matrix.nrows();
-    let nb = boffset.first().map_or(0, Vec::len);
-    let windows = split_grouped(entries, boffset);
-    executor.for_each(chunks.iter().zip(windows), |(chunk, mut windows)| {
-        let mut cursor = vec![0usize; nb];
-        for k in chunk.clone() {
-            let j = x.indices()[k];
+    let (m, t) = (matrix.nrows(), executor.threads());
+    let nb = BUCKETS_PER_THREAD * t;
+    executor.for_each(even_ranges(x.nnz(), t).into_iter().zip(buckets), |(chunk, mine)| {
+        for k in chunk {
             let xv = &x.values()[k];
-            let (rows, vals) = matrix.column(j);
+            let (rows, vals) = matrix.column(x.indices()[k]);
             for (&i, av) in rows.iter().zip(vals.iter()) {
-                let b = bucket_of(i, m, nb);
-                windows[b][cursor[b]] = (i, semiring.multiply(av, xv));
-                cursor[b] += 1;
+                if keeps(i) {
+                    mine[bucket_of(i, m, nb)].push((i, semiring.multiply(av, xv)));
+                }
             }
         }
-        assert_windows_filled(&windows, &cursor);
     });
-}
-
-/// Checks, once per participant after its chunk (`nb` compares), that it
-/// filled each of its windows exactly: an overrun already panicked on the
-/// bounds check, and a window left short would carry stale entries into the
-/// merge. Either way estimate and bucketing disagreed; the panic reaches the
-/// caller through [`Executor::map`].
-pub(crate) fn assert_windows_filled<T>(windows: &[&mut [T]], cursor: &[usize]) {
-    for (b, (window, &written)) in windows.iter().zip(cursor).enumerate() {
-        assert_eq!(
-            written,
-            window.len(),
-            "bucket {b}: bucketing wrote {written} entries into a window the estimate sized {}",
-            window.len()
-        );
-    }
 }
 
 impl<'a, A, X, S> SpMSpV<A, X, S> for SpMSpVBucket<'a, A, X, S>
@@ -401,29 +410,48 @@ mod tests {
         let _ = alg.multiply(&x, &PlusTimes);
     }
 
-    /// Runs Step 1 over a plan whose count for (participant 1, bucket 3) is
-    /// off by `skew` from what bucketing will write.
-    fn scatter_with_skewed_plan(skew: isize) {
-        let a = erdos_renyi(200, 6.0, 8);
-        let x = random_sparse_vec(200, 80, 2);
+    #[test]
+    fn bucket_of_partitions_rows() {
+        for &(m, nb) in &[(8usize, 4usize), (10, 3), (7, 7), (100, 96), (5, 16)] {
+            let ranges = bucket_row_ranges(m, nb);
+            assert_eq!(ranges.len(), nb);
+            // ranges are contiguous and cover 0..m
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges[nb - 1].end, m);
+            for w in ranges.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+            }
+            // membership agrees with bucket_of
+            for i in 0..m {
+                let b = bucket_of(i, m, nb);
+                assert!(ranges[b].contains(&i), "row {i} not in range of bucket {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn figure1_counts_match_the_paper() {
+        // Figure 1 uses 4 buckets over 8 rows: rows 0-1, 2-3, 4-5, 6-7, and
+        // they receive rows {0,0}, {2,3}, {4,4}, {6} — 7 products in all.
+        let a = fixtures::figure1_matrix();
+        let x = fixtures::figure1_vector();
+        let mut buckets = Vec::new();
+        let mine = participant_buckets(&mut buckets, 1, 4);
+        scatter(&Executor::new(1), &a, &x, mine, &PlusTimes, |_| true);
+        let rows = |b: usize| buckets[0][b].iter().map(|&(i, _)| i).collect::<Vec<_>>();
+        assert_eq!(
+            [rows(0), rows(1), rows(2), rows(3)],
+            [vec![0, 0], vec![2, 3], vec![4, 4], vec![6]]
+        );
+
+        // Two participants split x's columns; bucket b read from participant
+        // 0 then 1 holds the same rows in the same order.
         let executor = Executor::new(2);
-        let chunks = even_ranges(x.nnz(), 2);
-        let mut plan = estimate::estimate_buckets(&executor, &a, x.indices(), |_| 1, &chunks, 8);
-        assert!(plan.boffset[1][3] > 0, "the fixture must put entries there");
-        plan.boffset[1][3] = plan.boffset[1][3].checked_add_signed(skew).unwrap();
-        let mut entries = vec![(0, 0.0); plan.boffset.iter().flatten().sum()];
-        scatter(&executor, &a, &x, &chunks, &plan.boffset, &mut entries, &PlusTimes);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket 3: bucketing wrote")]
-    fn a_window_left_short_panics_instead_of_returning() {
-        scatter_with_skewed_plan(1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn a_window_overrun_panics_instead_of_returning() {
-        scatter_with_skewed_plan(-1);
+        let mut buckets = Vec::new();
+        scatter(&executor, &a, &x, participant_buckets(&mut buckets, 2, 8), &PlusTimes, |_| true);
+        let in_order: Vec<usize> = (0..8)
+            .flat_map(|b| buckets.iter().flat_map(move |p| p[b].iter().map(|&(i, _)| i)))
+            .collect();
+        assert_eq!(in_order, [0, 0, 2, 3, 4, 4, 6]);
     }
 }

@@ -4,9 +4,8 @@
 //! and for the SPA in advance and pass them to the SpMSpV-bucket algorithm"*,
 //! because allocation cost would otherwise dominate iterative workloads such
 //! as BFS. The workspace owns the dense SPA arrays (sized `m`, allocated
-//! once) and the shared bucket entry buffer, which stays initialised at the
-//! high-water length of the multiplications so far (never more than
-//! `O(nnz(A))` entries) so each call cuts its write windows off it.
+//! once) and the per-participant buckets, which are cleared per call and
+//! keep their capacity.
 
 use sparse_substrate::Scalar;
 
@@ -23,25 +22,37 @@ pub struct BucketWorkspace<Y> {
     /// an O(1) logical reset between multiplications.
     pub(crate) spa_stamps: Vec<u64>,
     generation: u64,
-    /// Shared bucket buffer: all buckets laid out back to back, entries are
-    /// `(row, scaled value)` pairs. Its length is a high-water mark; a call
-    /// uses the prefix it needs (see [`high_water`]).
-    pub(crate) entries: Vec<(usize, Y)>,
+    /// `buckets[k][b]`: the `(row, scaled value)` pairs participant `k` sent
+    /// to bucket `b` in the current call (see [`participant_buckets`]). One
+    /// call stores at most `nnz(A)` products in all, so the `t`
+    /// participants' buckets retain at most `t·nnz(A)` entries.
+    pub(crate) buckets: Vec<Buckets<(usize, Y)>>,
 }
 
-/// Returns the first `len` entries of `buf`, first replacing `buf` with a
-/// fresh zeroed buffer of `len` entries if it is shorter. Never `resize`,
-/// which would also copy the stale prefix. `vec![zero; len]` asks for zeroed
-/// memory; pages fresh from the OS come zeroed for free, but inside a warmed
-/// process the allocator usually recycles heap memory and must fill it, so
-/// the growing call does pay one pass over the buffer (measured as a
-/// `bfs_rmat` `setup_s` cost). Calls at or below the high-water length pay
-/// nothing.
-pub(crate) fn high_water<T: Copy>(buf: &mut Vec<T>, len: usize, zero: T) -> &mut [T] {
-    if buf.len() < len {
-        *buf = vec![zero; len];
+/// One participant's Step 1 output: its entries for each bucket, one `Vec`
+/// per bucket.
+pub(crate) type Buckets<E> = Vec<Vec<E>>;
+
+/// Readies Step 1's storage for one call of `t` participants over `nb`
+/// buckets and returns it: `buckets[k][b]`, `k < t`, `b < nb`, all empty.
+/// Grows the outer and inner lists as needed and clears the buckets the
+/// call uses; every `Vec` keeps its capacity, so a call no larger than an
+/// earlier one allocates nothing. Shared with the fused batch kernel.
+pub(crate) fn participant_buckets<E>(
+    buckets: &mut Vec<Buckets<E>>,
+    t: usize,
+    nb: usize,
+) -> &mut [Buckets<E>] {
+    if buckets.len() < t {
+        buckets.resize_with(t, Vec::new);
     }
-    &mut buf[..len]
+    for mine in &mut buckets[..t] {
+        if mine.len() < nb {
+            mine.resize_with(nb, Vec::new);
+        }
+        mine[..nb].iter_mut().for_each(Vec::clear);
+    }
+    &mut buckets[..t]
 }
 
 impl<Y: Scalar> BucketWorkspace<Y> {
@@ -52,7 +63,7 @@ impl<Y: Scalar> BucketWorkspace<Y> {
             spa_values: vec![Y::default(); m],
             spa_stamps: vec![0; m],
             generation: 0,
-            entries: Vec::new(),
+            buckets: Vec::new(),
         }
     }
 
@@ -76,7 +87,7 @@ mod tests {
     fn new_workspace_is_sized_to_rows() {
         let ws: BucketWorkspace<f64> = BucketWorkspace::new(17);
         assert_eq!(ws.spa_values.len(), 17);
-        assert_eq!(ws.entries.len(), 0);
+        assert!(ws.buckets.is_empty());
         assert_eq!(ws.generation(), 0);
     }
 
@@ -86,5 +97,18 @@ mod tests {
         ws.bump_generation();
         ws.bump_generation();
         assert_eq!(ws.generation(), 2);
+    }
+
+    #[test]
+    fn participant_buckets_are_cleared_and_keep_their_capacity() {
+        let mut buckets: Vec<Vec<Vec<u32>>> = Vec::new();
+        participant_buckets(&mut buckets, 2, 8)[1][5].extend(0..100);
+        // A narrower call sees empty buckets and leaves the wider shape be.
+        let narrow = participant_buckets(&mut buckets, 1, 4);
+        assert_eq!(narrow.len(), 1);
+        assert!(narrow[0][..4].iter().all(Vec::is_empty));
+        let wide = participant_buckets(&mut buckets, 2, 8);
+        assert!(wide.iter().all(|mine| mine.iter().all(Vec::is_empty)));
+        assert!(wide[1][5].capacity() >= 100, "clearing must not free the bucket");
     }
 }

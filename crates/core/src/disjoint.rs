@@ -1,23 +1,13 @@
 //! Safe splitting of one buffer into disjoint `&mut` windows.
 //!
-//! Step 1 of Algorithm 1 has every thread write scaled matrix entries into
-//! shared per-bucket storage. The paper avoids synchronization by running
-//! Algorithm 2 (`ESTIMATE-BUCKETS`) first: a `t × nb` count matrix gives each
-//! thread an exclusive *write window* inside every bucket, so writes can
-//! proceed without locks or atomics. Here those windows are `&mut` slices
-//! cut off the buffer with `split_at_mut` before the parallel step starts
-//! ([`split_grouped`]), so the borrow checker — not a comment — proves that
+//! The kernels' parallel steps write into shared output arrays — the bucket
+//! kernels' Step 2 into per-bucket slices of the SPA, their Step 3 into
+//! per-bucket (or per-`(bucket, lane)`) windows of the output. Those windows
+//! are `&mut` slices cut off the buffer with `split_at_mut` before the
+//! parallel step starts, so the borrow checker — not a comment — proves that
 //! no two participants ever write the same slot. Every parallel step in the
 //! crate hands [`Executor::map`](crate::Executor::map) items pre-split this
 //! way.
-
-/// Splits a shared slice at the given boundary positions
-/// (`boundaries[0] == 0`, last boundary == `slice.len()`). This is how both
-/// bucket kernels carve the shared entry buffer into per-bucket views using
-/// the `bucket_starts` prefix sums of their plan.
-pub fn split_by_boundaries<'s, T>(slice: &'s [T], boundaries: &[usize]) -> Vec<&'s [T]> {
-    boundaries.windows(2).map(|w| &slice[w[0]..w[1]]).collect()
-}
 
 /// Splits a mutable slice into the given consecutive, non-overlapping
 /// ranges. The ranges must be sorted, contiguous from 0 and cover the whole
@@ -44,11 +34,10 @@ pub fn split_ranges<'a, T>(
 /// window per inner index — into those windows, and returns them grouped by
 /// the inner index: `windows[inner][outer]` has `sizes[inner][outer]` slots.
 ///
-/// Step 1 of both bucket kernels uses it with outer = bucket and inner =
-/// participant (`sizes` is Algorithm 2's `boffset`), so each participant
-/// receives its own window in every bucket; the fused batch kernel's output
-/// uses it with outer = lane and inner = bucket. Panics if the rows of
-/// `sizes` differ in length or their total differs from `buf.len()`.
+/// The fused batch kernel's output step uses it with outer = lane and
+/// inner = bucket, so each bucket receives its own window in every output
+/// lane. Panics if the rows of `sizes` differ in length or their total
+/// differs from `buf.len()`.
 pub fn split_grouped<'a, T>(mut buf: &'a mut [T], sizes: &[Vec<usize>]) -> Vec<Vec<&'a mut [T]>> {
     let outer = sizes.first().map_or(0, Vec::len);
     assert!(sizes.iter().all(|row| row.len() == outer), "every inner index needs {outer} sizes");
@@ -97,7 +86,7 @@ mod tests {
 
     #[test]
     fn split_grouped_returns_outer_major_windows_by_inner_index() {
-        // Three inner indices (participants) × four outer ones (buckets).
+        // Three inner indices (buckets) × four outer ones (lanes).
         let sizes = vec![vec![2, 0, 1, 3], vec![1, 2, 0, 0], vec![0, 1, 4, 2]];
         let mut data: Vec<usize> = (0..16).collect();
         let groups = split_grouped(&mut data, &sizes);
@@ -106,8 +95,8 @@ mod tests {
             let lens: Vec<usize> = group.iter().map(|w| w.len()).collect();
             assert_eq!(lens, sizes[inner]);
         }
-        // Reading outer-major (bucket by bucket, participants in order)
-        // walks the buffer front to back.
+        // Reading outer-major (lane by lane, buckets in order) walks the
+        // buffer front to back.
         let walked: Vec<usize> = (0..4)
             .flat_map(|outer| groups.iter().flat_map(move |g| g[outer].iter().copied()))
             .collect();

@@ -34,16 +34,14 @@
 //! Underneath, the descriptor drives the paper's three-step bucket
 //! algorithm:
 //!
-//! 1. **Estimate** (Algorithm 2): count, per `(thread, bucket)` pair, how
-//!    many scaled entries the thread will produce, so every thread gets an
-//!    exclusive, pre-computed write window — no locks, no atomics, no
-//!    `unsafe`.
-//! 2. **Bucketing** (Step 1): scatter `(row, A(i,j) ⊗ x(j))` pairs from the
-//!    selected matrix columns into row-range buckets.
-//! 3. **SPA merge** (Step 2): merge each bucket independently with a
-//!    partially-initialized sparse accumulator — and, when the descriptor is
-//!    masked, drop masked-out rows *here*, before they cost anything more.
-//! 4. **Output** (Step 3): concatenate the buckets' unique indices into the
+//! 1. **Bucketing** (Step 1): each thread pushes `(row, A(i,j) ⊗ x(j))`
+//!    pairs from its selected matrix columns into its own row-range buckets
+//!    — no locks, no atomics, no `unsafe`, and no Algorithm 2 counting pass.
+//!    When the descriptor is masked, a masked-out row's product is never
+//!    formed: the mask is probed *here*, before it costs anything more.
+//! 2. **SPA merge** (Step 2): merge each bucket, read from every thread in
+//!    turn, independently with a partially-initialized sparse accumulator.
+//! 3. **Output** (Step 3): concatenate the buckets' unique indices into the
 //!    result vector with a prefix sum.
 //!
 //! The same descriptor executes batches through [`SpMSpVBucketBatch`]
@@ -74,9 +72,9 @@
 //! chosen flows through [`batch::BatchRunInfo`] and [`stats::ChoiceCounts`].
 //!
 //! Both traits carry masked entry points (`multiply_masked`,
-//! `multiply_batch_masked`) whose mask check lives **inside** each kernel's
-//! merge loop; a default post-filtering implementation keeps third-party
-//! implementations source-compatible.
+//! `multiply_batch_masked`) whose mask check lives **inside** each kernel,
+//! ahead of the product it would form; a default post-filtering
+//! implementation keeps third-party implementations source-compatible.
 //!
 //! ## Serving many clients: the `engine` layer
 //!

@@ -4,11 +4,13 @@
 //!
 //! A mask restricts which output rows may appear in `y`. The dominant use is
 //! BFS: the complement of the "already visited" set masks the product so the
-//! next frontier only contains undiscovered vertices. Since this PR the mask
-//! is applied **inside** the kernels — [`crate::SpMSpV::multiply_masked`]
-//! and [`crate::SpMSpVBatch::multiply_batch_masked`] consult a [`MaskView`]
-//! during the SPA-merge step, so a masked multiplication never materializes
-//! the masked-out rows, let alone pays a post-filter pass over the output.
+//! next frontier only contains undiscovered vertices. The mask is applied
+//! **inside** the kernels — [`crate::SpMSpV::multiply_masked`] and
+//! [`crate::SpMSpVBatch::multiply_batch_masked`] consult a [`MaskView`]
+//! before they form a product (the bucket kernels in Step 1, through
+//! [`MaskView::row_filter`]), so a masked multiplication never forms,
+//! stores or merges a masked-out product, let alone pays a post-filter pass
+//! over the output.
 //!
 //! The membership set itself is a [`sparse_substrate::MaskBits`] bitmap owned
 //! by the caller (or by a [`crate::ops::PreparedMxv`] descriptor); the views
@@ -32,8 +34,8 @@ pub enum MaskMode {
 }
 
 /// A borrowed output mask for one single-vector multiplication: a bitmap plus
-/// the interpretation mode. `Copy`, one word of state — cheap enough to pass
-/// down into the per-bucket merge loops.
+/// the interpretation mode. `Copy`, two words of state — cheap enough to
+/// pass down into the kernels' inner loops.
 #[derive(Debug, Clone, Copy)]
 pub struct MaskView<'m> {
     bits: &'m MaskBits,
@@ -61,10 +63,20 @@ impl<'m> MaskView<'m> {
     /// Whether output row `i` survives the mask.
     #[inline]
     pub fn keeps(&self, i: usize) -> bool {
-        match self.mode {
-            MaskMode::Keep => self.bits.contains(i),
-            MaskMode::Complement => !self.bits.contains(i),
-        }
+        self.row_filter()(i)
+    }
+
+    /// [`MaskView::keeps`] with the mode hoisted out: a closure that reads
+    /// row `i`'s bitmap word directly and flips the bit for
+    /// [`MaskMode::Complement`], with no `match` per probe. The bucket
+    /// kernels build it once per call and probe it for every product in
+    /// Step 1, after [`MaskView::check_rows`] has checked that the bitmap
+    /// spans every row they will probe.
+    #[inline]
+    pub fn row_filter(&self) -> impl Fn(usize) -> bool + Copy + Send + Sync + 'm {
+        let words = self.bits.words();
+        let flip = self.mode == MaskMode::Complement;
+        move |i| ((words[i / 64] >> (i % 64)) & 1 == 1) != flip
     }
 
     /// Asserts that the bitmap spans exactly the `m` output rows of the

@@ -88,7 +88,7 @@
 //!
 //! | metric | type | meaning |
 //! |---|---|---|
-//! | `batch.estimate` | histogram | ns in the bucket kernel's estimate/plan step |
+//! | `batch.estimate` | histogram | ns in the fused bucket kernel's fuse pass (it has no estimate pass) |
 //! | `batch.bucketing` | histogram | ns scattering triples into buckets |
 //! | `batch.merge` | histogram | ns merging buckets through the lane-aware SPA |
 //! | `batch.output` | histogram | ns emitting the output lanes |

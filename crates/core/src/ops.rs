@@ -34,8 +34,8 @@
 //! workspaces (instantiated lazily, reused across calls — the paper's
 //! amortization strategy), owns at most one mask bitmap — shared by every
 //! lane of a batch — so iterative algorithms can update membership between
-//! runs, and applies the mask **inside** the kernels' merge step, never as
-//! an output post-filter. Per-lane masks (one visited set per source) are
+//! runs, and applies the mask **inside** the kernels, before a product is
+//! formed (the bucket kernels' Step 1), never as an output post-filter. Per-lane masks (one visited set per source) are
 //! not a descriptor concern: the serving [`crate::engine::Engine`] hands each
 //! request's own mask to the batched kernel as a
 //! [`BatchMaskView::PerLane`] view.

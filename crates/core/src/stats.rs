@@ -306,8 +306,8 @@ pub fn analyze<A: Scalar, X: Scalar>(
     match kind {
         AlgorithmKind::Bucket => WorkStats {
             multiplications: df,
-            columns_inspected: 2 * f, // estimate pass + bucketing pass
-            x_entries_read: 2 * f,
+            columns_inspected: f, // one bucketing pass, no estimate pass
+            x_entries_read: f,
             spa_slots_initialized: nnz_y,
             threads: t,
         },
@@ -378,6 +378,11 @@ mod tests {
         let w1 = analyze(AlgorithmKind::Bucket, &a, &x, 1);
         let w16 = analyze(AlgorithmKind::Bucket, &a, &x, 16);
         assert_eq!(w1.total_work(), w16.total_work(), "bucket algorithm is work-efficient");
+        // Step 1 reads each selected column and x entry once, as the
+        // sequential SPA does: there is no estimate pass.
+        let seq = analyze(AlgorithmKind::Sequential, &a, &x, 1);
+        assert_eq!(w16.columns_inspected, seq.columns_inspected);
+        assert_eq!(w16.x_entries_read, seq.x_entries_read);
     }
 
     #[test]

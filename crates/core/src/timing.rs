@@ -1,10 +1,12 @@
 //! Per-step timing instrumentation (Figure 6 of the paper).
 //!
-//! The SpMSpV-bucket algorithm has four distinct phases — estimate,
-//! bucketing, SPA merge, output — and the paper analyses how each one scales
-//! with thread count and vector density. [`StepTimings`] captures one
-//! multiplication's breakdown; [`StepTimings`] values can be summed across
-//! the many multiplications of a BFS run.
+//! The paper's SpMSpV-bucket algorithm has four distinct phases — estimate,
+//! bucketing, SPA merge, output — and analyses how each one scales with
+//! thread count and vector density. The kernels here have no estimate pass
+//! (see [`crate::bucket`]), so `estimate` reads zero for the single-vector
+//! kernel and times the fuse pass for the fused batch kernel.
+//! [`StepTimings`] captures one multiplication's breakdown; [`StepTimings`]
+//! values can be summed across the many multiplications of a BFS run.
 
 use std::ops::AddAssign;
 use std::time::Duration;
@@ -13,9 +15,11 @@ use std::time::Duration;
 /// SpMSpV-bucket multiplications.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTimings {
-    /// Algorithm 2: per-(thread, bucket) entry counting + prefix sums.
+    /// Algorithm 2's slot: zero for the single-vector bucket kernel, which
+    /// has no estimate pass; the fuse pass for the fused batch kernel.
     pub estimate: Duration,
-    /// Step 1: scattering scaled entries into buckets.
+    /// Step 1: probing the mask and pushing the kept scaled entries into
+    /// buckets.
     pub bucketing: Duration,
     /// Step 2: per-bucket SPA merge.
     pub merge: Duration,

@@ -12,9 +12,9 @@
 //! BFSs from different sources over one graph.
 //!
 //! Each request's mask becomes its lane's in-kernel
-//! [`MaskMode::Complement`] mask, so the batched kernel drops
-//! already-visited `(vertex, lane)` pairs during its merge step and each
-//! lane's output is exactly its next frontier.
+//! [`MaskMode::Complement`] mask, so the batched kernel never forms a
+//! product for an already-visited `(vertex, lane)` pair (it drops them in
+//! its bucketing step) and each lane's output is exactly its next frontier.
 //!
 //! Sources finish at different levels; a source whose frontier empties
 //! simply closes its session and stops submitting, so later levels' fused

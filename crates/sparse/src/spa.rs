@@ -426,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_spa_ensure_shape_reuses_the_high_water_allocation() {
+    fn lane_spa_ensure_shape_reuses_its_largest_allocation() {
         let mut spa: LaneSpa<usize> = LaneSpa::new(4, 1);
         spa.accumulate(0, 0, 9, |a, b| a + b);
         spa.ensure_shape(4, 1); // same shape, just reset

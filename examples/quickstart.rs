@@ -47,8 +47,8 @@ fn main() {
     assert!(y.approx_same_entries(&expected, 1e-9), "bucket result diverges from the reference");
     println!("result verified against the sequential reference");
 
-    // The same description, masked: drop every third output row inside the
-    // kernel's merge step (no post-filter pass).
+    // The same description, masked: the kernel never forms a product for
+    // every third output row (it drops them in Step 1; no post-filter pass).
     let mut masked = Mxv::over(&a).semiring(&PlusTimes).masked(MaskMode::Complement).prepare();
     masked.mask_mut().extend((0..n).step_by(3));
     let ym = masked.run(&x);

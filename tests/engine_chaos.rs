@@ -47,8 +47,9 @@ fn claim(ticket: &spmspv::engine::Ticket<f64>) -> Result<SparseVec<f64>, EngineE
     ticket.wait_timeout(Duration::from_secs(10))
 }
 
-/// An engine pinned to the fused bucket kernel, whose merge step carries the
-/// `batch.merge` failpoint.
+/// An engine pinned to the fused bucket kernel, which consults the
+/// `batch.merge` failpoint between its (masked) bucketing step and its
+/// merge step.
 #[cfg(feature = "failpoints")]
 fn bucket_config() -> EngineConfig {
     EngineConfig::default().batch_algorithm(BatchAlgorithmKind::Bucket)
@@ -216,7 +217,7 @@ fn saturated_serve_loop_conserves_requests() {
     }
 }
 
-/// A panic inside the fused kernel's merge step must not take the flush
+/// A panic at the fused kernel's merge step must not take the flush
 /// down: the engine catches it, retries the group on the naive oracle, and
 /// every ticket still gets its bit-exact result.
 #[cfg(feature = "failpoints")]

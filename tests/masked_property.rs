@@ -4,24 +4,27 @@
 //! rows the mask rejects) — across [`MaskMode::Keep`] and
 //! [`MaskMode::Complement`], semirings (`PlusTimes`, the BFS
 //! `Select2ndMin`), every algorithm family,
-//! and batch widths `k ∈ {1, 3, 32}` with shared and per-lane masks.
+//! and batch widths `k ∈ {1, 3, 32}` with shared and per-lane masks. A
+//! counting semiring checks that both bucket kernels never form a product
+//! the mask discards.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
 //! floating-point addition is exact and results compare exactly regardless
 //! of reduction order.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use sparse_substrate::ops::{spmspv_batch_reference, spmspv_reference};
 use sparse_substrate::{
-    CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, SparseVec, SparseVecBatch,
+    CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, Semiring, SparseVec, SparseVecBatch,
 };
 use spmspv::batch::mask_filter_batch;
 use spmspv::ops::Mxv;
 use spmspv::{
     build_algorithm, build_batch_algorithm, AlgorithmKind, BatchAlgorithmKind, BatchMaskView,
-    MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVOptions,
+    MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVBucket, SpMSpVBucketBatch, SpMSpVOptions,
 };
 
 const ALL_KINDS: [AlgorithmKind; 6] = [
@@ -439,5 +442,96 @@ fn lane_mask_count_mismatch_panics_on_every_batch_family() {
             msg.contains("per-lane mask has 3 lanes but the input batch has 2 lanes"),
             "{kind}: panicked with {msg:?}"
         );
+    }
+}
+
+/// `(+, ×)` over `f64` that counts every `multiply` (a product formed) and
+/// every `add` (a product merged into one already in the accumulator).
+#[derive(Default)]
+struct Counting {
+    multiplies: AtomicUsize,
+    adds: AtomicUsize,
+}
+
+impl Counting {
+    /// The `(multiply, add)` counts so far, resetting both to zero.
+    fn take(&self) -> (usize, usize) {
+        (self.multiplies.swap(0, Ordering::Relaxed), self.adds.swap(0, Ordering::Relaxed))
+    }
+}
+
+impl Semiring<f64, f64> for Counting {
+    type Output = f64;
+
+    fn zero(&self) -> f64 {
+        0.0
+    }
+
+    fn multiply(&self, a: &f64, x: &f64) -> f64 {
+        self.multiplies.fetch_add(1, Ordering::Relaxed);
+        a * x
+    }
+
+    fn add(&self, lhs: f64, rhs: f64) -> f64 {
+        self.adds.fetch_add(1, Ordering::Relaxed);
+        lhs + rhs
+    }
+}
+
+/// Products of `x`'s selected columns whose row `keeps` accepts.
+fn kept_products(a: &CscMatrix<f64>, x: &SparseVec<f64>, keeps: impl Fn(usize) -> bool) -> usize {
+    x.iter().map(|(j, _)| a.column(j).0.iter().filter(|&&i| keeps(i)).count()).sum()
+}
+
+/// Both bucket kernels form exactly the products the mask keeps — all of
+/// them unmasked, and a masked-out row never reaches `multiply` — and merge
+/// each kept product once: every kept product past the first on its
+/// `(row, lane)` is one `add`. Covers 1–8 participants, both mask modes,
+/// and shared and per-lane batch masks whose lanes disagree on the same
+/// rows.
+#[test]
+fn masked_out_products_are_never_formed() {
+    use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
+
+    let n = 600;
+    let a = erdos_renyi(n, 6.0, 41);
+    let lanes: Vec<SparseVec<f64>> =
+        (0..3).map(|l| random_sparse_vec(n, 300, 50 + l as u64)).collect();
+    let x = SparseVecBatch::from_lanes(&lanes).unwrap();
+    // Lane l's mask holds the multiples of l + 2: lanes disagree on most rows.
+    let lane_masks: Vec<Arc<MaskBits>> =
+        (0..3).map(|l| Arc::new(MaskBits::from_indices(n, (0..n).step_by(l + 2)))).collect();
+    let counting = Counting::default();
+    for threads in [1usize, 2, 3, 8] {
+        let opts = SpMSpVOptions::with_threads(threads);
+        // Unmasked, every product of the selected columns is formed.
+        let y = SpMSpVBucket::new(&a, opts.clone()).multiply(&lanes[0], &counting);
+        let all = kept_products(&a, &lanes[0], |_| true);
+        assert_eq!(counting.take(), (all, all - y.nnz()), "single, {threads}t, unmasked");
+        let y = SpMSpVBucketBatch::new(&a, opts.clone()).multiply_batch(&x, &counting);
+        let all: usize = lanes.iter().map(|lane| kept_products(&a, lane, |_| true)).sum();
+        assert_eq!(counting.take(), (all, all - y.total_nnz()), "batch, {threads}t, unmasked");
+        for mode in [MaskMode::Keep, MaskMode::Complement] {
+            let view = MaskView::new(&lane_masks[0], mode);
+            let mut single = SpMSpVBucket::new(&a, opts.clone());
+            let y = single.multiply_masked(&lanes[0], &counting, Some(view));
+            let kept = kept_products(&a, &lanes[0], |i| view.keeps(i));
+            assert!(kept > y.nnz() && y.nnz() > 0, "the fixture must merge and mask");
+            assert_eq!(counting.take(), (kept, kept - y.nnz()), "single, {threads}t, {mode:?}");
+
+            let mut batch = SpMSpVBucketBatch::new(&a, opts.clone());
+            let shared = BatchMaskView::Shared(view);
+            let per_lane = BatchMaskView::PerLane { masks: &lane_masks, mode };
+            for mask in [shared, per_lane] {
+                let y = batch.multiply_batch_masked(&x, &counting, Some(&mask));
+                let kept: usize =
+                    (0..x.k()).map(|l| kept_products(&a, &lanes[l], |i| mask.keeps(i, l))).sum();
+                assert_eq!(
+                    counting.take(),
+                    (kept, kept - y.total_nnz()),
+                    "batch, {threads}t, {mask:?}"
+                );
+            }
+        }
     }
 }
