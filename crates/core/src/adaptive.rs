@@ -1,63 +1,43 @@
 //! Density-driven dispatch: pick the kernel family per call.
 //!
 //! The paper's central claim is *work-efficiency*: the bucket algorithm does
-//! `O(flops)` work where SPA-based competitors pay `O(m)` (or `O(m·k)`
-//! batched) for accumulator setup. Generation stamps already removed the
-//! setup cost from every accumulator in this workspace, but the *constant
-//! factors* of the kernel families still cross over with frontier density,
-//! batch width and thread count:
+//! `O(flops)` work where SPA-based competitors pay `O(m)` for accumulator
+//! setup. Generation stamps already removed the setup cost from every
+//! accumulator in this workspace, but the *constant factors* of the kernel
+//! families still cross over with frontier density and thread count:
 //!
 //! * for tiny frontiers the parallel pipeline is overhead over the
-//!   sequential SPA, and for `k = 1` the fused batch pipeline is overhead
-//!   over the single-vector kernel;
-//! * with one worker, a single fused-SPA row-split pass has none of the
-//!   bucket pipeline's fixed costs and stays ahead until the working set
-//!   outgrows it;
-//! * a fused `m × k` accumulator that scatters over tens of megabytes loses
-//!   to `k` per-lane calls whose `O(m)` accumulators stay cache-friendly.
+//!   sequential SPA;
+//! * with one worker, a single flat SPA pass has none of the bucket
+//!   pipeline's fixed costs and stays ahead until the working set outgrows
+//!   it.
 //!
-//! [`AdaptiveSpMSpV`] (single-vector) and [`AdaptiveBatch`] (batched) sit in
-//! front of the fixed kernels and resolve these trade-offs per call from
-//! `(frontier nnz, k, m, threads)`. The crossovers are the named constants
-//! below — measured once on the reference dev container, not settable: no
-//! caller ever needed a different value, and the committed ledger under
-//! `benchmark/results/` (`adaptive.choice.*`, `adaptive.regret`) is where a
-//! change to one of them has to show up.
+//! [`AdaptiveSpMSpV`] sits in front of the two kernels and resolves these
+//! trade-offs per call from `(frontier nnz, m, threads)`. [`AdaptiveBatch`]
+//! applies it per lane on the [lane runner](crate::batch): a lane spread
+//! over the pool runs on a one-thread kernel and so takes the single-thread
+//! rule. The crossovers are the named constants below — measured once on
+//! the reference dev container, not settable: no caller ever needed a
+//! different value, and the committed ledger under `benchmark/results/`
+//! (`adaptive.sequential_share`, `adaptive.regret`) is where a change to
+//! one of them has to show up.
 //!
-//! Because every fixed kernel in this workspace reduces each `(row, lane)`
-//! in ascending-column order and emits ascending lanes, the dispatcher's
-//! choice never changes the result — adaptive
-//! output is bit-identical to whichever fixed family it delegates to, which
-//! the property tests assert.
+//! Both kernels reduce each row in ascending-column order, so the
+//! dispatcher's choice never changes the result — adaptive output is
+//! bit-identical to whichever kernel it delegates to, which the property
+//! tests assert.
 
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
-use crate::batch::{
-    BatchAlgorithmKind, BatchRunInfo, CombBlasSpaBatch, NaiveBatch, SpMSpVBatch, SpMSpVBucketBatch,
-};
+use crate::batch::{BatchRunInfo, LaneKernel, LaneRunner, SpMSpVBatch};
 use crate::bucket::SpMSpVBucket;
 use crate::masked::{BatchMaskView, MaskView};
 
 /// Single-vector: estimated flops at or below which the sequential SPA beats
 /// the parallel bucket pipeline's fixed costs.
 const SEQUENTIAL_FLOPS_CUTOFF: usize = 256;
-/// Batched: widths `k` at or below this run as independent single-vector
-/// calls ([`NaiveBatch`]) — fusing one lane is pure overhead.
-const NAIVE_K_CUTOFF: usize = 1;
-/// Batched, single-threaded: minimum width for the *wide-batch naive band* —
-/// at large `k`, per-lane single-vector calls keep every accumulator at
-/// `O(m)` instead of `O(m·k)`, which beats fusion for moderate per-lane work.
-const NAIVE_WIDE_MIN_K: usize = 4;
-/// Batched, single-threaded: minimum estimated flops **per lane** for the
-/// wide-batch naive band (below it, `k` kernel launches dominate).
-const NAIVE_MIN_FLOPS_PER_LANE: usize = 512;
-/// Batched, single-threaded: fused-accumulator footprint `m·k` (slots) at or
-/// above which per-lane naive calls win outright — each lane's `O(m)`
-/// accumulator stays TLB/cache-friendly where one `O(m·k)` accumulator
-/// scatters over tens of megabytes.
-const FUSED_MAX_SLOTS: usize = 1 << 22;
 /// Single-threaded: estimated flops at or below which one flat SPA pass (the
 /// row-split kernel with one piece, or the sequential kernel) beats the
 /// three-pass bucket pipeline. With one worker the row-split baseline
@@ -86,7 +66,7 @@ fn estimated_flops<A: Scalar>(matrix: &CscMatrix<A>, nnz: usize) -> usize {
 /// Both delegates reduce each row in ascending-column order, so switching
 /// families mid-traversal never changes a result.
 pub struct AdaptiveSpMSpV<'a, A, X, S: Semiring<A, X>> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
     threads: usize,
     bucket: Option<SpMSpVBucket<'a, A, X, S>>,
@@ -102,9 +82,16 @@ where
 {
     /// Prepares the dispatcher (no kernel is instantiated until the first
     /// call needs it).
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         let threads = options.build_executor().threads();
-        AdaptiveSpMSpV { matrix, options, threads, bucket: None, sequential: None, last: None }
+        AdaptiveSpMSpV {
+            matrix: matrix.into(),
+            options,
+            threads,
+            bucket: None,
+            sequential: None,
+            last: None,
+        }
     }
 
     /// The fixed family the most recent call delegated to (`None` before
@@ -114,7 +101,7 @@ where
     }
 
     fn choose(&self, x: &SparseVec<X>) -> AlgorithmKind {
-        let flops = estimated_flops(self.matrix, x.nnz());
+        let flops = estimated_flops(&self.matrix, x.nnz());
         // With one worker the parallel pipeline's fixed costs never pay
         // until the working set outgrows a single SPA pass, so the
         // single-thread cutoff is the (much larger) row-split one — but
@@ -169,33 +156,40 @@ where
         crate::obs::record_adaptive_single(choice);
         match choice {
             AlgorithmKind::Sequential => {
-                let seq = self
-                    .sequential
-                    .get_or_insert_with(|| SequentialSpa::new(self.matrix, self.options.clone()));
+                let seq = self.sequential.get_or_insert_with(|| {
+                    SequentialSpa::new(self.matrix.clone(), self.options.clone())
+                });
                 SpMSpV::<A, X, S>::multiply_masked(seq, x, semiring, mask)
             }
             _ => {
-                let bucket = self
-                    .bucket
-                    .get_or_insert_with(|| SpMSpVBucket::new(self.matrix, self.options.clone()));
+                let bucket = self.bucket.get_or_insert_with(|| {
+                    SpMSpVBucket::new(self.matrix.clone(), self.options.clone())
+                });
                 bucket.multiply_masked(x, semiring, mask)
             }
         }
     }
 }
 
-/// [`BatchAlgorithmKind::Adaptive`]: dispatches each batched call between
-/// the fused bucket kernel, the per-lane naive fallback, and the row-split
-/// baseline from `(total nnz, k, m, threads)`. Delegates are lazy and keep
-/// their workspaces across calls.
+impl<'a, A, X, S> LaneKernel<'a, A, X, S> for AdaptiveSpMSpV<'a, A, X, S>
+where
+    A: Scalar,
+    X: Scalar,
+    S: Semiring<A, X>,
+{
+    fn build(matrix: MatrixRef<'a, A>, options: SpMSpVOptions) -> Self {
+        AdaptiveSpMSpV::new(matrix, options)
+    }
+}
+
+/// [`BatchAlgorithmKind::Adaptive`](crate::BatchAlgorithmKind::Adaptive):
+/// [`AdaptiveSpMSpV`] applied per lane on the [lane runner](crate::batch).
+/// Each lane's kernel picks its family from that lane's frontier (the
+/// `adaptive.single.*` counters count the picks);
+/// [`SpMSpVBatch::last_run_info`] reports the runner,
+/// [`BatchAlgorithmKind::Bucket`](crate::BatchAlgorithmKind::Bucket).
 pub struct AdaptiveBatch<'a, A, X, S: Semiring<A, X>> {
-    matrix: MatrixRef<'a, A>,
-    options: SpMSpVOptions,
-    threads: usize,
-    bucket: Option<SpMSpVBucketBatch<'a, A, X, S>>,
-    naive: Option<NaiveBatch<'a, A, X, S>>,
-    rowsplit: Option<CombBlasSpaBatch<'a, A, X, S>>,
-    last: Option<BatchRunInfo>,
+    lanes: LaneRunner<'a, A, AdaptiveSpMSpV<'a, A, X, S>>,
 }
 
 impl<'a, A, X, S> AdaptiveBatch<'a, A, X, S>
@@ -204,61 +198,10 @@ where
     X: Scalar,
     S: Semiring<A, X>,
 {
-    /// Prepares the dispatcher (no kernel is instantiated until the first
-    /// call needs it).
+    /// Prepares the dispatcher (no lane kernel is built until a call needs
+    /// it).
     pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
-        let threads = options.build_executor().threads();
-        AdaptiveBatch {
-            matrix: matrix.into(),
-            options,
-            threads,
-            bucket: None,
-            naive: None,
-            rowsplit: None,
-            last: None,
-        }
-    }
-
-    /// What the most recent call executed (`None` before the first call and
-    /// after a call that merged nothing).
-    pub fn last_choice(&self) -> Option<BatchRunInfo> {
-        self.last
-    }
-
-    /// The family a batch of this shape dispatches to (exposed so tests and
-    /// the bench can compare the adaptive run against its delegate).
-    pub fn choose(&self, total_nnz: usize, k: usize) -> BatchAlgorithmKind {
-        let flops = estimated_flops(&self.matrix, total_nnz);
-        if self.threads == 1 && flops <= ROWSPLIT_FLOPS_CUTOFF {
-            // Single-threaded regime. Per-lane naive calls win when
-            // each lane carries enough work to amortize its kernel launch,
-            // or when the fused accumulator's m·k footprint is so large
-            // that any one-accumulator layout scatters over tens of
-            // megabytes — per-lane O(m) accumulators stay TLB/cache
-            // friendly. The single fused-SPA row-split pass (no bucket/
-            // gather costs, no multi-piece duplication) takes what
-            // is left, provided m itself is small enough that its flat
-            // scatter is not miss-dominated — past that, naive again.
-            let per_lane = flops / k.max(1);
-            if k >= NAIVE_WIDE_MIN_K && per_lane >= NAIVE_MIN_FLOPS_PER_LANE {
-                return BatchAlgorithmKind::Naive;
-            }
-            if self.matrix.nrows().saturating_mul(k) >= FUSED_MAX_SLOTS {
-                return BatchAlgorithmKind::Naive;
-            }
-            if self.matrix.nrows() <= ROWSPLIT_MAX_M || per_lane <= SEQUENTIAL_FLOPS_CUTOFF {
-                return BatchAlgorithmKind::CombBlasRowSplit;
-            }
-            return BatchAlgorithmKind::Naive;
-        }
-        if k <= NAIVE_K_CUTOFF {
-            return BatchAlgorithmKind::Naive;
-        }
-        // Past the single-pass cutoff (or with real parallelism) bulk work
-        // amortizes the fused accumulator — the bucket pipeline's cache-
-        // blocked merge is built for exactly this regime, so the footprint
-        // rule above deliberately does not extend here.
-        BatchAlgorithmKind::Bucket
+        AdaptiveBatch { lanes: LaneRunner::new(matrix.into(), options) }
     }
 }
 
@@ -273,11 +216,11 @@ where
     }
 
     fn nrows(&self) -> usize {
-        self.matrix.nrows()
+        self.lanes.matrix().nrows()
     }
 
     fn ncols(&self) -> usize {
-        self.matrix.ncols()
+        self.lanes.matrix().ncols()
     }
 
     fn multiply_batch(&mut self, x: &SparseVecBatch<X>, semiring: &S) -> SparseVecBatch<S::Output> {
@@ -290,40 +233,11 @@ where
         semiring: &S,
         mask: Option<&BatchMaskView<'_>>,
     ) -> SparseVecBatch<S::Output> {
-        if let Some(mask) = mask {
-            mask.check_rows(self.matrix.nrows());
-        }
-        let kernel = self.choose(x.total_nnz(), x.k());
-        crate::obs::record_adaptive_batch_kernel(kernel);
-        let (y, info) = match kernel {
-            BatchAlgorithmKind::Naive => {
-                let naive = self.naive.get_or_insert_with(|| {
-                    NaiveBatch::new(self.matrix.clone(), self.options.clone())
-                });
-                let y = naive.multiply_batch_masked(x, semiring, mask);
-                (y, naive.last_run_info())
-            }
-            BatchAlgorithmKind::CombBlasRowSplit => {
-                let rowsplit = self.rowsplit.get_or_insert_with(|| {
-                    CombBlasSpaBatch::new(self.matrix.clone(), self.options.clone())
-                });
-                let y = rowsplit.multiply_batch_masked(x, semiring, mask);
-                (y, rowsplit.last_run_info())
-            }
-            _ => {
-                let bucket = self.bucket.get_or_insert_with(|| {
-                    SpMSpVBucketBatch::new(self.matrix.clone(), self.options.clone())
-                });
-                let y = bucket.multiply_batch_masked(x, semiring, mask);
-                (y, bucket.last_run_info())
-            }
-        };
-        self.last = info;
-        y
+        self.lanes.run(x, semiring, mask).0
     }
 
     fn last_run_info(&self) -> Option<BatchRunInfo> {
-        self.last
+        self.lanes.last_run_info()
     }
 }
 
@@ -394,36 +308,42 @@ mod tests {
 
     #[test]
     fn batch_adaptive_family_decision() {
-        use BatchAlgorithmKind::{Bucket, CombBlasRowSplit, Naive};
+        // Each lane decides for itself. A narrow batch (k < t) runs on the
+        // runner's kernel of t participants, which takes the multi-thread
+        // rule; lanes spread over the pool run on one-thread kernels, which
+        // take the single-thread rule.
         let a = erdos_renyi(400, 6.0, 9);
-        let past_single_pass = nnz_past(&a, ROWSPLIT_FLOPS_CUTOFF);
+        let big = nnz_past(&a, SEQUENTIAL_FLOPS_CUTOFF);
+        let opts = SpMSpVOptions::with_threads(2);
+        let batch = |k: usize, nnz: usize| {
+            let lanes: Vec<_> =
+                (0..k).map(|l| random_sparse_vec(400, nnz, 40 + l as u64)).collect();
+            SparseVecBatch::from_lanes(&lanes).unwrap()
+        };
+        let mut alg: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(&a, opts.clone());
 
-        let one: AdaptiveBatch<'_, f64, f64, PlusTimes> =
-            AdaptiveBatch::new(&a, SpMSpVOptions::with_threads(1));
-        assert_eq!(one.choose(4, 8), CombBlasRowSplit);
-        assert_eq!(one.choose(100, 1), CombBlasRowSplit, "one flat pass beats k = 1 naive");
-        // Wide-batch naive band: enough per-lane work, bounded total.
-        assert_eq!(one.choose(1_600, 16), Naive);
-        assert_eq!(one.choose(64, 16), CombBlasRowSplit, "too little/lane");
-        assert_eq!(one.choose(1_600, 2), CombBlasRowSplit, "too narrow");
-        // A fused accumulator of FUSED_MAX_SLOTS or more never pays.
-        assert_eq!(one.choose(64, FUSED_MAX_SLOTS / 400 - 1), CombBlasRowSplit);
-        assert_eq!(one.choose(64, FUSED_MAX_SLOTS / 400 + 1), Naive);
-        // Past the single-pass cutoff the thread count stops mattering.
-        assert_eq!(one.choose(past_single_pass, 8), Bucket);
-        assert_eq!(one.choose(past_single_pass, 1), Naive);
+        let one = batch(1, big);
+        let y = alg.multiply_batch(&one, &PlusTimes);
+        let (wide, idle) = alg.lanes.kernels();
+        assert_eq!(wide.and_then(AdaptiveSpMSpV::last_choice), Some(AlgorithmKind::Bucket));
+        assert!(idle.is_empty(), "k < t never checks out a one-thread kernel");
+        let mut single: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> = AdaptiveSpMSpV::new(&a, opts);
+        assert_eq!(y.lane_vec(0), single.multiply(&one.lane_vec(0), &PlusTimes));
 
-        // Past ROWSPLIT_MAX_M rows the flat pass only keeps tiny lanes.
-        let tall = tridiagonal(ROWSPLIT_MAX_M + 1);
-        let one: AdaptiveBatch<'_, f64, f64, PlusTimes> =
-            AdaptiveBatch::new(&tall, SpMSpVOptions::with_threads(1));
-        assert_eq!(one.choose(64, 2), CombBlasRowSplit);
-        assert_eq!(one.choose(2 * nnz_past(&tall, SEQUENTIAL_FLOPS_CUTOFF), 2), Naive);
-
-        // Multi-threaded: row-split duplicates work, never chosen.
-        let four: AdaptiveBatch<'_, f64, f64, PlusTimes> =
-            AdaptiveBatch::new(&a, SpMSpVOptions::with_threads(4));
-        assert_eq!(four.choose(4, 8), Bucket);
-        assert_eq!(four.choose(100, 1), Naive);
+        let four = batch(4, big);
+        let y = alg.multiply_batch(&four, &PlusTimes);
+        let (_, idle) = alg.lanes.kernels();
+        assert!(!idle.is_empty());
+        for kernel in idle {
+            assert_eq!(kernel.last_choice(), Some(AlgorithmKind::Sequential));
+        }
+        for l in 0..4 {
+            let expected = spmspv_reference(&a, &four.lane_vec(l), &PlusTimes);
+            assert!(y.lane_vec(l).approx_same_entries(&expected, 1e-9), "lane {l}");
+        }
+        assert_eq!(
+            alg.last_run_info().map(|info| info.kernel),
+            Some(crate::BatchAlgorithmKind::Bucket)
+        );
     }
 }

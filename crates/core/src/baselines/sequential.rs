@@ -8,12 +8,12 @@
 
 use sparse_substrate::{CscMatrix, Scalar, Semiring, Spa, SparseVec};
 
-use crate::algorithm::{SpMSpV, SpMSpVOptions};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::masked::MaskView;
 
 /// Sequential SPA-based SpMSpV over a CSC matrix.
 pub struct SequentialSpa<'a, A, Y> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     spa: Spa<Y>,
 }
 
@@ -21,8 +21,10 @@ impl<'a, A: Scalar, Y: Scalar> SequentialSpa<'a, A, Y> {
     /// Prepares the algorithm (allocates the SPA once). The options are
     /// taken for uniformity with the parallel kernels; one thread has none
     /// to read.
-    pub fn new(matrix: &'a CscMatrix<A>, _options: SpMSpVOptions) -> Self {
-        SequentialSpa { matrix, spa: Spa::new(matrix.nrows()) }
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, _options: SpMSpVOptions) -> Self {
+        let matrix = matrix.into();
+        let spa = Spa::new(matrix.nrows());
+        SequentialSpa { matrix, spa }
     }
 }
 
@@ -54,22 +56,16 @@ where
         semiring: &S,
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
-        assert_eq!(x.len(), self.matrix.ncols(), "dimension mismatch");
+        let matrix = &*self.matrix;
+        assert_eq!(x.len(), matrix.ncols(), "dimension mismatch");
         if let Some(mask) = mask {
-            mask.check_rows(self.matrix.nrows());
+            mask.check_rows(matrix.nrows());
         }
-        for (j, xv) in x.iter() {
-            let (rows, vals) = self.matrix.column(j);
-            for (&i, av) in rows.iter().zip(vals.iter()) {
-                // In-kernel mask: a dropped row never touches the SPA.
-                if let Some(mask) = mask {
-                    if !mask.keeps(i) {
-                        continue;
-                    }
-                }
-                let prod = semiring.multiply(av, xv);
-                self.spa.accumulate(i, prod, |a, b| semiring.add(a, b));
-            }
+        // In-kernel mask, dispatched once per call: a dropped row never
+        // touches the SPA.
+        match mask {
+            None => gather(matrix, x, &mut self.spa, semiring, |_| true),
+            Some(mask) => gather(matrix, x, &mut self.spa, semiring, mask.row_filter()),
         }
         let mut pairs = self.spa.drain();
         pairs.sort_unstable_by_key(|&(i, _)| i);
@@ -78,6 +74,25 @@ where
             y.push(i, v);
         }
         y
+    }
+}
+
+/// Accumulates `A(:, j) ⊗ x(j)` into `spa` for every entry of `x`, skipping
+/// the rows `keeps` rejects before their product is formed.
+fn gather<A: Scalar, X: Scalar, S: Semiring<A, X>>(
+    matrix: &CscMatrix<A>,
+    x: &SparseVec<X>,
+    spa: &mut Spa<S::Output>,
+    semiring: &S,
+    keeps: impl Fn(usize) -> bool,
+) {
+    for (j, xv) in x.iter() {
+        let (rows, vals) = matrix.column(j);
+        for (&i, av) in rows.iter().zip(vals.iter()) {
+            if keeps(i) {
+                spa.accumulate(i, semiring.multiply(av, xv), |a, b| semiring.add(a, b));
+            }
+        }
     }
 }
 

@@ -1,63 +1,48 @@
 //! Batched (multi-source) SpMSpV: `Y ← A ⊕.⊗ X` for a bundle of `k` sparse
-//! vectors in one pass over the matrix.
+//! vectors. A batch is its lanes.
 //!
 //! The motivating applications of SpMSpV — multi-source BFS, batched
 //! personalized PageRank, betweenness-centrality-style sweeps — present `k`
-//! sparse frontiers at once. Calling the single-vector kernel `k` times
-//! traverses the CSC column structure of `A` up to `k` times (once per lane
-//! that activates a column). [`SpMSpVBucketBatch`] instead runs the
-//! single-vector kernel's bucket/merge pipeline over the **union** of active
-//! columns:
+//! sparse frontiers at once. Every batched family here computes output lane
+//! `l` by running input lane `l` through a single-vector kernel; the
+//! families differ only in the kernel and in how the lanes share the pool:
 //!
-//! 1. **Fuse**: build the sorted union of the lanes' active indices, each
-//!    with its `(lane, value)` activations
-//!    ([`sparse_substrate::SparseVecBatch::fuse_columns`]). Timed as
-//!    `estimate`; there is no estimate pass.
-//! 2. **Bucketing**: each participant pushes `(row, lane, scaled value)`
-//!    triples onto its own per-bucket `Vec`s, as the single-vector kernel
-//!    does; each matrix column is read **once** and scaled by all of its
-//!    activations while it is hot in cache. The mask is applied here, per
-//!    `(row, lane)` — once per row for a [`BatchMaskView::Shared`] mask —
-//!    so a masked-out triple is never formed.
-//! 3. **Merge**: per-bucket merge, reading bucket `b` from participants
-//!    `0..t` in order, into a lane-aware SPA
-//!    ([`sparse_substrate::LaneSpa`]) whose per-`(row, lane)` generation
-//!    stamps make the `O(m·k)` accumulator logically resettable in `O(1)`.
-//! 4. **Output**: per-`(bucket, lane)` unique counts size one `&mut` window
-//!    per `(bucket, lane)` of the lane-major output arrays, which the
-//!    buckets fill in parallel to form the [`SparseVecBatch`].
-//!
-//! [`NaiveBatch`] — `k` independent [`SpMSpVBucket`](crate::SpMSpVBucket) calls — is the
-//! correctness oracle and the baseline the benchmark's `batch.amortization`
-//! row compares against. Both implement the [`SpMSpVBatch`] trait.
+//! * [`SpMSpVBucketBatch`] (over [`SpMSpVBucket`]) and
+//!   [`AdaptiveBatch`](crate::AdaptiveBatch) (over
+//!   [`AdaptiveSpMSpV`](crate::AdaptiveSpMSpV)) run on the lane runner.
+//!   With `t` participants, a batch of `k < t` lanes runs its lanes one
+//!   after another on one kernel of `t` participants, so a one-lane batch is
+//!   exactly a single-vector call. A batch of `k ≥ t` lanes is spread over
+//!   the pool: [`Executor::map`] hands lanes out dynamically, and whichever
+//!   participant claims a lane checks out a one-thread kernel for it and
+//!   returns the kernel when the lane is done. The workspaces thus belong to
+//!   participants, not lanes: the runner keeps at most `t` one-thread
+//!   kernels and reuses them across calls.
+//! * [`NaiveBatch`] runs the lanes one after another on one bucket kernel.
+//!   It is the correctness oracle, the serving engine's degraded retry, and
+//!   the baseline the benchmark's `batch.amortization` row compares against.
 //!
 //! ## Determinism
 //!
-//! Lane `l`'s entries traverse the kernel in exactly the order the
-//! single-vector kernel would traverse them (ascending column, then CSC row
-//! order), so the batched result is **bit-identical** to `k` independent
-//! [`SpMSpVBucket`](crate::SpMSpVBucket) calls — for any semiring, including
-//! floating-point `(+, ×)` where reduction order matters.
+//! Output lane `l` *is* a single-vector kernel's output for input lane `l`,
+//! and every single-vector kernel in this crate reduces each row in
+//! ascending-column order whatever its thread count. So every batched
+//! result is **bit-identical** to `k` independent
+//! [`SpMSpVBucket`] calls by construction — for
+//! any semiring, including floating-point `(+, ×)` where reduction order
+//! matters.
 
 mod naive;
-mod rowsplit;
 
 pub use naive::NaiveBatch;
-pub use rowsplit::CombBlasSpaBatch;
 
-use std::marker::PhantomData;
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, PoisonError};
 
-use sparse_substrate::{
-    CscMatrix, FusedColumns, LaneSpa, Scalar, Semiring, SpaBackend, SparseVecBatch,
-};
+use sparse_substrate::{CscMatrix, Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
 
-use crate::algorithm::{MatrixRef, SpMSpVOptions};
-use crate::bucket::{
-    bucket_of, bucket_row_ranges, participant_buckets, Buckets, BUCKETS_PER_THREAD,
-};
-use crate::disjoint::split_grouped;
-use crate::executor::{even_ranges, Executor};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
+use crate::bucket::SpMSpVBucket;
+use crate::executor::Executor;
 use crate::masked::{BatchMaskView, MaskView};
 use crate::timing::StepTimings;
 
@@ -85,9 +70,9 @@ pub trait SpMSpVBatch<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
     /// (per lane, for a [`BatchMaskView::PerLane`] mask) may appear.
     ///
     /// The default implementation post-filters an unmasked product; the
-    /// implementations in this crate override it to consult the mask before
-    /// they form a product, so masked rows are never accumulated. Result
-    /// entries are identical either way.
+    /// implementations in this crate override it to hand each lane's mask
+    /// to its single-vector kernel, which consults it before it forms a
+    /// product. Result entries are identical either way.
     fn multiply_batch_masked(
         &mut self,
         x: &SparseVecBatch<X>,
@@ -103,25 +88,24 @@ pub trait SpMSpVBatch<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
 
     /// The concrete kernel family (and accumulator) the most recent call
     /// executed. The info is **per call**: every kernel in this crate
-    /// reports `Some` after a multiplication that actually merged (adaptive
-    /// ones report their delegate) and `None` before the first call and
-    /// after a call on an all-empty input, which merges nothing. `None` by
-    /// default so third-party implementations stay source-compatible.
+    /// reports `Some` after a multiplication that had anything to multiply
+    /// and `None` before the first call and after a call on an all-empty
+    /// input. `None` by default so third-party implementations stay
+    /// source-compatible.
     fn last_run_info(&self) -> Option<BatchRunInfo> {
         None
     }
 }
 
 /// The concrete configuration one batched call executed with: which kernel
-/// family ran and which accumulator it merged through. Surfaced through
-/// [`SpMSpVBatch::last_run_info`] so the serving engine's telemetry
-/// ([`crate::stats::EngineStats`]) can record what the adaptive dispatch
-/// actually chose per flush.
+/// family ran and which accumulator its lanes merged through. Surfaced
+/// through [`SpMSpVBatch::last_run_info`] so the serving engine's telemetry
+/// ([`crate::stats::EngineStats`]) can record what ran per flush.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BatchRunInfo {
     /// The kernel family that executed (never
-    /// [`BatchAlgorithmKind::Adaptive`] — dispatchers report their
-    /// delegate).
+    /// [`BatchAlgorithmKind::Adaptive`], whose lanes run on the same runner
+    /// as [`BatchAlgorithmKind::Bucket`] and report it).
     pub kernel: BatchAlgorithmKind,
     /// The accumulator the merge ran through.
     pub backend: SpaBackend,
@@ -166,18 +150,16 @@ pub fn mask_filter_batch<T: Scalar>(
 /// same way the benchmark harness swaps single-vector ones.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BatchAlgorithmKind {
-    /// The fused bucket kernel ([`SpMSpVBucketBatch`]): one traversal of the
-    /// union of active columns serves every lane.
+    /// Every lane through a [`SpMSpVBucket`] kernel, lanes spread over the
+    /// pool ([`SpMSpVBucketBatch`]).
     Bucket,
-    /// `k` independent single-vector bucket calls ([`NaiveBatch`]) — the
-    /// correctness oracle and amortization baseline.
+    /// `k` bucket calls one after another on one kernel ([`NaiveBatch`]) —
+    /// the correctness oracle and amortization baseline.
     Naive,
-    /// CombBLAS-style row-split batch ([`CombBlasSpaBatch`]): `t` row pieces,
-    /// each scanning the whole fused input with a private lane-aware SPA —
-    /// the honest batched counterpart of the paper's CombBLAS-SPA baseline.
-    CombBlasRowSplit,
-    /// Cost-model dispatch per call between the fixed families from
-    /// `(total nnz, k, m, threads)` — see [`crate::adaptive::AdaptiveBatch`].
+    /// Every lane through an [`AdaptiveSpMSpV`](crate::AdaptiveSpMSpV)
+    /// kernel, which picks the sequential SPA or the bucket kernel per lane
+    /// ([`crate::adaptive::AdaptiveBatch`]). Lanes share the pool as for
+    /// [`Self::Bucket`].
     Adaptive,
 }
 
@@ -187,30 +169,20 @@ impl BatchAlgorithmKind {
         match self {
             BatchAlgorithmKind::Bucket => "SpMSpV-bucket-batch",
             BatchAlgorithmKind::Naive => "Naive-batch",
-            BatchAlgorithmKind::CombBlasRowSplit => "CombBLAS-SPA-batch",
             BatchAlgorithmKind::Adaptive => "Adaptive-batch",
         }
     }
 
     /// Every batched family, fixed ones first ([`Self::Adaptive`] last).
-    pub fn all() -> [BatchAlgorithmKind; 4] {
-        [
-            BatchAlgorithmKind::Bucket,
-            BatchAlgorithmKind::Naive,
-            BatchAlgorithmKind::CombBlasRowSplit,
-            BatchAlgorithmKind::Adaptive,
-        ]
+    pub fn all() -> [BatchAlgorithmKind; 3] {
+        [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Naive, BatchAlgorithmKind::Adaptive]
     }
 
-    /// The fixed families an adaptive dispatch can delegate to (everything
-    /// but [`Self::Adaptive`]). `const` so telemetry tables
-    /// ([`crate::stats::ChoiceCounts`]) derive from this single source.
-    pub const fn fixed() -> [BatchAlgorithmKind; 3] {
-        [
-            BatchAlgorithmKind::Bucket,
-            BatchAlgorithmKind::Naive,
-            BatchAlgorithmKind::CombBlasRowSplit,
-        ]
+    /// The families a run can report (everything but [`Self::Adaptive`]).
+    /// `const` so telemetry tables ([`crate::stats::ChoiceCounts`]) derive
+    /// from this single source.
+    pub const fn fixed() -> [BatchAlgorithmKind; 2] {
+        [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Naive]
     }
 }
 
@@ -238,33 +210,184 @@ where
     match kind {
         BatchAlgorithmKind::Bucket => Box::new(SpMSpVBucketBatch::new(matrix, options)),
         BatchAlgorithmKind::Naive => Box::new(NaiveBatch::new(matrix, options)),
-        BatchAlgorithmKind::CombBlasRowSplit => Box::new(CombBlasSpaBatch::new(matrix, options)),
         BatchAlgorithmKind::Adaptive => {
             Box::new(crate::adaptive::AdaptiveBatch::new(matrix, options))
         }
     }
 }
 
-/// Reusable buffers of one [`SpMSpVBucketBatch`] instance: the lane-aware
-/// accumulator and the per-participant buckets, both kept at their
-/// high-water size so a narrow flush after a wide one never reallocates.
-struct BatchWorkspace<Y> {
-    spa: LaneSpa<Y>,
-    /// `buckets[k][b]`: participant `k`'s triples for bucket `b`, cleared
-    /// per call with their capacity kept.
-    buckets: Vec<Buckets<(usize, u32, Y)>>,
+/// Checks a batched call's operands against an `m × n` matrix on the
+/// calling thread: the input's dimension, and the mask's lane count and
+/// rows.
+fn check_operands<X: Scalar>(
+    (m, n): (usize, usize),
+    x: &SparseVecBatch<X>,
+    mask: Option<&BatchMaskView<'_>>,
+) {
+    assert_eq!(x.len(), n, "input batch has dimension {} but the matrix has {n} columns", x.len());
+    if let Some(mask) = mask {
+        mask.check_lanes(x.k());
+        mask.check_rows(m);
+    }
 }
 
-/// The batched bucket kernel. See the [module docs](self) for the pipeline.
-pub struct SpMSpVBucketBatch<'a, A, X, S: Semiring<A, X>> {
+/// Bundles output lanes into a batch of dimension `m` — also when there are
+/// no lanes, which [`SparseVecBatch::from_lanes`] cannot size.
+fn assemble<Y: Scalar>(m: usize, lanes: &[SparseVec<Y>]) -> SparseVecBatch<Y> {
+    if lanes.is_empty() {
+        return SparseVecBatch::new(m, 0);
+    }
+    SparseVecBatch::from_lanes(lanes).expect("every lane has the matrix's row dimension")
+}
+
+/// A single-vector kernel the lane runner builds and runs lanes on.
+pub(crate) trait LaneKernel<'a, A: Scalar, X: Scalar, S: Semiring<A, X>>:
+    SpMSpV<A, X, S> + Sized
+{
+    /// Prepares a kernel over `matrix`.
+    fn build(matrix: MatrixRef<'a, A>, options: SpMSpVOptions) -> Self;
+
+    /// Multiplies one lane. A kernel without a step breakdown reports zero
+    /// timings.
+    fn run_lane(
+        &mut self,
+        x: &SparseVec<X>,
+        semiring: &S,
+        mask: Option<MaskView<'_>>,
+    ) -> (SparseVec<S::Output>, StepTimings) {
+        (self.multiply_masked(x, semiring, mask), StepTimings::default())
+    }
+}
+
+impl<'a, A: Scalar, X: Scalar, S: Semiring<A, X>> LaneKernel<'a, A, X, S>
+    for SpMSpVBucket<'a, A, X, S>
+{
+    fn build(matrix: MatrixRef<'a, A>, options: SpMSpVOptions) -> Self {
+        SpMSpVBucket::new(matrix, options)
+    }
+
+    fn run_lane(
+        &mut self,
+        x: &SparseVec<X>,
+        semiring: &S,
+        mask: Option<MaskView<'_>>,
+    ) -> (SparseVec<S::Output>, StepTimings) {
+        self.multiply_masked_with_timings(x, semiring, mask)
+    }
+}
+
+/// Runs every lane of a batch through a single-vector kernel `K`. See the
+/// [module docs](self) for how the lanes share the pool.
+pub(crate) struct LaneRunner<'a, A, K> {
     matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
     executor: Executor,
-    workspace: BatchWorkspace<S::Output>,
-    /// Whether the most recent call merged anything (see
+    /// The kernel of `t` participants that narrow batches (`k < t`) run
+    /// their lanes on, built on first use.
+    wide: Option<K>,
+    /// Idle one-thread kernels. A participant pops one per lane it claims
+    /// (building one if none is idle) and pushes it back after the lane, so
+    /// there are never more than `t`. Every update under the lock is one
+    /// pop or push, so the list stays valid even if a lock were poisoned.
+    idle: Mutex<Vec<K>>,
+    /// Whether the most recent call had anything to multiply (gates
     /// [`SpMSpVBatch::last_run_info`]).
-    merged: bool,
-    _marker: PhantomData<fn(X, S)>,
+    ran: bool,
+}
+
+impl<'a, A: Scalar, K> LaneRunner<'a, A, K> {
+    pub(crate) fn new(matrix: MatrixRef<'a, A>, options: SpMSpVOptions) -> Self {
+        let executor = options.build_executor();
+        LaneRunner {
+            matrix,
+            options,
+            executor,
+            wide: None,
+            idle: Mutex::new(Vec::new()),
+            ran: false,
+        }
+    }
+
+    pub(crate) fn matrix(&self) -> &CscMatrix<A> {
+        &self.matrix
+    }
+
+    /// The wide kernel, if built, and the idle one-thread kernels.
+    #[cfg(test)]
+    pub(crate) fn kernels(&mut self) -> (Option<&K>, &[K]) {
+        (self.wide.as_ref(), self.idle.get_mut().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// What the most recent call ran: the lane runner, which is what
+    /// [`BatchAlgorithmKind::Bucket`] names.
+    pub(crate) fn last_run_info(&self) -> Option<BatchRunInfo> {
+        self.ran.then_some(BatchRunInfo {
+            kernel: BatchAlgorithmKind::Bucket,
+            backend: SpaBackend::Dense,
+        })
+    }
+
+    /// Computes `Y ← ⟨mask⟩ (A ⊕.⊗ X)` lane by lane and returns it with the
+    /// lanes' step timings summed.
+    pub(crate) fn run<X, S>(
+        &mut self,
+        x: &SparseVecBatch<X>,
+        semiring: &S,
+        mask: Option<&BatchMaskView<'_>>,
+    ) -> (SparseVecBatch<S::Output>, StepTimings)
+    where
+        X: Scalar,
+        S: Semiring<A, X>,
+        K: LaneKernel<'a, A, X, S>,
+    {
+        check_operands((self.matrix.nrows(), self.matrix.ncols()), x, mask);
+        self.ran = !x.is_empty();
+        let lane_mask = |l| mask.map(|m| m.lane_view(l));
+        // The same work-proportional participant count a single-vector call
+        // over all of the batch's nonzeros would get. Narrow batches run lane
+        // after lane on the kernel of `t` participants; the rest — and a
+        // batch of no lanes, which then builds no kernel — spread over the
+        // pool.
+        let executor = self.executor.capped_for(x.total_nnz());
+        let narrow = (1..executor.threads()).contains(&x.k());
+        let lanes: Vec<(SparseVec<S::Output>, StepTimings)> = if narrow {
+            let (matrix, options) = (&self.matrix, &self.options);
+            let wide = self.wide.get_or_insert_with(|| K::build(matrix.clone(), options.clone()));
+            (0..x.k()).map(|l| wide.run_lane(&x.lane_vec(l), semiring, lane_mask(l))).collect()
+        } else {
+            let (matrix, idle) = (&self.matrix, &self.idle);
+            executor.map(0..x.k(), |l| {
+                let idle_kernel = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
+                let mut kernel = idle_kernel
+                    .unwrap_or_else(|| K::build(matrix.clone(), SpMSpVOptions::with_threads(1)));
+                let out = kernel.run_lane(&x.lane_vec(l), semiring, lane_mask(l));
+                idle.lock().unwrap_or_else(PoisonError::into_inner).push(kernel);
+                out
+            })
+        };
+
+        // Chaos-testing hook, consulted on the calling thread once the lanes
+        // are done and before they are merged into one batch. No-op unless a
+        // test armed the site under the `failpoints` feature.
+        if let Err(msg) = crate::failpoint::act("batch.merge") {
+            panic!("failpoint batch.merge: {msg}");
+        }
+        let mut timings = StepTimings::default();
+        let ys: Vec<SparseVec<S::Output>> = lanes
+            .into_iter()
+            .map(|(y, lane_timings)| {
+                timings += lane_timings;
+                y
+            })
+            .collect();
+        (assemble(self.matrix.nrows(), &ys), timings)
+    }
+}
+
+/// The bucket kernel applied per lane: the [lane runner](self) over
+/// [`SpMSpVBucket`] kernels.
+pub struct SpMSpVBucketBatch<'a, A, X, S: Semiring<A, X>> {
+    lanes: LaneRunner<'a, A, SpMSpVBucket<'a, A, X, S>>,
 }
 
 impl<'a, A, X, S> SpMSpVBucketBatch<'a, A, X, S>
@@ -273,30 +396,20 @@ where
     X: Scalar,
     S: Semiring<A, X>,
 {
-    /// Prepares the batched kernel for `matrix`. The `O(m·k)` lane-aware SPA
-    /// is allocated lazily on the first multiplication (when `k` is known)
-    /// and then grown amortized.
+    /// Prepares the batched kernel for `matrix`. The lane kernels (and their
+    /// `O(m)` accumulators) are built on first use and then reused.
     pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
-        let executor = options.build_executor();
-        let workspace = BatchWorkspace { spa: LaneSpa::new(0, 0), buckets: Vec::new() };
-        SpMSpVBucketBatch {
-            matrix: matrix.into(),
-            options,
-            executor,
-            workspace,
-            merged: false,
-            _marker: PhantomData,
-        }
+        SpMSpVBucketBatch { lanes: LaneRunner::new(matrix.into(), options) }
     }
 
     /// The options this instance was built with.
     pub fn options(&self) -> &SpMSpVOptions {
-        &self.options
+        &self.lanes.options
     }
 
-    /// Computes `Y ← A ⊕.⊗ X` and returns the per-step wall-clock breakdown
-    /// (the fuse pass is accounted under `estimate`; there is no estimate
-    /// pass).
+    /// Computes `Y ← A ⊕.⊗ X` and returns the lanes' per-step wall-clock
+    /// breakdowns summed (`estimate` reads zero, as for
+    /// [`SpMSpVBucket`]).
     pub fn multiply_batch_with_timings(
         &mut self,
         x: &SparseVecBatch<X>,
@@ -305,224 +418,21 @@ where
         self.multiply_batch_masked_with_timings(x, semiring, None)
     }
 
-    /// Computes `Y ← ⟨mask⟩ (A ⊕.⊗ X)` with the per-step breakdown.
-    ///
-    /// The mask is consulted **inside Step 1** (bucketing): a masked-out
-    /// `(row, lane)` triple is never formed, so it never enters a bucket,
-    /// the lane-aware SPA, the unique lists, the output gather, or a
-    /// post-filter pass. The mask's cost is one bitmap probe per stored row
-    /// of a selected column and active lane (per row for a shared mask),
-    /// accounted under `bucketing` in the returned timings.
+    /// Computes `Y ← ⟨mask⟩ (A ⊕.⊗ X)` with the lanes' per-step breakdowns
+    /// summed. Each lane's mask is consulted inside its kernel's Step 1, so
+    /// a masked-out product is never formed.
     pub fn multiply_batch_masked_with_timings(
         &mut self,
         x: &SparseVecBatch<X>,
         semiring: &S,
         mask: Option<&BatchMaskView<'_>>,
     ) -> (SparseVecBatch<S::Output>, StepTimings) {
-        let matrix = &*self.matrix;
-        if let Some(mask) = mask {
-            mask.check_lanes(x.k());
-            mask.check_rows(matrix.nrows());
+        let (y, timings) = self.lanes.run(x, semiring, mask);
+        if self.lanes.ran {
+            crate::obs::record_batch_phases(&timings);
         }
-        let m = matrix.nrows();
-        let n = matrix.ncols();
-        let k = x.k();
-        assert_eq!(
-            x.len(),
-            n,
-            "input batch has dimension {} but the matrix has {} columns",
-            x.len(),
-            n
-        );
-        let mut timings = StepTimings::default();
-        self.merged = !x.is_empty();
-        if !self.merged {
-            return (SparseVecBatch::new(m, k), timings);
-        }
-
-        // Same work-proportional participant count as the single-vector
-        // kernel, for all steps, measured in total activations across lanes.
-        let executor = self.executor.capped_for(x.total_nnz());
-        let t = executor.threads();
-        let nb = BUCKETS_PER_THREAD * t;
-
-        // ---------------- Fuse ----------------
-        let t0 = Instant::now();
-        let fused = x.fuse_columns();
-        timings.estimate = t0.elapsed();
-
-        // ---------------- Bucketing ----------------
-        // Each participant pushes the triples the mask keeps into its own
-        // buckets: one probe per row for a shared mask, one per (row, lane)
-        // for per-lane masks.
-        let t1 = Instant::now();
-        let ws = &mut self.workspace;
-        let buckets = participant_buckets(&mut ws.buckets, t, nb);
-        let (e, f) = (&executor, &fused);
-        match mask {
-            None => scatter_lanes(e, matrix, f, buckets, semiring, |_| true, |_, _| true),
-            Some(BatchMaskView::Shared(view)) => {
-                let keeps_row = view.row_filter();
-                scatter_lanes(e, matrix, f, buckets, semiring, keeps_row, |_, _| true)
-            }
-            Some(&BatchMaskView::PerLane { masks, mode }) => {
-                let lanes: Vec<_> =
-                    masks.iter().map(|bits| MaskView::new(bits, mode).row_filter()).collect();
-                let keeps_lane = |i, lane: u32| lanes[lane as usize](i);
-                scatter_lanes(e, matrix, f, buckets, semiring, |_| true, keeps_lane)
-            }
-        }
-        timings.bucketing = t1.elapsed();
-
-        // Chaos-testing hook, consulted at the last sequential point before
-        // the merge fans out across the pool (a panic here unwinds on the
-        // calling thread, never inside a worker). No-op unless a test armed
-        // the site under the `failpoints` feature.
-        if let Err(msg) = crate::failpoint::act("batch.merge") {
-            panic!("failpoint batch.merge: {msg}");
-        }
-
-        // ---------------- Merge + Output ----------------
-        let row_ranges = bucket_row_ranges(m, nb);
-        let params = MergeParams {
-            executor: &executor,
-            buckets: &ws.buckets[..t],
-            row_ranges: &row_ranges,
-            m,
-            k,
-        };
-        let (y, merge_time, output_time) = merge_and_output(&mut ws.spa, semiring, &params);
-        timings.merge = merge_time;
-        timings.output = output_time;
-        crate::obs::record_batch_phases(&timings);
-        crate::obs::record_dense_merge();
-
         (y, timings)
     }
-}
-
-/// Step 1 of the fused kernel: participant `k` scales the `k`-th of `t` even
-/// chunks of the fused columns and pushes each `(row, lane, product)` that
-/// `keeps_row` and `keeps_lane` accept onto `buckets[k][bucket_of(row)]`,
-/// lanes in activation (= ascending lane) order. A rejected row costs one
-/// probe and no product.
-fn scatter_lanes<A: Scalar, X: Scalar, S: Semiring<A, X>>(
-    executor: &Executor,
-    matrix: &CscMatrix<A>,
-    fused: &FusedColumns<X>,
-    buckets: &mut [Buckets<(usize, u32, S::Output)>],
-    semiring: &S,
-    keeps_row: impl Fn(usize) -> bool + Sync,
-    keeps_lane: impl Fn(usize, u32) -> bool + Sync,
-) {
-    let (m, t) = (matrix.nrows(), executor.threads());
-    let nb = BUCKETS_PER_THREAD * t;
-    let chunks = even_ranges(fused.num_cols(), t);
-    executor.for_each(chunks.into_iter().zip(buckets), |(chunk, mine)| {
-        for c in chunk {
-            let (lanes, xvals) = fused.activations(c);
-            let (rows, avals) = matrix.column(fused.cols()[c]);
-            for (&i, av) in rows.iter().zip(avals.iter()) {
-                if !keeps_row(i) {
-                    continue;
-                }
-                let bucket = &mut mine[bucket_of(i, m, nb)];
-                for (&lane, xv) in lanes.iter().zip(xvals.iter()) {
-                    if keeps_lane(i, lane) {
-                        bucket.push((i, lane, semiring.multiply(av, xv)));
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// The inputs of [`merge_and_output`] besides the accumulator and the
-/// semiring (bundled so its signature stays readable).
-struct MergeParams<'p, Y> {
-    executor: &'p Executor,
-    /// `buckets[k][b]`: participant `k`'s triples for bucket `b`.
-    buckets: &'p [Buckets<(usize, u32, Y)>],
-    /// Output-row range of each bucket (contiguous from 0, covering `0..m`).
-    row_ranges: &'p [std::ops::Range<usize>],
-    m: usize,
-    k: usize,
-}
-
-/// Steps 2 + 3 of the batched pipeline: merge every bucket's triples into
-/// disjoint accumulator windows in parallel, then gather the
-/// per-`(bucket, lane)` unique rows into a [`SparseVecBatch`]. Returns the
-/// result plus the (merge, output) timings.
-fn merge_and_output<A, X, S>(
-    spa: &mut LaneSpa<S::Output>,
-    semiring: &S,
-    p: &MergeParams<'_, S::Output>,
-) -> (SparseVecBatch<S::Output>, Duration, Duration)
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X>,
-{
-    let (m, k) = (p.m, p.k);
-    let t2 = Instant::now();
-    spa.ensure_shape(m, k);
-    // Per (bucket, lane) unique row lists.
-    let uinds: Vec<Vec<Vec<usize>>> = {
-        let windows = spa.split_index_ranges(p.row_ranges);
-        let buckets = p.buckets;
-        p.executor.map(windows.into_iter().enumerate(), |(bucket, mut window)| {
-            let mut uind: Vec<Vec<usize>> = vec![Vec::new(); k];
-            // Participants in order: lane `l`'s entries arrive in the order
-            // the single-vector kernel sees them.
-            for participant in buckets {
-                for &(i, lane, ref v) in &participant[bucket] {
-                    if window.accumulate(i, lane as usize, *v, |a, b| semiring.add(a, b)) {
-                        uind[lane as usize].push(i);
-                    }
-                }
-            }
-            for lane_uind in uind.iter_mut() {
-                lane_uind.sort_unstable();
-            }
-            uind
-        })
-    };
-    let merge_time = t2.elapsed();
-
-    let t3 = Instant::now();
-    // The output is lane-major: lane_ptr[l] = total unique rows of lanes
-    // < l, and within a lane the buckets' rows follow in ascending bucket
-    // (= row-range) order, so sorted buckets concatenate into a sorted lane.
-    // Each (bucket, lane) list gets its own `&mut` window of that layout.
-    let counts: Vec<Vec<usize>> =
-        uinds.iter().map(|bucket_uind| bucket_uind.iter().map(Vec::len).collect()).collect();
-    let mut lane_ptr = Vec::with_capacity(k + 1);
-    lane_ptr.push(0usize);
-    for l in 0..k {
-        lane_ptr.push(lane_ptr[l] + counts.iter().map(|c| c[l]).sum::<usize>());
-    }
-    let y_nnz = lane_ptr[k];
-
-    let mut out_indices = vec![0usize; y_nnz];
-    let mut out_values = vec![S::Output::default(); y_nnz];
-    {
-        let spa = &*spa;
-        let idx_windows = split_grouped(&mut out_indices, &counts);
-        let val_windows = split_grouped(&mut out_values, &counts);
-        let windows = idx_windows.into_iter().zip(val_windows);
-        p.executor.for_each(uinds.iter().zip(windows), |(uind, (mut idx, mut val))| {
-            for (l, lane_uind) in uind.iter().enumerate() {
-                for (n, &i) in lane_uind.iter().enumerate() {
-                    idx[l][n] = i;
-                    val[l][n] = *spa.value_at(i, l);
-                }
-            }
-        });
-    }
-    let y = SparseVecBatch::from_parts(m, lane_ptr, out_indices, out_values)
-        .expect("batched bucket output is consistent by construction");
-    let output_time = t3.elapsed();
-    (y, merge_time, output_time)
 }
 
 impl<'a, A, X, S> SpMSpVBatch<A, X, S> for SpMSpVBucketBatch<'a, A, X, S>
@@ -536,11 +446,11 @@ where
     }
 
     fn nrows(&self) -> usize {
-        self.matrix.nrows()
+        self.lanes.matrix().nrows()
     }
 
     fn ncols(&self) -> usize {
-        self.matrix.ncols()
+        self.lanes.matrix().ncols()
     }
 
     fn multiply_batch(&mut self, x: &SparseVecBatch<X>, semiring: &S) -> SparseVecBatch<S::Output> {
@@ -557,10 +467,7 @@ where
     }
 
     fn last_run_info(&self) -> Option<BatchRunInfo> {
-        self.merged.then_some(BatchRunInfo {
-            kernel: BatchAlgorithmKind::Bucket,
-            backend: SpaBackend::Dense,
-        })
+        self.lanes.last_run_info()
     }
 }
 
@@ -742,13 +649,68 @@ mod tests {
                     assert_eq!(shared.last_run_info(), borrowed.last_run_info());
                 }
                 assert!(Arc::strong_count(&a) > 1, "{kind}: the kernel holds the Arc");
-                if kind == BatchAlgorithmKind::Adaptive && threads == 2 {
-                    // `a`, the dispatcher, and its two lazily built delegates
-                    // (bucket for k = 3, naive for k = 1) — one matrix.
+                if kind == BatchAlgorithmKind::Adaptive && threads == 1 {
+                    // `a`, the runner, its one one-thread lane kernel and
+                    // that kernel's lazily built sequential delegate — one
+                    // matrix.
                     assert_eq!(Arc::strong_count(&a), 4);
                 }
                 drop(shared);
                 assert_eq!(Arc::strong_count(&a), 1, "{kind}: dropping the kernel releases it");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_lane_batches_keep_the_matrix_dimension() {
+        let a = fixtures::figure1_matrix();
+        let x = SparseVecBatch::<f64>::new(a.ncols(), 0);
+        let wrong = SparseVecBatch::<f64>::new(a.ncols() + 1, 0);
+        for kind in BatchAlgorithmKind::all() {
+            let opts = SpMSpVOptions::with_threads(2);
+            let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts);
+            let y = alg.multiply_batch(&x, &PlusTimes);
+            assert_eq!((y.len(), y.k()), (a.nrows(), 0), "{kind}");
+            assert_eq!(alg.last_run_info(), None, "{kind}: nothing ran");
+            // A zero-lane input of the wrong dimension is rejected too.
+            let run = std::panic::AssertUnwindSafe(|| alg.multiply_batch(&wrong, &PlusTimes));
+            let err = std::panic::catch_unwind(run).expect_err("a 9-column input must panic");
+            let msg = err.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(msg.contains("columns"), "{kind}: {msg}");
+        }
+    }
+
+    #[test]
+    fn runner_keeps_at_most_t_lane_kernels_and_reuses_them() {
+        use std::sync::Arc;
+        let a = Arc::new(erdos_renyi(300, 6.0, 21));
+        for threads in [2usize, 3] {
+            let mut alg = SpMSpVBucketBatch::<f64, f64, PlusTimes>::new(
+                Arc::clone(&a),
+                SpMSpVOptions::with_threads(threads),
+            );
+            // k = 32 ≥ t, and enough nonzeros that no participant is capped.
+            let x = random_batch(300, 32, 40, threads as u64);
+            let expected =
+                NaiveBatch::new(&*a, SpMSpVOptions::with_threads(1)).multiply_batch(&x, &PlusTimes);
+            // A kernel is built only when none is idle, so no more exist
+            // than participants ever ran at once — however many pool
+            // workers happen to join a given call — and a later call
+            // reuses them instead of building more.
+            let mut held = 1;
+            for call in 0..4 {
+                assert_eq!(alg.multiply_batch(&x, &PlusTimes), expected);
+                let (wide, idle) = alg.lanes.kernels();
+                assert!(wide.is_none(), "k ≥ t never builds the wide kernel");
+                let kernels = idle.len();
+                assert!(
+                    (held..=threads).contains(&kernels),
+                    "t = {threads}, call {call}: {kernels} lane kernels after {held}"
+                );
+                held = kernels;
+                // `a`, the runner and every kernel built: all idle again,
+                // none dropped.
+                assert_eq!(Arc::strong_count(&a), 2 + held, "t = {threads}, call {call}");
             }
         }
     }

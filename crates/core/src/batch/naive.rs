@@ -1,11 +1,10 @@
-//! The fallback batched algorithm: `k` independent single-vector
-//! [`SpMSpVBucket`] calls.
+//! The fallback batched algorithm: `k` single-vector [`SpMSpVBucket`] calls,
+//! one after another on one kernel.
 //!
-//! This is both the correctness oracle for [`super::SpMSpVBucketBatch`]
-//! (every batched result must match it lane for lane) and the baseline the
-//! benchmark's `batch.amortization` row compares against: it traverses the
-//! matrix's column structure once **per lane**, where the fused kernel
-//! traverses it once per *distinct* active column of the whole batch.
+//! This is the correctness oracle for the lane runner's families (every
+//! batched result must match it lane for lane), the serving engine's
+//! degraded retry, and the baseline the benchmark's `batch.amortization` row
+//! compares against.
 
 use sparse_substrate::{Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
 
@@ -13,7 +12,7 @@ use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::bucket::SpMSpVBucket;
 use crate::masked::BatchMaskView;
 
-use super::{BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
+use super::{assemble, check_operands, BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
 
 /// Batched SpMSpV as `k` independent bucket multiplications sharing one
 /// prepared [`SpMSpVBucket`] instance (so the per-lane workspace reuse of
@@ -65,17 +64,14 @@ where
         semiring: &S,
         mask: Option<&BatchMaskView<'_>>,
     ) -> SparseVecBatch<S::Output> {
-        if let Some(mask) = mask {
-            mask.check_lanes(x.k());
-            mask.check_rows(self.inner.nrows());
-        }
+        check_operands((self.inner.nrows(), self.inner.ncols()), x, mask);
         self.ran = !x.is_empty();
         let lanes: Vec<SparseVec<S::Output>> = (0..x.k())
             .map(|l| {
                 self.inner.multiply_masked(&x.lane_vec(l), semiring, mask.map(|m| m.lane_view(l)))
             })
             .collect();
-        SparseVecBatch::from_lanes(&lanes).expect("every lane shares the matrix's row dimension")
+        assemble(self.inner.nrows(), &lanes)
     }
 
     fn last_run_info(&self) -> Option<BatchRunInfo> {

@@ -51,8 +51,7 @@ use crate::masked::MaskView;
 use crate::timing::StepTimings;
 
 /// Buckets per participating thread: `nb = 4t` (§III-A), enough slack for
-/// dynamic scheduling to balance skewed buckets. Shared with the fused batch
-/// kernel.
+/// dynamic scheduling to balance skewed buckets.
 pub(crate) const BUCKETS_PER_THREAD: usize = 4;
 
 /// Bucket that row `i` of an `m`-row matrix maps to when `nb` buckets are

@@ -37,7 +37,7 @@ pub(crate) type Buckets<E> = Vec<Vec<E>>;
 /// buckets and returns it: `buckets[k][b]`, `k < t`, `b < nb`, all empty.
 /// Grows the outer and inner lists as needed and clears the buckets the
 /// call uses; every `Vec` keeps its capacity, so a call no larger than an
-/// earlier one allocates nothing. Shared with the fused batch kernel.
+/// earlier one allocates nothing.
 pub(crate) fn participant_buckets<E>(
     buckets: &mut Vec<Buckets<E>>,
     t: usize,

@@ -2,9 +2,9 @@
 //! single-frontier requests into fused batched multiplications — and keeps
 //! serving when requests misbehave.
 //!
-//! The paper's batched kernel amortizes workspace setup and matrix traffic
-//! across `k` frontiers — but a library caller had to hand-assemble a
-//! [`SparseVecBatch`] to get that win. Serving workloads (personalized
+//! A batched kernel serves `k` frontiers in one call — its lanes spread over
+//! the thread pool, its workspaces reused from call to call — but a library
+//! caller had to hand-assemble a [`SparseVecBatch`] to get that win. Serving workloads (personalized
 //! PageRank for many users, landmark BFS probes, reachability queries) do
 //! not arrive pre-batched: they arrive as **independent requests from
 //! independent logical clients**. This module is that serving layer:
@@ -55,7 +55,7 @@
 //!
 //! # Failure semantics
 //!
-//! A panic inside a fused kernel is **isolated to its flush group**: the
+//! A panic inside the batched kernel is **isolated to its flush group**: the
 //! kernel call runs under `catch_unwind`, which turns the panic into an
 //! [`EngineError::KernelFailed`] carrying its message; the engine's kernel
 //! is evicted (its workspaces may be mid-mutation; the next flush rebuilds
@@ -223,9 +223,7 @@ pub enum OverloadPolicy {
 pub struct EngineConfig {
     /// Width budget per fused multiplication: a flush splits each compatible
     /// group into chunks of at most this many lanes (`0` = unbounded). Also
-    /// the width trigger of the [`Engine::serve`] loop. Bounding the width
-    /// keeps the batched kernel's `m × k` lane-SPA within cache reach — the
-    /// ROADMAP's batch-perf observation.
+    /// the width trigger of the [`Engine::serve`] loop.
     pub max_lanes: usize,
     /// Bound on queued requests; what happens when it is reached is the
     /// [`EngineConfig::overload`] policy's call. `0` = unbounded (the
@@ -255,10 +253,10 @@ impl Default for EngineConfig {
             queue_capacity: 0,
             overload: OverloadPolicy::Block,
             linger: Duration::from_micros(200),
-            // Adaptive: each flush resolves the kernel family from the
-            // coalesced batch's width and density, so serving traffic
-            // auto-tunes without caller hints. What each flush chose is
-            // recorded in [`EngineStats::choices`].
+            // Adaptive: each lane resolves its kernel family from its own
+            // frontier's density, so serving traffic auto-tunes without
+            // caller hints. What each flush ran is recorded in
+            // [`EngineStats::choices`].
             batch_algorithm: BatchAlgorithmKind::Adaptive,
             options: SpMSpVOptions::default(),
             obs: ObsConfig::default(),
@@ -593,7 +591,7 @@ struct EngineMetrics {
     panics_recovered: Arc<Counter>,
     degraded_flushes: Arc<Counter>,
     /// `engine.choice.<kernel>.dense`, indexed like [`ChoiceCounts::KERNELS`].
-    choice: [Arc<Counter>; 3],
+    choice: [Arc<Counter>; 2],
     queue_depth: Arc<Gauge>,
     widest_flush: Arc<Gauge>,
     queue_wait: Arc<Histogram>,

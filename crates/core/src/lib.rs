@@ -44,10 +44,11 @@
 //! 3. **Output** (Step 3): concatenate the buckets' unique indices into the
 //!    result vector with a prefix sum.
 //!
-//! The same descriptor executes batches through [`SpMSpVBucketBatch`]
-//! (`k` frontiers in **one** traversal of the matrix's column structure) or
-//! the [`NaiveBatch`] fallback, selected by [`batch::BatchAlgorithmKind`],
-//! one mask shared by every lane. Per-lane masks — multi-source BFS, where
+//! The same descriptor executes batches of `k` frontiers, selected by
+//! [`batch::BatchAlgorithmKind`], one mask shared by every lane. A batch is
+//! its lanes: [`SpMSpVBucketBatch`] runs each lane through the bucket kernel
+//! and spreads the lanes over the thread pool, and the [`NaiveBatch`]
+//! fallback runs them one after another. Per-lane masks — multi-source BFS, where
 //! every source keeps its own visited set — reach the batched kernels
 //! through the serving [`engine`], one request's mask per lane.
 //!
@@ -62,14 +63,15 @@
 //!   [`baselines::GraphMatSpMSpV`], [`baselines::SortBased`],
 //!   [`baselines::SequentialSpa`]);
 //! * [`SpMSpVBatch`] — batched kernels ([`SpMSpVBucketBatch`],
-//!   [`NaiveBatch`], [`CombBlasSpaBatch`]), merging through one dense,
-//!   generation-stamped `(row, lane)` accumulator
-//!   ([`sparse_substrate::LaneSpa`], O(1) logical reset).
+//!   [`AdaptiveBatch`], [`NaiveBatch`]), each a single-vector kernel
+//!   applied per lane, so every batched result is bit-identical to `k`
+//!   independent single-vector calls by construction.
 //!
 //! `AlgorithmKind::Adaptive` / `BatchAlgorithmKind::Adaptive` (the
-//! defaults) dispatch each call — see [`adaptive`] — to the fixed family
-//! a cost model predicts fastest for its shape; telemetry of what was
-//! chosen flows through [`batch::BatchRunInfo`] and [`stats::ChoiceCounts`].
+//! defaults) dispatch each call — each lane, for a batch; see [`adaptive`]
+//! — to the fixed family a cost model predicts fastest for its frontier;
+//! telemetry of what ran flows through [`batch::BatchRunInfo`] and
+//! [`stats::ChoiceCounts`].
 //!
 //! Both traits carry masked entry points (`multiply_masked`,
 //! `multiply_batch_masked`) whose mask check lives **inside** each kernel,
@@ -123,8 +125,8 @@ pub mod timing;
 pub use adaptive::{AdaptiveBatch, AdaptiveSpMSpV};
 pub use algorithm::{build_algorithm, AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 pub use batch::{
-    build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, CombBlasSpaBatch, NaiveBatch,
-    SpMSpVBatch, SpMSpVBucketBatch,
+    build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, NaiveBatch, SpMSpVBatch,
+    SpMSpVBucketBatch,
 };
 pub use bucket::SpMSpVBucket;
 pub use engine::{Engine, EngineConfig, EngineError, MxvRequest, OverloadPolicy, Session, Ticket};

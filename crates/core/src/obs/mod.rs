@@ -24,10 +24,10 @@
 //!
 //! Histograms record **nanoseconds** unless noted; counters are unitless
 //! event counts; gauges are instantaneous levels. `<kernel>` ranges over
-//! `bucket` | `naive` | `rowsplit` (the fixed batch families, see
-//! [`kernel_slug`]); `<backend>` is always `dense` (the one batched
-//! accumulator, see [`backend_slug`]) and stays in the names so dashboards
-//! and the benchmark ledger keep their keys.
+//! `bucket` | `naive` (the families a batched run reports, see
+//! [`kernel_slug`]); `<backend>` is always `dense` (the one accumulator, see
+//! [`backend_slug`]) and stays in the names so dashboards and the benchmark
+//! ledger keep their keys.
 //!
 //! **Per-engine registry**
 //!
@@ -88,14 +88,12 @@
 //!
 //! | metric | type | meaning |
 //! |---|---|---|
-//! | `batch.estimate` | histogram | ns in the fused bucket kernel's fuse pass (it has no estimate pass) |
-//! | `batch.bucketing` | histogram | ns scattering triples into buckets |
-//! | `batch.merge` | histogram | ns merging buckets through the lane-aware SPA |
-//! | `batch.output` | histogram | ns emitting the output lanes |
-//! | `batch.backend.dense` | counter | fused bucket merges (all through the dense accumulator) |
-//! | `adaptive.batch.<kernel>` | counter | batched calls per family the dispatcher chose |
-//! | `adaptive.single.sequential` | counter | single-vector calls dispatched to the sequential SPA |
-//! | `adaptive.single.bucket` | counter | single-vector calls dispatched to the bucket kernel |
+//! | `batch.estimate` | histogram | always 0: the bucket kernel has no estimate pass (one sample per `SpMSpVBucketBatch` call) |
+//! | `batch.bucketing` | histogram | ns bucketing, summed over the call's lanes |
+//! | `batch.merge` | histogram | ns merging buckets, summed over the call's lanes |
+//! | `batch.output` | histogram | ns emitting output, summed over the call's lanes |
+//! | `adaptive.single.sequential` | counter | single-vector calls (and adaptive batch lanes) dispatched to the sequential SPA |
+//! | `adaptive.single.bucket` | counter | single-vector calls (and adaptive batch lanes) dispatched to the bucket kernel |
 //! | `executor.threads` | gauge | largest participant count any `Executor` was built with |
 //! | `executor.inflight` | gauge | parallel steps (`Executor::map` calls) currently running |
 //! | `failpoint.hits` | counter | armed failpoints fired (only with the `failpoints` feature) |
@@ -184,12 +182,11 @@ impl ObsConfig {
 }
 
 /// Short stable slug for a batch kernel family, used in metric names
-/// (`engine.choice.<kernel>.<backend>`, `adaptive.batch.<kernel>`).
+/// (`engine.choice.<kernel>.<backend>`).
 pub fn kernel_slug(kind: BatchAlgorithmKind) -> &'static str {
     match kind {
         BatchAlgorithmKind::Bucket => "bucket",
         BatchAlgorithmKind::Naive => "naive",
-        BatchAlgorithmKind::CombBlasRowSplit => "rowsplit",
         BatchAlgorithmKind::Adaptive => "adaptive",
     }
 }
@@ -501,8 +498,8 @@ impl std::fmt::Display for Snapshot {
 // plus the atomic bumps themselves (the global registry never drops a
 // handle, so the cache cannot go stale).
 
-/// Records the bucket kernel's per-step breakdown into the `batch.*`
-/// histograms (no-op when the global registry is disabled).
+/// Records a bucket batch's per-step breakdown, summed over its lanes, into
+/// the `batch.*` histograms (no-op when the global registry is disabled).
 pub fn record_batch_phases(timings: &StepTimings) {
     let g = global();
     if !g.enabled() {
@@ -515,32 +512,6 @@ pub fn record_batch_phases(timings: &StepTimings) {
     });
     for (i, (_, d)) in timings.phases().iter().enumerate() {
         h[i].record_duration(*d);
-    }
-}
-
-/// Counts one fused bucket merge (`batch.backend.dense`).
-pub fn record_dense_merge() {
-    let g = global();
-    if !g.enabled() {
-        return;
-    }
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    C.get_or_init(|| g.counter("batch.backend.dense")).inc();
-}
-
-/// Counts a batched adaptive dispatch decision (`adaptive.batch.<slug>`).
-pub fn record_adaptive_batch_kernel(kind: BatchAlgorithmKind) {
-    let g = global();
-    if !g.enabled() {
-        return;
-    }
-    static C: OnceLock<[Arc<Counter>; 3]> = OnceLock::new();
-    let c = C.get_or_init(|| {
-        BatchAlgorithmKind::fixed()
-            .map(|k| g.counter(&format!("adaptive.batch.{}", kernel_slug(k))))
-    });
-    if let Some(i) = BatchAlgorithmKind::fixed().iter().position(|k| *k == kind) {
-        c[i].inc();
     }
 }
 

@@ -42,10 +42,11 @@
 //!
 //! Algorithm selection is pluggable in both shapes: [`AlgorithmKind`] picks
 //! the single-vector kernel (bucket, the CombBLAS/GraphMat baselines, …)
-//! and [`BatchAlgorithmKind`] picks the batched one (fused bucket, the
-//! naive per-lane fallback, or the row-split baseline). Both default to the
+//! and [`BatchAlgorithmKind`] picks the batched one (bucket lanes over the
+//! pool, or the naive one-lane-at-a-time fallback). Both default to the
 //! `Adaptive` dispatchers ([`crate::adaptive`]), which resolve the family
-//! per call from the frontier's density without changing any result.
+//! per call — per lane, for a batch — from the frontier's density without
+//! changing any result.
 
 use sparse_substrate::{CscMatrix, MaskBits, Scalar, Semiring, SparseVec, SparseVecBatch};
 
@@ -348,9 +349,9 @@ mod tests {
                 .prepare();
             op.run_batch(&batch)
         };
-        let fused = run(BatchAlgorithmKind::Bucket);
+        let bucket = run(BatchAlgorithmKind::Bucket);
         for kind in BatchAlgorithmKind::all().into_iter().skip(1) {
-            assert_eq!(fused, run(kind), "{kind} disagrees with the fused batch under a mask");
+            assert_eq!(bucket, run(kind), "{kind} disagrees with the bucket batch under a mask");
         }
     }
 

@@ -124,19 +124,19 @@ pub struct EngineStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChoiceCounts {
     /// `counts[kernel]`, indexed by [`ChoiceCounts::KERNELS`] positions.
-    counts: [usize; 3],
+    counts: [usize; 2],
 }
 
 impl ChoiceCounts {
     /// The concrete kernel families a run can resolve to, in index order
     /// (derived from [`BatchAlgorithmKind::fixed`], the single source).
-    pub const KERNELS: [BatchAlgorithmKind; 3] = BatchAlgorithmKind::fixed();
+    pub const KERNELS: [BatchAlgorithmKind; 2] = BatchAlgorithmKind::fixed();
 
     /// Rebuilds a table from raw `counts[kernel]` cells, indexed by
     /// [`ChoiceCounts::KERNELS`] positions — how the engine's
     /// registry-backed [`EngineStats`] view reconstitutes the audit trail
     /// from its per-cell atomic counters.
-    pub const fn from_counts(counts: [usize; 3]) -> ChoiceCounts {
+    pub const fn from_counts(counts: [usize; 2]) -> ChoiceCounts {
         ChoiceCounts { counts }
     }
 

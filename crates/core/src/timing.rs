@@ -3,8 +3,7 @@
 //! The paper's SpMSpV-bucket algorithm has four distinct phases — estimate,
 //! bucketing, SPA merge, output — and analyses how each one scales with
 //! thread count and vector density. The kernels here have no estimate pass
-//! (see [`crate::bucket`]), so `estimate` reads zero for the single-vector
-//! kernel and times the fuse pass for the fused batch kernel.
+//! (see [`crate::bucket`]), so `estimate` reads zero.
 //! [`StepTimings`] captures one multiplication's breakdown; [`StepTimings`]
 //! values can be summed across the many multiplications of a BFS run.
 
@@ -15,8 +14,8 @@ use std::time::Duration;
 /// SpMSpV-bucket multiplications.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StepTimings {
-    /// Algorithm 2's slot: zero for the single-vector bucket kernel, which
-    /// has no estimate pass; the fuse pass for the fused batch kernel.
+    /// Algorithm 2's slot: zero, since the bucket kernel has no estimate
+    /// pass.
     pub estimate: Duration,
     /// Step 1: probing the mask and pushing the kept scaled entries into
     /// buckets.
@@ -88,18 +87,18 @@ impl std::fmt::Display for StepTimings {
 /// flushes — the coalescer's counterpart of [`StepTimings`].
 ///
 /// A flush has three regular phases: *assemble* (draining the request queue,
-/// grouping compatible requests, building the fused [`sparse_substrate::SparseVecBatch`] and
-/// installing per-lane masks), *execute* (the fused batched
+/// grouping compatible requests, building the [`sparse_substrate::SparseVecBatch`] and
+/// installing per-lane masks), *execute* (the batched
 /// multiplications), and *demux* (scattering per-lane results back to the
 /// tickets) — plus *recover*, the time spent re-running failed groups on the
 /// oracle kernel, zero on every healthy flush. `execute` dominating is the
 /// designed-for regime: it means the serving layer's bookkeeping is
-/// amortized away by the fused kernel.
+/// amortized away by the batched kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushTimings {
     /// Queue drain, request grouping, batch assembly, mask installation.
     pub assemble: Duration,
-    /// The fused batched multiplications.
+    /// The batched multiplications.
     pub execute: Duration,
     /// Per-lane result scatter back to the waiting tickets.
     pub demux: Duration,

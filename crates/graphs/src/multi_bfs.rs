@@ -5,16 +5,16 @@
 //! one engine [`Session`] that submits its current frontier — with its own
 //! `¬visited` mask — as an [`MxvRequest`] every level, and **one**
 //! [`Engine::flush`] per level coalesces every still-active source into a
-//! single fused batched SpMSpV. The matrix's column structure is traversed
-//! once per level for the whole batch instead of once per source. This is
-//! the workload batched SpMSpV exists for — betweenness centrality,
+//! single batched SpMSpV, whose lanes the kernel spreads over the thread
+//! pool. This is the workload batched SpMSpV exists for — betweenness
+//! centrality,
 //! all-pairs-ish reachability probes and landmark selection all run many
 //! BFSs from different sources over one graph.
 //!
 //! Each request's mask becomes its lane's in-kernel
-//! [`MaskMode::Complement`] mask, so the batched kernel never forms a
-//! product for an already-visited `(vertex, lane)` pair (it drops them in
-//! its bucketing step) and each lane's output is exactly its next frontier.
+//! [`MaskMode::Complement`] mask, so the lane's kernel never forms a product
+//! for an already-visited vertex and each lane's output is exactly its next
+//! frontier.
 //!
 //! Sources finish at different levels; a source whose frontier empties
 //! simply closes its session and stops submitting, so later levels' fused
@@ -146,21 +146,19 @@ impl BfsFrontDoor for ShardedEngine<f64, usize, Select2ndMin> {
 }
 
 /// Runs BFS from every vertex in `sources` simultaneously through the
-/// adaptive batched dispatch: each level picks the kernel family from that
-/// level's width and frontier density, so early seed levels, bulk middle
-/// levels, and retiring tail levels each run the family that wins for their
-/// shape.
+/// adaptive batched kernel: at every level, each source's frontier picks the
+/// single-vector kernel family that wins for its own density.
 ///
 /// Equivalent to calling [`crate::bfs()`] once per source (the property tests
-/// assert exactly that), but amortizing each level's matrix traversal over
-/// all still-active sources.
+/// assert exactly that), but running each level's still-active sources as
+/// one batch over the thread pool.
 pub fn multi_bfs(a: &CscMatrix<f64>, sources: &[usize], options: SpMSpVOptions) -> MultiBfsResult {
     multi_bfs_using(a, sources, BatchAlgorithmKind::Adaptive, options)
 }
 
 /// [`multi_bfs`] with an explicit batched algorithm family, so callers (and
-/// the benchmark harness) can swap the fused kernel for the naive per-lane
-/// fallback the same way single-vector workloads swap [`spmspv::AlgorithmKind`].
+/// the benchmark harness) can swap the lane-parallel kernel for the naive
+/// one-lane-at-a-time fallback the same way single-vector workloads swap [`spmspv::AlgorithmKind`].
 pub fn multi_bfs_using(
     a: &CscMatrix<f64>,
     sources: &[usize],
@@ -358,21 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn row_split_batch_family_agrees_too() {
-        let a = rmat(7, 6, RmatParams::graph500(), 29);
-        let sources = [1usize, 40];
-        let fused = multi_bfs(&a, &sources, SpMSpVOptions::with_threads(2));
-        let rowsplit = multi_bfs_using(
-            &a,
-            &sources,
-            BatchAlgorithmKind::CombBlasRowSplit,
-            SpMSpVOptions::with_threads(3),
-        );
-        assert_eq!(fused.parents, rowsplit.parents);
-        assert_eq!(fused.levels, rowsplit.levels);
-    }
-
-    #[test]
     fn batch_families_agree() {
         let a = rmat(7, 7, RmatParams::graph500(), 19);
         let sources = [0usize, 5, 63];
@@ -391,6 +374,9 @@ mod tests {
         assert_eq!(fused.parents, naive.parents);
         assert_eq!(fused.levels, naive.levels);
         assert_eq!(fused.active_lanes_per_level, naive.active_lanes_per_level);
+        let adaptive = multi_bfs(&a, &sources, SpMSpVOptions::with_threads(2));
+        assert_eq!(adaptive.parents, naive.parents);
+        assert_eq!(adaptive.levels, naive.levels);
     }
 
     #[test]

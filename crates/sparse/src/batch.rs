@@ -10,12 +10,6 @@
 //! bundle of vectors), so a batched kernel can traverse the whole batch
 //! without chasing `k` separate allocations.
 //!
-//! [`SparseVecBatch::fuse_columns`] converts the per-lane layout into the
-//! *fused* column-major layout batched SpMSpV consumes: the sorted union of
-//! active indices, each carrying the `(lane, value)` pairs that activate it.
-//! One pass over the matrix's columns then serves every lane — the
-//! amortization that makes batching pay.
-//!
 //! Every lane keeps [`SparseVec`]'s invariant — strictly ascending indices —
 //! checked by the constructors in the pass that checks bounds.
 
@@ -177,49 +171,6 @@ impl<T: Scalar> SparseVecBatch<T> {
         }
         SparseVecBatch { len: range.end - range.start, lane_ptr, indices, values }
     }
-
-    /// Fuses the lanes into the column-major layout batched SpMSpV consumes:
-    /// the sorted union of active indices, each with its `(lane, value)`
-    /// activations. Lane order within one column follows lane id, and each
-    /// lane's entries appear in ascending index order — the property that
-    /// makes a batched bucket kernel's per-lane accumulation order identical
-    /// to the single-vector kernel's.
-    ///
-    /// An `O(nnz · log k)` k-way merge of the ascending lanes: one cursor per
-    /// lane, a min-heap keyed on `(col, lane)`.
-    pub fn fuse_columns(&self) -> FusedColumns<T> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let k = self.k();
-        let total = self.total_nnz();
-        let mut cursor: Vec<usize> = self.lane_ptr[..k].to_vec();
-        let mut heap: BinaryHeap<Reverse<(usize, usize)>> = BinaryHeap::with_capacity(k);
-        for (l, &c) in cursor.iter().enumerate() {
-            if c < self.lane_ptr[l + 1] {
-                heap.push(Reverse((self.indices[c], l)));
-            }
-        }
-
-        let mut cols = Vec::new();
-        let mut offsets = vec![0usize];
-        let mut lanes = Vec::with_capacity(total);
-        let mut values = Vec::with_capacity(total);
-        while let Some(Reverse((j, l))) = heap.pop() {
-            if cols.last() != Some(&j) {
-                cols.push(j);
-                offsets.push(lanes.len());
-            }
-            lanes.push(l as u32);
-            values.push(self.values[cursor[l]]);
-            *offsets.last_mut().unwrap() = lanes.len();
-            cursor[l] += 1;
-            if cursor[l] < self.lane_ptr[l + 1] {
-                heap.push(Reverse((self.indices[cursor[l]], l)));
-            }
-        }
-        FusedColumns { cols, offsets, lanes, values }
-    }
 }
 
 impl<T: Scalar + PartialOrd> SparseVecBatch<T> {
@@ -238,42 +189,6 @@ impl SparseVecBatch<f64> {
             && self.k() == other.k()
             && (0..self.k())
                 .all(|l| self.lane_vec(l).approx_same_entries(&other.lane_vec(l), rel_tol))
-    }
-}
-
-/// The fused (column-major) view of a [`SparseVecBatch`]: for every active
-/// column of the union, the `(lane, value)` pairs that activate it.
-///
-/// Produced by [`SparseVecBatch::fuse_columns`]; consumed by the batched
-/// bucket kernel, which walks `cols` once and scales each matrix column by
-/// all of its activations in one traversal.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FusedColumns<T> {
-    cols: Vec<usize>,
-    offsets: Vec<usize>,
-    lanes: Vec<u32>,
-    values: Vec<T>,
-}
-
-impl<T: Scalar> FusedColumns<T> {
-    /// The sorted union of active column indices.
-    #[inline]
-    pub fn cols(&self) -> &[usize] {
-        &self.cols
-    }
-
-    /// Number of distinct active columns.
-    #[inline]
-    pub fn num_cols(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The `(lane, value)` activations of the `c`-th active column (position
-    /// in [`FusedColumns::cols`], not the column index itself).
-    #[inline]
-    pub fn activations(&self, c: usize) -> (&[u32], &[T]) {
-        let r = self.offsets[c]..self.offsets[c + 1];
-        (&self.lanes[r.clone()], &self.values[r])
     }
 }
 
@@ -325,81 +240,11 @@ mod tests {
     }
 
     #[test]
-    fn fuse_columns_builds_sorted_union_with_lane_order() {
-        let b = demo_batch();
-        let fused = b.fuse_columns();
-        assert_eq!(fused.cols(), &[1, 3, 4, 5]);
-        assert_eq!(fused.lanes.len(), 5);
-        // column 1 is activated by lanes 0 and 2, in lane order
-        let (lanes, vals) = fused.activations(0);
-        assert_eq!(lanes, &[0, 2]);
-        assert_eq!(vals, &[1.0, 10.0]);
-        // column 3 only by lane 2
-        assert_eq!(fused.activations(1).0, &[2]);
-    }
-
-    #[test]
     fn single_lane_batch_matches_vector() {
         let v = SparseVec::from_pairs(9, vec![(2, 2.0), (7, 7.0)]).unwrap();
         let b = SparseVecBatch::from_single(&v);
         assert_eq!(b.k(), 1);
         assert_eq!(b.lane_vec(0), v);
-    }
-
-    #[test]
-    fn empty_batch_fuses_to_nothing() {
-        let b = SparseVecBatch::<f64>::new(10, 4);
-        assert!(b.is_empty());
-        let fused = b.fuse_columns();
-        assert_eq!(fused.num_cols(), 0);
-        assert_eq!(fused.lanes.len(), 0);
-    }
-
-    /// Fusion by sorting `(col, lane, value)` triples — the oracle the
-    /// k-way merge must reproduce.
-    fn fuse_by_sort(b: &SparseVecBatch<f64>) -> FusedColumns<f64> {
-        let mut triples: Vec<(usize, u32, f64)> = (0..b.k())
-            .flat_map(|l| b.lane_vec(l).iter().map(|(j, &v)| (j, l as u32, v)).collect::<Vec<_>>())
-            .collect();
-        // Stable by column: lanes stay in ascending lane order within one.
-        triples.sort_by_key(|&(j, _, _)| j);
-        let mut fused = FusedColumns {
-            cols: Vec::new(),
-            offsets: vec![0],
-            lanes: Vec::new(),
-            values: Vec::new(),
-        };
-        for (j, l, v) in triples {
-            if fused.cols.last() != Some(&j) {
-                fused.cols.push(j);
-                fused.offsets.push(fused.lanes.len());
-            }
-            fused.lanes.push(l);
-            fused.values.push(v);
-            *fused.offsets.last_mut().unwrap() = fused.lanes.len();
-        }
-        fused
-    }
-
-    #[test]
-    fn merge_fusion_is_identical_to_sort_fusion() {
-        // Pseudo-random lanes (multiplicative hash) across several shapes;
-        // the k-way merge must reproduce a sort of the triples bit for bit:
-        // same column union, same (lane, value) order within columns.
-        for (n, k, per_lane) in [(40usize, 1usize, 7usize), (64, 3, 13), (100, 8, 25), (9, 5, 9)] {
-            let lanes: Vec<SparseVec<f64>> = (0..k)
-                .map(|l| {
-                    let mut idx: Vec<usize> =
-                        (0..per_lane).map(|e| (e * 2654435761 + l * 97) % n).collect();
-                    idx.sort_unstable();
-                    idx.dedup();
-                    let pairs = idx.iter().map(|&j| (j, (j + 10 * l) as f64)).collect();
-                    SparseVec::from_pairs(n, pairs).unwrap()
-                })
-                .collect();
-            let b = SparseVecBatch::from_lanes(&lanes).unwrap();
-            assert_eq!(b.fuse_columns(), fuse_by_sort(&b), "n={n} k={k}");
-        }
     }
 
     #[test]

@@ -18,9 +18,7 @@
 //! * [`BitVec`] — bitmap + rank structure, GraphMat's vector format — and
 //!   [`MaskBits`], the mutable bitmap the masked SpMSpV kernels consult;
 //! * [`Spa`] — the sparse accumulator with generation-based partial
-//!   initialization (Gilbert, Moler & Schreiber) — and [`LaneSpa`], the
-//!   dense index-major `(row, lane)` accumulator the batched kernels merge
-//!   through;
+//!   initialization (Gilbert, Moler & Schreiber);
 //! * [`semiring`] — GraphBLAS-style `(add, multiply)` abstractions so the
 //!   same SpMSpV kernels drive numerical multiplication, BFS, and other
 //!   graph algorithms;
@@ -52,7 +50,7 @@ pub mod semiring;
 pub mod spa;
 pub mod spvec;
 
-pub use batch::{FusedColumns, SparseVecBatch};
+pub use batch::SparseVecBatch;
 pub use bitvec::{BitVec, MaskBits};
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
@@ -60,7 +58,7 @@ pub use dcsc::DcscMatrix;
 pub use dense::DenseVec;
 pub use error::SparseError;
 pub use semiring::{BoolOrAnd, MinPlus, PlusTimes, Select2ndMin, Semiring};
-pub use spa::{LaneSpa, Spa, SpaBackend};
+pub use spa::{Spa, SpaBackend};
 pub use spvec::SparseVec;
 
 /// Trait bound shared by every value stored in a sparse object.

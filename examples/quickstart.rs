@@ -56,7 +56,7 @@ fn main() {
     assert!(ym.iter().all(|(i, _)| i % 3 != 0), "masked rows leaked");
 
     // And the same descriptor serves batches: one lane per input vector,
-    // fused into a single traversal of the matrix.
+    // the lanes spread over the thread pool.
     let lanes: Vec<_> = (0..4).map(|l| random_sparse_vec(n, n / 100, 100 + l)).collect();
     let batch = SparseVecBatch::from_lanes(&lanes).expect("lanes share n");
     let yb = op.run_batch(&batch);

@@ -1,7 +1,10 @@
 //! Property-based tests for the batched SpMSpV subsystem: for any operands,
-//! the fused kernel [`SpMSpVBucketBatch`], the fallback [`NaiveBatch`] and
-//! `k` independent [`spmspv_reference`] calls must agree — across semirings
-//! (`PlusTimes`, the BFS `Select2ndMin`) and batch widths `k ∈ {1, 3, 32}`.
+//! the lane-parallel kernels [`SpMSpVBucketBatch`] and [`AdaptiveBatch`],
+//! the fallback [`NaiveBatch`] and `k` independent [`spmspv_reference`]
+//! calls must agree — across semirings (`PlusTimes`, the BFS
+//! `Select2ndMin`), batch widths `1 ≤ k ≤ 32` and thread counts
+//! `t ∈ {1, 2, 3, 8}`, so both the `k < t` and the `k ≥ t` paths of the lane
+//! runner are compared.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
 //! floating-point addition is exact and results compare exactly regardless
@@ -43,11 +46,11 @@ fn lane_strategy(n: usize) -> impl Strategy<Value = SparseVec<f64>> {
     })
 }
 
-/// Strategy: a batch of `k ∈ {1, 3, 32}` lanes conforming to `a`.
+/// Strategy: a batch of `1 ≤ k ≤ 32` lanes conforming to `a`.
 fn batch_operands(max_dim: usize) -> impl Strategy<Value = (CscMatrix<f64>, SparseVecBatch<f64>)> {
     matrix_strategy(max_dim).prop_flat_map(|a| {
         let n = a.ncols();
-        let k = prop_oneof![Just(1usize), Just(3usize), Just(32usize)];
+        let k = 1usize..33;
         (Just(a), k.prop_flat_map(move |k| proptest::collection::vec(lane_strategy(n), k..k + 1)))
             .prop_map(|(a, lanes)| {
                 let batch = SparseVecBatch::from_lanes(&lanes).expect("lanes share n");
@@ -56,24 +59,32 @@ fn batch_operands(max_dim: usize) -> impl Strategy<Value = (CscMatrix<f64>, Spar
     })
 }
 
+/// Strategy: a thread count on both sides of small and large `k`.
+fn threads() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(8usize)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn bucket_batch_equals_naive_equals_reference_plus_times(
         (a, x) in batch_operands(50),
-        threads in 1usize..5,
+        threads in threads(),
     ) {
         let opts = SpMSpVOptions::with_threads(threads);
         let expected = spmspv_batch_reference(&a, &x, &PlusTimes);
 
-        let mut fused = SpMSpVBucketBatch::new(&a, opts.clone());
-        let y = fused.multiply_batch(&x, &PlusTimes);
-        prop_assert_eq!(&y, &expected, "fused kernel diverged from reference");
+        let mut bucket = SpMSpVBucketBatch::new(&a, opts.clone());
+        let y = bucket.multiply_batch(&x, &PlusTimes);
+        prop_assert_eq!(&y, &expected, "bucket batch diverged from reference");
 
-        let mut naive = NaiveBatch::new(&a, opts);
+        let mut naive = NaiveBatch::new(&a, opts.clone());
         let yn = naive.multiply_batch(&x, &PlusTimes);
-        prop_assert_eq!(&y, &yn, "fused kernel diverged from NaiveBatch");
+        prop_assert_eq!(&y, &yn, "bucket batch diverged from NaiveBatch");
+
+        let mut adaptive: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(&a, opts);
+        prop_assert_eq!(&adaptive.multiply_batch(&x, &PlusTimes), &yn, "adaptive diverged");
 
         // Structural invariants, lane by lane.
         prop_assert_eq!(y.len(), a.nrows());
@@ -88,7 +99,7 @@ proptest! {
     #[test]
     fn bucket_batch_matches_reference_on_bfs_semiring(
         (a, x) in batch_operands(50),
-        threads in 1usize..5,
+        threads in threads(),
     ) {
         // Reinterpret each lane as a BFS frontier: the value carried for
         // index i is i itself (the discovering vertex's id).
@@ -109,16 +120,21 @@ proptest! {
         let mut naive = NaiveBatch::new(&a, SpMSpVOptions::with_threads(threads));
         let yn = naive.multiply_batch(&frontiers, &Select2ndMin);
         prop_assert_eq!(&y, &yn, "Select2ndMin batch diverged from NaiveBatch");
+
+        let mut adaptive: AdaptiveBatch<'_, f64, usize, Select2ndMin> =
+            AdaptiveBatch::new(&a, SpMSpVOptions::with_threads(threads));
+        let ya = adaptive.multiply_batch(&frontiers, &Select2ndMin);
+        prop_assert_eq!(&ya, &yn, "Select2ndMin adaptive batch diverged from NaiveBatch");
     }
 
     #[test]
     fn sorted_bucket_batch_is_bit_identical_to_k_single_calls(
         (a, x) in batch_operands(40),
-        batch_threads in 1usize..5,
+        batch_threads in threads(),
         single_threads in 1usize..5,
     ) {
-        // Lane l's reduction order inside the batched kernel is identical
-        // to the single-vector kernel's, so equality is exact (bit-level),
+        // Lane l of the batch *is* a single-vector call, whose output does
+        // not depend on its thread count, so equality is exact (bit-level),
         // not just up to rounding — even though thread counts differ
         // between the two runs.
         let mut fused =
@@ -135,12 +151,12 @@ proptest! {
         }
     }
 
-    /// The fused bucket kernel matches the [`NaiveBatch`] oracle bit for
-    /// bit — any mask shape, k ∈ {1, 3, 32}, any thread count.
+    /// Both lane-parallel families match the [`NaiveBatch`] oracle bit for
+    /// bit — any mask shape, 1 ≤ k ≤ 32, t ∈ {1, 2, 3, 8}.
     #[test]
     fn every_spa_backend_matches_the_naive_oracle(
         (a, x) in batch_operands(40),
-        threads in 1usize..5,
+        threads in threads(),
         mask_case in 0usize..5,
     ) {
         let m = a.nrows();
@@ -164,20 +180,20 @@ proptest! {
         let opts = SpMSpVOptions::with_threads(threads);
         let mut naive = NaiveBatch::new(&a, opts.clone());
         let oracle = naive.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
-        let mut fused = SpMSpVBucketBatch::new(&a, opts);
-        let y = fused.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
-        prop_assert_eq!(&y, &oracle, "not bit-identical to the oracle (mask {})", mask_case);
+        for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Adaptive] {
+            let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+            let y = alg.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
+            prop_assert_eq!(&y, &oracle, "{} not bit-identical to the oracle (mask {})", kind, mask_case);
+        }
     }
 
-    /// The adaptive batch dispatcher always produces exactly what the fixed
-    /// family it resolved to produces. On operands this small the fixed
-    /// thresholds reduce to: one worker → one flat row-split pass; more
-    /// workers → per-lane naive for k = 1, the fused bucket kernel otherwise
-    /// — so the property reaches all three delegates.
+    /// The adaptive batch always produces exactly what the family it
+    /// reports produces: the lane runner, [`BatchAlgorithmKind::Bucket`],
+    /// whichever single-vector kernel each lane picked.
     #[test]
     fn adaptive_always_matches_its_resolved_delegate(
         (a, x) in batch_operands(40),
-        threads in 1usize..5,
+        threads in threads(),
     ) {
         let opts = SpMSpVOptions::with_threads(threads);
         let mut adaptive: AdaptiveBatch<'_, f64, f64, PlusTimes> =
@@ -188,12 +204,7 @@ proptest! {
             // legitimately nothing to report.
             None => prop_assert!(x.is_empty(), "run info may only be absent for empty inputs"),
             Some(info) => {
-                let expected = match (threads, x.k()) {
-                    (1, _) => BatchAlgorithmKind::CombBlasRowSplit,
-                    (_, 1) => BatchAlgorithmKind::Naive,
-                    _ => BatchAlgorithmKind::Bucket,
-                };
-                prop_assert_eq!(info.kernel, expected);
+                prop_assert_eq!(info.kernel, BatchAlgorithmKind::Bucket);
                 let mut fixed =
                     build_batch_algorithm::<f64, f64, PlusTimes>(&a, info.kernel, opts);
                 let y_fixed = fixed.multiply_batch(&x, &PlusTimes);

@@ -142,7 +142,7 @@ proptest! {
     }
 
     /// Same property through every batched algorithm family the engine can
-    /// pool, including the CombBLAS row-split baseline.
+    /// pool.
     #[test]
     fn every_batch_family_serves_identically(
         (a, requests) in operands(30),

@@ -4,9 +4,10 @@
 //! rows the mask rejects) — across [`MaskMode::Keep`] and
 //! [`MaskMode::Complement`], semirings (`PlusTimes`, the BFS
 //! `Select2ndMin`), every algorithm family,
-//! and batch widths `k ∈ {1, 3, 32}` with shared and per-lane masks. A
-//! counting semiring checks that both bucket kernels never form a product
-//! the mask discards.
+//! and batch widths `1 ≤ k ≤ 32` at thread counts `t ∈ {1, 2, 3, 8}` (both
+//! sides of the lane runner's `k < t` / `k ≥ t` split) with shared and
+//! per-lane masks. A counting semiring checks that the bucket kernels and
+//! the adaptive batch never form a product the mask discards.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
 //! floating-point addition is exact and results compare exactly regardless
@@ -23,8 +24,9 @@ use sparse_substrate::{
 use spmspv::batch::mask_filter_batch;
 use spmspv::ops::Mxv;
 use spmspv::{
-    build_algorithm, build_batch_algorithm, AlgorithmKind, BatchAlgorithmKind, BatchMaskView,
-    MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVBucket, SpMSpVBucketBatch, SpMSpVOptions,
+    build_algorithm, build_batch_algorithm, AdaptiveBatch, AlgorithmKind, BatchAlgorithmKind,
+    BatchMaskView, MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVBucket, SpMSpVBucketBatch,
+    SpMSpVOptions,
 };
 
 const ALL_KINDS: [AlgorithmKind; 6] = [
@@ -66,6 +68,11 @@ fn mask_strategy(m: usize) -> impl Strategy<Value = MaskBits> {
         .prop_map(move |rows| MaskBits::from_indices(m, rows))
 }
 
+/// Strategy: a thread count on both sides of small and large `k`.
+fn threads() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(1usize), Just(2usize), Just(3usize), Just(8usize)]
+}
+
 fn mode_strategy() -> impl Strategy<Value = MaskMode> {
     prop_oneof![Just(MaskMode::Keep), Just(MaskMode::Complement)]
 }
@@ -81,8 +88,8 @@ fn single_operands(
     })
 }
 
-/// Strategy: matrix, a batch of `k ∈ {1, 3, 32}` lanes, one mask per lane,
-/// mask mode.
+/// Strategy: matrix, a batch of `1 ≤ k ≤ 32` lanes, one mask per lane, mask
+/// mode.
 #[allow(clippy::type_complexity)]
 fn batch_operands(
     max_dim: usize,
@@ -90,7 +97,7 @@ fn batch_operands(
     matrix_strategy(max_dim).prop_flat_map(|a| {
         let n = a.ncols();
         let m = a.nrows();
-        let k = prop_oneof![Just(1usize), Just(3usize), Just(32usize)];
+        let k = 1usize..33;
         (
             Just(a),
             k.prop_flat_map(move |k| {
@@ -173,16 +180,21 @@ proptest! {
         }
     }
 
-    /// Both batched families, shared mask: in-kernel equals post-filter.
+    /// Every batched family, shared mask: in-kernel equals post-filter,
+    /// and the lane-parallel families equal the [`NaiveBatch`] oracle.
+    ///
+    /// [`NaiveBatch`]: spmspv::NaiveBatch
     #[test]
     fn masked_batch_kernels_equal_post_filter_oracle_shared(
         (a, x, masks, mode) in batch_operands(40),
-        threads in 1usize..5,
+        threads in threads(),
     ) {
         let opts = SpMSpVOptions::with_threads(threads);
         let shared = &masks[0];
         let view = BatchMaskView::Shared(MaskView::new(shared, mode));
-        for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Naive] {
+        let naive = spmspv::NaiveBatch::new(&a, opts.clone())
+            .multiply_batch_masked(&x, &PlusTimes, Some(&view));
+        for kind in BatchAlgorithmKind::all() {
             let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
             let oracle = mask_filter_batch(&alg.multiply_batch(&x, &PlusTimes), &view);
@@ -192,19 +204,25 @@ proptest! {
                 "{kind} shared mask diverged from post-filter ({mode:?}, k={})",
                 x.k()
             );
+            prop_assert_eq!(&y, &naive, "{kind} diverged from NaiveBatch ({mode:?}, k={})", x.k());
         }
     }
 
-    /// Both batched families, one mask per lane: in-kernel equals
-    /// post-filter, lane by lane.
+    /// Every batched family, one mask per lane: in-kernel equals
+    /// post-filter, lane by lane, and the lane-parallel families equal the
+    /// [`NaiveBatch`] oracle.
+    ///
+    /// [`NaiveBatch`]: spmspv::NaiveBatch
     #[test]
     fn masked_batch_kernels_equal_post_filter_oracle_per_lane(
         (a, x, masks, mode) in batch_operands(40),
-        threads in 1usize..5,
+        threads in threads(),
     ) {
         let opts = SpMSpVOptions::with_threads(threads);
         let view = BatchMaskView::PerLane { masks: &masks, mode };
-        for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Naive] {
+        let naive = spmspv::NaiveBatch::new(&a, opts.clone())
+            .multiply_batch_masked(&x, &PlusTimes, Some(&view));
+        for kind in BatchAlgorithmKind::all() {
             let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
             let oracle = mask_filter_batch(&alg.multiply_batch(&x, &PlusTimes), &view);
@@ -214,6 +232,7 @@ proptest! {
                 "{kind} per-lane mask diverged from post-filter ({mode:?}, k={})",
                 x.k()
             );
+            prop_assert_eq!(&y, &naive, "{kind} diverged from NaiveBatch ({mode:?}, k={})", x.k());
             for l in 0..y.k() {
                 let (rows, _) = y.lane(l);
                 prop_assert!(
@@ -224,12 +243,12 @@ proptest! {
         }
     }
 
-    /// The fused masked batch is bit-identical to k masked single-vector
+    /// The masked bucket batch is bit-identical to k masked single-vector
     /// calls (the mask analogue of the unmasked bit-identity property).
     #[test]
     fn masked_batch_is_bit_identical_to_masked_single_calls(
         (a, x, masks, mode) in batch_operands(32),
-        batch_threads in 1usize..5,
+        batch_threads in threads(),
         single_threads in 1usize..5,
     ) {
         let view = BatchMaskView::PerLane { masks: &masks, mode };
@@ -483,12 +502,12 @@ fn kept_products(a: &CscMatrix<f64>, x: &SparseVec<f64>, keeps: impl Fn(usize) -
     x.iter().map(|(j, _)| a.column(j).0.iter().filter(|&&i| keeps(i)).count()).sum()
 }
 
-/// Both bucket kernels form exactly the products the mask keeps — all of
-/// them unmasked, and a masked-out row never reaches `multiply` — and merge
-/// each kept product once: every kept product past the first on its
-/// `(row, lane)` is one `add`. Covers 1–8 participants, both mask modes,
-/// and shared and per-lane batch masks whose lanes disagree on the same
-/// rows.
+/// The bucket kernel, its batch and the adaptive batch form exactly the
+/// products the mask keeps — all of them unmasked, and a masked-out row
+/// never reaches `multiply` — and merge each kept product once: every kept
+/// product past the first on its `(row, lane)` is one `add`. Covers 1–8
+/// participants, both mask modes, and shared and per-lane batch masks whose
+/// lanes disagree on the same rows.
 #[test]
 fn masked_out_products_are_never_formed() {
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
@@ -519,18 +538,24 @@ fn masked_out_products_are_never_formed() {
             assert!(kept > y.nnz() && y.nnz() > 0, "the fixture must merge and mask");
             assert_eq!(counting.take(), (kept, kept - y.nnz()), "single, {threads}t, {mode:?}");
 
-            let mut batch = SpMSpVBucketBatch::new(&a, opts.clone());
+            let mut bucket = SpMSpVBucketBatch::new(&a, opts.clone());
+            let mut adaptive = AdaptiveBatch::new(&a, opts.clone());
             let shared = BatchMaskView::Shared(view);
             let per_lane = BatchMaskView::PerLane { masks: &lane_masks, mode };
             for mask in [shared, per_lane] {
-                let y = batch.multiply_batch_masked(&x, &counting, Some(&mask));
                 let kept: usize =
                     (0..x.k()).map(|l| kept_products(&a, &lanes[l], |i| mask.keeps(i, l))).sum();
-                assert_eq!(
-                    counting.take(),
-                    (kept, kept - y.total_nnz()),
-                    "batch, {threads}t, {mask:?}"
-                );
+                let batches: [&mut dyn SpMSpVBatch<f64, f64, Counting>; 2] =
+                    [&mut bucket, &mut adaptive];
+                for batch in batches {
+                    let y = batch.multiply_batch_masked(&x, &counting, Some(&mask));
+                    assert_eq!(
+                        counting.take(),
+                        (kept, kept - y.total_nnz()),
+                        "{}, {threads}t, {mask:?}",
+                        batch.name()
+                    );
+                }
             }
         }
     }

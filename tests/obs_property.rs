@@ -248,8 +248,6 @@ fn engine_snapshot_carries_the_documented_taxonomy() {
         "engine.degraded_flushes",
         "engine.choice.bucket.dense",
         "engine.choice.naive.dense",
-        "engine.choice.rowsplit.dense",
-        "adaptive.batch.bucket",
     ] {
         assert!(on.counter(name).is_some(), "counter {name:?} missing");
     }
