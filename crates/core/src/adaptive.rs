@@ -38,17 +38,20 @@ use crate::masked::{BatchMaskView, MaskView};
 /// Single-vector: estimated flops at or below which the sequential SPA beats
 /// the parallel bucket pipeline's fixed costs.
 const SEQUENTIAL_FLOPS_CUTOFF: usize = 256;
-/// Single-threaded: estimated flops at or below which one flat SPA pass (the
-/// row-split kernel with one piece, or the sequential kernel) beats the
-/// three-pass bucket pipeline. With one worker the row-split baseline
-/// degenerates to a single fused-SPA pass with none of the bucket pipeline's
-/// fixed costs, and stays ahead well past a million flops.
-const ROWSPLIT_FLOPS_CUTOFF: usize = 1 << 22;
-/// Single-threaded: largest row count `m` at which a flat sequential SPA
-/// pass still wins for non-tiny frontiers — beyond it the `O(m)`
-/// accumulator's scatter is miss-dominated and the per-lane bucket kernel
-/// takes over.
-const ROWSPLIT_MAX_M: usize = 1 << 17;
+/// One worker: estimated flops at or below which the sequential SPA runs
+/// instead of the one-participant bucket kernel.
+///
+/// The value was measured with the batched row-split kernel, since deleted,
+/// running one piece: a single flat SPA pass, which stayed ahead of the
+/// bucket pipeline well past a million flops. It has not been re-measured
+/// against the one-participant bucket kernel; ROADMAP direction 2(a)
+/// re-derives it.
+const ONE_WORKER_SPA_FLOPS_CUTOFF: usize = 1 << 22;
+/// One worker: largest row count `m` at which the sequential SPA runs
+/// instead of the one-participant bucket kernel for non-tiny frontiers —
+/// beyond it the `O(m)` accumulator's scatter is miss-dominated. Measured,
+/// and due to be re-derived, like [`ONE_WORKER_SPA_FLOPS_CUTOFF`].
+const ONE_WORKER_SPA_MAX_M: usize = 1 << 17;
 
 /// Estimated multiplications for a frontier of `nnz` entries against
 /// `matrix` (mean column degree × nnz — exact counting would cost a pass
@@ -102,13 +105,12 @@ where
 
     fn choose(&self, x: &SparseVec<X>) -> AlgorithmKind {
         let flops = estimated_flops(&self.matrix, x.nnz());
-        // With one worker the parallel pipeline's fixed costs never pay
-        // until the working set outgrows a single SPA pass, so the
-        // single-thread cutoff is the (much larger) row-split one — but
-        // only while m is small enough that the flat O(m) SPA's scatter
-        // stays cache-friendly.
-        let cutoff = if self.threads == 1 && self.matrix.nrows() <= ROWSPLIT_MAX_M {
-            SEQUENTIAL_FLOPS_CUTOFF.max(ROWSPLIT_FLOPS_CUTOFF)
+        // With one worker the bucket pipeline's fixed costs never pay until
+        // the working set outgrows a single SPA pass, so the one-worker
+        // cutoff is much larger — but only while m is small enough that the
+        // flat O(m) SPA's scatter stays cache-friendly.
+        let cutoff = if self.threads == 1 && self.matrix.nrows() <= ONE_WORKER_SPA_MAX_M {
+            SEQUENTIAL_FLOPS_CUTOFF.max(ONE_WORKER_SPA_FLOPS_CUTOFF)
         } else {
             SEQUENTIAL_FLOPS_CUTOFF
         };
@@ -298,7 +300,7 @@ mod tests {
             AdaptiveSpMSpV::new(&a, SpMSpVOptions::with_threads(1));
         let _ = one.multiply(&big, &PlusTimes);
         assert_eq!(one.last_choice(), Some(AlgorithmKind::Sequential));
-        let tall = tridiagonal(ROWSPLIT_MAX_M + 1);
+        let tall = tridiagonal(ONE_WORKER_SPA_MAX_M + 1);
         let mut one: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
             AdaptiveSpMSpV::new(&tall, SpMSpVOptions::with_threads(1));
         let big = random_sparse_vec(tall.ncols(), nnz_past(&tall, SEQUENTIAL_FLOPS_CUTOFF), 2);
@@ -328,7 +330,7 @@ mod tests {
         assert_eq!(wide.and_then(AdaptiveSpMSpV::last_choice), Some(AlgorithmKind::Bucket));
         assert!(idle.is_empty(), "k < t never checks out a one-thread kernel");
         let mut single: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> = AdaptiveSpMSpV::new(&a, opts);
-        assert_eq!(y.lane_vec(0), single.multiply(&one.lane_vec(0), &PlusTimes));
+        assert_eq!(y.lane(0), &single.multiply(one.lane(0), &PlusTimes));
 
         let four = batch(4, big);
         let y = alg.multiply_batch(&four, &PlusTimes);
@@ -338,8 +340,8 @@ mod tests {
             assert_eq!(kernel.last_choice(), Some(AlgorithmKind::Sequential));
         }
         for l in 0..4 {
-            let expected = spmspv_reference(&a, &four.lane_vec(l), &PlusTimes);
-            assert!(y.lane_vec(l).approx_same_entries(&expected, 1e-9), "lane {l}");
+            let expected = spmspv_reference(&a, four.lane(l), &PlusTimes);
+            assert!(y.lane(l).approx_same_entries(&expected, 1e-9), "lane {l}");
         }
         assert_eq!(
             alg.last_run_info().map(|info| info.kernel),

@@ -82,7 +82,7 @@ pub trait SpMSpVBatch<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
         let y = self.multiply_batch(x, semiring);
         match mask {
             None => y,
-            Some(mask) => mask_filter_batch(&y, mask),
+            Some(mask) => mask_filter_batch(y, mask),
         }
     }
 
@@ -121,28 +121,18 @@ impl std::fmt::Display for BatchRunInfo {
 /// default [`SpMSpVBatch::multiply_batch_masked`] uses (and the oracle the
 /// in-kernel implementations are property-tested against).
 pub fn mask_filter_batch<T: Scalar>(
-    y: &SparseVecBatch<T>,
+    y: SparseVecBatch<T>,
     mask: &BatchMaskView<'_>,
 ) -> SparseVecBatch<T> {
-    let k = y.k();
-    mask.check_lanes(k);
+    mask.check_lanes(y.k());
     mask.check_rows(y.len());
-    let mut lane_ptr = Vec::with_capacity(k + 1);
-    let mut indices = Vec::with_capacity(y.total_nnz());
-    let mut values = Vec::with_capacity(y.total_nnz());
-    lane_ptr.push(0usize);
-    for l in 0..k {
-        let (idx, val) = y.lane(l);
-        for (&i, &v) in idx.iter().zip(val.iter()) {
-            if mask.keeps(i, l) {
-                indices.push(i);
-                values.push(v);
-            }
-        }
-        lane_ptr.push(indices.len());
+    let m = y.len();
+    let mut lanes = y.into_lanes();
+    for (l, lane) in lanes.iter_mut().enumerate() {
+        let view = mask.lane_view(l);
+        lane.retain(|i, _| view.keeps(i));
     }
-    SparseVecBatch::from_parts(y.len(), lane_ptr, indices, values)
-        .expect("filtering preserves batch invariants")
+    SparseVecBatch::with_lanes(m, lanes).expect("filtering keeps every lane's dimension")
 }
 
 /// Identifier for each batched algorithm family — the batch counterpart of
@@ -229,15 +219,6 @@ fn check_operands<X: Scalar>(
         mask.check_lanes(x.k());
         mask.check_rows(m);
     }
-}
-
-/// Bundles output lanes into a batch of dimension `m` — also when there are
-/// no lanes, which [`SparseVecBatch::from_lanes`] cannot size.
-fn assemble<Y: Scalar>(m: usize, lanes: &[SparseVec<Y>]) -> SparseVecBatch<Y> {
-    if lanes.is_empty() {
-        return SparseVecBatch::new(m, 0);
-    }
-    SparseVecBatch::from_lanes(lanes).expect("every lane has the matrix's row dimension")
 }
 
 /// A single-vector kernel the lane runner builds and runs lanes on.
@@ -353,14 +334,14 @@ impl<'a, A: Scalar, K> LaneRunner<'a, A, K> {
         let lanes: Vec<(SparseVec<S::Output>, StepTimings)> = if narrow {
             let (matrix, options) = (&self.matrix, &self.options);
             let wide = self.wide.get_or_insert_with(|| K::build(matrix.clone(), options.clone()));
-            (0..x.k()).map(|l| wide.run_lane(&x.lane_vec(l), semiring, lane_mask(l))).collect()
+            (0..x.k()).map(|l| wide.run_lane(x.lane(l), semiring, lane_mask(l))).collect()
         } else {
             let (matrix, idle) = (&self.matrix, &self.idle);
             executor.map(0..x.k(), |l| {
                 let idle_kernel = idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
                 let mut kernel = idle_kernel
                     .unwrap_or_else(|| K::build(matrix.clone(), SpMSpVOptions::with_threads(1)));
-                let out = kernel.run_lane(&x.lane_vec(l), semiring, lane_mask(l));
+                let out = kernel.run_lane(x.lane(l), semiring, lane_mask(l));
                 idle.lock().unwrap_or_else(PoisonError::into_inner).push(kernel);
                 out
             })
@@ -373,14 +354,16 @@ impl<'a, A: Scalar, K> LaneRunner<'a, A, K> {
             panic!("failpoint batch.merge: {msg}");
         }
         let mut timings = StepTimings::default();
-        let ys: Vec<SparseVec<S::Output>> = lanes
+        let ys = lanes
             .into_iter()
             .map(|(y, lane_timings)| {
                 timings += lane_timings;
                 y
             })
             .collect();
-        (assemble(self.matrix.nrows(), &ys), timings)
+        let y = SparseVecBatch::with_lanes(self.matrix.nrows(), ys)
+            .expect("every lane has the matrix's row dimension");
+        (y, timings)
     }
 }
 
@@ -494,7 +477,7 @@ mod tests {
         let by = batch.multiply_batch(&batch_x, &PlusTimes);
         let sy = crate::SpMSpV::multiply(&mut single, &x, &PlusTimes);
         assert_eq!(by.k(), 1);
-        assert_eq!(by.lane_vec(0), sy, "k=1 batch must be bit-identical to the single kernel");
+        assert_eq!(by.lane(0), &sy, "k=1 batch must be bit-identical to the single kernel");
     }
 
     #[test]
@@ -525,10 +508,10 @@ mod tests {
         let y = batch.multiply_batch(&x, &PlusTimes);
         let mut single = crate::SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(3));
         for l in 0..x.k() {
-            let lane_y = crate::SpMSpV::multiply(&mut single, &x.lane_vec(l), &PlusTimes);
+            let lane_y = crate::SpMSpV::multiply(&mut single, x.lane(l), &PlusTimes);
             assert_eq!(
-                y.lane_vec(l),
-                lane_y,
+                y.lane(l),
+                &lane_y,
                 "lane {l} differs from an independent SpMSpVBucket call"
             );
         }
@@ -562,8 +545,8 @@ mod tests {
         let mut alg = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(8));
         let y = alg.multiply_batch(&x, &PlusTimes);
         assert!(y.approx_same_entries(&expected, 1e-12));
-        assert!(y.lane_vec(0).is_empty());
-        assert!(y.lane_vec(2).is_empty());
+        assert!(y.lane(0).is_empty());
+        assert!(y.lane(2).is_empty());
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! degraded retry, and the baseline the benchmark's `batch.amortization` row
 //! compares against.
 
-use sparse_substrate::{Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
+use sparse_substrate::{Scalar, Semiring, SpaBackend, SparseVecBatch};
 
 use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::bucket::SpMSpVBucket;
 use crate::masked::BatchMaskView;
 
-use super::{assemble, check_operands, BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
+use super::{check_operands, BatchAlgorithmKind, BatchRunInfo, SpMSpVBatch};
 
 /// Batched SpMSpV as `k` independent bucket multiplications sharing one
 /// prepared [`SpMSpVBucket`] instance (so the per-lane workspace reuse of
@@ -66,12 +66,11 @@ where
     ) -> SparseVecBatch<S::Output> {
         check_operands((self.inner.nrows(), self.inner.ncols()), x, mask);
         self.ran = !x.is_empty();
-        let lanes: Vec<SparseVec<S::Output>> = (0..x.k())
-            .map(|l| {
-                self.inner.multiply_masked(&x.lane_vec(l), semiring, mask.map(|m| m.lane_view(l)))
-            })
+        let lanes = (0..x.k())
+            .map(|l| self.inner.multiply_masked(x.lane(l), semiring, mask.map(|m| m.lane_view(l))))
             .collect();
-        assemble(self.inner.nrows(), &lanes)
+        SparseVecBatch::with_lanes(self.inner.nrows(), lanes)
+            .expect("every lane has the matrix's row dimension")
     }
 
     fn last_run_info(&self) -> Option<BatchRunInfo> {
@@ -89,7 +88,7 @@ mod tests {
     use super::*;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::spmspv_batch_reference;
-    use sparse_substrate::PlusTimes;
+    use sparse_substrate::{PlusTimes, SparseVec};
 
     #[test]
     fn naive_batch_matches_reference() {

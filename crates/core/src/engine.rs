@@ -19,12 +19,12 @@
 //!   request;
 //! * the **coalescer** ([`Engine::flush`]) drains the queue, groups
 //!   compatible requests (same mask mode — the semiring is fixed by the
-//!   engine's type, the kernel family by its configuration), fuses each
-//!   group into [`SparseVecBatch`] lanes up to the
+//!   engine's type, the kernel family by its configuration), moves each
+//!   group's frontiers into [`SparseVecBatch`] lanes up to the
 //!   [`EngineConfig::max_lanes`] width budget, executes **one** masked
 //!   batched multiplication per group chunk — each request's mask becoming
-//!   its lane's [`BatchMaskView::PerLane`] mask — and demultiplexes the
-//!   per-lane results back to the tickets;
+//!   its lane's [`BatchMaskView::PerLane`] mask — and moves each result
+//!   lane to its ticket, so no frontier or result is copied on the way;
 //! * requests retired mid-flight — a cancelled [`Ticket`], a closed
 //!   [`Session`], an expired deadline — leave the batch before lanes are
 //!   assembled, so a slow client that gave up never costs kernel time.
@@ -561,7 +561,9 @@ pub(crate) struct ResolveOnDrop<Y> {
 
 impl<Y> Drop for ResolveOnDrop<Y> {
     fn drop(&mut self) {
-        for t in &self.tickets {
+        // Only a still-pending ticket gets the error, so a normal flush
+        // allocates no message per ticket here.
+        for t in self.tickets.iter().filter(|t| t.is_pending()) {
             t.fail(EngineError::KernelFailed("flush aborted by panic".to_string()));
         }
     }
@@ -1021,9 +1023,9 @@ where
                     continue;
                 }
                 let first_id = chunk[0].id;
-                // Disassemble the entries: frontiers fuse into the batch,
-                // masks become the lanes' masks by refcount, tickets stay
-                // for the demux — no per-request copies.
+                // Disassemble the entries: frontiers move in as the batch's
+                // lanes, masks become the lanes' masks by refcount, tickets
+                // stay for the demux — no per-request copies.
                 let mut tickets = Vec::with_capacity(chunk.len());
                 let mut deadlines = Vec::with_capacity(chunk.len());
                 let mut lanes = Vec::with_capacity(chunk.len());
@@ -1034,13 +1036,13 @@ where
                     lanes.push(entry.frontier);
                     masks.extend(entry.mask.map(|(bits, _)| bits));
                 }
-                let x = SparseVecBatch::from_lanes(&lanes)
+                let x = SparseVecBatch::with_lanes(self.matrix.ncols(), lanes)
                     .expect("request dimensions are validated at submit");
                 let mask = mode.map(|mode| BatchMaskView::PerLane { masks: &masks, mode });
                 outcome.timings.assemble += sp_assemble.stop();
                 self.metrics.registry.trace(TraceKind::GroupFused {
                     kernel: kind,
-                    lanes: lanes.len(),
+                    lanes: x.k(),
                     masked: mode.is_some(),
                     first_id,
                 });
@@ -1098,16 +1100,18 @@ where
                     panic!("failpoint engine.flush.demux: {msg}");
                 }
                 // Deadline re-check at demux: a result computed too late is
-                // dropped, not delivered as if it were fresh.
+                // dropped, not delivered as if it were fresh. Each result
+                // lane moves to its ticket.
                 let now = Instant::now();
-                for (lane, (ticket, deadline)) in tickets.iter().zip(&deadlines).enumerate() {
+                for ((ticket, deadline), lane) in tickets.iter().zip(&deadlines).zip(y.into_lanes())
+                {
                     if deadline.is_some_and(|d| now >= d) {
                         if ticket.fail(EngineError::DeadlineExceeded) {
                             outcome.timeouts += 1;
                         }
                         continue;
                     }
-                    ticket.fulfil(y.lane_vec(lane));
+                    ticket.fulfil(lane);
                 }
                 outcome.batches += 1;
                 outcome.lanes += tickets.len();

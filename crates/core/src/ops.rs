@@ -183,7 +183,7 @@ impl<'a, A: Scalar, S> MxvOp<'a, A, S> {
 /// let mut op = Mxv::over(&a).semiring(&PlusTimes).prepare();
 /// let single = op.run(&x);                                  // one vector
 /// let batch = op.run_batch(&SparseVecBatch::from_single(&x)); // same op, k lanes
-/// assert_eq!(batch.lane_vec(0), single);
+/// assert_eq!(batch.lane(0), &single);
 /// ```
 pub struct PreparedMxv<'a, A, X, S: Semiring<A, X>> {
     matrix: &'a CscMatrix<A>,
@@ -297,7 +297,7 @@ mod tests {
         let single = op.run(&x);
         let batch = op.run_batch(&SparseVecBatch::from_single(&x));
         assert_eq!(batch.k(), 1);
-        assert_eq!(batch.lane_vec(0), single);
+        assert_eq!(batch.lane(0), &single);
         assert_eq!(op.algorithm, AlgorithmKind::Adaptive);
         assert_eq!(op.batch_algorithm, BatchAlgorithmKind::Adaptive);
         assert_eq!(op.mask_mode(), None);

@@ -1,51 +1,42 @@
-//! Sparse multi-vectors: `k` sparse vectors of one dimension stored as lanes
-//! over a shared index pool.
+//! Sparse multi-vectors: `k` sparse vectors of one dimension, held as lanes.
 //!
 //! The SpMSpV-bucket kernel processes one sparse frontier per call, but its
 //! motivating applications — multi-source BFS, betweenness-centrality-style
 //! sweeps, batched personalized PageRank — naturally present *k* frontiers at
 //! once. [`SparseVecBatch`] is the substrate for that workload class: lane
-//! `l` is a logical [`SparseVec`], but all lanes share one `indices`/`values`
-//! pool partitioned by `lane_ptr` (exactly the CSC `colptr` idea applied to a
-//! bundle of vectors), so a batched kernel can traverse the whole batch
-//! without chasing `k` separate allocations.
+//! `l` *is* a [`SparseVec`], so every batched kernel hands each lane to a
+//! single-vector kernel as a borrow and moves that kernel's output in as the
+//! result lane, and a caller moves lanes in and out without copying them.
 //!
-//! Every lane keeps [`SparseVec`]'s invariant — strictly ascending indices —
-//! checked by the constructors in the pass that checks bounds.
-
-use std::ops::Range;
+//! The batch records its dimension itself rather than reading it off a lane,
+//! so a batch of no lanes still has one, and every constructor checks that
+//! each lane has it.
 
 use crate::error::SparseError;
-use crate::spvec::{check_ascending, run_in, SparseVec};
+use crate::spvec::SparseVec;
 use crate::Scalar;
 
-/// `k` sparse vectors of one logical dimension, stored lane-major over a
-/// shared index pool.
+/// `k` sparse vectors of one logical dimension.
 ///
-/// Invariants:
-///
-/// * `lane_ptr.len() == k + 1`, `lane_ptr[0] == 0`, non-decreasing, and
-///   `lane_ptr[k] == indices.len() == values.len()`;
-/// * every stored index is `< len`;
-/// * indices within one lane are strictly ascending, as in a [`SparseVec`].
+/// Invariant: every lane's [`SparseVec::len`] is the batch's
+/// [`SparseVecBatch::len`]. Each lane keeps [`SparseVec`]'s own invariant
+/// (strictly ascending indices below `len`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseVecBatch<T> {
     len: usize,
-    lane_ptr: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<T>,
+    lanes: Vec<SparseVec<T>>,
 }
 
 impl<T: Scalar> SparseVecBatch<T> {
     /// An empty batch: `k` lanes of dimension `len`, no stored entries.
     pub fn new(len: usize, k: usize) -> Self {
-        SparseVecBatch { len, lane_ptr: vec![0; k + 1], indices: Vec::new(), values: Vec::new() }
+        SparseVecBatch { len, lanes: (0..k).map(|_| SparseVec::new(len)).collect() }
     }
 
-    /// Bundles `k` sparse vectors (all of the same dimension) into a batch,
-    /// copying their entries into the shared pool in lane order.
-    pub fn from_lanes(lanes: &[SparseVec<T>]) -> Result<Self, SparseError> {
-        let len = lanes.first().map(|v| v.len()).unwrap_or(0);
+    /// Takes `lanes` as the batch's lanes, rejecting any lane whose
+    /// dimension is not `len`. Nothing is copied; this is how a batch of no
+    /// lanes gets a dimension.
+    pub fn with_lanes(len: usize, lanes: Vec<SparseVec<T>>) -> Result<Self, SparseError> {
         if let Some(bad) = lanes.iter().find(|v| v.len() != len) {
             return Err(SparseError::InvalidStructure(format!(
                 "batch lanes disagree on dimension: {} vs {}",
@@ -53,51 +44,20 @@ impl<T: Scalar> SparseVecBatch<T> {
                 len
             )));
         }
-        let total: usize = lanes.iter().map(|v| v.nnz()).sum();
-        let mut lane_ptr = Vec::with_capacity(lanes.len() + 1);
-        let mut indices = Vec::with_capacity(total);
-        let mut values = Vec::with_capacity(total);
-        lane_ptr.push(0);
-        for lane in lanes {
-            indices.extend_from_slice(lane.indices());
-            values.extend_from_slice(lane.values());
-            lane_ptr.push(indices.len());
-        }
-        Ok(SparseVecBatch { len, lane_ptr, indices, values })
+        Ok(SparseVecBatch { len, lanes })
     }
 
-    /// Builds a batch from raw parts, validating every invariant: the lane
-    /// structure, then each lane's indices in one O(nnz) pass (in bounds
-    /// and strictly ascending).
-    pub fn from_parts(
-        len: usize,
-        lane_ptr: Vec<usize>,
-        indices: Vec<usize>,
-        values: Vec<T>,
-    ) -> Result<Self, SparseError> {
-        if lane_ptr.is_empty() || lane_ptr[0] != 0 {
-            return Err(SparseError::InvalidStructure("lane_ptr must start with 0".into()));
-        }
-        if lane_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err(SparseError::InvalidStructure("lane_ptr must be non-decreasing".into()));
-        }
-        if *lane_ptr.last().unwrap() != indices.len() || indices.len() != values.len() {
-            return Err(SparseError::InvalidStructure(format!(
-                "lane_ptr end {} does not match pool sizes {}/{}",
-                lane_ptr.last().unwrap(),
-                indices.len(),
-                values.len()
-            )));
-        }
-        for w in lane_ptr.windows(2) {
-            check_ascending(&indices[w[0]..w[1]], len)?;
-        }
-        Ok(SparseVecBatch { len, lane_ptr, indices, values })
+    /// Bundles copies of `k` sparse vectors (all of the same dimension) into
+    /// a batch. An empty slice gives a batch of dimension 0; use
+    /// [`SparseVecBatch::with_lanes`] to size a batch of no lanes.
+    pub fn from_lanes(lanes: &[SparseVec<T>]) -> Result<Self, SparseError> {
+        let len = lanes.first().map(|v| v.len()).unwrap_or(0);
+        Self::with_lanes(len, lanes.to_vec())
     }
 
-    /// A single-lane batch wrapping one vector (`k == 1`).
+    /// A single-lane batch holding a copy of one vector (`k == 1`).
     pub fn from_single(v: &SparseVec<T>) -> Self {
-        Self::from_lanes(std::slice::from_ref(v)).expect("one lane is always consistent")
+        SparseVecBatch { len: v.len(), lanes: vec![v.clone()] }
     }
 
     /// Logical dimension shared by all lanes.
@@ -109,67 +69,28 @@ impl<T: Scalar> SparseVecBatch<T> {
     /// Number of lanes `k`.
     #[inline]
     pub fn k(&self) -> usize {
-        self.lane_ptr.len() - 1
+        self.lanes.len()
     }
 
     /// Total stored entries across all lanes.
-    #[inline]
     pub fn total_nnz(&self) -> usize {
-        self.indices.len()
+        self.lanes.iter().map(SparseVec::nnz).sum()
     }
 
     /// `true` when no lane stores any entry.
-    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
+        self.lanes.iter().all(SparseVec::is_empty)
     }
 
-    /// Borrow of lane `l` as `(indices, values)` slices.
+    /// Lane `l`.
     #[inline]
-    pub fn lane(&self, l: usize) -> (&[usize], &[T]) {
-        let r = self.lane_ptr[l]..self.lane_ptr[l + 1];
-        (&self.indices[r.clone()], &self.values[r])
+    pub fn lane(&self, l: usize) -> &SparseVec<T> {
+        &self.lanes[l]
     }
 
-    /// Copies lane `l` out into a standalone [`SparseVec`].
-    pub fn lane_vec(&self, l: usize) -> SparseVec<T> {
-        let (idx, val) = self.lane(l);
-        SparseVec::from_parts(self.len, idx.to_vec(), val.to_vec())
-            .expect("batch invariants imply lane validity")
-    }
-
-    /// Splits the batch back into `k` standalone vectors.
-    pub fn to_lanes(&self) -> Vec<SparseVec<T>> {
-        (0..self.k()).map(|l| self.lane_vec(l)).collect()
-    }
-
-    /// Lane-wise [`SparseVec::slice_remap`]: every lane keeps only its
-    /// entries with indices in `range`, re-based to the range start, and the
-    /// batch's logical dimension becomes `range.len()`. The lane count is
-    /// preserved (lanes that lose all entries stay as empty lanes), so a
-    /// column-partitioned shard sees the same batch width as the router.
-    ///
-    /// # Panics
-    ///
-    /// When the range is decreasing or extends past [`SparseVecBatch::len`].
-    pub fn slice_remap(&self, range: Range<usize>) -> SparseVecBatch<T> {
-        assert!(
-            range.start <= range.end && range.end <= self.len,
-            "slice_remap range {range:?} out of bounds for length {}",
-            self.len
-        );
-        let mut lane_ptr = Vec::with_capacity(self.k() + 1);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        lane_ptr.push(0);
-        for l in 0..self.k() {
-            let (idx, val) = self.lane(l);
-            let run = run_in(idx, &range);
-            indices.extend(idx[run.clone()].iter().map(|&i| i - range.start));
-            values.extend_from_slice(&val[run]);
-            lane_ptr.push(indices.len());
-        }
-        SparseVecBatch { len: range.end - range.start, lane_ptr, indices, values }
+    /// Moves the lanes out, in lane order.
+    pub fn into_lanes(self) -> Vec<SparseVec<T>> {
+        self.lanes
     }
 }
 
@@ -187,8 +108,7 @@ impl SparseVecBatch<f64> {
     pub fn approx_same_entries(&self, other: &Self, rel_tol: f64) -> bool {
         self.len == other.len
             && self.k() == other.k()
-            && (0..self.k())
-                .all(|l| self.lane_vec(l).approx_same_entries(&other.lane_vec(l), rel_tol))
+            && self.lanes.iter().zip(&other.lanes).all(|(a, b)| a.approx_same_entries(b, rel_tol))
     }
 }
 
@@ -196,25 +116,24 @@ impl SparseVecBatch<f64> {
 mod tests {
     use super::*;
 
-    fn demo_batch() -> SparseVecBatch<f64> {
-        SparseVecBatch::from_lanes(&[
+    fn demo_lanes() -> Vec<SparseVec<f64>> {
+        vec![
             SparseVec::from_pairs(6, vec![(4, 4.0), (1, 1.0)]).unwrap(),
             SparseVec::from_pairs(6, vec![]).unwrap(),
             SparseVec::from_pairs(6, vec![(1, 10.0), (5, 50.0), (3, 30.0)]).unwrap(),
-        ])
-        .unwrap()
+        ]
     }
 
     #[test]
     fn from_lanes_roundtrips() {
-        let b = demo_batch();
+        let b = SparseVecBatch::from_lanes(&demo_lanes()).unwrap();
         assert_eq!(b.k(), 3);
         assert_eq!(b.len(), 6);
         assert_eq!(b.total_nnz(), 5);
-        assert_eq!(b.lane(0).0.len(), 2);
-        assert_eq!(b.lane(1).0.len(), 0);
-        assert_eq!(b.lane(2).0.len(), 3);
-        let lanes = b.to_lanes();
+        assert_eq!(b.lane(0).nnz(), 2);
+        assert_eq!(b.lane(1).nnz(), 0);
+        assert_eq!(b.lane(2).nnz(), 3);
+        let lanes = b.into_lanes();
         assert_eq!(lanes[0].indices(), &[1, 4]);
         assert_eq!(lanes[2].values(), &[10.0, 30.0, 50.0]);
     }
@@ -226,17 +145,15 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_validates() {
-        assert!(SparseVecBatch::from_parts(4, vec![0, 1], vec![9], vec![1.0]).is_err());
-        assert!(SparseVecBatch::from_parts(4, vec![0, 2], vec![0], vec![1.0]).is_err());
-        assert!(SparseVecBatch::from_parts(4, vec![1, 1], vec![], Vec::<f64>::new()).is_err());
-        assert!(SparseVecBatch::from_parts(4, vec![0, 1], vec![2], vec![1.0]).is_ok());
-        // duplicate index within one lane is rejected...
-        assert!(SparseVecBatch::from_parts(4, vec![0, 2], vec![3, 3], vec![1.0, 2.0]).is_err());
-        // ...so is a descending one...
-        assert!(SparseVecBatch::from_parts(4, vec![0, 2], vec![3, 1], vec![1.0, 2.0]).is_err());
-        // ...but the same index in different lanes is fine
-        assert!(SparseVecBatch::from_parts(4, vec![0, 1, 2], vec![3, 3], vec![1.0, 2.0]).is_ok());
+    fn with_lanes_checks_every_lane_and_sizes_a_batch_of_none() {
+        assert!(SparseVecBatch::with_lanes(6, demo_lanes()).is_ok());
+        assert!(SparseVecBatch::with_lanes(7, demo_lanes()).is_err());
+        let mut lanes = demo_lanes();
+        lanes.push(SparseVec::new(5));
+        assert!(SparseVecBatch::with_lanes(6, lanes).is_err());
+        let none = SparseVecBatch::<f64>::with_lanes(9, Vec::new()).unwrap();
+        assert_eq!((none.len(), none.k()), (9, 0));
+        assert_eq!(none, SparseVecBatch::new(9, 0));
     }
 
     #[test]
@@ -244,39 +161,18 @@ mod tests {
         let v = SparseVec::from_pairs(9, vec![(2, 2.0), (7, 7.0)]).unwrap();
         let b = SparseVecBatch::from_single(&v);
         assert_eq!(b.k(), 1);
-        assert_eq!(b.lane_vec(0), v);
-    }
-
-    #[test]
-    fn slice_remap_keeps_lane_count_and_rebases() {
-        let b = demo_batch();
-        let s = b.slice_remap(1..5);
-        assert_eq!(s.k(), 3, "lane count survives slicing");
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.lane(0).0, &[0, 3]); // 1, 4 re-based by 1
-        assert_eq!(s.lane(1).0.len(), 0);
-        assert_eq!(s.lane(2).0, &[0, 2]); // 1, 3 survive; 5 is cut
-        assert_eq!(s.lane(2).1, &[10.0, 30.0]);
-        // Lane-wise agreement with the vector primitive.
-        for l in 0..b.k() {
-            assert_eq!(s.lane_vec(l), b.lane_vec(l).slice_remap(1..5));
-        }
-        // Degenerate ranges.
-        assert_eq!(b.slice_remap(0..0).k(), 3);
-        assert_eq!(b.slice_remap(0..6), b);
+        assert_eq!(b.lane(0), &v);
     }
 
     #[test]
     fn same_entries_is_lane_wise() {
-        let a = demo_batch();
-        let b = demo_batch();
+        let a = SparseVecBatch::from_lanes(&demo_lanes()).unwrap();
+        let b = SparseVecBatch::with_lanes(6, demo_lanes()).unwrap();
         assert!(a.same_entries(&b));
-        let c = SparseVecBatch::from_lanes(&[
-            SparseVec::from_pairs(6, vec![(4, 4.0), (1, 1.0)]).unwrap(),
-            SparseVec::from_pairs(6, vec![(0, 9.0)]).unwrap(),
-            SparseVec::from_pairs(6, vec![(1, 10.0), (5, 50.0), (3, 30.0)]).unwrap(),
-        ])
-        .unwrap();
+        let mut lanes = demo_lanes();
+        lanes[1] = SparseVec::from_pairs(6, vec![(0, 9.0)]).unwrap();
+        let c = SparseVecBatch::with_lanes(6, lanes).unwrap();
         assert!(!a.same_entries(&c));
+        assert!(!a.approx_same_entries(&c, 1e-12));
     }
 }

@@ -13,8 +13,8 @@
 //! * [`DcscMatrix`] — Double-Compressed Sparse Columns with an auxiliary
 //!   column index (what the CombBLAS and GraphMat baselines consume);
 //! * [`SparseVec`] — `(index, value)` list format, indices strictly ascending;
-//! * [`SparseVecBatch`] — `k` sparse vectors (lanes) over a shared index
-//!   pool, the substrate of batched multi-source SpMSpV;
+//! * [`SparseVecBatch`] — `k` [`SparseVec`] lanes of one dimension, the
+//!   substrate of batched multi-source SpMSpV;
 //! * [`BitVec`] — bitmap + rank structure, GraphMat's vector format — and
 //!   [`MaskBits`], the mutable bitmap the masked SpMSpV kernels consult;
 //! * [`Spa`] — the sparse accumulator with generation-based partial

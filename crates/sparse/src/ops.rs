@@ -4,6 +4,7 @@
 //! against [`spmspv_reference`], a direct transcription of the mathematical
 //! definition of `y ← A ⊕.⊗ x` with no regard for performance.
 
+use crate::batch::SparseVecBatch;
 use crate::csc::CscMatrix;
 use crate::semiring::Semiring;
 use crate::spvec::SparseVec;
@@ -54,21 +55,28 @@ where
 }
 
 /// Reference batched SpMSpV: `k` independent [`spmspv_reference`] calls,
-/// one per lane. Every batched kernel is tested against this.
+/// one per lane, giving `k` lanes of dimension `m` (also for `k = 0`).
+/// Every batched kernel is tested against this.
 pub fn spmspv_batch_reference<A, X, S>(
     a: &CscMatrix<A>,
-    x: &crate::batch::SparseVecBatch<X>,
+    x: &SparseVecBatch<X>,
     semiring: &S,
-) -> crate::batch::SparseVecBatch<S::Output>
+) -> SparseVecBatch<S::Output>
 where
     A: Scalar,
     X: Scalar,
     S: Semiring<A, X>,
 {
-    let lanes: Vec<SparseVec<S::Output>> =
-        x.to_lanes().iter().map(|lane| spmspv_reference(a, lane, semiring)).collect();
-    crate::batch::SparseVecBatch::from_lanes(&lanes)
-        .expect("reference lanes share the matrix's row dimension")
+    assert_eq!(
+        a.ncols(),
+        x.len(),
+        "matrix has {} columns but the batch has dimension {}",
+        a.ncols(),
+        x.len()
+    );
+    let lanes = (0..x.k()).map(|l| spmspv_reference(a, x.lane(l), semiring)).collect();
+    SparseVecBatch::with_lanes(a.nrows(), lanes)
+        .expect("reference lanes have the matrix's row dimension")
 }
 
 /// Number of scalar multiplications SpMSpV must perform for this operand
@@ -144,6 +152,22 @@ mod tests {
         let x = figure1_vector();
         // columns 2, 5, 7 have 4, 2, 1 entries
         assert_eq!(required_multiplications(&a, &x), 7);
+    }
+
+    #[test]
+    fn batch_reference_keeps_the_row_dimension_of_a_zero_lane_batch() {
+        // 5 × 3: a zero-lane input has dimension 3, its product dimension 5.
+        let a = CscMatrix::<f64>::empty(5, 3);
+        let x = SparseVecBatch::<f64>::new(a.ncols(), 0);
+        let y = spmspv_batch_reference(&a, &x, &PlusTimes);
+        assert_eq!((y.len(), y.k()), (a.nrows(), 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "matrix has")]
+    fn batch_reference_rejects_a_zero_lane_batch_of_the_wrong_dimension() {
+        let a = figure1_matrix();
+        let _ = spmspv_batch_reference(&a, &SparseVecBatch::<f64>::new(9, 0), &PlusTimes);
     }
 
     #[test]

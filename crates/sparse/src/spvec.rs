@@ -24,9 +24,8 @@ pub struct SparseVec<T> {
 }
 
 /// Checks the list-format invariant in one pass: every index below `len`
-/// and above its predecessor. Shared with [`crate::SparseVecBatch`], whose
-/// lanes carry the same invariant.
-pub(crate) fn check_ascending(indices: &[usize], len: usize) -> Result<(), SparseError> {
+/// and above its predecessor.
+fn check_ascending(indices: &[usize], len: usize) -> Result<(), SparseError> {
     // `next` is the smallest index the next entry may carry.
     let mut next = 0usize;
     for &i in indices {
@@ -225,7 +224,7 @@ impl<T: Scalar> SparseVec<T> {
 }
 
 /// Positions in the ascending `indices` of the entries that fall in `range`.
-pub(crate) fn run_in(indices: &[usize], range: &Range<usize>) -> Range<usize> {
+fn run_in(indices: &[usize], range: &Range<usize>) -> Range<usize> {
     let lo = indices.partition_point(|&i| i < range.start);
     lo..lo + indices[lo..].partition_point(|&i| i < range.end)
 }

@@ -90,7 +90,7 @@ proptest! {
         prop_assert_eq!(y.len(), a.nrows());
         prop_assert_eq!(y.k(), x.k());
         for l in 0..y.k() {
-            let (indices, _) = y.lane(l);
+            let indices = y.lane(l).indices();
             prop_assert!(indices.windows(2).all(|w| w[0] < w[1]), "lane {} not ascending", l);
             prop_assert!(indices.iter().all(|&i| i < a.nrows()), "lane {} out of bounds", l);
         }
@@ -105,7 +105,7 @@ proptest! {
         // index i is i itself (the discovering vertex's id).
         let frontier_lanes: Vec<SparseVec<usize>> = (0..x.k())
             .map(|l| {
-                let (indices, _) = x.lane(l);
+                let indices = x.lane(l).indices();
                 SparseVec::from_pairs(x.len(), indices.iter().map(|&i| (i, i)).collect())
                     .expect("indices already validated")
             })
@@ -143,9 +143,9 @@ proptest! {
         let mut single =
             SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(single_threads));
         for l in 0..x.k() {
-            let lane_y = single.multiply(&x.lane_vec(l), &PlusTimes);
+            let lane_y = single.multiply(x.lane(l), &PlusTimes);
             prop_assert_eq!(
-                y.lane_vec(l), lane_y,
+                y.lane(l), &lane_y,
                 "lane {} not bit-identical to an independent SpMSpVBucket call", l
             );
         }
@@ -220,10 +220,12 @@ proptest! {
         let mut fused = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(2));
         let y_full = fused.multiply_batch(&x, &PlusTimes);
         let half = x.k().div_ceil(2);
-        let sub = SparseVecBatch::from_lanes(&x.to_lanes()[..half]).expect("lanes share n");
+        let mut lanes = x.clone().into_lanes();
+        lanes.truncate(half);
+        let sub = SparseVecBatch::with_lanes(x.len(), lanes).expect("lanes share n");
         let y_sub = fused.multiply_batch(&sub, &PlusTimes);
         for l in 0..half {
-            prop_assert_eq!(y_full.lane_vec(l), y_sub.lane_vec(l), "lane {} leaked", l);
+            prop_assert_eq!(y_full.lane(l), y_sub.lane(l), "lane {} leaked", l);
         }
     }
 }
@@ -246,8 +248,8 @@ fn bit_identical_on_rmat_and_grid_fixtures() {
             let y = fused.multiply_batch(&x, &PlusTimes);
             let mut single = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(3));
             for l in 0..k {
-                let lane_y = single.multiply(&x.lane_vec(l), &PlusTimes);
-                assert_eq!(y.lane_vec(l), lane_y, "{name}: lane {l} of k={k} not bit-identical");
+                let lane_y = single.multiply(x.lane(l), &PlusTimes);
+                assert_eq!(y.lane(l), &lane_y, "{name}: lane {l} of k={k} not bit-identical");
             }
             // And the reference agrees up to rounding (random f64 values).
             let expected = spmspv_batch_reference(&a, &x, &PlusTimes);
@@ -268,7 +270,7 @@ fn single_lane_round_trip_through_both_pipelines() {
     let batch_x = SparseVecBatch::from_single(&x);
 
     let mut fused = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(2));
-    let y_batch = fused.multiply_batch(&batch_x, &PlusTimes).lane_vec(0);
+    let y_batch = fused.multiply_batch(&batch_x, &PlusTimes).into_lanes().remove(0);
     let mut single = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(2));
     let y_single = single.multiply(&x, &PlusTimes);
     let y_ref = spmspv_reference(&a, &x, &PlusTimes);

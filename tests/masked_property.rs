@@ -197,7 +197,7 @@ proptest! {
         for kind in BatchAlgorithmKind::all() {
             let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
-            let oracle = mask_filter_batch(&alg.multiply_batch(&x, &PlusTimes), &view);
+            let oracle = mask_filter_batch(alg.multiply_batch(&x, &PlusTimes), &view);
             prop_assert_eq!(
                 &y,
                 &oracle,
@@ -225,7 +225,7 @@ proptest! {
         for kind in BatchAlgorithmKind::all() {
             let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
-            let oracle = mask_filter_batch(&alg.multiply_batch(&x, &PlusTimes), &view);
+            let oracle = mask_filter_batch(alg.multiply_batch(&x, &PlusTimes), &view);
             prop_assert_eq!(
                 &y,
                 &oracle,
@@ -234,9 +234,8 @@ proptest! {
             );
             prop_assert_eq!(&y, &naive, "{kind} diverged from NaiveBatch ({mode:?}, k={})", x.k());
             for l in 0..y.k() {
-                let (rows, _) = y.lane(l);
                 prop_assert!(
-                    rows.iter().all(|&i| view.keeps(i, l)),
+                    y.lane(l).indices().iter().all(|&i| view.keeps(i, l)),
                     "{kind} leaked a masked-out row in lane {l}"
                 );
             }
@@ -265,12 +264,12 @@ proptest! {
         );
         for (l, lane_mask) in masks.iter().enumerate() {
             let lane_y = single.multiply_masked(
-                &x.lane_vec(l),
+                x.lane(l),
                 &PlusTimes,
                 Some(MaskView::new(lane_mask, mode)),
             );
             prop_assert_eq!(
-                y.lane_vec(l), lane_y,
+                y.lane(l), &lane_y,
                 "masked lane {} not bit-identical to a masked SpMSpVBucket call", l
             );
         }
@@ -335,7 +334,7 @@ fn bfs_shaped_mask_on_rmat_and_grid_fixtures() {
                 .options(SpMSpVOptions::with_threads(3))
                 .prepare::<f64>();
             let view = BatchMaskView::Shared(MaskView::new(&visited, MaskMode::Complement));
-            let oracle = mask_filter_batch(&unmasked_op.run_batch(&x), &view);
+            let oracle = mask_filter_batch(unmasked_op.run_batch(&x), &view);
             assert_eq!(y, oracle, "{name}: masked k={k} batch differs from post-filter oracle");
         }
     }
