@@ -1,77 +1,58 @@
-//! Density-driven dispatch: pick the kernel family per call.
+//! Work-driven dispatch: pick the kernel family per call.
 //!
 //! The paper's central claim is *work-efficiency*: the bucket algorithm does
 //! `O(flops)` work where SPA-based competitors pay `O(m)` for accumulator
 //! setup. Generation stamps already removed the setup cost from every
-//! accumulator in this workspace, but the *constant factors* of the kernel
-//! families still cross over with frontier density and thread count:
+//! accumulator in this workspace, but the bucket pipeline still pays a fixed
+//! cost per call — buckets to fill and drain, and three fork-joins — that
+//! only parallelism repays. §IV-D names the case where it does not: "when
+//! the vector is very sparse … due to the scarcity of work for all threads".
 //!
-//! * for tiny frontiers the parallel pipeline is overhead over the
-//!   sequential SPA;
-//! * with one worker, a single flat SPA pass has none of the bucket
-//!   pipeline's fixed costs and stays ahead until the working set outgrows
-//!   it.
+//! [`AdaptiveSpMSpV`] therefore asks the workspace's one parallelism rule,
+//! [`Executor::capped_for`], how many participants the call's exact flops
+//! (`Σ nnz(A(:, j))` over the frontier, one `colptr` pass) earn. One
+//! participant means the sequential SPA; more mean the bucket kernel, which
+//! then runs on exactly that many. Nothing else enters the decision: not
+//! the frontier's entry count, not `m`, and no second constant. A
+//! one-thread kernel never earns a second participant, so it always runs
+//! the sequential SPA.
 //!
-//! [`AdaptiveSpMSpV`] sits in front of the two kernels and resolves these
-//! trade-offs per call from `(frontier nnz, m, threads)`. [`AdaptiveBatch`]
-//! applies it per lane on the [lane runner](crate::batch): a lane spread
-//! over the pool runs on a one-thread kernel and so takes the single-thread
-//! rule. The crossovers are the named constants below — measured once on
-//! the reference dev container, not settable: no caller ever needed a
-//! different value, and the committed ledger under `benchmark/results/`
-//! (`adaptive.sequential_share`, `adaptive.regret`) is where a change to
-//! one of them has to show up.
+//! [`AdaptiveBatch`] applies the same rule per lane on the
+//! [lane runner](crate::batch): a lane spread over the pool runs on a
+//! one-thread kernel and so runs the sequential SPA; the lanes of a narrow
+//! batch run on the runner's kernel of `t` participants and decide by their
+//! own flops. The rule's one constant is measured (see
+//! [`Executor::capped_for`]), not settable, and the committed ledger under
+//! `benchmark/results/` (`adaptive.sequential_share`, `executor.speedup`)
+//! is where a change to it has to show up.
 //!
 //! Both kernels reduce each row in ascending-column order, so the
 //! dispatcher's choice never changes the result — adaptive output is
 //! bit-identical to whichever kernel it delegates to, which the property
 //! tests assert.
 
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec, SparseVecBatch};
+use sparse_substrate::ops::required_multiplications;
+use sparse_substrate::{Scalar, Semiring, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
 use crate::batch::{BatchRunInfo, LaneKernel, LaneRunner, SpMSpVBatch};
 use crate::bucket::SpMSpVBucket;
+use crate::executor::Executor;
 use crate::masked::{BatchMaskView, MaskView};
 
-/// Single-vector: estimated flops at or below which the sequential SPA beats
-/// the parallel bucket pipeline's fixed costs.
-const SEQUENTIAL_FLOPS_CUTOFF: usize = 256;
-/// One worker: estimated flops at or below which the sequential SPA runs
-/// instead of the one-participant bucket kernel.
-///
-/// The value was measured with the batched row-split kernel, since deleted,
-/// running one piece: a single flat SPA pass, which stayed ahead of the
-/// bucket pipeline well past a million flops. It has not been re-measured
-/// against the one-participant bucket kernel; ROADMAP direction 2(a)
-/// re-derives it.
-const ONE_WORKER_SPA_FLOPS_CUTOFF: usize = 1 << 22;
-/// One worker: largest row count `m` at which the sequential SPA runs
-/// instead of the one-participant bucket kernel for non-tiny frontiers —
-/// beyond it the `O(m)` accumulator's scatter is miss-dominated. Measured,
-/// and due to be re-derived, like [`ONE_WORKER_SPA_FLOPS_CUTOFF`].
-const ONE_WORKER_SPA_MAX_M: usize = 1 << 17;
-
-/// Estimated multiplications for a frontier of `nnz` entries against
-/// `matrix` (mean column degree × nnz — exact counting would cost a pass
-/// over the frontier, which dispatch must not).
-fn estimated_flops<A: Scalar>(matrix: &CscMatrix<A>, nnz: usize) -> usize {
-    let cols = matrix.ncols().max(1);
-    nnz.saturating_mul(matrix.nnz()) / cols
-}
-
 /// [`AlgorithmKind::Adaptive`]: dispatches each single-vector call between
-/// the parallel bucket kernel and the sequential SPA from the frontier's
-/// estimated flops. Both delegates are instantiated lazily and keep their
-/// workspaces across calls, exactly like a fixed-family descriptor.
+/// the parallel bucket kernel and the sequential SPA by the participants
+/// the frontier's exact flops earn (see the [module docs](self)). Both
+/// delegates are instantiated lazily and keep their workspaces across
+/// calls, exactly like a fixed-family descriptor.
 ///
 /// Both delegates reduce each row in ascending-column order, so switching
 /// families mid-traversal never changes a result.
 pub struct AdaptiveSpMSpV<'a, A, X, S: Semiring<A, X>> {
     matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
-    threads: usize,
+    executor: Executor,
     bucket: Option<SpMSpVBucket<'a, A, X, S>>,
     sequential: Option<SequentialSpa<'a, A, S::Output>>,
     last: Option<AlgorithmKind>,
@@ -86,11 +67,11 @@ where
     /// Prepares the dispatcher (no kernel is instantiated until the first
     /// call needs it).
     pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
-        let threads = options.build_executor().threads();
+        let executor = options.build_executor();
         AdaptiveSpMSpV {
             matrix: matrix.into(),
             options,
-            threads,
+            executor,
             bucket: None,
             sequential: None,
             last: None,
@@ -104,17 +85,8 @@ where
     }
 
     fn choose(&self, x: &SparseVec<X>) -> AlgorithmKind {
-        let flops = estimated_flops(&self.matrix, x.nnz());
-        // With one worker the bucket pipeline's fixed costs never pay until
-        // the working set outgrows a single SPA pass, so the one-worker
-        // cutoff is much larger — but only while m is small enough that the
-        // flat O(m) SPA's scatter stays cache-friendly.
-        let cutoff = if self.threads == 1 && self.matrix.nrows() <= ONE_WORKER_SPA_MAX_M {
-            SEQUENTIAL_FLOPS_CUTOFF.max(ONE_WORKER_SPA_FLOPS_CUTOFF)
-        } else {
-            SEQUENTIAL_FLOPS_CUTOFF
-        };
-        if flops <= cutoff {
+        let flops = required_multiplications(&self.matrix, x);
+        if self.executor.capped_for(flops).threads() == 1 {
             AlgorithmKind::Sequential
         } else {
             AlgorithmKind::Bucket
@@ -150,6 +122,13 @@ where
         semiring: &S,
         mask: Option<MaskView<'_>>,
     ) -> SparseVec<S::Output> {
+        let n = self.matrix.ncols();
+        assert_eq!(
+            x.len(),
+            n,
+            "input vector has dimension {} but the matrix has {n} columns",
+            x.len()
+        );
         if let Some(mask) = mask {
             mask.check_rows(self.matrix.nrows());
         }
@@ -249,22 +228,46 @@ mod tests {
     use sparse_substrate::fixtures::tridiagonal;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::spmspv_reference;
-    use sparse_substrate::PlusTimes;
+    use sparse_substrate::{CooMatrix, CscMatrix, PlusTimes};
 
-    /// A frontier size whose estimated flops against `a` exceed `flops`.
-    fn nnz_past(a: &CscMatrix<f64>, flops: usize) -> usize {
-        (flops + 1) * a.ncols() / a.nnz() + 1
+    /// An `m × m` star: column 0 (the hub) holds every row, and every other
+    /// column `j` holds row `j` alone, so the mean column degree is under 2.
+    fn star(m: usize) -> CscMatrix<f64> {
+        let mut coo = CooMatrix::new(m, m);
+        for i in 0..m {
+            coo.push(i, 0, 1.0);
+        }
+        for j in 1..m {
+            coo.push(j, j, 1.0);
+        }
+        CscMatrix::from_coo(coo, |a, b| a + b)
+    }
+
+    /// The hub's column as a one-entry frontier.
+    fn hub(a: &CscMatrix<f64>) -> SparseVec<f64> {
+        SparseVec::from_pairs(a.ncols(), vec![(0, 1.0)]).unwrap()
+    }
+
+    fn adaptive(a: &CscMatrix<f64>, threads: usize) -> AdaptiveSpMSpV<'_, f64, f64, PlusTimes> {
+        AdaptiveSpMSpV::new(a, SpMSpVOptions::with_threads(threads))
+    }
+
+    /// The family `threads`-participant Adaptive picks for `x` over `a`.
+    fn choice(a: &CscMatrix<f64>, threads: usize, x: &SparseVec<f64>) -> Option<AlgorithmKind> {
+        let mut adaptive = adaptive(a, threads);
+        let _ = adaptive.multiply(x, &PlusTimes);
+        adaptive.last_choice()
     }
 
     #[test]
     fn single_adaptive_matches_its_delegates() {
-        let a = erdos_renyi(300, 6.0, 5);
+        let a = erdos_renyi(3000, 8.0, 5);
         let opts = SpMSpVOptions::with_threads(2);
         let mut seen = Vec::new();
-        // ~6 flops per frontier entry: 1 and 4 sit under the sequential
-        // cutoff, 200 well past it.
-        for nnz in [1usize, 4, 200] {
-            let x = random_sparse_vec(300, nnz, 7 + nnz as u64);
+        // ~8 flops per frontier entry: 1 and 4 entries earn one participant,
+        // 2500 (~20k flops) earn two.
+        for nnz in [1usize, 4, 2500] {
+            let x = random_sparse_vec(3000, nnz, 7 + nnz as u64);
             let mut adaptive: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
                 AdaptiveSpMSpV::new(&a, opts.clone());
             let y = adaptive.multiply(&x, &PlusTimes);
@@ -278,61 +281,79 @@ mod tests {
         assert_eq!(
             seen,
             [AlgorithmKind::Sequential, AlgorithmKind::Sequential, AlgorithmKind::Bucket],
-            "the frontier sizes must cross the sequential cutoff"
+            "the frontier sizes must cross the fork threshold"
         );
     }
 
     #[test]
     fn tiny_sorted_frontiers_go_sequential_big_ones_bucket() {
-        let a = erdos_renyi(500, 8.0, 3);
-        let mut adaptive: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
-            AdaptiveSpMSpV::new(&a, SpMSpVOptions::with_threads(4));
-        let tiny = random_sparse_vec(500, 2, 1);
-        let _ = adaptive.multiply(&tiny, &PlusTimes);
-        assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Sequential));
-        let big = random_sparse_vec(500, nnz_past(&a, SEQUENTIAL_FLOPS_CUTOFF), 2);
-        let _ = adaptive.multiply(&big, &PlusTimes);
-        assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Bucket));
+        let a = erdos_renyi(3000, 8.0, 3);
+        let tiny = random_sparse_vec(3000, 2, 1);
+        let big = random_sparse_vec(3000, 2500, 2);
+        assert_eq!(choice(&a, 4, &tiny), Some(AlgorithmKind::Sequential));
+        assert_eq!(choice(&a, 4, &big), Some(AlgorithmKind::Bucket));
 
-        // One worker: the same big frontier stays on the flat SPA pass while
-        // m is small, and goes back to the bucket kernel once m outgrows it.
-        let mut one: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
-            AdaptiveSpMSpV::new(&a, SpMSpVOptions::with_threads(1));
-        let _ = one.multiply(&big, &PlusTimes);
-        assert_eq!(one.last_choice(), Some(AlgorithmKind::Sequential));
-        let tall = tridiagonal(ONE_WORKER_SPA_MAX_M + 1);
-        let mut one: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
-            AdaptiveSpMSpV::new(&tall, SpMSpVOptions::with_threads(1));
-        let big = random_sparse_vec(tall.ncols(), nnz_past(&tall, SEQUENTIAL_FLOPS_CUTOFF), 2);
-        let _ = one.multiply(&big, &PlusTimes);
-        assert_eq!(one.last_choice(), Some(AlgorithmKind::Bucket));
+        // One-thread Adaptive is `Sequential` at any m and any flops: the
+        // same big frontier, a one-entry frontier on a 2¹⁷ + 1-row hub, and
+        // every column of a 2¹⁷ + 1-row tridiagonal.
+        assert_eq!(choice(&a, 1, &big), Some(AlgorithmKind::Sequential));
+        let tall_star = star((1 << 17) + 1);
+        assert_eq!(choice(&tall_star, 1, &hub(&tall_star)), Some(AlgorithmKind::Sequential));
+        let tall = tridiagonal((1 << 17) + 1);
+        let all =
+            SparseVec::from_pairs(tall.ncols(), (0..tall.ncols()).map(|j| (j, 1.0)).collect());
+        assert_eq!(choice(&tall, 1, &all.unwrap()), Some(AlgorithmKind::Sequential));
+    }
+
+    #[test]
+    fn the_rule_reads_exact_flops_not_frontier_size() {
+        // ~1 000 tridiagonal entries, ~3 000 flops: many entries, too little
+        // work for a second participant.
+        let tri = tridiagonal(4000);
+        let wide = random_sparse_vec(4000, 1000, 5);
+        assert_eq!(choice(&tri, 2, &wide), Some(AlgorithmKind::Sequential));
+        let flops = required_multiplications(&tri, &wide);
+        assert!((2500..3100).contains(&flops), "{flops} flops");
+        assert_eq!(Executor::new(2).capped_for(flops).threads(), 1);
+
+        // One entry on a 16 384-entry hub column: a single entry, enough
+        // work for two participants.
+        let star = star(1 << 14);
+        let one = hub(&star);
+        let mut two = adaptive(&star, 2);
+        let y = two.multiply(&one, &PlusTimes);
+        assert_eq!(two.last_choice(), Some(AlgorithmKind::Bucket));
+        assert_eq!(y, spmspv_reference(&star, &one, &PlusTimes));
+        let flops = required_multiplications(&star, &one);
+        assert_eq!(flops, 1 << 14);
+        assert_eq!(Executor::new(2).capped_for(flops).threads(), 2);
     }
 
     #[test]
     fn batch_adaptive_family_decision() {
-        // Each lane decides for itself. A narrow batch (k < t) runs on the
-        // runner's kernel of t participants, which takes the multi-thread
-        // rule; lanes spread over the pool run on one-thread kernels, which
-        // take the single-thread rule.
-        let a = erdos_renyi(400, 6.0, 9);
-        let big = nnz_past(&a, SEQUENTIAL_FLOPS_CUTOFF);
+        // Each lane decides for itself. A narrow batch (2k at most the
+        // participants the batch earns) runs on the runner's kernel of t
+        // participants, where a lane of ~20k flops earns two and runs the
+        // bucket kernel; lanes spread over the pool run on one-thread
+        // kernels, which always run the sequential SPA.
+        let a = erdos_renyi(4000, 8.0, 9);
         let opts = SpMSpVOptions::with_threads(2);
         let batch = |k: usize, nnz: usize| {
             let lanes: Vec<_> =
-                (0..k).map(|l| random_sparse_vec(400, nnz, 40 + l as u64)).collect();
+                (0..k).map(|l| random_sparse_vec(4000, nnz, 40 + l as u64)).collect();
             SparseVecBatch::from_lanes(&lanes).unwrap()
         };
         let mut alg: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(&a, opts.clone());
 
-        let one = batch(1, big);
+        let one = batch(1, 2500);
         let y = alg.multiply_batch(&one, &PlusTimes);
         let (wide, idle) = alg.lanes.kernels();
         assert_eq!(wide.and_then(AdaptiveSpMSpV::last_choice), Some(AlgorithmKind::Bucket));
-        assert!(idle.is_empty(), "k < t never checks out a one-thread kernel");
+        assert!(idle.is_empty(), "a narrow batch never checks out a one-thread kernel");
         let mut single: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> = AdaptiveSpMSpV::new(&a, opts);
         assert_eq!(y.lane(0), &single.multiply(one.lane(0), &PlusTimes));
 
-        let four = batch(4, big);
+        let four = batch(4, 2500);
         let y = alg.multiply_batch(&four, &PlusTimes);
         let (_, idle) = alg.lanes.kernels();
         assert!(!idle.is_empty());

@@ -163,9 +163,9 @@ pub enum AlgorithmKind {
     SortBased,
     /// Sequential SPA-based reference.
     Sequential,
-    /// Cost-model dispatch per call between [`AlgorithmKind::Bucket`] and
-    /// [`AlgorithmKind::Sequential`] from the frontier's estimated flops
-    /// ([`crate::adaptive::AdaptiveSpMSpV`]).
+    /// Dispatch per call between [`AlgorithmKind::Bucket`] and
+    /// [`AlgorithmKind::Sequential`] by the participants the frontier's
+    /// exact flops earn ([`crate::adaptive::AdaptiveSpMSpV`]).
     Adaptive,
 }
 

@@ -114,10 +114,9 @@ where
                         spa.accumulate(i, prod, |a, b| semiring.add(a, b));
                     }
                 }
-                let mut pairs = spa.drain();
-                pairs.sort_unstable_by_key(|&(i, _)| i);
+                let (indices, values) = spa.drain_sorted();
                 let base = offsets[p];
-                pairs.into_iter().map(|(i, v)| (i + base, v)).collect()
+                indices.into_iter().map(|i| i + base).zip(values).collect()
             },
         );
 

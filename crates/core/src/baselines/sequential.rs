@@ -67,13 +67,10 @@ where
             None => gather(matrix, x, &mut self.spa, semiring, |_| true),
             Some(mask) => gather(matrix, x, &mut self.spa, semiring, mask.row_filter()),
         }
-        let mut pairs = self.spa.drain();
-        pairs.sort_unstable_by_key(|&(i, _)| i);
-        let mut y = SparseVec::new(self.matrix.nrows());
-        for (i, v) in pairs {
-            y.push(i, v);
-        }
-        y
+        // The output's two arrays are the call's only allocations.
+        let (indices, values) = self.spa.drain_sorted();
+        SparseVec::from_parts(matrix.nrows(), indices, values)
+            .expect("SPA indices are distinct and in bounds, and sorted above")
     }
 }
 

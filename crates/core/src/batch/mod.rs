@@ -10,12 +10,16 @@
 //! * [`SpMSpVBucketBatch`] (over [`SpMSpVBucket`]) and
 //!   [`AdaptiveBatch`](crate::AdaptiveBatch) (over
 //!   [`AdaptiveSpMSpV`](crate::AdaptiveSpMSpV)) run on the lane runner.
-//!   With `t` participants, a batch of `k < t` lanes runs its lanes one
-//!   after another on one kernel of `t` participants, so a one-lane batch is
-//!   exactly a single-vector call. A batch of `k ≥ t` lanes is spread over
+//!   A batch gets the participants its exact flops, summed over the lanes,
+//!   earn ([`Executor::capped_for`]); call that `t`. A *narrow* batch, one
+//!   whose lanes earn two participants each on average (`2k ≤ t`), runs its
+//!   lanes one after another on one kernel of the configured participants,
+//!   which caps each lane by its own flops, so a one-lane batch is exactly a
+//!   single-vector call. Any other batch is spread over `t` participants of
 //!   the pool: [`Executor::map`] hands lanes out dynamically, and whichever
 //!   participant claims a lane checks out a one-thread kernel for it and
-//!   returns the kernel when the lane is done. The workspaces thus belong to
+//!   returns the kernel when the lane is done. So lanes too small to fork on
+//!   their own still run side by side. The workspaces belong to
 //!   participants, not lanes: the runner keeps at most `t` one-thread
 //!   kernels and reuses them across calls.
 //! * [`NaiveBatch`] runs the lanes one after another on one bucket kernel.
@@ -38,6 +42,7 @@ pub use naive::NaiveBatch;
 
 use std::sync::{Mutex, PoisonError};
 
+use sparse_substrate::ops::required_multiplications;
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
@@ -263,7 +268,7 @@ pub(crate) struct LaneRunner<'a, A, K> {
     matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
     executor: Executor,
-    /// The kernel of `t` participants that narrow batches (`k < t`) run
+    /// The kernel of `t` participants that narrow batches (`2k ≤ t`) run
     /// their lanes on, built on first use.
     wide: Option<K>,
     /// Idle one-thread kernels. A participant pops one per lane it claims
@@ -324,13 +329,16 @@ impl<'a, A: Scalar, K> LaneRunner<'a, A, K> {
         check_operands((self.matrix.nrows(), self.matrix.ncols()), x, mask);
         self.ran = !x.is_empty();
         let lane_mask = |l| mask.map(|m| m.lane_view(l));
-        // The same work-proportional participant count a single-vector call
-        // over all of the batch's nonzeros would get. Narrow batches run lane
-        // after lane on the kernel of `t` participants; the rest — and a
-        // batch of no lanes, which then builds no kernel — spread over the
-        // pool.
-        let executor = self.executor.capped_for(x.total_nnz());
-        let narrow = (1..executor.threads()).contains(&x.k());
+        // The participant count the batch's exact flops earn, summed over
+        // its lanes. A batch whose lanes earn two participants each on
+        // average (`2k ≤ t`) runs lane after lane on the kernel of the
+        // configured participants, which caps each lane by its own flops; the
+        // rest — and a batch of no lanes, which then builds no kernel —
+        // spread over `t` participants of the pool, so lanes too small to
+        // fork alone still run side by side.
+        let flops = (0..x.k()).map(|l| required_multiplications(&self.matrix, x.lane(l))).sum();
+        let executor = self.executor.capped_for(flops);
+        let narrow = x.k() >= 1 && 2 * x.k() <= executor.threads();
         let lanes: Vec<(SparseVec<S::Output>, StepTimings)> = if narrow {
             let (matrix, options) = (&self.matrix, &self.options);
             let wide = self.wide.get_or_insert_with(|| K::build(matrix.clone(), options.clone()));
@@ -666,14 +674,17 @@ mod tests {
     #[test]
     fn runner_keeps_at_most_t_lane_kernels_and_reuses_them() {
         use std::sync::Arc;
-        let a = Arc::new(erdos_renyi(300, 6.0, 21));
+        let a = Arc::new(erdos_renyi(1000, 8.0, 21));
         for threads in [2usize, 3] {
             let mut alg = SpMSpVBucketBatch::<f64, f64, PlusTimes>::new(
                 Arc::clone(&a),
                 SpMSpVOptions::with_threads(threads),
             );
-            // k = 32 ≥ t, and enough nonzeros that no participant is capped.
-            let x = random_batch(300, 32, 40, threads as u64);
+            // k = 32 ≥ t, and enough flops (~32 × 150 × 8) that the cap
+            // leaves all t participants.
+            let x = random_batch(1000, 32, 150, threads as u64);
+            let flops = (0..x.k()).map(|l| required_multiplications(&a, x.lane(l))).sum();
+            assert_eq!(Executor::new(threads).capped_for(flops).threads(), threads);
             let expected =
                 NaiveBatch::new(&*a, SpMSpVOptions::with_threads(1)).multiply_batch(&x, &PlusTimes);
             // A kernel is built only when none is idle, so no more exist
@@ -684,7 +695,7 @@ mod tests {
             for call in 0..4 {
                 assert_eq!(alg.multiply_batch(&x, &PlusTimes), expected);
                 let (wide, idle) = alg.lanes.kernels();
-                assert!(wide.is_none(), "k ≥ t never builds the wide kernel");
+                assert!(wide.is_none(), "a spread batch never builds the wide kernel");
                 let kernels = idle.len();
                 assert!(
                     (held..=threads).contains(&kernels),

@@ -42,6 +42,7 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::time::Instant;
 
+use sparse_substrate::ops::required_multiplications;
 use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
@@ -151,9 +152,9 @@ where
             return (SparseVec::new(m), timings);
         }
 
-        // All three steps run on the same work-proportional participant
-        // count.
-        let executor = self.executor.capped_for(x.nnz());
+        // All three steps run on the participant count the call's exact
+        // flops earn.
+        let executor = self.executor.capped_for(required_multiplications(matrix, x));
         let t = executor.threads();
         let nb = BUCKETS_PER_THREAD * t;
 

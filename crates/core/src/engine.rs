@@ -976,6 +976,7 @@ where
         // the demux order clients observe.
         type Group<X, Y> = (Option<MaskMode>, Vec<QueueEntry<X, Y>>);
         let now = Instant::now();
+        let drained_len = drained.len();
         let mut groups: Vec<Group<X, S::Output>> = Vec::new();
         for entry in drained {
             if entry.deadline.is_some_and(|d| now >= d) {
@@ -991,9 +992,14 @@ where
                 continue;
             }
             let key = entry.mask.as_ref().map(|&(_, mode)| mode);
+            // Sized once from the drained count, so a group never regrows.
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(entry),
-                None => groups.push((key, vec![entry])),
+                None => {
+                    let mut members = Vec::with_capacity(drained_len);
+                    members.push(entry);
+                    groups.push((key, members));
+                }
             }
         }
         outcome.timings.assemble += sp_group.stop();
@@ -1007,17 +1013,14 @@ where
                 let sp_assemble = self.metrics.phase_span(PHASE_ASSEMBLE);
                 // Mid-flight retirement check once more at assembly time: a
                 // ticket cancelled after the drain still leaves the batch.
-                let chunk: Vec<QueueEntry<X, S::Output>> = members
-                    .by_ref()
-                    .take(width)
-                    .filter(|e| {
-                        let live = e.ticket.is_pending();
-                        if !live {
-                            outcome.retired += 1;
-                        }
-                        live
-                    })
-                    .collect();
+                let mut chunk = Vec::with_capacity(members.len().min(width));
+                chunk.extend(members.by_ref().take(width).filter(|e| {
+                    let live = e.ticket.is_pending();
+                    if !live {
+                        outcome.retired += 1;
+                    }
+                    live
+                }));
                 if chunk.is_empty() {
                     outcome.timings.assemble += sp_assemble.stop();
                     continue;

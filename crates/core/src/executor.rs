@@ -34,9 +34,41 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, LockResult, Mutex, Once, PoisonError};
 
-/// Fewest input nonzeros that justify one more participant (see
-/// [`Executor::capped_for`]).
-const MIN_NNZ_PER_THREAD: usize = 32;
+/// Exact flops (scalar multiplications, `Σ nnz(A(:, j))` over the frontier)
+/// that earn one participant (see [`Executor::capped_for`]), so a call forks
+/// at 16 000 flops.
+///
+/// Measured on a 2-vCPU guest with the cap lifted, so that every call could
+/// be timed at two participants: masked `Select2ndMin` BFS levels over
+/// seed-7 `rmat(17, 16)` (64 sources, 401 levels) and
+/// `triangular_mesh(500, 500)` (8 sources, 4 860 levels), median per-level
+/// kernel time of the sequential SPA and the bucket kernel's ratio to it at
+/// one and two participants:
+///
+/// | flops    | rmat seq | t = 1 | t = 2 | mesh seq | t = 1 | t = 2 |
+/// |----------|---------:|------:|------:|---------:|------:|------:|
+/// | < 1k     |   0.3 µs |  5.26 | 24.86 |   2.3 µs |  2.31 |  9.08 |
+/// | 1k–2k    |    14 µs |  2.14 |  3.00 |   7.9 µs |  1.66 |  3.29 |
+/// | 2k–4k    |    29 µs |  1.82 |  2.22 |    17 µs |  1.47 |  2.70 |
+/// | 4k–8k    |    51 µs |  1.33 |  2.03 |    35 µs |  1.32 |  1.85 |
+/// | 8k–12k   |   125 µs |  1.31 |  1.39 |    68 µs |  1.24 |  1.48 |
+/// | 12k–16k  |   162 µs |  1.35 |  0.88 |        — |       |       |
+/// | 16k–24k  |   356 µs |  1.00 |  0.77 |        — |       |       |
+/// | 32k–64k  |   533 µs |  1.17 |  0.76 |        — |       |       |
+/// | 64k–256k |  1.4 ms  |  1.15 |  0.76 |        — |       |       |
+/// | ≥ 256k   |   11 ms  |  1.04 |  0.70 |        — |       |       |
+///
+/// Two participants lose below ~12k flops on both graphs and win above, and
+/// at one participant the sequential SPA beats the bucket kernel in every
+/// band, on the mesh's 250 000 rows too. Per traversal, forking every call
+/// costs 23.8 ms of kernel time on the mesh and forking from 16k costs
+/// 9.4 ms (no mesh level reaches it); on rmat any fork point from 4k to 32k
+/// gives 18.2 ms, against 24.9 ms never forking.
+///
+/// Only the step from one participant to two was measured: a 2-vCPU guest
+/// cannot time more. That a third participant pays from 24k flops and an
+/// eighth from 64k is the same constant extrapolated linearly, unmeasured.
+const MIN_FLOPS_PER_PARTICIPANT: usize = 8_000;
 
 /// A participant count plus the fork-join primitive that honours it. See the
 /// [module docs](self) for the execution model.
@@ -60,20 +92,23 @@ impl Executor {
         self.threads
     }
 
-    /// The executor every step of one multiplication over `nnz` input
-    /// nonzeros should run on: at most one participant per
-    /// `MIN_NNZ_PER_THREAD` nonzeros.
+    /// The executor a multiplication of `flops` exact scalar
+    /// multiplications should run on: one participant per
+    /// `MIN_FLOPS_PER_PARTICIPANT` flops, at least one and at most
+    /// [`threads`](Self::threads). This is the workspace's one parallelism
+    /// rule: the bucket kernel runs all three steps on it, the lane runner
+    /// spreads a batch by it, and adaptive dispatch runs the sequential SPA
+    /// whenever it yields one participant.
     ///
     /// The paper assumes at most `f` threads take part (§III-B). We
-    /// additionally ask for a minimum amount of input per participant: BFS
-    /// on a high-diameter graph issues thousands of multiplications whose
-    /// frontiers hold a handful of vertices, and fanning those out costs
-    /// more in hand-off than the multiplication itself — the observation
-    /// §IV-D makes ("our work-efficient algorithm might not scale well when
-    /// the vector is very sparse ... due to the scarcity of work for all
-    /// threads").
-    pub fn capped_for(&self, nnz: usize) -> Executor {
-        Executor { threads: self.threads.min(nnz.div_ceil(MIN_NNZ_PER_THREAD)).max(1) }
+    /// additionally ask for a minimum amount of work per participant: BFS on
+    /// a high-diameter graph issues thousands of multiplications of a few
+    /// thousand flops each, and fanning those out costs more in hand-off
+    /// than the multiplication itself — the observation §IV-D makes ("our
+    /// work-efficient algorithm might not scale well when the vector is
+    /// very sparse ... due to the scarcity of work for all threads").
+    pub fn capped_for(&self, flops: usize) -> Executor {
+        Executor { threads: self.threads.min(flops / MIN_FLOPS_PER_PARTICIPANT).max(1) }
     }
 
     /// Runs `f` on every item, in parallel across this executor's
@@ -385,10 +420,21 @@ mod tests {
     #[test]
     fn capped_for_scales_participants_with_the_input() {
         let ex = Executor::new(8);
-        for (nnz, expect) in [(0, 1), (1, 1), (32, 1), (33, 2), (64, 2), (255, 8), (100_000, 8)] {
-            assert_eq!(ex.capped_for(nnz).threads(), expect, "nnz = {nnz}");
+        for (flops, expect) in [
+            (0, 1),
+            (1, 1),
+            (15_999, 1),
+            (16_000, 2),
+            (23_999, 2),
+            (24_000, 3),
+            (63_999, 7),
+            (64_000, 8),
+            (usize::MAX, 8),
+        ] {
+            assert_eq!(ex.capped_for(flops).threads(), expect, "flops = {flops}");
         }
-        assert_eq!(Executor::new(1).capped_for(100_000).threads(), 1);
+        assert_eq!(Executor::new(2).capped_for(1_000_000).threads(), 2);
+        assert_eq!(Executor::new(1).capped_for(usize::MAX).threads(), 1);
     }
 
     #[test]

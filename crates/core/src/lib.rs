@@ -69,7 +69,8 @@
 //!
 //! `AlgorithmKind::Adaptive` / `BatchAlgorithmKind::Adaptive` (the
 //! defaults) dispatch each call — each lane, for a batch; see [`adaptive`]
-//! — to the fixed family a cost model predicts fastest for its frontier;
+//! — to the sequential SPA when the frontier's exact flops earn one
+//! participant ([`Executor::capped_for`]) and to the bucket kernel otherwise;
 //! telemetry of what ran flows through [`batch::BatchRunInfo`] and
 //! [`stats::ChoiceCounts`].
 //!

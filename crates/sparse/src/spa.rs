@@ -91,15 +91,16 @@ impl<T: Scalar> Spa<T> {
         &self.occupied
     }
 
-    /// Drains the accumulator into `(index, value)` pairs in first-touch
-    /// order and resets it.
-    pub fn drain(&mut self) -> Vec<(usize, T)> {
-        let mut out = Vec::with_capacity(self.occupied.len());
-        for &i in &self.occupied {
-            out.push((i, self.values[i]));
-        }
+    /// Drains the accumulator into ascending indices and their values, each
+    /// array allocated once at its final length, and resets it. The
+    /// occupied list is sorted in place and keeps its capacity for the next
+    /// generation.
+    pub fn drain_sorted(&mut self) -> (Vec<usize>, Vec<T>) {
+        self.occupied.sort_unstable();
+        let indices = self.occupied.clone();
+        let values = indices.iter().map(|&i| self.values[i]).collect();
         self.reset();
-        out
+        (indices, values)
     }
 }
 
@@ -157,13 +158,13 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_first_touch_order_and_resets() {
+    fn drain_sorted_returns_ascending_parts_and_resets() {
         let mut spa = Spa::new(8);
         spa.accumulate(5, 1.0, |a, b| a + b);
         spa.accumulate(2, 2.0, |a, b| a + b);
         spa.accumulate(5, 3.0, |a, b| a + b);
-        let drained = spa.drain();
-        assert_eq!(drained, vec![(5, 4.0), (2, 2.0)]);
+        spa.accumulate(7, 0.5, |a, b| a + b);
+        assert_eq!(spa.drain_sorted(), (vec![2, 5, 7], vec![2.0, 4.0, 0.5]));
         assert!(spa.is_empty());
         assert_eq!(spa.get(5), None);
     }

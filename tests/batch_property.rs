@@ -3,8 +3,10 @@
 //! the fallback [`NaiveBatch`] and `k` independent [`spmspv_reference`]
 //! calls must agree — across semirings (`PlusTimes`, the BFS
 //! `Select2ndMin`), batch widths `1 ≤ k ≤ 32` and thread counts
-//! `t ∈ {1, 2, 3, 8}`, so both the `k < t` and the `k ≥ t` paths of the lane
-//! runner are compared.
+//! `t ∈ {1, 2, 3, 8}`. Most operands are small, so their batches earn one
+//! participant and run spread; the adaptive suite's operands are large
+//! enough to earn up to eight, so both the narrow (`k < t`) and the spread
+//! (`k ≥ t`) paths of the lane runner are compared.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
 //! floating-point addition is exact and results compare exactly regardless
@@ -22,6 +24,8 @@ use spmspv::{
     build_batch_algorithm, AdaptiveBatch, BatchAlgorithmKind, BatchMaskView, MaskMode, SpMSpV,
     SpMSpVBucket, SpMSpVOptions,
 };
+
+mod common;
 
 /// Strategy: a random sparse matrix with up to `max_dim` rows/columns and
 /// small-integer entries.
@@ -57,6 +61,26 @@ fn batch_operands(max_dim: usize) -> impl Strategy<Value = (CscMatrix<f64>, Spar
                 (a, batch)
             })
     })
+}
+
+/// Strategy: a batch large enough for the lane runner's participant cap to
+/// matter — a seeded Erdős–Rényi matrix of 300–700 columns at mean degree
+/// 64 with small-integer entries, and `1 ≤ k ≤ 8` lanes over a tenth to all
+/// of its columns each (~2 000–45 000 flops a lane). So a batch earns one
+/// to eight participants, runs narrow or spread, and a narrow batch's lanes
+/// fall on both sides of Adaptive's fork threshold.
+fn large_batch_operands() -> impl Strategy<Value = (CscMatrix<f64>, SparseVecBatch<f64>)> {
+    (300usize..700, any::<u64>(), proptest::collection::vec(1usize..11, 1..9)).prop_map(
+        |(n, seed, tenths)| {
+            let lanes: Vec<SparseVec<f64>> = tenths
+                .iter()
+                .enumerate()
+                .map(|(l, &t)| common::integer_frontier(n, n * t / 10, seed ^ (l as u64 + 1)))
+                .collect();
+            let x = SparseVecBatch::from_lanes(&lanes).expect("lanes share n");
+            (common::degree_64_matrix(n, seed), x)
+        },
+    )
 }
 
 /// Strategy: a thread count on both sides of small and large `k`.
@@ -189,10 +213,11 @@ proptest! {
 
     /// The adaptive batch always produces exactly what the family it
     /// reports produces: the lane runner, [`BatchAlgorithmKind::Bucket`],
-    /// whichever single-vector kernel each lane picked.
+    /// whichever single-vector kernel each lane picked. The operands are
+    /// large enough that lanes pick both.
     #[test]
     fn adaptive_always_matches_its_resolved_delegate(
-        (a, x) in batch_operands(40),
+        (a, x) in large_batch_operands(),
         threads in threads(),
     ) {
         let opts = SpMSpVOptions::with_threads(threads);

@@ -11,10 +11,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
-use sparse_substrate::{CscMatrix, PlusTimes, SparseVec, SparseVecBatch};
+use sparse_substrate::{CscMatrix, MaskBits, PlusTimes, SparseVec, SparseVecBatch};
+use spmspv::baselines::SequentialSpa;
 use spmspv::{
-    AdaptiveBatch, AdaptiveSpMSpV, Engine, EngineConfig, MxvRequest, SpMSpV, SpMSpVBatch,
-    SpMSpVOptions,
+    AdaptiveBatch, AdaptiveSpMSpV, Engine, EngineConfig, MaskMode, MaskView, MxvRequest, SpMSpV,
+    SpMSpVBatch, SpMSpVOptions,
 };
 
 thread_local! {
@@ -70,6 +71,28 @@ fn frontiers(n: usize, k: usize) -> Vec<SparseVec<f64>> {
     (0..k).map(|l| random_sparse_vec(n, 24, 100 + l as u64)).collect()
 }
 
+/// A warm sequential SPA call allocates exactly its output's two arrays
+/// (indices and values), masked or not. The sequential SPA runs every call
+/// too small to earn a second participant, which on a high-diameter BFS is
+/// nearly every call.
+#[test]
+fn warm_sequential_spa_call_allocates_only_its_output() {
+    let a = erdos_renyi(4000, 8.0, 7);
+    let x = random_sparse_vec(a.ncols(), 300, 5);
+    let bits = MaskBits::from_indices(a.nrows(), (0..a.nrows()).step_by(2));
+    let mask = Some(MaskView::new(&bits, MaskMode::Complement));
+    let mut spa = SequentialSpa::new(&a, one_thread());
+    for mask in [None, mask] {
+        let mut call =
+            || SpMSpV::<f64, f64, PlusTimes>::multiply_masked(&mut spa, &x, &PlusTimes, mask);
+        let cold = call();
+        let (warm, allocated) = allocations(&mut call);
+        assert_eq!(warm, cold);
+        assert!(warm.nnz() > 100, "{} output entries", warm.nnz());
+        assert_eq!(allocated, 2, "a warm call made {allocated} allocations ({mask:?})");
+    }
+}
+
 /// The same lanes run one after another through a warm one-thread lane
 /// kernel — the engine's default family's — and the allocations that took.
 fn direct(
@@ -107,11 +130,12 @@ fn flush_overhead(a: &CscMatrix<f64>, k: usize) -> u64 {
 fn warm_flush_allocates_no_more_per_lane_than_its_lane_kernels() {
     let a = erdos_renyi(4000, 8.0, 7);
     let (narrow, wide) = (flush_overhead(&a, 8), flush_overhead(&a, 32));
-    // Copying each lane in or out of a batch costs two allocations (indices
-    // and values) per copy, so a single copy per lane would add 48 here.
-    assert!(
-        wide < narrow + (32 - 8),
-        "flush overhead grew from {narrow} allocations at k = 8 to {wide} at k = 32"
+    // Every buffer of the flush's own is sized once from the drained count,
+    // so its overhead does not grow with k at all — not per lane (a lane
+    // copy would cost two allocations each) and not per doubling.
+    assert_eq!(
+        narrow, wide,
+        "flush overhead went from {narrow} allocations at k = 8 to {wide} at k = 32"
     );
 }
 

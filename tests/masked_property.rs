@@ -4,10 +4,14 @@
 //! rows the mask rejects) — across [`MaskMode::Keep`] and
 //! [`MaskMode::Complement`], semirings (`PlusTimes`, the BFS
 //! `Select2ndMin`), every algorithm family,
-//! and batch widths `1 ≤ k ≤ 32` at thread counts `t ∈ {1, 2, 3, 8}` (both
-//! sides of the lane runner's `k < t` / `k ≥ t` split) with shared and
-//! per-lane masks. A counting semiring checks that the bucket kernels and
-//! the adaptive batch never form a product the mask discards.
+//! and batch widths `1 ≤ k ≤ 32` at thread counts `t ∈ {1, 2, 3, 8}` with
+//! shared and per-lane masks. The drawn operands are small, so their calls
+//! earn one participant: they run one-participant bucket kernels and
+//! Adaptive's sequential delegate. A counting semiring checks, on operands
+//! whose every lane earns eight participants, that the bucket kernels and
+//! the adaptive batch never form a product the mask discards — in a split
+//! Step 1, on both sides of the lane runner's narrow / spread split, and in
+//! both Adaptive delegates.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
 //! floating-point addition is exact and results compare exactly regardless
@@ -17,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sparse_substrate::ops::{spmspv_batch_reference, spmspv_reference};
+use sparse_substrate::ops::{required_multiplications, spmspv_batch_reference, spmspv_reference};
 use sparse_substrate::{
     CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, Semiring, SparseVec, SparseVecBatch,
 };
@@ -25,9 +29,11 @@ use spmspv::batch::mask_filter_batch;
 use spmspv::ops::Mxv;
 use spmspv::{
     build_algorithm, build_batch_algorithm, AdaptiveBatch, AlgorithmKind, BatchAlgorithmKind,
-    BatchMaskView, MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVBucket, SpMSpVBucketBatch,
-    SpMSpVOptions,
+    BatchMaskView, Executor, MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVBucket,
+    SpMSpVBucketBatch, SpMSpVOptions,
 };
+
+mod common;
 
 const ALL_KINDS: [AlgorithmKind; 6] = [
     AlgorithmKind::Bucket,
@@ -506,15 +512,21 @@ fn kept_products(a: &CscMatrix<f64>, x: &SparseVec<f64>, keeps: impl Fn(usize) -
 /// never reaches `multiply` — and merge each kept product once: every kept
 /// product past the first on its `(row, lane)` is one `add`. Covers 1–8
 /// participants, both mask modes, and shared and per-lane batch masks whose
-/// lanes disagree on the same rows.
+/// lanes disagree on the same rows. Every lane carries ~77k flops, so it
+/// earns all eight participants alone: single calls split `t` ways, the
+/// three-lane batch runs narrow at eight participants (each lane on the
+/// bucket kernel, Adaptive's too) and spread at two and three (each lane on
+/// a one-thread kernel, Adaptive's on the sequential SPA).
 #[test]
 fn masked_out_products_are_never_formed() {
-    use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
-
-    let n = 600;
-    let a = erdos_renyi(n, 6.0, 41);
+    let n = 2000;
+    let a = common::degree_64_matrix(n, 41);
     let lanes: Vec<SparseVec<f64>> =
-        (0..3).map(|l| random_sparse_vec(n, 300, 50 + l as u64)).collect();
+        (0..3).map(|l| common::integer_frontier(n, 1200, 50 + l as u64)).collect();
+    for lane in &lanes {
+        let flops = required_multiplications(&a, lane);
+        assert_eq!(Executor::new(8).capped_for(flops).threads(), 8, "{flops} flops");
+    }
     let x = SparseVecBatch::from_lanes(&lanes).unwrap();
     // Lane l's mask holds the multiples of l + 2: lanes disagree on most rows.
     let lane_masks: Vec<Arc<MaskBits>> =

@@ -4,7 +4,9 @@
 //! These complement the unit tests with invariants that must hold for *any*
 //! operand pair:
 //!
-//! * every parallel algorithm agrees with the sequential reference,
+//! * every parallel algorithm agrees with the sequential reference, on
+//!   small operands and on operands large enough to split a call across
+//!   participants,
 //! * the output never contains duplicate or out-of-range indices,
 //! * sparse vectors are strictly ascending by construction, and every
 //!   kernel's output is,
@@ -21,6 +23,8 @@ use spmspv::{
     build_algorithm, build_batch_algorithm, AlgorithmKind, BatchAlgorithmKind, SpMSpV,
     SpMSpVBucket, SpMSpVOptions,
 };
+
+mod common;
 
 const ALL_KINDS: [AlgorithmKind; 7] = [
     AlgorithmKind::Bucket,
@@ -68,8 +72,30 @@ fn operands(max_dim: usize) -> impl Strategy<Value = (CscMatrix<f64>, SparseVec<
     })
 }
 
+/// Strategy: operands whose calls earn several participants — a seeded
+/// Erdős–Rényi matrix of 300–700 columns at mean degree 64 with
+/// small-integer entries, and a frontier over a tenth to all of its columns:
+/// ~2 000–45 000 flops, so a call earns one to five participants.
+fn split_operands() -> impl Strategy<Value = (CscMatrix<f64>, SparseVec<f64>)> {
+    (300usize..700, any::<u64>(), 1usize..11).prop_map(|(n, seed, tenths)| {
+        (common::degree_64_matrix(n, seed), common::integer_frontier(n, n * tenths / 10, seed ^ 1))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The bucket kernel split as many ways as the call's flops earn, and
+    /// Adaptive on both sides of its fork threshold, match the reference.
+    #[test]
+    fn split_calls_match_reference((a, x) in split_operands(), threads in 1usize..6) {
+        let expected = spmspv_reference(&a, &x, &PlusTimes);
+        let opts = SpMSpVOptions::with_threads(threads);
+        for kind in [AlgorithmKind::Bucket, AlgorithmKind::Adaptive] {
+            let mut alg = build_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+            prop_assert_eq!(&alg.multiply(&x, &PlusTimes), &expected, "{}", kind);
+        }
+    }
 
     #[test]
     fn bucket_matches_reference_for_any_operands(
