@@ -7,55 +7,88 @@
 //! cost per call — buckets to fill and drain, and three fork-joins — that
 //! only parallelism repays. §IV-D names the case where it does not: "when
 //! the vector is very sparse … due to the scarcity of work for all threads".
+//! And on a low-diameter graph even work-efficient push wastes most of its
+//! work at the dense levels: it forms a product for every frontier edge,
+//! when nearly every row it reaches has been reached already.
 //!
-//! [`AdaptiveSpMSpV`] therefore asks the workspace's one parallelism rule,
-//! [`Executor::capped_for`], how many participants the call's exact flops
-//! (`Σ nnz(A(:, j))` over the frontier, one `colptr` pass) earn. One
-//! participant means the sequential SPA; more mean the bucket kernel, which
-//! then runs on exactly that many. Nothing else enters the decision: not
-//! the frontier's entry count, not `m`, and no second constant. A
-//! one-thread kernel never earns a second participant, so it always runs
-//! the sequential SPA.
+//! [`AdaptiveSpMSpV`] therefore picks one of three families per call, from
+//! `flops` (the call's exact flops, `Σ nnz(A(:, j))` over the frontier, one
+//! `colptr` pass) and checks ordered cheapest first:
 //!
-//! [`AdaptiveBatch`] applies the same rule per lane on the
+//! 1. **Pull** ([`crate::pull`]) when Beamer's edge-count rule (Beamer,
+//!    Asanović, Patterson, SC 2012) says the frontier is dense:
+//!    `flops > m_u / α`, where `m_u` is the summed degree of the rows the
+//!    mask keeps (the unvisited vertices, for BFS) and α is [`PULL_ALPHA`].
+//!    Counting `m_u` costs `O(n/64)` plus the kept or the dropped rows,
+//!    whichever are fewer, so the call must first pass gates that cost
+//!    `O(1)` — a mask, `α · flops ≥ n` and a square matrix — then
+//!    `O(nnz(x))` — the semiring's
+//!    [`first_hit_decides`](sparse_substrate::Semiring::first_hit_decides)
+//!    hook — then the matrix's cached
+//!    [symmetry flag](sparse_substrate::CscMatrix::is_structurally_symmetric).
+//!    An unmasked call, a large mesh (its frontiers hold `O(√n)` vertices),
+//!    a column slice or a numeric semiring stops at the first gates, so
+//!    only BFS-shaped calls on dense levels pay more than a comparison.
+//! 2. Otherwise the workspace's one parallelism rule,
+//!    [`Executor::capped_for`], says how many participants `flops` earn.
+//!    One participant means the **sequential SPA**; more mean the
+//!    **bucket kernel**, which then runs on exactly that many. Neither the
+//!    frontier's entry count nor `m` enters this decision. A one-thread
+//!    kernel never earns a second participant, so it never runs the bucket
+//!    kernel (it still pulls where rule 1 says so).
+//!
+//! [`AdaptiveBatch`] applies the same rules per lane on the
 //! [lane runner](crate::batch): a lane spread over the pool runs on a
-//! one-thread kernel and so runs the sequential SPA; the lanes of a narrow
-//! batch run on the runner's kernel of `t` participants and decide by their
-//! own flops. The rule's one constant is measured (see
-//! [`Executor::capped_for`]), not settable, and the committed ledger under
-//! `benchmark/results/` (`adaptive.sequential_share`, `executor.speedup`)
-//! is where a change to it has to show up.
+//! one-thread kernel and so runs pull or the sequential SPA; the lanes of
+//! a narrow batch run on the runner's kernel of `t` participants and decide
+//! by their own frontier. Neither constant is settable: α is Beamer's, and
+//! the parallelism rule's is measured (see [`Executor::capped_for`]). The
+//! committed ledger under `benchmark/results/` (`adaptive.sequential_share`,
+//! `executor.speedup`) is where a change to either has to show up.
 //!
-//! Both kernels reduce each row in ascending-column order, so the
-//! dispatcher's choice never changes the result — adaptive output is
-//! bit-identical to whichever kernel it delegates to, which the property
-//! tests assert.
+//! Every family reduces each row to the same value — push in
+//! ascending-column order, pull by the first hit, which the hook says is
+//! the same — so the dispatcher's choice never changes the result:
+//! adaptive output is bit-identical to whichever kernel it delegates to,
+//! which the property tests assert.
 
 use sparse_substrate::ops::required_multiplications;
-use sparse_substrate::{Scalar, Semiring, SparseVec, SparseVecBatch};
+use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
 use crate::batch::{BatchRunInfo, LaneKernel, LaneRunner, SpMSpVBatch};
 use crate::bucket::SpMSpVBucket;
 use crate::executor::Executor;
-use crate::masked::{BatchMaskView, MaskView};
+use crate::masked::{BatchMaskView, MaskMode, MaskView};
+use crate::pull::{self, SpMSpVPull};
+
+/// Beamer's α: a call pulls when its push flops exceed `1/α` of the edges
+/// left to check (`flops > m_u / α`). Pull stops each row at its first
+/// frontier member, so it reads far less than `m_u`; α = 14 is the value
+/// Beamer, Asanović and Patterson tuned. The rule is not sensitive to it
+/// here: a prototype of this rule read 0.34×, 0.36× and 0.33× of push
+/// alone at α = 4, 14 and 32 (seed-7 `rmat(17, 16)` BFS sweeps, 2-vCPU
+/// guest).
+pub const PULL_ALPHA: usize = 14;
 
 /// [`AlgorithmKind::Adaptive`]: dispatches each single-vector call between
-/// the parallel bucket kernel and the sequential SPA by the participants
-/// the frontier's exact flops earn (see the [module docs](self)). Both
-/// delegates are instantiated lazily and keep their workspaces across
-/// calls, exactly like a fixed-family descriptor.
+/// the bottom-up kernel, the parallel bucket kernel and the sequential SPA
+/// (see the [module docs](self)). The delegates are instantiated lazily and
+/// keep their workspaces across calls, exactly like a fixed-family
+/// descriptor.
 ///
-/// Both delegates reduce each row in ascending-column order, so switching
-/// families mid-traversal never changes a result.
+/// Every delegate reduces each row to the same value, so switching families
+/// mid-traversal never changes a result.
 pub struct AdaptiveSpMSpV<'a, A, X, S: Semiring<A, X>> {
     matrix: MatrixRef<'a, A>,
     options: SpMSpVOptions,
     executor: Executor,
     bucket: Option<SpMSpVBucket<'a, A, X, S>>,
     sequential: Option<SequentialSpa<'a, A, S::Output>>,
+    pull: Option<SpMSpVPull<'a, A, S::Output>>,
     last: Option<AlgorithmKind>,
+    unvisited_edge_counts: usize,
 }
 
 impl<'a, A, X, S> AdaptiveSpMSpV<'a, A, X, S>
@@ -74,7 +107,9 @@ where
             executor,
             bucket: None,
             sequential: None,
+            pull: None,
             last: None,
+            unvisited_edge_counts: 0,
         }
     }
 
@@ -84,13 +119,64 @@ where
         self.last
     }
 
-    fn choose(&self, x: &SparseVec<X>) -> AlgorithmKind {
+    /// How many calls passed every cheaper gate and counted `m_u`, the
+    /// `O(n/64 + min(kept, dropped))` step of the pull rule.
+    pub fn unvisited_edge_counts(&self) -> usize {
+        self.unvisited_edge_counts
+    }
+
+    fn choose(
+        &mut self,
+        x: &SparseVec<X>,
+        semiring: &S,
+        mask: Option<MaskView<'_>>,
+    ) -> AlgorithmKind {
         let flops = required_multiplications(&self.matrix, x);
-        if self.executor.capped_for(flops).threads() == 1 {
+        if mask.is_some_and(|mask| self.pull_pays(x, semiring, mask, flops)) {
+            AlgorithmKind::Pull
+        } else if self.executor.capped_for(flops).threads() == 1 {
             AlgorithmKind::Sequential
         } else {
             AlgorithmKind::Bucket
         }
+    }
+
+    /// Rule 1 of the [module docs](self): the gates cheapest first, then
+    /// `α · flops > m_u`.
+    fn pull_pays(
+        &mut self,
+        x: &SparseVec<X>,
+        semiring: &S,
+        mask: MaskView<'_>,
+        flops: usize,
+    ) -> bool {
+        let matrix = &*self.matrix;
+        let budget = PULL_ALPHA.saturating_mul(flops);
+        if budget < matrix.nrows() || !pull::is_exact(matrix, x, semiring) {
+            return false;
+        }
+        self.unvisited_edge_counts += 1;
+        unvisited_edges(matrix, mask) < budget
+    }
+}
+
+/// `m_u`: the summed degree of the rows `mask` keeps, read from whichever
+/// side of the mask has fewer rows — the kept rows, or the dropped ones,
+/// whose degrees `nnz(A)` less is `m_u` (the matrix is square here). Early
+/// in a BFS few vertices are visited and late few are left, so this walks
+/// `O(n/64 + min(kept, dropped))`.
+fn unvisited_edges<A: Scalar>(matrix: &CscMatrix<A>, mask: MaskView<'_>) -> usize {
+    let (bits, mode) = (mask.bits(), mask.mode());
+    let (kept, dropped) = match mode {
+        MaskMode::Keep => (bits.count(), MaskMode::Complement),
+        MaskMode::Complement => (bits.len() - bits.count(), MaskMode::Keep),
+    };
+    let degrees =
+        |view: MaskView<'_>| -> usize { view.kept_rows().map(|i| matrix.column_nnz(i)).sum() };
+    if 2 * kept <= bits.len() {
+        degrees(mask)
+    } else {
+        matrix.nnz() - degrees(MaskView::new(bits, dropped))
     }
 }
 
@@ -132,10 +218,16 @@ where
         if let Some(mask) = mask {
             mask.check_rows(self.matrix.nrows());
         }
-        let choice = self.choose(x);
+        let choice = self.choose(x, semiring, mask);
         self.last = Some(choice);
         crate::obs::record_adaptive_single(choice);
         match choice {
+            AlgorithmKind::Pull => {
+                let pull = self.pull.get_or_insert_with(|| {
+                    SpMSpVPull::new(self.matrix.clone(), self.options.clone())
+                });
+                SpMSpV::<A, X, S>::multiply_masked(pull, x, semiring, mask)
+            }
             AlgorithmKind::Sequential => {
                 let seq = self.sequential.get_or_insert_with(|| {
                     SequentialSpa::new(self.matrix.clone(), self.options.clone())

@@ -136,6 +136,7 @@ where
     use crate::adaptive::AdaptiveSpMSpV;
     use crate::baselines::{CombBlasHeap, CombBlasSpa, GraphMatSpMSpV, SequentialSpa, SortBased};
     use crate::bucket::SpMSpVBucket;
+    use crate::pull::SpMSpVPull;
     match kind {
         AlgorithmKind::Bucket => Box::new(SpMSpVBucket::new(matrix, options)),
         AlgorithmKind::CombBlasSpa => Box::new(CombBlasSpa::new(matrix, options)),
@@ -143,6 +144,7 @@ where
         AlgorithmKind::GraphMat => Box::new(GraphMatSpMSpV::new(matrix, options)),
         AlgorithmKind::SortBased => Box::new(SortBased::new(matrix, options)),
         AlgorithmKind::Sequential => Box::new(SequentialSpa::new(matrix, options)),
+        AlgorithmKind::Pull => Box::new(SpMSpVPull::new(matrix, options)),
         AlgorithmKind::Adaptive => Box::new(AdaptiveSpMSpV::new(matrix, options)),
     }
 }
@@ -163,9 +165,14 @@ pub enum AlgorithmKind {
     SortBased,
     /// Sequential SPA-based reference.
     Sequential,
-    /// Dispatch per call between [`AlgorithmKind::Bucket`] and
-    /// [`AlgorithmKind::Sequential`] by the participants the frontier's
-    /// exact flops earn ([`crate::adaptive::AdaptiveSpMSpV`]).
+    /// Bottom-up: each row the mask keeps scans its entries up to the first
+    /// frontier member ([`crate::pull::SpMSpVPull`]). Runs only where that
+    /// is exact, and the sequential SPA otherwise.
+    Pull,
+    /// Dispatch per call between [`AlgorithmKind::Pull`] (by Beamer's
+    /// edge-count rule), [`AlgorithmKind::Bucket`] and
+    /// [`AlgorithmKind::Sequential`] (by the participants the frontier's
+    /// exact flops earn) ([`crate::adaptive::AdaptiveSpMSpV`]).
     Adaptive,
 }
 
@@ -189,6 +196,7 @@ impl AlgorithmKind {
             AlgorithmKind::GraphMat => "GraphMat",
             AlgorithmKind::SortBased => "SpMSpV-sort",
             AlgorithmKind::Sequential => "Sequential-SPA",
+            AlgorithmKind::Pull => "SpMSpV-pull",
             AlgorithmKind::Adaptive => "Adaptive",
         }
     }

@@ -119,6 +119,7 @@ pub mod masked;
 pub mod net;
 pub mod obs;
 pub mod ops;
+pub mod pull;
 pub mod shard;
 pub mod stats;
 pub mod timing;
@@ -136,6 +137,7 @@ pub use masked::{BatchMaskView, MaskMode, MaskView};
 pub use net::{ShardHost, TcpConfig, TcpTransport};
 pub use obs::{ObsConfig, Registry};
 pub use ops::{Mxv, MxvOp, PreparedMxv};
+pub use pull::SpMSpVPull;
 pub use shard::{ShardFlushOutcome, ShardMsg, ShardPlan, ShardSession, ShardedEngine};
 pub use sparse_substrate::SpaBackend;
 pub use stats::{ChoiceCounts, WorkStats};

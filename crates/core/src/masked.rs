@@ -79,6 +79,27 @@ impl<'m> MaskView<'m> {
         move |i| ((words[i / 64] >> (i % 64)) & 1 == 1) != flip
     }
 
+    /// The rows the mask keeps, in ascending order, read a bitmap word at
+    /// a time: `O(len / 64 + kept)`. The bottom-up kernel
+    /// ([`crate::pull`]) visits exactly these rows, and adaptive dispatch
+    /// sums their degrees.
+    pub fn kept_rows(&self) -> impl Iterator<Item = usize> + 'm {
+        let len = self.bits.len();
+        let flip = if self.mode == MaskMode::Complement { u64::MAX } else { 0 };
+        self.bits.words().iter().enumerate().flat_map(move |(w, &word)| {
+            // A complemented last word would keep the bits past `len`.
+            let tail = if (w + 1) * 64 > len { (1u64 << (len % 64)) - 1 } else { u64::MAX };
+            let mut kept = (word ^ flip) & tail;
+            std::iter::from_fn(move || {
+                (kept != 0).then(|| {
+                    let bit = kept.trailing_zeros() as usize;
+                    kept &= kept - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
+
     /// Asserts that the bitmap spans exactly the `m` output rows of the
     /// matrix. Every masked entry point calls this on the calling thread:
     /// [`MaskBits::contains`] bounds-checks only in debug builds, so a short
@@ -173,6 +194,18 @@ mod tests {
         assert!(!comp.keeps(1) && comp.keeps(0));
         assert_eq!(keep.mode(), MaskMode::Keep);
         assert_eq!(keep.bits().count(), 2);
+    }
+
+    #[test]
+    fn kept_rows_walks_the_kept_set_in_order() {
+        for len in [0usize, 6, 64, 65, 130] {
+            let bits = MaskBits::from_indices(len, (0..len).filter(|i| i % 3 == 1));
+            for mode in [MaskMode::Keep, MaskMode::Complement] {
+                let view = MaskView::new(&bits, mode);
+                let expected: Vec<usize> = (0..len).filter(|&i| view.keeps(i)).collect();
+                assert_eq!(view.kept_rows().collect::<Vec<_>>(), expected, "{len} {mode:?}");
+            }
+        }
     }
 
     #[test]

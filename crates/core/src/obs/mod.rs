@@ -94,6 +94,7 @@
 //! | `batch.output` | histogram | ns emitting output, summed over the call's lanes |
 //! | `adaptive.single.sequential` | counter | single-vector calls (and adaptive batch lanes) dispatched to the sequential SPA |
 //! | `adaptive.single.bucket` | counter | single-vector calls (and adaptive batch lanes) dispatched to the bucket kernel |
+//! | `adaptive.single.pull` | counter | single-vector calls (and adaptive batch lanes) dispatched to the bottom-up kernel |
 //! | `executor.threads` | gauge | largest participant count any `Executor` was built with |
 //! | `executor.inflight` | gauge | parallel steps (`Executor::map` calls) currently running |
 //! | `failpoint.hits` | counter | armed failpoints fired (only with the `failpoints` feature) |
@@ -516,18 +517,24 @@ pub fn record_batch_phases(timings: &StepTimings) {
 }
 
 /// Counts a single-vector adaptive dispatch decision
-/// (`adaptive.single.sequential` / `adaptive.single.bucket`).
+/// (`adaptive.single.sequential` / `adaptive.single.bucket` /
+/// `adaptive.single.pull`).
 pub fn record_adaptive_single(kind: AlgorithmKind) {
     let g = global();
     if !g.enabled() {
         return;
     }
-    static C: OnceLock<[Arc<Counter>; 2]> = OnceLock::new();
+    static C: OnceLock<[Arc<Counter>; 3]> = OnceLock::new();
     let c = C.get_or_init(|| {
-        [g.counter("adaptive.single.sequential"), g.counter("adaptive.single.bucket")]
+        [
+            g.counter("adaptive.single.sequential"),
+            g.counter("adaptive.single.bucket"),
+            g.counter("adaptive.single.pull"),
+        ]
     });
     match kind {
         AlgorithmKind::Sequential => c[0].inc(),
+        AlgorithmKind::Pull => c[2].inc(),
         _ => c[1].inc(),
     }
 }

@@ -351,6 +351,9 @@ pub fn analyze<A: Scalar, X: Scalar>(
             spa_slots_initialized: df,
             threads: t,
         },
+        // With no mask to say which rows are left, pull runs the sequential
+        // SPA.
+        AlgorithmKind::Pull => analyze(AlgorithmKind::Sequential, a, x, t),
         // The adaptive dispatcher delegates to the bucket kernel except for
         // tiny frontiers, and both delegates are work-efficient, so the
         // bucket cost model bounds it.

@@ -4,14 +4,19 @@
 //! input vector `x` (carrying, for every frontier vertex, its own id), the
 //! graph's adjacency matrix is `A`, and `y ← Aᵀ·x` under the
 //! `(min, select2nd)` semiring yields, for every vertex adjacent to the
-//! frontier, the id of a frontier vertex that discovered it. Masking out
-//! already-visited vertices turns `y` into the next frontier.
+//! frontier, the smallest id of a frontier vertex that discovered it.
+//! Masking out already-visited vertices turns `y` into the next frontier.
 //!
 //! The search is expressed on the [`Mxv`] descriptor with a
 //! [`MaskMode::Complement`] mask over the visited set, so the kernel drops
-//! already-visited vertices **during its SPA merge** — the next frontier
-//! comes straight out of the multiplication, with no separate filtering
-//! pass over `y`.
+//! already-visited vertices **inside the multiplication** — the next
+//! frontier comes straight out of it, with no separate filtering pass over
+//! `y`. The level's SpMSpV runs top-down (push: the frontier's columns
+//! scatter to their rows) or, under [`AlgorithmKind::Adaptive`] on a dense
+//! level of a symmetric graph, bottom-up (pull: each unvisited vertex scans
+//! its neighbours up to the first frontier member; see [`spmspv::pull`]).
+//! Both give the same parent: the frontier's values ascend with their ids,
+//! so the first member met in ascending order is the `min`.
 //!
 //! Figures 4 and 5 of the paper time *only* the SpMSpV calls of a BFS run;
 //! [`BfsResult::spmspv_time`] reports exactly that quantity.
@@ -105,16 +110,19 @@ pub fn bfs_prepared(
 
         // The ¬visited mask already dropped known vertices inside the
         // kernel, so everything that comes back is a fresh discovery.
-        let mut next = SparseVec::new(n);
+        let visited = op.mask_mut();
         for (v, &parent) in reached.iter() {
             debug_assert!(parents[v].is_none(), "in-kernel mask admits only unvisited vertices");
             parents[v] = Some(parent);
             levels[v] = Some(level);
-            num_visited += 1;
-            next.push(v, v);
-            op.mask_mut().insert(v);
+            visited.insert(v);
         }
-        frontier = next;
+        num_visited += reached.nnz();
+        // The next frontier is the discovered set, each vertex carrying its
+        // own id: one copy of the output's ascending index array.
+        let (_, discovered, _) = reached.into_parts();
+        frontier = SparseVec::from_parts(n, discovered.clone(), discovered)
+            .expect("kernel output indices are strictly ascending");
     }
 
     BfsResult { parents, levels, num_visited, iterations, spmspv_time, frontier_sizes }
@@ -187,6 +195,8 @@ mod tests {
             AlgorithmKind::CombBlasHeap,
             AlgorithmKind::GraphMat,
             AlgorithmKind::SortBased,
+            AlgorithmKind::Pull,
+            AlgorithmKind::Adaptive,
         ] {
             let r = bfs(&a, source, kind, SpMSpVOptions::with_threads(4));
             assert_eq!(r.num_visited, reference.num_visited, "{kind} visited count differs");

@@ -286,7 +286,6 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
                 .expect("BFS requests cannot fail on a healthy fleet");
             // The lane's ¬visited mask already dropped known vertices in the
             // kernel; everything that comes back is a fresh discovery.
-            let mut next = SparseVec::new(n);
             // The engine released its mask references when the flush
             // returned, so this make_mut never copies the bitmap.
             let visited_s = Arc::make_mut(&mut visited[s]);
@@ -297,10 +296,14 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
                 );
                 parents[s][v] = Some(parent);
                 levels[s][v] = Some(level);
-                num_visited[s] += 1;
-                next.push(v, v);
                 visited_s.insert(v);
             }
+            num_visited[s] += reached.nnz();
+            // The next frontier is the discovered set, each vertex carrying
+            // its own id.
+            let (_, discovered, _) = reached.into_parts();
+            let next = SparseVec::from_parts(n, discovered.clone(), discovered)
+                .expect("kernel output indices are strictly ascending");
             if !next.is_empty() {
                 next_active.push(s);
                 next_frontiers.push(next);

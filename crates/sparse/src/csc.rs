@@ -5,6 +5,8 @@
 //! O(1), which is the property a vector-driven SpMSpV algorithm needs: only
 //! the columns `A(:, j)` with `x(j) ≠ 0` are ever touched.
 
+use std::sync::OnceLock;
+
 use crate::coo::CooMatrix;
 use crate::error::SparseError;
 use crate::Scalar;
@@ -20,13 +22,29 @@ use crate::Scalar;
 /// * row ids inside each column are sorted ascending and unique
 ///   (this implementation always keeps columns sorted, matching what
 ///   CombBLAS produces and what the sorted-output experiments assume).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// No method takes `&mut self`, so a property of the structure computed
+/// once stays true for the matrix's lifetime:
+/// [`CscMatrix::is_structurally_symmetric`] is cached that way.
+#[derive(Debug, Clone)]
 pub struct CscMatrix<T> {
     nrows: usize,
     ncols: usize,
     colptr: Vec<usize>,
     rowids: Vec<usize>,
     values: Vec<T>,
+    symmetric: OnceLock<bool>,
+}
+
+/// Equality of dimensions and entries; the symmetry cache is not compared.
+impl<T: PartialEq> PartialEq for CscMatrix<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.nrows == other.nrows
+            && self.ncols == other.ncols
+            && self.colptr == other.colptr
+            && self.rowids == other.rowids
+            && self.values == other.values
+    }
 }
 
 impl<T: Scalar> CscMatrix<T> {
@@ -38,7 +56,7 @@ impl<T: Scalar> CscMatrix<T> {
         rowids: Vec<usize>,
         values: Vec<T>,
     ) -> Result<Self, SparseError> {
-        let m = CscMatrix { nrows, ncols, colptr, rowids, values };
+        let m = CscMatrix { nrows, ncols, colptr, rowids, values, symmetric: OnceLock::new() };
         m.validate()?;
         Ok(m)
     }
@@ -65,7 +83,7 @@ impl<T: Scalar> CscMatrix<T> {
         let mut values = Vec::with_capacity(nnz);
         rowids.copy_from_slice(&rows);
         values.extend_from_slice(&vals);
-        CscMatrix { nrows, ncols, colptr, rowids, values }
+        CscMatrix { nrows, ncols, colptr, rowids, values, symmetric: OnceLock::new() }
     }
 
     /// An `nrows × ncols` matrix with no stored entries.
@@ -76,6 +94,7 @@ impl<T: Scalar> CscMatrix<T> {
             colptr: vec![0; ncols + 1],
             rowids: Vec::new(),
             values: Vec::new(),
+            symmetric: OnceLock::new(),
         }
     }
 
@@ -87,6 +106,7 @@ impl<T: Scalar> CscMatrix<T> {
             colptr: (0..=n).collect(),
             rowids: (0..n).collect(),
             values: vec![value; n],
+            symmetric: OnceLock::new(),
         }
     }
 
@@ -203,6 +223,43 @@ impl<T: Scalar> CscMatrix<T> {
         (0..self.ncols).map(|j| self.column_nnz(j)).max().unwrap_or(0)
     }
 
+    /// Whether the sparsity pattern is symmetric: the matrix is square and
+    /// `(i, j)` is stored exactly when `(j, i)` is (values are not
+    /// compared). Then column `i` lists row `i`'s entries too, which is what
+    /// lets a bottom-up SpMSpV scan a row without building the transpose.
+    ///
+    /// Computed on the first call, in one `O(nnz + n)` pass, and cached
+    /// for the matrix's lifetime; a non-square matrix is answered without
+    /// the pass.
+    pub fn is_structurally_symmetric(&self) -> bool {
+        self.nrows == self.ncols && *self.symmetric.get_or_init(|| self.pattern_is_symmetric())
+    }
+
+    /// The cached answer of [`CscMatrix::is_structurally_symmetric`], or
+    /// `None` when no call has computed it yet.
+    pub fn cached_symmetry(&self) -> Option<bool> {
+        self.symmetric.get().copied()
+    }
+
+    /// The per-column cursor walk behind
+    /// [`CscMatrix::is_structurally_symmetric`]: visiting the columns in
+    /// ascending order, each entry `(i, j)` must meet its mirror `(j, i)`
+    /// as the next unconsumed entry of column `i` (columns ascend, so
+    /// mirrors are met in order), and every column must be consumed at
+    /// the end.
+    fn pattern_is_symmetric(&self) -> bool {
+        let mut cursor = self.colptr[..self.ncols].to_vec();
+        for j in 0..self.ncols {
+            for &i in self.column(j).0 {
+                if cursor[i] == self.colptr[i + 1] || self.rowids[cursor[i]] != j {
+                    return false;
+                }
+                cursor[i] += 1;
+            }
+        }
+        cursor.iter().zip(&self.colptr[1..]).all(|(c, end)| c == end)
+    }
+
     /// Returns the transpose as a new CSC matrix.
     ///
     /// Implemented as a linear-time bucket scatter (Gustavson's
@@ -231,7 +288,14 @@ impl<T: Scalar> CscMatrix<T> {
                 cursor[i] += 1;
             }
         }
-        CscMatrix { nrows: self.ncols, ncols: self.nrows, colptr, rowids, values }
+        CscMatrix {
+            nrows: self.ncols,
+            ncols: self.nrows,
+            colptr,
+            rowids,
+            values,
+            symmetric: OnceLock::new(),
+        }
     }
 
     /// Splits the matrix row-wise into `pieces` stacked submatrices of
@@ -257,7 +321,14 @@ impl<T: Scalar> CscMatrix<T> {
                 }
                 colptr[j + 1] = rowids.len();
             }
-            out.push(CscMatrix { nrows: hi - lo, ncols: self.ncols, colptr, rowids, values });
+            out.push(CscMatrix {
+                nrows: hi - lo,
+                ncols: self.ncols,
+                colptr,
+                rowids,
+                values,
+                symmetric: OnceLock::new(),
+            });
         }
         out
     }
@@ -297,6 +368,7 @@ impl<T: Scalar> CscMatrix<T> {
             colptr,
             rowids: self.rowids[window.clone()].to_vec(),
             values: self.values[window].to_vec(),
+            symmetric: OnceLock::new(),
         }
     }
 
@@ -534,6 +606,37 @@ mod tests {
         assert!(CscMatrix::from_parts(3, 1, vec![0, 2], vec![2, 1], vec![1.0, 2.0]).is_err());
         // valid
         assert!(CscMatrix::from_parts(3, 1, vec![0, 2], vec![1, 2], vec![1.0, 2.0]).is_ok());
+    }
+
+    #[test]
+    fn structural_symmetry_ignores_values_and_is_cached() {
+        let mut coo = CooMatrix::new(4, 4);
+        for (i, j, v) in [(0, 1, 1.0), (1, 0, 7.0), (2, 2, 1.0), (3, 1, 2.0), (1, 3, 5.0)] {
+            coo.push(i, j, v);
+        }
+        let a = CscMatrix::from_coo(coo, |x, y| x + y);
+        assert_eq!(a.cached_symmetry(), None);
+        assert!(a.is_structurally_symmetric());
+        assert_eq!(a.cached_symmetry(), Some(true));
+        // The cache takes no part in equality.
+        assert_eq!(a, a.column_slice(0..4));
+
+        // One missing mirror, in the middle and at a column's end.
+        assert!(!figure1_matrix().is_structurally_symmetric());
+        for (i, j) in [(3, 0), (0, 3)] {
+            let mut coo = CooMatrix::new(4, 4);
+            coo.push(0, 1, 1.0);
+            coo.push(1, 0, 1.0);
+            coo.push(i, j, 1.0);
+            assert!(!CscMatrix::from_coo(coo, |x, _| x).is_structurally_symmetric(), "({i}, {j})");
+        }
+
+        // A non-square matrix is answered without the pass.
+        let slice = a.column_slice(0..3);
+        assert!(!slice.is_structurally_symmetric());
+        assert_eq!(slice.cached_symmetry(), None);
+        assert!(CscMatrix::<f64>::identity(5, 1.0).is_structurally_symmetric());
+        assert!(CscMatrix::<f64>::empty(3, 3).is_structurally_symmetric());
     }
 
     #[test]

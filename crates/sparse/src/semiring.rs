@@ -37,6 +37,21 @@ pub trait Semiring<A, X>: Send + Sync {
 
     /// Reduce two partial results that landed on the same output row.
     fn add(&self, lhs: Self::Output, rhs: Self::Output) -> Self::Output;
+
+    /// Whether, for a frontier whose values are `x` (in ascending index
+    /// order), an output row's sum is always the product of its **first**
+    /// contribution: the one from the smallest column. Returning `true`
+    /// also promises that [`Semiring::multiply`] never reads the matrix
+    /// value, so the product may be formed from a structurally symmetric
+    /// matrix's mirrored entry.
+    ///
+    /// This is what makes a bottom-up (pull) step exact: scanning a row's
+    /// columns in ascending order may stop at the first frontier member.
+    /// The default, `false`, keeps every semiring on the push kernels.
+    fn first_hit_decides(&self, x: &[X]) -> bool {
+        let _ = x;
+        false
+    }
 }
 
 /// The conventional arithmetic semiring `(+, ×)` over a numeric type.
@@ -106,7 +121,10 @@ impl Semiring<bool, bool> for BoolOrAnd {
 /// `multiply` ignores the matrix value and forwards the vector value (the id
 /// of the frontier vertex discovering the row); `add` keeps the smallest
 /// discovered parent so the result is deterministic regardless of thread
-/// interleaving.
+/// interleaving. When the frontier's values strictly ascend with their
+/// index (a BFS frontier carries each vertex's own id), the smallest parent
+/// is the first frontier member in ascending column order, so
+/// [`Semiring::first_hit_decides`] holds.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Select2ndMin;
 
@@ -123,6 +141,9 @@ impl<A: Scalar> Semiring<A, usize> for Select2ndMin {
     #[inline]
     fn add(&self, lhs: usize, rhs: usize) -> usize {
         lhs.min(rhs)
+    }
+    fn first_hit_decides(&self, x: &[usize]) -> bool {
+        x.windows(2).all(|w| w[0] < w[1])
     }
 }
 
@@ -183,6 +204,17 @@ mod tests {
         assert_eq!(Semiring::<f64, usize>::multiply(&s, &9.5, &7), 7);
         assert_eq!(Semiring::<f64, usize>::add(&s, 7, 3), 3);
         assert_eq!(Semiring::<f64, usize>::zero(&s), usize::MAX);
+    }
+
+    #[test]
+    fn first_hit_decides_only_for_ascending_select2nd_frontiers() {
+        let s = Select2ndMin;
+        assert!(Semiring::<f64, usize>::first_hit_decides(&s, &[]));
+        assert!(Semiring::<f64, usize>::first_hit_decides(&s, &[0, 3, 9]));
+        assert!(!Semiring::<f64, usize>::first_hit_decides(&s, &[3, 0, 9]));
+        assert!(!Semiring::<f64, usize>::first_hit_decides(&s, &[3, 3]));
+        assert!(!Semiring::<f64, f64>::first_hit_decides(&PlusTimes, &[1.0, 2.0]));
+        assert!(!MinPlus.first_hit_decides(&[1.0, 2.0]));
     }
 
     #[test]

@@ -35,13 +35,14 @@ use spmspv::{
 
 mod common;
 
-const ALL_KINDS: [AlgorithmKind; 6] = [
+const ALL_KINDS: [AlgorithmKind; 7] = [
     AlgorithmKind::Bucket,
     AlgorithmKind::CombBlasSpa,
     AlgorithmKind::CombBlasHeap,
     AlgorithmKind::GraphMat,
     AlgorithmKind::SortBased,
     AlgorithmKind::Sequential,
+    AlgorithmKind::Pull,
 ];
 
 /// Strategy: a random sparse matrix with up to `max_dim` rows/columns and

@@ -26,13 +26,14 @@ use spmspv::{
 
 mod common;
 
-const ALL_KINDS: [AlgorithmKind; 7] = [
+const ALL_KINDS: [AlgorithmKind; 8] = [
     AlgorithmKind::Bucket,
     AlgorithmKind::CombBlasSpa,
     AlgorithmKind::CombBlasHeap,
     AlgorithmKind::GraphMat,
     AlgorithmKind::SortBased,
     AlgorithmKind::Sequential,
+    AlgorithmKind::Pull,
     AlgorithmKind::Adaptive,
 ];
 
