@@ -37,11 +37,11 @@
 //!    kernel never earns a second participant, so it never runs the bucket
 //!    kernel (it still pulls where rule 1 says so).
 //!
-//! [`AdaptiveBatch`] applies the same rules per lane on the
-//! [lane runner](crate::batch): a lane spread over the pool runs on a
-//! one-thread kernel and so runs pull or the sequential SPA; the lanes of
-//! a narrow batch run on the runner's kernel of `t` participants and decide
-//! by their own frontier. Neither constant is settable: α is Beamer's, and
+//! A [`LaneBatch`](crate::batch::LaneBatch) of Adaptive lanes applies the
+//! same rules per lane: a lane spread over the pool runs on a one-thread
+//! kernel and so runs pull or the sequential SPA; the lanes of a narrow
+//! batch run on the runner's kernel of `t` participants and decide by their
+//! own frontier. Neither constant is settable: α is Beamer's, and
 //! the parallelism rule's is measured (see [`Executor::capped_for`]). The
 //! committed ledger under `benchmark/results/` (`adaptive.sequential_share`,
 //! `executor.speedup`) is where a change to either has to show up.
@@ -53,14 +53,13 @@
 //! which the property tests assert.
 
 use sparse_substrate::ops::required_multiplications;
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec, SparseVecBatch};
+use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
-use crate::batch::{BatchRunInfo, LaneKernel, LaneRunner, SpMSpVBatch};
 use crate::bucket::SpMSpVBucket;
 use crate::executor::Executor;
-use crate::masked::{BatchMaskView, MaskMode, MaskView};
+use crate::masked::{MaskMode, MaskView};
 use crate::pull::{self, SpMSpVPull};
 
 /// Beamer's α: a call pulls when its push flops exceed `1/α` of the edges
@@ -244,83 +243,14 @@ where
     }
 }
 
-impl<'a, A, X, S> LaneKernel<'a, A, X, S> for AdaptiveSpMSpV<'a, A, X, S>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X>,
-{
-    fn build(matrix: MatrixRef<'a, A>, options: SpMSpVOptions) -> Self {
-        AdaptiveSpMSpV::new(matrix, options)
-    }
-}
-
-/// [`BatchAlgorithmKind::Adaptive`](crate::BatchAlgorithmKind::Adaptive):
-/// [`AdaptiveSpMSpV`] applied per lane on the [lane runner](crate::batch).
-/// Each lane's kernel picks its family from that lane's frontier (the
-/// `adaptive.single.*` counters count the picks);
-/// [`SpMSpVBatch::last_run_info`] reports the runner,
-/// [`BatchAlgorithmKind::Bucket`](crate::BatchAlgorithmKind::Bucket).
-pub struct AdaptiveBatch<'a, A, X, S: Semiring<A, X>> {
-    lanes: LaneRunner<'a, A, AdaptiveSpMSpV<'a, A, X, S>>,
-}
-
-impl<'a, A, X, S> AdaptiveBatch<'a, A, X, S>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X>,
-{
-    /// Prepares the dispatcher (no lane kernel is built until a call needs
-    /// it).
-    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
-        AdaptiveBatch { lanes: LaneRunner::new(matrix.into(), options) }
-    }
-}
-
-impl<'a, A, X, S> SpMSpVBatch<A, X, S> for AdaptiveBatch<'a, A, X, S>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X>,
-{
-    fn name(&self) -> &'static str {
-        "Adaptive-batch"
-    }
-
-    fn nrows(&self) -> usize {
-        self.lanes.matrix().nrows()
-    }
-
-    fn ncols(&self) -> usize {
-        self.lanes.matrix().ncols()
-    }
-
-    fn multiply_batch(&mut self, x: &SparseVecBatch<X>, semiring: &S) -> SparseVecBatch<S::Output> {
-        self.multiply_batch_masked(x, semiring, None)
-    }
-
-    fn multiply_batch_masked(
-        &mut self,
-        x: &SparseVecBatch<X>,
-        semiring: &S,
-        mask: Option<&BatchMaskView<'_>>,
-    ) -> SparseVecBatch<S::Output> {
-        self.lanes.run(x, semiring, mask).0
-    }
-
-    fn last_run_info(&self) -> Option<BatchRunInfo> {
-        self.lanes.last_run_info()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::LaneBatch;
     use sparse_substrate::fixtures::tridiagonal;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::spmspv_reference;
-    use sparse_substrate::{CooMatrix, CscMatrix, PlusTimes};
+    use sparse_substrate::{CooMatrix, CscMatrix, PlusTimes, SparseVecBatch};
 
     /// An `m × m` star: column 0 (the hub) holds every row, and every other
     /// column `j` holds row `j` alone, so the mean column degree is under 2.
@@ -427,7 +357,10 @@ mod tests {
         // participants the batch earns) runs on the runner's kernel of t
         // participants, where a lane of ~20k flops earns two and runs the
         // bucket kernel; lanes spread over the pool run on one-thread
-        // kernels, which always run the sequential SPA.
+        // kernels, which always run the sequential SPA. A lane's choice
+        // depends only on its frontier, mask and participants, so an
+        // Adaptive kernel of the same participants, replaying the lane,
+        // makes the lane kernel's choice.
         let a = erdos_renyi(4000, 8.0, 9);
         let opts = SpMSpVOptions::with_threads(2);
         let batch = |k: usize, nnz: usize| {
@@ -435,30 +368,33 @@ mod tests {
                 (0..k).map(|l| random_sparse_vec(4000, nnz, 40 + l as u64)).collect();
             SparseVecBatch::from_lanes(&lanes).unwrap()
         };
-        let mut alg: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(&a, opts.clone());
+        let replay = |threads: usize, x: &SparseVec<f64>| {
+            let mut kernel = adaptive(&a, threads);
+            let y = kernel.multiply(x, &PlusTimes);
+            (y, kernel.last_choice())
+        };
+        let mut alg: LaneBatch<'_, f64, f64, PlusTimes> =
+            LaneBatch::new(&a, AlgorithmKind::Adaptive, opts);
 
         let one = batch(1, 2500);
         let y = alg.multiply_batch(&one, &PlusTimes);
-        let (wide, idle) = alg.lanes.kernels();
-        assert_eq!(wide.and_then(AdaptiveSpMSpV::last_choice), Some(AlgorithmKind::Bucket));
-        assert!(idle.is_empty(), "a narrow batch never checks out a one-thread kernel");
-        let mut single: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> = AdaptiveSpMSpV::new(&a, opts);
-        assert_eq!(y.lane(0), &single.multiply(one.lane(0), &PlusTimes));
+        // A narrow batch runs on the kernel of t and never checks out a
+        // one-thread kernel.
+        assert_eq!(alg.kernels(), (true, 0));
+        let (expected, choice) = replay(2, one.lane(0));
+        assert_eq!(choice, Some(AlgorithmKind::Bucket));
+        assert_eq!(y.lane(0), &expected);
 
         let four = batch(4, 2500);
         let y = alg.multiply_batch(&four, &PlusTimes);
-        let (_, idle) = alg.lanes.kernels();
-        assert!(!idle.is_empty());
-        for kernel in idle {
-            assert_eq!(kernel.last_choice(), Some(AlgorithmKind::Sequential));
-        }
+        let (_, idle) = alg.kernels();
+        assert!((1..=2).contains(&idle), "{idle} one-thread kernels");
         for l in 0..4 {
-            let expected = spmspv_reference(&a, four.lane(l), &PlusTimes);
-            assert!(y.lane(l).approx_same_entries(&expected, 1e-9), "lane {l}");
+            let (expected, choice) = replay(1, four.lane(l));
+            assert_eq!(choice, Some(AlgorithmKind::Sequential), "lane {l}");
+            assert_eq!(y.lane(l), &expected, "lane {l}");
+            let reference = spmspv_reference(&a, four.lane(l), &PlusTimes);
+            assert!(y.lane(l).approx_same_entries(&reference, 1e-9), "lane {l}");
         }
-        assert_eq!(
-            alg.last_run_info().map(|info| info.kernel),
-            Some(crate::BatchAlgorithmKind::Bucket)
-        );
     }
 }

@@ -7,6 +7,7 @@ use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
 
 use crate::executor::Executor;
 use crate::masked::MaskView;
+use crate::timing::StepTimings;
 
 /// How a kernel holds its matrix: borrowed from the caller, or shared with
 /// whoever else owns it (an owning [`crate::Engine`] and the kernels it
@@ -118,13 +119,28 @@ pub trait SpMSpV<A: Scalar, X: Scalar, S: Semiring<A, X>>: Send {
         }
         y
     }
+
+    /// [`SpMSpV::multiply_masked`] with the per-step wall-clock breakdown
+    /// of the paper's Figure 6. Only the bucket kernel has those steps and
+    /// reports them; every other kernel reports zero timings.
+    fn multiply_masked_with_timings(
+        &mut self,
+        x: &SparseVec<X>,
+        semiring: &S,
+        mask: Option<MaskView<'_>>,
+    ) -> (SparseVec<S::Output>, StepTimings) {
+        (self.multiply_masked(x, semiring, mask), StepTimings::default())
+    }
 }
 
 /// Builds a boxed [`SpMSpV`] instance of the requested algorithm family,
 /// generic over the semiring — the single dispatch point the [`crate::ops`]
-/// descriptor (and the per-semiring helpers in `spmspv-graphs`) build on.
+/// descriptor, the [lane runner](crate::batch::LaneBatch) (and so the
+/// serving engine) and the per-semiring helpers in `spmspv-graphs` build
+/// on. `matrix` is borrowed (`&CscMatrix`) or shared (`Arc<CscMatrix>`); see
+/// [`MatrixRef`].
 pub fn build_algorithm<'a, A, X, S>(
-    matrix: &'a CscMatrix<A>,
+    matrix: impl Into<MatrixRef<'a, A>>,
     kind: AlgorithmKind,
     options: SpMSpVOptions,
 ) -> Box<dyn SpMSpV<A, X, S> + 'a>
@@ -137,6 +153,7 @@ where
     use crate::baselines::{CombBlasHeap, CombBlasSpa, GraphMatSpMSpV, SequentialSpa, SortBased};
     use crate::bucket::SpMSpVBucket;
     use crate::pull::SpMSpVPull;
+    let matrix = matrix.into();
     match kind {
         AlgorithmKind::Bucket => Box::new(SpMSpVBucket::new(matrix, options)),
         AlgorithmKind::CombBlasSpa => Box::new(CombBlasSpa::new(matrix, options)),

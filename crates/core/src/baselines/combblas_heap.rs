@@ -10,15 +10,15 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sparse_substrate::{CscMatrix, DcscMatrix, Scalar, Semiring, SparseVec};
+use sparse_substrate::{DcscMatrix, Scalar, Semiring, SparseVec};
 
-use crate::algorithm::{SpMSpV, SpMSpVOptions};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::executor::Executor;
 use crate::masked::MaskView;
 
 /// Row-split CombBLAS-style SpMSpV with per-thread heap merging.
 pub struct CombBlasHeap<'a, A> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     pieces: Vec<DcscMatrix<A>>,
     offsets: Vec<usize>,
     executor: Executor,
@@ -26,10 +26,11 @@ pub struct CombBlasHeap<'a, A> {
 
 impl<'a, A: Scalar> CombBlasHeap<'a, A> {
     /// Splits `matrix` row-wise into one DCSC piece per thread.
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
+        let matrix = matrix.into();
         let executor = options.build_executor();
         let t = executor.threads().max(1);
-        let pieces = DcscMatrix::row_split(matrix, t);
+        let pieces = DcscMatrix::row_split(&matrix, t);
         let offsets = matrix.row_split_offsets(t);
         CombBlasHeap { matrix, pieces, offsets, executor }
     }
@@ -129,7 +130,7 @@ mod tests {
     use super::*;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::spmspv_reference;
-    use sparse_substrate::{fixtures, PlusTimes};
+    use sparse_substrate::{fixtures, CscMatrix, PlusTimes};
 
     #[test]
     fn matches_reference_and_is_sorted() {

@@ -11,15 +11,15 @@
 //! disjoint slice of `y`. Reproducing that inefficiency faithfully is the
 //! point: it is what Figures 3–5 measure.
 
-use sparse_substrate::{CscMatrix, DcscMatrix, Scalar, Semiring, Spa, SparseVec};
+use sparse_substrate::{DcscMatrix, Scalar, Semiring, Spa, SparseVec};
 
-use crate::algorithm::{SpMSpV, SpMSpVOptions};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::executor::Executor;
 use crate::masked::MaskView;
 
 /// Row-split CombBLAS-style SpMSpV with one private SPA per thread.
 pub struct CombBlasSpa<'a, A, Y> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     pieces: Vec<DcscMatrix<A>>,
     /// Row offset of each piece within the full matrix.
     offsets: Vec<usize>,
@@ -30,10 +30,11 @@ pub struct CombBlasSpa<'a, A, Y> {
 
 impl<'a, A: Scalar, Y: Scalar> CombBlasSpa<'a, A, Y> {
     /// Splits `matrix` row-wise into one DCSC piece per thread.
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
+        let matrix = matrix.into();
         let executor = options.build_executor();
         let t = executor.threads().max(1);
-        let pieces = DcscMatrix::row_split(matrix, t);
+        let pieces = DcscMatrix::row_split(&matrix, t);
         let offsets = matrix.row_split_offsets(t);
         let spas = pieces.iter().map(|p| Spa::new(p.nrows())).collect();
         CombBlasSpa { matrix, pieces, offsets, spas, executor }

@@ -9,15 +9,15 @@
 //! magnitude on very sparse frontiers, while staying competitive on dense
 //! ones.
 
-use sparse_substrate::{CscMatrix, DcscMatrix, Scalar, Semiring, Spa, SparseVec};
+use sparse_substrate::{DcscMatrix, Scalar, Semiring, Spa, SparseVec};
 
-use crate::algorithm::{SpMSpV, SpMSpVOptions};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::executor::Executor;
 use crate::masked::MaskView;
 
 /// Matrix-driven SpMSpV with row-split DCSC pieces and a bitvector input.
 pub struct GraphMatSpMSpV<'a, A, X, Y> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     pieces: Vec<DcscMatrix<A>>,
     offsets: Vec<usize>,
     spas: Vec<Spa<Y>>,
@@ -30,10 +30,11 @@ pub struct GraphMatSpMSpV<'a, A, X, Y> {
 
 impl<'a, A: Scalar, X: Scalar, Y: Scalar> GraphMatSpMSpV<'a, A, X, Y> {
     /// Splits `matrix` row-wise and allocates the bitvector workspace.
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
+        let matrix = matrix.into();
         let executor = options.build_executor();
         let t = executor.threads().max(1);
-        let pieces = DcscMatrix::row_split(matrix, t);
+        let pieces = DcscMatrix::row_split(&matrix, t);
         let offsets = matrix.row_split_offsets(t);
         let spas = pieces.iter().map(|p| Spa::new(p.nrows())).collect();
         let n = matrix.ncols();

@@ -7,21 +7,22 @@
 //! parallelizes over `x`'s nonzeros, the sort is a parallel merge sort), but
 //! pays the `lg` factor the bucket algorithm avoids.
 
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
+use sparse_substrate::{Scalar, Semiring, SparseVec};
 
-use crate::algorithm::{SpMSpV, SpMSpVOptions};
+use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::executor::{even_ranges, Executor};
 use crate::masked::MaskView;
 
 /// Sort-based vector-driven SpMSpV over a CSC matrix.
 pub struct SortBased<'a, A> {
-    matrix: &'a CscMatrix<A>,
+    matrix: MatrixRef<'a, A>,
     executor: Executor,
 }
 
 impl<'a, A: Scalar> SortBased<'a, A> {
     /// Prepares the algorithm (no per-matrix preprocessing is needed).
-    pub fn new(matrix: &'a CscMatrix<A>, options: SpMSpVOptions) -> Self {
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
+        let matrix = matrix.into();
         SortBased { matrix, executor: options.build_executor() }
     }
 }
@@ -58,7 +59,7 @@ where
         if let Some(mask) = mask {
             mask.check_rows(self.matrix.nrows());
         }
-        let matrix = self.matrix;
+        let matrix = &*self.matrix;
         if x.is_empty() {
             return SparseVec::new(matrix.nrows());
         }

@@ -302,6 +302,15 @@ where
     ) -> SparseVec<S::Output> {
         self.multiply_masked_with_timings(x, semiring, mask).0
     }
+
+    fn multiply_masked_with_timings(
+        &mut self,
+        x: &SparseVec<X>,
+        semiring: &S,
+        mask: Option<MaskView<'_>>,
+    ) -> (SparseVec<S::Output>, StepTimings) {
+        SpMSpVBucket::multiply_masked_with_timings(self, x, semiring, mask)
+    }
 }
 
 #[cfg(test)]

@@ -10,10 +10,11 @@
 //! independent logical clients**. This module is that serving layer:
 //!
 //! * [`Engine::load`] / [`Engine::over`] bind a matrix (owned or borrowed)
-//!   to **one** batched kernel of the [`EngineConfig::batch_algorithm`]
-//!   family — built on the first flush, workspaces reused across every
-//!   flush after it. The engine and its kernel hold the same [`MatrixRef`]:
-//!   the caller's borrow, or for an owned matrix one `Arc` they share;
+//!   to **one** [`LaneBatch`] whose lanes are kernels of the
+//!   [`EngineConfig::batch_algorithm`] family — built on the first flush,
+//!   workspaces reused across every flush after it. The engine and its
+//!   kernels hold the same [`MatrixRef`]: the caller's borrow, or for an
+//!   owned matrix one `Arc` they share;
 //! * clients open [`Session`]s and submit [`MxvRequest`]s (frontier +
 //!   optional output mask + optional deadline), receiving a [`Ticket`] per
 //!   request;
@@ -59,9 +60,10 @@
 //! kernel call runs under `catch_unwind`, which turns the panic into an
 //! [`EngineError::KernelFailed`] carrying its message; the engine's kernel
 //! is evicted (its workspaces may be mid-mutation; the next flush rebuilds
-//! it), and the group is retried **once** on a freshly built
-//! [`crate::NaiveBatch`] oracle kernel — graceful degradation,
-//! recorded as `degraded_flushes` in [`crate::stats::EngineStats`]. Only if
+//! it), and the group is retried **once** on a freshly built runner of the
+//! same family at one participant, which runs the lanes one after another
+//! on one one-thread kernel — graceful degradation, recorded as
+//! `degraded_flushes` in [`crate::stats::EngineStats`]. Only if
 //! the retry also fails do the group's tickets resolve as
 //! [`EngineError::KernelFailed`]; every other group of the same flush, and
 //! every later flush, is unaffected. Internal locks are acquired
@@ -89,8 +91,8 @@
 //! Every engine owns a metrics [`Registry`] ([`Engine::obs`]) holding the
 //! `engine.*` counters, queue-depth/widest-flush gauges, per-phase flush
 //! latency histograms, queue-wait distribution, and a bounded trace ring of
-//! flush decisions (`flush.begin`, `group.fused`, `adaptive.choice`,
-//! `degrade.retry`, `kernel.failure`, `overload`, `deadline.expired`).
+//! flush decisions (`flush.begin`, `group.fused`, `degrade.retry`,
+//! `kernel.failure`, `overload`, `deadline.expired`).
 //! [`Engine::stats`] is a *view* reconstructed from that registry — there is
 //! no parallel bookkeeping. Configure (or disable) collection through
 //! [`EngineConfig::obs`]; see the [`crate::obs`] module docs for the full
@@ -117,25 +119,20 @@
 //!
 //! Results are **bit-identical** to running every request through its own
 //! single-vector [`crate::SpMSpV::multiply_masked`] call (the engine
-//! property test asserts exactly that): every batched family reduces each
-//! lane in the same order as the single-vector kernel.
+//! property test asserts exactly that): each lane *is* such a call.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use sparse_substrate::{
-    CscMatrix, MaskBits, Scalar, Semiring, SpaBackend, SparseVec, SparseVecBatch,
-};
+use sparse_substrate::{CscMatrix, MaskBits, Scalar, Semiring, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{MatrixRef, SpMSpVOptions};
-use crate::batch::{
-    build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, NaiveBatch, SpMSpVBatch,
-};
+use crate::batch::{BatchAlgorithmKind, LaneBatch};
 use crate::failpoint;
 use crate::masked::{BatchMaskView, MaskMode};
-use crate::obs::{self, Counter, Gauge, Histogram, ObsConfig, Registry, Span, TraceKind};
+use crate::obs::{Counter, Gauge, Histogram, ObsConfig, Registry, Span, TraceKind};
 use crate::stats::{ChoiceCounts, EngineStats};
 use crate::timing::FlushTimings;
 
@@ -162,7 +159,7 @@ pub enum EngineError {
     /// request (oldest-first) or rejected it outright.
     Overloaded,
     /// Kernel execution failed — a caught panic or an injected failpoint
-    /// error — and the one-shot retry on the oracle kernel failed too. The
+    /// error — and the one-shot one-participant retry failed too. The
     /// string is the panic/error message.
     KernelFailed(String),
     /// The engine went away (dropped, or its serve loop died) before the
@@ -234,8 +231,9 @@ pub struct EngineConfig {
     /// How long the [`Engine::serve`] loop waits for more requests to
     /// coalesce before flushing a partially filled batch.
     pub linger: Duration,
-    /// The batched algorithm family every flush of this engine runs. To
-    /// serve two families, run two engines.
+    /// The family of the lane kernels every flush of this engine runs
+    /// ([`BatchAlgorithmKind::lanes`]). To serve two families, run two
+    /// engines.
     pub batch_algorithm: BatchAlgorithmKind,
     /// Kernel tuning options of the engine's kernel.
     pub options: SpMSpVOptions,
@@ -254,9 +252,7 @@ impl Default for EngineConfig {
             overload: OverloadPolicy::Block,
             linger: Duration::from_micros(200),
             // Adaptive: each lane resolves its kernel family from its own
-            // frontier's density, so serving traffic auto-tunes without
-            // caller hints. What each flush ran is recorded in
-            // [`EngineStats::choices`].
+            // frontier, so serving traffic auto-tunes without caller hints.
             batch_algorithm: BatchAlgorithmKind::Adaptive,
             options: SpMSpVOptions::default(),
             obs: ObsConfig::default(),
@@ -532,10 +528,6 @@ struct RequestQueue<X, Y> {
     shrank: Condvar,
 }
 
-/// The engine's batched kernel, holding a clone of the engine's matrix
-/// handle.
-type Kernel<'m, A, X, S> = Box<dyn SpMSpVBatch<A, X, S> + 'm>;
-
 /// Turns a caught kernel panic into the error its group's tickets resolve
 /// to, keeping the panic's message (`panic!` with a formatted message boxes
 /// a `String`; a literal boxes a `&'static str`).
@@ -592,8 +584,8 @@ struct EngineMetrics {
     shed: Arc<Counter>,
     panics_recovered: Arc<Counter>,
     degraded_flushes: Arc<Counter>,
-    /// `engine.choice.<kernel>.dense`, indexed like [`ChoiceCounts::KERNELS`].
-    choice: [Arc<Counter>; 2],
+    /// `engine.choice.bucket.dense`: fused batches that did work.
+    choice: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     widest_flush: Arc<Gauge>,
     queue_wait: Arc<Histogram>,
@@ -604,13 +596,6 @@ struct EngineMetrics {
 impl EngineMetrics {
     fn new(config: &ObsConfig) -> Self {
         let registry = Registry::new(config.clone());
-        let choice = ChoiceCounts::KERNELS.map(|k| {
-            registry.counter(&format!(
-                "engine.choice.{}.{}",
-                obs::kernel_slug(k),
-                obs::backend_slug(SpaBackend::Dense)
-            ))
-        });
         EngineMetrics {
             requests: registry.counter("engine.requests"),
             retired: registry.counter("engine.retired"),
@@ -622,7 +607,7 @@ impl EngineMetrics {
             shed: registry.counter("engine.shed"),
             panics_recovered: registry.counter("engine.panics_recovered"),
             degraded_flushes: registry.counter("engine.degraded_flushes"),
-            choice,
+            choice: registry.counter("engine.choice.bucket.dense"),
             queue_depth: registry.gauge("engine.queue.depth"),
             widest_flush: registry.gauge("engine.widest_flush"),
             queue_wait: registry.histogram("engine.queue.wait"),
@@ -657,10 +642,10 @@ impl EngineMetrics {
 /// request with [`EngineError::Disconnected`], so no client waits on a dead
 /// engine.
 pub struct Engine<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> {
-    /// The [`EngineConfig::batch_algorithm`] kernel, built on the first
-    /// flush and reused by every later one (the amortization the engine
-    /// exists for); `None` until then and after a panic evicted it.
-    kernel: Mutex<Option<Kernel<'m, A, X, S>>>,
+    /// The runner of [`EngineConfig::batch_algorithm`] lanes, built on the
+    /// first flush and reused by every later one (the amortization the
+    /// engine exists for); `None` until then and after a panic evicted it.
+    kernel: Mutex<Option<LaneBatch<'m, A, X, S>>>,
     queue: RequestQueue<X, S::Output>,
     metrics: EngineMetrics,
     config: EngineConfig,
@@ -787,7 +772,6 @@ where
     /// all-zero when observability is disabled.
     pub fn stats(&self) -> EngineStats {
         let m = &self.metrics;
-        let counts = m.choice.each_ref().map(|c| c.get() as usize);
         EngineStats {
             requests: m.requests.get() as usize,
             retired: m.retired.get() as usize,
@@ -806,7 +790,7 @@ where
                 demux: Duration::from_nanos(m.flush_phase[PHASE_DEMUX].sum()),
                 recover: Duration::from_nanos(m.flush_phase[PHASE_RECOVER].sum()),
             },
-            choices: ChoiceCounts::from_counts(counts),
+            choices: ChoiceCounts::from_count(m.choice.get() as usize),
         }
     }
 
@@ -832,9 +816,7 @@ where
         m.timeouts.add(outcome.timeouts as u64);
         m.panics_recovered.add(outcome.panics_recovered as u64);
         m.degraded_flushes.add(outcome.degraded_flushes as u64);
-        for (kernel, counter) in ChoiceCounts::KERNELS.iter().zip(&m.choice) {
-            counter.add(outcome.choices.count(*kernel) as u64);
-        }
+        m.choice.add(outcome.choices.total() as u64);
         if outcome.timeouts > 0 {
             m.registry.trace(TraceKind::DeadlineExpired { lanes: outcome.timeouts });
         }
@@ -936,7 +918,7 @@ where
     /// Drains the queue and serves every live request: groups compatible
     /// requests, fuses each group into at most [`EngineConfig::max_lanes`]
     /// lanes per batched multiplication, executes (with panic isolation and
-    /// a one-shot [`crate::NaiveBatch`] retry per failed group), and
+    /// a one-shot one-participant retry per failed group), and
     /// demultiplexes results to the tickets. Every drained request resolves
     /// before this returns — even if a kernel panics. Returns what happened
     /// (all zeros when the queue was empty).
@@ -1058,44 +1040,34 @@ where
                     Err(err) => {
                         outcome.panics_recovered += 1;
                         self.metrics.registry.trace(TraceKind::KernelFailure(err.to_string()));
-                        if kind == BatchAlgorithmKind::Naive {
-                            // Already on the oracle kernel: nothing simpler
-                            // to degrade to.
-                            for t in &tickets {
-                                t.fail(err.clone());
+                        // Graceful degradation: one retry on a fresh runner
+                        // of the same family at one participant, its lanes
+                        // one after another on one one-thread kernel.
+                        self.metrics.registry.trace(TraceKind::DegradeRetry { from: kind });
+                        let sp_recover = self.metrics.phase_span(PHASE_RECOVER);
+                        let retry = self.execute(None, &x, mask.as_ref());
+                        outcome.timings.recover += sp_recover.stop();
+                        match retry {
+                            Ok(y) => {
+                                outcome.degraded_flushes += 1;
+                                Some(y)
                             }
-                            None
-                        } else {
-                            // Graceful degradation: one retry on the naive
-                            // oracle kernel (independent per-lane runs — the
-                            // most conservative path we have).
-                            self.metrics.registry.trace(TraceKind::DegradeRetry { from: kind });
-                            let sp_recover = self.metrics.phase_span(PHASE_RECOVER);
-                            let retry = self.execute(None, &x, mask.as_ref());
-                            outcome.timings.recover += sp_recover.stop();
-                            match retry {
-                                Ok(ok) => {
-                                    outcome.degraded_flushes += 1;
-                                    Some(ok)
+                            Err(retry_err) => {
+                                outcome.panics_recovered += 1;
+                                self.metrics
+                                    .registry
+                                    .trace(TraceKind::KernelFailure(retry_err.to_string()));
+                                for t in &tickets {
+                                    t.fail(retry_err.clone());
                                 }
-                                Err(retry_err) => {
-                                    outcome.panics_recovered += 1;
-                                    self.metrics
-                                        .registry
-                                        .trace(TraceKind::KernelFailure(retry_err.to_string()));
-                                    for t in &tickets {
-                                        t.fail(retry_err.clone());
-                                    }
-                                    None
-                                }
+                                None
                             }
                         }
                     }
                 };
-                let Some((y, info)) = served else { continue };
-                if let Some(info) = info {
-                    outcome.choices.record(info);
-                    self.metrics.registry.trace(TraceKind::AdaptiveChoice(info));
+                let Some(y) = served else { continue };
+                if !x.is_empty() {
+                    outcome.choices.record();
                 }
 
                 let sp_demux = self.metrics.phase_span(PHASE_DEMUX);
@@ -1128,41 +1100,40 @@ where
     }
 
     /// Executes one fused group with panic isolation: on the engine's
-    /// kernel (built on first use) when `kernel` is given, else on a freshly
-    /// built [`NaiveBatch`] — the one-shot degraded retry. A kernel panic
-    /// comes back as [`EngineError::KernelFailed`], and the engine's kernel
-    /// is then evicted: its workspaces may be mid-mutation from the unwound
-    /// call, so the next flush rebuilds it cleanly.
+    /// runner (built on first use) when `kernel` is given, else on a freshly
+    /// built runner of the same family at one participant — the one-shot
+    /// degraded retry. A kernel panic comes back as
+    /// [`EngineError::KernelFailed`], and the engine's runner is then
+    /// evicted: its workspaces may be mid-mutation from the unwound call, so
+    /// the next flush rebuilds it cleanly.
     fn execute(
         &self,
-        kernel: Option<&mut Option<Kernel<'m, A, X, S>>>,
+        kernel: Option<&mut Option<LaneBatch<'m, A, X, S>>>,
         x: &SparseVecBatch<X>,
         mask: Option<&BatchMaskView<'_>>,
-    ) -> Result<(SparseVecBatch<S::Output>, Option<BatchRunInfo>), EngineError> {
+    ) -> Result<SparseVecBatch<S::Output>, EngineError> {
         failpoint::act("engine.flush.execute").map_err(EngineError::KernelFailed)?;
-        let run = |kernel: &mut (dyn SpMSpVBatch<A, X, S> + 'm)| {
+        let lanes = self.config.batch_algorithm.lanes();
+        let run = |runner: &mut LaneBatch<'m, A, X, S>| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let y = kernel.multiply_batch_masked(x, &self.semiring, mask);
-                (y, kernel.last_run_info())
+                runner.multiply_batch_masked(x, &self.semiring, mask)
             }))
             .map_err(kernel_failure)
         };
         match kernel {
             Some(slot) => {
-                let built = slot.get_or_insert_with(|| {
-                    build_batch_algorithm(
-                        self.matrix.clone(),
-                        self.config.batch_algorithm,
-                        self.config.options.clone(),
-                    )
+                let runner = slot.get_or_insert_with(|| {
+                    LaneBatch::new(self.matrix.clone(), lanes, self.config.options.clone())
                 });
-                let served = run(built.as_mut());
+                let served = run(runner);
                 if served.is_err() {
                     *slot = None;
                 }
                 served
             }
-            None => run(&mut NaiveBatch::new(self.matrix.clone(), self.config.options.clone())),
+            None => {
+                run(&mut LaneBatch::new(self.matrix.clone(), lanes, SpMSpVOptions::with_threads(1)))
+            }
         }
     }
 
@@ -1307,13 +1278,13 @@ pub struct FlushOutcome {
     /// Kernel failures (caught panics or injected errors) this flush
     /// survived — one per failed execution attempt.
     pub panics_recovered: usize,
-    /// Groups that were served by the one-shot [`crate::NaiveBatch`] retry
-    /// after their preferred kernel failed.
+    /// Groups that were served by the one-shot one-participant retry after
+    /// their first attempt failed.
     pub degraded_flushes: usize,
     /// Wall-clock breakdown of this flush.
     pub timings: FlushTimings,
-    /// The concrete kernel family each fused batch of this flush resolved to
-    /// (a group of all-empty frontiers executes nothing and records none).
+    /// Fused batches of this flush that had anything to multiply (a group
+    /// of all-empty frontiers executes nothing and records none).
     pub choices: ChoiceCounts,
 }
 
@@ -1805,7 +1776,7 @@ mod tests {
             (0..3).map(|_| engine.submit(MxvRequest::new(SparseVec::new(200)))).collect();
         let outcome = engine.flush();
         assert_eq!(outcome.batches, 1);
-        assert_eq!(outcome.choices.total(), 0, "stale run info leaked into an empty flush");
+        assert_eq!(outcome.choices.total(), 0, "an empty flush recorded a run");
         for ticket in idle {
             assert!(ticket.try_take().expect("flushed").expect("served").is_empty());
         }

@@ -16,7 +16,7 @@
 //! | `engine.flush.assemble` | [`crate::engine::Engine::flush`], after the queue drain | panic (serve-loop crash recovery), delay |
 //! | `engine.flush.execute`  | per fused group, before the kernel runs | error / panic (group failure + degrade), delay |
 //! | `engine.flush.demux`    | per fused group, before results are scattered | delay (deadline races) |
-//! | `batch.merge`           | [`crate::SpMSpVBucketBatch`] / [`crate::AdaptiveBatch`], after the lanes ran, before they merge into one batch | panic ("panic in merge") |
+//! | `batch.merge`           | [`crate::LaneBatch`] (every batch, the degraded retry's too), after the lanes ran, before they merge into one batch | panic ("panic in merge") |
 //! | `shard.flush.<s>`       | [`crate::shard::ShardedEngine`], before shard `s`'s engine flushes | error (single-shard outage: only tickets routed through shard `s` fail) |
 //! | `net.host.byzantine.wrong_id.<s>` | [`crate::net::ShardHost`] for shard `s`, before a reply is encoded | error (reply carries a corrupted correlation id → router quarantines) |
 //! | `net.host.byzantine.bad_index.<s>` | [`crate::net::ShardHost`] for shard `s`, after a non-empty `Partial` is encoded | error (first partial index overwritten with `u64::MAX` → decode rejects) |

@@ -44,44 +44,41 @@
 //! 3. **Output** (Step 3): concatenate the buckets' unique indices into the
 //!    result vector with a prefix sum.
 //!
-//! The same descriptor executes batches of `k` frontiers, selected by
-//! [`batch::BatchAlgorithmKind`], one mask shared by every lane. A batch is
-//! its lanes: [`SpMSpVBucketBatch`] runs each lane through the bucket kernel
-//! and spreads the lanes over the thread pool, and the [`NaiveBatch`]
-//! fallback runs them one after another. Per-lane masks — multi-source BFS, where
-//! every source keeps its own visited set — reach the batched kernels
+//! The same descriptor executes batches of `k` frontiers, one mask shared
+//! by every lane. A batch is its lanes: [`LaneBatch`] runs each lane
+//! through a single-vector kernel of the descriptor's [`AlgorithmKind`] and
+//! spreads the lanes over the thread pool. Per-lane masks — multi-source
+//! BFS, where every source keeps its own visited set — reach the lanes
 //! through the serving [`engine`], one request's mask per lane.
 //!
 //! ## Kernel layer
 //!
-//! The descriptor compiles down to two traits the benchmark harness and
-//! power users can still drive directly:
+//! The descriptor compiles down to one trait and one runner the benchmark
+//! harness and power users can still drive directly:
 //!
-//! * [`SpMSpV`] — single-vector kernels: the paper's [`SpMSpVBucket`]
-//!   plus faithful re-implementations of the baselines it compares against
-//!   ([`baselines::CombBlasSpa`], [`baselines::CombBlasHeap`],
-//!   [`baselines::GraphMatSpMSpV`], [`baselines::SortBased`],
-//!   [`baselines::SequentialSpa`]);
-//! * [`SpMSpVBatch`] — batched kernels ([`SpMSpVBucketBatch`],
-//!   [`AdaptiveBatch`], [`NaiveBatch`]), each a single-vector kernel
+//! * [`SpMSpV`] — single-vector kernels: the paper's [`SpMSpVBucket`], the
+//!   bottom-up [`SpMSpVPull`], and faithful re-implementations of the
+//!   baselines the paper compares against ([`baselines::CombBlasSpa`],
+//!   [`baselines::CombBlasHeap`], [`baselines::GraphMatSpMSpV`],
+//!   [`baselines::SortBased`], [`baselines::SequentialSpa`]), all built
+//!   by [`build_algorithm`];
+//! * [`LaneBatch`] — the one batched kernel: `build_algorithm(kind)`
 //!   applied per lane, so every batched result is bit-identical to `k`
 //!   independent single-vector calls by construction.
 //!
-//! `AlgorithmKind::Adaptive` / `BatchAlgorithmKind::Adaptive` (the
-//! defaults) dispatch each call — each lane, for a batch; see [`adaptive`]
-//! — to the sequential SPA when the frontier's exact flops earn one
-//! participant ([`Executor::capped_for`]) and to the bucket kernel otherwise;
-//! telemetry of what ran flows through [`batch::BatchRunInfo`] and
-//! [`stats::ChoiceCounts`].
+//! `AlgorithmKind::Adaptive` (the default) dispatches each call — each
+//! lane, for a batch; see [`adaptive`] — to pull on dense BFS levels, to
+//! the sequential SPA when the frontier's exact flops earn one participant
+//! ([`Executor::capped_for`]) and to the bucket kernel otherwise; the
+//! `adaptive.single.*` metrics of [`obs`] count what ran.
 //!
-//! Both traits carry masked entry points (`multiply_masked`,
-//! `multiply_batch_masked`) whose mask check lives **inside** each kernel,
+//! [`SpMSpV::multiply_masked`] checks the mask **inside** each kernel,
 //! ahead of the product it would form; a default post-filtering
 //! implementation keeps third-party implementations source-compatible.
 //!
 //! ## Serving many clients: the `engine` layer
 //!
-//! [`engine::Engine`] puts one batched kernel behind a serving front door:
+//! [`engine::Engine`] puts one [`LaneBatch`] behind a serving front door:
 //! many logical clients submit [`engine::MxvRequest`]s through
 //! [`engine::Session`] handles, and a coalescer fuses compatible requests
 //! into one batched multiplication per flush. The engine has full failure
@@ -124,12 +121,9 @@ pub mod shard;
 pub mod stats;
 pub mod timing;
 
-pub use adaptive::{AdaptiveBatch, AdaptiveSpMSpV};
+pub use adaptive::AdaptiveSpMSpV;
 pub use algorithm::{build_algorithm, AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
-pub use batch::{
-    build_batch_algorithm, BatchAlgorithmKind, BatchRunInfo, NaiveBatch, SpMSpVBatch,
-    SpMSpVBucketBatch,
-};
+pub use batch::{build_batch_algorithm, BatchAlgorithmKind, LaneBatch, SpMSpVBucketBatch};
 pub use bucket::SpMSpVBucket;
 pub use engine::{Engine, EngineConfig, EngineError, MxvRequest, OverloadPolicy, Session, Ticket};
 pub use executor::Executor;

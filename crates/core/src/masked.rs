@@ -5,9 +5,9 @@
 //! A mask restricts which output rows may appear in `y`. The dominant use is
 //! BFS: the complement of the "already visited" set masks the product so the
 //! next frontier only contains undiscovered vertices. The mask is applied
-//! **inside** the kernels — [`crate::SpMSpV::multiply_masked`] and
-//! [`crate::SpMSpVBatch::multiply_batch_masked`] consult a [`MaskView`]
-//! before they form a product (the bucket kernels in Step 1, through
+//! **inside** the kernels — [`crate::SpMSpV::multiply_masked`], and through
+//! it every lane of [`crate::LaneBatch::multiply_batch_masked`], consults a
+//! [`MaskView`] before it forms a product (the bucket kernels in Step 1, through
 //! [`MaskView::row_filter`]), so a masked multiplication never forms,
 //! stores or merges a masked-out product, let alone pays a post-filter pass
 //! over the output.

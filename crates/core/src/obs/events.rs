@@ -1,8 +1,8 @@
 //! Structured flush-level trace events and the bounded ring they live in.
 //!
 //! A [`TraceEvent`] is a cheap, allocation-light record of one serving-layer
-//! decision: a flush starting, a group being fused, an adaptive choice, a
-//! degrade retry, a failpoint firing. Events land in an [`EventRing`] — a
+//! decision: a flush starting, a group being fused, a degrade retry, a
+//! failpoint firing. Events land in an [`EventRing`] — a
 //! bounded FIFO that drops its oldest entries under pressure (the drop count
 //! is reported, never hidden).
 
@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-use crate::batch::{BatchAlgorithmKind, BatchRunInfo};
+use crate::batch::BatchAlgorithmKind;
 
 /// What happened. Variants mirror the serving stack's decision points; see
 /// the [`crate::obs`] module docs for the taxonomy.
@@ -23,7 +23,7 @@ pub enum TraceKind {
     },
     /// The coalescer fused one compatible group into a batch.
     GroupFused {
-        /// Kernel family the group resolved to.
+        /// The engine's batched family.
         kernel: BatchAlgorithmKind,
         /// Lanes fused into the batch.
         lanes: usize,
@@ -32,13 +32,8 @@ pub enum TraceKind {
         /// Request id of the group's first lane (ties the trace to tickets).
         first_id: u64,
     },
-    /// A fused group executed on this concrete kernel family (what the
-    /// adaptive layer resolved to, or the pinned one).
-    AdaptiveChoice(
-        /// What executed.
-        BatchRunInfo,
-    ),
-    /// A failed group was retried on the one-shot naive fallback.
+    /// A failed group was retried once on a fresh one-participant runner of
+    /// its family.
     DegradeRetry {
         /// The kernel family that failed.
         from: BatchAlgorithmKind,
@@ -83,7 +78,6 @@ impl std::fmt::Display for TraceKind {
                 "group.fused kernel={} lanes={lanes} masked={masked} first_id={first_id}",
                 kernel.label()
             ),
-            TraceKind::AdaptiveChoice(info) => write!(f, "adaptive.choice {info}"),
             TraceKind::DegradeRetry { from } => {
                 write!(f, "degrade.retry from={}", from.label())
             }

@@ -1,9 +1,9 @@
 //! Unified observability: a dependency-free metrics registry, RAII phase
 //! spans, and a bounded structured-event ring for flush-level traces.
 //!
-//! The serving stack grew four disconnected telemetry surfaces —
-//! [`crate::stats::EngineStats`], [`crate::timing::FlushTimings`], [`crate::ChoiceCounts`],
-//! [`crate::BatchRunInfo`] — all manually threaded and none with
+//! The serving stack grew disconnected telemetry surfaces —
+//! [`crate::stats::EngineStats`], [`crate::timing::FlushTimings`],
+//! [`crate::ChoiceCounts`] — all manually threaded and none with
 //! distributions. This module replaces the bookkeeping underneath them: the
 //! engine records into a [`Registry`] of atomic [`Counter`]s, [`Gauge`]s,
 //! and log-linear [`Histogram`]s, and `EngineStats` becomes a *view* over
@@ -23,11 +23,11 @@
 //! # Metric taxonomy
 //!
 //! Histograms record **nanoseconds** unless noted; counters are unitless
-//! event counts; gauges are instantaneous levels. `<kernel>` ranges over
-//! `bucket` | `naive` (the families a batched run reports, see
-//! [`kernel_slug`]); `<backend>` is always `dense` (the one accumulator, see
-//! [`backend_slug`]) and stays in the names so dashboards and the benchmark
-//! ledger keep their keys.
+//! event counts; gauges are instantaneous levels. `engine.choice.bucket.dense`
+//! keeps the `<kernel>.<backend>` shape of its name although the kernel is
+//! now always `bucket` (every batch runs on the one lane runner) and the
+//! backend always `dense` (the one accumulator), so dashboards and the
+//! benchmark ledger keep their keys.
 //!
 //! **Per-engine registry**
 //!
@@ -42,15 +42,15 @@
 //! | `engine.rejected` | counter | admissions refused under `OverloadPolicy::Reject` |
 //! | `engine.shed` | counter | queued lanes dropped under `OverloadPolicy::ShedOldest` |
 //! | `engine.panics_recovered` | counter | kernel panics/failures contained by the flush |
-//! | `engine.degraded_flushes` | counter | flushes that served a group via the naive degrade retry |
-//! | `engine.choice.<kernel>.dense` | counter | fused batches executed per resolved kernel family |
+//! | `engine.degraded_flushes` | counter | flushes that served a group via the one-participant degrade retry |
+//! | `engine.choice.bucket.dense` | counter | fused batches that had anything to multiply |
 //! | `engine.queue.depth` | gauge | requests currently queued |
 //! | `engine.widest_flush` | gauge | high-water mark of lanes in one flush |
 //! | `engine.queue.wait` | histogram | ns from `submit` to flush drain, one sample per request |
 //! | `engine.flush.assemble` | histogram | ns grouping + assembling frontiers (per flush segment) |
 //! | `engine.flush.execute` | histogram | ns inside the batched kernel (per fused group) |
 //! | `engine.flush.demux` | histogram | ns scattering lanes back to tickets (per fused group) |
-//! | `engine.flush.recover` | histogram | ns in the naive degrade retry (only on failure) |
+//! | `engine.flush.recover` | histogram | ns in the one-participant degrade retry (only on failure) |
 //!
 //! **Per-router registry** (each [`crate::shard::ShardedEngine`] owns one,
 //! reachable via `ShardedEngine::obs()`; `<s>` ranges over shard indices)
@@ -88,7 +88,7 @@
 //!
 //! | metric | type | meaning |
 //! |---|---|---|
-//! | `batch.estimate` | histogram | always 0: the bucket kernel has no estimate pass (one sample per `SpMSpVBucketBatch` call) |
+//! | `batch.estimate` | histogram | always 0: the bucket kernel has no estimate pass (one sample per bucket-lane `LaneBatch` call that had anything to multiply) |
 //! | `batch.bucketing` | histogram | ns bucketing, summed over the call's lanes |
 //! | `batch.merge` | histogram | ns merging buckets, summed over the call's lanes |
 //! | `batch.output` | histogram | ns emitting output, summed over the call's lanes |
@@ -103,7 +103,7 @@
 //!
 //! [`TraceKind`] covers the serving stack's decision points: `flush.begin`,
 //! `group.fused` (kernel, lanes, masked, first request id),
-//! `adaptive.choice`, `degrade.retry`, `kernel.failure`, `overload`,
+//! `degrade.retry`, `kernel.failure`, `overload`,
 //! `deadline.expired`, `failpoint.hit`, and `bfs.level` (from
 //! `multi_bfs`). Events carry a sequence number and microseconds since
 //! registry creation and live in a bounded ring of the newest 256.
@@ -182,17 +182,19 @@ impl ObsConfig {
     }
 }
 
-/// Short stable slug for a batch kernel family, used in metric names
-/// (`engine.choice.<kernel>.<backend>`).
+/// Short stable slug for a batch kernel family, as metric names spell it
+/// (`bucket` in `engine.choice.bucket.dense`). Kept for `benchmark/`, which
+/// calls it; the benchmark's next change removes it (see `ROADMAP.md`).
 pub fn kernel_slug(kind: BatchAlgorithmKind) -> &'static str {
     match kind {
         BatchAlgorithmKind::Bucket => "bucket",
-        BatchAlgorithmKind::Naive => "naive",
         BatchAlgorithmKind::Adaptive => "adaptive",
     }
 }
 
-/// Short stable slug for the batched accumulator, used in metric names.
+/// Short stable slug for the batched accumulator, as metric names spell it
+/// (`dense`). Kept for `benchmark/`, which calls it; the benchmark's next
+/// change removes it (see `ROADMAP.md`).
 pub fn backend_slug(backend: SpaBackend) -> &'static str {
     backend.label()
 }
@@ -647,7 +649,7 @@ mod tests {
 
     #[test]
     fn slugs_cover_every_variant() {
-        for k in BatchAlgorithmKind::all() {
+        for k in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Adaptive] {
             assert!(!kernel_slug(k).is_empty());
         }
         assert_eq!(backend_slug(SpaBackend::Dense), "dense");

@@ -3,7 +3,7 @@
 //!
 //! The kernels of this crate expose three low-level front doors —
 //! [`SpMSpV::multiply`] for one vector and
-//! [`SpMSpVBatch::multiply_batch`] for a
+//! [`LaneBatch::multiply_batch`] for a
 //! bundle of lanes, and the `*_masked` variants of both. Every workload
 //! (BFS, multi-source BFS, personalized PageRank serving, betweenness
 //! sweeps) needs some combination of the three, and writing each workload
@@ -40,18 +40,17 @@
 //! request's own mask to the batched kernel as a
 //! [`BatchMaskView::PerLane`] view.
 //!
-//! Algorithm selection is pluggable in both shapes: [`AlgorithmKind`] picks
-//! the single-vector kernel (bucket, the CombBLAS/GraphMat baselines, …)
-//! and [`BatchAlgorithmKind`] picks the batched one (bucket lanes over the
-//! pool, or the naive one-lane-at-a-time fallback). Both default to the
-//! `Adaptive` dispatchers ([`crate::adaptive`]), which resolve the family
-//! per call — per lane, for a batch — from the frontier's density without
-//! changing any result.
+//! Algorithm selection is pluggable and shared by both shapes:
+//! [`AlgorithmKind`] picks the single-vector kernel (bucket, pull, the
+//! CombBLAS/GraphMat baselines, …), and a batch runs each lane on a kernel
+//! of the same family ([`LaneBatch`]). The default is the `Adaptive`
+//! dispatcher ([`crate::adaptive`]), which resolves the family per call —
+//! per lane, for a batch — from the frontier without changing any result.
 
 use sparse_substrate::{CscMatrix, MaskBits, Scalar, Semiring, SparseVec, SparseVecBatch};
 
 use crate::algorithm::{build_algorithm, AlgorithmKind, SpMSpV, SpMSpVOptions};
-use crate::batch::{build_batch_algorithm, BatchAlgorithmKind, SpMSpVBatch};
+use crate::batch::LaneBatch;
 use crate::masked::{BatchMaskView, MaskMode, MaskView};
 
 /// Entry point of the unified operation API. See the [module docs](self).
@@ -59,9 +58,9 @@ pub struct Mxv;
 
 impl Mxv {
     /// Starts describing a multiplication over `matrix`. Defaults: adaptive
-    /// kernel dispatch in both shapes (each call picks the family from the
-    /// frontier's density; see [`crate::adaptive`]), default options, no
-    /// mask. Results never depend on the dispatch: every family reduces in
+    /// kernel dispatch (each call, and each lane of a batch, picks the
+    /// family from its frontier; see [`crate::adaptive`]), default options,
+    /// no mask. Results never depend on the dispatch: every family reduces in
     /// the same order.
     pub fn over<A: Scalar>(matrix: &CscMatrix<A>) -> MxvOp<'_, A, ()> {
         MxvOp {
@@ -69,7 +68,6 @@ impl Mxv {
             semiring: (),
             options: SpMSpVOptions::default(),
             algorithm: AlgorithmKind::Adaptive,
-            batch_algorithm: BatchAlgorithmKind::Adaptive,
             mask: None,
         }
     }
@@ -86,7 +84,6 @@ pub struct MxvOp<'a, A, SR> {
     semiring: SR,
     options: SpMSpVOptions,
     algorithm: AlgorithmKind,
-    batch_algorithm: BatchAlgorithmKind,
     mask: Option<(MaskBits, MaskMode)>,
 }
 
@@ -100,22 +97,14 @@ impl<'a, A: Scalar, SR> MxvOp<'a, A, SR> {
             semiring: semiring.clone(),
             options: self.options,
             algorithm: self.algorithm,
-            batch_algorithm: self.batch_algorithm,
             mask: self.mask,
         }
     }
 
-    /// Selects the single-vector algorithm family (default:
-    /// [`AlgorithmKind::Adaptive`]).
+    /// Selects the algorithm family of single calls and of every lane of a
+    /// batch (default: [`AlgorithmKind::Adaptive`]).
     pub fn algorithm(mut self, kind: AlgorithmKind) -> Self {
         self.algorithm = kind;
-        self
-    }
-
-    /// Selects the batched algorithm family (default:
-    /// [`BatchAlgorithmKind::Adaptive`]).
-    pub fn batch_algorithm(mut self, kind: BatchAlgorithmKind) -> Self {
-        self.batch_algorithm = kind;
         self
     }
 
@@ -162,7 +151,6 @@ impl<'a, A: Scalar, S> MxvOp<'a, A, S> {
             semiring: self.semiring,
             options: self.options,
             algorithm: self.algorithm,
-            batch_algorithm: self.batch_algorithm,
             mask: self.mask,
             single: None,
             batch: None,
@@ -190,10 +178,9 @@ pub struct PreparedMxv<'a, A, X, S: Semiring<A, X>> {
     semiring: S,
     options: SpMSpVOptions,
     algorithm: AlgorithmKind,
-    batch_algorithm: BatchAlgorithmKind,
     mask: Option<(MaskBits, MaskMode)>,
     single: Option<Box<dyn SpMSpV<A, X, S> + 'a>>,
-    batch: Option<Box<dyn SpMSpVBatch<A, X, S> + 'a>>,
+    batch: Option<LaneBatch<'a, A, X, S>>,
 }
 
 impl<'a, A, X, S> PreparedMxv<'a, A, X, S>
@@ -217,10 +204,11 @@ where
     /// Executes the operation on a sparse multi-vector, lane-wise:
     /// `Y[l] ← ⟨mask⟩ (A ⊕.⊗ X[l])`, the one mask filtering every lane.
     ///
-    /// The batched algorithm instance is created on first use and reused.
+    /// The lanes run on kernels of the descriptor's algorithm family
+    /// ([`LaneBatch`]), created on first use and reused.
     pub fn run_batch(&mut self, x: &SparseVecBatch<X>) -> SparseVecBatch<S::Output> {
         let batch = self.batch.get_or_insert_with(|| {
-            build_batch_algorithm(self.matrix, self.batch_algorithm, self.options.clone())
+            LaneBatch::new(self.matrix, self.algorithm, self.options.clone())
         });
         let mask = self
             .mask
@@ -299,7 +287,6 @@ mod tests {
         assert_eq!(batch.k(), 1);
         assert_eq!(batch.lane(0), &single);
         assert_eq!(op.algorithm, AlgorithmKind::Adaptive);
-        assert_eq!(op.batch_algorithm, BatchAlgorithmKind::Adaptive);
         assert_eq!(op.mask_mode(), None);
     }
 
@@ -341,17 +328,32 @@ mod tests {
         let lanes: Vec<_> = (0..3).map(|l| random_sparse_vec(120, 20, l as u64)).collect();
         let batch = SparseVecBatch::from_lanes(&lanes).unwrap();
         let bits = MaskBits::from_indices(120, (0..120).step_by(2));
-        let run = |kind: BatchAlgorithmKind| {
+        let run = |kind: AlgorithmKind| {
             let mut op = Mxv::over(&a)
                 .semiring(&PlusTimes)
-                .batch_algorithm(kind)
+                .algorithm(kind)
                 .mask(&bits, MaskMode::Keep)
                 .prepare();
             op.run_batch(&batch)
         };
-        let bucket = run(BatchAlgorithmKind::Bucket);
-        for kind in BatchAlgorithmKind::all().into_iter().skip(1) {
-            assert_eq!(bucket, run(kind), "{kind} disagrees with the bucket batch under a mask");
+        let bucket = run(AlgorithmKind::Bucket);
+        for kind in [
+            AlgorithmKind::CombBlasSpa,
+            AlgorithmKind::CombBlasHeap,
+            AlgorithmKind::GraphMat,
+            AlgorithmKind::SortBased,
+            AlgorithmKind::Sequential,
+            AlgorithmKind::Pull,
+            AlgorithmKind::Adaptive,
+        ] {
+            let y = run(kind);
+            // Sort-based's unstable sort leaves a row's products in no
+            // particular order, so its random `f64` sums may round apart.
+            if kind == AlgorithmKind::SortBased {
+                assert!(y.approx_same_entries(&bucket, 1e-12), "{kind} disagrees under a mask");
+            } else {
+                assert_eq!(bucket, y, "{kind} disagrees with bucket lanes under a mask");
+            }
         }
     }
 

@@ -14,7 +14,7 @@
 use sparse_substrate::{CscMatrix, Scalar, SpaBackend, SparseVec};
 
 use crate::algorithm::AlgorithmKind;
-use crate::batch::{BatchAlgorithmKind, BatchRunInfo};
+use crate::batch::BatchAlgorithmKind;
 use crate::timing::FlushTimings;
 
 /// Exact operation counts for one SpMSpV invocation by one algorithm family.
@@ -103,99 +103,66 @@ pub struct EngineStats {
     /// Kernel failures (caught panics or injected errors) the engine
     /// survived — one per failed execution attempt.
     pub panics_recovered: usize,
-    /// Flush groups served by the one-shot oracle-kernel retry after their
-    /// preferred kernel failed.
+    /// Flush groups served by the one-shot one-participant retry after
+    /// their first attempt failed.
     pub degraded_flushes: usize,
     /// Accumulated wall-clock breakdown across every flush.
     pub flush_timings: FlushTimings,
-    /// Which concrete kernel family each fused batch resolved to — the
-    /// adaptive dispatch's audit trail.
+    /// Fused batches that did work.
     pub choices: ChoiceCounts,
 }
 
-/// Counts of the concrete kernel family batched multiplications resolved to
-/// — what [`BatchAlgorithmKind::Adaptive`] (or a fixed configuration)
-/// actually executed. Every family merges through the one dense accumulator,
-/// so cells are reported as `(kernel, SpaBackend::Dense, count)`.
+/// Fused batches that did work: the engine's record of what ran. Every
+/// batch runs on the [lane runner](crate::batch::LaneBatch) and merges
+/// through the one dense accumulator, so the table has one cell,
+/// `(BatchAlgorithmKind::Bucket, SpaBackend::Dense)`; which single-vector
+/// family each lane picked is counted by the `adaptive.single.*` metrics of
+/// [`crate::obs`]. Kept for `benchmark/`, which reads it; the benchmark's
+/// next change removes it (see `ROADMAP.md`).
 ///
 /// Fixed-size and `Copy` so it can live inside the engine's snapshot-able
 /// [`EngineStats`] and per-flush
 /// [`FlushOutcome`](crate::engine::FlushOutcome).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChoiceCounts {
-    /// `counts[kernel]`, indexed by [`ChoiceCounts::KERNELS`] positions.
-    counts: [usize; 2],
+    batches: usize,
 }
 
 impl ChoiceCounts {
-    /// The concrete kernel families a run can resolve to, in index order
-    /// (derived from [`BatchAlgorithmKind::fixed`], the single source).
-    pub const KERNELS: [BatchAlgorithmKind; 2] = BatchAlgorithmKind::fixed();
-
-    /// Rebuilds a table from raw `counts[kernel]` cells, indexed by
-    /// [`ChoiceCounts::KERNELS`] positions — how the engine's
-    /// registry-backed [`EngineStats`] view reconstitutes the audit trail
-    /// from its per-cell atomic counters.
-    pub const fn from_counts(counts: [usize; 2]) -> ChoiceCounts {
-        ChoiceCounts { counts }
+    /// A table of `batches` recorded runs — how the engine's registry-backed
+    /// [`EngineStats`] view reconstitutes it from its counter.
+    pub(crate) const fn from_count(batches: usize) -> ChoiceCounts {
+        ChoiceCounts { batches }
     }
 
-    /// Position of `kind` in [`ChoiceCounts::KERNELS`]; `None` for the
-    /// unresolved [`BatchAlgorithmKind::Adaptive`] marker.
-    fn kernel_index(kind: BatchAlgorithmKind) -> Option<usize> {
-        Self::KERNELS.iter().position(|&k| k == kind)
-    }
-
-    /// Records one resolved run. The unresolved marker
-    /// ([`BatchAlgorithmKind::Adaptive`]) is ignored — kernels report what
-    /// they resolved to, never the marker.
-    pub fn record(&mut self, info: BatchRunInfo) {
-        if let Some(k) = Self::kernel_index(info.kernel) {
-            self.counts[k] += 1;
-        }
-    }
-
-    /// How many runs resolved to `kernel`.
-    pub fn count(&self, kernel: BatchAlgorithmKind) -> usize {
-        Self::kernel_index(kernel).map_or(0, |k| self.counts[k])
+    /// Records one batch that did work.
+    pub(crate) fn record(&mut self) {
+        self.batches += 1;
     }
 
     /// Total recorded runs.
     pub fn total(&self) -> usize {
-        self.counts.iter().sum()
+        self.batches
     }
 
     /// Adds another count table into this one (flush → engine aggregation).
     pub fn merge(&mut self, other: &ChoiceCounts) {
-        for (slot, &v) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += v;
-        }
+        self.batches += other.batches;
     }
 
     /// Iterates the non-zero `(kernel, backend, count)` cells.
     pub fn iter(&self) -> impl Iterator<Item = (BatchAlgorithmKind, SpaBackend, usize)> + '_ {
-        Self::KERNELS
-            .iter()
-            .zip(self.counts)
-            .filter(|&(_, n)| n > 0)
-            .map(|(&kernel, n)| (kernel, SpaBackend::Dense, n))
+        let [kernel] = BatchAlgorithmKind::fixed();
+        (self.batches > 0).then_some((kernel, SpaBackend::Dense, self.batches)).into_iter()
     }
 }
 
 impl std::fmt::Display for ChoiceCounts {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.total() == 0 {
-            return f.write_str("no runs recorded");
+        match self.iter().next() {
+            None => f.write_str("no runs recorded"),
+            Some((kernel, backend, n)) => write!(f, "{}/{}×{}", kernel.label(), backend.label(), n),
         }
-        let mut first = true;
-        for (kernel, backend, n) in self.iter() {
-            if !first {
-                f.write_str(", ")?;
-            }
-            first = false;
-            write!(f, "{}/{}×{}", kernel.label(), backend.label(), n)?;
-        }
-        Ok(())
     }
 }
 

@@ -90,8 +90,8 @@ impl std::fmt::Display for StepTimings {
 /// grouping compatible requests, building the [`sparse_substrate::SparseVecBatch`] and
 /// installing per-lane masks), *execute* (the batched
 /// multiplications), and *demux* (scattering per-lane results back to the
-/// tickets) — plus *recover*, the time spent re-running failed groups on the
-/// oracle kernel, zero on every healthy flush. `execute` dominating is the
+/// tickets) — plus *recover*, the time spent re-running failed groups on a
+/// one-participant runner, zero on every healthy flush. `execute` dominating is the
 /// designed-for regime: it means the serving layer's bookkeeping is
 /// amortized away by the batched kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -102,7 +102,8 @@ pub struct FlushTimings {
     pub execute: Duration,
     /// Per-lane result scatter back to the waiting tickets.
     pub demux: Duration,
-    /// Degraded retries: re-running a failed group on the oracle kernel.
+    /// Degraded retries: re-running a failed group on a one-participant
+    /// runner.
     pub recover: Duration,
 }
 

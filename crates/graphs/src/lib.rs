@@ -11,10 +11,10 @@
 //! operation (¬visited applied inside the kernel), [`multi_bfs()`] the same
 //! with one mask per lane, and [`pagerank_datadriven`] /
 //! [`pagerank_personalized_batch`] numeric operations over the transition
-//! matrix. All take an [`spmspv::AlgorithmKind`] (and the batched workloads
-//! a [`spmspv::BatchAlgorithmKind`], see [`multi_bfs_using`]) so the
-//! benchmark harness can swap the underlying SpMSpV implementation exactly
-//! as the paper does.
+//! matrix. All take an [`spmspv::AlgorithmKind`] (the engine-driven
+//! [`multi_bfs_using`] a [`spmspv::BatchAlgorithmKind`], which names one)
+//! so the benchmark harness can swap the underlying SpMSpV implementation
+//! exactly as the paper does.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

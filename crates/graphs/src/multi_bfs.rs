@@ -156,9 +156,9 @@ pub fn multi_bfs(a: &CscMatrix<f64>, sources: &[usize], options: SpMSpVOptions) 
     multi_bfs_using(a, sources, BatchAlgorithmKind::Adaptive, options)
 }
 
-/// [`multi_bfs`] with an explicit batched algorithm family, so callers (and
-/// the benchmark harness) can swap the lane-parallel kernel for the naive
-/// one-lane-at-a-time fallback the same way single-vector workloads swap [`spmspv::AlgorithmKind`].
+/// [`multi_bfs`] with an explicit batched family — the lanes' single-vector
+/// kernel ([`BatchAlgorithmKind::lanes`]) — so callers can pin the bucket
+/// kernel the way single-vector workloads pick an [`spmspv::AlgorithmKind`].
 pub fn multi_bfs_using(
     a: &CscMatrix<f64>,
     sources: &[usize],
@@ -262,13 +262,14 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
     while !active.is_empty() {
         active_lanes_per_level.push(active.len());
         // Every still-active source submits its frontier with its own
-        // ¬visited mask; one flush fuses them all.
+        // ¬visited mask; one flush fuses them all. Each frontier moves into
+        // its request: the next level's is built from the kernel output.
         let tickets: Vec<_> = active
             .iter()
-            .zip(frontiers.iter())
+            .zip(frontiers.drain(..))
             .map(|(&s, frontier)| {
-                let request = MxvRequest::new(frontier.clone())
-                    .mask(Arc::clone(&visited[s]), MaskMode::Complement);
+                let request =
+                    MxvRequest::new(frontier).mask(Arc::clone(&visited[s]), MaskMode::Complement);
                 let session = sessions[s].as_ref().expect("active source keeps its session");
                 engine.submit_via(session, request)
             })
@@ -368,18 +369,16 @@ mod tests {
             BatchAlgorithmKind::Bucket,
             SpMSpVOptions::with_threads(3),
         );
-        let naive = multi_bfs_using(
-            &a,
-            &sources,
-            BatchAlgorithmKind::Naive,
-            SpMSpVOptions::with_threads(2),
-        );
-        assert_eq!(fused.parents, naive.parents);
-        assert_eq!(fused.levels, naive.levels);
-        assert_eq!(fused.active_lanes_per_level, naive.active_lanes_per_level);
         let adaptive = multi_bfs(&a, &sources, SpMSpVOptions::with_threads(2));
-        assert_eq!(adaptive.parents, naive.parents);
-        assert_eq!(adaptive.levels, naive.levels);
+        assert_eq!(fused.active_lanes_per_level, adaptive.active_lanes_per_level);
+        // Each source against its own single-vector traversal.
+        for (s, &src) in sources.iter().enumerate() {
+            let single = bfs(&a, src, AlgorithmKind::Bucket, SpMSpVOptions::with_threads(2));
+            for multi in [&fused, &adaptive] {
+                assert_eq!(multi.parents[s], single.parents, "parents differ for source {src}");
+                assert_eq!(multi.levels[s], single.levels, "levels differ for source {src}");
+            }
+        }
     }
 
     #[test]

@@ -105,8 +105,8 @@ impl<T: Scalar> Spa<T> {
 }
 
 /// Label of the accumulator the batched kernels' lanes merge through, as it
-/// appears in run telemetry (`BatchRunInfo`, the `engine.choice.*`
-/// counters). There is one accumulator, so one label.
+/// appears in run telemetry (the `engine.choice.*` counters). There is one
+/// accumulator, so one label.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpaBackend {
     /// A dense, generation-stamped per-row accumulator, one per lane kernel.

@@ -1,6 +1,6 @@
 //! Property-based tests for the batched SpMSpV subsystem: for any operands,
-//! the lane-parallel kernels [`SpMSpVBucketBatch`] and [`AdaptiveBatch`],
-//! the fallback [`NaiveBatch`] and `k` independent [`spmspv_reference`]
+//! the lane runner [`LaneBatch`] over bucket and Adaptive lanes, `k`
+//! independent single-vector calls and `k` independent [`spmspv_reference`]
 //! calls must agree — across semirings (`PlusTimes`, the BFS
 //! `Select2ndMin`), batch widths `1 ≤ k ≤ 32` and thread counts
 //! `t ∈ {1, 2, 3, 8}`. Most operands are small, so their batches earn one
@@ -15,17 +15,44 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sparse_substrate::ops::{spmspv_batch_reference, spmspv_reference};
+use sparse_substrate::ops::{required_multiplications, spmspv_batch_reference, spmspv_reference};
 use sparse_substrate::{
     CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, SparseVec, SparseVecBatch,
 };
-use spmspv::batch::{NaiveBatch, SpMSpVBatch, SpMSpVBucketBatch};
+use sparse_substrate::{Scalar, Semiring};
+use spmspv::ops::Mxv;
 use spmspv::{
-    build_batch_algorithm, AdaptiveBatch, BatchAlgorithmKind, BatchMaskView, MaskMode, SpMSpV,
-    SpMSpVBucket, SpMSpVOptions,
+    build_algorithm, AdaptiveSpMSpV, AlgorithmKind, BatchMaskView, Executor, LaneBatch, MaskMode,
+    SpMSpV, SpMSpVBucket, SpMSpVOptions,
 };
 
 mod common;
+
+/// A lane runner of `kind` lanes at `threads` participants.
+fn runner<'a, X: Scalar, S: Semiring<f64, X> + 'a>(
+    a: &'a CscMatrix<f64>,
+    kind: AlgorithmKind,
+    threads: usize,
+) -> LaneBatch<'a, f64, X, S> {
+    LaneBatch::new(a, kind, SpMSpVOptions::with_threads(threads))
+}
+
+/// `k` independent single-vector bucket calls at `threads` participants,
+/// one per lane, each under its lane's mask: the oracle every batch must
+/// equal bit for bit.
+fn independent_lanes<X: Scalar, S: Semiring<f64, X>>(
+    a: &CscMatrix<f64>,
+    threads: usize,
+    x: &SparseVecBatch<X>,
+    semiring: &S,
+    mask: Option<&BatchMaskView<'_>>,
+) -> SparseVecBatch<S::Output> {
+    let mut single = SpMSpVBucket::new(a, SpMSpVOptions::with_threads(threads));
+    let lanes = (0..x.k())
+        .map(|l| single.multiply_masked(x.lane(l), semiring, mask.map(|m| m.lane_view(l))))
+        .collect();
+    SparseVecBatch::with_lanes(a.nrows(), lanes).expect("lanes have the row dimension")
+}
 
 /// Strategy: a random sparse matrix with up to `max_dim` rows/columns and
 /// small-integer entries.
@@ -96,18 +123,15 @@ proptest! {
         (a, x) in batch_operands(50),
         threads in threads(),
     ) {
-        let opts = SpMSpVOptions::with_threads(threads);
         let expected = spmspv_batch_reference(&a, &x, &PlusTimes);
 
-        let mut bucket = SpMSpVBucketBatch::new(&a, opts.clone());
-        let y = bucket.multiply_batch(&x, &PlusTimes);
+        let y = runner(&a, AlgorithmKind::Bucket, threads).multiply_batch(&x, &PlusTimes);
         prop_assert_eq!(&y, &expected, "bucket batch diverged from reference");
 
-        let mut naive = NaiveBatch::new(&a, opts.clone());
-        let yn = naive.multiply_batch(&x, &PlusTimes);
-        prop_assert_eq!(&y, &yn, "bucket batch diverged from NaiveBatch");
+        let yn = independent_lanes(&a, threads, &x, &PlusTimes, None);
+        prop_assert_eq!(&y, &yn, "bucket batch diverged from independent calls");
 
-        let mut adaptive: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(&a, opts);
+        let mut adaptive = runner(&a, AlgorithmKind::Adaptive, threads);
         prop_assert_eq!(&adaptive.multiply_batch(&x, &PlusTimes), &yn, "adaptive diverged");
 
         // Structural invariants, lane by lane.
@@ -137,18 +161,15 @@ proptest! {
         let frontiers = SparseVecBatch::from_lanes(&frontier_lanes).expect("lanes share n");
 
         let expected = spmspv_batch_reference(&a, &frontiers, &Select2ndMin);
-        let mut fused = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(threads));
-        let y = fused.multiply_batch(&frontiers, &Select2ndMin);
+        let y = runner(&a, AlgorithmKind::Bucket, threads).multiply_batch(&frontiers, &Select2ndMin);
         prop_assert_eq!(&y, &expected, "Select2ndMin batch diverged from reference");
 
-        let mut naive = NaiveBatch::new(&a, SpMSpVOptions::with_threads(threads));
-        let yn = naive.multiply_batch(&frontiers, &Select2ndMin);
-        prop_assert_eq!(&y, &yn, "Select2ndMin batch diverged from NaiveBatch");
+        let yn = independent_lanes(&a, threads, &frontiers, &Select2ndMin, None);
+        prop_assert_eq!(&y, &yn, "Select2ndMin batch diverged from independent calls");
 
-        let mut adaptive: AdaptiveBatch<'_, f64, usize, Select2ndMin> =
-            AdaptiveBatch::new(&a, SpMSpVOptions::with_threads(threads));
+        let mut adaptive = runner(&a, AlgorithmKind::Adaptive, threads);
         let ya = adaptive.multiply_batch(&frontiers, &Select2ndMin);
-        prop_assert_eq!(&ya, &yn, "Select2ndMin adaptive batch diverged from NaiveBatch");
+        prop_assert_eq!(&ya, &yn, "Select2ndMin adaptive batch diverged from independent calls");
     }
 
     #[test]
@@ -161,9 +182,7 @@ proptest! {
         // not depend on its thread count, so equality is exact (bit-level),
         // not just up to rounding — even though thread counts differ
         // between the two runs.
-        let mut fused =
-            SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(batch_threads));
-        let y = fused.multiply_batch(&x, &PlusTimes);
+        let y = runner(&a, AlgorithmKind::Bucket, batch_threads).multiply_batch(&x, &PlusTimes);
         let mut single =
             SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(single_threads));
         for l in 0..x.k() {
@@ -175,8 +194,9 @@ proptest! {
         }
     }
 
-    /// Both lane-parallel families match the [`NaiveBatch`] oracle bit for
-    /// bit — any mask shape, 1 ≤ k ≤ 32, t ∈ {1, 2, 3, 8}.
+    /// Both lane families match `k` independent masked single-vector calls
+    /// bit for bit, and the post-filtered unmasked batch — any mask shape,
+    /// 1 ≤ k ≤ 32, t ∈ {1, 2, 3, 8}.
     #[test]
     fn every_spa_backend_matches_the_naive_oracle(
         (a, x) in batch_operands(40),
@@ -201,40 +221,43 @@ proptest! {
             _ => Some(BatchMaskView::PerLane { masks: &per_lane, mode: MaskMode::Complement }),
         };
 
-        let opts = SpMSpVOptions::with_threads(threads);
-        let mut naive = NaiveBatch::new(&a, opts.clone());
-        let oracle = naive.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
-        for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Adaptive] {
-            let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+        let oracle = independent_lanes(&a, threads, &x, &PlusTimes, view.as_ref());
+        if let Some(view) = &view {
+            let unmasked = spmspv_batch_reference(&a, &x, &PlusTimes);
+            prop_assert_eq!(&oracle, &common::mask_filter_batch(unmasked, view));
+        }
+        for kind in [AlgorithmKind::Bucket, AlgorithmKind::Adaptive] {
+            let mut alg = runner(&a, kind, threads);
             let y = alg.multiply_batch_masked(&x, &PlusTimes, view.as_ref());
             prop_assert_eq!(&y, &oracle, "{} not bit-identical to the oracle (mask {})", kind, mask_case);
         }
     }
 
-    /// The adaptive batch always produces exactly what the family it
-    /// reports produces: the lane runner, [`BatchAlgorithmKind::Bucket`],
-    /// whichever single-vector kernel each lane picked. The operands are
-    /// large enough that lanes pick both.
+    /// Every lane of an Adaptive batch is exactly what the single-vector
+    /// family it resolved to produces, and the whole batch equals the
+    /// bucket batch. A lane runs on a kernel of all `threads` participants
+    /// when the batch is narrow and of one otherwise, so an Adaptive kernel
+    /// of those participants, replaying the lane, makes its choice. The
+    /// operands are large enough that lanes pick both push families.
     #[test]
     fn adaptive_always_matches_its_resolved_delegate(
         (a, x) in large_batch_operands(),
         threads in threads(),
     ) {
-        let opts = SpMSpVOptions::with_threads(threads);
-        let mut adaptive: AdaptiveBatch<'_, f64, f64, PlusTimes> =
-            AdaptiveBatch::new(&a, opts.clone());
-        let y = adaptive.multiply_batch(&x, &PlusTimes);
-        match adaptive.last_run_info() {
-            // Empty inputs short-circuit before any merge runs, so there is
-            // legitimately nothing to report.
-            None => prop_assert!(x.is_empty(), "run info may only be absent for empty inputs"),
-            Some(info) => {
-                prop_assert_eq!(info.kernel, BatchAlgorithmKind::Bucket);
-                let mut fixed =
-                    build_batch_algorithm::<f64, f64, PlusTimes>(&a, info.kernel, opts);
-                let y_fixed = fixed.multiply_batch(&x, &PlusTimes);
-                prop_assert_eq!(y, y_fixed, "adaptive diverged from its {} delegate", info);
-            }
+        let y = runner(&a, AlgorithmKind::Adaptive, threads).multiply_batch(&x, &PlusTimes);
+        let bucket = runner(&a, AlgorithmKind::Bucket, threads).multiply_batch(&x, &PlusTimes);
+        prop_assert_eq!(&y, &bucket, "adaptive batch diverged from the bucket batch");
+        let flops = (0..x.k()).map(|l| required_multiplications(&a, x.lane(l))).sum();
+        let narrow = 2 * x.k() <= Executor::new(threads).capped_for(flops).threads();
+        let lane_opts = SpMSpVOptions::with_threads(if narrow { threads } else { 1 });
+        for l in 0..x.k() {
+            let mut replay: AdaptiveSpMSpV<'_, f64, f64, PlusTimes> =
+                AdaptiveSpMSpV::new(&a, lane_opts.clone());
+            prop_assert_eq!(y.lane(l), &replay.multiply(x.lane(l), &PlusTimes), "lane {}", l);
+            let choice = replay.last_choice().expect("the replay ran");
+            let mut fixed = build_algorithm::<f64, f64, PlusTimes>(&a, choice, lane_opts.clone());
+            let y_fixed = fixed.multiply(x.lane(l), &PlusTimes);
+            prop_assert_eq!(y.lane(l), &y_fixed, "lane {} diverged from its {} delegate", l, choice);
         }
     }
 
@@ -242,7 +265,7 @@ proptest! {
     fn batch_lanes_are_independent((a, x) in batch_operands(40)) {
         // Multiplying the whole batch must equal multiplying any sub-batch:
         // lanes never leak into each other.
-        let mut fused = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(2));
+        let mut fused = runner(&a, AlgorithmKind::Bucket, 2);
         let y_full = fused.multiply_batch(&x, &PlusTimes);
         let half = x.k().div_ceil(2);
         let mut lanes = x.clone().into_lanes();
@@ -269,8 +292,7 @@ fn bit_identical_on_rmat_and_grid_fixtures() {
             let lanes: Vec<SparseVec<f64>> =
                 (0..k).map(|l| random_sparse_vec(n, (n / 8).max(1), 900 + l as u64)).collect();
             let x = SparseVecBatch::from_lanes(&lanes).unwrap();
-            let mut fused = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(4));
-            let y = fused.multiply_batch(&x, &PlusTimes);
+            let y = runner(&a, AlgorithmKind::Bucket, 4).multiply_batch(&x, &PlusTimes);
             let mut single = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(3));
             for l in 0..k {
                 let lane_y = single.multiply(x.lane(l), &PlusTimes);
@@ -294,8 +316,12 @@ fn single_lane_round_trip_through_both_pipelines() {
     let x = random_sparse_vec(a.ncols(), 100, 5);
     let batch_x = SparseVecBatch::from_single(&x);
 
-    let mut fused = SpMSpVBucketBatch::new(&a, SpMSpVOptions::with_threads(2));
-    let y_batch = fused.multiply_batch(&batch_x, &PlusTimes).into_lanes().remove(0);
+    let mut op = Mxv::over(&a)
+        .semiring(&PlusTimes)
+        .algorithm(AlgorithmKind::Bucket)
+        .options(SpMSpVOptions::with_threads(2))
+        .prepare();
+    let y_batch = op.run_batch(&batch_x).into_lanes().remove(0);
     let mut single = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(2));
     let y_single = single.multiply(&x, &PlusTimes);
     let y_ref = spmspv_reference(&a, &x, &PlusTimes);

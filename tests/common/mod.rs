@@ -1,9 +1,11 @@
-//! Seeded operands shared by the property suites: large enough that a call
+//! Seeded operands shared by the property suites — large enough that a call
 //! over them earns several participants, with small-integer values so that
-//! sums are exact whatever order a kernel reduces them in.
+//! sums are exact whatever order a kernel reduces them in — and the
+//! post-filter oracle for masked batches.
 
 use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
-use sparse_substrate::{CscMatrix, SparseVec};
+use sparse_substrate::{CscMatrix, Scalar, SparseVec, SparseVecBatch};
+use spmspv::BatchMaskView;
 
 /// `v` with every value replaced by a small integer.
 fn integer_valued(v: f64) -> f64 {
@@ -25,4 +27,21 @@ pub fn integer_frontier(n: usize, nnz: usize, seed: u64) -> SparseVec<f64> {
     let x = random_sparse_vec(n, nnz, seed);
     let values = x.values().iter().copied().map(integer_valued).collect();
     SparseVec::from_parts(n, x.indices().to_vec(), values).expect("same indices")
+}
+
+/// Post-filters a batched product through a mask: lane `l` keeps the rows
+/// `mask` keeps for lane `l`. The oracle an in-kernel batch mask must match.
+pub fn mask_filter_batch<T: Scalar>(
+    y: SparseVecBatch<T>,
+    mask: &BatchMaskView<'_>,
+) -> SparseVecBatch<T> {
+    mask.check_lanes(y.k());
+    mask.check_rows(y.len());
+    let m = y.len();
+    let mut lanes = y.into_lanes();
+    for (l, lane) in lanes.iter_mut().enumerate() {
+        let view = mask.lane_view(l);
+        lane.retain(|i, _| view.keeps(i));
+    }
+    SparseVecBatch::with_lanes(m, lanes).expect("filtering keeps every lane's dimension")
 }

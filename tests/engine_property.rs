@@ -3,7 +3,9 @@
 //! [`PreparedMxv::run`] calls** — across semirings (`PlusTimes`,
 //! `Select2ndMin`), mask modes (unmasked / keep / complement, mixed within
 //! one flush), width budgets that force multi-chunk flushes, and mid-flight
-//! lane retirement (cancelled tickets and closed sessions).
+//! lane retirement (cancelled tickets and closed sessions) — and, on one
+//! seeded large-operand case, through the lane runner's split bucket,
+//! Adaptive bucket and pull lanes.
 //!
 //! Entry values are small integers, and results compare bit-for-bit.
 
@@ -11,7 +13,9 @@ use proptest::prelude::*;
 use sparse_substrate::{CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, SparseVec};
 use spmspv::engine::{Engine, EngineConfig, EngineError, MxvRequest};
 use spmspv::ops::Mxv;
-use spmspv::{BatchAlgorithmKind, MaskMode, SpMSpVOptions};
+use spmspv::{obs, AlgorithmKind, BatchAlgorithmKind, MaskMode, SpMSpVOptions};
+
+mod large_case;
 
 /// Strategy: a random sparse matrix with small-integer entries.
 fn matrix_strategy(max_dim: usize) -> impl Strategy<Value = CscMatrix<f64>> {
@@ -149,7 +153,7 @@ proptest! {
         threads in 1usize..4,
     ) {
         let options = SpMSpVOptions::with_threads(threads);
-        for kind in BatchAlgorithmKind::all() {
+        for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Adaptive] {
             let engine = Engine::over_with(
                 &a,
                 PlusTimes,
@@ -308,5 +312,55 @@ fn chunked_flush_on_rmat_is_bit_identical() {
     for (r, ticket) in requests.iter().zip(tickets) {
         let y = ticket.try_take().expect("served").expect("succeeded");
         assert_eq!(y, independent_run(&a, r, &options));
+    }
+}
+
+/// The drawn operands above never earn a second participant. This seeded
+/// case does: through an engine of either family, its lanes reach a bucket
+/// lane split four ways, Adaptive's bucket delegate and Adaptive's pull —
+/// shown by replaying each lane, and by the global `adaptive.single.*`
+/// counters, which no other test of this file can move past zero for
+/// bucket — and every lane equals its independent sequential-SPA run bit
+/// for bit.
+#[test]
+fn large_operands_reach_split_bucket_and_pull_lanes_exactly() {
+    let a = large_case::matrix();
+    let requests = large_case::requests();
+    let oracle: Vec<SparseVec<usize>> =
+        requests.iter().map(|r| large_case::sequential(&a, r)).collect();
+    assert!(oracle[..2].iter().all(|y| y.nnz() > 100), "the pushed and pulled lanes find rows");
+    let options = SpMSpVOptions::with_threads(large_case::THREADS);
+    for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Adaptive] {
+        let engine: Engine<'_, f64, usize, Select2ndMin> = Engine::over_with(
+            &a,
+            Select2ndMin,
+            EngineConfig::default().batch_algorithm(kind).options(options.clone()),
+        );
+        let tickets: Vec<_> = requests.iter().map(|r| engine.submit(r.mxv())).collect();
+        let before = large_case::adaptive_picks();
+        let outcome = engine.flush();
+        let after = large_case::adaptive_picks();
+        assert_eq!((outcome.batches, outcome.lanes), (2, 3), "{kind}");
+        for (i, (ticket, want)) in tickets.iter().zip(&oracle).enumerate() {
+            let y = ticket.try_take().expect("served").expect("succeeded");
+            assert_eq!(&y, want, "{kind}: request {i} diverged from its sequential run");
+        }
+
+        let paths = large_case::replay(&a, &requests, kind);
+        let expected = match kind {
+            BatchAlgorithmKind::Bucket => {
+                [(AlgorithmKind::Bucket, 4), (AlgorithmKind::Bucket, 1), (AlgorithmKind::Bucket, 1)]
+            }
+            BatchAlgorithmKind::Adaptive => [
+                (AlgorithmKind::Bucket, 4),
+                (AlgorithmKind::Pull, 1),
+                (AlgorithmKind::Sequential, 1),
+            ],
+        };
+        assert_eq!(paths, expected, "{kind}: (family, participants) per lane");
+        if kind == BatchAlgorithmKind::Adaptive && obs::global().enabled() {
+            let counted = after.iter().zip(before).all(|(after, before)| *after > before);
+            assert!(counted, "bucket and pull picks {before:?} → {after:?}");
+        }
     }
 }

@@ -14,8 +14,8 @@ use sparse_substrate::gen::{erdos_renyi, random_sparse_vec, rmat, RmatParams};
 use sparse_substrate::ops::required_multiplications;
 use sparse_substrate::{MaskBits, PlusTimes, Semiring, SparseVec, SparseVecBatch};
 use spmspv::{
-    AdaptiveBatch, BatchMaskView, Executor, MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVBucket,
-    SpMSpVBucketBatch, SpMSpVOptions,
+    AlgorithmKind, BatchMaskView, Executor, LaneBatch, MaskMode, MaskView, SpMSpV, SpMSpVBucket,
+    SpMSpVOptions,
 };
 
 /// `(+, ×)` over `f64` that notes which thread ran each `multiply` (the
@@ -110,7 +110,7 @@ fn small_frontiers_never_leave_the_calling_thread() {
     let recorder = ThreadRecorder::default();
 
     let mut single = SpMSpVBucket::new(&a, opts.clone());
-    let mut batch = SpMSpVBucketBatch::new(&a, opts);
+    let mut batch = LaneBatch::new(&a, AlgorithmKind::Bucket, opts);
     // Repeated, because a worker taking a bucket is a race, not a certainty.
     for round in 0..50u64 {
         let x = random_sparse_vec(a.ncols(), 32, round);
@@ -150,16 +150,14 @@ fn small_lanes_of_a_batch_run_side_by_side() {
     let x = SparseVecBatch::from_lanes(&lanes).unwrap();
 
     let opts = SpMSpVOptions::with_threads(8);
-    let expected = SpMSpVBucketBatch::new(&a, opts.clone()).multiply_batch(&x, &PlusTimes);
-    let batches: [Box<dyn SpMSpVBatch<f64, f64, Rendezvous> + '_>; 2] = [
-        Box::new(SpMSpVBucketBatch::new(&a, opts.clone())),
-        Box::new(AdaptiveBatch::new(&a, opts)),
-    ];
-    for mut batch in batches {
+    let expected =
+        LaneBatch::new(&a, AlgorithmKind::Bucket, opts.clone()).multiply_batch(&x, &PlusTimes);
+    for kind in [AlgorithmKind::Bucket, AlgorithmKind::Adaptive] {
+        let mut batch = LaneBatch::new(&a, kind, opts.clone());
         let rendezvous = Rendezvous::default();
-        assert_eq!(batch.multiply_batch(&x, &rendezvous), expected, "{}", batch.name());
+        assert_eq!(batch.multiply_batch(&x, &rendezvous), expected, "{kind}");
         let (seen, timed_out) = rendezvous.state.into_inner().unwrap();
-        assert!(!timed_out && seen.len() == 2, "{}: the lanes ran one after another", batch.name());
+        assert!(!timed_out && seen.len() == 2, "{kind}: the lanes ran one after another");
     }
 }
 
@@ -195,7 +193,7 @@ fn outputs_are_identical_across_pool_sizes() {
     let run = |threads: usize| {
         let opts = SpMSpVOptions::with_threads(threads);
         let mut single = SpMSpVBucket::new(&a, opts.clone());
-        let mut batch = SpMSpVBucketBatch::new(&a, opts);
+        let mut batch = LaneBatch::new(&a, AlgorithmKind::Bucket, opts);
         (
             single.multiply(&x, &PlusTimes),
             single.multiply_masked(&x, &PlusTimes, Some(view)),

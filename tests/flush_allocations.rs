@@ -14,8 +14,8 @@ use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
 use sparse_substrate::{CscMatrix, MaskBits, PlusTimes, SparseVec, SparseVecBatch};
 use spmspv::baselines::SequentialSpa;
 use spmspv::{
-    AdaptiveBatch, AdaptiveSpMSpV, Engine, EngineConfig, MaskMode, MaskView, MxvRequest, SpMSpV,
-    SpMSpVBatch, SpMSpVOptions,
+    AdaptiveSpMSpV, AlgorithmKind, Engine, EngineConfig, LaneBatch, MaskMode, MaskView, MxvRequest,
+    SpMSpV, SpMSpVOptions,
 };
 
 thread_local! {
@@ -142,7 +142,8 @@ fn warm_flush_allocates_no_more_per_lane_than_its_lane_kernels() {
 /// Allocations a warm batched call of `k` lanes makes beyond running them
 /// directly through its one-thread lane kernel.
 fn batch_overhead(a: &CscMatrix<f64>, k: usize) -> u64 {
-    let mut batch: AdaptiveBatch<'_, f64, f64, PlusTimes> = AdaptiveBatch::new(a, one_thread());
+    let mut batch: LaneBatch<'_, f64, f64, PlusTimes> =
+        LaneBatch::new(a, AlgorithmKind::Adaptive, one_thread());
     let mut kernel = AdaptiveSpMSpV::new(a, one_thread());
     let lanes = frontiers(a.ncols(), k);
     let x = SparseVecBatch::from_lanes(&lanes).expect("lanes share n");

@@ -8,10 +8,10 @@
 //! shared and per-lane masks. The drawn operands are small, so their calls
 //! earn one participant: they run one-participant bucket kernels and
 //! Adaptive's sequential delegate. A counting semiring checks, on operands
-//! whose every lane earns eight participants, that the bucket kernels and
-//! the adaptive batch never form a product the mask discards — in a split
-//! Step 1, on both sides of the lane runner's narrow / spread split, and in
-//! both Adaptive delegates.
+//! whose every lane earns eight participants, that the bucket kernel and
+//! bucket and Adaptive lane runners never form a product the mask discards
+//! — in a split Step 1, on both sides of the lane runner's narrow / spread
+//! split, and in both Adaptive delegates.
 //!
 //! Entry values are small integers (stored as `f64` where applicable) so
 //! floating-point addition is exact and results compare exactly regardless
@@ -21,19 +21,38 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use sparse_substrate::ops::{required_multiplications, spmspv_batch_reference, spmspv_reference};
+use sparse_substrate::ops::{required_multiplications, spmspv_reference};
 use sparse_substrate::{
     CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, Semiring, SparseVec, SparseVecBatch,
 };
-use spmspv::batch::mask_filter_batch;
 use spmspv::ops::Mxv;
 use spmspv::{
-    build_algorithm, build_batch_algorithm, AdaptiveBatch, AlgorithmKind, BatchAlgorithmKind,
-    BatchMaskView, Executor, MaskMode, MaskView, SpMSpV, SpMSpVBatch, SpMSpVBucket,
-    SpMSpVBucketBatch, SpMSpVOptions,
+    build_algorithm, AlgorithmKind, BatchMaskView, Executor, LaneBatch, MaskMode, MaskView, SpMSpV,
+    SpMSpVBucket, SpMSpVOptions,
 };
 
 mod common;
+
+use common::mask_filter_batch;
+
+/// The lane families the batch suites compare: the paper's bucket kernel
+/// and Adaptive, the engine's two.
+const BATCH_KINDS: [AlgorithmKind; 2] = [AlgorithmKind::Bucket, AlgorithmKind::Adaptive];
+
+/// `k` independent masked single-vector calls of `kind`, one per lane: the
+/// oracle every batch must equal bit for bit.
+fn independent_lanes(
+    a: &CscMatrix<f64>,
+    kind: AlgorithmKind,
+    opts: &SpMSpVOptions,
+    x: &SparseVecBatch<f64>,
+    mask: &BatchMaskView<'_>,
+) -> SparseVecBatch<f64> {
+    let mut single = build_algorithm::<f64, f64, PlusTimes>(a, kind, opts.clone());
+    let lanes =
+        (0..x.k()).map(|l| single.multiply_masked(x.lane(l), &PlusTimes, Some(mask.lane_view(l))));
+    SparseVecBatch::with_lanes(a.nrows(), lanes.collect()).expect("lanes have the row dimension")
+}
 
 const ALL_KINDS: [AlgorithmKind; 7] = [
     AlgorithmKind::Bucket,
@@ -188,9 +207,7 @@ proptest! {
     }
 
     /// Every batched family, shared mask: in-kernel equals post-filter,
-    /// and the lane-parallel families equal the [`NaiveBatch`] oracle.
-    ///
-    /// [`NaiveBatch`]: spmspv::NaiveBatch
+    /// and equals `k` independent masked single-vector calls.
     #[test]
     fn masked_batch_kernels_equal_post_filter_oracle_shared(
         (a, x, masks, mode) in batch_operands(40),
@@ -199,10 +216,9 @@ proptest! {
         let opts = SpMSpVOptions::with_threads(threads);
         let shared = &masks[0];
         let view = BatchMaskView::Shared(MaskView::new(shared, mode));
-        let naive = spmspv::NaiveBatch::new(&a, opts.clone())
-            .multiply_batch_masked(&x, &PlusTimes, Some(&view));
-        for kind in BatchAlgorithmKind::all() {
-            let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+        let naive = independent_lanes(&a, AlgorithmKind::Bucket, &opts, &x, &view);
+        for kind in BATCH_KINDS {
+            let mut alg = LaneBatch::new(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
             let oracle = mask_filter_batch(alg.multiply_batch(&x, &PlusTimes), &view);
             prop_assert_eq!(
@@ -211,15 +227,13 @@ proptest! {
                 "{kind} shared mask diverged from post-filter ({mode:?}, k={})",
                 x.k()
             );
-            prop_assert_eq!(&y, &naive, "{kind} diverged from NaiveBatch ({mode:?}, k={})", x.k());
+            prop_assert_eq!(&y, &naive, "{kind} diverged from independent calls ({mode:?}, k={})", x.k());
         }
     }
 
     /// Every batched family, one mask per lane: in-kernel equals
-    /// post-filter, lane by lane, and the lane-parallel families equal the
-    /// [`NaiveBatch`] oracle.
-    ///
-    /// [`NaiveBatch`]: spmspv::NaiveBatch
+    /// post-filter, lane by lane, and equals `k` independent masked
+    /// single-vector calls.
     #[test]
     fn masked_batch_kernels_equal_post_filter_oracle_per_lane(
         (a, x, masks, mode) in batch_operands(40),
@@ -227,10 +241,9 @@ proptest! {
     ) {
         let opts = SpMSpVOptions::with_threads(threads);
         let view = BatchMaskView::PerLane { masks: &masks, mode };
-        let naive = spmspv::NaiveBatch::new(&a, opts.clone())
-            .multiply_batch_masked(&x, &PlusTimes, Some(&view));
-        for kind in BatchAlgorithmKind::all() {
-            let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+        let naive = independent_lanes(&a, AlgorithmKind::Bucket, &opts, &x, &view);
+        for kind in BATCH_KINDS {
+            let mut alg = LaneBatch::new(&a, kind, opts.clone());
             let y = alg.multiply_batch_masked(&x, &PlusTimes, Some(&view));
             let oracle = mask_filter_batch(alg.multiply_batch(&x, &PlusTimes), &view);
             prop_assert_eq!(
@@ -239,7 +252,7 @@ proptest! {
                 "{kind} per-lane mask diverged from post-filter ({mode:?}, k={})",
                 x.k()
             );
-            prop_assert_eq!(&y, &naive, "{kind} diverged from NaiveBatch ({mode:?}, k={})", x.k());
+            prop_assert_eq!(&y, &naive, "{kind} diverged from independent calls ({mode:?}, k={})", x.k());
             for l in 0..y.k() {
                 prop_assert!(
                     y.lane(l).indices().iter().all(|&i| view.keeps(i, l)),
@@ -258,9 +271,9 @@ proptest! {
         single_threads in 1usize..5,
     ) {
         let view = BatchMaskView::PerLane { masks: &masks, mode };
-        let mut fused = build_batch_algorithm::<f64, f64, PlusTimes>(
+        let mut fused = LaneBatch::new(
             &a,
-            BatchAlgorithmKind::Bucket,
+            AlgorithmKind::Bucket,
             SpMSpVOptions::with_threads(batch_threads),
         );
         let y = fused.multiply_batch_masked(&x, &PlusTimes, Some(&view));
@@ -347,8 +360,8 @@ fn bfs_shaped_mask_on_rmat_and_grid_fixtures() {
     }
 }
 
-/// A kernel that implements only the unmasked entry points, so its masked
-/// calls go through the two traits' post-filter defaults.
+/// A kernel that implements only the unmasked entry point, so its masked
+/// calls go through the trait's post-filter default.
 struct PostFilterOnly<'a>(&'a CscMatrix<f64>);
 
 impl SpMSpV<f64, f64, PlusTimes> for PostFilterOnly<'_> {
@@ -366,36 +379,16 @@ impl SpMSpV<f64, f64, PlusTimes> for PostFilterOnly<'_> {
     }
 }
 
-impl SpMSpVBatch<f64, f64, PlusTimes> for PostFilterOnly<'_> {
-    fn name(&self) -> &'static str {
-        "post-filter default"
-    }
-    fn nrows(&self) -> usize {
-        self.0.nrows()
-    }
-    fn ncols(&self) -> usize {
-        self.0.ncols()
-    }
-    fn multiply_batch(
-        &mut self,
-        x: &SparseVecBatch<f64>,
-        semiring: &PlusTimes,
-    ) -> SparseVecBatch<f64> {
-        spmspv_batch_reference(self.0, x, semiring)
-    }
-}
-
 /// The kernels' own entry points (not only `Mxv::mask` and `Engine::submit`
 /// above them) reject a mask that does not span the matrix's rows, with the
 /// same message and before any work: an empty frontier is rejected too, and
 /// the panic is the assert on the calling thread, not an index error on a
-/// pool worker. One row per algorithm family of both shapes, plus the two
-/// traits' post-filter defaults.
+/// pool worker. One row per algorithm family, single and as the lane
+/// family of a batch, plus the trait's post-filter default.
 #[test]
 fn short_masks_are_rejected_at_every_kernel_entry_point() {
     use sparse_substrate::fixtures::{figure1_matrix, figure1_vector};
     type Single<'a> = Box<dyn SpMSpV<f64, f64, PlusTimes> + 'a>;
-    type Batch<'a> = Box<dyn SpMSpVBatch<f64, f64, PlusTimes> + 'a>;
 
     let a = figure1_matrix();
     let short = [Arc::new(MaskBits::new(4))];
@@ -421,11 +414,11 @@ fn short_masks_are_rejected_at_every_kernel_entry_point() {
         .map(|kind| build_algorithm(&a, kind, opts.clone()))
         .collect();
     singles.push(Box::new(PostFilterOnly(&a)));
-    let mut batches: Vec<Batch<'_>> = BatchAlgorithmKind::all()
+    let mut batches: Vec<(AlgorithmKind, LaneBatch<'_, f64, f64, PlusTimes>)> = ALL_KINDS
         .into_iter()
-        .map(|kind| build_batch_algorithm(&a, kind, opts.clone()))
+        .chain([AlgorithmKind::Adaptive])
+        .map(|kind| (kind, LaneBatch::new(&a, kind, opts.clone())))
         .collect();
-    batches.push(Box::new(PostFilterOnly(&a)));
 
     for x in [figure1_vector(), SparseVec::new(a.ncols())] {
         for alg in &mut singles {
@@ -433,9 +426,9 @@ fn short_masks_are_rejected_at_every_kernel_entry_point() {
             assert_rejected(&what, &mut || drop(alg.multiply_masked(&x, &PlusTimes, Some(view))));
         }
         let xb = SparseVecBatch::from_single(&x);
-        for alg in &mut batches {
+        for (kind, alg) in &mut batches {
             for mask in &batch_views {
-                let what = format!("{} with nnz(x) = {} under {mask:?}", alg.name(), x.nnz());
+                let what = format!("{kind} lanes with nnz(x) = {} under {mask:?}", x.nnz());
                 assert_rejected(&what, &mut || {
                     drop(alg.multiply_batch_masked(&xb, &PlusTimes, Some(mask)))
                 });
@@ -445,7 +438,7 @@ fn short_masks_are_rejected_at_every_kernel_entry_point() {
 }
 
 /// A per-lane mask with more bitmaps than the batch has lanes is rejected
-/// with one message by every batched family, adaptive included.
+/// with one message whatever the lane family, adaptive included.
 #[test]
 fn lane_mask_count_mismatch_panics_on_every_batch_family() {
     use sparse_substrate::fixtures::tridiagonal;
@@ -455,9 +448,9 @@ fn lane_mask_count_mismatch_panics_on_every_batch_family() {
     let batch = SparseVecBatch::from_lanes(&[x.clone(), x]).unwrap();
     let masks: Vec<Arc<MaskBits>> = (0..3).map(|_| Arc::new(MaskBits::new(6))).collect();
     let view = BatchMaskView::PerLane { masks: &masks, mode: MaskMode::Keep };
-    for kind in BatchAlgorithmKind::all() {
-        let mut alg =
-            build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, SpMSpVOptions::default());
+    for kind in ALL_KINDS.into_iter().chain([AlgorithmKind::Adaptive]) {
+        let mut alg: LaneBatch<'_, f64, f64, PlusTimes> =
+            LaneBatch::new(&a, kind, SpMSpVOptions::default());
         let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             drop(alg.multiply_batch_masked(&batch, &PlusTimes, Some(&view)))
         }))
@@ -539,7 +532,8 @@ fn masked_out_products_are_never_formed() {
         let y = SpMSpVBucket::new(&a, opts.clone()).multiply(&lanes[0], &counting);
         let all = kept_products(&a, &lanes[0], |_| true);
         assert_eq!(counting.take(), (all, all - y.nnz()), "single, {threads}t, unmasked");
-        let y = SpMSpVBucketBatch::new(&a, opts.clone()).multiply_batch(&x, &counting);
+        let y =
+            LaneBatch::new(&a, AlgorithmKind::Bucket, opts.clone()).multiply_batch(&x, &counting);
         let all: usize = lanes.iter().map(|lane| kept_products(&a, lane, |_| true)).sum();
         assert_eq!(counting.take(), (all, all - y.total_nnz()), "batch, {threads}t, unmasked");
         for mode in [MaskMode::Keep, MaskMode::Complement] {
@@ -550,22 +544,19 @@ fn masked_out_products_are_never_formed() {
             assert!(kept > y.nnz() && y.nnz() > 0, "the fixture must merge and mask");
             assert_eq!(counting.take(), (kept, kept - y.nnz()), "single, {threads}t, {mode:?}");
 
-            let mut bucket = SpMSpVBucketBatch::new(&a, opts.clone());
-            let mut adaptive = AdaptiveBatch::new(&a, opts.clone());
+            let mut batches =
+                BATCH_KINDS.map(|kind| (kind, LaneBatch::new(&a, kind, opts.clone())));
             let shared = BatchMaskView::Shared(view);
             let per_lane = BatchMaskView::PerLane { masks: &lane_masks, mode };
             for mask in [shared, per_lane] {
                 let kept: usize =
                     (0..x.k()).map(|l| kept_products(&a, &lanes[l], |i| mask.keeps(i, l))).sum();
-                let batches: [&mut dyn SpMSpVBatch<f64, f64, Counting>; 2] =
-                    [&mut bucket, &mut adaptive];
-                for batch in batches {
+                for (kind, batch) in &mut batches {
                     let y = batch.multiply_batch_masked(&x, &counting, Some(&mask));
                     assert_eq!(
                         counting.take(),
                         (kept, kept - y.total_nnz()),
-                        "{}, {threads}t, {mask:?}",
-                        batch.name()
+                        "{kind} lanes, {threads}t, {mask:?}"
                     );
                 }
             }

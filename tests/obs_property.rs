@@ -247,7 +247,6 @@ fn engine_snapshot_carries_the_documented_taxonomy() {
         "engine.panics_recovered",
         "engine.degraded_flushes",
         "engine.choice.bucket.dense",
-        "engine.choice.naive.dense",
     ] {
         assert!(on.counter(name).is_some(), "counter {name:?} missing");
     }

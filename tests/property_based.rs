@@ -17,10 +17,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use proptest::prelude::*;
 use sparse_substrate::ops::{required_multiplications, spmspv_reference};
-use sparse_substrate::{CooMatrix, CscMatrix, DcscMatrix, PlusTimes, SparseVec, SparseVecBatch};
+use sparse_substrate::{
+    CooMatrix, CscMatrix, DcscMatrix, MaskBits, PlusTimes, SparseVec, SparseVecBatch,
+};
 use spmspv::baselines::{CombBlasHeap, CombBlasSpa, GraphMatSpMSpV, SortBased};
 use spmspv::{
-    build_algorithm, build_batch_algorithm, AlgorithmKind, BatchAlgorithmKind, SpMSpV,
+    build_algorithm, AlgorithmKind, BatchMaskView, LaneBatch, MaskMode, MaskView, SpMSpV,
     SpMSpVBucket, SpMSpVOptions,
 };
 
@@ -221,12 +223,17 @@ proptest! {
         let mut evens = x.clone();
         evens.retain(|i, _| i % 2 == 0);
         let batch = SparseVecBatch::from_lanes(&[x.clone(), SparseVec::new(n), evens]).unwrap();
-        for kind in BatchAlgorithmKind::all() {
-            let mut alg = build_batch_algorithm::<f64, f64, PlusTimes>(&a, kind, opts.clone());
+        let thirds = MaskBits::from_indices(a.nrows(), (0..a.nrows()).step_by(3));
+        let view = BatchMaskView::Shared(MaskView::new(&thirds, MaskMode::Keep));
+        for kind in ALL_KINDS {
+            let mut alg: LaneBatch<'_, f64, f64, PlusTimes> = LaneBatch::new(&a, kind, opts.clone());
             let y = alg.multiply_batch(&batch, &PlusTimes);
+            let masked = alg.multiply_batch_masked(&batch, &PlusTimes, Some(&view));
             for l in 0..y.k() {
                 prop_assert!(ascending(y.lane(l).indices()), "{kind} lane {l}");
+                prop_assert!(ascending(masked.lane(l).indices()), "{kind} masked lane {l}");
             }
+            prop_assert_eq!(masked, common::mask_filter_batch(y, &view), "{}", kind);
         }
     }
 }

@@ -9,24 +9,27 @@
 //! ascending-shard merge fold is *bitwise* the unsharded ascending-column
 //! fold (`min`-based semirings are exactly associative outright). The
 //! companion satellite asserts [`ShardedEngine::stats`] is the sum of the
-//! per-shard [`EngineStats`].
+//! per-shard [`EngineStats`]. One seeded large-operand case also takes the
+//! lane runner's split bucket, Adaptive bucket and pull lanes.
 
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 use sparse_substrate::{
-    CooMatrix, CscMatrix, MaskBits, MinPlus, PlusTimes, Scalar, Semiring, SparseVec,
+    CooMatrix, CscMatrix, MaskBits, MinPlus, PlusTimes, Scalar, Select2ndMin, Semiring, SparseVec,
 };
 use spmspv::engine::{Engine, EngineConfig, EngineError, MxvRequest};
 use spmspv::net::{
     read_frame, write_frame, ConnectError, Frame, ShardHost, ShardHostHandle, TcpConfig,
     WireFrontier, WireScalar, DEFAULT_MAX_FRAME,
 };
-use spmspv::obs::ObsConfig;
+use spmspv::obs::{self, ObsConfig};
 use spmspv::shard::{ShardPlan, ShardedEngine};
 use spmspv::stats::EngineStats;
-use spmspv::{BatchAlgorithmKind, MaskMode};
+use spmspv::{AlgorithmKind, BatchAlgorithmKind, Executor, MaskMode, SpMSpVOptions};
+
+mod large_case;
 
 /// Strategy: a random sparse square matrix with small-integer entries and a
 /// skew knob — `skew` of the entries land in the first `n/8` columns, so
@@ -169,14 +172,14 @@ proptest! {
 
     /// Same property under the tropical `(min, +)` semiring — exactly
     /// associative, so bit-identity needs no integrality argument — with
-    /// the naive kernel in the mix.
+    /// the bucket kernel in the mix.
     #[test]
     fn min_plus_sharded_equals_unsharded(
         (a, requests) in operands(24),
         shards_ix in 0usize..4,
-        naive in any::<bool>(),
+        bucket in any::<bool>(),
     ) {
-        let kind = if naive { BatchAlgorithmKind::Naive } else { BatchAlgorithmKind::Adaptive };
+        let kind = if bucket { BatchAlgorithmKind::Bucket } else { BatchAlgorithmKind::Adaptive };
         let shards = [1usize, 2, 3, 7][shards_ix];
         assert_sharded_is_bit_identical(&a, &requests, MinPlus, shards, kind)?;
     }
@@ -420,9 +423,9 @@ proptest! {
     #[test]
     fn tcp_router_matches_under_min_plus(
         (a, requests) in operands(16),
-        naive in any::<bool>(),
+        bucket in any::<bool>(),
     ) {
-        let kind = if naive { BatchAlgorithmKind::Naive } else { BatchAlgorithmKind::Adaptive };
+        let kind = if bucket { BatchAlgorithmKind::Bucket } else { BatchAlgorithmKind::Adaptive };
         assert_tcp_matches_in_process(&a, &requests, MinPlus, 3, kind)?;
     }
 }
@@ -1130,6 +1133,63 @@ fn heartbeat_marks_dead_replica_unhealthy_before_a_flush() {
     for group in hosts {
         for host in group {
             host.shutdown();
+        }
+    }
+}
+
+/// The drawn operands above never earn a second participant. This seeded
+/// case does. Sharded two ways and unsharded, through engines of either
+/// family, every lane equals its independent sequential-SPA run bit for
+/// bit. The unsharded engine's lanes reach a bucket lane split four ways,
+/// Adaptive's bucket delegate and Adaptive's pull (shown by replaying each
+/// lane, and by the global `adaptive.single.*` counters, which no other
+/// test of this file can move past zero for bucket); on every shard the unmasked lane's share of the frontier still
+/// earns several participants alone, so each shard runs it on a split
+/// bucket kernel (Adaptive never pulls on a column slice).
+#[test]
+fn large_operands_shard_bit_identically_to_sequential_runs() {
+    let a = large_case::matrix();
+    let requests = large_case::requests();
+    let oracle: Vec<SparseVec<usize>> =
+        requests.iter().map(|r| large_case::sequential(&a, r)).collect();
+    let plan = ShardPlan::balanced(&a, 2);
+    let executor = Executor::new(large_case::THREADS);
+    for s in 0..plan.num_shards() {
+        let range = plan.range(s);
+        let columns = requests[0].frontier.indices().iter().filter(|j| range.contains(j));
+        let flops: usize = columns.map(|&j| a.column_nnz(j)).sum();
+        assert!(executor.capped_for(flops).threads() >= 2, "shard {s}: {flops} flops");
+    }
+    let options = SpMSpVOptions::with_threads(large_case::THREADS);
+    for kind in [BatchAlgorithmKind::Bucket, BatchAlgorithmKind::Adaptive] {
+        let config = EngineConfig::default().batch_algorithm(kind).options(options.clone());
+        let unsharded = Engine::over_with(&a, Select2ndMin, config.clone());
+        let router = ShardedEngine::partition_with(&a, Select2ndMin, plan.clone(), config);
+        let local: Vec<_> = requests.iter().map(|r| unsharded.submit(r.mxv())).collect();
+        let routed: Vec<_> = requests.iter().map(|r| router.submit(r.mxv())).collect();
+        let before = large_case::adaptive_picks();
+        unsharded.flush();
+        let after = large_case::adaptive_picks();
+        let outcome = router.flush();
+        assert_eq!((outcome.merged, outcome.failed), (requests.len(), 0), "{kind}");
+        for (i, ((l, r), want)) in local.iter().zip(&routed).zip(&oracle).enumerate() {
+            let via_engine = l.try_take().expect("served").expect("succeeded");
+            let via_shards = r.try_take().expect("served").expect("succeeded");
+            assert_eq!(&via_engine, want, "{kind}: request {i} unsharded");
+            assert_eq!(&via_shards, want, "{kind}: request {i} sharded");
+        }
+
+        let paths = large_case::replay(&a, &requests, kind);
+        let pulled = if kind == BatchAlgorithmKind::Adaptive {
+            [(AlgorithmKind::Pull, 1), (AlgorithmKind::Sequential, 1)]
+        } else {
+            [(AlgorithmKind::Bucket, 1), (AlgorithmKind::Bucket, 1)]
+        };
+        assert_eq!(paths[0], (AlgorithmKind::Bucket, 4), "{kind}: the unmasked lane");
+        assert_eq!(paths[1..], pulled, "{kind}: the masked lanes");
+        if kind == BatchAlgorithmKind::Adaptive && obs::global().enabled() {
+            let counted = after.iter().zip(before).all(|(after, before)| *after > before);
+            assert!(counted, "bucket and pull picks {before:?} → {after:?}");
         }
     }
 }
