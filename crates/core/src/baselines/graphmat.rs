@@ -8,28 +8,31 @@
 //! flat as the vector gets sparser (Figure 3) and why it loses by orders of
 //! magnitude on very sparse frontiers, while staying competitive on dense
 //! ones.
+//!
+//! The bitvector is the substrate's [`FrontierBits`] (pull's too): a bitmap
+//! for the membership test and a per-word rank that finds a set column's
+//! value in `x.values()`, the paper's `O(nnz)` value list.
 
-use sparse_substrate::{DcscMatrix, Scalar, Semiring, Spa, SparseVec};
+use sparse_substrate::{DcscMatrix, FrontierBits, Scalar, Semiring, Spa, SparseVec};
 
 use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::executor::Executor;
 use crate::masked::MaskView;
 
 /// Matrix-driven SpMSpV with row-split DCSC pieces and a bitvector input.
-pub struct GraphMatSpMSpV<'a, A, X, Y> {
+pub struct GraphMatSpMSpV<'a, A, Y> {
     matrix: MatrixRef<'a, A>,
     pieces: Vec<DcscMatrix<A>>,
     offsets: Vec<usize>,
     spas: Vec<Spa<Y>>,
-    /// Reusable bitmap over the input dimension (one bit per column).
-    bitmap: Vec<u64>,
-    /// Reusable dense value array over the input dimension.
-    xvals: Vec<X>,
+    /// The input's columns, loaded and cleared per call in `O(nnz(x))`.
+    bits: FrontierBits,
     executor: Executor,
 }
 
-impl<'a, A: Scalar, X: Scalar, Y: Scalar> GraphMatSpMSpV<'a, A, X, Y> {
-    /// Splits `matrix` row-wise and allocates the bitvector workspace.
+impl<'a, A: Scalar, Y: Scalar> GraphMatSpMSpV<'a, A, Y> {
+    /// Splits `matrix` row-wise; the bitvector is allocated by the first
+    /// call.
     pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         let matrix = matrix.into();
         let executor = options.build_executor();
@@ -37,20 +40,11 @@ impl<'a, A: Scalar, X: Scalar, Y: Scalar> GraphMatSpMSpV<'a, A, X, Y> {
         let pieces = DcscMatrix::row_split(&matrix, t);
         let offsets = matrix.row_split_offsets(t);
         let spas = pieces.iter().map(|p| Spa::new(p.nrows())).collect();
-        let n = matrix.ncols();
-        GraphMatSpMSpV {
-            matrix,
-            pieces,
-            offsets,
-            spas,
-            bitmap: vec![0u64; n.div_ceil(64)],
-            xvals: vec![X::default(); n],
-            executor,
-        }
+        GraphMatSpMSpV { matrix, pieces, offsets, spas, bits: FrontierBits::default(), executor }
     }
 }
 
-impl<'a, A, X, S> SpMSpV<A, X, S> for GraphMatSpMSpV<'a, A, X, S::Output>
+impl<'a, A, X, S> SpMSpV<A, X, S> for GraphMatSpMSpV<'a, A, S::Output>
 where
     A: Scalar,
     X: Scalar,
@@ -83,14 +77,10 @@ where
             mask.check_rows(self.matrix.nrows());
         }
 
-        // Load the input into the (pre-allocated) bitvector: O(f).
-        for (j, v) in x.iter() {
-            self.bitmap[j / 64] |= 1u64 << (j % 64);
-            self.xvals[j] = *v;
-        }
+        // Load the input into the (reused) bitvector: O(f).
+        self.bits.load(self.matrix.ncols(), x.indices());
 
-        let bitmap = &self.bitmap;
-        let xvals = &self.xvals;
+        let bits = &self.bits;
         let offsets = &self.offsets;
         let pieces = &self.pieces;
         let per_piece: Vec<Vec<(usize, S::Output)>> = self.executor.map(
@@ -101,10 +91,10 @@ where
                 // checked against the global row id before the SPA.
                 let piece_base = offsets[p];
                 for (j, rows, vals) in piece.iter_columns() {
-                    if (bitmap[j / 64] >> (j % 64)) & 1 == 0 {
+                    if !bits.contains(j) {
                         continue;
                     }
-                    let xv = &xvals[j];
+                    let xv = &x.values()[bits.rank(j)];
                     for (&i, av) in rows.iter().zip(vals.iter()) {
                         if let Some(mask) = mask {
                             if !mask.keeps(i + piece_base) {
@@ -122,9 +112,7 @@ where
         );
 
         // Clear only the bits we set: O(f), keeping the workspace reusable.
-        for (j, _) in x.iter() {
-            self.bitmap[j / 64] &= !(1u64 << (j % 64));
-        }
+        self.bits.clear(x.indices());
 
         let mut y = SparseVec::new(self.matrix.nrows());
         for piece in per_piece {

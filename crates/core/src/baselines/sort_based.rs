@@ -110,17 +110,19 @@ where
     }
 }
 
-/// Sorts `pairs` by row: one run per participant is sorted in parallel, then
-/// the runs are k-way merged through an auxiliary buffer. Like
-/// `sort_unstable_by_key`, equal rows end up in no particular order.
+/// Sorts `pairs` by row, stably: one run per participant is sorted in
+/// parallel, then the runs are k-way merged through an auxiliary buffer,
+/// ties going to the earlier run. Equal rows keep their gather order, which
+/// is ascending column order, so each row reduces in the order every other
+/// family reduces it and `f64` sums round alike.
 fn sort_by_row<Y: Scalar>(executor: &Executor, pairs: &mut [(usize, Y)]) {
     let threads = executor.threads();
     if threads == 1 || pairs.len() < 2048 {
-        pairs.sort_unstable_by_key(|&(i, _)| i);
+        pairs.sort_by_key(|&(i, _)| i);
         return;
     }
     let run_len = pairs.len().div_ceil(threads);
-    executor.for_each(pairs.chunks_mut(run_len), |run| run.sort_unstable_by_key(|&(i, _)| i));
+    executor.for_each(pairs.chunks_mut(run_len), |run| run.sort_by_key(|&(i, _)| i));
     // (next unmerged position, end) of every run that still has entries.
     let mut runs: Vec<(usize, usize)> = (0..pairs.len())
         .step_by(run_len)
@@ -138,7 +140,7 @@ fn sort_by_row<Y: Scalar>(executor: &Executor, pairs: &mut [(usize, Y)]) {
         merged.push(pairs[*pos]);
         *pos += 1;
         if *pos == *end {
-            runs.swap_remove(best);
+            runs.remove(best);
         }
     }
     pairs.copy_from_slice(&merged);
@@ -148,8 +150,10 @@ fn sort_by_row<Y: Scalar>(executor: &Executor, pairs: &mut [(usize, Y)]) {
 mod tests {
     use super::*;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
-    use sparse_substrate::ops::spmspv_reference;
+    use sparse_substrate::ops::{required_multiplications, spmspv_reference};
     use sparse_substrate::{fixtures, PlusTimes};
+
+    use crate::baselines::SequentialSpa;
 
     #[test]
     fn matches_reference_and_is_sorted() {
@@ -170,6 +174,22 @@ mod tests {
                 let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
                 assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
             }
+        }
+    }
+
+    #[test]
+    fn reduces_each_row_in_column_order_like_the_sequential_spa() {
+        // Enough products for the parallel run/merge path, and random `f64`
+        // values, so a row reduced in any other order rounds apart.
+        let a = erdos_renyi(2000, 16.0, 5);
+        let x = random_sparse_vec(2000, 400, 6);
+        assert!(required_multiplications(&a, &x) >= 2048);
+        let mut seq = SequentialSpa::new(&a, SpMSpVOptions::default());
+        let expected = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut seq, &x, &PlusTimes);
+        for threads in [1usize, 2, 3, 8] {
+            let mut alg = SortBased::new(&a, SpMSpVOptions::with_threads(threads));
+            let y = SpMSpV::<f64, f64, PlusTimes>::multiply(&mut alg, &x, &PlusTimes);
+            assert_eq!(y, expected, "{threads} threads");
         }
     }
 

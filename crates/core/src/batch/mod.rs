@@ -27,9 +27,9 @@
 //! ## Determinism
 //!
 //! Output lane `l` *is* a single-vector kernel's output for input lane `l`.
-//! The paper's bucket kernel, pull, the sequential SPA and Adaptive reduce
-//! each row in ascending-column order (pull by its first hit, which is the
-//! same value) whatever their thread count. So a batch of any of those
+//! The paper's bucket kernel, pull, sort-based, the sequential SPA and
+//! Adaptive reduce each row in ascending-column order (pull by its first
+//! hit, which is the same value) whatever their thread count. So a batch of any of those
 //! families is **bit-identical** to `k` independent single-vector calls by
 //! construction — for any semiring, including floating-point `(+, ×)` where
 //! reduction order matters.

@@ -517,27 +517,30 @@ pub fn decode_frame<X: WireScalar, Y: WireScalar>(
     buf: &[u8],
     max_frame: usize,
 ) -> Result<(Frame<X, Y>, usize), DecodeError> {
-    if buf.len() < HEADER_LEN {
-        return Err(DecodeError::Truncated);
-    }
-    let magic: [u8; 4] = buf[..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic));
-    }
-    if buf[4] != VERSION {
-        return Err(DecodeError::BadVersion(buf[4]));
-    }
-    let tag = buf[5];
-    let payload_len =
-        u32::from_le_bytes(buf[6..HEADER_LEN].try_into().expect("4-byte slice")) as usize;
-    if payload_len > max_frame {
-        return Err(DecodeError::Oversize { len: payload_len, limit: max_frame });
-    }
+    let header = buf.first_chunk().ok_or(DecodeError::Truncated)?;
+    let (tag, payload_len) = parse_header(header, max_frame)?;
     if buf.len() < HEADER_LEN + payload_len {
         return Err(DecodeError::Truncated);
     }
     let frame = decode_payload(tag, &buf[HEADER_LEN..HEADER_LEN + payload_len])?;
     Ok((frame, HEADER_LEN + payload_len))
+}
+
+/// Checks a frame header's magic, version and payload bound, returning the
+/// frame's tag and payload length.
+fn parse_header(header: &[u8; HEADER_LEN], max_frame: usize) -> Result<(u8, usize), DecodeError> {
+    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
+    if magic != MAGIC {
+        return Err(DecodeError::BadMagic(magic));
+    }
+    if header[4] != VERSION {
+        return Err(DecodeError::BadVersion(header[4]));
+    }
+    let payload_len = u32::from_le_bytes(header[6..].try_into().expect("4-byte slice")) as usize;
+    if payload_len > max_frame {
+        return Err(DecodeError::Oversize { len: payload_len, limit: max_frame });
+    }
+    Ok((header[5], payload_len))
 }
 
 fn decode_payload<X: WireScalar, Y: WireScalar>(
@@ -671,17 +674,7 @@ pub fn read_frame<X: WireScalar, Y: WireScalar, R: Read>(
             Err(e) => return Err(e.into()),
         }
     }
-    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
-    if magic != MAGIC {
-        return Err(DecodeError::BadMagic(magic).into());
-    }
-    if header[4] != VERSION {
-        return Err(DecodeError::BadVersion(header[4]).into());
-    }
-    let payload_len = u32::from_le_bytes(header[6..].try_into().expect("4-byte slice")) as usize;
-    if payload_len > max_frame {
-        return Err(DecodeError::Oversize { len: payload_len, limit: max_frame }.into());
-    }
+    let (tag, payload_len) = parse_header(&header, max_frame)?;
     let mut payload = vec![0u8; payload_len];
     if let Err(e) = r.read_exact(&mut payload) {
         return if e.kind() == io::ErrorKind::UnexpectedEof {
@@ -690,7 +683,7 @@ pub fn read_frame<X: WireScalar, Y: WireScalar, R: Read>(
             Err(e.into())
         };
     }
-    let frame = decode_payload(header[5], &payload)?;
+    let frame = decode_payload(tag, &payload)?;
     Ok(Some((frame, HEADER_LEN + payload_len)))
 }
 

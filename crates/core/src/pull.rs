@@ -7,7 +7,9 @@
 //! ascending column order and stops at the first frontier member
 //! (GraphBLAST's masked "early exit"; Yang, Buluç, Owens, ICPP 2018). When
 //! the frontier is dense and few rows are left, that reads a small fraction
-//! of what push reads.
+//! of what push reads. The frontier is held as a [`FrontierBits`], the
+//! substrate's bitvector (GraphMat's too): one bit per column answers "is
+//! `j` in the frontier", and its per-word rank finds `j`'s value in `x`.
 //!
 //! Stopping early is exact, not approximate, when three things hold, and
 //! [`SpMSpVPull`] checks all three, cheapest first:
@@ -27,7 +29,7 @@
 //! for any call and its output always equals push's. Adaptive dispatch
 //! ([`crate::adaptive`]) checks the same conditions before it picks pull.
 
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
+use sparse_substrate::{CscMatrix, FrontierBits, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
@@ -54,15 +56,11 @@ where
 /// frontier as it goes, so its output is sorted by construction.
 pub struct SpMSpVPull<'a, A, Y> {
     matrix: MatrixRef<'a, A>,
-    /// The frontier's columns, one bit each, set on entry and cleared on
-    /// exit (both `O(nnz(x))`); allocated by the first pull.
-    frontier: Vec<u64>,
-    /// `rank[w]`: the frontier entries in the words before `w`, rebuilt per
-    /// call in `O(n/64)` (the same order as the walk over the mask). Column
-    /// `j`'s position in `x` is its word's rank plus the set bits below it:
-    /// one read of a table that fits in cache, where a search of `x`'s
-    /// indices or an `n`-entry position array would miss.
-    rank: Vec<usize>,
+    /// The frontier's columns, loaded on entry and cleared on exit (both
+    /// `O(nnz(x))`, plus the `O(n/64)` rank rebuild). Column `j`'s position
+    /// in `x` is one read of a rank table that fits in cache, where a
+    /// search of `x`'s indices or an `n`-entry position array would miss.
+    frontier: FrontierBits,
     fallback: Option<SequentialSpa<'a, A, Y>>,
     scanned: Option<usize>,
 }
@@ -74,8 +72,7 @@ impl<'a, A: Scalar, Y: Scalar> SpMSpVPull<'a, A, Y> {
     pub fn new(matrix: impl Into<MatrixRef<'a, A>>, _options: SpMSpVOptions) -> Self {
         SpMSpVPull {
             matrix: matrix.into(),
-            frontier: Vec::new(),
-            rank: Vec::new(),
+            frontier: FrontierBits::default(),
             fallback: None,
             scanned: None,
         }
@@ -96,37 +93,22 @@ impl<'a, A: Scalar, Y: Scalar> SpMSpVPull<'a, A, Y> {
         mask: MaskView<'_>,
     ) -> SparseVec<Y> {
         let matrix = &*self.matrix;
-        let words = matrix.ncols().div_ceil(64);
-        self.frontier.resize(words, 0);
-        self.rank.resize(words, 0);
-        let (frontier, rank) = (&mut self.frontier, &mut self.rank);
-        for &j in x.indices() {
-            frontier[j / 64] |= 1 << (j % 64);
-        }
-        let mut below = 0;
-        for (r, w) in rank.iter_mut().zip(frontier.iter()) {
-            *r = below;
-            below += w.count_ones() as usize;
-        }
+        self.frontier.load(matrix.ncols(), x.indices());
+        let frontier = &self.frontier;
         let (mut indices, mut values) = (Vec::new(), Vec::new());
         let mut scanned = 0;
         for i in mask.kept_rows() {
             let (rows, vals) = matrix.column(i);
-            match rows.iter().position(|&j| (frontier[j / 64] >> (j % 64)) & 1 == 1) {
+            match rows.iter().position(|&j| frontier.contains(j)) {
                 Some(k) => {
                     scanned += k + 1;
-                    let j = rows[k];
-                    let at = rank[j / 64]
-                        + (frontier[j / 64] & ((1 << (j % 64)) - 1)).count_ones() as usize;
                     indices.push(i);
-                    values.push(semiring.multiply(&vals[k], &x.values()[at]));
+                    values.push(semiring.multiply(&vals[k], &x.values()[frontier.rank(rows[k])]));
                 }
                 None => scanned += rows.len(),
             }
         }
-        for &j in x.indices() {
-            frontier[j / 64] = 0;
-        }
+        self.frontier.clear(x.indices());
         self.scanned = Some(scanned);
         SparseVec::from_parts(matrix.nrows(), indices, values).expect("kept rows ascend")
     }
@@ -201,9 +183,15 @@ mod tests {
         let mut push = SpMSpVBucket::new(&a, SpMSpVOptions::with_threads(2));
         assert_eq!(y, push.multiply_masked(&x, &Select2ndMin, Some(mask)));
         // The kept rows 0, 1 and 5–9 hold 2 + 3 + 3·4 + 2 entries; row 5
-        // stops at its first, row 4. The frontier bitmap is clear again.
+        // stops at its first, row 4.
         assert_eq!(pull.last_scanned(), Some(2 + 3 + 1 + 3 * 3 + 2));
-        assert!(pull.frontier.iter().all(|&w| w == 0));
+        // The frontier bits are clear again: a second call on a frontier
+        // disjoint from the first sees none of its columns.
+        let x = SparseVec::from_pairs(10, vec![(8, 8)]).unwrap();
+        let visited = MaskBits::from_indices(10, [8]);
+        let mask = MaskView::new(&visited, MaskMode::Complement);
+        let y = pull.multiply_masked(&x, &Select2ndMin, Some(mask));
+        assert_eq!(y, SparseVec::from_pairs(10, vec![(7, 8), (9, 8)]).unwrap());
     }
 
     #[test]

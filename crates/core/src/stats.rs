@@ -4,8 +4,9 @@
 //! work* each parallelization strategy performs relative to the lower bound
 //! `Ω(d·f)` (the number of matrix entries that must be read). This module
 //! computes, exactly and analytically from the operands, the work each
-//! algorithm family performs, so the `table2_characteristics` experiment can
-//! print measured work ratios instead of hand-waving.
+//! algorithm family performs, so a work ratio is a count, not hand-waving.
+//! No experiment prints Table II today; [`analyze`] still computes its
+//! counts.
 //!
 //! [`EngineStats`] is the serving-side analogue: it counts how well the
 //! [`crate::engine::Engine`]'s coalescer is doing its one job — turning many

@@ -1,127 +1,84 @@
-//! The bitvector sparse-vector format used by GraphMat.
+//! Bitmaps over an index space: the bitvector format GraphMat and pull read,
+//! and the output mask the masked kernels consult.
 //!
 //! §II-C of the paper: "The alternative bitvector format is composed of a
 //! O(n)-length bitmap that signals whether or not a particular index is
-//! nonzero, and an O(nnz) list of values." The matrix-driven baseline needs
-//! constant-time membership tests (`is x(j) nonzero?`) while iterating over
-//! all non-empty matrix columns.
-//!
-//! This implementation stores the bitmap as `u64` words plus a per-word rank
-//! (prefix popcount) so the position of an index's value within the compact
-//! value list is found in O(1).
+//! nonzero, and an O(nnz) list of values." [`FrontierBits`] is that bitmap
+//! over a [`SparseVec`](crate::SparseVec)'s indices, plus a per-word rank
+//! (prefix popcount) so an index's position in the vector's own value list
+//! is found in O(1). It holds no values: the vector's `values()` is the
+//! O(nnz) list.
 
 use crate::error::SparseError;
-use crate::spvec::SparseVec;
-use crate::Scalar;
 
-/// A sparse vector stored as a bitmap plus a compact list of values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BitVec<T> {
-    len: usize,
-    words: Vec<u64>,
-    /// `ranks[w]` = number of set bits in `words[..w]`.
-    ranks: Vec<usize>,
-    /// Values of the set positions, ordered by index.
-    values: Vec<T>,
-}
-
-impl<T: Scalar> BitVec<T> {
-    /// Builds a bitvector from a sparse list vector. The list is already in
-    /// index order, so its values copy straight into the value list.
-    pub fn from_sparse(v: &SparseVec<T>) -> Self {
-        let len = v.len();
-        let nwords = len.div_ceil(64);
-        let mut words = vec![0u64; nwords];
-        let mut values = Vec::with_capacity(v.nnz());
-        for (i, val) in v.iter() {
-            words[i / 64] |= 1u64 << (i % 64);
-            values.push(*val);
-        }
-        let mut ranks = vec![0usize; nwords + 1];
-        for w in 0..nwords {
-            ranks[w + 1] = ranks[w] + words[w].count_ones() as usize;
-        }
-        BitVec { len, words, ranks, values }
-    }
-
-    /// Builds a bitvector directly from `(index, value)` pairs.
-    pub fn from_pairs(len: usize, pairs: Vec<(usize, T)>) -> Result<Self, SparseError> {
-        Ok(Self::from_sparse(&SparseVec::from_pairs(len, pairs)?))
-    }
-
-    /// Logical dimension.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when no bits are set.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Number of set positions.
-    #[inline]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Constant-time membership test, the operation GraphMat's inner loop
-    /// performs for every non-empty matrix column.
-    #[inline]
-    pub fn contains(&self, i: usize) -> bool {
-        if i >= self.len {
-            return false;
-        }
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Value stored at position `i`, found by rank in O(1).
-    #[inline]
-    pub fn get(&self, i: usize) -> Option<&T> {
-        if !self.contains(i) {
-            return None;
-        }
-        let word = i / 64;
-        let bit = i % 64;
-        let below = (self.words[word] & ((1u64 << bit) - 1)).count_ones() as usize;
-        Some(&self.values[self.ranks[word] + below])
-    }
-
-    /// Iterates `(index, &value)` pairs in ascending index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
-        let mut value_pos = 0usize;
-        (0..self.len).filter_map(move |i| {
-            if self.contains(i) {
-                let v = &self.values[value_pos];
-                value_pos += 1;
-                Some((i, v))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Converts back to the list format (sorted by index).
-    pub fn to_sparse(&self) -> SparseVec<T> {
-        let mut out = SparseVec::new(self.len);
-        for (i, v) in self.iter() {
-            out.push(i, *v);
-        }
-        out
-    }
-}
-
-/// A mutable bitmap over the index space `0..len`, the value-less sibling of
-/// [`BitVec`] used as an **output mask** by the masked SpMSpV kernels.
+/// A reusable bitvector over the indices of one sparse vector at a time:
+/// `u64` words plus a per-word rank table. The matrix-driven GraphMat
+/// baseline and the bottom-up pull kernel both hold one.
 ///
-/// Where [`BitVec`] is a frozen snapshot of a sparse vector (bitmap + rank +
-/// values), `MaskBits` is the evolving membership set graph algorithms
-/// maintain between multiplications — BFS inserts every newly visited vertex
-/// after each level. Storage is the same `u64`-word bitmap, so membership
-/// tests cost one shift and mask, and [`MaskBits::clear`] reuses the
-/// allocation across runs.
+/// A call [`load`](Self::load)s its input vector's indices, asks
+/// [`contains`](Self::contains) and [`rank`](Self::rank), and
+/// [`clear`](Self::clear)s the same indices before the next call, so each
+/// call costs `O(nnz + n/64)` and the arrays are allocated once.
+#[derive(Debug, Default)]
+pub struct FrontierBits {
+    words: Vec<u64>,
+    /// `ranks[w]`: the set bits in `words[..w]`.
+    ranks: Vec<usize>,
+}
+
+impl FrontierBits {
+    /// Sets the bits of `indices` (strictly ascending, each below `len`, as
+    /// a [`SparseVec`](crate::SparseVec)'s are) and rebuilds the rank table
+    /// over `0..len`. The bitmap must be clear: new, or
+    /// [`clear`](Self::clear)ed of the last load. The arrays only grow.
+    pub fn load(&mut self, len: usize, indices: &[usize]) {
+        let nwords = len.div_ceil(64);
+        if self.words.len() < nwords {
+            self.words.resize(nwords, 0);
+            self.ranks.resize(nwords, 0);
+        }
+        for &j in indices {
+            self.words[j / 64] |= 1 << (j % 64);
+        }
+        let mut below = 0;
+        for (r, w) in self.ranks[..nwords].iter_mut().zip(&self.words) {
+            *r = below;
+            below += w.count_ones() as usize;
+        }
+    }
+
+    /// Whether `j` is one of the loaded indices.
+    #[inline]
+    pub fn contains(&self, j: usize) -> bool {
+        (self.words[j / 64] >> (j % 64)) & 1 == 1
+    }
+
+    /// The position of a loaded index `j` in the loaded vector's
+    /// `indices()` and `values()`: its word's rank plus the set bits below
+    /// it in the word.
+    #[inline]
+    pub fn rank(&self, j: usize) -> usize {
+        self.ranks[j / 64] + (self.words[j / 64] & ((1 << (j % 64)) - 1)).count_ones() as usize
+    }
+
+    /// Unsets the bits of `indices`, the ones last loaded, in `O(nnz)`: it
+    /// zeroes each index's word, since every bit set there came from them.
+    pub fn clear(&mut self, indices: &[usize]) {
+        for &j in indices {
+            self.words[j / 64] = 0;
+        }
+    }
+}
+
+/// A mutable bitmap over the index space `0..len`, used as an **output
+/// mask** by the masked SpMSpV kernels.
+///
+/// Where [`FrontierBits`] mirrors one input vector per call, `MaskBits` is
+/// the evolving membership set graph algorithms maintain between
+/// multiplications — BFS inserts every newly visited vertex after each
+/// level. Storage is the same `u64`-word bitmap, so membership tests cost
+/// one shift and mask, and [`MaskBits::clear`] reuses the allocation across
+/// runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MaskBits {
     len: usize,
@@ -267,60 +224,132 @@ impl MaskBits {
 mod tests {
     use super::*;
 
-    fn sample() -> BitVec<f64> {
-        BitVec::from_pairs(200, vec![(0, 1.0), (63, 2.0), (64, 3.0), (130, 4.0), (199, 5.0)])
-            .unwrap()
+    use crate::SparseVec;
+
+    /// The lengths around word boundaries every test sweeps.
+    const LENS: [usize; 6] = [0, 1, 63, 64, 65, 130];
+
+    fn loaded(x: &SparseVec<f64>) -> FrontierBits {
+        let mut bits = FrontierBits::default();
+        bits.load(x.len(), x.indices());
+        bits
+    }
+
+    /// Every index, the last column alone, every third index ending at
+    /// the last column, and nothing, over `0..len`.
+    fn patterns(len: usize) -> Vec<SparseVec<f64>> {
+        let vec = |idx: Vec<usize>| {
+            let vals = idx.iter().map(|&i| i as f64 + 0.5).collect();
+            SparseVec::from_parts(len, idx, vals).unwrap()
+        };
+        let mut out = vec![vec((0..len).collect()), vec(Vec::new())];
+        if len > 0 {
+            out.push(vec(vec![len - 1]));
+            out.push(vec(((len - 1) % 3..len).step_by(3).collect()));
+        }
+        out
     }
 
     #[test]
     fn contains_and_get() {
-        let b = sample();
-        assert_eq!(b.nnz(), 5);
-        assert!(b.contains(63));
-        assert!(b.contains(64));
-        assert!(!b.contains(65));
-        assert!(!b.contains(1000));
-        assert_eq!(b.get(130).copied(), Some(4.0));
-        assert_eq!(b.get(131), None);
-        assert_eq!(b.get(0).copied(), Some(1.0));
-        assert_eq!(b.get(199).copied(), Some(5.0));
+        let x =
+            SparseVec::from_parts(200, vec![0, 63, 64, 130, 199], vec![1.0, 2.0, 3.0, 4.0, 5.0])
+                .unwrap();
+        let bits = loaded(&x);
+        for j in [0, 63, 64, 130, 199] {
+            assert!(bits.contains(j));
+        }
+        for j in [1, 62, 65, 129, 198] {
+            assert!(!bits.contains(j));
+        }
+        assert_eq!(x.values()[bits.rank(130)], 4.0);
+        assert_eq!(x.values()[bits.rank(0)], 1.0);
+        assert_eq!(x.values()[bits.rank(199)], 5.0);
     }
 
     #[test]
     fn rank_lookup_matches_iteration_order() {
-        let b = sample();
-        let via_iter: Vec<_> = b.iter().map(|(i, &v)| (i, v)).collect();
-        assert_eq!(via_iter, vec![(0, 1.0), (63, 2.0), (64, 3.0), (130, 4.0), (199, 5.0)]);
-        for (i, v) in &via_iter {
-            assert_eq!(b.get(*i).copied(), Some(*v));
+        for len in LENS {
+            for x in patterns(len) {
+                let bits = loaded(&x);
+                for (pos, &j) in x.indices().iter().enumerate() {
+                    assert_eq!(bits.rank(j), pos, "len {len}, index {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_and_full_edge_cases() {
+        for len in LENS {
+            let [full, empty, ..] = &patterns(len)[..] else { unreachable!() };
+            let bits = loaded(full);
+            assert!((0..len).all(|j| bits.contains(j) && bits.rank(j) == j), "full, len {len}");
+            let bits = loaded(empty);
+            assert!((0..len).all(|j| !bits.contains(j)), "empty, len {len}");
+        }
+        // The last column alone, at every length.
+        for len in LENS.into_iter().filter(|&len| len > 0) {
+            let bits = loaded(&patterns(len)[2]);
+            assert!(bits.contains(len - 1));
+            assert_eq!(bits.rank(len - 1), 0);
+            assert!((0..len - 1).all(|j| !bits.contains(j)));
         }
     }
 
     #[test]
     fn roundtrip_with_sparse_list() {
-        let v = SparseVec::from_pairs(100, vec![(7, 7.0), (99, 9.0), (42, 4.2)]).unwrap();
-        let b = BitVec::from_sparse(&v);
-        assert!(b.to_sparse().same_entries(&v));
+        for len in LENS {
+            for x in patterns(len) {
+                let bits = loaded(&x);
+                let mut back = SparseVec::new(len);
+                for j in (0..len).filter(|&j| bits.contains(j)) {
+                    back.push(j, x.values()[bits.rank(j)]);
+                }
+                assert_eq!(back, x, "len {len}");
+            }
+        }
     }
 
     #[test]
     fn unsorted_input_is_handled() {
-        let v = SparseVec::from_pairs(10, vec![(9, 9.0), (0, 0.5), (4, 4.0)]).unwrap();
-        let b = BitVec::from_sparse(&v);
-        assert_eq!(b.get(9).copied(), Some(9.0));
-        assert_eq!(b.get(0).copied(), Some(0.5));
-        assert_eq!(b.get(4).copied(), Some(4.0));
+        let x = SparseVec::from_pairs(10, vec![(9, 9.0), (0, 0.5), (4, 4.0)]).unwrap();
+        let bits = loaded(&x);
+        assert_eq!(x.values()[bits.rank(9)], 9.0);
+        assert_eq!(x.values()[bits.rank(0)], 0.5);
+        assert_eq!(x.values()[bits.rank(4)], 4.0);
     }
 
     #[test]
-    fn empty_and_full_edge_cases() {
-        let empty: BitVec<f64> = BitVec::from_pairs(0, vec![]).unwrap();
-        assert!(empty.is_empty());
-        assert!(!empty.contains(0));
+    fn clear_zeroes_every_word() {
+        for len in LENS {
+            for x in patterns(len) {
+                let mut bits = loaded(&x);
+                bits.clear(x.indices());
+                assert!(bits.words.iter().all(|&w| w == 0), "len {len}");
+            }
+        }
+    }
 
-        let full = BitVec::from_pairs(3, vec![(0, 1.0), (1, 2.0), (2, 3.0)]).unwrap();
-        assert_eq!(full.nnz(), 3);
-        assert_eq!(full.get(2).copied(), Some(3.0));
+    #[test]
+    fn a_smaller_load_sees_no_stale_bit() {
+        let mut bits = FrontierBits::default();
+        for (big, small) in [(130, 65), (130, 1), (64, 63), (65, 0)] {
+            for first in patterns(big) {
+                bits.load(big, first.indices());
+                bits.clear(first.indices());
+                for second in patterns(small) {
+                    bits.load(small, second.indices());
+                    for j in 0..small {
+                        assert_eq!(bits.contains(j), second.get(j).is_some(), "{big} → {small}");
+                    }
+                    for (pos, &j) in second.indices().iter().enumerate() {
+                        assert_eq!(bits.rank(j), pos);
+                    }
+                    bits.clear(second.indices());
+                }
+            }
+        }
     }
 
     #[test]

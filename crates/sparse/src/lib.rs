@@ -15,7 +15,8 @@
 //! * [`SparseVec`] — `(index, value)` list format, indices strictly ascending;
 //! * [`SparseVecBatch`] — `k` [`SparseVec`] lanes of one dimension, the
 //!   substrate of batched multi-source SpMSpV;
-//! * [`BitVec`] — bitmap + rank structure, GraphMat's vector format — and
+//! * [`FrontierBits`] — the bitvector format (bitmap + per-word rank over a
+//!   [`SparseVec`]'s indices) that GraphMat and the pull kernel read — and
 //!   [`MaskBits`], the mutable bitmap the masked SpMSpV kernels consult;
 //! * [`Spa`] — the sparse accumulator with generation-based partial
 //!   initialization (Gilbert, Moler & Schreiber);
@@ -39,23 +40,20 @@ pub mod bitvec;
 pub mod coo;
 pub mod csc;
 pub mod dcsc;
-pub mod dense;
 pub mod error;
 pub mod fixtures;
 pub mod gen;
 pub mod mmio;
 pub mod ops;
-pub mod permute;
 pub mod semiring;
 pub mod spa;
 pub mod spvec;
 
 pub use batch::SparseVecBatch;
-pub use bitvec::{BitVec, MaskBits};
+pub use bitvec::{FrontierBits, MaskBits};
 pub use coo::CooMatrix;
 pub use csc::CscMatrix;
 pub use dcsc::DcscMatrix;
-pub use dense::DenseVec;
 pub use error::SparseError;
 pub use semiring::{BoolOrAnd, MinPlus, PlusTimes, Select2ndMin, Semiring};
 pub use spa::{Spa, SpaBackend};

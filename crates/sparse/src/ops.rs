@@ -89,7 +89,6 @@ pub fn required_multiplications<A: Scalar, X: Scalar>(a: &CscMatrix<A>, x: &Spar
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dense::DenseVec;
     use crate::fixtures::{figure1_matrix, figure1_vector, tridiagonal};
     use crate::semiring::{PlusTimes, Select2ndMin};
 
@@ -121,15 +120,18 @@ mod tests {
     #[test]
     fn dense_vector_matches_spmv() {
         let a = tridiagonal(30);
-        let xd = DenseVec::from_vec((0..30).map(|i| i as f64 + 1.0).collect());
-        let xs = xd.to_sparse(|_| true);
-        let via_spmspv = spmspv_reference(&a, &xs, &PlusTimes).to_dense(0.0);
+        let xd: Vec<f64> = (0..30).map(|i| i as f64 + 1.0).collect();
+        let xs = SparseVec::from_parts(30, (0..30).collect(), xd.clone()).unwrap();
+        let mut via_spmspv = vec![0.0; 30];
+        for (i, &v) in spmspv_reference(&a, &xs, &PlusTimes).iter() {
+            via_spmspv[i] = v;
+        }
         // Column-oriented SpMV: every column scaled by its dense x entry.
         let mut via_spmv = vec![0.0; 30];
-        for j in 0..30 {
+        for (j, &xj) in xd.iter().enumerate() {
             let (rows, vals) = a.column(j);
             for (&i, &av) in rows.iter().zip(vals.iter()) {
-                via_spmv[i] += av * xd[j];
+                via_spmv[i] += av * xj;
             }
         }
         for i in 0..30 {

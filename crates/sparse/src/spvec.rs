@@ -10,7 +10,6 @@
 
 use std::ops::Range;
 
-use crate::dense::DenseVec;
 use crate::error::SparseError;
 use crate::Scalar;
 
@@ -73,20 +72,6 @@ impl<T: Scalar> SparseVec<T> {
         }
         check_ascending(&indices, len)?;
         Ok(SparseVec { len, indices, values })
-    }
-
-    /// Builds a sparse vector from a dense slice, storing entries for which
-    /// `keep` returns `true`.
-    pub fn from_dense_filtered(dense: &[T], keep: impl Fn(&T) -> bool) -> Self {
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (i, v) in dense.iter().enumerate() {
-            if keep(v) {
-                indices.push(i);
-                values.push(*v);
-            }
-        }
-        SparseVec { len: dense.len(), indices, values }
     }
 
     /// Logical dimension `n`.
@@ -157,16 +142,6 @@ impl<T: Scalar> SparseVec<T> {
     /// Value at logical position `i`, if stored. O(log nnz).
     pub fn get(&self, i: usize) -> Option<&T> {
         self.indices.binary_search(&i).ok().map(|k| &self.values[k])
-    }
-
-    /// Scatters into a dense vector of length `len`, filling holes with
-    /// `fill`.
-    pub fn to_dense(&self, fill: T) -> DenseVec<T> {
-        let mut data = vec![fill; self.len];
-        for (i, v) in self.iter() {
-            data[i] = *v;
-        }
-        DenseVec::from_vec(data)
     }
 
     /// Removes all entries but keeps the allocation, mirroring the paper's
@@ -290,22 +265,6 @@ mod tests {
         assert_eq!(v.values(), &[2.0, 5.0, 7.0]);
         assert_eq!(v.get(7).copied(), Some(7.0));
         assert_eq!(v.get(3), None);
-    }
-
-    #[test]
-    fn to_dense_scatters_entries() {
-        let v = SparseVec::from_pairs(5, vec![(0, 1.0), (4, 4.0)]).unwrap();
-        let d = v.to_dense(0.0);
-        assert_eq!(d.as_slice(), &[1.0, 0.0, 0.0, 0.0, 4.0]);
-    }
-
-    #[test]
-    fn from_dense_filtered_keeps_matching() {
-        let dense = [0.0, 3.0, 0.0, -1.0];
-        let v = SparseVec::from_dense_filtered(&dense, |&x| x != 0.0);
-        assert_eq!(v.indices(), &[1, 3]);
-        assert_eq!(v.values(), &[3.0, -1.0]);
-        assert_eq!(v.len(), 4);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 use sparse_substrate::gen::{grid2d, random_sparse_vec, rmat, RmatParams};
 use sparse_substrate::mmio::{read_matrix_market, write_matrix_market};
 use sparse_substrate::ops::spmspv_reference;
-use sparse_substrate::permute::Permutation;
 use sparse_substrate::{CscMatrix, PlusTimes};
 use spmspv::{AlgorithmKind, SpMSpV, SpMSpVBucket, SpMSpVOptions};
 use spmspv_graphs::{bfs, connected_components, pseudo_diameter};
@@ -23,27 +22,6 @@ fn matrix_market_roundtrip_feeds_the_bucket_algorithm() {
     let mut alg = SpMSpVBucket::new(&reread, SpMSpVOptions::with_threads(4));
     let y = alg.multiply(&x, &PlusTimes);
     assert!(y.approx_same_entries(&spmspv_reference(&a, &x, &PlusTimes), 1e-9));
-}
-
-#[test]
-fn bfs_levels_are_invariant_under_vertex_relabeling() {
-    // Relabel the graph with a random permutation; BFS from the relabeled
-    // source must reach the same number of vertices with the same level
-    // multiset.
-    let a = rmat(9, 8, RmatParams::graph500(), 11);
-    let n = a.ncols();
-    let p = Permutation::random(n, 99);
-    let b = p.permute_matrix(&a);
-
-    let ra = bfs(&a, 3, AlgorithmKind::Bucket, SpMSpVOptions::with_threads(4));
-    let rb = bfs(&b, p.apply(3), AlgorithmKind::Bucket, SpMSpVOptions::with_threads(4));
-    assert_eq!(ra.num_visited, rb.num_visited);
-
-    let mut levels_a: Vec<usize> = ra.levels.iter().flatten().copied().collect();
-    let mut levels_b: Vec<usize> = rb.levels.iter().flatten().copied().collect();
-    levels_a.sort_unstable();
-    levels_b.sort_unstable();
-    assert_eq!(levels_a, levels_b);
 }
 
 #[test]
