@@ -29,6 +29,10 @@
 //!    An unmasked call, a large mesh (its frontiers hold `O(√n)` vertices),
 //!    a column slice or a numeric semiring stops at the first gates, so
 //!    only BFS-shaped calls on dense levels pay more than a comparison.
+//!    A pulled call then goes straight to the scan, its exactness already
+//!    checked, on the participants its kept rows earn under the same
+//!    parallelism rule as rule 2 (`capped_for(kept)`; see
+//!    [`crate::pull`] for the participant and block rules).
 //! 2. Otherwise the workspace's one parallelism rule,
 //!    [`Executor::capped_for`], says how many participants `flops` earn.
 //!    One participant means the **sequential SPA**; more mean the
@@ -39,7 +43,8 @@
 //!
 //! A [`LaneBatch`](crate::batch::LaneBatch) of Adaptive lanes applies the
 //! same rules per lane: a lane spread over the pool runs on a one-thread
-//! kernel and so runs pull or the sequential SPA; the lanes of a narrow
+//! kernel and so runs pull on one participant or the sequential SPA (lanes
+//! are a spread batch's parallel axis); the lanes of a narrow
 //! batch run on the runner's kernel of `t` participants and decide by their
 //! own frontier. Neither constant is settable: α is Beamer's, and
 //! the parallelism rule's is measured (see [`Executor::capped_for`]). The
@@ -69,6 +74,29 @@ use crate::pull::{self, SpMSpVPull};
 /// here: a prototype of this rule read 0.34×, 0.36× and 0.33× of push
 /// alone at α = 4, 14 and 32 (seed-7 `rmat(17, 16)` BFS sweeps, 2-vCPU
 /// guest).
+///
+/// Re-derived for split pull by a per-level probe: seed-7 `rmat(17, 16)`,
+/// 16 probe-drawn sources, 102 masked `Select2ndMin` levels, each timed
+/// best of 7 under pull and under the push family the flops rule picks,
+/// three runs on a 2-vCPU guest. Summed kernel time of the levels as each α
+/// dispatches them, in ms:
+///
+/// | α                 | t = 1, three runs   | t = 2, three runs  |
+/// |-------------------|---------------------|--------------------|
+/// | 4                 | 96.2 / 87.0 / 85.3  | 71.7 / 73.1 / 64.0 |
+/// | 8                 | 95.7 / 87.2 / 84.4  | 67.9 / 69.3 / 61.0 |
+/// | 14                | 100.4 / 92.9 / 89.0 | 61.7 / 63.2 / 57.2 |
+/// | 32                | 103.2 / 95.7 / 91.9 | 62.6 / 64.0 / 57.8 |
+/// | per-level minimum | 95.4 / 86.7 / 84.3  | 61.7 / 63.1 / 57.2 |
+///
+/// At t = 1 the rule still pulls where push is faster: on the 5–7 levels
+/// of 354–522 frontier vertices with ~130.6 k rows left, pull read
+/// 1.02–1.41× push, and α = 4 or 8 would save ~5 %. At t = 2, the default
+/// on that guest, split pull turns those levels around (0.53–0.94× push)
+/// and α = 14 sits on the per-level minimum, where α = 8 loses 7–10 %. The
+/// one level left where pull loses is a last level of ~9 700 vertices over
+/// ~41 k kept rows, almost all of them isolated vertices (≤ 0.2 ms). So α
+/// stays 14; a rule aware of t would be a priced row term, not a second α.
 pub const PULL_ALPHA: usize = 14;
 
 /// [`AlgorithmKind::Adaptive`]: dispatches each single-vector call between
@@ -165,16 +193,16 @@ where
 /// in a BFS few vertices are visited and late few are left, so this walks
 /// `O(n/64 + min(kept, dropped))`.
 fn unvisited_edges<A: Scalar>(matrix: &CscMatrix<A>, mask: MaskView<'_>) -> usize {
-    let (bits, mode) = (mask.bits(), mask.mode());
-    let (kept, dropped) = match mode {
-        MaskMode::Keep => (bits.count(), MaskMode::Complement),
-        MaskMode::Complement => (bits.len() - bits.count(), MaskMode::Keep),
-    };
+    let bits = mask.bits();
     let degrees =
         |view: MaskView<'_>| -> usize { view.kept_rows().map(|i| matrix.column_nnz(i)).sum() };
-    if 2 * kept <= bits.len() {
+    if 2 * mask.kept() <= bits.len() {
         degrees(mask)
     } else {
+        let dropped = match mask.mode() {
+            MaskMode::Keep => MaskMode::Complement,
+            MaskMode::Complement => MaskMode::Keep,
+        };
         matrix.nnz() - degrees(MaskView::new(bits, dropped))
     }
 }
@@ -225,7 +253,9 @@ where
                 let pull = self.pull.get_or_insert_with(|| {
                     SpMSpVPull::new(self.matrix.clone(), self.options.clone())
                 });
-                SpMSpV::<A, X, S>::multiply_masked(pull, x, semiring, mask)
+                // `pull_pays` checked exactness and `check_rows` the mask,
+                // so the kernel does not check them again.
+                pull.pull(x, semiring, mask.expect("only a masked call pulls"))
             }
             AlgorithmKind::Sequential => {
                 let seq = self.sequential.get_or_insert_with(|| {
@@ -250,7 +280,10 @@ mod tests {
     use sparse_substrate::fixtures::tridiagonal;
     use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
     use sparse_substrate::ops::spmspv_reference;
-    use sparse_substrate::{CooMatrix, CscMatrix, PlusTimes, SparseVecBatch};
+    use sparse_substrate::{
+        CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, SparseVecBatch,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// An `m × m` star: column 0 (the hub) holds every row, and every other
     /// column `j` holds row `j` alone, so the mean column degree is under 2.
@@ -279,6 +312,54 @@ mod tests {
         let mut adaptive = adaptive(a, threads);
         let _ = adaptive.multiply(x, &PlusTimes);
         adaptive.last_choice()
+    }
+
+    /// `Select2ndMin`, counting the calls of its `first_hit_decides` hook.
+    #[derive(Default)]
+    struct CountingHook(AtomicUsize);
+
+    impl Semiring<f64, usize> for CountingHook {
+        type Output = usize;
+
+        fn zero(&self) -> usize {
+            Semiring::<f64, usize>::zero(&Select2ndMin)
+        }
+
+        fn multiply(&self, a: &f64, x: &usize) -> usize {
+            Select2ndMin.multiply(a, x)
+        }
+
+        fn add(&self, lhs: usize, rhs: usize) -> usize {
+            Semiring::<f64, usize>::add(&Select2ndMin, lhs, rhs)
+        }
+
+        fn first_hit_decides(&self, x: &[usize]) -> bool {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Semiring::<f64, usize>::first_hit_decides(&Select2ndMin, x)
+        }
+    }
+
+    #[test]
+    fn a_pulled_call_checks_exactness_once() {
+        // Frontier {3, 4} of a 10-vertex path with 2, 3 and 4 visited:
+        // α · 6 flops pass both `n` and the 19 edges left.
+        let a = tridiagonal(10);
+        let x = SparseVec::from_pairs(10, vec![(3, 3), (4, 4)]).unwrap();
+        let visited = MaskBits::from_indices(10, [2, 3, 4]);
+        let mask = Some(MaskView::new(&visited, MaskMode::Complement));
+        let expected = SparseVec::from_pairs(10, vec![(5, 4)]).unwrap();
+
+        let hook = CountingHook::default();
+        let mut adaptive = AdaptiveSpMSpV::new(&a, SpMSpVOptions::with_threads(2));
+        assert_eq!(adaptive.multiply_masked(&x, &hook, mask), expected);
+        assert_eq!(adaptive.last_choice(), Some(AlgorithmKind::Pull));
+        assert_eq!(hook.0.load(Ordering::Relaxed), 1, "Adaptive pulled");
+
+        // The standalone family checks for itself.
+        let hook = CountingHook::default();
+        let mut pull = SpMSpVPull::new(&a, SpMSpVOptions::with_threads(2));
+        assert_eq!(pull.multiply_masked(&x, &hook, mask), expected);
+        assert_eq!(hook.0.load(Ordering::Relaxed), 1, "Pull pulled");
     }
 
     #[test]

@@ -125,30 +125,30 @@ impl Executor {
         if self.threads == 1 {
             return items.map(f).collect();
         }
-        // A slot hands its item to whichever participant claims its index;
-        // the lock is never contended (an index is claimed once).
-        let slots: Vec<Mutex<Option<I::Item>>> = items.map(|item| Mutex::new(Some(item))).collect();
+        // A slot hands its item to whichever participant claims its index
+        // and takes back the result; the lock is never contended (an index
+        // is claimed once). Results need no sort, and the call's
+        // allocations (the slots, the results) do not depend on which
+        // participant ran which item.
+        let slots: Vec<_> = items.map(|item| Mutex::new((Some(item), None::<R>))).collect();
         let next = AtomicUsize::new(0);
-        let finished: Mutex<Vec<(usize, R)>> = Mutex::new(Vec::with_capacity(slots.len()));
-        let participate = || {
-            let mut mine = Vec::new();
-            loop {
-                // Relaxed: the counter only hands out indices; the item
-                // itself is published by its slot's mutex.
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(slot) = slots.get(i) else { break };
-                let item = recover(slot.lock()).take().expect("an index is claimed once");
-                mine.push((i, f(item)));
-            }
-            recover(finished.lock()).append(&mut mine);
+        let participate = || loop {
+            // Relaxed: the counter only hands out indices; the item and its
+            // result are published by the slot's mutex.
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = slots.get(i) else { break };
+            let item = recover(slot.lock()).0.take().expect("an index is claimed once");
+            let result = f(item);
+            recover(slot.lock()).1 = Some(result);
         };
         match self.threads.min(slots.len()).saturating_sub(1) {
             0 => participate(),
             helpers => fork_join(&participate, helpers),
         }
-        let mut finished = recover(finished.into_inner());
-        finished.sort_unstable_by_key(|&(i, _)| i);
-        finished.into_iter().map(|(_, result)| result).collect()
+        slots
+            .into_iter()
+            .map(|slot| recover(slot.into_inner()).1.expect("every item ran"))
+            .collect()
     }
 
     /// Runs `f` on every item, in parallel across this executor's

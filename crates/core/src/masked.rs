@@ -19,6 +19,7 @@
 //! (multi-source BFS) can hand the same visited set to every flush without
 //! copying `O(n)` bits per level.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use sparse_substrate::MaskBits;
@@ -79,14 +80,35 @@ impl<'m> MaskView<'m> {
         move |i| ((words[i / 64] >> (i % 64)) & 1 == 1) != flip
     }
 
+    /// How many rows the mask keeps, in `O(1)`: the bitmap's count, or its
+    /// length less the count.
+    #[inline]
+    pub fn kept(&self) -> usize {
+        match self.mode {
+            MaskMode::Keep => self.bits.count(),
+            MaskMode::Complement => self.bits.len() - self.bits.count(),
+        }
+    }
+
     /// The rows the mask keeps, in ascending order, read a bitmap word at
     /// a time: `O(len / 64 + kept)`. The bottom-up kernel
     /// ([`crate::pull`]) visits exactly these rows, and adaptive dispatch
     /// sums their degrees.
     pub fn kept_rows(&self) -> impl Iterator<Item = usize> + 'm {
+        self.kept_rows_in(0..self.bits.words().len())
+    }
+
+    /// [`MaskView::kept_rows`] restricted to the bitmap words `words`, that
+    /// is to rows `64 · words.start .. 64 · words.end` (cut at the mask's
+    /// length): `O(words.len() + kept)`. Consecutive word ranges walk
+    /// consecutive runs of the kept rows, which is how a split pull cuts
+    /// its scan into blocks.
+    pub(crate) fn kept_rows_in(&self, words: Range<usize>) -> impl Iterator<Item = usize> + 'm {
         let len = self.bits.len();
         let flip = if self.mode == MaskMode::Complement { u64::MAX } else { 0 };
-        self.bits.words().iter().enumerate().flat_map(move |(w, &word)| {
+        let start = words.start;
+        self.bits.words()[words].iter().enumerate().flat_map(move |(w, &word)| {
+            let w = start + w;
             // A complemented last word would keep the bits past `len`.
             let tail = if (w + 1) * 64 > len { (1u64 << (len % 64)) - 1 } else { u64::MAX };
             let mut kept = (word ^ flip) & tail;
@@ -204,6 +226,12 @@ mod tests {
                 let view = MaskView::new(&bits, mode);
                 let expected: Vec<usize> = (0..len).filter(|&i| view.keeps(i)).collect();
                 assert_eq!(view.kept_rows().collect::<Vec<_>>(), expected, "{len} {mode:?}");
+                assert_eq!(view.kept(), expected.len(), "{len} {mode:?}");
+                // Consecutive word ranges walk consecutive runs of the rows.
+                let words = len.div_ceil(64);
+                let halves =
+                    view.kept_rows_in(0..words / 2).chain(view.kept_rows_in(words / 2..words));
+                assert_eq!(halves.collect::<Vec<_>>(), expected, "{len} {mode:?}");
             }
         }
     }

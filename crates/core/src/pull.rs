@@ -27,12 +27,38 @@
 //! When one fails, the kernel runs the sequential SPA instead, so
 //! [`AlgorithmKind::Pull`](crate::AlgorithmKind::Pull) is a valid family
 //! for any call and its output always equals push's. Adaptive dispatch
-//! ([`crate::adaptive`]) checks the same conditions before it picks pull.
+//! ([`crate::adaptive`]) checks the same conditions before it picks pull,
+//! and then pulls without checking them again.
+//!
+//! Each kept row's answer depends only on its own column, the frontier
+//! bits and the rank table, all read-only during the scan, so the scan
+//! splits over participants with no synchronisation but the claim:
+//!
+//! * **participant rule:** [`Executor::capped_for`] of the kept-row count
+//!   ([`MaskView::kept`], `O(1)` from the bitmap), the workspace's one
+//!   parallelism rule fed with pull's own lower bound on its work: every
+//!   kept row reads its `colptr` and at least one `rowids` line. The push
+//!   flops would say nothing here, since they are what pull avoids reading;
+//! * **block rule:** at one participant one loop over the kept rows, with
+//!   no `map` call and no allocation beyond the output; on `t > 1`, `4t`
+//!   contiguous blocks of mask words (§III-A's bucket count; the probe
+//!   behind it is in `pull_blocks`), more than the participants and
+//!   claimed dynamically through [`Executor::map`], because rmat's hubs
+//!   sit at low ids and no static cut is even. Each block pulls its own
+//!   kept rows into its own vectors, and the blocks are concatenated in
+//!   order.
+//!
+//! The output, and [`SpMSpVPull::last_scanned`], are the same at every
+//! participant count.
+
+use std::ops::Range;
 
 use sparse_substrate::{CscMatrix, FrontierBits, Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
+use crate::bucket::BUCKETS_PER_THREAD;
+use crate::executor::{even_ranges, Executor};
 use crate::masked::MaskView;
 
 /// Whether a pull over `matrix` computes exactly what push computes for
@@ -51,11 +77,14 @@ where
 }
 
 /// [`AlgorithmKind::Pull`](crate::AlgorithmKind::Pull): the bottom-up
-/// kernel of the [module docs](self), on one participant. It visits the
-/// mask's kept rows in ascending order and emits each row that meets the
-/// frontier as it goes, so its output is sorted by construction.
+/// kernel of the [module docs](self), split over the participants its
+/// kept rows earn. Within a block of the mask it visits the kept rows in
+/// ascending order and emits each row that meets the frontier as it goes,
+/// and it concatenates the blocks in order, so its output is sorted by
+/// construction.
 pub struct SpMSpVPull<'a, A, Y> {
     matrix: MatrixRef<'a, A>,
+    executor: Executor,
     /// The frontier's columns, loaded on entry and cleared on exit (both
     /// `O(nnz(x))`, plus the `O(n/64)` rank rebuild). Column `j`'s position
     /// in `x` is one read of a rank table that fits in cache, where a
@@ -66,12 +95,12 @@ pub struct SpMSpVPull<'a, A, Y> {
 }
 
 impl<'a, A: Scalar, Y: Scalar> SpMSpVPull<'a, A, Y> {
-    /// Prepares the kernel (no workspace is allocated until a call needs
-    /// it). The options are taken for uniformity with the parallel
-    /// kernels; one participant has none to read.
-    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, _options: SpMSpVOptions) -> Self {
+    /// Prepares the kernel on the options' participants (no workspace is
+    /// allocated until a call needs it).
+    pub fn new(matrix: impl Into<MatrixRef<'a, A>>, options: SpMSpVOptions) -> Self {
         SpMSpVPull {
             matrix: matrix.into(),
+            executor: options.build_executor(),
             frontier: FrontierBits::default(),
             fallback: None,
             scanned: None,
@@ -81,37 +110,111 @@ impl<'a, A: Scalar, Y: Scalar> SpMSpVPull<'a, A, Y> {
     /// Matrix entries the last call read, or `None` when it ran the
     /// sequential SPA because pull would not have been exact. A row that
     /// meets a frontier member costs the entries up to and including it;
-    /// a row that meets none costs its whole column.
+    /// a row that meets none costs its whole column. The count is the same
+    /// at any participant count.
     pub fn last_scanned(&self) -> Option<usize> {
         self.scanned
     }
 
-    fn pull<X: Scalar, S: Semiring<A, X, Output = Y>>(
+    /// The pull itself, for a call that [`is_exact`] and whose mask spans
+    /// the matrix's rows; the caller has checked both. It runs on the
+    /// participants the mask's kept rows earn and, on more than one, on
+    /// `4t` blocks (the participant and block rules of the
+    /// [module docs](self)).
+    pub(crate) fn pull<X: Scalar, S: Semiring<A, X, Output = Y>>(
         &mut self,
+        x: &SparseVec<X>,
+        semiring: &S,
+        mask: MaskView<'_>,
+    ) -> SparseVec<Y> {
+        let executor = self.executor.capped_for(mask.kept());
+        self.pull_on(executor, x, semiring, mask)
+    }
+
+    /// [`SpMSpVPull::pull`] on `executor`'s participants, whatever the
+    /// call's kept rows earn.
+    fn pull_on<X: Scalar, S: Semiring<A, X, Output = Y>>(
+        &mut self,
+        executor: Executor,
         x: &SparseVec<X>,
         semiring: &S,
         mask: MaskView<'_>,
     ) -> SparseVec<Y> {
         let matrix = &*self.matrix;
         self.frontier.load(matrix.ncols(), x.indices());
+        let words = mask.bits().words().len();
         let frontier = &self.frontier;
-        let (mut indices, mut values) = (Vec::new(), Vec::new());
-        let mut scanned = 0;
-        for i in mask.kept_rows() {
-            let (rows, vals) = matrix.column(i);
-            match rows.iter().position(|&j| frontier.contains(j)) {
-                Some(k) => {
-                    scanned += k + 1;
-                    indices.push(i);
-                    values.push(semiring.multiply(&vals[k], &x.values()[frontier.rank(rows[k])]));
-                }
-                None => scanned += rows.len(),
-            }
-        }
+        let scan =
+            |block| pull_rows(matrix, frontier, x.values(), semiring, mask.kept_rows_in(block));
+        let (indices, values, scanned) = if executor.threads() == 1 {
+            scan(0..words)
+        } else {
+            concatenate(executor.map(pull_blocks(words, executor.threads()), scan))
+        };
         self.frontier.clear(x.indices());
         self.scanned = Some(scanned);
         SparseVec::from_parts(matrix.nrows(), indices, values).expect("kept rows ascend")
     }
+}
+
+/// The blocks a pull over `words` mask words on `t` participants claims:
+/// `4t` contiguous, near-equal word ranges, as many as the bucket kernel's
+/// buckets (§III-A).
+///
+/// Block size was probed on seed-7 `bfs_rmat` (2-vCPU guest, 6 alternating
+/// rounds at `--seconds 6`, `op_p50_ms` median [q1, q3]): `4t` blocks
+/// (256 words at t = 2) read 5.27 [5.22, 5.49] ms and fixed 32-word blocks
+/// 5.47 [5.26, 5.78] ms, against one participant's 6.85 [6.62, 6.96] ms.
+/// An earlier prototype had found fixed 8-word blocks losing about half
+/// the gain to the hand-off per item, and 128-word blocks reading as
+/// 32-word ones did. So the paper's count needs no constant of its own.
+fn pull_blocks(words: usize, t: usize) -> Vec<Range<usize>> {
+    even_ranges(words, BUCKETS_PER_THREAD * t)
+}
+
+/// Pulls each of `rows` (ascending): scans its column up to the first
+/// frontier member and, if one is found, emits the row with the product of
+/// that entry. Returns the emitted rows, their values and the entries
+/// read.
+fn pull_rows<A, X, S>(
+    matrix: &CscMatrix<A>,
+    frontier: &FrontierBits,
+    x: &[X],
+    semiring: &S,
+    rows: impl Iterator<Item = usize>,
+) -> (Vec<usize>, Vec<S::Output>, usize)
+where
+    A: Scalar,
+    X: Scalar,
+    S: Semiring<A, X>,
+{
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    let mut scanned = 0;
+    for i in rows {
+        let (rows, vals) = matrix.column(i);
+        match rows.iter().position(|&j| frontier.contains(j)) {
+            Some(k) => {
+                scanned += k + 1;
+                indices.push(i);
+                values.push(semiring.multiply(&vals[k], &x[frontier.rank(rows[k])]));
+            }
+            None => scanned += rows.len(),
+        }
+    }
+    (indices, values, scanned)
+}
+
+/// The blocks' outputs in block order, and their summed scan counts.
+fn concatenate<Y>(blocks: Vec<(Vec<usize>, Vec<Y>, usize)>) -> (Vec<usize>, Vec<Y>, usize) {
+    let total = blocks.iter().map(|(indices, ..)| indices.len()).sum();
+    let (mut indices, mut values) = (Vec::with_capacity(total), Vec::with_capacity(total));
+    let mut scanned = 0;
+    for (block_indices, block_values, block_scanned) in blocks {
+        indices.extend(block_indices);
+        values.extend(block_values);
+        scanned += block_scanned;
+    }
+    (indices, values, scanned)
 }
 
 impl<'a, A, X, S> SpMSpV<A, X, S> for SpMSpVPull<'a, A, S::Output>
@@ -192,6 +295,74 @@ mod tests {
         let mask = MaskView::new(&visited, MaskMode::Complement);
         let y = pull.multiply_masked(&x, &Select2ndMin, Some(mask));
         assert_eq!(y, SparseVec::from_pairs(10, vec![(7, 8), (9, 8)]).unwrap());
+    }
+
+    /// Pulls `x` under `mask` over `a` at one participant and split at
+    /// {2, 3, 8}, asserting that every split equals the one-participant
+    /// pull, scan count included, and that it equals push.
+    fn split_equals_one_participant(
+        a: &CscMatrix<f64>,
+        x: &SparseVec<usize>,
+        mask: MaskView<'_>,
+    ) -> SparseVec<usize> {
+        let mut pull = SpMSpVPull::new(a, SpMSpVOptions::default());
+        let one = pull.pull_on(Executor::new(1), x, &Select2ndMin, mask);
+        let scanned = pull.last_scanned();
+        for threads in [2, 3, 8] {
+            let split = pull.pull_on(Executor::new(threads), x, &Select2ndMin, mask);
+            assert_eq!(split, one, "t = {threads}");
+            assert_eq!(pull.last_scanned(), scanned, "t = {threads}");
+        }
+        let mut seq = SequentialSpa::new(a, SpMSpVOptions::default());
+        let push = SpMSpV::<f64, usize, Select2ndMin>::multiply_masked(
+            &mut seq,
+            x,
+            &Select2ndMin,
+            Some(mask),
+        );
+        assert_eq!(one, push);
+        one
+    }
+
+    #[test]
+    fn a_split_pull_keeps_the_first_and_last_row_of_every_block() {
+        let n = 3000;
+        let a = tridiagonal(n);
+        // Every vertex is in the frontier, so every kept row meets it at its
+        // first entry: row 0 at itself, row `i > 0` at `i − 1`.
+        let x = SparseVec::from_parts(n, (0..n).collect(), (0..n).collect()).unwrap();
+        for t in [2, 3, 8] {
+            let edges: Vec<usize> = pull_blocks(n.div_ceil(64), t)
+                .into_iter()
+                .filter(|block| !block.is_empty())
+                .flat_map(|block| [64 * block.start, n.min(64 * block.end) - 1])
+                .collect();
+            assert_eq!(edges.len(), 2 * 4 * t, "t = {t}");
+            let bits = MaskBits::from_indices(n, edges.iter().copied());
+            let y = split_equals_one_participant(&a, &x, MaskView::new(&bits, MaskMode::Keep));
+            assert_eq!(y.indices(), edges, "t = {t}");
+            let parents: Vec<usize> = edges.iter().map(|&i| i.saturating_sub(1)).collect();
+            assert_eq!(y.values(), parents, "t = {t}");
+        }
+    }
+
+    #[test]
+    fn a_split_pull_reads_no_row_past_a_complemented_last_word() {
+        // Around a word, and at t = 2 (eight blocks) around blocks of one
+        // word (512 rows) and of three (1 536 rows).
+        for len in [63, 64, 65, 511, 512, 513, 1535, 1537] {
+            let a = tridiagonal(len);
+            // Every third vertex and the second-to-last, all visited: the
+            // last row is kept and meets the frontier, and the last word's
+            // bits past `len` are kept too once complemented.
+            let frontier: Vec<usize> = (1..len - 2).step_by(3).chain([len - 2]).collect();
+            let x = SparseVec::from_parts(len, frontier.clone(), frontier.clone()).unwrap();
+            let visited = MaskBits::from_indices(len, frontier);
+            let mask = MaskView::new(&visited, MaskMode::Complement);
+            let y = split_equals_one_participant(&a, &x, mask);
+            assert_eq!(y.indices().last(), Some(&(len - 1)), "len {len}");
+            assert_eq!(y.values().last(), Some(&(len - 2)), "len {len}");
+        }
     }
 
     #[test]

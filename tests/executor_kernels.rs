@@ -6,9 +6,8 @@
 //! lanes earn one participant each but several together.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, ThreadId};
-use std::time::Duration;
 
 use sparse_substrate::gen::{erdos_renyi, random_sparse_vec, rmat, RmatParams};
 use sparse_substrate::ops::required_multiplications;
@@ -17,6 +16,9 @@ use spmspv::{
     AlgorithmKind, BatchMaskView, Executor, LaneBatch, MaskMode, MaskView, SpMSpV, SpMSpVBucket,
     SpMSpVOptions,
 };
+
+mod rendezvous;
+use rendezvous::Rendezvous;
 
 /// `(+, ×)` over `f64` that notes which thread ran each `multiply` (the
 /// bucketing step) and each `add` (the merge step).
@@ -45,44 +47,6 @@ impl Semiring<f64, f64> for ThreadRecorder {
 
     fn add(&self, lhs: f64, rhs: f64) -> f64 {
         self.note();
-        lhs + rhs
-    }
-}
-
-/// `(+, ×)` over `f64` whose `multiply` waits until two threads have
-/// multiplied, for at most a second in all. Two lanes that run side by side
-/// meet at once; lanes that run one after another on one thread spend the
-/// second waiting and then see one thread only.
-#[derive(Default)]
-struct Rendezvous {
-    state: Mutex<(HashSet<ThreadId>, bool)>,
-    met: Condvar,
-}
-
-impl Semiring<f64, f64> for Rendezvous {
-    type Output = f64;
-
-    fn zero(&self) -> f64 {
-        0.0
-    }
-
-    fn multiply(&self, a: &f64, x: &f64) -> f64 {
-        let mut state = self.state.lock().unwrap();
-        if state.0.insert(thread::current().id()) {
-            self.met.notify_all();
-        }
-        // The flag records that a wait timed out, so no later call waits.
-        if state.0.len() < 2 && !state.1 {
-            let (mut state, timeout) = self
-                .met
-                .wait_timeout_while(state, Duration::from_secs(1), |(seen, _)| seen.len() < 2)
-                .unwrap();
-            state.1 |= timeout.timed_out();
-        }
-        a * x
-    }
-
-    fn add(&self, lhs: f64, rhs: f64) -> f64 {
         lhs + rhs
     }
 }
@@ -154,10 +118,10 @@ fn small_lanes_of_a_batch_run_side_by_side() {
         LaneBatch::new(&a, AlgorithmKind::Bucket, opts.clone()).multiply_batch(&x, &PlusTimes);
     for kind in [AlgorithmKind::Bucket, AlgorithmKind::Adaptive] {
         let mut batch = LaneBatch::new(&a, kind, opts.clone());
-        let rendezvous = Rendezvous::default();
+        let rendezvous = Rendezvous::<PlusTimes>::default();
         assert_eq!(batch.multiply_batch(&x, &rendezvous), expected, "{kind}");
-        let (seen, timed_out) = rendezvous.state.into_inner().unwrap();
-        assert!(!timed_out && seen.len() == 2, "{kind}: the lanes ran one after another");
+        let (seen, timed_out) = rendezvous.outcome();
+        assert!(!timed_out && seen == 2, "{kind}: the lanes ran one after another");
     }
 }
 

@@ -12,6 +12,12 @@
 //! do not ascend, `PlusTimes` — it declines, and the result still equals
 //! push.
 //!
+//! Split pull: on `rmat(15, 16)`, whose wide levels keep enough rows to earn
+//! a second participant, pull at 2, 3 and 8 threads equals the
+//! one-participant pull level by level, entries scanned included, BFS at
+//! every thread count equals push, and a second thread is shown to run a
+//! block.
+//!
 //! Counts, not times: on rmat, Adaptive's entries scanned stay near the
 //! per-level minimum of push and pull; on a mesh, Adaptive never gets past
 //! the `O(1)` gates; and a matrix's symmetry flag is computed only where a
@@ -24,10 +30,13 @@ use sparse_substrate::ops::required_multiplications;
 use sparse_substrate::{CooMatrix, CscMatrix, MaskBits, PlusTimes, Select2ndMin, SparseVec};
 use spmspv::engine::{Engine, EngineConfig, MxvRequest};
 use spmspv::{
-    obs, AdaptiveSpMSpV, AlgorithmKind, MaskMode, MaskView, SpMSpV, SpMSpVBucket, SpMSpVOptions,
-    SpMSpVPull,
+    obs, AdaptiveSpMSpV, AlgorithmKind, Executor, MaskMode, MaskView, SpMSpV, SpMSpVBucket,
+    SpMSpVOptions, SpMSpVPull,
 };
 use spmspv_graphs::{bfs, multi_bfs, BfsResult};
+
+mod rendezvous;
+use rendezvous::Rendezvous;
 
 /// `a`'s pattern made symmetric (values summed where an entry meets its
 /// mirror).
@@ -192,6 +201,56 @@ fn multi_bfs_lanes_pull_and_equal_single_push_bfs() {
     if obs::global().enabled() {
         assert!(pulls >= replayed_pulls as u64, "{pulls} pulls counted, {replayed_pulls} replayed");
     }
+}
+
+/// Split pull: on `rmat(15, 16)` the BFS levels that keep 16 000 rows or
+/// more earn pull a second participant, which claims blocks of mask words
+/// beside the caller.
+#[test]
+fn split_pull_equals_one_participant_and_push_at_every_thread_count() {
+    let a = rmat_graph(15);
+    let source = *sources(&a).last().expect("the highest-degree vertex");
+    let push = bfs(&a, source, AlgorithmKind::Bucket, SpMSpVOptions::with_threads(2));
+    for threads in [1, 2, 3, 8] {
+        for kind in [AlgorithmKind::Pull, AlgorithmKind::Adaptive] {
+            let got = bfs(&a, source, kind, SpMSpVOptions::with_threads(threads));
+            assert_same_bfs(&format!("t = {threads}, {kind}"), &got, &push);
+        }
+    }
+
+    // Level by level, the split pull is the one-participant pull, its scan
+    // count included.
+    let levels = levels_of(&push);
+    let earns_two = |mask: MaskView<'_>| Executor::new(2).capped_for(mask.kept()).threads() == 2;
+    let mut one = SpMSpVPull::new(&a, SpMSpVOptions::with_threads(1));
+    let mut splits: Vec<_> =
+        [2, 3, 8].map(|t| (t, SpMSpVPull::new(&a, SpMSpVOptions::with_threads(t)))).into();
+    for (level, (x, visited)) in levels.iter().enumerate() {
+        let mask = Some(complement(visited));
+        let expected =
+            SpMSpV::<f64, usize, Select2ndMin>::multiply_masked(&mut one, x, &Select2ndMin, mask);
+        assert!(one.last_scanned().is_some(), "level {level}: pull declined");
+        for (threads, split) in &mut splits {
+            let y =
+                SpMSpV::<f64, usize, Select2ndMin>::multiply_masked(split, x, &Select2ndMin, mask);
+            assert_eq!(y, expected, "level {level}, t = {threads}");
+            assert_eq!(split.last_scanned(), one.last_scanned(), "level {level}, t = {threads}");
+        }
+    }
+    let split_levels: Vec<_> =
+        levels.iter().filter(|(_, visited)| earns_two(complement(visited))).collect();
+    assert!(split_levels.len() >= 2, "{} levels earn a second participant", split_levels.len());
+
+    // Replayed with a semiring that waits for a second thread: a second
+    // participant really ran a block.
+    let mut split = SpMSpVPull::new(&a, SpMSpVOptions::with_threads(2));
+    let met = split_levels.iter().any(|(x, visited)| {
+        let rendezvous = Rendezvous::<Select2ndMin>::default();
+        let y = split.multiply_masked(x, &rendezvous, Some(complement(visited)));
+        assert_eq!(y, one.multiply_masked(x, &Select2ndMin, Some(complement(visited))));
+        rendezvous.outcome().0 >= 2
+    });
+    assert!(met, "no level ran a block on a second thread");
 }
 
 /// Runs `x` through forced pull, push and Adaptive, asserting that the
