@@ -212,8 +212,9 @@ pub struct WireFrontier<X> {
     /// Remaining deadline budget in microseconds (relative — the host
     /// re-anchors it to a local `Instant` on receive).
     pub deadline_micros: Option<u64>,
-    /// Output mask sidecar (full output height, shared by all shards).
-    pub mask: Option<(MaskBits, MaskMode)>,
+    /// Output mask sidecar (full output height, shared by all shards and
+    /// by reference, as [`MxvRequest`](crate::engine::MxvRequest) holds it).
+    pub mask: Option<(Arc<MaskBits>, MaskMode)>,
 }
 
 /// Everything that can travel on a shard connection: a `Frontier`, the two
@@ -574,7 +575,7 @@ fn decode_payload<X: WireScalar, Y: WireScalar>(
                     let bits = MaskBits::from_words(len, words)
                         .map_err(|_| DecodeError::Corrupt("inconsistent mask words"))?;
                     let mode = if flag == 1 { MaskMode::Keep } else { MaskMode::Complement };
-                    Some((bits, mode))
+                    Some((Arc::new(bits), mode))
                 }
                 _ => return Err(DecodeError::Corrupt("unknown mask flag")),
             };
@@ -685,22 +686,4 @@ pub fn read_frame<X: WireScalar, Y: WireScalar, R: Read>(
     }
     let frame = decode_payload(tag, &payload)?;
     Ok(Some((frame, HEADER_LEN + payload_len)))
-}
-
-/// Builds the wire frontier for one routed sub-request, copying the mask
-/// sidecar the router shares by reference.
-pub fn wire_frontier<X: Scalar>(
-    request: u64,
-    shard: usize,
-    slice: SparseVec<X>,
-    deadline_micros: Option<u64>,
-    mask: Option<(Arc<MaskBits>, MaskMode)>,
-) -> WireFrontier<X> {
-    WireFrontier {
-        request,
-        shard,
-        slice,
-        deadline_micros,
-        mask: mask.map(|(bits, mode)| ((*bits).clone(), mode)),
-    }
 }

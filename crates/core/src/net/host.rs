@@ -36,6 +36,7 @@ use std::time::{Duration, Instant};
 use sparse_substrate::{CscMatrix, Scalar, Semiring};
 
 use crate::engine::{Engine, EngineConfig, EngineError, MxvRequest, Ticket};
+use crate::shard::settle;
 
 use super::codec::{
     read_frame, write_frame, Frame, WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN,
@@ -319,7 +320,7 @@ fn serve_connection<A, X, S>(
                 } else {
                     let request = MxvRequest {
                         frontier: w.slice,
-                        mask: w.mask.map(|(bits, mode)| (Arc::new(bits), mode)),
+                        mask: w.mask,
                         deadline: w.deadline_micros.map(|b| received + Duration::from_micros(b)),
                     };
                     Inflight::Ticket(engine.submit(request))
@@ -333,19 +334,9 @@ fn serve_connection<A, X, S>(
                 for (id, entry) in inflight.drain(..) {
                     let mut reply: Frame<X, S::Output> = match entry {
                         Inflight::Resolved(e) => Frame::Error { request: id, shard, error: e },
-                        Inflight::Ticket(t) => match t.try_take() {
-                            Some(Ok(y)) => Frame::Partial { request: id, shard, partial: y },
-                            Some(Err(e)) => Frame::Error { request: id, shard, error: e },
-                            None => {
-                                t.cancel();
-                                Frame::Error {
-                                    request: id,
-                                    shard,
-                                    error: EngineError::KernelFailed(
-                                        "host never flushed the sub-request".into(),
-                                    ),
-                                }
-                            }
+                        Inflight::Ticket(t) => match settle(t) {
+                            Ok(y) => Frame::Partial { request: id, shard, partial: y },
+                            Err(e) => Frame::Error { request: id, shard, error: e },
                         },
                     };
                     // Malicious variant: echo a correlation id nobody asked

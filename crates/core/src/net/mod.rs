@@ -1,16 +1,19 @@
 //! Remote sharding: the shard protocol over sockets.
 //!
-//! The [`shard`](crate::shard) router hands its transport plain-data
-//! sub-requests and reads back plain-data
-//! [`ShardMsg`](crate::shard::ShardMsg) replies precisely so the per-shard
-//! hop could leave the process. This module is that step — the
-//! CombBLAS lineage's distributed-memory decomposition realized as a
-//! serving fleet: shard engines live in [`ShardHost`] daemons, and a
-//! [`TcpTransport`] behind the unchanged
-//! [`ShardedEngine`](crate::shard::ShardedEngine) front door carries
-//! frontiers out and partials back. No external dependencies: the wire
-//! format is hand-rolled length-prefixed little-endian framing over
-//! `std::net`.
+//! The [`shard`](crate::shard) router keeps every sub-request queued until
+//! its flush, then hands its transport one shard's batch of plain-data
+//! sub-requests at a time and reads back plain-data
+//! [`ShardMsg`](crate::shard::ShardMsg) replies, precisely so the per-shard
+//! hop could leave the process. This module is that step — the CombBLAS
+//! lineage's distributed-memory decomposition realized as a serving fleet:
+//! shard engines live in [`ShardHost`] daemons, and a [`TcpTransport`]
+//! behind the unchanged [`ShardedEngine`](crate::shard::ShardedEngine)
+//! front door carries one shard's batch out and its partials back. The
+//! transport holds no queue: the router's flush owns the per-shard
+//! threads, the injected outages (the `shard.flush.<s>` failpoint never
+//! reaches the wire) and the cancelled requests (never written). No
+//! external dependencies: the wire format is hand-rolled length-prefixed
+//! little-endian framing over `std::net`.
 //!
 //! ## Wire format
 //!

@@ -1,10 +1,11 @@
 //! [`TcpTransport`]: the router side of the remote shard protocol.
 //!
 //! Every shard is backed by one or more replica [`ShardHost`](super::ShardHost)
-//! addresses. During [`exchange`](crate::shard::ShardTransport::exchange) one
-//! scoped thread per involved shard scatters the queued `Frontier` frames +
-//! one `Flush` to the shard's preferred replica, then gathers the replies
-//! with a per-reply deadline check. When a replica fails — outage *or*
+//! addresses. [`exchange`](crate::shard::ShardTransport::exchange) serves one
+//! shard's batch — the router calls it from one scoped thread per involved
+//! shard: it writes the batch's `Frontier` frames + one `Flush` to the
+//! shard's preferred replica, then gathers the replies with a per-reply
+//! deadline check. When a replica fails — outage *or*
 //! quarantine — the whole batch is re-sent to the next replica with its
 //! deadline budgets recomputed, so a single host death degrades to a retry
 //! instead of failing every routed ticket. Only when every replica of a
@@ -43,12 +44,12 @@ use sparse_substrate::{Scalar, Semiring};
 
 use crate::engine::{EngineError, FlushOutcome};
 use crate::obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
-use crate::shard::transport::{Exchange, ShardTransport, WireRequest};
+use crate::shard::transport::{ShardTransport, WireRequest};
 use crate::shard::{ShardMsg, ShardPlan, ShardedEngine};
 use crate::stats::EngineStats;
 
 use super::codec::{
-    encode_frame, read_frame, write_frame, DecodeError, Frame, WireError, WireScalar,
+    encode_frame, read_frame, write_frame, DecodeError, Frame, WireError, WireFrontier, WireScalar,
     DEFAULT_MAX_FRAME,
 };
 
@@ -575,7 +576,6 @@ fn probe_replica(shared: &Shared, s: usize, rep: &mut Replica, interval: Duratio
 /// [`ShardedEngine::connect_replicated`].
 pub struct TcpTransport<X, Y> {
     shared: Arc<Shared>,
-    queues: Vec<Mutex<Vec<WireRequest<X>>>>,
     heartbeat: Option<std::thread::JoinHandle<()>>,
     marker: PhantomData<fn() -> (X, Y)>,
 }
@@ -652,12 +652,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
             let shared = Arc::clone(&shared);
             std::thread::spawn(move || heartbeat_loop(shared, interval))
         });
-        Ok(TcpTransport {
-            queues: groups.iter().map(|_| Mutex::new(Vec::new())).collect(),
-            shared,
-            heartbeat,
-            marker: PhantomData,
-        })
+        Ok(TcpTransport { shared, heartbeat, marker: PhantomData })
     }
 
     /// One scatter→gather round trip against one replica: (re)connect and
@@ -684,29 +679,27 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         let t_encode = Instant::now();
         let mut buf = Vec::new();
         for req in batch {
-            if replies.iter().any(|m| m.request() == req.request) {
+            if replies.iter().any(|m| m.request == req.request) {
                 // Failed permanently on an earlier attempt (oversize).
                 continue;
             }
-            let budget = req
-                .deadline
-                .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64)
-                .or(req.deadline_micros);
-            let frame: Frame<X, Y> = Frame::Frontier(super::codec::wire_frontier(
-                req.request,
-                s,
-                req.slice.clone(),
-                budget,
-                req.mask.clone(),
-            ));
+            let frame: Frame<X, Y> = Frame::Frontier(WireFrontier {
+                request: req.request,
+                shard: s,
+                slice: req.slice.clone(),
+                deadline_micros: req
+                    .deadline
+                    .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64),
+                mask: req.mask.clone(),
+            });
             if let Err(e) = encode_frame(&frame, &mut buf, DEFAULT_MAX_FRAME) {
                 // An unencodable frontier (oversize) fails only its own
                 // request — deterministically, so no replica retries it.
-                replies.push(ShardMsg::error(
-                    req.request,
-                    s,
-                    EngineError::KernelFailed(format!("shard {s}: encode: {e}")),
-                ));
+                replies.push(ShardMsg {
+                    request: req.request,
+                    shard: s,
+                    result: Err(EngineError::KernelFailed(format!("shard {s}: encode: {e}"))),
+                });
             }
         }
         let flush: Frame<X, Y> = Frame::Flush;
@@ -717,7 +710,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         // Oversize casualties were already failed above; everything else
         // expects exactly one reply.
         let expect: Vec<&WireRequest<X>> =
-            batch.iter().filter(|r| !replies.iter().any(|m| m.request() == r.request)).collect();
+            batch.iter().filter(|r| !replies.iter().any(|m| m.request == r.request)).collect();
 
         let stream = rep.stream.as_mut().expect("just connected");
         if let Err(e) = stream.write_all(&buf) {
@@ -763,7 +756,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                         }));
                     }
                     let req = expect.iter().find(|r| r.request == request);
-                    if req.is_none() || gathered.iter().any(|m| m.request() == request) {
+                    if req.is_none() || gathered.iter().any(|m| m.request == request) {
                         return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest {
                             request,
                         }));
@@ -771,15 +764,9 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                     // Per-reply deadline check: a partial gathered after
                     // its request's deadline is already worthless.
                     let late = req.and_then(|r| r.deadline).is_some_and(|d| Instant::now() >= d);
-                    if late {
-                        gathered.push(ShardMsg::error(
-                            request,
-                            shard,
-                            EngineError::DeadlineExceeded,
-                        ));
-                    } else {
-                        gathered.push(ShardMsg::partial(request, shard, partial));
-                    }
+                    let result =
+                        if late { Err(EngineError::DeadlineExceeded) } else { Ok(partial) };
+                    gathered.push(ShardMsg { request, shard, result });
                 }
                 Frame::Error { request, shard, error } => {
                     if shard != s {
@@ -789,7 +776,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                         }));
                     }
                     if !expect.iter().any(|r| r.request == request)
-                        || gathered.iter().any(|m| m.request() == request)
+                        || gathered.iter().any(|m| m.request == request)
                     {
                         return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest {
                             request,
@@ -802,7 +789,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                         }
                         other => other,
                     };
-                    gathered.push(ShardMsg::error(request, shard, error));
+                    gathered.push(ShardMsg { request, shard, result: Err(error) });
                 }
                 Frame::Done { shard, lanes, requests, execute_micros } => {
                     if shard != s {
@@ -852,6 +839,16 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         replies.extend(gathered);
         Ok(done)
     }
+}
+
+impl<X, Y> ShardTransport<X, Y> for TcpTransport<X, Y>
+where
+    X: WireScalar,
+    Y: WireScalar,
+{
+    fn num_shards(&self) -> usize {
+        self.shared.replicas.len()
+    }
 
     /// The whole exchange for one shard, walking its replicas in health
     /// order. A failed attempt records the failure (outage → breaker
@@ -860,7 +857,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
     /// next replica. Only when every replica fails do the shard's
     /// sub-requests fail, with a `shard <s>:`-prefixed `KernelFailed` —
     /// one reply per live sub-request, always.
-    fn exchange_shard(
+    fn exchange(
         &self,
         s: usize,
         batch: Vec<WireRequest<X>>,
@@ -870,12 +867,12 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         // one reply per routed sub-request, whatever broke.
         let fail_unanswered = |replies: &mut Vec<ShardMsg<Y>>, msg: &str| {
             for req in &batch {
-                if !replies.iter().any(|m| m.request() == req.request) {
-                    replies.push(ShardMsg::error(
-                        req.request,
-                        s,
-                        EngineError::KernelFailed(format!("shard {s}: {msg}")),
-                    ));
+                if !replies.iter().any(|m| m.request == req.request) {
+                    replies.push(ShardMsg {
+                        request: req.request,
+                        shard: s,
+                        result: Err(EngineError::KernelFailed(format!("shard {s}: {msg}"))),
+                    });
                 }
             }
         };
@@ -915,77 +912,6 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         fail_unanswered(&mut replies, &last_err);
         shared.metrics.rpc_time.record_duration(t_rpc.elapsed());
         (replies, None)
-    }
-}
-
-impl<X, Y> ShardTransport<X, Y> for TcpTransport<X, Y>
-where
-    X: WireScalar,
-    Y: WireScalar,
-{
-    fn num_shards(&self) -> usize {
-        self.shared.replicas.len()
-    }
-
-    fn enqueue(&self, request: WireRequest<X>) {
-        crate::engine::lock(&self.queues[request.shard]).push(request);
-    }
-
-    fn queued(&self, shard: usize) -> usize {
-        crate::engine::lock(&self.queues[shard]).len()
-    }
-
-    fn involved(&self) -> Vec<usize> {
-        (0..self.queues.len()).filter(|&s| self.queued(s) > 0).collect()
-    }
-
-    fn retire(&self, ids: &[u64]) {
-        for queue in &self.queues {
-            crate::engine::lock(queue).retain(|req| !ids.contains(&req.request));
-        }
-    }
-
-    fn exchange(&self, down: &[Option<String>], retired: &[u64]) -> Exchange<Y> {
-        let shards = self.shared.replicas.len();
-        let mut per_shard = vec![FlushOutcome::default(); shards];
-        let mut shards_flushed = 0;
-        let mut replies = Vec::new();
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (s, queue) in self.queues.iter().enumerate() {
-                let batch: Vec<WireRequest<X>> = {
-                    let mut queue = crate::engine::lock(queue);
-                    queue.drain(..).filter(|req| !retired.contains(&req.request)).collect()
-                };
-                if batch.is_empty() {
-                    continue;
-                }
-                // An injected outage never reaches the wire: the downed
-                // shard's sub-requests fail with the same shape a broken
-                // connection produces.
-                if let Some(msg) = &down[s] {
-                    for req in &batch {
-                        replies.push(ShardMsg::error(
-                            req.request,
-                            s,
-                            EngineError::KernelFailed(format!("shard {s}: {msg}")),
-                        ));
-                    }
-                    continue;
-                }
-                handles.push((s, scope.spawn(move || self.exchange_shard(s, batch))));
-            }
-            for (s, handle) in handles {
-                let (shard_replies, done) = handle.join().expect("shard exchange thread panicked");
-                replies.extend(shard_replies);
-                if let Some(outcome) = done {
-                    per_shard[s] = outcome;
-                    shards_flushed += 1;
-                }
-            }
-        });
-        Exchange { replies, per_shard, shards_flushed, execute_time: t0.elapsed() }
     }
 
     fn shard_stats(&self, _shard: usize) -> Option<EngineStats> {

@@ -62,7 +62,7 @@
 //! | `shard.failed` | counter | tickets failed by a shard-side error |
 //! | `shard.fanout` | histogram | owning shards per routed request (a count, not ns) |
 //! | `shard.merge.time` | histogram | ns ⊕-merging partials, one sample per flush |
-//! | `shard.queue_depth.<s>` | gauge | sub-requests queued in shard `s`'s engine |
+//! | `shard.queue_depth.<s>` | gauge | sub-requests queued for shard `s` at the router |
 //!
 //! A router connected over sockets ([`crate::shard::ShardedEngine::connect`])
 //! adds the transport family to the same registry:

@@ -16,17 +16,18 @@ use crate::obs::{Counter, Gauge, Histogram, Registry, TraceKind};
 use crate::stats::EngineStats;
 
 use super::transport::{InProcess, ShardTransport, WireRequest};
-use super::{merge_partials, ShardMsg, ShardPlan};
+use super::{merge_partials, ShardPlan};
 
-/// One routed request awaiting its shards' partials: the client-facing
-/// ticket slot plus the owning shards it fanned out to, in ascending shard
-/// order (the merge fold order). The per-shard sub-requests live in the
-/// transport.
-struct Routed<Y> {
+/// One routed request awaiting its flush: the client-facing ticket slot,
+/// the owning shards it fanned out to in ascending shard order (the merge
+/// fold order), and one sub-request per owning shard, parallel to `fanout`.
+/// The sub-requests leave the router only at the flush.
+struct Routed<X, Y> {
     id: u64,
     session: u64,
     shared: Arc<TicketShared<Y>>,
     fanout: Vec<usize>,
+    subs: Vec<WireRequest<X>>,
     deadline: Option<Instant>,
 }
 
@@ -43,7 +44,8 @@ pub(crate) struct ShardMetrics {
     fanout: Arc<Histogram>,
     /// `shard.merge.time` — per-flush ⊕-merge latency.
     merge_time: Arc<Histogram>,
-    /// `shard.queue_depth.<s>` — sub-requests queued for shard `s`.
+    /// `shard.queue_depth.<s>` — sub-requests queued for shard `s` at the
+    /// router.
     queue_depth: Vec<Arc<Gauge>>,
 }
 
@@ -118,7 +120,7 @@ pub struct ShardedEngine<A: Scalar, X: Scalar, S: Semiring<A, X> + Clone + 'stat
     nrows: usize,
     semiring: S,
     transport: Box<dyn ShardTransport<X, S::Output>>,
-    pending: Mutex<Vec<Routed<S::Output>>>,
+    pending: Mutex<Vec<Routed<X, S::Output>>>,
     metrics: ShardMetrics,
     next_session: AtomicU64,
     next_request: AtomicU64,
@@ -272,7 +274,8 @@ where
 
     /// Submits an anonymous request. Scattering happens here: the frontier
     /// is sliced per owning shard ([`SparseVec::slice_remap`]) and each
-    /// slice is queued into the transport. The returned ticket resolves at
+    /// slice is queued at the router until the flush hands it to the
+    /// transport. The returned ticket resolves at
     /// the next [`ShardedEngine::flush`]. Like [`Engine::submit`], panics on
     /// a frontier or mask that does not fit the matrix, over any transport.
     pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
@@ -299,106 +302,123 @@ where
         let id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (ticket, shared) = Ticket::detached();
         let mut fanout = Vec::new();
+        let mut subs = Vec::new();
         for s in 0..self.transport.num_shards() {
             let slice = request.frontier.slice_remap(self.plan.range(s));
             if slice.nnz() == 0 {
                 continue;
             }
-            // The remaining budget at submit time; a socket transport
-            // recomputes it at write time so queue wait is clamped out.
-            let budget = request
-                .deadline
-                .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64);
-            self.transport.enqueue(WireRequest {
+            fanout.push(s);
+            subs.push(WireRequest {
                 request: id,
-                shard: s,
                 slice,
-                deadline_micros: budget,
                 deadline: request.deadline,
                 mask: request.mask.clone(),
             });
-            self.metrics.queue_depth[s].set(self.transport.queued(s) as u64);
-            fanout.push(s);
         }
         self.metrics.requests.inc();
         self.metrics.fanout.record(fanout.len() as u64);
-        crate::engine::lock(&self.pending).push(Routed {
-            id,
-            session,
-            shared,
-            fanout,
-            deadline: request.deadline,
-        });
+        let mut pending = crate::engine::lock(&self.pending);
+        for &s in &fanout {
+            self.metrics.queue_depth[s].add(1);
+        }
+        pending.push(Routed { id, session, shared, fanout, subs, deadline: request.deadline });
         ticket
     }
 
-    /// Scatter-execute-merge for everything queued: flushes every involved
-    /// shard **in parallel** through the transport, then folds each
-    /// request's partials with the semiring's `⊕` in ascending shard order
-    /// and resolves its ticket. Every routed request resolves before this
-    /// returns; a shard failure resolves only the tickets routed through
-    /// that shard.
+    /// Scatter-execute-merge for everything queued: builds each involved
+    /// shard's batch from the queued requests (skipping those already
+    /// cancelled), hands the batches to the transport **in parallel** (one
+    /// scoped thread per shard), then folds each request's partials with
+    /// the semiring's `⊕` in ascending shard order and resolves its ticket.
+    /// Every routed request resolves before this returns; a shard failure
+    /// resolves only the tickets routed through that shard.
     pub fn flush(&self) -> ShardFlushOutcome {
-        let routed: Vec<Routed<S::Output>> = {
-            let mut p = crate::engine::lock(&self.pending);
-            p.drain(..).collect()
+        let routed: Vec<Routed<X, S::Output>> = {
+            let mut pending = crate::engine::lock(&self.pending);
+            for depth in &self.metrics.queue_depth {
+                depth.set(0);
+            }
+            std::mem::take(&mut *pending)
         };
         let shards = self.transport.num_shards();
         let mut outcome = ShardFlushOutcome {
             per_shard: vec![FlushOutcome::default(); shards],
             ..ShardFlushOutcome::default()
         };
-        let involved = self.transport.involved();
-        if routed.is_empty() && involved.is_empty() {
+        if routed.is_empty() {
             return outcome;
         }
         if self.metrics.registry.enabled() {
             self.metrics.registry.trace(TraceKind::FlushBegin { requests: routed.len() });
         }
 
-        // Single-shard outage injection: a downed shard is not flushed at
-        // all this round; only tickets routed through it fail.
-        let mut down: Vec<Option<String>> = vec![None; shards];
-        for &s in &involved {
-            if let Err(msg) = failpoint::act(&format!("shard.flush.{s}")) {
-                down[s] = Some(msg);
+        // Clients that cancelled between submit and flush: their
+        // sub-requests never leave the router.
+        let (cancelled, mut routed): (Vec<_>, Vec<_>) =
+            routed.into_iter().partition(|r| !r.shared.is_pending());
+        outcome.requests = cancelled.len();
+        outcome.retired = cancelled.len();
+        let mut batches: Vec<Vec<WireRequest<X>>> = (0..shards).map(|_| Vec::new()).collect();
+        for r in &mut routed {
+            for (&s, sub) in r.fanout.iter().zip(r.subs.drain(..)) {
+                batches[s].push(sub);
             }
         }
 
-        // Clients that cancelled between submit and flush: the transport
-        // drops their sub-requests without producing replies.
-        let retired: Vec<u64> =
-            routed.iter().filter(|r| !r.shared.is_pending()).map(|r| r.id).collect();
+        // Single-shard outage injection: a downed shard's batch is never
+        // handed to the transport; only tickets routed through it fail.
+        let mut replies = HashMap::new();
+        let mut live = Vec::new();
+        for (s, batch) in batches.into_iter().enumerate() {
+            if batch.is_empty() {
+                continue;
+            }
+            match failpoint::act(&format!("shard.flush.{s}")) {
+                Ok(()) => live.push((s, batch)),
+                Err(msg) => {
+                    for req in batch {
+                        let error = EngineError::KernelFailed(format!("shard {s}: {msg}"));
+                        replies.insert((req.request, s), Err(error));
+                    }
+                }
+            }
+        }
 
-        let exchange = self.transport.exchange(&down, &retired);
-        outcome.per_shard = exchange.per_shard;
-        outcome.shards_flushed = exchange.shards_flushed;
-        outcome.execute_time = exchange.execute_time;
-        for &s in &involved {
-            self.metrics.queue_depth[s].set(self.transport.queued(s) as u64);
+        let transport = &*self.transport;
+        let t0 = Instant::now();
+        let gathered: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = live
+                .into_iter()
+                .map(|(s, batch)| (s, scope.spawn(move || transport.exchange(s, batch))))
+                .collect();
+            handles
+                .into_iter()
+                .map(|(s, handle)| (s, handle.join().expect("shard exchange thread panicked")))
+                .collect()
+        });
+        outcome.execute_time = t0.elapsed();
+        for (s, (msgs, done)) in gathered {
+            if let Some(shard_outcome) = done {
+                outcome.per_shard[s] = shard_outcome;
+                outcome.shards_flushed += 1;
+            }
+            replies.extend(msgs.into_iter().map(|msg| ((msg.request, msg.shard), msg.result)));
         }
         outcome.lanes = outcome.per_shard.iter().map(|o| o.lanes).sum();
 
-        let mut replies: HashMap<(u64, usize), ShardMsg<S::Output>> =
-            exchange.replies.into_iter().map(|msg| ((msg.request(), msg.shard()), msg)).collect();
-
         for r in routed {
             outcome.requests += 1;
-            if retired.contains(&r.id) {
-                outcome.retired += 1;
-                continue;
-            }
             let mut partials: Vec<SparseVec<S::Output>> = Vec::with_capacity(r.fanout.len());
             let mut error: Option<EngineError> = None;
             for &s in &r.fanout {
-                let result = match replies.remove(&(r.id, s)) {
-                    Some(reply) => reply.into_result(),
-                    // The transport contract says every live sub-request
-                    // gets a reply; a hole is a transport fault.
-                    None => Err(EngineError::KernelFailed(format!(
+                // The transport contract says every sub-request gets a
+                // reply; a hole is a transport fault.
+                let result = replies.remove(&(r.id, s)).unwrap_or_else(|| {
+                    Err(EngineError::KernelFailed(format!(
                         "shard {s}: no reply for the sub-request"
-                    ))),
-                };
+                    )))
+                });
                 match result {
                     Ok(y) => partials.push(y),
                     // First error in ascending shard order wins.
@@ -432,25 +452,26 @@ where
                 }
             }
         }
-        if outcome.requests > 0 {
-            self.metrics.flushes.inc();
-            self.metrics.merge_time.record_duration(outcome.merge_time);
-        }
+        self.metrics.flushes.inc();
+        self.metrics.merge_time.record_duration(outcome.merge_time);
         outcome
     }
 
-    /// Retires every still-pending routed request of `session` (and its
-    /// shard sub-requests); their tickets resolve as
+    /// Retires every still-pending routed request of `session` (its
+    /// sub-requests have not left the router); their tickets resolve as
     /// [`EngineError::Cancelled`]. Returns how many were retired.
     fn retire_session(&self, session: u64) -> usize {
-        let retired: Vec<Routed<S::Output>> = {
-            let mut p = crate::engine::lock(&self.pending);
-            let (gone, keep) = p.drain(..).partition(|r| r.session == session);
-            *p = keep;
+        let retired: Vec<Routed<X, S::Output>> = {
+            let mut pending = crate::engine::lock(&self.pending);
+            let (gone, keep) = pending.drain(..).partition(|r| r.session == session);
+            *pending = keep;
+            for r in &gone {
+                for &s in &r.fanout {
+                    self.metrics.queue_depth[s].sub(1);
+                }
+            }
             gone
         };
-        let ids: Vec<u64> = retired.iter().map(|r| r.id).collect();
-        self.transport.retire(&ids);
         for r in &retired {
             r.shared.fail(EngineError::Cancelled);
         }
@@ -465,13 +486,9 @@ where
     S: Semiring<A, X> + Clone + 'static,
 {
     fn drop(&mut self) {
-        // Resolve router-level tickets before the transport drops (a local
-        // transport's engines fail their sub-tickets with `Disconnected`
-        // in turn).
-        let routed: Vec<Routed<S::Output>> = {
-            let mut p = crate::engine::lock(&self.pending);
-            p.drain(..).collect()
-        };
+        // Queued sub-requests never left the router: only the routed
+        // tickets need resolving.
+        let routed = std::mem::take(&mut *crate::engine::lock(&self.pending));
         for r in routed {
             r.shared.fail(EngineError::Disconnected);
         }

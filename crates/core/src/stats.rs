@@ -1,69 +1,28 @@
-//! Work accounting (Table II of the paper) and serving-engine telemetry.
+//! The paper's work lower bound and serving-engine telemetry.
 //!
 //! The paper's argument is not about constant factors but about *how much
 //! work* each parallelization strategy performs relative to the lower bound
-//! `Ω(d·f)` (the number of matrix entries that must be read). This module
-//! computes, exactly and analytically from the operands, the work each
-//! algorithm family performs, so a work ratio is a count, not hand-waving.
-//! No experiment prints Table II today; [`analyze`] still computes its
-//! counts.
+//! `Ω(d·f)` (the number of matrix entries that must be read);
+//! [`WorkStats::lower_bound`] counts it exactly from the operands.
 //!
-//! [`EngineStats`] is the serving-side analogue: it counts how well the
+//! [`EngineStats`] is the serving-side telemetry: it counts how well the
 //! [`crate::engine::Engine`]'s coalescer is doing its one job — turning many
 //! single-frontier requests into few wide fused multiplications.
 
 use sparse_substrate::{CscMatrix, Scalar, SpaBackend, SparseVec};
 
-use crate::algorithm::AlgorithmKind;
 use crate::batch::BatchAlgorithmKind;
 use crate::timing::FlushTimings;
 
-/// Exact operation counts for one SpMSpV invocation by one algorithm family.
+/// The paper's work measure for one SpMSpV invocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkStats {
-    /// Scalar multiplications performed (equals the lower bound for every
-    /// vector-driven algorithm).
-    pub multiplications: usize,
-    /// Matrix columns inspected (selected columns for vector-driven
-    /// algorithms, all non-empty columns per piece for matrix-driven ones).
-    pub columns_inspected: usize,
-    /// Input-vector entries read across all threads (the row-split
-    /// algorithms read all of `x` once *per thread*).
-    pub x_entries_read: usize,
-    /// Sparse-accumulator slots initialized across all threads.
-    pub spa_slots_initialized: usize,
-    /// Number of threads the estimate was computed for.
-    pub threads: usize,
-}
+pub struct WorkStats;
 
 impl WorkStats {
     /// The paper's lower bound for this operand pair: the number of matrix
     /// entries in the selected columns.
     pub fn lower_bound(a: &CscMatrix<impl Scalar>, x: &SparseVec<impl Scalar>) -> usize {
         sparse_substrate::ops::required_multiplications(a, x)
-    }
-
-    /// Total work performed (sum of all counted operations).
-    pub fn total_work(&self) -> usize {
-        self.multiplications
-            + self.columns_inspected
-            + self.x_entries_read
-            + self.spa_slots_initialized
-    }
-
-    /// Ratio of total work to the lower bound; `1.0` means work-optimal up
-    /// to constants. Returns infinity when the lower bound is zero but work
-    /// was still performed.
-    pub fn work_ratio(&self, lower_bound: usize) -> f64 {
-        if lower_bound == 0 {
-            if self.total_work() == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.total_work() as f64 / lower_bound as f64
-        }
     }
 }
 
@@ -248,92 +207,10 @@ impl std::fmt::Display for EngineStats {
     }
 }
 
-/// Computes the exact work a given algorithm family performs for `A·x` with
-/// `t` threads, following the cost model of §II-F and Table I.
-pub fn analyze<A: Scalar, X: Scalar>(
-    kind: AlgorithmKind,
-    a: &CscMatrix<A>,
-    x: &SparseVec<X>,
-    t: usize,
-) -> WorkStats {
-    let t = t.max(1);
-    let f = x.nnz();
-    let df = WorkStats::lower_bound(a, x);
-    // nnz(y): exact count of distinct rows touched by the selected columns.
-    let mut touched = vec![false; a.nrows()];
-    let mut nnz_y = 0usize;
-    for (j, _) in x.iter() {
-        for &i in a.column(j).0 {
-            if !touched[i] {
-                touched[i] = true;
-                nnz_y += 1;
-            }
-        }
-    }
-
-    match kind {
-        AlgorithmKind::Bucket => WorkStats {
-            multiplications: df,
-            columns_inspected: f, // one bucketing pass, no estimate pass
-            x_entries_read: f,
-            spa_slots_initialized: nnz_y,
-            threads: t,
-        },
-        AlgorithmKind::Sequential => WorkStats {
-            multiplications: df,
-            columns_inspected: f,
-            x_entries_read: f,
-            spa_slots_initialized: nnz_y,
-            threads: 1,
-        },
-        AlgorithmKind::CombBlasSpa => WorkStats {
-            multiplications: df,
-            columns_inspected: t * f, // every piece probes every selected column
-            x_entries_read: t * f,    // every thread scans the whole vector
-            spa_slots_initialized: nnz_y,
-            threads: t,
-        },
-        AlgorithmKind::CombBlasHeap => WorkStats {
-            multiplications: df,
-            columns_inspected: t * f,
-            x_entries_read: t * f,
-            spa_slots_initialized: 0, // heap merge needs no SPA
-            threads: t,
-        },
-        AlgorithmKind::GraphMat => {
-            // Matrix-driven: every piece walks all of its non-empty columns.
-            let nzc_total: usize = a.nonempty_cols();
-            WorkStats {
-                multiplications: df,
-                columns_inspected: nzc_total, // across pieces, every stored column once
-                x_entries_read: f,            // loading the bitvector
-                spa_slots_initialized: nnz_y,
-                threads: t,
-            }
-        }
-        AlgorithmKind::SortBased => WorkStats {
-            multiplications: df,
-            columns_inspected: f,
-            x_entries_read: f,
-            // the sort-based algorithm materializes and sorts all df entries
-            spa_slots_initialized: df,
-            threads: t,
-        },
-        // With no mask to say which rows are left, pull runs the sequential
-        // SPA.
-        AlgorithmKind::Pull => analyze(AlgorithmKind::Sequential, a, x, t),
-        // The adaptive dispatcher delegates to the bucket kernel except for
-        // tiny frontiers, and both delegates are work-efficient, so the
-        // bucket cost model bounds it.
-        AlgorithmKind::Adaptive => analyze(AlgorithmKind::Bucket, a, x, t),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sparse_substrate::fixtures::{figure1_matrix, figure1_vector};
-    use sparse_substrate::gen::{erdos_renyi, random_sparse_vec};
 
     #[test]
     fn lower_bound_matches_required_multiplications() {
@@ -343,59 +220,11 @@ mod tests {
     }
 
     #[test]
-    fn bucket_work_is_independent_of_thread_count() {
-        let a = erdos_renyi(500, 6.0, 3);
-        let x = random_sparse_vec(500, 100, 9);
-        let w1 = analyze(AlgorithmKind::Bucket, &a, &x, 1);
-        let w16 = analyze(AlgorithmKind::Bucket, &a, &x, 16);
-        assert_eq!(w1.total_work(), w16.total_work(), "bucket algorithm is work-efficient");
-        // Step 1 reads each selected column and x entry once, as the
-        // sequential SPA does: there is no estimate pass.
-        let seq = analyze(AlgorithmKind::Sequential, &a, &x, 1);
-        assert_eq!(w16.columns_inspected, seq.columns_inspected);
-        assert_eq!(w16.x_entries_read, seq.x_entries_read);
-    }
-
-    #[test]
-    fn combblas_spa_work_grows_with_threads() {
-        let a = erdos_renyi(500, 6.0, 3);
-        let x = random_sparse_vec(500, 100, 9);
-        let w1 = analyze(AlgorithmKind::CombBlasSpa, &a, &x, 1);
-        let w16 = analyze(AlgorithmKind::CombBlasSpa, &a, &x, 16);
-        assert!(w16.total_work() > w1.total_work(), "row-split work must grow with t");
-        assert!(w16.x_entries_read == 16 * x.nnz());
-    }
-
-    #[test]
-    fn graphmat_pays_nzc_even_for_tiny_vectors() {
-        let a = erdos_renyi(2000, 4.0, 5);
-        let x = random_sparse_vec(2000, 2, 3);
-        let w = analyze(AlgorithmKind::GraphMat, &a, &x, 4);
-        let lb = WorkStats::lower_bound(&a, &x);
-        assert!(
-            w.work_ratio(lb) > 10.0,
-            "matrix-driven work ratio should explode for sparse vectors (got {})",
-            w.work_ratio(lb)
-        );
-        let wb = analyze(AlgorithmKind::Bucket, &a, &x, 4);
-        assert!(wb.work_ratio(lb) < 10.0);
-    }
-
-    #[test]
     fn engine_stats_display_lists_failures() {
         let stats = EngineStats { timeouts: 2, rejected: 8, shed: 10, ..EngineStats::default() };
         assert_eq!(stats.failures(), 20);
         let rendered = stats.to_string();
         assert!(rendered.contains("2 timed out"), "display misses failures: {rendered}");
         assert!(rendered.contains("10 shed"), "display misses shed: {rendered}");
-    }
-
-    #[test]
-    fn work_ratio_handles_empty_inputs() {
-        let a = figure1_matrix();
-        let x = SparseVec::<f64>::new(8);
-        let w = analyze(AlgorithmKind::Bucket, &a, &x, 4);
-        assert_eq!(w.multiplications, 0);
-        assert!(w.work_ratio(0) >= 1.0);
     }
 }

@@ -220,12 +220,12 @@ pub fn pagerank_personalized_batch(
 
         let tickets: Vec<_> = active
             .iter()
-            .zip(contribs.iter())
+            .zip(contribs.drain(..))
             .map(|(&s, contrib)| {
                 sessions[s]
                     .as_ref()
                     .expect("active lane keeps its session")
-                    .submit(spmspv::engine::MxvRequest::new(contrib.clone()))
+                    .submit(spmspv::engine::MxvRequest::new(contrib))
             })
             .collect();
         engine.flush();

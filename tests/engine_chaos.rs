@@ -602,15 +602,21 @@ fn single_shard_outage_fails_only_routed_tickets() {
     assert_eq!(failpoint::hits("shard.flush.1"), before + 1, "the outage must have fired");
     assert_eq!(outcome.merged, safe.len(), "sibling-shard tickets resolve untouched");
     assert_eq!(outcome.failed, doomed.len(), "only shard-1-routed tickets fail");
+    assert!(
+        outcome.failures.iter().all(|m| m.contains("shard 1:")),
+        "in-process outages carry their shard attribution: {:?}",
+        outcome.failures
+    );
     for (t, x) in safe.iter().zip(&safe_x) {
         let y = claim(t).expect("shard 0 must be unaffected by shard 1's outage");
         assert!(y.same_entries(&independent_run(&a, x, None)), "survivor diverged from oracle");
     }
     for t in &doomed {
         match claim(t) {
-            Err(EngineError::KernelFailed(msg)) => {
-                assert!(msg.contains("shard 1 unreachable"), "outage message lost: {msg}")
-            }
+            Err(EngineError::KernelFailed(msg)) => assert!(
+                msg.contains("shard 1:") && msg.contains("shard 1 unreachable"),
+                "outage message lost: {msg}"
+            ),
             other => panic!("shard-1 ticket must fail with KernelFailed, got {other:?}"),
         }
     }

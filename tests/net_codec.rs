@@ -7,6 +7,7 @@
 //! length field.
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sparse_substrate::{MaskBits, SparseVec};
@@ -68,10 +69,9 @@ impl GenFrontier {
             shard: self.shard,
             slice: SparseVec::from_pairs(self.n, pairs).expect("unique in-range indices"),
             deadline_micros: self.deadline_micros,
-            mask: self
-                .mask
-                .as_ref()
-                .map(|(rows, mode)| (MaskBits::from_indices(self.n, rows.iter().copied()), *mode)),
+            mask: self.mask.as_ref().map(|(rows, mode)| {
+                (Arc::new(MaskBits::from_indices(self.n, rows.iter().copied())), *mode)
+            }),
         })
     }
 }
@@ -343,7 +343,7 @@ fn corrupt_payloads_are_typed_not_panics() {
         shard: 0,
         slice: SparseVec::new(10),
         deadline_micros: None,
-        mask: Some((MaskBits::from_indices(10, [3usize]), MaskMode::Keep)),
+        mask: Some((Arc::new(MaskBits::from_indices(10, [3usize])), MaskMode::Keep)),
     });
     let mut buf = Vec::new();
     encode_frame(&masked, &mut buf, DEFAULT_MAX_FRAME).unwrap();
@@ -395,7 +395,7 @@ fn empty_and_huge_frontiers_round_trip() {
         shard: 4_000_000,
         slice: SparseVec::from_pairs(n, pairs).unwrap(),
         deadline_micros: Some(u64::MAX),
-        mask: Some((MaskBits::from_indices(n, (0..n).step_by(3)), MaskMode::Complement)),
+        mask: Some((Arc::new(MaskBits::from_indices(n, (0..n).step_by(3))), MaskMode::Complement)),
     });
     assert_round_trip(&huge).unwrap();
 }

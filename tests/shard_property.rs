@@ -13,6 +13,7 @@
 //! lane runner's split bucket, Adaptive bucket and pull lanes.
 
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -289,6 +290,23 @@ fn fanout_empty_and_cancel_edges() {
         router.submit(MxvRequest::new(SparseVec::from_pairs(n, vec![(1, 1.0)]).unwrap()));
     drop(router);
     assert!(matches!(straggler.try_take(), Some(Err(spmspv::engine::EngineError::Disconnected))));
+}
+
+/// A request cancelled before the flush never reaches its shard engine:
+/// the router drops its sub-requests, so no shard executes a lane for it.
+#[test]
+fn cancelled_request_never_reaches_its_shard_engine() {
+    let n = 12;
+    let a = chaos_fixture(n);
+    let router = ShardedEngine::partition(&a, PlusTimes, 3);
+    let doomed = router.submit(MxvRequest::new(SparseVec::from_pairs(n, vec![(1, 1.0)]).unwrap()));
+    assert!(doomed.cancel());
+    let outcome = router.flush();
+    assert_eq!((outcome.requests, outcome.retired), (1, 1));
+    assert_eq!(outcome.lanes, 0, "a cancelled request must not run on a shard");
+    assert_eq!(outcome.shards_flushed, 0);
+    assert_eq!(router.stats().lanes_executed, 0, "no shard engine executed a lane");
+    assert_eq!(router.stats().requests, 0, "no shard engine was even handed the request");
 }
 
 // ---------------------------------------------------------------------------
@@ -619,6 +637,65 @@ fn deadline_expiring_in_flight_resolves_not_hangs() {
     }
 }
 
+/// Closing one session and dropping another retires each one's queued
+/// requests as `Cancelled` before they reach any shard, while a third
+/// session's request still merges — in process and over TCP.
+#[test]
+fn closed_and_dropped_sessions_retire_only_their_own_requests() {
+    fn check(router: &ShardedEngine<f64, f64, PlusTimes>, a: &CscMatrix<f64>, what: &str) {
+        let n = a.ncols();
+        // Straddles every shard, so each session's request fans out wide.
+        let x = SparseVec::from_pairs(n, vec![(0, 1.0), (n / 2, 2.0), (n - 1, 3.0)]).unwrap();
+        let closing = router.session();
+        let dropping = router.session();
+        let survivor = router.session();
+        let closed = closing.submit(MxvRequest::new(x.clone()));
+        let dropped = dropping.submit(MxvRequest::new(x.clone()));
+        let kept = survivor.submit(MxvRequest::new(x.clone()));
+        assert_eq!(closing.close(), 1, "{what}: close retires the one queued request");
+        drop(dropping);
+        assert_eq!(router.pending(), 1, "{what}: only the survivor's request stays queued");
+        for (ticket, how) in [(&closed, "closed"), (&dropped, "dropped")] {
+            assert!(
+                matches!(ticket.try_take(), Some(Err(EngineError::Cancelled))),
+                "{what}: a {how} session's request resolves Cancelled"
+            );
+        }
+        let snap = router.obs().snapshot();
+        let queued: u64 = (0..router.num_shards())
+            .map(|s| snap.gauge(&format!("shard.queue_depth.{s}")).unwrap_or(0))
+            .sum();
+        assert_eq!(queued, router.num_shards() as u64, "{what}: the survivor's sub-requests");
+        let outcome = router.flush();
+        assert_eq!((outcome.requests, outcome.merged, outcome.retired), (1, 1, 0), "{what}");
+        let y = kept.try_take().expect("resolved").expect("the survivor's request merges");
+        assert!(y.same_entries(&oracle_result(a, &x)), "{what}: survivor diverged from oracle");
+        drop(survivor);
+    }
+
+    let n = 12;
+    let a = chaos_fixture(n);
+    let plan = ShardPlan::uniform(n, 3);
+    let local = ShardedEngine::partition_with(&a, PlusTimes, plan.clone(), EngineConfig::default());
+    check(&local, &a, "in process");
+
+    let (hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes, &EngineConfig::default());
+    let remote = ShardedEngine::<f64, f64, PlusTimes>::connect(
+        plan,
+        n,
+        PlusTimes,
+        &addrs,
+        TcpConfig::default(),
+        ObsConfig::default(),
+    )
+    .expect("dial every host");
+    check(&remote, &a, "over TCP");
+    drop(remote);
+    for host in hosts {
+        host.shutdown();
+    }
+}
+
 /// A frontier the host's engine would reject — a slice of the wrong
 /// dimension, a mask of the wrong height — comes back as a typed `Error`
 /// naming both numbers, and the same connection then serves a valid
@@ -643,7 +720,7 @@ fn malformed_frontiers_get_typed_errors_and_the_connection_keeps_serving() {
     };
     let x = SparseVec::from_pairs(n, vec![(1, 1.0), (6, 2.0)]).unwrap();
     let wide = SparseVec::from_pairs(n + 1, vec![(1, 1.0)]).unwrap();
-    let short_mask = Some((MaskBits::new(n / 2), MaskMode::Complement));
+    let short_mask = Some((Arc::new(MaskBits::new(n / 2)), MaskMode::Complement));
     for frame in
         [frontier(1, wide, None), frontier(2, x.clone(), short_mask), frontier(3, x.clone(), None)]
     {
