@@ -347,6 +347,24 @@ impl<X: Scalar> MxvRequest<X> {
     pub fn timeout(self, after: Duration) -> Self {
         self.deadline(Instant::now() + after)
     }
+
+    /// Why this request does not fit an `nrows × ncols` matrix: a frontier
+    /// of another width, or a mask of another height. `None` when it fits.
+    pub(crate) fn shape_error(&self, nrows: usize, ncols: usize) -> Option<String> {
+        if self.frontier.len() != ncols {
+            return Some(format!(
+                "request frontier has dimension {} but the matrix has {ncols} columns",
+                self.frontier.len()
+            ));
+        }
+        match &self.mask {
+            Some((bits, _)) if bits.len() != nrows => Some(format!(
+                "request mask covers {} rows but the matrix has {nrows} output rows",
+                bits.len()
+            )),
+            _ => None,
+        }
+    }
 }
 
 /// Result slot state shared between a [`Ticket`] and the queue/coalescer.
@@ -407,8 +425,8 @@ pub struct Ticket<Y> {
 }
 
 impl<Y> Ticket<Y> {
-    /// A ticket resolved by a router (e.g. `spmspv::shard`) rather than an
-    /// engine queue, paired with the shared slot the router fulfils.
+    /// A fresh pending ticket, paired with the shared slot its resolver (a
+    /// flush, or the shard router) fulfils.
     pub(crate) fn detached() -> (Self, Arc<TicketShared<Y>>) {
         let shared = Arc::new(TicketShared::new());
         (Ticket { shared: Arc::clone(&shared) }, shared)
@@ -531,7 +549,7 @@ struct RequestQueue<X, Y> {
 /// Turns a caught kernel panic into the error its group's tickets resolve
 /// to, keeping the panic's message (`panic!` with a formatted message boxes
 /// a `String`; a literal boxes a `&'static str`).
-fn kernel_failure(payload: Box<dyn std::any::Any + Send>) -> EngineError {
+pub(crate) fn kernel_failure(payload: Box<dyn std::any::Any + Send>) -> EngineError {
     let msg = match payload.downcast::<String>() {
         Ok(msg) => *msg,
         Err(payload) => match payload.downcast_ref::<&str>() {
@@ -541,6 +559,10 @@ fn kernel_failure(payload: Box<dyn std::any::Any + Send>) -> EngineError {
     };
     EngineError::KernelFailed(msg)
 }
+
+/// Results in order: one per request of an [`Engine::run`] call, or one
+/// per owning shard of a routed request.
+pub(crate) type Results<Y> = Vec<Result<SparseVec<Y>, EngineError>>;
 
 /// Fails every still-pending ticket of a drained flush when dropped. On a
 /// normal flush this is a no-op (the flush resolved them all); on unwind —
@@ -839,39 +861,7 @@ where
     }
 
     fn submit_tagged(&self, session: u64, request: MxvRequest<X>) -> Ticket<S::Output> {
-        let m = &*self.matrix;
-        assert_eq!(
-            request.frontier.len(),
-            m.ncols(),
-            "request frontier has dimension {} but the matrix has {} columns",
-            request.frontier.len(),
-            m.ncols()
-        );
-        if let Some((bits, _)) = &request.mask {
-            assert_eq!(
-                bits.len(),
-                m.nrows(),
-                "request mask covers {} rows but the matrix has {} output rows",
-                bits.len(),
-                m.nrows()
-            );
-        }
-        let shared = Arc::new(TicketShared {
-            state: Mutex::new(TicketState::Pending),
-            ready: Condvar::new(),
-        });
-        let entry = QueueEntry {
-            id: self.next_request.fetch_add(1, Ordering::Relaxed),
-            submitted: Instant::now(),
-            session,
-            frontier: request.frontier,
-            mask: request.mask,
-            deadline: request.deadline,
-            ticket: Arc::clone(&shared),
-        };
-        // Count the request before it becomes flushable, so a concurrent
-        // `stats()` snapshot always sees `requests ≥ lanes_executed`.
-        self.metrics.requests.inc();
+        let (ticket, entry) = self.admit(session, request);
         let capacity = self.config.queue_capacity;
         let mut shed = 0usize;
         let mut rejected = false;
@@ -900,7 +890,7 @@ where
             self.metrics.queue_depth.set(q.len() as u64);
         }
         if rejected {
-            shared.fail(EngineError::Overloaded);
+            ticket.shared.fail(EngineError::Overloaded);
         }
         if shed > 0 || rejected {
             self.metrics.shed.add(shed as u64);
@@ -912,7 +902,34 @@ where
                 .trace(TraceKind::Overload { shed, rejected: usize::from(rejected) });
         }
         self.queue.grew.notify_all();
-        Ticket { shared }
+        ticket
+    }
+
+    /// Checks `request`'s shape (panicking with
+    /// [`MxvRequest::shape_error`]'s message), counts it in
+    /// `engine.requests` and turns it into a flushable entry with its ticket.
+    fn admit(
+        &self,
+        session: u64,
+        request: MxvRequest<X>,
+    ) -> (Ticket<S::Output>, QueueEntry<X, S::Output>) {
+        if let Some(msg) = request.shape_error(self.matrix.nrows(), self.matrix.ncols()) {
+            panic!("{msg}");
+        }
+        let (ticket, shared) = Ticket::detached();
+        let entry = QueueEntry {
+            id: self.next_request.fetch_add(1, Ordering::Relaxed),
+            submitted: Instant::now(),
+            session,
+            frontier: request.frontier,
+            mask: request.mask,
+            deadline: request.deadline,
+            ticket: shared,
+        };
+        // Count the request before it becomes flushable, so a concurrent
+        // `stats()` snapshot always sees `requests ≥ lanes_executed`.
+        self.metrics.requests.inc();
+        (ticket, entry)
     }
 
     /// Drains the queue and serves every live request: groups compatible
@@ -930,6 +947,29 @@ where
             drained
         };
         self.queue.shrank.notify_all();
+        self.serve_entries(drained)
+    }
+
+    /// Serves `requests` as one flush, past the queue: the queue's capacity
+    /// and overload policy do not apply, and queued requests stay queued.
+    /// Returns one result per request, in order, and the flush's outcome
+    /// (all zeros for no requests). Requests are counted and their shapes
+    /// checked as [`Engine::submit`] does. A shard's whole batch reaches its
+    /// engine through this one call.
+    pub(crate) fn run(&self, requests: Vec<MxvRequest<X>>) -> (Results<S::Output>, FlushOutcome) {
+        let (tickets, entries): (Vec<_>, Vec<_>) =
+            requests.into_iter().map(|request| self.admit(0, request)).unzip();
+        let outcome = self.serve_entries(entries);
+        let results = tickets
+            .iter()
+            .map(|t| t.try_take().expect("a flush resolves every request it serves"))
+            .collect();
+        (results, outcome)
+    }
+
+    /// The body of [`Engine::flush`] and [`Engine::run`]: groups, executes
+    /// and demultiplexes `drained`, resolving every entry's ticket.
+    fn serve_entries(&self, drained: Vec<QueueEntry<X, S::Output>>) -> FlushOutcome {
         if drained.is_empty() {
             return FlushOutcome::default();
         }
@@ -1828,6 +1868,38 @@ mod tests {
         );
         assert!(matches!(kernel_failure(Box::new(7u8)), EngineError::KernelFailed(msg)
             if msg.contains("non-string payload")));
+    }
+
+    /// `run` serves its requests as one flush past the queue and answers
+    /// them in order: queued requests stay queued, an expired request
+    /// answers `DeadlineExceeded` in its place, every request counts in
+    /// `engine.requests`, and no requests make a zero outcome.
+    #[test]
+    fn run_answers_in_order_and_leaves_the_queue_alone() {
+        let a = erdos_renyi(60, 4.0, 21);
+        let engine = Engine::over(&a, PlusTimes);
+        let queued = engine.submit(MxvRequest::new(random_sparse_vec(60, 10, 99)));
+        let xs = requests(60, 3, 40);
+        let past = Instant::now() - Duration::from_millis(1);
+        let batch = vec![
+            MxvRequest::new(xs[0].clone()),
+            MxvRequest::new(xs[1].clone()).deadline(past),
+            MxvRequest::new(xs[2].clone()),
+        ];
+        let (results, outcome) = engine.run(batch);
+        assert_eq!(results.len(), 3);
+        assert_eq!(results[0], Ok(independent_run(&a, &PlusTimes, &xs[0], None)));
+        assert_eq!(results[1], Err(EngineError::DeadlineExceeded));
+        assert_eq!(results[2], Ok(independent_run(&a, &PlusTimes, &xs[2], None)));
+        assert_eq!((outcome.requests, outcome.lanes, outcome.timeouts), (3, 2, 1));
+        assert_eq!(engine.pending(), 1, "the queued request is not run");
+        assert!(queued.is_pending());
+        assert_eq!(engine.stats().requests, 4, "run counts its requests as submit does");
+
+        let (none, zero) = engine.run(Vec::new());
+        assert!(none.is_empty());
+        assert_eq!(zero, FlushOutcome::default());
+        assert_eq!(engine.flush().requests, 1, "the queued request is still flushable");
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! | site | where | sensible actions |
 //! |---|---|---|
-//! | `engine.flush.assemble` | [`crate::engine::Engine::flush`], after the queue drain | panic (serve-loop crash recovery), delay |
+//! | `engine.flush.assemble` | [`crate::engine::Engine::flush`] after the queue drain, and a shard batch's one engine call, before grouping | panic (serve-loop crash recovery; a panicking shard exchange), delay |
 //! | `engine.flush.execute`  | per fused group, before the kernel runs | error / panic (group failure + degrade), delay |
 //! | `engine.flush.demux`    | per fused group, before results are scattered | delay (deadline races) |
 //! | `batch.merge`           | [`crate::LaneBatch`] (every batch, the degraded retry's too), after the lanes ran, before they merge into one batch | panic ("panic in merge") |

@@ -132,7 +132,7 @@ pub use net::{ShardHost, TcpConfig, TcpTransport};
 pub use obs::{ObsConfig, Registry};
 pub use ops::{Mxv, MxvOp, PreparedMxv};
 pub use pull::SpMSpVPull;
-pub use shard::{ShardFlushOutcome, ShardMsg, ShardPlan, ShardSession, ShardedEngine};
+pub use shard::{ShardFlushOutcome, ShardPlan, ShardSession, ShardedEngine};
 pub use sparse_substrate::SpaBackend;
 pub use stats::{ChoiceCounts, WorkStats};
 pub use timing::StepTimings;

@@ -218,10 +218,10 @@ pub struct WireFrontier<X> {
 }
 
 /// Everything that can travel on a shard connection: a `Frontier`, the two
-/// [`ShardMsg`](crate::shard::ShardMsg) replies (`Partial`, `Error`), and
-/// the control frames (`Flush` = "execute everything queued on this
-/// connection", `Done` = the host's flush summary, `Goodbye` = orderly
-/// close, plus the handshake and heartbeat frames).
+/// per-request replies (`Partial`, `Error`), and the control frames
+/// (`Flush` = "run every frontier sent on this connection since the last
+/// `Flush`", `Done` = the host's flush summary, `Goodbye` = orderly close,
+/// plus the handshake and heartbeat frames).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<X, Y> {
     /// Router → host: one request's frontier slice (+ mask sidecar).
@@ -244,8 +244,9 @@ pub enum Frame<X, Y> {
         /// What went wrong.
         error: EngineError,
     },
-    /// Router → host: flush the engine and reply to every frontier
-    /// received on this connection since the last flush.
+    /// Router → host: run every frontier received on this connection
+    /// since the last flush as one engine flush, and reply to each in the
+    /// order it arrived.
     Flush,
     /// Host → router: flush finished; sent after the per-request replies
     /// with the host engine's execution summary.
@@ -426,35 +427,18 @@ pub fn encode_frame<X: WireScalar, Y: WireScalar>(
     out: &mut Vec<u8>,
     max_frame: usize,
 ) -> Result<usize, DecodeError> {
-    let start = out.len();
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
     let mut payload = Vec::new();
     let tag = match frame {
         Frame::Frontier(w) => {
-            put_u64(&mut payload, w.request);
-            put_u32(&mut payload, w.shard as u32);
-            payload.push(X::TAG);
-            spvec_payload(&mut payload, &w.slice);
-            match w.deadline_micros {
-                None => payload.push(0),
-                Some(budget) => {
-                    payload.push(1);
-                    put_u64(&mut payload, budget);
-                }
-            }
-            match &w.mask {
-                None => payload.push(0),
-                Some((bits, mode)) => {
-                    payload.push(mask_mode_byte(*mode));
-                    put_u64(&mut payload, bits.len() as u64);
-                    put_u64(&mut payload, bits.words().len() as u64);
-                    for &word in bits.words() {
-                        put_u64(&mut payload, word);
-                    }
-                }
-            }
-            TAG_FRONTIER
+            return encode_frontier(
+                w.request,
+                w.shard,
+                &w.slice,
+                w.deadline_micros,
+                w.mask.as_ref(),
+                out,
+                max_frame,
+            )
         }
         Frame::Partial { request, shard, partial } => {
             put_u64(&mut payload, *request);
@@ -500,13 +484,65 @@ pub fn encode_frame<X: WireScalar, Y: WireScalar>(
             TAG_PONG
         }
     };
+    seal(out, tag, &payload, max_frame)
+}
+
+/// [`encode_frame`] of a `Frontier` frame from borrowed parts: the same
+/// bytes as `Frame::Frontier(WireFrontier { request, shard, slice,
+/// deadline_micros, mask })`, without first moving or cloning the slice
+/// and mask into a [`WireFrontier`].
+pub fn encode_frontier<X: WireScalar>(
+    request: u64,
+    shard: usize,
+    slice: &SparseVec<X>,
+    deadline_micros: Option<u64>,
+    mask: Option<&(Arc<MaskBits>, MaskMode)>,
+    out: &mut Vec<u8>,
+    max_frame: usize,
+) -> Result<usize, DecodeError> {
+    let mut payload = Vec::new();
+    put_u64(&mut payload, request);
+    put_u32(&mut payload, shard as u32);
+    payload.push(X::TAG);
+    spvec_payload(&mut payload, slice);
+    match deadline_micros {
+        None => payload.push(0),
+        Some(budget) => {
+            payload.push(1);
+            put_u64(&mut payload, budget);
+        }
+    }
+    match mask {
+        None => payload.push(0),
+        Some((bits, mode)) => {
+            payload.push(mask_mode_byte(*mode));
+            put_u64(&mut payload, bits.len() as u64);
+            put_u64(&mut payload, bits.words().len() as u64);
+            for &word in bits.words() {
+                put_u64(&mut payload, word);
+            }
+        }
+    }
+    seal(out, TAG_FRONTIER, &payload, max_frame)
+}
+
+/// Appends the header and `payload` of one `tag` frame to `out`, or leaves
+/// `out` untouched when the payload exceeds `max_frame` (or `u32::MAX`).
+fn seal(
+    out: &mut Vec<u8>,
+    tag: u8,
+    payload: &[u8],
+    max_frame: usize,
+) -> Result<usize, DecodeError> {
     if payload.len() > max_frame || u32::try_from(payload.len()).is_err() {
-        out.truncate(start);
         return Err(DecodeError::Oversize { len: payload.len(), limit: max_frame });
     }
+    let start = out.len();
+    out.extend_from_slice(&MAGIC);
+    out.push(VERSION);
     out.push(tag);
     put_u32(out, payload.len() as u32);
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(payload);
     Ok(out.len() - start)
 }
 

@@ -1,16 +1,18 @@
 //! [`ShardHost`]: the daemon side of the remote shard protocol.
 //!
 //! One host owns one shard's [`Engine`] behind a `TcpListener`. Routers
-//! connect and stream `Frontier` frames; a `Flush` frame makes the host
-//! flush its engine and reply — one `Partial`/`Error` per frontier, in
-//! arrival order, followed by a `Done` summary frame. Deadlines arrive as
+//! connect and stream `Frontier` frames; a `Flush` frame makes the host run
+//! the frontiers that connection sent since its last `Flush` as one call
+//! into its engine — one engine flush, past the engine's queue — and reply
+//! with one `Partial`/`Error` per frontier, in arrival order, followed by a
+//! `Done` summary frame. Deadlines arrive as
 //! *relative* budgets and are re-anchored to a local `Instant` the moment
 //! the frame is read, so elapsed transit time is clamped out of the budget
 //! (a budget that is already zero resolves `DeadlineExceeded` without ever
 //! touching the engine). A frontier whose slice is not as wide as the
 //! shard, or whose mask does not span the output rows, resolves
-//! `KernelFailed` naming both numbers the same way, and the connection
-//! keeps serving.
+//! `KernelFailed("shard <s>: …")` with the message the engine would panic
+//! with, naming both numbers, and the connection keeps serving.
 //!
 //! The host also answers the discovery/health frames at any point in a
 //! connection's life: `Hello` → `Welcome` (shard id, column range, output
@@ -35,12 +37,9 @@ use std::time::{Duration, Instant};
 
 use sparse_substrate::{CscMatrix, Scalar, Semiring};
 
-use crate::engine::{Engine, EngineConfig, EngineError, MxvRequest, Ticket};
-use crate::shard::settle;
+use crate::engine::{Engine, EngineConfig, EngineError, MxvRequest};
 
-use super::codec::{
-    read_frame, write_frame, Frame, WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN,
-};
+use super::codec::{read_frame, write_frame, Frame, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN};
 
 /// How long the accept loop sleeps between polls for new connections and
 /// the shutdown flag.
@@ -51,9 +50,11 @@ const ACCEPT_POLL: Duration = Duration::from_millis(2);
 /// thread or [`ShardHost::spawn`] it onto a background thread (returning a
 /// [`ShardHostHandle`] for shutdown).
 ///
-/// Every accepted connection gets its own worker thread; the engine is
-/// shared, so frontiers from concurrent routers coalesce into the same
-/// flushes exactly as concurrent sessions of a local engine do.
+/// Every accepted connection gets its own worker thread and its own
+/// frontiers: each connection's `Flush` is one flush of the shared engine
+/// over that connection's frontiers alone, so one router's flush never
+/// serves, or strands, another's. Concurrent connections take turns on the
+/// engine's kernel.
 pub struct ShardHost<A, X, S>
 where
     A: Scalar,
@@ -241,14 +242,6 @@ impl ShardHostHandle {
     }
 }
 
-/// One connection's state for a sub-request received since the last flush:
-/// either a live engine ticket or an error resolved before submission (a
-/// deadline budget that was already exhausted on arrival).
-enum Inflight<Y> {
-    Ticket(Ticket<Y>),
-    Resolved(EngineError),
-}
-
 /// The failpoint sites that turn this host into the chaos harness's
 /// malicious variant, formatted once per connection. Without the
 /// `failpoints` feature `act` is an inlined no-op and nothing fires.
@@ -262,27 +255,6 @@ struct ByzantineSites {
 /// the header plus `request u64 | shard u32 | ytag u8 | len u64 | nnz u64`.
 const PARTIAL_FIRST_INDEX: usize = HEADER_LEN + 8 + 4 + 1 + 8 + 8;
 
-/// Why a decoded frontier cannot be submitted to this host's engine: a
-/// slice that is not as wide as the shard's column range, or a mask that
-/// does not span the output rows. `None` for a well-formed frontier.
-fn malformed<X: Scalar>(info: &HostInfo, w: &WireFrontier<X>) -> Option<EngineError> {
-    let (shard, cols) = (info.shard, info.col_end - info.col_start);
-    if w.slice.len() != cols {
-        return Some(EngineError::KernelFailed(format!(
-            "shard {shard}: frontier slice has dimension {} but the shard has {cols} columns",
-            w.slice.len()
-        )));
-    }
-    match &w.mask {
-        Some((bits, _)) if bits.len() != info.nrows => Some(EngineError::KernelFailed(format!(
-            "shard {shard}: mask covers {} rows but the shard has {} output rows",
-            bits.len(),
-            info.nrows
-        ))),
-        _ => None,
-    }
-}
-
 fn serve_connection<A, X, S>(
     engine: Arc<Engine<'static, A, X, S>>,
     info: HostInfo,
@@ -293,13 +265,16 @@ fn serve_connection<A, X, S>(
     S: Semiring<A, X> + Clone + 'static,
     S::Output: WireScalar,
 {
-    let shard = info.shard;
+    let (shard, cols) = (info.shard, info.col_end - info.col_start);
     let sites = ByzantineSites {
         wrong_id: format!("net.host.byzantine.wrong_id.{shard}"),
         bad_index: format!("net.host.byzantine.bad_index.{shard}"),
         truncate: format!("net.host.byzantine.truncate.{shard}"),
     };
-    let mut inflight: Vec<(u64, Inflight<S::Output>)> = Vec::new();
+    // Since the last flush: every frontier's id, with the error it already
+    // resolved to or `None` when it waits in `requests` for the engine.
+    let mut received: Vec<(u64, Option<EngineError>)> = Vec::new();
+    let mut requests: Vec<MxvRequest<X>> = Vec::new();
     // Clean EOF, stream failure, or a peer speaking garbage all end the
     // connection the same way.
     while let Ok(Some((frame, _))) = read_frame::<X, S::Output, _>(&mut stream, DEFAULT_MAX_FRAME) {
@@ -310,34 +285,40 @@ fn serve_connection<A, X, S>(
                 // a budget of zero (expired in flight) resolves without
                 // touching the engine — the router gets `DeadlineExceeded`,
                 // never a hung ticket.
-                let received = Instant::now();
-                let entry = if let Some(err) = malformed(&info, &w) {
-                    // `Engine::submit` asserts on both shapes; a peer's bad
-                    // frame must fail its own request, not this connection.
-                    Inflight::Resolved(err)
-                } else if w.deadline_micros == Some(0) {
-                    Inflight::Resolved(EngineError::DeadlineExceeded)
-                } else {
-                    let request = MxvRequest {
-                        frontier: w.slice,
-                        mask: w.mask,
-                        deadline: w.deadline_micros.map(|b| received + Duration::from_micros(b)),
-                    };
-                    Inflight::Ticket(engine.submit(request))
+                let received_at = Instant::now();
+                let request = MxvRequest {
+                    frontier: w.slice,
+                    mask: w.mask,
+                    deadline: w.deadline_micros.map(|b| received_at + Duration::from_micros(b)),
                 };
-                inflight.push((w.request, entry));
+                // The engine panics on a request that does not fit its
+                // matrix; a peer's bad frame must fail its own request, not
+                // this connection.
+                let error = if let Some(msg) = request.shape_error(info.nrows, cols) {
+                    Some(EngineError::KernelFailed(format!("shard {shard}: {msg}")))
+                } else if w.deadline_micros == Some(0) {
+                    Some(EngineError::DeadlineExceeded)
+                } else {
+                    requests.push(request);
+                    None
+                };
+                received.push((w.request, error));
             }
             Frame::Flush => {
-                let outcome = engine.flush();
+                // This connection's frontiers are one engine flush; the
+                // results come back in the order the frontiers went in.
+                let (results, outcome) = engine.run(std::mem::take(&mut requests));
+                let mut results = results.into_iter();
                 let mut buf = Vec::new();
                 let mut ok = true;
-                for (id, entry) in inflight.drain(..) {
-                    let mut reply: Frame<X, S::Output> = match entry {
-                        Inflight::Resolved(e) => Frame::Error { request: id, shard, error: e },
-                        Inflight::Ticket(t) => match settle(t) {
-                            Ok(y) => Frame::Partial { request: id, shard, partial: y },
-                            Err(e) => Frame::Error { request: id, shard, error: e },
-                        },
+                for (id, error) in received.drain(..) {
+                    let result = match error {
+                        Some(e) => Err(e),
+                        None => results.next().expect("one result per request run"),
+                    };
+                    let mut reply: Frame<X, S::Output> = match result {
+                        Ok(y) => Frame::Partial { request: id, shard, partial: y },
+                        Err(e) => Frame::Error { request: id, shard, error: e },
                     };
                     // Malicious variant: echo a correlation id nobody asked
                     // for (chaos harness only — a no-op unless armed).
@@ -413,13 +394,6 @@ fn serve_connection<A, X, S>(
             | Frame::Done { .. }
             | Frame::Welcome { .. }
             | Frame::Pong { .. } => break,
-        }
-    }
-    // Whatever is still queued from this connection will never be asked
-    // for again: cancel so the engine sheds the lanes at its next flush.
-    for (_, entry) in inflight {
-        if let Inflight::Ticket(t) = entry {
-            t.cancel();
         }
     }
     let _ = stream.shutdown(Shutdown::Both);

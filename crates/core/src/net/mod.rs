@@ -2,9 +2,8 @@
 //!
 //! The [`shard`](crate::shard) router keeps every sub-request queued until
 //! its flush, then hands its transport one shard's batch of plain-data
-//! sub-requests at a time and reads back plain-data
-//! [`ShardMsg`](crate::shard::ShardMsg) replies, precisely so the per-shard
-//! hop could leave the process. This module is that step — the CombBLAS
+//! sub-requests at a time and reads back one plain-data result per entry,
+//! by position, precisely so the per-shard hop could leave the process. This module is that step — the CombBLAS
 //! lineage's distributed-memory decomposition realized as a serving fleet:
 //! shard engines live in [`ShardHost`] daemons, and a [`TcpTransport`]
 //! behind the unchanged [`ShardedEngine`](crate::shard::ShardedEngine)
@@ -32,7 +31,7 @@
 //! | 1 | `Frontier` | router → host | `request u64 \| shard u32 \| scalar tag u8 \| dim u64 \| nnz u64 \| indices u64×nnz \| values X×nnz \| deadline flag u8 (+ budget µs u64) \| mask flag u8 (0 none / 1 keep / 2 complement; + dim u64, words u64, bitmap u64×words)` |
 //! | 2 | `Partial` | host → router | `request u64 \| shard u32 \| scalar tag u8 \| dim u64 \| nnz u64 \| indices u64×nnz \| values Y×nnz` — indices strictly increasing (enforced at decode) |
 //! | 3 | `Error` | host → router | `request u64 \| shard u32 \| error code u8 (+ message u32-len + UTF-8 for KernelFailed)` |
-//! | 4 | `Flush` | router → host | empty — "flush the engine, reply to every frontier on this connection" |
+//! | 4 | `Flush` | router → host | empty — "run every frontier sent on this connection since the last `Flush` as one engine flush, reply to each in order" |
 //! | 6 | `Done` | host → router | `shard u32 \| lanes u64 \| requests u64 \| execute µs u64` — sent after the per-request replies |
 //! | 5 | `Goodbye` | either | empty — orderly close |
 //! | 7 | `Hello` | router → host | empty — discovery probe at dial time |
@@ -100,8 +99,9 @@
 //!
 //! ## Byzantine-frame defense
 //!
-//! Replies are correlated by request id and validated before they touch a
-//! merge: an id nobody asked for (or already answered), a wrong shard
+//! A host answers a connection's frontiers in the order they were sent,
+//! and replies are validated before they touch a merge: a correlation id
+//! that is not the next unanswered frontier's, a wrong shard
 //! claim, a partial of the wrong height, or bytes that do not decode
 //! (including out-of-range / non-monotone partial indices) quarantine the
 //! connection with a typed [`ByzantineFrame`] — the stream is severed, the
@@ -126,8 +126,8 @@ mod host;
 mod transport;
 
 pub use codec::{
-    decode_frame, encode_frame, read_frame, write_frame, DecodeError, Frame, WireError,
-    WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
+    decode_frame, encode_frame, encode_frontier, read_frame, write_frame, DecodeError, Frame,
+    WireError, WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
 };
 pub use host::{ShardHost, ShardHostHandle};
 pub use transport::{ByzantineFrame, ConnectError, TcpConfig, TcpTransport};

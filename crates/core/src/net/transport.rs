@@ -4,9 +4,10 @@
 //! addresses. [`exchange`](crate::shard::ShardTransport::exchange) serves one
 //! shard's batch — the router calls it from one scoped thread per involved
 //! shard: it writes the batch's `Frontier` frames + one `Flush` to the
-//! shard's preferred replica, then gathers the replies with a per-reply
-//! deadline check. When a replica fails — outage *or*
-//! quarantine — the whole batch is re-sent to the next replica with its
+//! shard's preferred replica, then gathers one reply per frontier, in the
+//! order written, with a per-reply deadline check, and answers the router
+//! by batch position. When a replica fails — outage *or* quarantine — the
+//! whole batch is re-sent to the next replica with its
 //! deadline budgets recomputed, so a single host death degrades to a retry
 //! instead of failing every routed ticket. Only when every replica of a
 //! shard is exhausted do the shard's sub-requests fail, as
@@ -22,10 +23,11 @@
 //! - **Per-replica circuit breaker.** Consecutive failures trip the
 //!   breaker; a tripped replica is deprioritized until a timed half-open
 //!   probe (the heartbeat, or a last-resort exchange attempt) re-admits it.
-//! - **Byzantine-frame defense.** A reply with an unknown correlation id,
-//!   the wrong shard, the wrong output height, or bytes that do not decode
-//!   quarantines the connection with a typed [`ByzantineFrame`] and trips
-//!   the replica's breaker immediately.
+//! - **Byzantine-frame defense.** A reply whose correlation id is not the
+//!   next unanswered frontier's (the host answers in the order it was
+//!   sent), the wrong shard, the wrong output height, or bytes that do not
+//!   decode quarantines the connection with a typed [`ByzantineFrame`] and
+//!   trips the replica's breaker immediately.
 //!
 //! A background heartbeat (`Ping`/`Pong` with an echoed nonce) marks dead
 //! replicas unhealthy between flushes and re-dials tripped ones after
@@ -40,17 +42,17 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sparse_substrate::{Scalar, Semiring};
+use sparse_substrate::{Scalar, Semiring, SparseVec};
 
 use crate::engine::{EngineError, FlushOutcome};
 use crate::obs::{Counter, Gauge, Histogram, ObsConfig, Registry};
 use crate::shard::transport::{ShardTransport, WireRequest};
-use crate::shard::{ShardMsg, ShardPlan, ShardedEngine};
+use crate::shard::{ShardPlan, ShardedEngine};
 use crate::stats::EngineStats;
 
 use super::codec::{
-    encode_frame, read_frame, write_frame, DecodeError, Frame, WireError, WireFrontier, WireScalar,
-    DEFAULT_MAX_FRAME,
+    encode_frame, encode_frontier, read_frame, write_frame, DecodeError, Frame, WireError,
+    WireScalar, DEFAULT_MAX_FRAME,
 };
 
 /// Ceiling on the exponential re-dial backoff.
@@ -161,8 +163,9 @@ impl From<io::Error> for ConnectError {
 /// immediately, and the flush fails over to the next replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ByzantineFrame {
-    /// A reply whose correlation id matches no sub-request routed on this
-    /// connection this flush (or one already answered).
+    /// A reply whose correlation id is not that of the next unanswered
+    /// sub-request of this flush: the host answers in the order it was
+    /// sent, so an unknown, repeated or out-of-order id is a lie.
     UnexpectedRequest {
         /// The id the host echoed.
         request: u64,
@@ -194,7 +197,7 @@ impl std::fmt::Display for ByzantineFrame {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ByzantineFrame::UnexpectedRequest { request } => {
-                write!(f, "reply for unknown or already-answered request {request}")
+                write!(f, "reply for request {request} does not answer the next sub-request")
             }
             ByzantineFrame::WrongShard { expected, got } => {
                 write!(f, "reply claims shard {got}, connection serves shard {expected}")
@@ -658,16 +661,18 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
     /// One scatter→gather round trip against one replica: (re)connect and
     /// handshake, write every not-yet-answered frontier + a flush frame
     /// with deadline budgets recomputed *now*, then read one reply per
-    /// frontier and the host's `Done` summary. Successful replies land in
-    /// `replies` only when the whole attempt succeeds, so a failed attempt
-    /// leaves the batch intact for the next replica.
+    /// frontier, in the order they were written, and the host's `Done`
+    /// summary. `answers` holds one slot per batch entry; the attempt fills
+    /// an empty slot at once only for a frontier that cannot be encoded
+    /// (a permanent failure), and the rest only when the whole attempt
+    /// succeeds, so a failed attempt leaves them for the next replica.
     fn attempt(
         &self,
         s: usize,
         rep: &mut Replica,
         batch: &[WireRequest<X>],
-        replies: &mut Vec<ShardMsg<Y>>,
-    ) -> Result<Option<FlushOutcome>, AttemptError> {
+        answers: &mut [Option<Result<SparseVec<Y>, EngineError>>],
+    ) -> Result<FlushOutcome, AttemptError> {
         let shared = &self.shared;
         shared.ensure_connected(s, rep, shared.config.connect_retries)?;
 
@@ -678,28 +683,33 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         // `DeadlineExceeded` without touching its engine).
         let t_encode = Instant::now();
         let mut buf = Vec::new();
-        for req in batch {
-            if replies.iter().any(|m| m.request == req.request) {
+        // Batch positions written this attempt, in write order.
+        let mut expect = Vec::with_capacity(batch.len());
+        for (i, req) in batch.iter().enumerate() {
+            if answers[i].is_some() {
                 // Failed permanently on an earlier attempt (oversize).
                 continue;
             }
-            let frame: Frame<X, Y> = Frame::Frontier(WireFrontier {
-                request: req.request,
-                shard: s,
-                slice: req.slice.clone(),
-                deadline_micros: req
-                    .deadline
-                    .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64),
-                mask: req.mask.clone(),
-            });
-            if let Err(e) = encode_frame(&frame, &mut buf, DEFAULT_MAX_FRAME) {
+            let budget = req
+                .deadline
+                .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64);
+            let encoded = encode_frontier(
+                req.request,
+                s,
+                &req.slice,
+                budget,
+                req.mask.as_ref(),
+                &mut buf,
+                DEFAULT_MAX_FRAME,
+            );
+            match encoded {
+                Ok(_) => expect.push(i),
                 // An unencodable frontier (oversize) fails only its own
                 // request — deterministically, so no replica retries it.
-                replies.push(ShardMsg {
-                    request: req.request,
-                    shard: s,
-                    result: Err(EngineError::KernelFailed(format!("shard {s}: encode: {e}"))),
-                });
+                Err(e) => {
+                    answers[i] =
+                        Some(Err(EngineError::KernelFailed(format!("shard {s}: encode: {e}"))))
+                }
             }
         }
         let flush: Frame<X, Y> = Frame::Flush;
@@ -707,10 +717,6 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
             return Err(AttemptError::Outage(format!("encode: flush frame: {e}")));
         }
         shared.metrics.encode_time.record_duration(t_encode.elapsed());
-        // Oversize casualties were already failed above; everything else
-        // expects exactly one reply.
-        let expect: Vec<&WireRequest<X>> =
-            batch.iter().filter(|r| !replies.iter().any(|m| m.request == r.request)).collect();
 
         let stream = rep.stream.as_mut().expect("just connected");
         if let Err(e) = stream.write_all(&buf) {
@@ -718,11 +724,12 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         }
         shared.metrics.bytes_out.add(buf.len() as u64);
 
-        // Gather: one reply per live frontier, then the Done summary.
-        // Anything the host sends that we did not ask for — an unknown or
-        // duplicate correlation id, a wrong shard, a wrong height, bytes
-        // that do not decode — is byzantine and quarantines the replica.
-        let mut gathered: Vec<ShardMsg<Y>> = Vec::with_capacity(expect.len());
+        // Gather: one reply per written frontier, in write order, then the
+        // Done summary. Anything else the host sends — a reply that does
+        // not answer the next written frontier, a wrong shard, a wrong
+        // height, bytes that do not decode — is byzantine and quarantines
+        // the replica.
+        let mut gathered = Vec::with_capacity(expect.len());
         let done = loop {
             let t_decode = Instant::now();
             let frame = match read_frame::<X, Y, _>(stream, DEFAULT_MAX_FRAME) {
@@ -741,47 +748,43 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                     return Err(AttemptError::Byzantine(ByzantineFrame::Corrupt(e)));
                 }
             };
+            let check_shard = |shard: usize| {
+                if shard == s {
+                    Ok(())
+                } else {
+                    Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
+                        expected: s,
+                        got: shard,
+                    }))
+                }
+            };
+            // The batch entry a `Partial` or `Error` must answer.
+            let next = |request: u64| match expect.get(gathered.len()) {
+                Some(&i) if batch[i].request == request => Ok(&batch[i]),
+                _ => Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest { request })),
+            };
             match frame {
                 Frame::Partial { request, shard, partial } => {
-                    if shard != s {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
-                            expected: s,
-                            got: shard,
-                        }));
-                    }
+                    check_shard(shard)?;
                     if partial.len() != shared.nrows {
                         return Err(AttemptError::Byzantine(ByzantineFrame::WrongHeight {
                             expected: shared.nrows,
                             got: partial.len(),
                         }));
                     }
-                    let req = expect.iter().find(|r| r.request == request);
-                    if req.is_none() || gathered.iter().any(|m| m.request == request) {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest {
-                            request,
-                        }));
-                    }
+                    let req = next(request)?;
                     // Per-reply deadline check: a partial gathered after
                     // its request's deadline is already worthless.
-                    let late = req.and_then(|r| r.deadline).is_some_and(|d| Instant::now() >= d);
-                    let result =
-                        if late { Err(EngineError::DeadlineExceeded) } else { Ok(partial) };
-                    gathered.push(ShardMsg { request, shard, result });
+                    let late = req.deadline.is_some_and(|d| Instant::now() >= d);
+                    gathered.push(if late {
+                        Err(EngineError::DeadlineExceeded)
+                    } else {
+                        Ok(partial)
+                    });
                 }
                 Frame::Error { request, shard, error } => {
-                    if shard != s {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
-                            expected: s,
-                            got: shard,
-                        }));
-                    }
-                    if !expect.iter().any(|r| r.request == request)
-                        || gathered.iter().any(|m| m.request == request)
-                    {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::UnexpectedRequest {
-                            request,
-                        }));
-                    }
+                    check_shard(shard)?;
+                    next(request)?;
                     // Attribute remote failures to their shard.
                     let error = match error {
                         EngineError::KernelFailed(msg) => {
@@ -789,19 +792,14 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                         }
                         other => other,
                     };
-                    gathered.push(ShardMsg { request, shard, result: Err(error) });
+                    gathered.push(Err(error));
                 }
                 Frame::Done { shard, lanes, requests, execute_micros } => {
-                    if shard != s {
-                        return Err(AttemptError::Byzantine(ByzantineFrame::WrongShard {
-                            expected: s,
-                            got: shard,
-                        }));
-                    }
+                    check_shard(shard)?;
                     if gathered.len() < expect.len() {
                         return Err(AttemptError::Outage("host replied short".to_string()));
                     }
-                    break Some(FlushOutcome {
+                    break FlushOutcome {
                         lanes: lanes as usize,
                         requests: requests as usize,
                         timings: crate::timing::FlushTimings {
@@ -809,7 +807,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                             ..Default::default()
                         },
                         ..Default::default()
-                    });
+                    };
                 }
                 Frame::Goodbye => {
                     return Err(AttemptError::Outage("host said goodbye mid-flush".to_string()))
@@ -836,7 +834,9 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
                 }
             }
         };
-        replies.extend(gathered);
+        for (i, answer) in expect.into_iter().zip(gathered) {
+            answers[i] = Some(answer);
+        }
         Ok(done)
     }
 }
@@ -853,43 +853,32 @@ where
     /// The whole exchange for one shard, walking its replicas in health
     /// order. A failed attempt records the failure (outage → breaker
     /// count; byzantine/mismatch → immediate trip + quarantine), discards
-    /// the attempt's partial progress, and re-sends the full batch to the
-    /// next replica. Only when every replica fails do the shard's
-    /// sub-requests fail, with a `shard <s>:`-prefixed `KernelFailed` —
-    /// one reply per live sub-request, always.
+    /// the attempt's partial progress, and re-sends the unanswered batch to
+    /// the next replica. Only when every replica fails do the shard's
+    /// unanswered sub-requests fail, with a `shard <s>:`-prefixed
+    /// `KernelFailed` — one result per batch entry, in order, always.
     fn exchange(
         &self,
         s: usize,
         batch: Vec<WireRequest<X>>,
-    ) -> (Vec<ShardMsg<Y>>, Option<FlushOutcome>) {
+    ) -> (Vec<Result<SparseVec<Y>, EngineError>>, Option<FlushOutcome>) {
         let shared = &self.shared;
-        // Fails every sub-request that has no reply yet — the invariant is
-        // one reply per routed sub-request, whatever broke.
-        let fail_unanswered = |replies: &mut Vec<ShardMsg<Y>>, msg: &str| {
-            for req in &batch {
-                if !replies.iter().any(|m| m.request == req.request) {
-                    replies.push(ShardMsg {
-                        request: req.request,
-                        shard: s,
-                        result: Err(EngineError::KernelFailed(format!("shard {s}: {msg}"))),
-                    });
-                }
-            }
-        };
-        let mut replies = Vec::with_capacity(batch.len());
+        let mut answers: Vec<Option<Result<SparseVec<Y>, EngineError>>> =
+            (0..batch.len()).map(|_| None).collect();
         let t_rpc = Instant::now();
         let order = shared.replica_order(s);
         let mut last_err = String::from("no replica configured");
+        let mut done = None;
         for (attempt_no, &r) in order.iter().enumerate() {
             let mut rep = crate::engine::lock(&shared.replicas[s][r]);
-            match self.attempt(s, &mut rep, &batch, &mut replies) {
-                Ok(done) => {
+            match self.attempt(s, &mut rep, &batch, &mut answers) {
+                Ok(outcome) => {
                     shared.record_success(&mut rep);
                     if attempt_no > 0 {
                         shared.metrics.failovers.inc();
                     }
-                    shared.metrics.rpc_time.record_duration(t_rpc.elapsed());
-                    return (replies, done);
+                    done = Some(outcome);
+                    break;
                 }
                 Err(AttemptError::Outage(msg)) => {
                     shared.disconnect(&mut rep);
@@ -909,9 +898,17 @@ where
                 }
             }
         }
-        fail_unanswered(&mut replies, &last_err);
         shared.metrics.rpc_time.record_duration(t_rpc.elapsed());
-        (replies, None)
+        // Every entry gets a result, whatever broke.
+        let results = answers
+            .into_iter()
+            .map(|answer| {
+                answer.unwrap_or_else(|| {
+                    Err(EngineError::KernelFailed(format!("shard {s}: {last_err}")))
+                })
+            })
+            .collect();
+        (results, done)
     }
 
     fn shard_stats(&self, _shard: usize) -> Option<EngineStats> {

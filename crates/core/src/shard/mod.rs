@@ -32,17 +32,14 @@
 //! 2. **Execute** — at [`ShardedEngine::flush`] the router builds each
 //!    involved shard's batch from its queued requests, skipping those
 //!    already cancelled, and hands the batches to the transport in parallel
-//!    (one scoped thread per shard). The transport submits the batch to
-//!    the shard's engine and flushes it — in this process or on a
-//!    [`ShardHost`](crate::net::ShardHost) — so shard engines get their work
-//!    at the flush whichever transport carries it. Each shard engine
+//!    (one scoped thread per shard). The transport serves the batch as one
+//!    call into the shard's engine — in this process or on a
+//!    [`ShardHost`](crate::net::ShardHost) — which runs it as one flush
+//!    past the engine's queue, so a bounded shard queue never holds a batch
+//!    back, and answers every entry by position. Each shard engine
 //!    coalesces, panic-isolates, and degrades exactly as a standalone
 //!    engine would: the fault-tolerance semantics of the engine layer
-//!    compose per shard. A shard engine configured with a bounded
-//!    [`OverloadPolicy::Block`](crate::engine::OverloadPolicy::Block) queue
-//!    smaller than one flush's batch blocks that batch's submission for
-//!    good, in process exactly as on a `ShardHost`, because nothing
-//!    flushes the engine until the whole batch is in.
+//!    compose per shard.
 //! 3. **Merge** — fold the full-height partial outputs with the semiring's
 //!    `⊕` in ascending shard order ([`merge_partials`]). Because shard `p`'s
 //!    partial is itself a left-fold over ascending columns, the merged fold
@@ -56,39 +53,40 @@
 //! failed shard's columns resolves normally. An injected outage (the
 //! `shard.flush.<s>` failpoint) is handled by the router for every
 //! transport: the downed shard's batch is never handed over, and its
-//! tickets fail with `KernelFailed("shard <s>: …")`. A sub-request that
-//! exceeds its deadline inside a shard surfaces as `DeadlineExceeded` on
-//! the routed ticket. A request cancelled before the flush — its ticket
-//! cancelled, or its [`ShardSession`] closed or dropped — never leaves the
-//! router. Dropping the router fails every still-queued ticket with
-//! `Disconnected`, exactly like dropping an engine. A bounded `Block`
-//! shard queue smaller than one flush's batch blocks the flush, in process
-//! as on a `ShardHost` (see Execute above); no test or workload configures
-//! one.
+//! tickets fail with `KernelFailed("shard <s>: …")`. A shard exchange that
+//! panics (a shard engine's flush unwinding past its own isolation) fails
+//! its shard's tickets the same way, carrying the panic's message, and the
+//! router's flush still returns. A sub-request that exceeds its deadline
+//! inside a shard surfaces as `DeadlineExceeded` on the routed ticket. A
+//! request cancelled before the flush — its ticket cancelled, or its
+//! [`ShardSession`] closed or dropped — never leaves the router. Dropping
+//! the router fails every still-queued ticket with `Disconnected`, exactly
+//! like dropping an engine.
 //!
 //! ## Transports
 //!
 //! A sub-request goes out as a [`transport::WireRequest`] (frontier slice
-//! plus mask and deadline sidecars) and comes back as a [`ShardMsg`] — plain
-//! data (request id, shard, and the partial or the error) with no `Arc`s,
-//! borrows, handles, or `Instant`s in its payload. The router owns the
-//! whole sub-request lifecycle: the queues, the per-shard threads, the
-//! injected outages and the cancels. The per-shard hop itself is a
-//! [`ShardTransport`] that serves one shard's batch per
-//! [`exchange`](ShardTransport::exchange): [`transport::InProcess`] submits
-//! the batch to its shard engine in this address space and flushes it (the
-//! [`ShardedEngine::partition`] path), and [`crate::net::TcpTransport`]
-//! encodes it as frames over sockets to [`crate::net::ShardHost`] daemons
-//! (both hand the shard engine its whole batch before flushing it, so
-//! they block alike on a bounded `Block` queue — see Execute above)
+//! plus mask and deadline sidecars) and comes back as one
+//! `Result<SparseVec, EngineError>` in its batch position — the partial or
+//! the error, with no `Arc`s, borrows, handles, or `Instant`s in its
+//! payload. The router owns the whole sub-request lifecycle: the queues,
+//! the per-shard threads, the injected outages and the cancels, and it
+//! places each result by the routed index it recorded while building the
+//! batch. The per-shard hop itself is a [`ShardTransport`] that serves one
+//! shard's batch per [`exchange`](ShardTransport::exchange):
+//! [`transport::InProcess`] runs the batch on its shard engine in this
+//! address space (the [`ShardedEngine::partition`] path), and
+//! [`crate::net::TcpTransport`] encodes it as frames over sockets to
+//! [`crate::net::ShardHost`] daemons, which run each connection's batch as
+//! one engine call and answer in the order the frontiers arrived
 //! ([`ShardedEngine::connect`](crate::net)), optionally N replicas deep
 //! per shard ([`ShardedEngine::connect_replicated`](crate::net)) with
 //! mid-flush failover, per-replica circuit breakers, and byzantine-frame
 //! quarantine. The router logic — scatter, fan-out bookkeeping, merge,
-//! failure isolation — is written against the message shape, so results
-//! are bit-identical across transports (and across failovers: every
-//! replica of a shard serves the same column slice, verified at dial time
-//! against the plan's structural fingerprint).
+//! failure isolation — is written against the positional answer, so
+//! results are bit-identical across transports (and across failovers:
+//! every replica of a shard serves the same column slice, verified at dial
+//! time against the plan's structural fingerprint).
 //!
 //! ## Observability
 //!
@@ -102,14 +100,11 @@
 //! engine dashboards read a sharded deployment unchanged.
 
 mod merge;
-mod messages;
 mod plan;
 mod router;
 pub mod transport;
 
 pub use merge::merge_partials;
-pub(crate) use messages::settle;
-pub use messages::ShardMsg;
 pub use plan::ShardPlan;
 pub use router::{ShardFlushOutcome, ShardSession, ShardedEngine};
 pub use transport::ShardTransport;

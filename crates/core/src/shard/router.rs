@@ -1,15 +1,15 @@
 //! The scatter/merge router: [`ShardedEngine`] and its session handle.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
+use sparse_substrate::{CscMatrix, Scalar, Semiring};
 
 use crate::engine::{
-    Engine, EngineConfig, EngineError, FlushOutcome, MxvRequest, Ticket, TicketShared,
+    kernel_failure, Engine, EngineConfig, EngineError, FlushOutcome, MxvRequest, Results, Ticket,
+    TicketShared,
 };
 use crate::failpoint;
 use crate::obs::{Counter, Gauge, Histogram, Registry, TraceKind};
@@ -23,7 +23,6 @@ use super::{merge_partials, ShardPlan};
 /// fold order), and one sub-request per owning shard, parallel to `fanout`.
 /// The sub-requests leave the router only at the flush.
 struct Routed<X, Y> {
-    id: u64,
     session: u64,
     shared: Arc<TicketShared<Y>>,
     fanout: Vec<usize>,
@@ -273,31 +272,20 @@ where
     }
 
     /// Submits an anonymous request. Scattering happens here: the frontier
-    /// is sliced per owning shard ([`SparseVec::slice_remap`]) and each
-    /// slice is queued at the router until the flush hands it to the
-    /// transport. The returned ticket resolves at
-    /// the next [`ShardedEngine::flush`]. Like [`Engine::submit`], panics on
-    /// a frontier or mask that does not fit the matrix, over any transport.
+    /// is sliced per owning shard
+    /// ([`SparseVec::slice_remap`](sparse_substrate::SparseVec::slice_remap))
+    /// and each slice is queued at the router until the flush hands it to
+    /// the transport. The returned ticket resolves at the next
+    /// [`ShardedEngine::flush`]. Like [`Engine::submit`], panics with
+    /// [`MxvRequest`]'s shape message on a frontier or mask that does not
+    /// fit the matrix, over any transport.
     pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
         self.submit_tagged(0, request)
     }
 
     fn submit_tagged(&self, session: u64, request: MxvRequest<X>) -> Ticket<S::Output> {
-        assert_eq!(
-            request.frontier.len(),
-            self.plan.ncols(),
-            "request frontier has dimension {} but the matrix has {} columns",
-            request.frontier.len(),
-            self.plan.ncols()
-        );
-        if let Some((bits, _)) = &request.mask {
-            assert_eq!(
-                bits.len(),
-                self.nrows,
-                "request mask covers {} rows but the matrix has {} output rows",
-                bits.len(),
-                self.nrows
-            );
+        if let Some(msg) = request.shape_error(self.nrows, self.plan.ncols()) {
+            panic!("{msg}");
         }
         let id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (ticket, shared) = Ticket::detached();
@@ -322,7 +310,7 @@ where
         for &s in &fanout {
             self.metrics.queue_depth[s].add(1);
         }
-        pending.push(Routed { id, session, shared, fanout, subs, deadline: request.deadline });
+        pending.push(Routed { session, shared, fanout, subs, deadline: request.deadline });
         ticket
     }
 
@@ -359,84 +347,88 @@ where
             routed.into_iter().partition(|r| !r.shared.is_pending());
         outcome.requests = cancelled.len();
         outcome.retired = cancelled.len();
+        // Each shard's batch, and beside it the routed index of each entry.
         let mut batches: Vec<Vec<WireRequest<X>>> = (0..shards).map(|_| Vec::new()).collect();
-        for r in &mut routed {
+        let mut owners: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
+        for (i, r) in routed.iter_mut().enumerate() {
             for (&s, sub) in r.fanout.iter().zip(r.subs.drain(..)) {
                 batches[s].push(sub);
-            }
-        }
-
-        // Single-shard outage injection: a downed shard's batch is never
-        // handed to the transport; only tickets routed through it fail.
-        let mut replies = HashMap::new();
-        let mut live = Vec::new();
-        for (s, batch) in batches.into_iter().enumerate() {
-            if batch.is_empty() {
-                continue;
-            }
-            match failpoint::act(&format!("shard.flush.{s}")) {
-                Ok(()) => live.push((s, batch)),
-                Err(msg) => {
-                    for req in batch {
-                        let error = EngineError::KernelFailed(format!("shard {s}: {msg}"));
-                        replies.insert((req.request, s), Err(error));
-                    }
-                }
+                owners[s].push(i);
             }
         }
 
         let transport = &*self.transport;
         let t0 = Instant::now();
-        let gathered: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = live
+        let exchanged: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = batches
                 .into_iter()
-                .map(|(s, batch)| (s, scope.spawn(move || transport.exchange(s, batch))))
+                .enumerate()
+                .filter(|(_, batch)| !batch.is_empty())
+                .map(|(s, batch)| {
+                    // Single-shard outage injection: a downed shard's batch
+                    // is never handed to the transport.
+                    let handle = failpoint::act(&format!("shard.flush.{s}"))
+                        .map(|()| scope.spawn(move || transport.exchange(s, batch)));
+                    (s, handle)
+                })
                 .collect();
             handles
                 .into_iter()
-                .map(|(s, handle)| (s, handle.join().expect("shard exchange thread panicked")))
+                .map(|(s, handle)| {
+                    // A panicking exchange fails only its own shard's entries.
+                    let answer = handle.and_then(|h| {
+                        h.join().map_err(|payload| match kernel_failure(payload) {
+                            EngineError::KernelFailed(msg) => msg,
+                            other => other.to_string(),
+                        })
+                    });
+                    (s, answer)
+                })
                 .collect()
         });
         outcome.execute_time = t0.elapsed();
-        for (s, (msgs, done)) in gathered {
-            if let Some(shard_outcome) = done {
-                outcome.per_shard[s] = shard_outcome;
-                outcome.shards_flushed += 1;
+
+        // Each request's shard results, in ascending shard order (the merge
+        // fold order): shards are visited in ascending order.
+        let mut results: Vec<Results<S::Output>> =
+            routed.iter().map(|r| Vec::with_capacity(r.fanout.len())).collect();
+        for (s, answer) in exchanged {
+            match answer {
+                Ok((replies, done)) => {
+                    if let Some(shard_outcome) = done {
+                        outcome.per_shard[s] = shard_outcome;
+                        outcome.shards_flushed += 1;
+                    }
+                    debug_assert_eq!(replies.len(), owners[s].len(), "one result per entry");
+                    for (&i, reply) in owners[s].iter().zip(replies) {
+                        results[i].push(reply);
+                    }
+                }
+                Err(msg) => {
+                    let error = EngineError::KernelFailed(format!("shard {s}: {msg}"));
+                    for &i in &owners[s] {
+                        results[i].push(Err(error.clone()));
+                    }
+                }
             }
-            replies.extend(msgs.into_iter().map(|msg| ((msg.request, msg.shard), msg.result)));
         }
         outcome.lanes = outcome.per_shard.iter().map(|o| o.lanes).sum();
 
-        for r in routed {
+        for (r, shard_results) in routed.into_iter().zip(results) {
             outcome.requests += 1;
-            let mut partials: Vec<SparseVec<S::Output>> = Vec::with_capacity(r.fanout.len());
-            let mut error: Option<EngineError> = None;
-            for &s in &r.fanout {
-                // The transport contract says every sub-request gets a
-                // reply; a hole is a transport fault.
-                let result = replies.remove(&(r.id, s)).unwrap_or_else(|| {
-                    Err(EngineError::KernelFailed(format!(
-                        "shard {s}: no reply for the sub-request"
-                    )))
-                });
-                match result {
-                    Ok(y) => partials.push(y),
-                    // First error in ascending shard order wins.
-                    Err(e) => error = error.or(Some(e)),
-                }
-            }
-            match error {
-                Some(EngineError::DeadlineExceeded) => {
+            // The first error in ascending shard order wins.
+            match shard_results.into_iter().collect::<Result<Vec<_>, _>>() {
+                Err(EngineError::DeadlineExceeded) => {
                     outcome.timeouts += 1;
                     r.shared.fail(EngineError::DeadlineExceeded);
                 }
-                Some(e) => {
+                Err(e) => {
                     outcome.failed += 1;
                     self.metrics.failed.inc();
                     outcome.failures.push(e.to_string());
                     r.shared.fail(e);
                 }
-                None => {
+                Ok(partials) => {
                     // Deadline re-check at merge time: a result assembled
                     // too late is never delivered as if it were fresh.
                     if r.deadline.is_some_and(|d| Instant::now() >= d) {

@@ -642,6 +642,66 @@ fn single_shard_outage_fails_only_routed_tickets() {
     assert_eq!(router.obs().snapshot().counter("shard.failed"), Some(doomed_x.len() as u64));
 }
 
+/// A shard exchange that panics fails only that shard's tickets: the
+/// `engine.flush.assemble` panic fires once, inside whichever shard engine
+/// reaches it first, and the router's flush still returns with every
+/// routed ticket resolved. The downed shard's tickets — its lone request
+/// and the request straddling both shards — fail with its `shard <s>:`
+/// attribution, and the other shard's lone request merges equal to the
+/// oracle in the same flush.
+#[cfg(feature = "failpoints")]
+#[test]
+fn exchange_panic_fails_only_its_shards_tickets() {
+    use spmspv::shard::ShardedEngine;
+    let _fp = fp_lock();
+    let a = integral_matrix(140, 5.0, 79);
+    let router = ShardedEngine::partition(&a, PlusTimes, 2);
+    assert_eq!(router.num_shards(), 2, "need 2 shards for an isolation story");
+    let alone: Vec<SparseVec<f64>> =
+        (0..2).map(|s| confined_vec(a.ncols(), &router.plan().range(s), 20 + s as u64)).collect();
+    let mut straddle = alone[0].clone();
+    for (i, v) in alone[1].iter() {
+        straddle.push(i, *v);
+    }
+    let xs = [alone[0].clone(), alone[1].clone(), straddle];
+    let tickets: Vec<_> = xs.iter().map(|x| router.submit(MxvRequest::new(x.clone()))).collect();
+
+    let before = failpoint::hits("engine.flush.assemble");
+    let _g = failpoint::arm(
+        "engine.flush.assemble",
+        FailAction::Panic("chaos: shard engine down".into()),
+        Some(1),
+    );
+    let outcome = router.flush();
+    assert_eq!(failpoint::hits("engine.flush.assemble"), before + 1, "the panic must have fired");
+    let results: Vec<_> = tickets.iter().map(claim).collect();
+    // The shard whose engine panicked fails its lone request; the other
+    // shard's lone request is served.
+    let down = if results[0].is_err() { 0 } else { 1 };
+    let up = 1 - down;
+    assert_eq!((outcome.merged, outcome.failed), (1, 2), "{results:?}");
+    let served = results[up].as_ref().expect("the other shard must be unaffected");
+    assert!(served.same_entries(&independent_run(&a, &xs[up], None)), "survivor diverged");
+    for r in [down, 2] {
+        match &results[r] {
+            Err(EngineError::KernelFailed(msg)) => assert!(
+                msg.starts_with(&format!("shard {down}: ")) && msg.contains("shard engine down"),
+                "request {r}: the panic message lost its shard attribution: {msg}"
+            ),
+            other => panic!("request {r} went through shard {down}: got {other:?}"),
+        }
+    }
+    assert!(outcome.failures.iter().all(|m| m.contains(&format!("shard {down}:"))));
+
+    // The shot is spent: the same requests now merge exactly.
+    let retry: Vec<_> = xs.iter().map(|x| router.submit(MxvRequest::new(x.clone()))).collect();
+    assert_eq!(router.flush().merged, xs.len());
+    for (t, x) in retry.iter().zip(&xs) {
+        let y = claim(t).expect("the healed shard serves");
+        assert!(y.same_entries(&independent_run(&a, x, None)), "post-panic result diverged");
+    }
+}
+
 /// Failpoint parity over sockets: the same `shard.flush.1` outage armed on
 /// a TCP-connected router has the same blast radius as in-process — the
 /// downed shard's tickets fail with the transport's `shard 1:` attribution,

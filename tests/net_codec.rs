@@ -13,8 +13,8 @@ use proptest::prelude::*;
 use sparse_substrate::{MaskBits, SparseVec};
 use spmspv::engine::EngineError;
 use spmspv::net::{
-    decode_frame, encode_frame, read_frame, write_frame, DecodeError, Frame, WireError,
-    WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
+    decode_frame, encode_frame, encode_frontier, read_frame, write_frame, DecodeError, Frame,
+    WireError, WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
 };
 use spmspv::MaskMode;
 
@@ -103,6 +103,35 @@ fn frontier_strategy() -> impl Strategy<Value = GenFrontier> {
     })
 }
 
+/// `encode_frontier` writes from borrowed parts exactly the bytes
+/// `encode_frame` writes for the same `Frontier` frame, and they decode
+/// back to it.
+fn assert_borrowed_encoding<X>(frame: &Frame<X, X>) -> Result<(), TestCaseError>
+where
+    X: WireScalar + PartialEq + std::fmt::Debug,
+{
+    let Frame::Frontier(w) = frame else { unreachable!("a Frontier frame") };
+    let mut framed = Vec::new();
+    encode_frame(frame, &mut framed, DEFAULT_MAX_FRAME).expect("frame fits the limit");
+    let mut borrowed = Vec::new();
+    let n = encode_frontier(
+        w.request,
+        w.shard,
+        &w.slice,
+        w.deadline_micros,
+        w.mask.as_ref(),
+        &mut borrowed,
+        DEFAULT_MAX_FRAME,
+    )
+    .expect("frame fits the limit");
+    prop_assert_eq!(n, borrowed.len());
+    prop_assert_eq!(&borrowed, &framed);
+    let (decoded, consumed) = decode_frame::<X, X>(&borrowed, DEFAULT_MAX_FRAME).expect("decodes");
+    prop_assert_eq!(consumed, borrowed.len());
+    prop_assert_eq!(&decoded, frame);
+    Ok(())
+}
+
 fn error_strategy() -> impl Strategy<Value = EngineError> {
     prop_oneof![
         Just(EngineError::Cancelled),
@@ -129,6 +158,14 @@ proptest! {
     fn frontier_round_trips_over_both_scalars(g in frontier_strategy()) {
         assert_round_trip(&g.frame::<f64>(|v| v as f64 * 0.5 - 17.25))?;
         assert_round_trip(&g.frame::<usize>(|v| v * 3 + 1))?;
+    }
+
+    /// A frontier encoded from borrowed parts is the same bytes as the
+    /// owned frame, over both scalar types and every sidecar combination.
+    #[test]
+    fn borrowed_frontier_encoding_matches_encode_frame(g in frontier_strategy()) {
+        assert_borrowed_encoding(&g.frame::<f64>(|v| v as f64 * 0.5 - 17.25))?;
+        assert_borrowed_encoding(&g.frame::<usize>(|v| v * 3 + 1))?;
     }
 
     /// Partials round-trip over both scalar types.

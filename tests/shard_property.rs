@@ -17,10 +17,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
+use sparse_substrate::gen::{random_sparse_vec, rmat, RmatParams};
 use sparse_substrate::{
     CooMatrix, CscMatrix, MaskBits, MinPlus, PlusTimes, Scalar, Select2ndMin, Semiring, SparseVec,
 };
-use spmspv::engine::{Engine, EngineConfig, EngineError, MxvRequest};
+use spmspv::engine::{Engine, EngineConfig, EngineError, MxvRequest, OverloadPolicy};
 use spmspv::net::{
     read_frame, write_frame, ConnectError, Frame, ShardHost, ShardHostHandle, TcpConfig,
     WireFrontier, WireScalar, DEFAULT_MAX_FRAME,
@@ -757,6 +758,151 @@ fn malformed_frontiers_get_typed_errors_and_the_connection_keeps_serving() {
     }
     write_frame::<f64, f64, _>(&mut stream, &Frame::Goodbye, DEFAULT_MAX_FRAME).unwrap();
     handle.shutdown();
+}
+
+/// A shard engine whose bounded `Block` queue holds one request still
+/// serves a flush that routes two sub-requests to it: the shard's batch
+/// reaches its engine as one call, past the queue, so the flush returns —
+/// in process and over TCP. Each flush runs on its own thread under a 10 s
+/// watchdog, so a hang fails the test instead of wedging the suite.
+#[test]
+fn bounded_block_shard_queue_serves_a_wider_flush() {
+    fn check(router: ShardedEngine<f64, f64, PlusTimes>, a: &CscMatrix<f64>, what: &str) {
+        let n = a.ncols();
+        // Both frontiers sit in shard 0's columns.
+        let xs = [vec![(0, 1.0), (1, 2.0)], vec![(2, 3.0)]]
+            .map(|pairs| SparseVec::from_pairs(n, pairs).unwrap());
+        let tickets: Vec<_> =
+            xs.iter().map(|x| router.submit(MxvRequest::new(x.clone()))).collect();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(router.flush().merged);
+        });
+        let merged = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{what}: the flush did not return within 10 s"));
+        assert_eq!(merged, 2, "{what}");
+        for (t, x) in tickets.iter().zip(&xs) {
+            let y = t.try_take().expect("resolved").expect("served");
+            assert!(y.same_entries(&oracle_result(a, x)), "{what}: diverged from the oracle");
+        }
+    }
+
+    let n = 8;
+    let a = chaos_fixture(n);
+    let plan = ShardPlan::uniform(n, 2);
+    let config = EngineConfig::default().queue_capacity(1);
+    assert_eq!(config.overload, OverloadPolicy::Block);
+    let local = ShardedEngine::partition_with(&a, PlusTimes, plan.clone(), config.clone());
+    check(local, &a, "in process");
+
+    let (hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes, &config);
+    let remote = ShardedEngine::<f64, f64, PlusTimes>::connect(
+        plan,
+        n,
+        PlusTimes,
+        &addrs,
+        TcpConfig::default(),
+        ObsConfig::default(),
+    )
+    .expect("dial both hosts");
+    check(remote, &a, "over TCP");
+    for host in hosts {
+        host.shutdown();
+    }
+}
+
+/// Two routers on one host: each connection's `Flush` is one engine call
+/// over that connection's own frontiers, so neither router's flush can
+/// take the other's frontier and leave its sub-request unanswered. First
+/// scripted: two connections each leave a frontier at the host, then both
+/// flush back to back, and each flush must answer its own frontier. Then
+/// two routers: every request of 200 concurrent rounds per router, each
+/// two submits and a flush, resolves `Ok`, equal to the oracle.
+#[test]
+fn two_routers_on_one_host_lose_no_request() {
+    const ROUNDS: usize = 200;
+    let a = rmat(15, 16, RmatParams::graph500(), 7);
+    let n = a.ncols();
+    let plan = ShardPlan::uniform(n, 1);
+    let (hosts, addrs) = spawn_hosts(&a, &plan, PlusTimes, &EngineConfig::default());
+    // 4 000-nnz frontiers with integral values, so every ⊕ is exact.
+    let xs: Vec<SparseVec<f64>> = (0..8)
+        .map(|seed| {
+            let x = random_sparse_vec(n, 4000, seed);
+            SparseVec::from_pairs(n, x.iter().map(|(i, v)| (i, (v * 8.0).ceil())).collect())
+                .unwrap()
+        })
+        .collect();
+    let oracle: Vec<SparseVec<f64>> = xs.iter().map(|x| oracle_result(&a, x)).collect();
+
+    let mut conns: Vec<TcpStream> =
+        (0..2).map(|_| TcpStream::connect(addrs[0]).expect("dial the host")).collect();
+    for (c, (stream, x)) in conns.iter_mut().zip(&xs).enumerate() {
+        let frontier = Frame::<f64, f64>::Frontier(WireFrontier {
+            request: c as u64,
+            shard: 0,
+            slice: x.clone(),
+            deadline_micros: None,
+            mask: None,
+        });
+        write_frame(stream, &frontier, DEFAULT_MAX_FRAME).unwrap();
+        // The host reads a connection's frames in order: its `Pong` means
+        // it has taken the frontier before either connection flushes.
+        let ping = Frame::<f64, f64>::Ping { nonce: c as u64 };
+        write_frame(stream, &ping, DEFAULT_MAX_FRAME).unwrap();
+        let pong =
+            read_frame::<f64, f64, _>(stream, DEFAULT_MAX_FRAME).expect("pong").expect("open");
+        assert!(matches!(pong.0, Frame::Pong { nonce } if nonce == c as u64));
+    }
+    for stream in &mut conns {
+        write_frame::<f64, f64, _>(stream, &Frame::Flush, DEFAULT_MAX_FRAME).unwrap();
+    }
+    for (c, stream) in conns.iter_mut().enumerate() {
+        let mut next = || {
+            read_frame::<f64, f64, _>(stream, DEFAULT_MAX_FRAME).expect("reply").expect("not EOF").0
+        };
+        match next() {
+            Frame::Partial { request, partial, .. } if request == c as u64 => {
+                assert!(partial.same_entries(&oracle[c]), "connection {c}: diverged")
+            }
+            other => panic!("connection {c}: its flush must answer its frontier, got {other:?}"),
+        }
+        assert!(matches!(next(), Frame::Done { requests: 1, .. }), "connection {c}: one request");
+        write_frame::<f64, f64, _>(stream, &Frame::Goodbye, DEFAULT_MAX_FRAME).unwrap();
+    }
+
+    std::thread::scope(|scope| {
+        for r in 0..2 {
+            let (plan, addrs, xs, oracle) = (&plan, &addrs, &xs, &oracle);
+            scope.spawn(move || {
+                let router = ShardedEngine::<f64, f64, PlusTimes>::connect(
+                    plan.clone(),
+                    n,
+                    PlusTimes,
+                    addrs,
+                    TcpConfig::default(),
+                    ObsConfig::default(),
+                )
+                .expect("dial the host");
+                for round in 0..ROUNDS {
+                    let picks = [0, 1].map(|j| (2 * round + r + j) % xs.len());
+                    let tickets = picks.map(|k| router.submit(MxvRequest::new(xs[k].clone())));
+                    router.flush();
+                    for (ticket, k) in tickets.iter().zip(picks) {
+                        let y = ticket
+                            .try_take()
+                            .expect("the flush resolves its ticket")
+                            .unwrap_or_else(|e| panic!("router {r}, round {round}: {e}"));
+                        assert!(y.same_entries(&oracle[k]), "router {r}, round {round}: diverged");
+                    }
+                }
+            });
+        }
+    });
+    for host in hosts {
+        host.shutdown();
+    }
 }
 
 /// A mask of the wrong height panics at submit, as it does on an unsharded
