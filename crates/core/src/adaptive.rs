@@ -58,7 +58,7 @@
 //! which the property tests assert.
 
 use sparse_substrate::ops::required_multiplications;
-use sparse_substrate::{CscMatrix, Scalar, Semiring, SparseVec};
+use sparse_substrate::{Scalar, Semiring, SparseVec};
 
 use crate::algorithm::{AlgorithmKind, MatrixRef, SpMSpV, SpMSpVOptions};
 use crate::baselines::SequentialSpa;
@@ -183,19 +183,21 @@ where
             return false;
         }
         self.unvisited_edge_counts += 1;
-        unvisited_edges(matrix, mask) < budget
+        unvisited_edges(matrix.colptr(), mask) < budget
     }
 }
 
 /// `m_u`: the summed degree of the rows `mask` keeps, read from whichever
 /// side of the mask has fewer rows — the kept rows, or the dropped ones,
-/// whose degrees `nnz(A)` less is `m_u` (the matrix is square here). Early
-/// in a BFS few vertices are visited and late few are left, so this walks
-/// `O(n/64 + min(kept, dropped))`.
-fn unvisited_edges<A: Scalar>(matrix: &CscMatrix<A>, mask: MaskView<'_>) -> usize {
+/// whose degrees `nnz(A)` less is `m_u`. `colptr` is a square symmetric
+/// matrix's, so column `i`'s entry count is row `i`'s degree. Early in a
+/// BFS few vertices are visited and late few are left, so this walks
+/// `O(n/64 + min(kept, dropped))`. The shard router applies the same rule
+/// to a whole request with its plan's copy of `colptr`.
+pub(crate) fn unvisited_edges(colptr: &[usize], mask: MaskView<'_>) -> usize {
     let bits = mask.bits();
     let degrees =
-        |view: MaskView<'_>| -> usize { view.kept_rows().map(|i| matrix.column_nnz(i)).sum() };
+        |view: MaskView<'_>| -> usize { view.kept_rows().map(|i| colptr[i + 1] - colptr[i]).sum() };
     if 2 * mask.kept() <= bits.len() {
         degrees(mask)
     } else {
@@ -203,7 +205,7 @@ fn unvisited_edges<A: Scalar>(matrix: &CscMatrix<A>, mask: MaskView<'_>) -> usiz
             MaskMode::Keep => MaskMode::Complement,
             MaskMode::Complement => MaskMode::Keep,
         };
-        matrix.nnz() - degrees(MaskView::new(bits, dropped))
+        colptr[bits.len()] - degrees(MaskView::new(bits, dropped))
     }
 }
 

@@ -133,6 +133,7 @@ use crate::batch::{BatchAlgorithmKind, LaneBatch};
 use crate::failpoint;
 use crate::masked::{BatchMaskView, MaskMode};
 use crate::obs::{Counter, Gauge, Histogram, ObsConfig, Registry, Span, TraceKind};
+use crate::pull::SpMSpVPull;
 use crate::stats::{ChoiceCounts, EngineStats};
 use crate::timing::FlushTimings;
 
@@ -312,12 +313,17 @@ pub struct MxvRequest<X> {
     pub(crate) frontier: SparseVec<X>,
     pub(crate) mask: Option<(Arc<MaskBits>, MaskMode)>,
     pub(crate) deadline: Option<Instant>,
+    /// A shard's share of a request the router pulls: the frontier spans
+    /// the matrix's rows, the mask and the answer its columns, and the
+    /// engine runs it through the pull scan (the transposed reading of
+    /// [`crate::pull`]). Only the shard transports set it.
+    pub(crate) pulled: bool,
 }
 
 impl<X: Scalar> MxvRequest<X> {
     /// A plain unmasked request with no deadline.
     pub fn new(frontier: SparseVec<X>) -> Self {
-        MxvRequest { frontier, mask: None, deadline: None }
+        MxvRequest { frontier, mask: None, deadline: None, pulled: false }
     }
 
     /// Attaches this request's own output mask (the BFS `¬visited` idiom:
@@ -349,8 +355,27 @@ impl<X: Scalar> MxvRequest<X> {
     }
 
     /// Why this request does not fit an `nrows × ncols` matrix: a frontier
-    /// of another width, or a mask of another height. `None` when it fits.
+    /// of another width, or a mask of another height. A pulled request
+    /// reads the matrix transposed, so its frontier must span the rows and
+    /// its mask, which it must carry, the columns. `None` when it fits.
     pub(crate) fn shape_error(&self, nrows: usize, ncols: usize) -> Option<String> {
+        if self.pulled {
+            return if self.frontier.len() != nrows {
+                Some(format!(
+                    "pulled request frontier has dimension {} but the matrix has {nrows} rows",
+                    self.frontier.len()
+                ))
+            } else {
+                match &self.mask {
+                    None => Some("pulled request carries no mask".to_string()),
+                    Some((bits, _)) if bits.len() != ncols => Some(format!(
+                        "pulled request mask covers {} rows but the matrix has {ncols} columns",
+                        bits.len()
+                    )),
+                    Some(_) => None,
+                }
+            };
+        }
         if self.frontier.len() != ncols {
             return Some(format!(
                 "request frontier has dimension {} but the matrix has {ncols} columns",
@@ -535,7 +560,21 @@ struct QueueEntry<X, Y> {
     frontier: SparseVec<X>,
     mask: Option<(Arc<MaskBits>, MaskMode)>,
     deadline: Option<Instant>,
+    pulled: bool,
     ticket: Arc<TicketShared<Y>>,
+}
+
+/// The engine's reusable kernels: the runner of its family's lanes and,
+/// for a shard's pulled requests, the pull kernel.
+struct Kernels<'m, A, X, S: Semiring<A, X>> {
+    lanes: Option<LaneBatch<'m, A, X, S>>,
+    pull: Option<SpMSpVPull<'m, A, S::Output>>,
+}
+
+impl<A, X, S: Semiring<A, X>> Default for Kernels<'_, A, X, S> {
+    fn default() -> Self {
+        Kernels { lanes: None, pull: None }
+    }
 }
 
 struct RequestQueue<X, Y> {
@@ -664,10 +703,11 @@ impl EngineMetrics {
 /// request with [`EngineError::Disconnected`], so no client waits on a dead
 /// engine.
 pub struct Engine<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> {
-    /// The runner of [`EngineConfig::batch_algorithm`] lanes, built on the
-    /// first flush and reused by every later one (the amortization the
-    /// engine exists for); `None` until then and after a panic evicted it.
-    kernel: Mutex<Option<LaneBatch<'m, A, X, S>>>,
+    /// The runner of [`EngineConfig::batch_algorithm`] lanes and the pull
+    /// kernel of pulled requests, each built on the first flush that needs
+    /// it and reused by every later one (the amortization the engine
+    /// exists for); `None` until then and after a panic evicted them.
+    kernel: Mutex<Kernels<'m, A, X, S>>,
     queue: RequestQueue<X, S::Output>,
     metrics: EngineMetrics,
     config: EngineConfig,
@@ -761,7 +801,7 @@ where
     fn from_matrix(matrix: MatrixRef<'m, A>, semiring: S, config: EngineConfig) -> Self {
         let metrics = EngineMetrics::new(&config.obs);
         Engine {
-            kernel: Mutex::new(None),
+            kernel: Mutex::new(Kernels::default()),
             queue: RequestQueue {
                 entries: Mutex::new(VecDeque::new()),
                 grew: Condvar::new(),
@@ -924,6 +964,7 @@ where
             frontier: request.frontier,
             mask: request.mask,
             deadline: request.deadline,
+            pulled: request.pulled,
             ticket: shared,
         };
         // Count the request before it becomes flushable, so a concurrent
@@ -994,9 +1035,9 @@ where
 
         let mut outcome = FlushOutcome { requests: drained.len(), ..FlushOutcome::default() };
         let sp_group = self.metrics.phase_span(PHASE_ASSEMBLE);
-        // Group by mask mode, preserving arrival order within each group —
-        // the demux order clients observe.
-        type Group<X, Y> = (Option<MaskMode>, Vec<QueueEntry<X, Y>>);
+        // Group by mask mode, and pulled requests apart, preserving arrival
+        // order within each group — the demux order clients observe.
+        type Group<X, Y> = ((Option<MaskMode>, bool), Vec<QueueEntry<X, Y>>);
         let now = Instant::now();
         let drained_len = drained.len();
         let mut groups: Vec<Group<X, S::Output>> = Vec::new();
@@ -1013,7 +1054,7 @@ where
                 outcome.retired += 1;
                 continue;
             }
-            let key = entry.mask.as_ref().map(|&(_, mode)| mode);
+            let key = (entry.mask.as_ref().map(|&(_, mode)| mode), entry.pulled);
             // Sized once from the drained count, so a group never regrows.
             match groups.iter_mut().find(|(k, _)| *k == key) {
                 Some((_, members)) => members.push(entry),
@@ -1029,7 +1070,7 @@ where
         let width = if self.config.max_lanes == 0 { usize::MAX } else { self.config.max_lanes };
         let kind = self.config.batch_algorithm;
         let mut kernel = lock(&self.kernel);
-        for (mode, members) in groups {
+        for ((mode, pulled), members) in groups {
             let mut members = members.into_iter().peekable();
             while members.peek().is_some() {
                 let sp_assemble = self.metrics.phase_span(PHASE_ASSEMBLE);
@@ -1061,7 +1102,9 @@ where
                     lanes.push(entry.frontier);
                     masks.extend(entry.mask.map(|(bits, _)| bits));
                 }
-                let x = SparseVecBatch::with_lanes(self.matrix.ncols(), lanes)
+                // A pulled lane's frontier spans the matrix's rows.
+                let width = if pulled { self.matrix.nrows() } else { self.matrix.ncols() };
+                let x = SparseVecBatch::with_lanes(width, lanes)
                     .expect("request dimensions are validated at submit");
                 let mask = mode.map(|mode| BatchMaskView::PerLane { masks: &masks, mode });
                 outcome.timings.assemble += sp_assemble.stop();
@@ -1073,7 +1116,7 @@ where
                 });
 
                 let sp_execute = self.metrics.phase_span(PHASE_EXECUTE);
-                let first = self.execute(Some(&mut *kernel), &x, mask.as_ref());
+                let first = self.execute(Some(&mut *kernel), pulled, &x, mask.as_ref());
                 outcome.timings.execute += sp_execute.stop();
                 let served = match first {
                     Ok(ok) => Some(ok),
@@ -1085,7 +1128,7 @@ where
                         // one after another on one one-thread kernel.
                         self.metrics.registry.trace(TraceKind::DegradeRetry { from: kind });
                         let sp_recover = self.metrics.phase_span(PHASE_RECOVER);
-                        let retry = self.execute(None, &x, mask.as_ref());
+                        let retry = self.execute(None, pulled, &x, mask.as_ref());
                         outcome.timings.recover += sp_recover.stop();
                         match retry {
                             Ok(y) => {
@@ -1140,40 +1183,52 @@ where
     }
 
     /// Executes one fused group with panic isolation: on the engine's
-    /// runner (built on first use) when `kernel` is given, else on a freshly
-    /// built runner of the same family at one participant — the one-shot
-    /// degraded retry. A kernel panic comes back as
-    /// [`EngineError::KernelFailed`], and the engine's runner is then
-    /// evicted: its workspaces may be mid-mutation from the unwound call, so
-    /// the next flush rebuilds it cleanly.
+    /// kernels (built on first use) when `kernel` is given, else on freshly
+    /// built ones at one participant — the one-shot degraded retry. A
+    /// pushed group runs on the runner of the engine's family; a pulled one
+    /// runs its lanes one after another through the pull scan, each on the
+    /// participants its kept rows earn. A kernel panic comes back as
+    /// [`EngineError::KernelFailed`], and the engine's kernels are then
+    /// evicted: their workspaces may be mid-mutation from the unwound call,
+    /// so the next flush rebuilds them cleanly.
     fn execute(
         &self,
-        kernel: Option<&mut Option<LaneBatch<'m, A, X, S>>>,
+        kernel: Option<&mut Kernels<'m, A, X, S>>,
+        pulled: bool,
         x: &SparseVecBatch<X>,
         mask: Option<&BatchMaskView<'_>>,
     ) -> Result<SparseVecBatch<S::Output>, EngineError> {
         failpoint::act("engine.flush.execute").map_err(EngineError::KernelFailed)?;
-        let lanes = self.config.batch_algorithm.lanes();
-        let run = |runner: &mut LaneBatch<'m, A, X, S>| {
+        let matrix = &self.matrix;
+        let run = |kernels: &mut Kernels<'m, A, X, S>, options: &SpMSpVOptions| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                runner.multiply_batch_masked(x, &self.semiring, mask)
+                if !pulled {
+                    let kind = self.config.batch_algorithm.lanes();
+                    let runner = kernels.lanes.get_or_insert_with(|| {
+                        LaneBatch::new(matrix.clone(), kind, options.clone())
+                    });
+                    return runner.multiply_batch_masked(x, &self.semiring, mask);
+                }
+                let pull = kernels
+                    .pull
+                    .get_or_insert_with(|| SpMSpVPull::new(matrix.clone(), options.clone()));
+                let mask = mask.expect("a pulled request carries a mask");
+                let ys =
+                    (0..x.k()).map(|l| pull.pull(x.lane(l), &self.semiring, mask.lane_view(l)));
+                SparseVecBatch::with_lanes(matrix.ncols(), ys.collect())
+                    .expect("a pulled lane spans the matrix's columns")
             }))
             .map_err(kernel_failure)
         };
         match kernel {
-            Some(slot) => {
-                let runner = slot.get_or_insert_with(|| {
-                    LaneBatch::new(self.matrix.clone(), lanes, self.config.options.clone())
-                });
-                let served = run(runner);
+            Some(kernels) => {
+                let served = run(kernels, &self.config.options);
                 if served.is_err() {
-                    *slot = None;
+                    *kernels = Kernels::default();
                 }
                 served
             }
-            None => {
-                run(&mut LaneBatch::new(self.matrix.clone(), lanes, SpMSpVOptions::with_threads(1)))
-            }
+            None => run(&mut Kernels::default(), &SpMSpVOptions::with_threads(1)),
         }
     }
 

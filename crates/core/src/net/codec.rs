@@ -19,6 +19,7 @@ use sparse_substrate::{MaskBits, Scalar, SparseError, SparseVec};
 
 use crate::engine::EngineError;
 use crate::masked::MaskMode;
+use crate::shard::transport::WireRequest;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"SMSV";
@@ -26,10 +27,12 @@ pub const MAGIC: [u8; 4] = *b"SMSV";
 /// discovery/health frames (`Hello`/`Welcome`, `Ping`/`Pong`) and made
 /// `Partial` index order a protocol invariant. Version 3 dropped the
 /// `Frontier` frame's trailing batched-algorithm byte: a host's engine runs
-/// the one kernel family it was configured with. Every vector on the wire,
-/// `Frontier` slice and `Partial` alike, carries strictly increasing
-/// indices; the decoder rejects anything else as corrupt.
-pub const VERSION: u8 = 3;
+/// the one kernel family it was configured with. Version 4 added the
+/// `Pulled` frame: a pulled request's whole frontier and the host's own
+/// rows of its mask, answered by a `Partial` of those rows. Every vector on
+/// the wire, `Frontier` slice and `Partial` alike, carries strictly
+/// increasing indices; the decoder rejects anything else as corrupt.
+pub const VERSION: u8 = 4;
 /// Bytes of `magic | version | tag | payload_len: u32`.
 pub const HEADER_LEN: usize = 10;
 /// Default upper bound on one frame's payload (64 MiB). Both sides of a
@@ -47,6 +50,7 @@ const TAG_HELLO: u8 = 7;
 const TAG_WELCOME: u8 = 8;
 const TAG_PING: u8 = 9;
 const TAG_PONG: u8 = 10;
+const TAG_PULLED: u8 = 11;
 
 /// Why a frame could not be decoded (or, for [`DecodeError::Oversize`],
 /// encoded). Every variant is a protocol-level fault a peer can trigger;
@@ -199,22 +203,31 @@ impl WireScalar for bool {
     }
 }
 
-/// One routed sub-request on the wire: the frontier slice, its relative
-/// deadline budget and the output mask (rows, shared by every shard).
+/// One routed sub-request on the wire: the frontier, its relative deadline
+/// budget and the output mask. A pushed sub-request (a `Frontier` frame)
+/// carries the frontier's slice and the whole mask; a pulled one (a
+/// `Pulled` frame, the same payload under its own tag) carries the whole
+/// frontier and the host's own rows of the mask.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireFrontier<X> {
     /// Router-unique request id, echoed by the reply.
     pub request: u64,
     /// Destination shard.
     pub shard: usize,
-    /// The frontier slice, re-based to the shard's column range.
+    /// The frontier slice, re-based to the shard's column range; for a
+    /// pulled sub-request, the whole frontier.
     pub slice: SparseVec<X>,
     /// Remaining deadline budget in microseconds (relative — the host
     /// re-anchors it to a local `Instant` on receive).
     pub deadline_micros: Option<u64>,
-    /// Output mask sidecar (full output height, shared by all shards and
-    /// by reference, as [`MxvRequest`](crate::engine::MxvRequest) holds it).
+    /// Output mask sidecar: the whole mask (full output height, shared by
+    /// all shards and by reference, as
+    /// [`MxvRequest`](crate::engine::MxvRequest) holds it), or for a pulled
+    /// sub-request the shard's rows `[lo, hi)` of it, re-based to 0.
     pub mask: Option<(Arc<MaskBits>, MaskMode)>,
+    /// Whether the host pulls the rows it owns and answers with them alone
+    /// (`hi − lo` high) instead of a full-height partial.
+    pub pulled: bool,
 }
 
 /// Everything that can travel on a shard connection: a `Frontier`, the two
@@ -224,9 +237,12 @@ pub struct WireFrontier<X> {
 /// plus the handshake and heartbeat frames).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame<X, Y> {
-    /// Router → host: one request's frontier slice (+ mask sidecar).
+    /// Router → host: one request's frontier slice (+ mask sidecar), or
+    /// for a pulled request its whole frontier (+ the host's mask rows);
+    /// [`WireFrontier::pulled`] picks the tag.
     Frontier(WireFrontier<X>),
-    /// Host → router: one full-height partial product.
+    /// Host → router: one full-height partial product, or a pulled
+    /// request's rows of the product.
     Partial {
         /// Echoed request id.
         request: u64,
@@ -430,15 +446,9 @@ pub fn encode_frame<X: WireScalar, Y: WireScalar>(
     let mut payload = Vec::new();
     let tag = match frame {
         Frame::Frontier(w) => {
-            return encode_frontier(
-                w.request,
-                w.shard,
-                &w.slice,
-                w.deadline_micros,
-                w.mask.as_ref(),
-                out,
-                max_frame,
-            )
+            let mask = w.mask.as_ref();
+            frontier_payload(&mut payload, w.request, w.shard, &w.slice, w.deadline_micros, mask);
+            frontier_tag(w.pulled)
         }
         Frame::Partial { request, shard, partial } => {
             put_u64(&mut payload, *request);
@@ -487,43 +497,65 @@ pub fn encode_frame<X: WireScalar, Y: WireScalar>(
     seal(out, tag, &payload, max_frame)
 }
 
-/// [`encode_frame`] of a `Frontier` frame from borrowed parts: the same
-/// bytes as `Frame::Frontier(WireFrontier { request, shard, slice,
-/// deadline_micros, mask })`, without first moving or cloning the slice
-/// and mask into a [`WireFrontier`].
+/// [`encode_frame`] of the frame that sends `request` to `shard`, from
+/// borrowed parts: the same bytes as `Frame::Frontier(WireFrontier {
+/// request, shard, slice, deadline_micros: budget, mask, pulled })`,
+/// without first moving or cloning the frontier and mask into a
+/// [`WireFrontier`]. `budget` stands in for the request's absolute
+/// deadline: the microseconds left of it at write time.
 pub fn encode_frontier<X: WireScalar>(
+    request: &WireRequest<X>,
+    shard: usize,
+    budget: Option<u64>,
+    out: &mut Vec<u8>,
+    max_frame: usize,
+) -> Result<usize, DecodeError> {
+    let mut payload = Vec::new();
+    let mask = request.mask.as_ref();
+    frontier_payload(&mut payload, request.request, shard, &request.slice, budget, mask);
+    seal(out, frontier_tag(request.pulled), &payload, max_frame)
+}
+
+/// The tag of a pushed (`Frontier`) or pulled (`Pulled`) sub-request.
+fn frontier_tag(pulled: bool) -> u8 {
+    if pulled {
+        TAG_PULLED
+    } else {
+        TAG_FRONTIER
+    }
+}
+
+/// Appends the payload of a `Frontier` or `Pulled` frame to `payload`.
+fn frontier_payload<X: WireScalar>(
+    payload: &mut Vec<u8>,
     request: u64,
     shard: usize,
     slice: &SparseVec<X>,
     deadline_micros: Option<u64>,
     mask: Option<&(Arc<MaskBits>, MaskMode)>,
-    out: &mut Vec<u8>,
-    max_frame: usize,
-) -> Result<usize, DecodeError> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, request);
-    put_u32(&mut payload, shard as u32);
+) {
+    put_u64(payload, request);
+    put_u32(payload, shard as u32);
     payload.push(X::TAG);
-    spvec_payload(&mut payload, slice);
+    spvec_payload(payload, slice);
     match deadline_micros {
         None => payload.push(0),
         Some(budget) => {
             payload.push(1);
-            put_u64(&mut payload, budget);
+            put_u64(payload, budget);
         }
     }
     match mask {
         None => payload.push(0),
         Some((bits, mode)) => {
             payload.push(mask_mode_byte(*mode));
-            put_u64(&mut payload, bits.len() as u64);
-            put_u64(&mut payload, bits.words().len() as u64);
+            put_u64(payload, bits.len() as u64);
+            put_u64(payload, bits.words().len() as u64);
             for &word in bits.words() {
-                put_u64(&mut payload, word);
+                put_u64(payload, word);
             }
         }
     }
-    seal(out, TAG_FRONTIER, &payload, max_frame)
 }
 
 /// Appends the header and `payload` of one `tag` frame to `out`, or leaves
@@ -586,7 +618,7 @@ fn decode_payload<X: WireScalar, Y: WireScalar>(
 ) -> Result<Frame<X, Y>, DecodeError> {
     let mut r = Reader::new(payload);
     let frame = match tag {
-        TAG_FRONTIER => {
+        TAG_FRONTIER | TAG_PULLED => {
             let request = r.u64()?;
             let shard = r.u32()? as usize;
             let xtag = r.u8()?;
@@ -615,7 +647,8 @@ fn decode_payload<X: WireScalar, Y: WireScalar>(
                 }
                 _ => return Err(DecodeError::Corrupt("unknown mask flag")),
             };
-            Frame::Frontier(WireFrontier { request, shard, slice, deadline_micros, mask })
+            let pulled = tag == TAG_PULLED;
+            Frame::Frontier(WireFrontier { request, shard, slice, deadline_micros, mask, pulled })
         }
         TAG_PARTIAL => {
             let request = r.u64()?;

@@ -12,7 +12,10 @@
 //! touching the engine). A frontier whose slice is not as wide as the
 //! shard, or whose mask does not span the output rows, resolves
 //! `KernelFailed("shard <s>: …")` with the message the engine would panic
-//! with, naming both numbers, and the connection keeps serving.
+//! with, naming both numbers, and the connection keeps serving. A `Pulled`
+//! frontier is held to the transposed shape — the whole frontier, and a
+//! mask over the shard's own rows — and the engine pulls it, answering
+//! those rows alone.
 //!
 //! The host also answers the discovery/health frames at any point in a
 //! connection's life: `Hello` → `Welcome` (shard id, column range, output
@@ -290,6 +293,7 @@ fn serve_connection<A, X, S>(
                     frontier: w.slice,
                     mask: w.mask,
                     deadline: w.deadline_micros.map(|b| received_at + Duration::from_micros(b)),
+                    pulled: w.pulled,
                 };
                 // The engine panics on a request that does not fit its
                 // matrix; a peer's bad frame must fail its own request, not

@@ -22,7 +22,7 @@
 //! | offset | bytes | field |
 //! |---|---|---|
 //! | 0 | 4 | magic `"SMSV"` |
-//! | 4 | 1 | protocol version (currently 3) |
+//! | 4 | 1 | protocol version (currently 4) |
 //! | 5 | 1 | frame tag |
 //! | 6 | 4 | payload length `u32` |
 //!
@@ -38,6 +38,7 @@
 //! | 8 | `Welcome` | host → router | `shard u32 \| col_start u64 \| col_end u64 \| nrows u64 \| fingerprint u64` — the host's advertisement |
 //! | 9 | `Ping` | router → host | `nonce u64` — heartbeat probe |
 //! | 10 | `Pong` | host → router | `nonce u64` — heartbeat reply, nonce echoed |
+//! | 11 | `Pulled` | router → host | `Frontier`'s payload, for a pulled request: the whole frontier (dim = the output height) and the host's rows `[lo, hi)` of the mask, re-based to 0 (dim = `hi − lo`); its `Partial` answer is those rows, `hi − lo` high |
 //!
 //! Frames are bounded ([`DEFAULT_MAX_FRAME`] on both sides of a
 //! connection; the codec functions take the bound as a parameter) and decoding
@@ -102,7 +103,9 @@
 //! A host answers a connection's frontiers in the order they were sent,
 //! and replies are validated before they touch a merge: a correlation id
 //! that is not the next unanswered frontier's, a wrong shard
-//! claim, a partial of the wrong height, or bytes that do not decode
+//! claim, a partial of the wrong height (the output height for a pushed
+//! frontier, the host's `hi − lo` rows for a pulled one), or bytes that do
+//! not decode
 //! (including out-of-range / non-monotone partial indices) quarantine the
 //! connection with a typed [`ByzantineFrame`] — the stream is severed, the
 //! replica's breaker trips immediately, `shard.replica.quarantined` is

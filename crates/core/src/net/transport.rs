@@ -25,7 +25,8 @@
 //!   probe (the heartbeat, or a last-resort exchange attempt) re-admits it.
 //! - **Byzantine-frame defense.** A reply whose correlation id is not the
 //!   next unanswered frontier's (the host answers in the order it was
-//!   sent), the wrong shard, the wrong output height, or bytes that do not
+//!   sent), the wrong shard, the wrong height (the output's for a pushed
+//!   frontier, the shard's rows for a pulled one), or bytes that do not
 //!   decode quarantines the connection with a typed [`ByzantineFrame`] and
 //!   trips the replica's breaker immediately.
 //!
@@ -177,10 +178,12 @@ pub enum ByzantineFrame {
         /// Shard the frame claimed.
         got: usize,
     },
-    /// A partial whose logical height differs from the router's output
-    /// height — its indices would be meaningless in the merge.
+    /// A partial whose logical height differs from what its sub-request
+    /// asked for — the router's output height for a pushed frontier, the
+    /// shard's `hi − lo` owned rows for a pulled one — so its indices would
+    /// be meaningless in the merge.
     WrongHeight {
-        /// Router output height.
+        /// The height the sub-request asked for.
         expected: usize,
         /// Height the frame declared.
         got: usize,
@@ -203,7 +206,7 @@ impl std::fmt::Display for ByzantineFrame {
                 write!(f, "reply claims shard {got}, connection serves shard {expected}")
             }
             ByzantineFrame::WrongHeight { expected, got } => {
-                write!(f, "partial height {got} != output height {expected}")
+                write!(f, "partial height {got} != expected height {expected}")
             }
             ByzantineFrame::Corrupt(e) => write!(f, "undecodable frame: {e}"),
             ByzantineFrame::UnexpectedFrame(tag) => {
@@ -693,15 +696,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
             let budget = req
                 .deadline
                 .map(|d| d.saturating_duration_since(Instant::now()).as_micros() as u64);
-            let encoded = encode_frontier(
-                req.request,
-                s,
-                &req.slice,
-                budget,
-                req.mask.as_ref(),
-                &mut buf,
-                DEFAULT_MAX_FRAME,
-            );
+            let encoded = encode_frontier(req, s, budget, &mut buf, DEFAULT_MAX_FRAME);
             match encoded {
                 Ok(_) => expect.push(i),
                 // An unencodable frontier (oversize) fails only its own
@@ -766,13 +761,17 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
             match frame {
                 Frame::Partial { request, shard, partial } => {
                     check_shard(shard)?;
-                    if partial.len() != shared.nrows {
+                    let req = next(request)?;
+                    // A pushed frontier's partial spans the output; a
+                    // pulled one's answer spans the host's own rows.
+                    let height =
+                        if req.pulled { shared.expected[s].range.len() } else { shared.nrows };
+                    if partial.len() != height {
                         return Err(AttemptError::Byzantine(ByzantineFrame::WrongHeight {
-                            expected: shared.nrows,
+                            expected: height,
                             got: partial.len(),
                         }));
                     }
-                    let req = next(request)?;
                     // Per-reply deadline check: a partial gathered after
                     // its request's deadline is already worthless.
                     let late = req.deadline.is_some_and(|d| Instant::now() >= d);

@@ -57,11 +57,12 @@
 //!
 //! | metric | type | meaning |
 //! |---|---|---|
-//! | `shard.requests` | counter | requests routed through the scatter path |
+//! | `shard.requests` | counter | requests routed, pushed or pulled |
+//! | `shard.pulls` | counter | requests routed as pulls: each owning shard answered its own rows |
 //! | `shard.flushes` | counter | router flushes that resolved ≥ 1 request |
 //! | `shard.failed` | counter | tickets failed by a shard-side error |
 //! | `shard.fanout` | histogram | owning shards per routed request (a count, not ns) |
-//! | `shard.merge.time` | histogram | ns ⊕-merging partials, one sample per flush |
+//! | `shard.merge.time` | histogram | ns merging answers (⊕-folds and concatenations), one sample per flush |
 //! | `shard.queue_depth.<s>` | gauge | sub-requests queued for shard `s` at the router |
 //!
 //! A router connected over sockets ([`crate::shard::ShardedEngine::connect`])

@@ -50,6 +50,21 @@
 //!
 //! The output, and [`SpMSpVPull::last_scanned`], are the same at every
 //! participant count.
+//!
+//! ## The transposed reading
+//!
+//! The scan never needs a square matrix: it reads column `i`'s row ids and
+//! writes `y(i)`, so what it computes is `Aᵀ ⊗ x` under the first-hit
+//! rule. Its frontier bits span the matrix's rows, and its mask and output
+//! span its columns. On a square symmetric matrix `Aᵀ` has `A`'s pattern,
+//! which is condition 3. On a column slice `A(:, lo..hi)` of a symmetric
+//! `A`, local column `c` is row `lo + c`'s neighbour list in ascending
+//! order, so the same scan, fed the whole frontier and the mask's rows
+//! `lo..hi` re-based to 0, yields `y(lo..hi)` re-based to 0. That is how a
+//! [shard](crate::shard) answers a pulled request: the router checks the
+//! three conditions on the whole matrix, and each shard pulls the rows it
+//! owns through the crate's unchecked entry to the scan, which checks none
+//! of them.
 
 use std::ops::Range;
 
@@ -116,11 +131,13 @@ impl<'a, A: Scalar, Y: Scalar> SpMSpVPull<'a, A, Y> {
         self.scanned
     }
 
-    /// The pull itself, for a call that [`is_exact`] and whose mask spans
-    /// the matrix's rows; the caller has checked both. It runs on the
-    /// participants the mask's kept rows earn and, on more than one, on
-    /// `4t` blocks (the participant and block rules of the
-    /// [module docs](self)).
+    /// The pull itself, for a call that [`is_exact`], or a shard's share of
+    /// a call that is exact on the whole matrix (the transposed reading of
+    /// the [module docs](self)). `x` spans the matrix's rows and the mask
+    /// its columns, and the output spans its columns; the caller has
+    /// checked all of it. It runs on the participants the mask's kept rows
+    /// earn and, on more than one, on `4t` blocks (the participant and
+    /// block rules of the [module docs](self)).
     pub(crate) fn pull<X: Scalar, S: Semiring<A, X, Output = Y>>(
         &mut self,
         x: &SparseVec<X>,
@@ -141,7 +158,7 @@ impl<'a, A: Scalar, Y: Scalar> SpMSpVPull<'a, A, Y> {
         mask: MaskView<'_>,
     ) -> SparseVec<Y> {
         let matrix = &*self.matrix;
-        self.frontier.load(matrix.ncols(), x.indices());
+        self.frontier.load(matrix.nrows(), x.indices());
         let words = mask.bits().words().len();
         let frontier = &self.frontier;
         let scan =
@@ -153,7 +170,7 @@ impl<'a, A: Scalar, Y: Scalar> SpMSpVPull<'a, A, Y> {
         };
         self.frontier.clear(x.indices());
         self.scanned = Some(scanned);
-        SparseVec::from_parts(matrix.nrows(), indices, values).expect("kept rows ascend")
+        SparseVec::from_parts(matrix.ncols(), indices, values).expect("kept rows ascend")
     }
 }
 
@@ -265,6 +282,7 @@ where
 mod tests {
     use super::*;
     use sparse_substrate::fixtures::tridiagonal;
+    use sparse_substrate::gen::{rmat, RmatParams};
     use sparse_substrate::{MaskBits, PlusTimes, Select2ndMin};
 
     use crate::masked::MaskMode;
@@ -362,6 +380,49 @@ mod tests {
             let y = split_equals_one_participant(&a, &x, mask);
             assert_eq!(y.indices().last(), Some(&(len - 1)), "len {len}");
             assert_eq!(y.values().last(), Some(&(len - 2)), "len {len}");
+        }
+    }
+
+    #[test]
+    fn column_slices_pull_their_own_rows() {
+        let a = rmat(12, 16, RmatParams::graph500(), 7);
+        assert!(a.is_structurally_symmetric());
+        let n = a.ncols();
+        // A BFS-shaped frontier (each vertex carries its own id) and a
+        // visited set, so both mask modes keep some rows and drop others.
+        let frontier: Vec<usize> = (0..n).filter(|v| v % 3 == 0).collect();
+        let x = SparseVec::from_parts(n, frontier.clone(), frontier).unwrap();
+        let visited = MaskBits::from_indices(n, (0..n).filter(|v| v % 5 != 2));
+        let balanced = crate::shard::ShardPlan::balanced(&a, 3).bounds().to_vec();
+        for mode in [MaskMode::Complement, MaskMode::Keep] {
+            let mut whole = SpMSpVPull::new(&a, SpMSpVOptions::default());
+            let want =
+                whole.pull_on(Executor::new(1), &x, &Select2ndMin, MaskView::new(&visited, mode));
+            let want_scanned = whole.last_scanned();
+            assert!(want.nnz() > 0, "{mode:?}");
+            // nnz-balanced cuts, and cuts off the mask's word boundaries.
+            for bounds in [balanced.clone(), vec![0, 1, 100, 1000, 2049, n]] {
+                for threads in [1, 3] {
+                    let (mut indices, mut values, mut scanned) = (Vec::new(), Vec::new(), 0);
+                    for (slice, w) in a.column_split(&bounds).iter().zip(bounds.windows(2)) {
+                        let owned = visited.slice(w[0]..w[1]);
+                        let mut pull = SpMSpVPull::new(slice, SpMSpVOptions::default());
+                        let y = pull.pull_on(
+                            Executor::new(threads),
+                            &x,
+                            &Select2ndMin,
+                            MaskView::new(&owned, mode),
+                        );
+                        assert_eq!(y.len(), w[1] - w[0]);
+                        indices.extend(y.indices().iter().map(|i| w[0] + i));
+                        values.extend_from_slice(y.values());
+                        scanned += pull.last_scanned().expect("pulled");
+                    }
+                    let concatenated = SparseVec::from_parts(n, indices, values).unwrap();
+                    assert_eq!(concatenated, want, "{mode:?}, {bounds:?}, t = {threads}");
+                    assert_eq!(Some(scanned), want_scanned, "{mode:?}, {bounds:?}, t = {threads}");
+                }
+            }
         }
     }
 

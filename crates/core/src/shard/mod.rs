@@ -19,16 +19,18 @@
 //! y = A ⊗ x = ⊕ₚ Aₚ ⊗ xₚ        xₚ = x sliced to [lo, hi), re-based to 0
 //! ```
 //!
-//! so the router only has to do three cheap things per request:
+//! That is a *pushed* request, and every request is pushed unless the
+//! router pulls it (below). The router only has to do three cheap things
+//! per request:
 //!
 //! 1. **Scatter** — slice the frontier by each shard's index range
 //!    ([`SparseVec::slice_remap`](sparse_substrate::SparseVec::slice_remap))
 //!    and queue one sub-request per *owning* shard at the router (shards
 //!    whose slice is empty are skipped entirely; the `shard.fanout`
 //!    histogram records how many shards each request actually touched).
-//!    Output masks cover rows, which every shard shares, so the same
-//!    `Arc`'d mask bitmap travels to each sub-request untouched, and
-//!    deadlines propagate verbatim.
+//!    A pushed request's output mask covers rows, which every shard
+//!    shares, so the same `Arc`'d mask bitmap travels to each sub-request
+//!    untouched, and deadlines propagate verbatim.
 //! 2. **Execute** — at [`ShardedEngine::flush`] the router builds each
 //!    involved shard's batch from its queued requests, skipping those
 //!    already cancelled, and hands the batches to the transport in parallel
@@ -44,7 +46,37 @@
 //!    `⊕` in ascending shard order ([`merge_partials`]). Because shard `p`'s
 //!    partial is itself a left-fold over ascending columns, the merged fold
 //!    order is the global ascending-column order — the same order a
-//!    single unsharded engine reduces in.
+//!    single unsharded engine reduces in. A pulled request's answers are
+//!    instead concatenated in shard order, with no `⊕`.
+//!
+//! ## Pulled requests: every shard answers the rows it owns
+//!
+//! The full-output-height contract above is the pushed one. On a dense
+//! level of a BFS, pushing makes every shard form a product for each of
+//! its frontier edges and ship back a full-height partial. The bottom-up
+//! step of distributed BFS (Beamer, Buluç, Asanović, Patterson, IPDPSW
+//! 2013) lets every owner resolve its own vertices against the whole
+//! frontier instead, and this router does that per request. When
+//!
+//! * the plan keeps the column degrees of a square, structurally symmetric
+//!   matrix (only [`ShardPlan::with_fingerprints_of`] and
+//!   [`ShardedEngine::partition_with`] attach them, since only they read
+//!   the whole matrix), and
+//! * the request's mask keeps a row, and Adaptive's pull rule
+//!   ([`crate::adaptive`]) holds on the whole request: `α · flops ≥ n`,
+//!   [`first_hit_decides`](sparse_substrate::Semiring::first_hit_decides)
+//!   for its frontier's values, and `m_u < α · flops`,
+//!
+//! the router *pulls* it. Each shard whose rows `[lo, hi)` of the mask keep
+//! one gets the whole frontier and those rows of the mask, re-based to 0,
+//! and pulls them: for symmetric `A`, its local column `c` is row
+//! `lo + c`'s neighbour list, so the pull scan over its slice yields
+//! `y(lo..hi)` ([`crate::pull`]'s transposed reading). The answers are
+//! disjoint, ascending row ranges, and the router concatenates them in
+//! shard order. The first hit is the `min` push and merge compute, so the
+//! result is bit-identical. Fan-out is the shards owning a kept row (at
+//! least one), and the `shard.pulls` counter and
+//! [`ShardFlushOutcome::pulled`] count the pulled requests.
 //!
 //! ## Failure semantics
 //!
@@ -65,11 +97,12 @@
 //!
 //! ## Transports
 //!
-//! A sub-request goes out as a [`transport::WireRequest`] (frontier slice
-//! plus mask and deadline sidecars) and comes back as one
-//! `Result<SparseVec, EngineError>` in its batch position — the partial or
-//! the error, with no `Arc`s, borrows, handles, or `Instant`s in its
-//! payload. The router owns the whole sub-request lifecycle: the queues,
+//! A sub-request goes out as a [`transport::WireRequest`] (frontier slice,
+//! or for a pulled request the whole frontier, plus mask and deadline
+//! sidecars and the pulled flag) and comes back as one
+//! `Result<SparseVec, EngineError>` in its batch position — the partial (a
+//! pulled request's owned rows), or the error, with no `Arc`s, borrows,
+//! handles, or `Instant`s in its payload. The router owns the whole sub-request lifecycle: the queues,
 //! the per-shard threads, the injected outages and the cancels, and it
 //! places each result by the routed index it recorded while building the
 //! batch. The per-shard hop itself is a [`ShardTransport`] that serves one
@@ -92,8 +125,8 @@
 //!
 //! The router owns its own [`Registry`](crate::obs::Registry) with the
 //! `shard.*` metric family (see the [`crate::obs`] taxonomy): routing
-//! fan-out, per-shard queue depth gauges (sub-requests queued at the
-//! router), and the merge-time histogram.
+//! fan-out, pulled requests, per-shard queue depth gauges (sub-requests
+//! queued at the router), and the merge-time histogram.
 //! [`ShardedEngine::stats`] returns the **sum** of the per-shard
 //! [`EngineStats`](crate::stats::EngineStats) (via
 //! [`EngineStats::absorb`](crate::stats::EngineStats::absorb)), so existing

@@ -7,6 +7,8 @@
 //! `colptr` prefix sums and places each boundary where the *entry count*
 //! crosses the next `total · s / shards` threshold instead.
 
+use std::sync::Arc;
+
 use sparse_substrate::{CscMatrix, Scalar};
 
 /// A 1D column partition: `shards + 1` non-decreasing boundaries over
@@ -22,12 +24,22 @@ use sparse_substrate::{CscMatrix, Scalar};
 /// stale host is rejected before it can pollute a merge. Plans without
 /// fingerprints skip that check (ranges and dimensions are always verified).
 ///
+/// A plan read from a square, structurally symmetric matrix also keeps the
+/// matrix's column degrees (its `colptr`). With them the router may *pull*
+/// a request: every shard answers the rows it owns, and the answers are
+/// concatenated (see the [module docs](super)). Only the two places that
+/// read the whole matrix attach them: [`ShardPlan::with_fingerprints_of`],
+/// whose fingerprints the dial-time check holds every remote host to, and
+/// [`ShardedEngine::partition_with`](super::ShardedEngine::partition_with),
+/// which slices the matrix itself. Any other plan scatters every request.
+///
 /// [fingerprint]: CscMatrix::fingerprint
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPlan {
     ncols: usize,
     bounds: Vec<usize>,
     fingerprints: Option<Vec<u64>>,
+    symmetric_colptr: Option<Arc<[usize]>>,
 }
 
 impl ShardPlan {
@@ -91,7 +103,7 @@ impl ShardPlan {
 
     fn finish(mut bounds: Vec<usize>, ncols: usize) -> ShardPlan {
         bounds.push(ncols);
-        ShardPlan { ncols, bounds, fingerprints: None }
+        ShardPlan { ncols, bounds, fingerprints: None, symmetric_colptr: None }
     }
 
     /// Builds a plan from explicit boundaries. `bounds` must start at 0, end
@@ -109,7 +121,7 @@ impl ShardPlan {
             bounds.windows(2).all(|w| w[0] < w[1]) || ncols == 0 && bounds.len() == 2,
             "bounds must be strictly increasing (got {bounds:?})"
         );
-        ShardPlan { ncols, bounds, fingerprints: None }
+        ShardPlan { ncols, bounds, fingerprints: None, symmetric_colptr: None }
     }
 
     /// Attaches the expected per-shard matrix fingerprints, computed from
@@ -117,7 +129,9 @@ impl ShardPlan {
     /// digest a correctly-loaded [`ShardHost`](crate::net::ShardHost)
     /// advertises in its `Welcome`. A fingerprinted plan makes the remote
     /// dial handshake reject hosts whose slice structurally differs from
-    /// what the router will merge against.
+    /// what the router will merge against. When `matrix` is square and
+    /// structurally symmetric, the plan also keeps its column degrees, so
+    /// the router may pull (see the [type docs](ShardPlan)).
     ///
     /// # Panics
     ///
@@ -132,7 +146,22 @@ impl ShardPlan {
         );
         let fps = (0..self.num_shards()).map(|s| matrix.column_slice(self.range(s)).fingerprint());
         let fingerprints = Some(fps.collect());
-        ShardPlan { fingerprints, ..self }
+        ShardPlan { fingerprints, ..self }.with_symmetry_of(matrix)
+    }
+
+    /// Keeps `matrix`'s column degrees when it is square and structurally
+    /// symmetric (its cached flag: one `O(nnz)` pass the first time), and
+    /// drops any it held otherwise. `matrix` has the plan's column count.
+    pub(super) fn with_symmetry_of<T: Scalar>(self, matrix: &CscMatrix<T>) -> ShardPlan {
+        let symmetric_colptr = matrix.is_structurally_symmetric().then(|| matrix.colptr().into());
+        ShardPlan { symmetric_colptr, ..self }
+    }
+
+    /// The column degrees (`colptr`, `ncols + 1` prefix sums) of the
+    /// square, structurally symmetric matrix the plan was read from, or
+    /// `None` when the router must not pull.
+    pub(super) fn symmetric_colptr(&self) -> Option<&[usize]> {
+        self.symmetric_colptr.as_deref()
     }
 
     /// The expected matrix fingerprint for shard `s`, when the plan carries
@@ -289,6 +318,25 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn from_bounds_rejects_empty_shards() {
         let _ = ShardPlan::from_bounds(10, vec![0, 4, 4, 10]);
+    }
+
+    #[test]
+    fn only_a_symmetric_matrix_read_whole_lets_the_router_pull() {
+        let a = rmat(8, 6, RmatParams::graph500(), 17);
+        assert!(a.is_structurally_symmetric());
+        let plan = ShardPlan::balanced(&a, 3);
+        assert_eq!(plan.symmetric_colptr(), None, "a plan read from colptr alone never pulls");
+        let fingerprinted = plan.clone().with_fingerprints_of(&a);
+        assert_eq!(fingerprinted.symmetric_colptr(), Some(a.colptr()));
+        // One entry without its mirror.
+        let mut coo = CooMatrix::new(4, 4);
+        coo.push(1, 0, 1.0);
+        coo.push(2, 3, 1.0);
+        coo.push(3, 2, 1.0);
+        let lopsided = CscMatrix::from_coo(coo, |x, _| x);
+        let plan = ShardPlan::uniform(4, 2).with_fingerprints_of(&lopsided);
+        assert!(plan.fingerprint(0).is_some());
+        assert_eq!(plan.symmetric_colptr(), None);
     }
 
     #[test]

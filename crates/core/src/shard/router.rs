@@ -5,43 +5,53 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use sparse_substrate::{CscMatrix, Scalar, Semiring};
+use sparse_substrate::{CscMatrix, MaskBits, Scalar, Semiring};
 
+use crate::adaptive::{unvisited_edges, PULL_ALPHA};
 use crate::engine::{
     kernel_failure, Engine, EngineConfig, EngineError, FlushOutcome, MxvRequest, Results, Ticket,
     TicketShared,
 };
 use crate::failpoint;
+use crate::masked::MaskView;
 use crate::obs::{Counter, Gauge, Histogram, Registry, TraceKind};
 use crate::stats::EngineStats;
 
+use super::merge::concatenate_rows;
 use super::transport::{InProcess, ShardTransport, WireRequest};
 use super::{merge_partials, ShardPlan};
 
 /// One routed request awaiting its flush: the client-facing ticket slot,
-/// the owning shards it fanned out to in ascending shard order (the merge
-/// fold order), and one sub-request per owning shard, parallel to `fanout`.
-/// The sub-requests leave the router only at the flush.
+/// the shards it fanned out to in ascending shard order (the merge order),
+/// and one sub-request per such shard, parallel to `fanout`. A pushed
+/// request fans out to the shards owning its frontier's columns, a pulled
+/// one to the shards owning its mask's kept rows. The sub-requests leave
+/// the router only at the flush.
 struct Routed<X, Y> {
     session: u64,
     shared: Arc<TicketShared<Y>>,
     fanout: Vec<usize>,
     subs: Vec<WireRequest<X>>,
     deadline: Option<Instant>,
+    pulled: bool,
 }
 
 /// The `shard.*` metric family, resolved once at construction.
 pub(crate) struct ShardMetrics {
     registry: Registry,
-    /// `shard.requests` — requests routed through the scatter path.
+    /// `shard.requests` — requests routed, pushed or pulled.
     requests: Arc<Counter>,
+    /// `shard.pulls` — requests routed as pulls: each shard answered the
+    /// rows it owns.
+    pulls: Arc<Counter>,
     /// `shard.flushes` — router flushes that resolved at least one request.
     flushes: Arc<Counter>,
     /// `shard.failed` — tickets failed by a shard-side error.
     failed: Arc<Counter>,
     /// `shard.fanout` — owning shards per routed request.
     fanout: Arc<Histogram>,
-    /// `shard.merge.time` — per-flush ⊕-merge latency.
+    /// `shard.merge.time` — per-flush merge latency (⊕-folds and
+    /// concatenations).
     merge_time: Arc<Histogram>,
     /// `shard.queue_depth.<s>` — sub-requests queued for shard `s` at the
     /// router.
@@ -54,6 +64,7 @@ impl ShardMetrics {
             (0..shards).map(|s| registry.gauge(&format!("shard.queue_depth.{s}"))).collect();
         ShardMetrics {
             requests: registry.counter("shard.requests"),
+            pulls: registry.counter("shard.pulls"),
             flushes: registry.counter("shard.flushes"),
             failed: registry.counter("shard.failed"),
             fanout: registry.histogram("shard.fanout"),
@@ -74,6 +85,10 @@ pub struct ShardFlushOutcome {
     pub requests: usize,
     /// Requests whose partials merged into a delivered result.
     pub merged: usize,
+    /// Requests the router pulled: each went, with the whole frontier, to
+    /// the shards owning its mask's kept rows, and their answers were
+    /// concatenated (counted among the requests that left the router).
+    pub pulled: usize,
     /// Requests failed by a shard error (single-shard outage, sub-request
     /// failure, overload inside a shard).
     pub failed: usize,
@@ -88,7 +103,8 @@ pub struct ShardFlushOutcome {
     pub lanes: usize,
     /// Wall time of the parallel shard-flush phase.
     pub execute_time: Duration,
-    /// Wall time spent ⊕-merging partials into final outputs.
+    /// Wall time spent merging answers into final outputs (⊕-folding
+    /// partials, or concatenating a pulled request's rows).
     pub merge_time: Duration,
     /// Each shard engine's own [`FlushOutcome`], indexed by shard. For a
     /// remote transport these carry the summary the host ships back
@@ -144,7 +160,9 @@ where
     /// [`ShardedEngine::partition`] with an explicit plan and per-shard
     /// engine configuration. Each shard engine **owns** its sub-matrix
     /// (`matrix` is only borrowed to slice it), so the router has no
-    /// lifetime tie to the caller's matrix.
+    /// lifetime tie to the caller's matrix. When `matrix` is square and
+    /// structurally symmetric, the router may pull (see the
+    /// [module docs](super)).
     pub fn partition_with(
         matrix: &CscMatrix<A>,
         semiring: S,
@@ -165,7 +183,7 @@ where
             .collect();
         let registry = Registry::new(config.obs.clone());
         Self::from_transport(
-            plan,
+            plan.with_symmetry_of(matrix),
             matrix.nrows(),
             semiring,
             registry,
@@ -207,8 +225,9 @@ where
         self.transport.num_shards()
     }
 
-    /// Output dimension (rows of the original matrix — every shard keeps
-    /// full output height).
+    /// Output dimension (rows of the original matrix). Every shard keeps
+    /// full output height: a pushed request's partials span it, and a
+    /// pulled request's answers are the shards' own ranges of it.
     pub fn nrows(&self) -> usize {
         self.nrows
     }
@@ -271,14 +290,16 @@ where
         ShardSession { router: self, id: self.next_session.fetch_add(1, Ordering::Relaxed) }
     }
 
-    /// Submits an anonymous request. Scattering happens here: the frontier
-    /// is sliced per owning shard
-    /// ([`SparseVec::slice_remap`](sparse_substrate::SparseVec::slice_remap))
-    /// and each slice is queued at the router until the flush hands it to
-    /// the transport. The returned ticket resolves at the next
-    /// [`ShardedEngine::flush`]. Like [`Engine::submit`], panics with
-    /// [`MxvRequest`]'s shape message on a frontier or mask that does not
-    /// fit the matrix, over any transport.
+    /// Submits an anonymous request. Scattering happens here: the router
+    /// decides whether to push or pull the request (see the
+    /// [module docs](super)). A pushed frontier is sliced per owning shard
+    /// ([`SparseVec::slice_remap`](sparse_substrate::SparseVec::slice_remap));
+    /// a pulled one goes whole to each shard owning a kept row of its mask,
+    /// with that shard's rows of the mask. Each sub-request is queued at
+    /// the router until the flush hands it to the transport. The returned
+    /// ticket resolves at the next [`ShardedEngine::flush`]. Like
+    /// [`Engine::submit`], panics with [`MxvRequest`]'s shape message on a
+    /// frontier or mask that does not fit the matrix, over any transport.
     pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
         self.submit_tagged(0, request)
     }
@@ -289,6 +310,46 @@ where
         }
         let id = self.next_request.fetch_add(1, Ordering::Relaxed);
         let (ticket, shared) = Ticket::detached();
+        let deadline = request.deadline;
+        let pulled = self.pulls(&request);
+        let (fanout, subs) =
+            if pulled { self.scatter_pulled(id, request) } else { self.scatter(id, request) };
+        self.metrics.requests.inc();
+        if pulled {
+            self.metrics.pulls.inc();
+        }
+        self.metrics.fanout.record(fanout.len() as u64);
+        let mut pending = crate::engine::lock(&self.pending);
+        for &s in &fanout {
+            self.metrics.queue_depth[s].add(1);
+        }
+        pending.push(Routed { session, shared, fanout, subs, deadline, pulled });
+        ticket
+    }
+
+    /// Whether the router pulls `request`: the plan keeps the degrees of a
+    /// square, structurally symmetric matrix, the mask keeps a row, and
+    /// Adaptive's pull rule ([`crate::adaptive`]) holds on the whole
+    /// request, its gates cheapest first — `α · flops ≥ n`, then the
+    /// semiring's first hit decides, then `m_u < α · flops`.
+    fn pulls(&self, request: &MxvRequest<X>) -> bool {
+        let (Some(colptr), Some((bits, mode))) = (self.plan.symmetric_colptr(), &request.mask)
+        else {
+            return false;
+        };
+        let mask = MaskView::new(bits, *mode);
+        let x = &request.frontier;
+        let flops: usize = x.indices().iter().map(|&j| colptr[j + 1] - colptr[j]).sum();
+        let budget = PULL_ALPHA.saturating_mul(flops);
+        mask.kept() > 0
+            && budget >= self.nrows
+            && self.semiring.first_hit_decides(x.values())
+            && unvisited_edges(colptr, mask) < budget
+    }
+
+    /// A pushed request's sub-requests: the frontier's slice of each shard
+    /// owning one of its columns, with the whole mask.
+    fn scatter(&self, id: u64, request: MxvRequest<X>) -> (Vec<usize>, Vec<WireRequest<X>>) {
         let mut fanout = Vec::new();
         let mut subs = Vec::new();
         for s in 0..self.transport.num_shards() {
@@ -302,23 +363,44 @@ where
                 slice,
                 deadline: request.deadline,
                 mask: request.mask.clone(),
+                pulled: false,
             });
         }
-        self.metrics.requests.inc();
-        self.metrics.fanout.record(fanout.len() as u64);
-        let mut pending = crate::engine::lock(&self.pending);
-        for &s in &fanout {
-            self.metrics.queue_depth[s].add(1);
-        }
-        pending.push(Routed { session, shared, fanout, subs, deadline: request.deadline });
-        ticket
+        (fanout, subs)
+    }
+
+    /// A pulled request's sub-requests: the whole frontier to each shard
+    /// whose rows of the mask keep one, with those rows re-based to 0.
+    fn scatter_pulled(&self, id: u64, request: MxvRequest<X>) -> (Vec<usize>, Vec<WireRequest<X>>) {
+        let (bits, mode) = request.mask.as_ref().expect("a pulled request carries a mask");
+        let mode = *mode;
+        let owned: Vec<(usize, MaskBits)> = (0..self.transport.num_shards())
+            .map(|s| (s, bits.slice(self.plan.range(s))))
+            .filter(|(_, rows)| MaskView::new(rows, mode).kept() > 0)
+            .collect();
+        let fanout = owned.iter().map(|&(s, _)| s).collect();
+        // The last owner takes the frontier itself, the others a copy.
+        let frontiers = std::iter::repeat_n(request.frontier, owned.len());
+        let subs = owned
+            .into_iter()
+            .zip(frontiers)
+            .map(|((_, rows), slice)| WireRequest {
+                request: id,
+                slice,
+                deadline: request.deadline,
+                mask: Some((Arc::new(rows), mode)),
+                pulled: true,
+            })
+            .collect();
+        (fanout, subs)
     }
 
     /// Scatter-execute-merge for everything queued: builds each involved
     /// shard's batch from the queued requests (skipping those already
     /// cancelled), hands the batches to the transport **in parallel** (one
-    /// scoped thread per shard), then folds each request's partials with
-    /// the semiring's `⊕` in ascending shard order and resolves its ticket.
+    /// scoped thread per shard), then folds each pushed request's partials
+    /// with the semiring's `⊕` in ascending shard order, or concatenates a
+    /// pulled request's row ranges in shard order, and resolves its ticket.
     /// Every routed request resolves before this returns; a shard failure
     /// resolves only the tickets routed through that shard.
     pub fn flush(&self) -> ShardFlushOutcome {
@@ -416,6 +498,7 @@ where
 
         for (r, shard_results) in routed.into_iter().zip(results) {
             outcome.requests += 1;
+            outcome.pulled += usize::from(r.pulled);
             // The first error in ascending shard order wins.
             match shard_results.into_iter().collect::<Result<Vec<_>, _>>() {
                 Err(EngineError::DeadlineExceeded) => {
@@ -437,7 +520,12 @@ where
                         continue;
                     }
                     let t_merge = Instant::now();
-                    let y = merge_partials(self.nrows, &partials, |a, b| self.semiring.add(a, b));
+                    let y = if r.pulled {
+                        let rows = r.fanout.iter().map(|&s| self.plan.range(s));
+                        concatenate_rows(self.nrows, rows.zip(partials))
+                    } else {
+                        merge_partials(self.nrows, partials, |a, b| self.semiring.add(a, b))
+                    };
                     outcome.merge_time += t_merge.elapsed();
                     outcome.merged += 1;
                     r.shared.fulfil(y);

@@ -21,20 +21,32 @@ use crate::masked::MaskMode;
 use crate::obs::Registry;
 use crate::stats::EngineStats;
 
-/// One routed sub-request handed to a transport: the frontier slice
-/// (re-based to the shard's column range) plus its sidecars — the shared
-/// output mask and the router-local absolute deadline (a socket transport
-/// turns it into a relative budget when it writes the frame).
+/// One routed sub-request handed to a transport: a frontier plus its
+/// sidecars — the output mask and the router-local absolute deadline (a
+/// socket transport turns it into a relative budget when it writes the
+/// frame).
+///
+/// A pushed sub-request (`pulled == false`) carries the frontier slice
+/// re-based to the shard's column range and the whole mask, and its answer
+/// is a full-height partial. A pulled one carries the whole frontier and
+/// the mask's rows `[lo, hi)` of the shard's range, re-based to 0, and its
+/// answer is those rows, `hi − lo` high.
 pub struct WireRequest<X> {
     /// Router-unique request id: the correlation id a socket transport
     /// writes and checks each reply against.
     pub request: u64,
-    /// The frontier slice, re-based to the shard's local columns.
+    /// The frontier slice, re-based to the shard's local columns; for a
+    /// pulled sub-request, the whole frontier.
     pub slice: SparseVec<X>,
     /// The router-local absolute deadline.
     pub deadline: Option<Instant>,
-    /// Output mask sidecar (full output height — every shard shares it).
+    /// Output mask sidecar: the whole mask (full output height, the same
+    /// `Arc` every shard shares), or for a pulled sub-request the shard's
+    /// own rows of it.
     pub mask: Option<(Arc<MaskBits>, MaskMode)>,
+    /// Whether the shard pulls the rows it owns (the transposed reading of
+    /// [`crate::pull`]) instead of pushing its slice of the frontier.
+    pub pulled: bool,
 }
 
 /// How one shard's batch reaches its engine and the results come back.
@@ -51,7 +63,8 @@ pub trait ShardTransport<X: Scalar, Y: Scalar>: Send + Sync {
     fn num_shards(&self) -> usize;
 
     /// Executes `batch` on `shard` as one engine flush and returns one
-    /// result per batch entry, by position (the partial product, or the
+    /// result per batch entry, by position (the partial product or, for a
+    /// pulled entry, the shard's rows of the product; or the
     /// error that fails only the tickets routed through this shard), plus
     /// the shard engine's flush outcome — `None` when no engine ran the
     /// batch (every replica of a remote shard failed). A remote transport
@@ -107,7 +120,12 @@ where
     ) -> (Vec<Result<SparseVec<S::Output>, EngineError>>, Option<FlushOutcome>) {
         let requests = batch
             .into_iter()
-            .map(|req| MxvRequest { frontier: req.slice, mask: req.mask, deadline: req.deadline })
+            .map(|req| MxvRequest {
+                frontier: req.slice,
+                mask: req.mask,
+                deadline: req.deadline,
+                pulled: req.pulled,
+            })
             .collect();
         let (results, outcome) = self.engines[shard].run(requests);
         (results, Some(outcome))

@@ -301,9 +301,11 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
             }
             num_visited[s] += reached.nnz();
             // The next frontier is the discovered set, each vertex carrying
-            // its own id.
-            let (_, discovered, _) = reached.into_parts();
-            let next = SparseVec::from_parts(n, discovered.clone(), discovered)
+            // its own id: the reply's own value buffer is overwritten with
+            // its indices, so no buffer is allocated or copied twice.
+            let (_, discovered, mut ids) = reached.into_parts();
+            ids.copy_from_slice(&discovered);
+            let next = SparseVec::from_parts(n, discovered, ids)
                 .expect("kernel output indices are strictly ascending");
             if !next.is_empty() {
                 next_active.push(s);

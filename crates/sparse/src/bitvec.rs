@@ -204,6 +204,39 @@ impl MaskBits {
         self.count = 0;
     }
 
+    /// The positions of `range`, re-based to start at 0: a mask over
+    /// `range.len()` whose position `i` is this mask's `range.start + i`.
+    /// Each word is two shifted source words, so it costs `O(len / 64)`
+    /// whatever the alignment. A column-partitioned shard gets the rows it
+    /// owns this way.
+    ///
+    /// # Panics
+    ///
+    /// When the range is decreasing or extends past [`MaskBits::len`].
+    pub fn slice(&self, range: std::ops::Range<usize>) -> MaskBits {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "mask slice {range:?} out of range for {}",
+            self.len
+        );
+        let len = range.len();
+        let (first, shift) = (range.start / 64, range.start % 64);
+        let mut words: Vec<u64> = (first..first + len.div_ceil(64))
+            .map(|w| {
+                let above = match shift {
+                    0 => 0,
+                    _ => self.words.get(w + 1).map_or(0, |&next| next << (64 - shift)),
+                };
+                (self.words[w] >> shift) | above
+            })
+            .collect();
+        if let Some(last) = words.last_mut().filter(|_| !len.is_multiple_of(64)) {
+            *last &= (1 << (len % 64)) - 1;
+        }
+        let count = words.iter().map(|w| w.count_ones() as usize).sum();
+        MaskBits { len, words, count }
+    }
+
     /// Iterates the set positions in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(move |(w, &word)| {
@@ -386,6 +419,32 @@ mod tests {
         let m = MaskBits::from_indices(200, [199, 0, 63, 64, 130]);
         let got: Vec<usize> = m.iter().collect();
         assert_eq!(got, vec![0, 63, 64, 130, 199]);
+    }
+
+    #[test]
+    fn mask_slice_rebases_every_alignment() {
+        let len = 200;
+        let set: Vec<usize> = (0..len).filter(|i| i % 3 == 0 || i % 7 == 1).collect();
+        let m = MaskBits::from_indices(len, set.iter().copied());
+        for start in [0, 1, 5, 63, 64, 65, 127, 130, 200] {
+            for end in [start, start + 1, start + 63, start + 64, start + 65, len] {
+                if end > len {
+                    continue;
+                }
+                let slice = m.slice(start..end);
+                let want: Vec<usize> = set
+                    .iter()
+                    .filter(|&&i| (start..end).contains(&i))
+                    .map(|&i| i - start)
+                    .collect();
+                assert_eq!(slice.len(), end - start, "{start}..{end}");
+                assert_eq!(slice.iter().collect::<Vec<_>>(), want, "{start}..{end}");
+                assert_eq!(slice.count(), want.len(), "{start}..{end}");
+                // The tail is clear, as `from_words` demands of any mask.
+                let rebuilt = MaskBits::from_words(slice.len(), slice.words().to_vec());
+                assert_eq!(rebuilt.expect("tail bits are clear"), slice);
+            }
+        }
     }
 
     #[test]

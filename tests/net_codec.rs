@@ -16,6 +16,7 @@ use spmspv::net::{
     decode_frame, encode_frame, encode_frontier, read_frame, write_frame, DecodeError, Frame,
     WireError, WireFrontier, WireScalar, DEFAULT_MAX_FRAME, HEADER_LEN, MAGIC, VERSION,
 };
+use spmspv::shard::transport::WireRequest;
 use spmspv::MaskMode;
 
 /// Round-trips `frame` through the buffer codec *and* the streaming codec,
@@ -59,6 +60,7 @@ struct GenFrontier {
     shard: usize,
     deadline_micros: Option<u64>,
     mask: Option<(Vec<usize>, MaskMode)>,
+    pulled: bool,
 }
 
 impl GenFrontier {
@@ -72,6 +74,7 @@ impl GenFrontier {
             mask: self.mask.as_ref().map(|(rows, mode)| {
                 (Arc::new(MaskBits::from_indices(self.n, rows.iter().copied())), *mode)
             }),
+            pulled: self.pulled,
         })
     }
 }
@@ -90,22 +93,23 @@ fn frontier_strategy() -> impl Strategy<Value = GenFrontier> {
                 }
             ),
         ];
-        (Just(n), entries, ids, (deadline, mask)).prop_map(
-            |(n, entries, (request, shard), (deadline_micros, mask))| GenFrontier {
+        (Just(n), entries, ids, (deadline, mask, any::<bool>())).prop_map(
+            |(n, entries, (request, shard), (deadline_micros, mask, pulled))| GenFrontier {
                 n,
                 entries: entries.into_iter().collect(),
                 request,
                 shard,
                 deadline_micros,
                 mask,
+                pulled,
             },
         )
     })
 }
 
-/// `encode_frontier` writes from borrowed parts exactly the bytes
-/// `encode_frame` writes for the same `Frontier` frame, and they decode
-/// back to it.
+/// `encode_frontier` writes from a routed sub-request exactly the bytes
+/// `encode_frame` writes for the same `Frontier` frame, pushed or pulled,
+/// and they decode back to it.
 fn assert_borrowed_encoding<X>(frame: &Frame<X, X>) -> Result<(), TestCaseError>
 where
     X: WireScalar + PartialEq + std::fmt::Debug,
@@ -114,16 +118,15 @@ where
     let mut framed = Vec::new();
     encode_frame(frame, &mut framed, DEFAULT_MAX_FRAME).expect("frame fits the limit");
     let mut borrowed = Vec::new();
-    let n = encode_frontier(
-        w.request,
-        w.shard,
-        &w.slice,
-        w.deadline_micros,
-        w.mask.as_ref(),
-        &mut borrowed,
-        DEFAULT_MAX_FRAME,
-    )
-    .expect("frame fits the limit");
+    let routed = WireRequest {
+        request: w.request,
+        slice: w.slice.clone(),
+        deadline: None,
+        mask: w.mask.clone(),
+        pulled: w.pulled,
+    };
+    let n = encode_frontier(&routed, w.shard, w.deadline_micros, &mut borrowed, DEFAULT_MAX_FRAME)
+        .expect("frame fits the limit");
     prop_assert_eq!(n, borrowed.len());
     prop_assert_eq!(&borrowed, &framed);
     let (decoded, consumed) = decode_frame::<X, X>(&borrowed, DEFAULT_MAX_FRAME).expect("decodes");
@@ -258,6 +261,7 @@ fn tiny_frontier_bytes() -> Vec<u8> {
         slice: SparseVec::from_pairs(4, vec![(2, 1.5)]).unwrap(),
         deadline_micros: None,
         mask: None,
+        pulled: false,
     });
     let mut buf = Vec::new();
     encode_frame(&frame, &mut buf, DEFAULT_MAX_FRAME).unwrap();
@@ -281,6 +285,12 @@ fn adversarial_header_faults_are_typed() {
     let mut buf = good.clone();
     buf[4] = VERSION + 1;
     assert_eq!(decode_err(&buf), DecodeError::BadVersion(VERSION + 1));
+
+    // The version before `Pulled` frames existed: a v3 peer is refused
+    // outright, not misread.
+    let mut buf = good.clone();
+    buf[4] = 3;
+    assert_eq!(decode_err(&buf), DecodeError::BadVersion(3));
 
     // Unknown frame tag.
     let mut buf = good.clone();
@@ -381,6 +391,7 @@ fn corrupt_payloads_are_typed_not_panics() {
         slice: SparseVec::new(10),
         deadline_micros: None,
         mask: Some((Arc::new(MaskBits::from_indices(10, [3usize])), MaskMode::Keep)),
+        pulled: false,
     });
     let mut buf = Vec::new();
     encode_frame(&masked, &mut buf, DEFAULT_MAX_FRAME).unwrap();
@@ -420,6 +431,7 @@ fn empty_and_huge_frontiers_round_trip() {
         slice: SparseVec::new(1),
         deadline_micros: Some(0),
         mask: None,
+        pulled: false,
     });
     assert_round_trip(&empty).unwrap();
 
@@ -433,8 +445,35 @@ fn empty_and_huge_frontiers_round_trip() {
         slice: SparseVec::from_pairs(n, pairs).unwrap(),
         deadline_micros: Some(u64::MAX),
         mask: Some((Arc::new(MaskBits::from_indices(n, (0..n).step_by(3))), MaskMode::Complement)),
+        pulled: false,
     });
     assert_round_trip(&huge).unwrap();
+}
+
+/// A pulled sub-request travels as tag 11 with the `Frontier` payload, and
+/// only the tag tells the two apart: flipping it flips `pulled` and nothing
+/// else.
+#[test]
+fn pulled_frontiers_travel_under_their_own_tag() {
+    let n = 130;
+    let pulled: Frame<usize, usize> = Frame::Frontier(WireFrontier {
+        request: 9,
+        shard: 1,
+        slice: SparseVec::from_pairs(n, vec![(0, 0), (64, 64), (129, 129)]).unwrap(),
+        deadline_micros: Some(250),
+        mask: Some((Arc::new(MaskBits::from_indices(70, [0, 63, 64, 69])), MaskMode::Complement)),
+        pulled: true,
+    });
+    assert_round_trip(&pulled).unwrap();
+    let mut buf = Vec::new();
+    encode_frame(&pulled, &mut buf, DEFAULT_MAX_FRAME).unwrap();
+    assert_eq!(buf[5], 11);
+    buf[5] = 1;
+    let (pushed, _) = decode_frame::<usize, usize>(&buf, DEFAULT_MAX_FRAME).unwrap();
+    let Frame::Frontier(mut pushed) = pushed else { panic!("a Frontier frame") };
+    assert!(!pushed.pulled);
+    pushed.pulled = true;
+    assert_eq!(Frame::Frontier(pushed), pulled);
 }
 
 #[test]
@@ -445,6 +484,7 @@ fn encoder_enforces_the_frame_limit_and_restores_the_buffer() {
         slice: SparseVec::from_pairs(64, (0..64).map(|i| (i, i as f64)).collect()).unwrap(),
         deadline_micros: None,
         mask: None,
+        pulled: false,
     });
     let mut buf = b"prefix".to_vec();
     let err = encode_frame(&frame, &mut buf, 16).unwrap_err();
@@ -551,6 +591,7 @@ fn non_monotone_frontier_bytes_are_corrupt() {
         slice,
         deadline_micros: None,
         mask: None,
+        pulled: false,
     });
     let mut good = Vec::new();
     encode_frame(&frame, &mut good, DEFAULT_MAX_FRAME).unwrap();

@@ -586,6 +586,7 @@ fn deadline_expiring_in_flight_resolves_not_hangs() {
         slice: SparseVec::from_pairs(n, vec![(1, 1.0)]).unwrap(),
         deadline_micros: Some(0),
         mask: None,
+        pulled: false,
     });
     write_frame(&mut stream, &dead, DEFAULT_MAX_FRAME).unwrap();
     write_frame::<f64, f64, _>(&mut stream, &Frame::Flush, DEFAULT_MAX_FRAME).unwrap();
@@ -717,6 +718,7 @@ fn malformed_frontiers_get_typed_errors_and_the_connection_keeps_serving() {
             slice,
             deadline_micros: None,
             mask,
+            pulled: false,
         })
     };
     let x = SparseVec::from_pairs(n, vec![(1, 1.0), (6, 2.0)]).unwrap();
@@ -845,6 +847,7 @@ fn two_routers_on_one_host_lose_no_request() {
             slice: x.clone(),
             deadline_micros: None,
             mask: None,
+            pulled: false,
         });
         write_frame(stream, &frontier, DEFAULT_MAX_FRAME).unwrap();
         // The host reads a connection's frames in order: its `Pong` means
@@ -948,12 +951,18 @@ fn wrong_height_mask_panics_at_submit_over_every_transport() {
 
 /// Spawns `replicas` [`ShardHost`]s per shard of `plan`, every replica of a
 /// shard loaded with the same column slice.
-fn spawn_replicated_hosts(
+fn spawn_replicated_hosts<X, S>(
     a: &CscMatrix<f64>,
     plan: &ShardPlan,
+    semiring: S,
     replicas: usize,
     config: &EngineConfig,
-) -> (Vec<Vec<ShardHostHandle>>, Vec<Vec<SocketAddr>>) {
+) -> (Vec<Vec<ShardHostHandle>>, Vec<Vec<SocketAddr>>)
+where
+    X: WireScalar,
+    S: Semiring<f64, X> + Clone + 'static,
+    S::Output: WireScalar,
+{
     let mut handles = Vec::new();
     let mut groups = Vec::new();
     for (s, part) in a.column_split(plan.bounds()).into_iter().enumerate() {
@@ -965,7 +974,7 @@ fn spawn_replicated_hosts(
                 s,
                 plan.range(s),
                 part.clone(),
-                PlusTimes,
+                semiring.clone(),
                 config.clone(),
             )
             .expect("bind an ephemeral localhost port");
@@ -1017,7 +1026,7 @@ proptest! {
         };
 
         let plan = ShardPlan::balanced(&a, shards).with_fingerprints_of(&a);
-        let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &bucket);
+        let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, PlusTimes, 2, &bucket);
         let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
             plan,
             a.nrows(),
@@ -1089,7 +1098,8 @@ fn primaries_killed_between_flushes_lose_no_ticket() {
     };
     let oracle = Engine::over(&a, PlusTimes);
 
-    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &EngineConfig::default());
+    let (mut hosts, groups) =
+        spawn_replicated_hosts(&a, &plan, PlusTimes, 2, &EngineConfig::default());
     let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
         plan,
         n,
@@ -1141,7 +1151,8 @@ fn replica_shrinks_outage_blast_radius_to_zero() {
     let want: Vec<SparseVec<f64>> =
         [1, 9, 17].iter().map(|&c| oracle_result(&a, &frontier(c))).collect();
 
-    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &EngineConfig::default());
+    let (mut hosts, groups) =
+        spawn_replicated_hosts(&a, &plan, PlusTimes, 2, &EngineConfig::default());
     let router = ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
         plan,
         n,
@@ -1189,7 +1200,7 @@ fn plan_mismatch_is_rejected_at_dial_time() {
     let plan = ShardPlan::uniform(n, 2).with_fingerprints_of(&a);
 
     // Wrong shard/range: cross-wire the two hosts' addresses.
-    let (hosts, groups) = spawn_replicated_hosts(&a, &plan, 1, &EngineConfig::default());
+    let (hosts, groups) = spawn_replicated_hosts(&a, &plan, PlusTimes, 1, &EngineConfig::default());
     let crossed = vec![groups[1].clone(), groups[0].clone()];
     match ShardedEngine::<f64, f64, PlusTimes>::connect_replicated(
         plan.clone(),
@@ -1304,7 +1315,8 @@ fn heartbeat_marks_dead_replica_unhealthy_before_a_flush() {
     let frontier = SparseVec::from_pairs(n, vec![(5, 2.0)]).unwrap();
     let want = oracle_result(&a, &frontier);
 
-    let (mut hosts, groups) = spawn_replicated_hosts(&a, &plan, 2, &EngineConfig::default());
+    let (mut hosts, groups) =
+        spawn_replicated_hosts(&a, &plan, PlusTimes, 2, &EngineConfig::default());
     let config = TcpConfig {
         connect_retries: 0,
         heartbeat: Some(Duration::from_millis(10)),
@@ -1368,7 +1380,8 @@ fn heartbeat_marks_dead_replica_unhealthy_before_a_flush() {
 /// lane, and by the global `adaptive.single.*` counters, which no other
 /// test of this file can move past zero for bucket); on every shard the unmasked lane's share of the frontier still
 /// earns several participants alone, so each shard runs it on a split
-/// bucket kernel (Adaptive never pulls on a column slice).
+/// bucket kernel (Adaptive never pulls on a column slice; the router pulls
+/// the dense masked lane, and each shard pulls its own rows of it).
 #[test]
 fn large_operands_shard_bit_identically_to_sequential_runs() {
     let a = large_case::matrix();
@@ -1413,6 +1426,372 @@ fn large_operands_shard_bit_identically_to_sequential_runs() {
         if kind == BatchAlgorithmKind::Adaptive && obs::global().enabled() {
             let counted = after.iter().zip(before).all(|(after, before)| *after > before);
             assert!(counted, "bucket and pull picks {before:?} → {after:?}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Pulled requests: every shard answers the rows it owns.
+// ---------------------------------------------------------------------------
+
+/// Strategy: a random symmetric pattern (unit entries, at least as many
+/// edges as vertices, so a whole-vertex frontier always passes the pull
+/// gates).
+fn symmetric_strategy(max_dim: usize) -> impl Strategy<Value = CscMatrix<f64>> {
+    (8usize..max_dim).prop_flat_map(|n| {
+        proptest::collection::vec((0..n, 0..n), n..4 * n).prop_map(move |edges| {
+            let mut coo = CooMatrix::new(n, n);
+            for (i, j) in edges {
+                coo.push(i, j, 1.0);
+                coo.push(j, i, 1.0);
+            }
+            CscMatrix::from_coo(coo, |x, _| x)
+        })
+    })
+}
+
+/// One BFS-shaped request: frontier vertices, each carrying its own id, and
+/// the mask's rows — between one and `n − 1` of them, so either mode keeps
+/// a row.
+#[derive(Debug, Clone)]
+struct BfsRequest {
+    frontier: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl BfsRequest {
+    fn mxv(&self, n: usize, mode: MaskMode) -> MxvRequest<usize> {
+        let pairs = self.frontier.iter().map(|&v| (v, v)).collect();
+        let frontier = SparseVec::from_pairs(n, pairs).expect("distinct in-range vertices");
+        MxvRequest::new(frontier).mask(MaskBits::from_indices(n, self.rows.iter().copied()), mode)
+    }
+}
+
+/// A symmetric matrix and up to five requests, the first of which pushes
+/// every vertex (dense enough for Beamer's rule, so the router pulls it).
+fn bfs_operands(max_dim: usize) -> impl Strategy<Value = (CscMatrix<f64>, Vec<BfsRequest>)> {
+    symmetric_strategy(max_dim).prop_flat_map(|a| {
+        let n = a.ncols();
+        // Between one and `n − 1` distinct vertices.
+        let vertices = move || proptest::collection::btree_map(0..n, 0..1usize, 1..n);
+        let request = (vertices(), vertices()).prop_map(|(frontier, rows)| BfsRequest {
+            frontier: frontier.into_keys().collect(),
+            rows: rows.into_keys().collect(),
+        });
+        let dense = vertices().prop_map(move |rows| BfsRequest {
+            frontier: (0..n).collect(),
+            rows: rows.into_keys().collect(),
+        });
+        (Just(a), dense, proptest::collection::vec(request, 0..5)).prop_map(|(a, dense, rest)| {
+            let mut requests = vec![dense];
+            requests.extend(rest);
+            (a, requests)
+        })
+    })
+}
+
+/// Serves `requests` under `mode` through `router` and asserts each result
+/// equals `expect` bit for bit. Returns the flush's outcome.
+fn serve_bfs(
+    router: &ShardedEngine<f64, usize, Select2ndMin>,
+    n: usize,
+    requests: &[BfsRequest],
+    mode: MaskMode,
+    expect: &[SparseVec<usize>],
+    what: &str,
+) -> Result<spmspv::shard::ShardFlushOutcome, TestCaseError> {
+    let tickets: Vec<_> = requests.iter().map(|r| router.submit(r.mxv(n, mode))).collect();
+    let outcome = router.flush();
+    prop_assert_eq!(outcome.failed, 0, "{}: {:?}", what, outcome.failures);
+    for (i, (t, want)) in tickets.iter().zip(expect).enumerate() {
+        let got = t.try_take().expect("flush serves").expect("healthy fleet");
+        prop_assert_eq!(&got, want, "{}: request {}", what, i);
+    }
+    Ok(outcome)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Tentpole acceptance: pulled requests — shards answer their own rows,
+    /// the router concatenates — are bit-identical to an unsharded engine,
+    /// in process, over TCP, and over TCP after every primary was killed
+    /// (the next flush fails over mid-flush), under both mask modes.
+    #[test]
+    fn pulled_requests_match_unsharded_tcp_and_failover(
+        (a, requests) in bfs_operands(48),
+        shards in 2usize..4,
+        keep in any::<bool>(),
+    ) {
+        let n = a.ncols();
+        let mode = if keep { MaskMode::Keep } else { MaskMode::Complement };
+        let oracle = Engine::over(&a, Select2ndMin);
+        let tickets: Vec<_> = requests.iter().map(|r| oracle.submit(r.mxv(n, mode))).collect();
+        oracle.flush();
+        let expect: Vec<SparseVec<usize>> = tickets
+            .iter()
+            .map(|t| t.try_take().expect("oracle flush serves").expect("oracle cannot fail"))
+            .collect();
+
+        let plan = ShardPlan::balanced(&a, shards);
+        let local =
+            ShardedEngine::partition_with(&a, Select2ndMin, plan.clone(), EngineConfig::default());
+        let outcome = serve_bfs(&local, n, &requests, mode, &expect, "in process")?;
+        prop_assert!(outcome.pulled > 0, "the whole-vertex request must pull");
+        prop_assert_eq!(local.obs().snapshot().counter("shard.pulls"), Some(outcome.pulled as u64));
+
+        let plan = plan.with_fingerprints_of(&a);
+        let (mut hosts, groups) =
+            spawn_replicated_hosts(&a, &plan, Select2ndMin, 2, &EngineConfig::default());
+        let remote = ShardedEngine::<f64, usize, Select2ndMin>::connect_replicated(
+            plan,
+            n,
+            Select2ndMin,
+            &groups,
+            failover_config(),
+            ObsConfig::default(),
+        )
+        .expect("dial every replica of every shard");
+        let over_tcp = serve_bfs(&remote, n, &requests, mode, &expect, "over TCP")?;
+        prop_assert_eq!(over_tcp.pulled, outcome.pulled, "the router decides alike over TCP");
+        for group in &mut hosts {
+            group.remove(0).kill();
+        }
+        let failed_over = serve_bfs(&remote, n, &requests, mode, &expect, "after failover")?;
+        prop_assert_eq!(failed_over.pulled, outcome.pulled);
+        let snap = remote.obs().snapshot();
+        prop_assert!(snap.counter("shard.replica.failovers").unwrap_or(0) >= 1);
+        drop(remote);
+        for group in hosts {
+            for host in group {
+                host.shutdown();
+            }
+        }
+    }
+}
+
+/// A symmetric fixture for the deterministic pull cases: a ring with chords,
+/// every vertex of degree 4.
+fn symmetric_fixture(n: usize) -> CscMatrix<f64> {
+    let mut coo = CooMatrix::new(n, n);
+    for j in 0..n {
+        for step in [1, 5] {
+            coo.push((j + step) % n, j, 1.0);
+            coo.push(j, (j + step) % n, 1.0);
+        }
+    }
+    CscMatrix::from_coo(coo, |x, _| x)
+}
+
+/// Serves one request through an unsharded engine and through `router`,
+/// asserting they agree bit for bit; returns how many requests the router
+/// pulled.
+fn pulled_count<X, S>(
+    a: &CscMatrix<f64>,
+    router: &ShardedEngine<f64, X, S>,
+    semiring: S,
+    request: MxvRequest<X>,
+) -> usize
+where
+    X: Scalar,
+    S: Semiring<f64, X> + Clone + 'static,
+    S::Output: PartialEq + std::fmt::Debug,
+{
+    let pulls = || router.obs().snapshot().counter("shard.pulls").unwrap_or(0);
+    let before = pulls();
+    let oracle = Engine::over(a, semiring);
+    let want = oracle.submit(request.clone());
+    let got = router.submit(request);
+    oracle.flush();
+    let outcome = router.flush();
+    assert_eq!(outcome.failed, 0, "{:?}", outcome.failures);
+    let want = want.try_take().expect("served").expect("oracle cannot fail");
+    assert_eq!(got.try_take().expect("served").expect("router cannot fail"), want);
+    assert_eq!(pulls() - before, outcome.pulled as u64, "shard.pulls counts what the flush pulled");
+    outcome.pulled
+}
+
+/// Each condition of exact pull, broken alone, keeps today's scatter path
+/// and today's results: a non-symmetric matrix, `PlusTimes`, frontier
+/// values that descend, and a TCP plan without fingerprints. The same
+/// request pulls once the condition holds again.
+#[test]
+fn requests_that_cannot_pull_keep_the_scatter_path() {
+    let n = 48;
+    let a = symmetric_fixture(n);
+    let visited = MaskBits::from_indices(n, (0..n).filter(|v| v % 4 != 1));
+    let all: Vec<usize> = (0..n).collect();
+    let bfs = |values: &[usize]| {
+        let x = SparseVec::from_parts(n, all.clone(), values.to_vec()).unwrap();
+        MxvRequest::new(x).mask(visited.clone(), MaskMode::Complement)
+    };
+    let plan = ShardPlan::balanced(&a, 3);
+    let config = EngineConfig::default();
+    let router = ShardedEngine::partition_with(&a, Select2ndMin, plan.clone(), config.clone());
+    assert_eq!(pulled_count(&a, &router, Select2ndMin, bfs(&all)), 1, "the control pulls");
+
+    // Descending frontier values: the first hit is no longer the min.
+    let descending: Vec<usize> = (0..n).rev().collect();
+    assert_eq!(pulled_count(&a, &router, Select2ndMin, bfs(&descending)), 0, "descending");
+
+    // PlusTimes: the first hit is not the sum.
+    let numeric = ShardedEngine::partition_with(&a, PlusTimes, plan.clone(), config.clone());
+    let x = SparseVec::from_parts(n, all.clone(), vec![1.0; n]).unwrap();
+    let request = MxvRequest::new(x).mask(visited.clone(), MaskMode::Complement);
+    assert_eq!(pulled_count(&a, &numeric, PlusTimes, request), 0, "PlusTimes");
+
+    // A non-symmetric matrix: one chord loses its mirror.
+    let mut coo = CooMatrix::new(n, n);
+    for (i, j, &v) in a.iter().filter(|&(i, j, _)| (i, j) != (5, 0)) {
+        coo.push(i, j, v);
+    }
+    let lopsided = CscMatrix::from_coo(coo, |x, _| x);
+    let router = ShardedEngine::partition_with(&lopsided, Select2ndMin, plan.clone(), config);
+    assert_eq!(pulled_count(&lopsided, &router, Select2ndMin, bfs(&all)), 0, "non-symmetric");
+
+    // Over TCP, only a fingerprinted plan carries the degrees the rule reads.
+    let (hosts, groups) =
+        spawn_replicated_hosts(&a, &plan, Select2ndMin, 1, &EngineConfig::default());
+    for (fingerprinted, want) in [(false, 0), (true, 1)] {
+        let plan = if fingerprinted { plan.clone().with_fingerprints_of(&a) } else { plan.clone() };
+        let remote = ShardedEngine::<f64, usize, Select2ndMin>::connect_replicated(
+            plan,
+            n,
+            Select2ndMin,
+            &groups,
+            failover_config(),
+            ObsConfig::default(),
+        )
+        .expect("dial the fleet");
+        let what = if fingerprinted { "fingerprinted" } else { "without fingerprints" };
+        assert_eq!(pulled_count(&a, &remote, Select2ndMin, bfs(&all)), want, "TCP {what}");
+    }
+    for group in hosts {
+        for host in group {
+            host.shutdown();
+        }
+    }
+}
+
+/// A pulled request goes only to the shards whose rows of the mask keep
+/// one: with every kept row in the middle shard, that shard alone runs it,
+/// under either mask mode.
+#[test]
+fn a_pulled_request_fans_out_only_to_shards_owning_kept_rows() {
+    let n = 48;
+    let a = symmetric_fixture(n);
+    let plan = ShardPlan::uniform(n, 3);
+    let middle = plan.range(1);
+    let all: Vec<usize> = (0..n).collect();
+    let x = SparseVec::from_parts(n, all.clone(), all).unwrap();
+    let kept_in_middle = MaskBits::from_indices(n, middle.clone().step_by(3));
+    let visited_outside = MaskBits::from_indices(n, (0..n).filter(|v| !middle.contains(v)));
+    for (bits, mode) in [(kept_in_middle, MaskMode::Keep), (visited_outside, MaskMode::Complement)]
+    {
+        let router =
+            ShardedEngine::partition_with(&a, Select2ndMin, plan.clone(), EngineConfig::default());
+        let request = MxvRequest::new(x.clone()).mask(bits, mode);
+        let oracle = Engine::over(&a, Select2ndMin);
+        let want = oracle.submit(request.clone());
+        let got = router.submit(request);
+        oracle.flush();
+        let outcome = router.flush();
+        assert_eq!((outcome.pulled, outcome.merged), (1, 1), "{mode:?}");
+        let requests: Vec<usize> = outcome.per_shard.iter().map(|o| o.requests).collect();
+        assert_eq!(requests, [0, 1, 0], "{mode:?}: only the middle shard runs it");
+        assert_eq!(outcome.shards_flushed, 1, "{mode:?}");
+        let fanout = router.obs().snapshot().histogram("shard.fanout").cloned();
+        assert_eq!(fanout.map(|h| (h.count, h.mean())), Some((1, 1.0)), "{mode:?}");
+        let want = want.try_take().expect("served").expect("oracle cannot fail");
+        assert!(want.nnz() > 0, "{mode:?}: the middle shard finds parents");
+        assert_eq!(got.try_take().expect("served").expect("router cannot fail"), want);
+    }
+}
+
+/// Byzantine defense for pulled requests: a host that answers a `Pulled`
+/// frontier with a full-height partial instead of its own rows is
+/// quarantined as `WrongHeight`, and only the tickets routed through it
+/// fail.
+#[test]
+fn a_full_height_answer_to_a_pulled_request_is_quarantined() {
+    let n = 48;
+    let a = symmetric_fixture(n);
+    let plan = ShardPlan::uniform(n, 2).with_fingerprints_of(&a);
+    let (lo, hi) = (plan.range(0).start, plan.range(0).end);
+
+    // Shard 0 is a fake host: it passes the handshake with the right
+    // advertisement, then answers every frontier with an empty partial of
+    // the output's full height.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let fake_addr = listener.local_addr().unwrap();
+    let fingerprint = a.column_slice(lo..hi).fingerprint();
+    let fake = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("the router dials");
+        let mut asked = Vec::new();
+        while let Ok(Some((frame, _))) =
+            read_frame::<usize, usize, _>(&mut stream, DEFAULT_MAX_FRAME)
+        {
+            let replies: Vec<Frame<usize, usize>> = match frame {
+                Frame::Hello => vec![Frame::Welcome {
+                    shard: 0,
+                    col_start: lo,
+                    col_end: hi,
+                    nrows: n,
+                    fingerprint,
+                }],
+                Frame::Frontier(w) => {
+                    asked.push(w.request);
+                    Vec::new()
+                }
+                Frame::Flush => asked
+                    .drain(..)
+                    .map(|request| Frame::Partial { request, shard: 0, partial: SparseVec::new(n) })
+                    .collect(),
+                _ => break,
+            };
+            for reply in replies {
+                if write_frame(&mut stream, &reply, DEFAULT_MAX_FRAME).is_err() {
+                    return;
+                }
+            }
+        }
+    });
+    let (hosts, groups) =
+        spawn_replicated_hosts(&a, &plan, Select2ndMin, 1, &EngineConfig::default());
+    let router = ShardedEngine::<f64, usize, Select2ndMin>::connect_replicated(
+        plan,
+        n,
+        Select2ndMin,
+        &[vec![fake_addr], groups[1].clone()],
+        failover_config(),
+        ObsConfig::default(),
+    )
+    .expect("the fake host passes the handshake");
+
+    let all: Vec<usize> = (0..n).collect();
+    let x = SparseVec::from_parts(n, all.clone(), all).unwrap();
+    let visited = MaskBits::from_indices(n, (0..n).filter(|v| v % 3 != 0));
+    let pulled = router.submit(MxvRequest::new(x).mask(visited, MaskMode::Complement));
+    // Shard 1's columns only: a pushed request the fake never sees.
+    let pushed = router.submit(MxvRequest::new(SparseVec::from_pairs(n, vec![(hi, hi)]).unwrap()));
+    let outcome = router.flush();
+    assert_eq!((outcome.pulled, outcome.failed, outcome.merged), (1, 1, 1));
+    match pulled.try_take() {
+        Some(Err(EngineError::KernelFailed(msg))) => assert!(
+            msg.contains("shard 0:")
+                && msg.contains(&format!("partial height {n} != expected height {}", hi - lo)),
+            "the quarantine must name the height: {msg}"
+        ),
+        other => panic!("the pulled request must fail as KernelFailed, got {other:?}"),
+    }
+    assert!(pushed.try_take().expect("served").is_ok(), "shard 1's own request still merges");
+    let snap = router.obs().snapshot();
+    assert_eq!(snap.counter("shard.replica.quarantined"), Some(1));
+    drop(router);
+    fake.join().expect("the fake host exits once the router hangs up");
+    for group in hosts {
+        for host in group {
+            host.shutdown();
         }
     }
 }
