@@ -18,41 +18,43 @@
 //! * clients open [`Session`]s and submit [`MxvRequest`]s (frontier +
 //!   optional output mask + optional deadline), receiving a [`Ticket`] per
 //!   request;
-//! * the **coalescer** ([`Engine::flush`]) drains the queue, groups
+//! * the **coalescer** (`Engine::flush`) drains the queue, groups
 //!   compatible requests (same mask mode — the semiring is fixed by the
 //!   engine's type, the kernel family by its configuration), moves each
 //!   group's frontiers into [`SparseVecBatch`] lanes up to the
 //!   [`EngineConfig::max_lanes`] width budget, executes **one** masked
 //!   batched multiplication per group chunk — each request's mask becoming
 //!   its lane's [`BatchMaskView::PerLane`] mask — and moves each result
-//!   lane to its ticket, so no frontier or result is copied on the way;
-//! * requests retired mid-flight — a cancelled [`Ticket`], a closed
-//!   [`Session`], an expired deadline — leave the batch before lanes are
-//!   assembled, so a slow client that gave up never costs kernel time.
+//!   lane to its ticket, so no frontier or result is copied on the way.
 //!
 //! # Ticket lifecycle
 //!
 //! Every submitted request resolves to **exactly one** terminal state; no
-//! code path leaves a client blocked forever:
+//! code path leaves a client blocked forever. One front owns this lifecycle
+//! for an [`Engine`] and a [`ShardedEngine`](crate::shard::ShardedEngine)
+//! alike:
 //!
 //! ```text
-//!            submit
+//!            submit (admit: shape check; the router also scatters)
 //!              │
-//!           Pending ──────── flush demux ───────▶ Ready ──▶ Taken
+//!           Pending ──────── flush: run resolves ─▶ Ready ──▶ Taken
 //!              │
-//!              ├─ Ticket::cancel / Session drop ▶ Failed(Cancelled)
-//!              ├─ deadline passes               ▶ Failed(DeadlineExceeded)
-//!              ├─ queue policy sheds/rejects    ▶ Failed(Overloaded)
-//!              ├─ kernel panics / errors        ▶ Failed(KernelFailed)
-//!              └─ Engine dropped                ▶ Failed(Disconnected)
+//!              ├─ Ticket::cancel / Session close or drop ▶ Failed(Cancelled)
+//!              ├─ deadline passes                        ▶ Failed(DeadlineExceeded)
+//!              ├─ queue policy sheds/rejects             ▶ Failed(Overloaded)
+//!              ├─ kernel panics / errors, shard fails    ▶ Failed(KernelFailed)
+//!              └─ front dropped                          ▶ Failed(Disconnected)
 //! ```
 //!
-//! [`Ticket::wait`] blocks until the terminal state and returns
-//! `Result<SparseVec, EngineError>`; [`Ticket::wait_timeout`] /
-//! [`Ticket::wait_deadline`] bound the block (an [`EngineError::WaitTimeout`]
-//! leaves the ticket live — the request may still complete);
-//! [`Ticket::try_take`] polls. Once a result is claimed, later claims report
-//! [`EngineError::AlreadyTaken`].
+//! A flush drains the queue and retires, before the run, every request
+//! already cancelled and every request whose deadline has passed, so a
+//! client that gave up never costs kernel time; the run re-checks deadlines
+//! when it delivers. [`Ticket::wait`] blocks
+//! until the terminal state and returns `Result<SparseVec, EngineError>`;
+//! [`Ticket::wait_timeout`] / [`Ticket::wait_deadline`] bound the block (an
+//! [`EngineError::WaitTimeout`] leaves the ticket live — the request may
+//! still complete); [`Ticket::try_take`] polls. Once a result is claimed,
+//! later claims report [`EngineError::AlreadyTaken`].
 //!
 //! # Failure semantics
 //!
@@ -77,9 +79,9 @@
 //!
 //! Two execution styles share this pipeline:
 //!
-//! * **synchronous**: `submit` + [`Engine::flush`] — the caller decides when
-//!   to fuse (the style `multi_bfs` and `pagerank_personalized_batch` use:
-//!   one flush per traversal level);
+//! * **synchronous**: `submit` + `flush` — the caller decides when to fuse
+//!   (the style `multi_bfs` and `pagerank_personalized_batch` use: one
+//!   flush per traversal level);
 //! * **thread-driven**: [`Engine::serve`] runs a background flush loop that
 //!   fires when [`EngineConfig::max_lanes`] lanes are pending or after
 //!   [`EngineConfig::linger`] of quiet, while client threads block on
@@ -88,7 +90,7 @@
 //!
 //! # Observability
 //!
-//! Every engine owns a metrics [`Registry`] ([`Engine::obs`]) holding the
+//! Every engine owns a metrics [`Registry`] (`Engine::obs`) holding the
 //! `engine.*` counters, queue-depth/widest-flush gauges, per-phase flush
 //! latency histograms, queue-wait distribution, and a bounded trace ring of
 //! flush decisions (`flush.begin`, `group.fused`, `degrade.retry`,
@@ -121,100 +123,30 @@
 //! single-vector [`crate::SpMSpV::multiply_masked`] call (the engine
 //! property test asserts exactly that): each lane *is* such a call.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use sparse_substrate::{CscMatrix, MaskBits, Scalar, Semiring, SparseVec, SparseVecBatch};
 
-use crate::algorithm::{MatrixRef, SpMSpVOptions};
+use crate::algorithm::{AlgorithmKind, MatrixRef, SpMSpVOptions};
 use crate::batch::{BatchAlgorithmKind, LaneBatch};
 use crate::failpoint;
+use crate::front::{lock, Drained, Queued, Run};
 use crate::masked::{BatchMaskView, MaskMode};
 use crate::obs::{Counter, Gauge, Histogram, ObsConfig, Registry, Span, TraceKind};
 use crate::pull::SpMSpVPull;
 use crate::stats::{ChoiceCounts, EngineStats};
 use crate::timing::FlushTimings;
 
-/// Poison-tolerant lock: a panic while holding an engine lock (an unwound
-/// kernel, an injected failpoint) must not wedge every other session, so the
-/// engine treats a poisoned mutex as still usable — its invariants are
-/// re-established by the flush path's resolution guard, not by the lock.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+pub use crate::front::{EngineError, Front, FrontSession, OverloadPolicy, Ticket};
 
-/// Why a request did not (or cannot yet) produce a result. Carried by the
-/// ticket's `Failed` terminal state and returned by every [`Ticket`]
-/// accessor.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EngineError {
-    /// The request was retired before execution: [`Ticket::cancel`] was
-    /// called, or its [`Session`] closed / was dropped.
-    Cancelled,
-    /// The request's [`MxvRequest::deadline`] passed before a flush could
-    /// serve it (checked both before fusing and again at demux time).
-    DeadlineExceeded,
-    /// The bounded queue was full and the [`OverloadPolicy`] shed this
-    /// request (oldest-first) or rejected it outright.
-    Overloaded,
-    /// Kernel execution failed — a caught panic or an injected failpoint
-    /// error — and the one-shot one-participant retry failed too. The
-    /// string is the panic/error message.
-    KernelFailed(String),
-    /// The engine went away (dropped, or its serve loop died) before the
-    /// request was served.
-    Disconnected,
-    /// [`Ticket::wait_timeout`] / [`Ticket::wait_deadline`] gave up before
-    /// the request resolved. Not terminal: the ticket stays live and the
-    /// request may still complete.
-    WaitTimeout,
-    /// The result was already claimed by an earlier
-    /// [`Ticket::wait`] / [`Ticket::try_take`].
-    AlreadyTaken,
-}
+/// The serving engine: the [`Front`] over a [`LocalRun`], generic over the
+/// matrix element `A`, the input element `X` and the semiring `S` — one
+/// operation type, many clients. See the [module docs](self).
+pub type Engine<'m, A, X, S> = Front<LocalRun<'m, A, X, S>>;
 
-impl std::fmt::Display for EngineError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineError::Cancelled => f.write_str("request cancelled before it was served"),
-            EngineError::DeadlineExceeded => f.write_str("request deadline exceeded"),
-            EngineError::Overloaded => {
-                f.write_str("engine overloaded: request shed or rejected by the queue policy")
-            }
-            EngineError::KernelFailed(msg) => write!(f, "kernel execution failed: {msg}"),
-            EngineError::Disconnected => {
-                f.write_str("engine disconnected before the request was served")
-            }
-            EngineError::WaitTimeout => {
-                f.write_str("timed out waiting for the result (the request may still complete)")
-            }
-            EngineError::AlreadyTaken => {
-                f.write_str("result already claimed by an earlier wait/try_take")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EngineError {}
-
-/// What a full bounded queue does to a new submission.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Block the submitter until the queue drains (backpressure) — the
-    /// classic closed-loop behavior, and the default.
-    #[default]
-    Block,
-    /// Fail the **new** request immediately with [`EngineError::Overloaded`]
-    /// (its ticket is returned already failed; nothing queues). Counted in
-    /// [`EngineStats::rejected`].
-    Reject,
-    /// Fail the **oldest** queued requests with [`EngineError::Overloaded`]
-    /// until the newcomer fits — freshest-first serving for workloads where
-    /// a stale answer is worthless. Counted in [`EngineStats::shed`].
-    ShedOldest,
-}
+/// A handle for one logical client of an [`Engine`]: the front's session.
+pub type Session<'e, 'm, A, X, S> = FrontSession<'e, LocalRun<'m, A, X, S>>;
 
 /// Tuning knobs of an [`Engine`].
 #[derive(Debug, Clone)]
@@ -239,7 +171,7 @@ pub struct EngineConfig {
     /// Kernel tuning options of the engine's kernel.
     pub options: SpMSpVOptions,
     /// Observability configuration for the engine's own [`Registry`]
-    /// (reachable via [`Engine::obs`]). Disabling it skips latency
+    /// (reachable via `Engine::obs`). Disabling it skips latency
     /// histograms and trace events; the `engine.*` counters keep running so
     /// [`Engine::stats`] stays exact either way.
     pub obs: ObsConfig,
@@ -341,9 +273,9 @@ impl<X: Scalar> MxvRequest<X> {
     }
 
     /// Sets an absolute deadline: a flush retires the request with
-    /// [`EngineError::DeadlineExceeded`] instead of fusing it once the
-    /// deadline has passed, and re-checks at demux time so a result computed
-    /// too late is never delivered as if it were fresh.
+    /// [`EngineError::DeadlineExceeded`] instead of running it once the
+    /// deadline has passed, and re-checks when it delivers, so a result
+    /// computed too late is never delivered as if it were fresh.
     pub fn deadline(mut self, at: Instant) -> Self {
         self.deadline = Some(at);
         self
@@ -392,178 +324,6 @@ impl<X: Scalar> MxvRequest<X> {
     }
 }
 
-/// Result slot state shared between a [`Ticket`] and the queue/coalescer.
-enum TicketState<Y> {
-    Pending,
-    Ready(SparseVec<Y>),
-    Taken,
-    Failed(EngineError),
-}
-
-pub(crate) struct TicketShared<Y> {
-    state: Mutex<TicketState<Y>>,
-    ready: Condvar,
-}
-
-impl<Y> TicketShared<Y> {
-    pub(crate) fn new() -> Self {
-        TicketShared { state: Mutex::new(TicketState::Pending), ready: Condvar::new() }
-    }
-
-    pub(crate) fn fulfil(&self, y: SparseVec<Y>) {
-        let mut st = lock(&self.state);
-        if matches!(*st, TicketState::Pending) {
-            *st = TicketState::Ready(y);
-            self.ready.notify_all();
-        }
-    }
-
-    /// Moves a pending ticket to `Failed(err)` and wakes its waiters;
-    /// returns whether the ticket was still pending (a resolved ticket
-    /// keeps its result — failure never overwrites success).
-    pub(crate) fn fail(&self, err: EngineError) -> bool {
-        let mut st = lock(&self.state);
-        if matches!(*st, TicketState::Pending) {
-            *st = TicketState::Failed(err);
-            self.ready.notify_all();
-            true
-        } else {
-            false
-        }
-    }
-
-    pub(crate) fn is_pending(&self) -> bool {
-        matches!(*lock(&self.state), TicketState::Pending)
-    }
-}
-
-/// A claim on one request's result.
-///
-/// In the synchronous style, call [`Engine::flush`] and then
-/// [`Ticket::try_take`]; under [`Engine::serve`], block on [`Ticket::wait`]
-/// (or its bounded variants). Every ticket **resolves** — to a value or an
-/// [`EngineError`] — even when the request is cancelled, shed, expired, its
-/// kernel panics, or the engine is dropped; see the
-/// [module docs](self#ticket-lifecycle).
-pub struct Ticket<Y> {
-    shared: Arc<TicketShared<Y>>,
-}
-
-impl<Y> Ticket<Y> {
-    /// A fresh pending ticket, paired with the shared slot its resolver (a
-    /// flush, or the shard router) fulfils.
-    pub(crate) fn detached() -> (Self, Arc<TicketShared<Y>>) {
-        let shared = Arc::new(TicketShared::new());
-        (Ticket { shared: Arc::clone(&shared) }, shared)
-    }
-
-    /// Blocks until `deadline` (forever when `None`) for the terminal state.
-    fn wait_until(&self, deadline: Option<Instant>) -> Result<SparseVec<Y>, EngineError> {
-        let mut st = lock(&self.shared.state);
-        loop {
-            match std::mem::replace(&mut *st, TicketState::Taken) {
-                TicketState::Ready(y) => return Ok(y),
-                TicketState::Failed(err) => {
-                    *st = TicketState::Failed(err.clone());
-                    return Err(err);
-                }
-                TicketState::Taken => return Err(EngineError::AlreadyTaken),
-                TicketState::Pending => {
-                    *st = TicketState::Pending;
-                    match deadline {
-                        None => {
-                            st = self.shared.ready.wait(st).unwrap_or_else(PoisonError::into_inner)
-                        }
-                        Some(d) => {
-                            let now = Instant::now();
-                            if now >= d {
-                                return Err(EngineError::WaitTimeout);
-                            }
-                            let (guard, _) = self
-                                .shared
-                                .ready
-                                .wait_timeout(st, d - now)
-                                .unwrap_or_else(PoisonError::into_inner);
-                            st = guard;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Blocks until the request resolves, consuming the ticket. Every
-    /// request does resolve — served, cancelled, expired, shed, failed, or
-    /// disconnected — so this cannot hang on a dead engine (dropping the
-    /// [`Engine`] fails all pending tickets).
-    ///
-    /// Only sensible when something will flush — the [`Engine::serve`] loop,
-    /// or another thread calling [`Engine::flush`].
-    pub fn wait(self) -> Result<SparseVec<Y>, EngineError> {
-        self.wait_until(None)
-    }
-
-    /// [`Ticket::wait`] bounded by a duration. On [`EngineError::WaitTimeout`]
-    /// the ticket is untouched and still live: the caller may wait again,
-    /// poll [`Ticket::try_take`], or [`Ticket::cancel`].
-    pub fn wait_timeout(&self, timeout: Duration) -> Result<SparseVec<Y>, EngineError> {
-        self.wait_until(Some(Instant::now() + timeout))
-    }
-
-    /// [`Ticket::wait_timeout`] against an absolute deadline — the natural
-    /// companion of [`MxvRequest::deadline`].
-    pub fn wait_deadline(&self, deadline: Instant) -> Result<SparseVec<Y>, EngineError> {
-        self.wait_until(Some(deadline))
-    }
-
-    /// Polls the terminal state: `None` while the request is still pending,
-    /// `Some(Ok(_))` exactly once for a served result, `Some(Err(_))` for a
-    /// failed request (repeatable) or an already-claimed result.
-    pub fn try_take(&self) -> Option<Result<SparseVec<Y>, EngineError>> {
-        let mut st = lock(&self.shared.state);
-        match std::mem::replace(&mut *st, TicketState::Taken) {
-            TicketState::Ready(y) => Some(Ok(y)),
-            TicketState::Failed(err) => {
-                *st = TicketState::Failed(err.clone());
-                Some(Err(err))
-            }
-            TicketState::Taken => Some(Err(EngineError::AlreadyTaken)),
-            TicketState::Pending => {
-                *st = TicketState::Pending;
-                None
-            }
-        }
-    }
-
-    /// Retires the request: a still-queued request is dropped from the next
-    /// flush (its lane is never assembled) and resolves as
-    /// [`EngineError::Cancelled`]; a request already served keeps its
-    /// result. Returns whether the request was still pending.
-    pub fn cancel(&self) -> bool {
-        self.shared.fail(EngineError::Cancelled)
-    }
-
-    /// Whether the request has not resolved yet.
-    pub fn is_pending(&self) -> bool {
-        self.shared.is_pending()
-    }
-}
-
-/// One queued request, tagged with the session that submitted it.
-struct QueueEntry<X, Y> {
-    /// Engine-unique request id — ties `group.fused` trace events back to
-    /// individual submissions.
-    id: u64,
-    /// When the request was admitted, for the `engine.queue.wait` histogram.
-    submitted: Instant,
-    session: u64,
-    frontier: SparseVec<X>,
-    mask: Option<(Arc<MaskBits>, MaskMode)>,
-    deadline: Option<Instant>,
-    pulled: bool,
-    ticket: Arc<TicketShared<Y>>,
-}
-
 /// The engine's reusable kernels: the runner of its family's lanes and,
 /// for a shard's pulled requests, the pull kernel.
 struct Kernels<'m, A, X, S: Semiring<A, X>> {
@@ -575,14 +335,6 @@ impl<A, X, S: Semiring<A, X>> Default for Kernels<'_, A, X, S> {
     fn default() -> Self {
         Kernels { lanes: None, pull: None }
     }
-}
-
-struct RequestQueue<X, Y> {
-    entries: Mutex<VecDeque<QueueEntry<X, Y>>>,
-    /// Signalled when requests arrive (wakes the serve loop).
-    grew: Condvar,
-    /// Signalled when the queue drains (unblocks bounded `submit`).
-    shrank: Condvar,
 }
 
 /// Turns a caught kernel panic into the error its group's tickets resolve
@@ -599,57 +351,26 @@ pub(crate) fn kernel_failure(payload: Box<dyn std::any::Any + Send>) -> EngineEr
     EngineError::KernelFailed(msg)
 }
 
-/// Results in order: one per request of an [`Engine::run`] call, or one
-/// per owning shard of a routed request.
-pub(crate) type Results<Y> = Vec<Result<SparseVec<Y>, EngineError>>;
-
-/// Fails every still-pending ticket of a drained flush when dropped. On a
-/// normal flush this is a no-op (the flush resolved them all); on unwind —
-/// a kernel panic that escaped isolation, an armed `engine.flush.assemble`
-/// failpoint — it is the difference between a failed flush and a client
-/// stranded on a [`Condvar`] forever.
-pub(crate) struct ResolveOnDrop<Y> {
-    pub(crate) tickets: Vec<Arc<TicketShared<Y>>>,
-}
-
-impl<Y> Drop for ResolveOnDrop<Y> {
-    fn drop(&mut self) {
-        // Only a still-pending ticket gets the error, so a normal flush
-        // allocates no message per ticket here.
-        for t in self.tickets.iter().filter(|t| t.is_pending()) {
-            t.fail(EngineError::KernelFailed("flush aborted by panic".to_string()));
-        }
-    }
-}
-
 /// Index of each flush phase in [`EngineMetrics::flush_phase`].
 const PHASE_ASSEMBLE: usize = 0;
 const PHASE_EXECUTE: usize = 1;
 const PHASE_DEMUX: usize = 2;
 const PHASE_RECOVER: usize = 3;
 
-/// The engine's bookkeeping: one per-engine [`Registry`] plus `Arc` handles
-/// to every `engine.*` metric, resolved once at construction so the hot
-/// paths never touch the registry's name table. [`Engine::stats`]
-/// reconstructs [`EngineStats`] as a view over these handles; the registry
-/// itself is the export surface ([`Engine::obs`]).
+/// The engine's [`Registry`] plus the `engine.*` metrics the local run
+/// records, resolved once at construction so the hot paths never touch the
+/// registry's name table (the front registers its own beside them).
 struct EngineMetrics {
     registry: Registry,
-    requests: Arc<Counter>,
-    retired: Arc<Counter>,
     flushes: Arc<Counter>,
     fused_batches: Arc<Counter>,
     lanes_executed: Arc<Counter>,
     timeouts: Arc<Counter>,
-    rejected: Arc<Counter>,
-    shed: Arc<Counter>,
     panics_recovered: Arc<Counter>,
     degraded_flushes: Arc<Counter>,
     /// `engine.choice.bucket.dense`: fused batches that did work.
     choice: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
     widest_flush: Arc<Gauge>,
-    queue_wait: Arc<Histogram>,
     /// assemble / execute / demux / recover, see the `PHASE_*` indices.
     flush_phase: [Arc<Histogram>; 4],
 }
@@ -658,20 +379,14 @@ impl EngineMetrics {
     fn new(config: &ObsConfig) -> Self {
         let registry = Registry::new(config.clone());
         EngineMetrics {
-            requests: registry.counter("engine.requests"),
-            retired: registry.counter("engine.retired"),
             flushes: registry.counter("engine.flushes"),
             fused_batches: registry.counter("engine.fused_batches"),
             lanes_executed: registry.counter("engine.lanes_executed"),
             timeouts: registry.counter("engine.timeouts"),
-            rejected: registry.counter("engine.rejected"),
-            shed: registry.counter("engine.shed"),
             panics_recovered: registry.counter("engine.panics_recovered"),
             degraded_flushes: registry.counter("engine.degraded_flushes"),
             choice: registry.counter("engine.choice.bucket.dense"),
-            queue_depth: registry.gauge("engine.queue.depth"),
             widest_flush: registry.gauge("engine.widest_flush"),
-            queue_wait: registry.histogram("engine.queue.wait"),
             flush_phase: [
                 "engine.flush.assemble",
                 "engine.flush.execute",
@@ -694,79 +409,20 @@ impl EngineMetrics {
     }
 }
 
-/// The serving engine. See the [module docs](self).
-///
-/// Generic over the matrix element `A`, the input element `X` and the
-/// semiring `S` — one engine serves one operation type, many clients. The
-/// engine is `Sync`: sessions on any thread may submit while the serve loop
-/// (or any thread) flushes. Dropping the engine fails every still-queued
-/// request with [`EngineError::Disconnected`], so no client waits on a dead
-/// engine.
-pub struct Engine<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> {
+/// The local run behind an [`Engine`]: it groups a drained queue's live
+/// requests, executes them on its kernels and demultiplexes the results.
+pub struct LocalRun<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> {
     /// The runner of [`EngineConfig::batch_algorithm`] lanes and the pull
     /// kernel of pulled requests, each built on the first flush that needs
     /// it and reused by every later one (the amortization the engine
     /// exists for); `None` until then and after a panic evicted them.
     kernel: Mutex<Kernels<'m, A, X, S>>,
-    queue: RequestQueue<X, S::Output>,
     metrics: EngineMetrics,
     config: EngineConfig,
     semiring: S,
-    next_session: AtomicU64,
-    next_request: AtomicU64,
     /// Borrowed for [`Engine::over`], shared with the kernel for
     /// [`Engine::load`].
     matrix: MatrixRef<'m, A>,
-}
-
-/// Methods available under the struct's own bounds — shared by the `Drop`
-/// impls (which may not add bounds) and the main serving impl below.
-impl<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> Engine<'m, A, X, S> {
-    /// Drains the queue, failing every still-pending ticket with `err`.
-    /// Returns how many tickets were failed.
-    fn fail_queue(&self, err: EngineError) -> usize {
-        let drained: Vec<QueueEntry<X, S::Output>> = {
-            let mut q = lock(&self.queue.entries);
-            let drained = q.drain(..).collect();
-            self.metrics.queue_depth.set(q.len() as u64);
-            drained
-        };
-        self.queue.shrank.notify_all();
-        drained.iter().filter(|e| e.ticket.fail(err.clone())).count()
-    }
-
-    /// Retires every still-queued request of `session`: entries leave the
-    /// queue and their tickets resolve as [`EngineError::Cancelled`].
-    fn retire_session(&self, session: u64) -> usize {
-        let retired = {
-            let mut q = lock(&self.queue.entries);
-            let before = q.len();
-            q.retain(|e| {
-                if e.session == session {
-                    e.ticket.fail(EngineError::Cancelled);
-                    false
-                } else {
-                    true
-                }
-            });
-            self.metrics.queue_depth.set(q.len() as u64);
-            before - q.len()
-        };
-        if retired > 0 {
-            self.queue.shrank.notify_all();
-            self.metrics.retired.add(retired as u64);
-        }
-        retired
-    }
-}
-
-impl<'m, A: Scalar, X: Scalar, S: Semiring<A, X>> Drop for Engine<'m, A, X, S> {
-    fn drop(&mut self) {
-        // Clients may hold tickets beyond the engine's life (tickets are
-        // `Arc`-shared): resolve everything still queued so no waiter blocks
-        // on an engine that will never flush again.
-        self.fail_queue(EngineError::Disconnected);
-    }
 }
 
 impl<'m, A, X, S> Engine<'m, A, X, S>
@@ -799,51 +455,45 @@ where
     }
 
     fn from_matrix(matrix: MatrixRef<'m, A>, semiring: S, config: EngineConfig) -> Self {
-        let metrics = EngineMetrics::new(&config.obs);
-        Engine {
+        let (capacity, overload) = (config.queue_capacity, config.overload);
+        let run = LocalRun {
             kernel: Mutex::new(Kernels::default()),
-            queue: RequestQueue {
-                entries: Mutex::new(VecDeque::new()),
-                grew: Condvar::new(),
-                shrank: Condvar::new(),
-            },
-            metrics,
+            metrics: EngineMetrics::new(&config.obs),
             config,
             semiring,
-            next_session: AtomicU64::new(1),
-            next_request: AtomicU64::new(0),
             matrix,
-        }
+        };
+        Front::new(run, capacity, overload)
     }
 
     /// The matrix this engine serves.
     pub fn matrix(&self) -> &CscMatrix<A> {
-        &self.matrix
+        &self.run.matrix
     }
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.run.config
     }
 
     /// Cumulative coalescing and failure telemetry — a view reconstructed
-    /// from the engine's metrics [`Registry`] (see [`Engine::obs`]). The
+    /// from the engine's metrics [`Registry`] (see `Engine::obs`). The
     /// counters are exact regardless of [`ObsConfig`]; the
     /// [`EngineStats::flush_timings`] breakdown comes from the
     /// `engine.flush.*` histograms' exact nanosecond sums and is therefore
     /// all-zero when observability is disabled.
     pub fn stats(&self) -> EngineStats {
-        let m = &self.metrics;
+        let (front, m) = (&self.metrics, &self.run.metrics);
         EngineStats {
-            requests: m.requests.get() as usize,
-            retired: m.retired.get() as usize,
+            requests: front.requests.get() as usize,
+            retired: front.retired.get() as usize,
             flushes: m.flushes.get() as usize,
             fused_batches: m.fused_batches.get() as usize,
             lanes_executed: m.lanes_executed.get() as usize,
             widest_flush: m.widest_flush.get() as usize,
             timeouts: m.timeouts.get() as usize,
-            rejected: m.rejected.get() as usize,
-            shed: m.shed.get() as usize,
+            rejected: front.rejected.get() as usize,
+            shed: front.shed.get() as usize,
             panics_recovered: m.panics_recovered.get() as usize,
             degraded_flushes: m.degraded_flushes.get() as usize,
             flush_timings: FlushTimings {
@@ -856,19 +506,35 @@ where
         }
     }
 
-    /// This engine's observability registry: every `engine.*` counter,
-    /// gauge, and latency histogram plus the flush trace ring. Snapshot it
-    /// (and merge with [`crate::obs::global`]'s snapshot) for a full report.
-    pub fn obs(&self) -> &Registry {
-        &self.metrics.registry
+    /// Runs `body` with a background flush loop serving the engine: the loop
+    /// flushes whenever [`EngineConfig::max_lanes`] requests are pending or
+    /// [`EngineConfig::linger`] elapses with a non-empty queue. The loop
+    /// drains remaining requests and stops when `body` returns (or panics).
+    ///
+    /// Client threads spawned inside `body` submit through [`Session`]s and
+    /// block on [`Ticket::wait`].
+    ///
+    /// The loop is **self-healing**: a flush that panics past its own
+    /// isolation (every drained ticket is still resolved on the way out) is
+    /// caught here and the loop restarts, so one poisoned flush cannot stop
+    /// the engine from serving later requests. A server-thread failure never
+    /// becomes a panic in the caller: if the loop cannot be recovered, the
+    /// remaining queued requests resolve as [`EngineError::Disconnected`].
+    pub fn serve<R: Send>(&self, body: impl FnOnce(&Self) -> R + Send) -> R {
+        let config = &self.run.config;
+        self.serve_during(config.max_lanes, config.linger, body)
     }
+}
 
-    /// Folds one flush's outcome into the registry counters. Submit-side
-    /// counters (`requests`, `rejected`, `shed`) are recorded at submit
-    /// time, never here; phase durations are recorded by the flush's spans.
+impl<'m, A, X, S> LocalRun<'m, A, X, S>
+where
+    A: Scalar,
+    X: Scalar,
+    S: Semiring<A, X> + Clone + 'm,
+{
+    /// Folds one flush's outcome into the run's registry counters.
     fn record_flush_outcome(&self, outcome: &FlushOutcome) {
         let m = &self.metrics;
-        m.retired.add(outcome.retired as u64);
         if outcome.batches > 0 {
             m.flushes.inc();
         }
@@ -884,183 +550,112 @@ where
         }
     }
 
-    /// Requests currently queued (submitted, not yet flushed).
-    pub fn pending(&self) -> usize {
-        lock(&self.queue.entries).len()
-    }
-
-    /// Opens a session: a handle for one logical client, whose queued
-    /// requests can be retired together with [`Session::close`].
-    pub fn session(&self) -> Session<'_, 'm, A, X, S> {
-        Session { engine: self, id: self.next_session.fetch_add(1, Ordering::Relaxed) }
-    }
-
-    /// Submits an anonymous request (no session). See [`Session::submit`].
-    pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
-        self.submit_tagged(0, request)
-    }
-
-    fn submit_tagged(&self, session: u64, request: MxvRequest<X>) -> Ticket<S::Output> {
-        let (ticket, entry) = self.admit(session, request);
-        let capacity = self.config.queue_capacity;
-        let mut shed = 0usize;
-        let mut rejected = false;
-        {
-            let mut q = lock(&self.queue.entries);
-            if capacity > 0 && q.len() >= capacity {
-                match self.config.overload {
-                    OverloadPolicy::Block => {
-                        while q.len() >= capacity {
-                            q = self.queue.shrank.wait(q).unwrap_or_else(PoisonError::into_inner);
-                        }
-                    }
-                    OverloadPolicy::Reject => rejected = true,
-                    OverloadPolicy::ShedOldest => {
-                        while q.len() >= capacity {
-                            let victim = q.pop_front().expect("len ≥ capacity > 0");
-                            victim.ticket.fail(EngineError::Overloaded);
-                            shed += 1;
-                        }
-                    }
-                }
-            }
-            if !rejected {
-                q.push_back(entry);
-            }
-            self.metrics.queue_depth.set(q.len() as u64);
-        }
-        if rejected {
-            ticket.shared.fail(EngineError::Overloaded);
-        }
-        if shed > 0 || rejected {
-            self.metrics.shed.add(shed as u64);
-            if rejected {
-                self.metrics.rejected.inc();
-            }
-            self.metrics
-                .registry
-                .trace(TraceKind::Overload { shed, rejected: usize::from(rejected) });
-        }
-        self.queue.grew.notify_all();
-        ticket
-    }
-
-    /// Checks `request`'s shape (panicking with
-    /// [`MxvRequest::shape_error`]'s message), counts it in
-    /// `engine.requests` and turns it into a flushable entry with its ticket.
-    fn admit(
+    /// Executes one fused group with panic isolation: on the engine's
+    /// kernels (built on first use) when `kernel` is given, else on freshly
+    /// built ones at one participant — the one-shot degraded retry. A
+    /// pushed group runs on the runner of the engine's family; a pulled one
+    /// runs its lanes one after another through the pull scan, each on the
+    /// participants its kept rows earn. A kernel panic comes back as
+    /// [`EngineError::KernelFailed`], and the engine's kernels are then
+    /// evicted: their workspaces may be mid-mutation from the unwound call,
+    /// so the next flush rebuilds them cleanly.
+    fn execute(
         &self,
-        session: u64,
-        request: MxvRequest<X>,
-    ) -> (Ticket<S::Output>, QueueEntry<X, S::Output>) {
+        kernel: Option<&mut Kernels<'m, A, X, S>>,
+        pulled: bool,
+        x: &SparseVecBatch<X>,
+        mask: Option<&BatchMaskView<'_>>,
+    ) -> Result<SparseVecBatch<S::Output>, EngineError> {
+        failpoint::act("engine.flush.execute").map_err(EngineError::KernelFailed)?;
+        let matrix = &self.matrix;
+        let run = |kernels: &mut Kernels<'m, A, X, S>, options: &SpMSpVOptions| {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if !pulled {
+                    let kind = self.config.batch_algorithm.lanes();
+                    let runner = kernels.lanes.get_or_insert_with(|| {
+                        LaneBatch::new(matrix.clone(), kind, options.clone())
+                    });
+                    return runner.multiply_batch_masked(x, &self.semiring, mask);
+                }
+                let pull = kernels
+                    .pull
+                    .get_or_insert_with(|| SpMSpVPull::new(matrix.clone(), options.clone()));
+                let mask = mask.expect("a pulled request carries a mask");
+                let ys =
+                    (0..x.k()).map(|l| pull.pull(x.lane(l), &self.semiring, mask.lane_view(l)));
+                SparseVecBatch::with_lanes(matrix.ncols(), ys.collect())
+                    .expect("a pulled lane spans the matrix's columns")
+            }))
+            .map_err(kernel_failure)
+        };
+        match kernel {
+            Some(kernels) => {
+                let served = run(kernels, &self.config.options);
+                if served.is_err() {
+                    *kernels = Kernels::default();
+                }
+                served
+            }
+            None => run(&mut Kernels::default(), &SpMSpVOptions::with_threads(1)),
+        }
+    }
+}
+
+impl<'m, A, X, S> Run for LocalRun<'m, A, X, S>
+where
+    A: Scalar,
+    X: Scalar,
+    S: Semiring<A, X> + Clone + 'm,
+{
+    type Input = X;
+    type Output = S::Output;
+    type Entry = MxvRequest<X>;
+    type Outcome = FlushOutcome;
+    const PREFIX: &'static str = "engine";
+
+    fn registry(&self) -> &Registry {
+        &self.metrics.registry
+    }
+
+    fn admit(&self, _id: u64, request: MxvRequest<X>) -> MxvRequest<X> {
         if let Some(msg) = request.shape_error(self.matrix.nrows(), self.matrix.ncols()) {
             panic!("{msg}");
         }
-        let (ticket, shared) = Ticket::detached();
-        let entry = QueueEntry {
-            id: self.next_request.fetch_add(1, Ordering::Relaxed),
-            submitted: Instant::now(),
-            session,
-            frontier: request.frontier,
-            mask: request.mask,
-            deadline: request.deadline,
-            pulled: request.pulled,
-            ticket: shared,
-        };
-        // Count the request before it becomes flushable, so a concurrent
-        // `stats()` snapshot always sees `requests ≥ lanes_executed`.
-        self.metrics.requests.inc();
-        (ticket, entry)
+        request
     }
 
-    /// Drains the queue and serves every live request: groups compatible
-    /// requests, fuses each group into at most [`EngineConfig::max_lanes`]
-    /// lanes per batched multiplication, executes (with panic isolation and
-    /// a one-shot one-participant retry per failed group), and
-    /// demultiplexes results to the tickets. Every drained request resolves
-    /// before this returns — even if a kernel panics. Returns what happened
-    /// (all zeros when the queue was empty).
-    pub fn flush(&self) -> FlushOutcome {
-        let drained: Vec<QueueEntry<X, S::Output>> = {
-            let mut q = lock(&self.queue.entries);
-            let drained = q.drain(..).collect();
-            self.metrics.queue_depth.set(q.len() as u64);
-            drained
-        };
-        self.queue.shrank.notify_all();
-        self.serve_entries(drained)
-    }
-
-    /// Serves `requests` as one flush, past the queue: the queue's capacity
-    /// and overload policy do not apply, and queued requests stay queued.
-    /// Returns one result per request, in order, and the flush's outcome
-    /// (all zeros for no requests). Requests are counted and their shapes
-    /// checked as [`Engine::submit`] does. A shard's whole batch reaches its
-    /// engine through this one call.
-    pub(crate) fn run(&self, requests: Vec<MxvRequest<X>>) -> (Results<S::Output>, FlushOutcome) {
-        let (tickets, entries): (Vec<_>, Vec<_>) =
-            requests.into_iter().map(|request| self.admit(0, request)).unzip();
-        let outcome = self.serve_entries(entries);
-        let results = tickets
-            .iter()
-            .map(|t| t.try_take().expect("a flush resolves every request it serves"))
-            .collect();
-        (results, outcome)
-    }
-
-    /// The body of [`Engine::flush`] and [`Engine::run`]: groups, executes
-    /// and demultiplexes `drained`, resolving every entry's ticket.
-    fn serve_entries(&self, drained: Vec<QueueEntry<X, S::Output>>) -> FlushOutcome {
-        if drained.is_empty() {
+    /// Groups compatible requests, fuses each group into at most
+    /// [`EngineConfig::max_lanes`] lanes per batched multiplication,
+    /// executes (with panic isolation and a one-shot one-participant retry
+    /// per failed group), and demultiplexes results to the tickets.
+    fn run(&self, live: Vec<Queued<MxvRequest<X>, S::Output>>, drained: Drained) -> FlushOutcome {
+        if drained.requests == 0 {
             return FlushOutcome::default();
         }
-        if self.metrics.registry.enabled() {
-            let now = Instant::now();
-            for entry in &drained {
-                self.metrics
-                    .queue_wait
-                    .record_duration(now.saturating_duration_since(entry.submitted));
-            }
-            self.metrics.registry.trace(TraceKind::FlushBegin { requests: drained.len() });
-        }
-
-        // From here on, an unwind out of this function resolves every
-        // drained ticket on the way out (normal completion resolves them
-        // all itself, making the guard a no-op).
-        let _resolve_guard =
-            ResolveOnDrop { tickets: drained.iter().map(|e| Arc::clone(&e.ticket)).collect() };
         if let Err(msg) = failpoint::act("engine.flush.assemble") {
             panic!("failpoint engine.flush.assemble: {msg}");
         }
 
-        let mut outcome = FlushOutcome { requests: drained.len(), ..FlushOutcome::default() };
+        let mut outcome = FlushOutcome {
+            requests: drained.requests,
+            retired: drained.retired,
+            timeouts: drained.timeouts,
+            ..FlushOutcome::default()
+        };
         let sp_group = self.metrics.phase_span(PHASE_ASSEMBLE);
         // Group by mask mode, and pulled requests apart, preserving arrival
         // order within each group — the demux order clients observe.
-        type Group<X, Y> = ((Option<MaskMode>, bool), Vec<QueueEntry<X, Y>>);
-        let now = Instant::now();
-        let drained_len = drained.len();
+        type Group<X, Y> = ((Option<MaskMode>, bool), Vec<Queued<MxvRequest<X>, Y>>);
+        let live_len = live.len();
         let mut groups: Vec<Group<X, S::Output>> = Vec::new();
-        for entry in drained {
-            if entry.deadline.is_some_and(|d| now >= d) {
-                if entry.ticket.fail(EngineError::DeadlineExceeded) {
-                    outcome.timeouts += 1;
-                } else {
-                    outcome.retired += 1;
-                }
-                continue;
-            }
-            if !entry.ticket.is_pending() {
-                outcome.retired += 1;
-                continue;
-            }
-            let key = (entry.mask.as_ref().map(|&(_, mode)| mode), entry.pulled);
-            // Sized once from the drained count, so a group never regrows.
+        for queued in live {
+            let key = (queued.entry.mask.as_ref().map(|&(_, mode)| mode), queued.entry.pulled);
+            // Sized once from the live count, so a group never regrows.
             match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(entry),
+                Some((_, members)) => members.push(queued),
                 None => {
-                    let mut members = Vec::with_capacity(drained_len);
-                    members.push(entry);
+                    let mut members = Vec::with_capacity(live_len);
+                    members.push(queued);
                     groups.push((key, members));
                 }
             }
@@ -1068,9 +663,12 @@ where
         outcome.timings.assemble += sp_group.stop();
 
         let width = if self.config.max_lanes == 0 { usize::MAX } else { self.config.max_lanes };
-        let kind = self.config.batch_algorithm;
         let mut kernel = lock(&self.kernel);
         for ((mode, pulled), members) in groups {
+            // The family that runs this group: a pulled group runs the pull
+            // scan whatever the engine's configured family.
+            let family =
+                if pulled { AlgorithmKind::Pull } else { self.config.batch_algorithm.lanes() };
             let mut members = members.into_iter().peekable();
             while members.peek().is_some() {
                 let sp_assemble = self.metrics.phase_span(PHASE_ASSEMBLE);
@@ -1096,11 +694,11 @@ where
                 let mut deadlines = Vec::with_capacity(chunk.len());
                 let mut lanes = Vec::with_capacity(chunk.len());
                 let mut masks = Vec::with_capacity(if mode.is_some() { chunk.len() } else { 0 });
-                for entry in chunk {
-                    tickets.push(entry.ticket);
-                    deadlines.push(entry.deadline);
-                    lanes.push(entry.frontier);
-                    masks.extend(entry.mask.map(|(bits, _)| bits));
+                for queued in chunk {
+                    tickets.push(queued.ticket);
+                    deadlines.push(queued.deadline);
+                    lanes.push(queued.entry.frontier);
+                    masks.extend(queued.entry.mask.map(|(bits, _)| bits));
                 }
                 // A pulled lane's frontier spans the matrix's rows.
                 let width = if pulled { self.matrix.nrows() } else { self.matrix.ncols() };
@@ -1109,7 +707,7 @@ where
                 let mask = mode.map(|mode| BatchMaskView::PerLane { masks: &masks, mode });
                 outcome.timings.assemble += sp_assemble.stop();
                 self.metrics.registry.trace(TraceKind::GroupFused {
-                    kernel: kind,
+                    kernel: family,
                     lanes: x.k(),
                     masked: mode.is_some(),
                     first_id,
@@ -1126,7 +724,7 @@ where
                         // Graceful degradation: one retry on a fresh runner
                         // of the same family at one participant, its lanes
                         // one after another on one one-thread kernel.
-                        self.metrics.registry.trace(TraceKind::DegradeRetry { from: kind });
+                        self.metrics.registry.trace(TraceKind::DegradeRetry { from: family });
                         let sp_recover = self.metrics.phase_span(PHASE_RECOVER);
                         let retry = self.execute(None, pulled, &x, mask.as_ref());
                         outcome.timings.recover += sp_recover.stop();
@@ -1182,179 +780,12 @@ where
         outcome
     }
 
-    /// Executes one fused group with panic isolation: on the engine's
-    /// kernels (built on first use) when `kernel` is given, else on freshly
-    /// built ones at one participant — the one-shot degraded retry. A
-    /// pushed group runs on the runner of the engine's family; a pulled one
-    /// runs its lanes one after another through the pull scan, each on the
-    /// participants its kept rows earn. A kernel panic comes back as
-    /// [`EngineError::KernelFailed`], and the engine's kernels are then
-    /// evicted: their workspaces may be mid-mutation from the unwound call,
-    /// so the next flush rebuilds them cleanly.
-    fn execute(
-        &self,
-        kernel: Option<&mut Kernels<'m, A, X, S>>,
-        pulled: bool,
-        x: &SparseVecBatch<X>,
-        mask: Option<&BatchMaskView<'_>>,
-    ) -> Result<SparseVecBatch<S::Output>, EngineError> {
-        failpoint::act("engine.flush.execute").map_err(EngineError::KernelFailed)?;
-        let matrix = &self.matrix;
-        let run = |kernels: &mut Kernels<'m, A, X, S>, options: &SpMSpVOptions| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if !pulled {
-                    let kind = self.config.batch_algorithm.lanes();
-                    let runner = kernels.lanes.get_or_insert_with(|| {
-                        LaneBatch::new(matrix.clone(), kind, options.clone())
-                    });
-                    return runner.multiply_batch_masked(x, &self.semiring, mask);
-                }
-                let pull = kernels
-                    .pull
-                    .get_or_insert_with(|| SpMSpVPull::new(matrix.clone(), options.clone()));
-                let mask = mask.expect("a pulled request carries a mask");
-                let ys =
-                    (0..x.k()).map(|l| pull.pull(x.lane(l), &self.semiring, mask.lane_view(l)));
-                SparseVecBatch::with_lanes(matrix.ncols(), ys.collect())
-                    .expect("a pulled lane spans the matrix's columns")
-            }))
-            .map_err(kernel_failure)
-        };
-        match kernel {
-            Some(kernels) => {
-                let served = run(kernels, &self.config.options);
-                if served.is_err() {
-                    *kernels = Kernels::default();
-                }
-                served
-            }
-            None => run(&mut Kernels::default(), &SpMSpVOptions::with_threads(1)),
-        }
-    }
-
-    /// Runs `body` with a background flush loop serving the engine: the loop
-    /// flushes whenever [`EngineConfig::max_lanes`] requests are pending or
-    /// [`EngineConfig::linger`] elapses with a non-empty queue. The loop
-    /// drains remaining requests and stops when `body` returns (or panics).
-    ///
-    /// Client threads spawned inside `body` submit through [`Session`]s and
-    /// block on [`Ticket::wait`].
-    ///
-    /// The loop is **self-healing**: a flush that panics past its own
-    /// isolation (every drained ticket is still resolved on the way out) is
-    /// caught here and the loop restarts, so one poisoned flush cannot stop
-    /// the engine from serving later requests. A server-thread failure never
-    /// becomes a panic in the caller: if the loop cannot be recovered, the
-    /// remaining queued requests resolve as [`EngineError::Disconnected`].
-    pub fn serve<R: Send>(&self, body: impl FnOnce(&Self) -> R + Send) -> R
-    where
-        S::Output: Scalar,
-    {
-        let shutdown = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let server = scope.spawn(|| loop {
-                let loop_run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.serve_loop(&shutdown)
-                }));
-                match loop_run {
-                    Ok(()) => break,
-                    // The panicking flush already resolved the tickets it
-                    // had drained (ResolveOnDrop); whatever is still queued
-                    // is intact — go back to serving it.
-                    Err(_) if !shutdown.load(Ordering::SeqCst) => continue,
-                    Err(_) => {
-                        // Shutting down: no more flushes are coming, so
-                        // resolve the stragglers instead of stranding them.
-                        self.fail_queue(EngineError::Disconnected);
-                        break;
-                    }
-                }
-            });
-            // Raise the shutdown flag even when `body` unwinds, so the
-            // scope's implicit join cannot deadlock on a still-running loop.
-            let guard = ShutdownGuard { flag: &shutdown, queue: &self.queue };
-            let out = body(self);
-            drop(guard);
-            if server.join().is_err() {
-                // Unreachable in practice (the loop catches panics), but if
-                // the server thread dies anyway the clients must not: fail
-                // the leftovers instead of propagating the panic.
-                self.fail_queue(EngineError::Disconnected);
-            }
-            out
-        })
-    }
-
-    fn serve_loop(&self, shutdown: &AtomicBool) {
-        let linger = self.config.linger.max(Duration::from_micros(1));
-        // `max_lanes == 0` means "no width budget" for the coalescer, so it
-        // disables the width trigger too: the loop then flushes on linger
-        // timeouts only.
-        let width = if self.config.max_lanes == 0 { usize::MAX } else { self.config.max_lanes };
-        loop {
-            let mut deadline: Option<Instant> = None;
-            {
-                let mut entries = lock(&self.queue.entries);
-                loop {
-                    if shutdown.load(Ordering::SeqCst) || entries.len() >= width {
-                        break;
-                    }
-                    if !entries.is_empty() && deadline.is_none() {
-                        deadline = Some(Instant::now() + linger);
-                    }
-                    match deadline {
-                        Some(d) => {
-                            let now = Instant::now();
-                            if now >= d {
-                                break;
-                            }
-                            let (guard, _) = self
-                                .queue
-                                .grew
-                                .wait_timeout(entries, d - now)
-                                .unwrap_or_else(PoisonError::into_inner);
-                            entries = guard;
-                        }
-                        // Empty queue: block until a submit (or the shutdown
-                        // guard) signals `grew` — no periodic wakeups.
-                        None => {
-                            entries = self
-                                .queue
-                                .grew
-                                .wait(entries)
-                                .unwrap_or_else(PoisonError::into_inner)
-                        }
-                    }
-                }
-                if entries.is_empty() && shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            self.flush();
-        }
+    fn retired(outcome: &FlushOutcome) -> usize {
+        outcome.retired
     }
 }
 
-/// Raises the shutdown flag (and wakes the serve loop) on drop — including
-/// on unwind out of a `serve` body.
-struct ShutdownGuard<'a, X, Y> {
-    flag: &'a AtomicBool,
-    queue: &'a RequestQueue<X, Y>,
-}
-
-impl<X, Y> Drop for ShutdownGuard<'_, X, Y> {
-    fn drop(&mut self) {
-        self.flag.store(true, Ordering::SeqCst);
-        // Notify while holding the queue lock: the serve loop checks the
-        // flag and parks on `grew` under this same mutex, so the notify
-        // cannot land in the gap between its check and its wait (a lost
-        // wakeup would hang the untimed empty-queue wait forever).
-        let _entries = lock(&self.queue.entries);
-        self.queue.grew.notify_all();
-    }
-}
-
-/// What one [`Engine::flush`] did.
+/// What one `Engine::flush` did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushOutcome {
     /// Requests drained from the queue.
@@ -1381,54 +812,6 @@ pub struct FlushOutcome {
     /// Fused batches of this flush that had anything to multiply (a group
     /// of all-empty frontiers executes nothing and records none).
     pub choices: ChoiceCounts,
-}
-
-/// A handle for one logical client of an [`Engine`].
-///
-/// Sessions are cheap (an id plus a borrow) and independent: many sessions
-/// submit concurrently, and the coalescer fuses across session boundaries.
-/// [`Session::close`] — or simply dropping the session — retires the
-/// session's still-queued requests, resolving their tickets as
-/// [`EngineError::Cancelled`]: the serving-side counterpart of multi-source
-/// BFS lane retirement, and the guarantee that a client that disappears
-/// takes its pending work with it.
-pub struct Session<'e, 'm, A: Scalar, X: Scalar, S: Semiring<A, X>> {
-    engine: &'e Engine<'m, A, X, S>,
-    id: u64,
-}
-
-impl<'e, 'm, A: Scalar, X: Scalar, S: Semiring<A, X>> Drop for Session<'e, 'm, A, X, S> {
-    fn drop(&mut self) {
-        self.engine.retire_session(self.id);
-    }
-}
-
-impl<'e, 'm, A, X, S> Session<'e, 'm, A, X, S>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X> + Clone + 'm,
-{
-    /// This session's id (unique within its engine).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Submits a request on behalf of this session. When the engine's queue
-    /// is bounded and full, the [`EngineConfig::overload`] policy decides:
-    /// block for backpressure, reject this request, or shed the oldest.
-    pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
-        self.engine.submit_tagged(self.id, request)
-    }
-
-    /// Closes the session, retiring its still-queued requests mid-flight:
-    /// their lanes are never assembled and their tickets resolve as
-    /// [`EngineError::Cancelled`]. Requests already served keep their
-    /// results. Returns how many requests were retired. (Dropping the
-    /// session without calling this does the same, minus the count.)
-    pub fn close(self) -> usize {
-        self.engine.retire_session(self.id)
-    }
 }
 
 #[cfg(test)]
@@ -1972,5 +1355,44 @@ mod tests {
         let engine: Engine<'_, f64, f64, PlusTimes> = Engine::over(&a, PlusTimes);
         let _ = engine
             .submit(MxvRequest::new(SparseVec::new(8)).mask(MaskBits::new(4), MaskMode::Keep));
+    }
+
+    /// A pulled group runs the pull scan whatever the engine's family, and
+    /// its trace says so: the `group.fused` event of a pulled group names
+    /// [`AlgorithmKind::Pull`], a pushed group's the configured family's
+    /// lanes.
+    #[test]
+    fn a_pulled_group_is_traced_as_the_family_that_ran() {
+        let n = 64;
+        let a = fixtures::tridiagonal(n);
+        let engine: Engine<'_, f64, usize, Select2ndMin> = Engine::over_with(
+            &a,
+            Select2ndMin,
+            EngineConfig::default().batch_algorithm(BatchAlgorithmKind::Bucket),
+        );
+        let frontier = SparseVec::from_pairs(n, vec![(10, 10usize), (40, 40)]).unwrap();
+        let visited = MaskBits::from_indices(n, [10, 40]);
+        let request =
+            || MxvRequest::new(frontier.clone()).mask(visited.clone(), MaskMode::Complement);
+        let mut pulled = request();
+        pulled.pulled = true;
+        let (results, outcome) = engine.run(vec![pulled, request()]);
+        assert_eq!((outcome.batches, outcome.lanes), (2, 2), "pulled and pushed run apart");
+        assert_eq!(results[0], results[1], "a whole square matrix pulls what it pushes");
+        let fused: Vec<AlgorithmKind> = engine
+            .obs()
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::GroupFused { kernel, .. } => Some(kernel),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fused, [AlgorithmKind::Pull, AlgorithmKind::Bucket]);
+        let rendered = engine.obs().events().iter().map(|e| e.kind.to_string()).collect::<Vec<_>>();
+        assert!(
+            rendered.iter().any(|e| e.starts_with("group.fused kernel=SpMSpV-pull")),
+            "{rendered:?}"
+        );
     }
 }

@@ -112,6 +112,7 @@ pub mod disjoint;
 pub mod engine;
 pub mod executor;
 pub mod failpoint;
+mod front;
 pub mod masked;
 pub mod net;
 pub mod obs;

@@ -99,6 +99,13 @@ where
     /// together with the slice's structural fingerprint so dialing routers
     /// can verify the host against their plan.
     ///
+    /// The host serves each batch through its engine past the engine's
+    /// queue, so of `config` it reads [`EngineConfig::options`],
+    /// [`EngineConfig::batch_algorithm`], [`EngineConfig::max_lanes`] and
+    /// [`EngineConfig::obs`]; [`EngineConfig::queue_capacity`],
+    /// [`EngineConfig::overload`] and [`EngineConfig::linger`] have no
+    /// effect.
+    ///
     /// Fails with `InvalidInput` when `matrix` is not `columns.len()` wide
     /// — the advertisement would be a lie.
     pub fn bind(
@@ -168,14 +175,14 @@ where
                     let _ = stream.set_nonblocking(false);
                     let _ = stream.set_nodelay(true);
                     if let Ok(clone) = stream.try_clone() {
-                        crate::engine::lock(&self.conns).push(clone);
+                        crate::front::lock(&self.conns).push(clone);
                     }
                     let engine = Arc::clone(&self.engine);
                     let info = self.info.clone();
                     let worker = std::thread::spawn(move || {
                         serve_connection(engine, info, stream);
                     });
-                    crate::engine::lock(&self.workers).push(worker);
+                    crate::front::lock(&self.workers).push(worker);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(ACCEPT_POLL);
@@ -217,13 +224,13 @@ impl ShardHostHandle {
 
     fn stop(self, join_workers: bool) {
         self.shutdown.store(true, Ordering::SeqCst);
-        for stream in crate::engine::lock(&self.conns).drain(..) {
+        for stream in crate::front::lock(&self.conns).drain(..) {
             let _ = stream.shutdown(Shutdown::Both);
         }
         let _ = self.accept.join();
         if join_workers {
             let workers: Vec<JoinHandle<()>> =
-                crate::engine::lock(&self.workers).drain(..).collect();
+                crate::front::lock(&self.workers).drain(..).collect();
             for w in workers {
                 let _ = w.join();
             }

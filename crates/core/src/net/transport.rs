@@ -487,7 +487,7 @@ impl Shared {
         let mut probe = Vec::new();
         let mut cooling = Vec::new();
         for (r, slot) in self.replicas[s].iter().enumerate() {
-            let rep = crate::engine::lock(slot);
+            let rep = crate::front::lock(slot);
             if !rep.breaker.is_open() {
                 healthy.push(r);
             } else if rep.breaker.cooled(now) {
@@ -634,7 +634,7 @@ impl<X: WireScalar, Y: WireScalar> TcpTransport<X, Y> {
         });
         for (s, group) in shared.replicas.iter().enumerate() {
             for slot in group {
-                let mut rep = crate::engine::lock(slot);
+                let mut rep = crate::front::lock(slot);
                 let retries = shared.config.connect_retries;
                 if let Err(e) = shared.ensure_connected(s, &mut rep, retries) {
                     return Err(match e {
@@ -869,7 +869,7 @@ where
         let mut last_err = String::from("no replica configured");
         let mut done = None;
         for (attempt_no, &r) in order.iter().enumerate() {
-            let mut rep = crate::engine::lock(&shared.replicas[s][r]);
+            let mut rep = crate::front::lock(&shared.replicas[s][r]);
             match self.attempt(s, &mut rep, &batch, &mut answers) {
                 Ok(outcome) => {
                     shared.record_success(&mut rep);

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Mutex;
 
-use crate::batch::BatchAlgorithmKind;
+use crate::algorithm::AlgorithmKind;
 
 /// What happened. Variants mirror the serving stack's decision points; see
 /// the [`crate::obs`] module docs for the taxonomy.
@@ -23,8 +23,10 @@ pub enum TraceKind {
     },
     /// The coalescer fused one compatible group into a batch.
     GroupFused {
-        /// The engine's batched family.
-        kernel: BatchAlgorithmKind,
+        /// The family the group's lanes ran: the engine's configured
+        /// family's lanes ([`crate::batch::BatchAlgorithmKind::lanes`]), or
+        /// [`AlgorithmKind::Pull`] for a shard's pulled group.
+        kernel: AlgorithmKind,
         /// Lanes fused into the batch.
         lanes: usize,
         /// Whether the group carries a mask.
@@ -35,8 +37,9 @@ pub enum TraceKind {
     /// A failed group was retried once on a fresh one-participant runner of
     /// its family.
     DegradeRetry {
-        /// The kernel family that failed.
-        from: BatchAlgorithmKind,
+        /// The kernel family that failed (as in
+        /// [`TraceKind::GroupFused::kernel`]).
+        from: AlgorithmKind,
     },
     /// A kernel panicked or failed; the panic was contained.
     KernelFailure(
@@ -192,7 +195,7 @@ mod tests {
             seq: 7,
             micros: 1234,
             kind: TraceKind::GroupFused {
-                kernel: BatchAlgorithmKind::Bucket,
+                kernel: AlgorithmKind::Bucket,
                 lanes: 6,
                 masked: true,
                 first_id: 42,

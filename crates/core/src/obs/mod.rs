@@ -34,7 +34,7 @@
 //! | metric | type | meaning |
 //! |---|---|---|
 //! | `engine.requests` | counter | requests admitted by `submit` |
-//! | `engine.retired` | counter | lanes retired unserved (deadline, shed, session close) |
+//! | `engine.retired` | counter | requests retired unserved (cancelled, session closed or dropped) |
 //! | `engine.flushes` | counter | flushes that executed ≥ 1 batch |
 //! | `engine.fused_batches` | counter | fused batches executed |
 //! | `engine.lanes_executed` | counter | lanes across all fused batches |
@@ -53,17 +53,20 @@
 //! | `engine.flush.recover` | histogram | ns in the one-participant degrade retry (only on failure) |
 //!
 //! **Per-router registry** (each [`crate::shard::ShardedEngine`] owns one,
-//! reachable via `ShardedEngine::obs()`; `<s>` ranges over shard indices)
+//! reachable via `ShardedEngine::obs()`; the router's front also registers
+//! `shard.rejected` and `shard.shed`, which stay 0 on its unbounded queue)
 //!
 //! | metric | type | meaning |
 //! |---|---|---|
 //! | `shard.requests` | counter | requests routed, pushed or pulled |
+//! | `shard.retired` | counter | routed requests retired unserved (cancelled, session closed or dropped) |
 //! | `shard.pulls` | counter | requests routed as pulls: each owning shard answered its own rows |
 //! | `shard.flushes` | counter | router flushes that resolved ≥ 1 request |
 //! | `shard.failed` | counter | tickets failed by a shard-side error |
 //! | `shard.fanout` | histogram | owning shards per routed request (a count, not ns) |
 //! | `shard.merge.time` | histogram | ns merging answers (⊕-folds and concatenations), one sample per flush |
-//! | `shard.queue_depth.<s>` | gauge | sub-requests queued for shard `s` at the router |
+//! | `shard.queue.depth` | gauge | routed requests queued at the router (per-shard split: `shard.fanout`) |
+//! | `shard.queue.wait` | histogram | ns from `submit` to flush drain, one sample per routed request |
 //!
 //! A router connected over sockets ([`crate::shard::ShardedEngine::connect`])
 //! adds the transport family to the same registry:

@@ -90,10 +90,11 @@
 //! its shard's tickets the same way, carrying the panic's message, and the
 //! router's flush still returns. A sub-request that exceeds its deadline
 //! inside a shard surfaces as `DeadlineExceeded` on the routed ticket. A
-//! request cancelled before the flush — its ticket cancelled, or its
-//! [`ShardSession`] closed or dropped — never leaves the router. Dropping
-//! the router fails every still-queued ticket with `Disconnected`, exactly
-//! like dropping an engine.
+//! request cancelled or expired before the flush — its ticket cancelled,
+//! its [`ShardSession`] closed or dropped, its deadline passed — never
+//! leaves the router. Dropping the router fails every still-queued ticket
+//! with `Disconnected`: the router's queue, sessions and tickets are the
+//! same front an engine has.
 //!
 //! ## Transports
 //!
@@ -139,5 +140,5 @@ pub mod transport;
 
 pub use merge::merge_partials;
 pub use plan::ShardPlan;
-pub use router::{ShardFlushOutcome, ShardSession, ShardedEngine};
+pub use router::{ShardFlushOutcome, ShardRun, ShardSession, ShardedEngine};
 pub use transport::ShardTransport;

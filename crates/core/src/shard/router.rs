@@ -1,46 +1,41 @@
-//! The scatter/merge router: [`ShardedEngine`] and its session handle.
+//! The scatter/merge router: [`ShardedEngine`], the front over the
+//! [`ShardRun`].
 
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sparse_substrate::{CscMatrix, MaskBits, Scalar, Semiring};
 
 use crate::adaptive::{unvisited_edges, PULL_ALPHA};
 use crate::engine::{
-    kernel_failure, Engine, EngineConfig, EngineError, FlushOutcome, MxvRequest, Results, Ticket,
-    TicketShared,
+    kernel_failure, Engine, EngineConfig, EngineError, FlushOutcome, MxvRequest, OverloadPolicy,
 };
 use crate::failpoint;
+use crate::front::{Drained, Front, FrontSession, Queued, Results, Run};
 use crate::masked::MaskView;
-use crate::obs::{Counter, Gauge, Histogram, Registry, TraceKind};
+use crate::obs::{Counter, Histogram, Registry};
 use crate::stats::EngineStats;
 
 use super::merge::concatenate_rows;
 use super::transport::{InProcess, ShardTransport, WireRequest};
 use super::{merge_partials, ShardPlan};
 
-/// One routed request awaiting its flush: the client-facing ticket slot,
-/// the shards it fanned out to in ascending shard order (the merge order),
-/// and one sub-request per such shard, parallel to `fanout`. A pushed
-/// request fans out to the shards owning its frontier's columns, a pulled
-/// one to the shards owning its mask's kept rows. The sub-requests leave
-/// the router only at the flush.
-struct Routed<X, Y> {
-    session: u64,
-    shared: Arc<TicketShared<Y>>,
+/// One routed request as the router queues it: the shards it fanned out
+/// to in ascending shard order (the merge order) and one sub-request per
+/// such shard, parallel to `fanout`. A pushed request fans out to the
+/// shards owning its frontier's columns, a pulled one to those owning its
+/// mask's kept rows.
+pub struct Routed<X> {
     fanout: Vec<usize>,
     subs: Vec<WireRequest<X>>,
-    deadline: Option<Instant>,
     pulled: bool,
 }
 
-/// The `shard.*` metric family, resolved once at construction.
+/// The `shard.*` metrics the scatter run records (the front registers its
+/// own beside them).
 pub(crate) struct ShardMetrics {
     registry: Registry,
-    /// `shard.requests` — requests routed, pushed or pulled.
-    requests: Arc<Counter>,
     /// `shard.pulls` — requests routed as pulls: each shard answered the
     /// rows it owns.
     pulls: Arc<Counter>,
@@ -53,23 +48,16 @@ pub(crate) struct ShardMetrics {
     /// `shard.merge.time` — per-flush merge latency (⊕-folds and
     /// concatenations).
     merge_time: Arc<Histogram>,
-    /// `shard.queue_depth.<s>` — sub-requests queued for shard `s` at the
-    /// router.
-    queue_depth: Vec<Arc<Gauge>>,
 }
 
 impl ShardMetrics {
-    fn new(registry: Registry, shards: usize) -> Self {
-        let queue_depth =
-            (0..shards).map(|s| registry.gauge(&format!("shard.queue_depth.{s}"))).collect();
+    fn new(registry: Registry) -> Self {
         ShardMetrics {
-            requests: registry.counter("shard.requests"),
             pulls: registry.counter("shard.pulls"),
             flushes: registry.counter("shard.flushes"),
             failed: registry.counter("shard.failed"),
             fanout: registry.histogram("shard.fanout"),
             merge_time: registry.histogram("shard.merge.time"),
-            queue_depth,
             registry,
         }
     }
@@ -118,27 +106,31 @@ pub struct ShardFlushOutcome {
 }
 
 /// A fleet of column-range shard engines behind one engine-shaped front
-/// door. See the [module docs](super) for the partitioning and merge
-/// contract.
+/// door: the [`Front`] over a [`ShardRun`]. See the [module docs](super)
+/// for the partitioning and merge contract.
 ///
 /// The router is flush-driven, like [`Engine`] in its synchronous style:
-/// submit through [`ShardedEngine::submit`] or a [`ShardSession`], then
-/// [`ShardedEngine::flush`] to scatter-execute-merge everything queued.
+/// submit, then flush to scatter-execute-merge everything queued. Its
+/// queue is unbounded.
 ///
 /// *Where* the shard engines live is the transport's business:
 /// [`ShardedEngine::partition`] keeps them in-process, while
 /// [`ShardedEngine::connect`](crate::net) reaches
 /// [`ShardHost`](crate::net::ShardHost) daemons over TCP — the routing,
 /// merge, and failure semantics are identical.
-pub struct ShardedEngine<A: Scalar, X: Scalar, S: Semiring<A, X> + Clone + 'static> {
+pub type ShardedEngine<A, X, S> = Front<ShardRun<A, X, S>>;
+
+/// A logical client of a [`ShardedEngine`]: the front's session.
+pub type ShardSession<'e, A, X, S> = FrontSession<'e, ShardRun<A, X, S>>;
+
+/// The scatter run behind a [`ShardedEngine`]: it scatters each request at
+/// admission, then exchanges with the shards and merges at the flush.
+pub struct ShardRun<A: Scalar, X: Scalar, S: Semiring<A, X> + Clone + 'static> {
     plan: ShardPlan,
     nrows: usize,
     semiring: S,
     transport: Box<dyn ShardTransport<X, S::Output>>,
-    pending: Mutex<Vec<Routed<X, S::Output>>>,
     metrics: ShardMetrics,
-    next_session: AtomicU64,
-    next_request: AtomicU64,
     marker: PhantomData<fn() -> A>,
 }
 
@@ -163,6 +155,14 @@ where
     /// lifetime tie to the caller's matrix. When `matrix` is square and
     /// structurally symmetric, the router may pull (see the
     /// [module docs](super)).
+    ///
+    /// A shard engine serves each batch past its own queue, so of `config`
+    /// it reads [`EngineConfig::options`],
+    /// [`EngineConfig::batch_algorithm`], [`EngineConfig::max_lanes`] and
+    /// [`EngineConfig::obs`] (which also configures the router's own
+    /// registry); [`EngineConfig::queue_capacity`],
+    /// [`EngineConfig::overload`] and [`EngineConfig::linger`] have no
+    /// effect. The router's own queue is unbounded.
     pub fn partition_with(
         matrix: &CscMatrix<A>,
         semiring: S,
@@ -201,52 +201,37 @@ where
         registry: Registry,
         transport: Box<dyn ShardTransport<X, S::Output>>,
     ) -> Self {
-        let metrics = ShardMetrics::new(registry, transport.num_shards());
-        ShardedEngine {
+        let run = ShardRun {
             plan,
             nrows,
             semiring,
             transport,
-            pending: Mutex::new(Vec::new()),
-            metrics,
-            next_session: AtomicU64::new(1),
-            next_request: AtomicU64::new(0),
+            metrics: ShardMetrics::new(registry),
             marker: PhantomData,
-        }
+        };
+        Front::new(run, 0, OverloadPolicy::Block)
     }
 
     /// The column partition this router scatters by.
     pub fn plan(&self) -> &ShardPlan {
-        &self.plan
+        &self.run.plan
     }
 
     /// Number of shard engines behind the router.
     pub fn num_shards(&self) -> usize {
-        self.transport.num_shards()
+        self.run.transport.num_shards()
     }
 
     /// Output dimension (rows of the original matrix). Every shard keeps
     /// full output height: a pushed request's partials span it, and a
     /// pulled request's answers are the shards' own ranges of it.
     pub fn nrows(&self) -> usize {
-        self.nrows
+        self.run.nrows
     }
 
     /// Input dimension (columns of the original matrix).
     pub fn ncols(&self) -> usize {
-        self.plan.ncols()
-    }
-
-    /// Routed requests submitted and not yet resolved by a flush.
-    pub fn pending(&self) -> usize {
-        crate::engine::lock(&self.pending).len()
-    }
-
-    /// The router's own observability registry: the `shard.*` metric
-    /// family (plus `net.*` for a socket transport). Per-shard engine
-    /// registries are reachable through [`ShardedEngine::shard_obs`].
-    pub fn obs(&self) -> &Registry {
-        &self.metrics.registry
+        self.run.plan.ncols()
     }
 
     /// Shard `s`'s engine registry (the `engine.*` family for that shard).
@@ -256,7 +241,10 @@ where
     /// When the shard lives in another process — its registry is local to
     /// the [`ShardHost`](crate::net::ShardHost) that owns it.
     pub fn shard_obs(&self, s: usize) -> &Registry {
-        self.transport.shard_obs(s).expect("shard observability is local to the shard host process")
+        self.run
+            .transport
+            .shard_obs(s)
+            .expect("shard observability is local to the shard host process")
     }
 
     /// Shard `s`'s own engine stats (one addend of
@@ -267,66 +255,30 @@ where
     /// When the shard lives in another process (see
     /// [`ShardedEngine::shard_obs`]).
     pub fn shard_stats(&self, s: usize) -> EngineStats {
-        self.transport.shard_stats(s).expect("shard stats are local to the shard host process")
+        self.run.transport.shard_stats(s).expect("shard stats are local to the shard host process")
     }
 
     /// The sum of every *local* shard engine's [`EngineStats`] — existing
     /// engine dashboards read a sharded deployment through the same shape.
     /// For a remote transport this is empty (each host owns its stats);
-    /// the router's own telemetry lives in [`ShardedEngine::obs`].
+    /// the router's own telemetry lives in its `obs` registry.
     pub fn stats(&self) -> EngineStats {
         let mut total = EngineStats::default();
-        for s in 0..self.transport.num_shards() {
-            if let Some(stats) = self.transport.shard_stats(s) {
+        for s in 0..self.num_shards() {
+            if let Some(stats) = self.run.transport.shard_stats(s) {
                 total.absorb(&stats);
             }
         }
         total
     }
+}
 
-    /// Opens a session handle; its still-queued requests can be retired
-    /// together with [`ShardSession::close`].
-    pub fn session(&self) -> ShardSession<'_, A, X, S> {
-        ShardSession { router: self, id: self.next_session.fetch_add(1, Ordering::Relaxed) }
-    }
-
-    /// Submits an anonymous request. Scattering happens here: the router
-    /// decides whether to push or pull the request (see the
-    /// [module docs](super)). A pushed frontier is sliced per owning shard
-    /// ([`SparseVec::slice_remap`](sparse_substrate::SparseVec::slice_remap));
-    /// a pulled one goes whole to each shard owning a kept row of its mask,
-    /// with that shard's rows of the mask. Each sub-request is queued at
-    /// the router until the flush hands it to the transport. The returned
-    /// ticket resolves at the next [`ShardedEngine::flush`]. Like
-    /// [`Engine::submit`], panics with [`MxvRequest`]'s shape message on a
-    /// frontier or mask that does not fit the matrix, over any transport.
-    pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
-        self.submit_tagged(0, request)
-    }
-
-    fn submit_tagged(&self, session: u64, request: MxvRequest<X>) -> Ticket<S::Output> {
-        if let Some(msg) = request.shape_error(self.nrows, self.plan.ncols()) {
-            panic!("{msg}");
-        }
-        let id = self.next_request.fetch_add(1, Ordering::Relaxed);
-        let (ticket, shared) = Ticket::detached();
-        let deadline = request.deadline;
-        let pulled = self.pulls(&request);
-        let (fanout, subs) =
-            if pulled { self.scatter_pulled(id, request) } else { self.scatter(id, request) };
-        self.metrics.requests.inc();
-        if pulled {
-            self.metrics.pulls.inc();
-        }
-        self.metrics.fanout.record(fanout.len() as u64);
-        let mut pending = crate::engine::lock(&self.pending);
-        for &s in &fanout {
-            self.metrics.queue_depth[s].add(1);
-        }
-        pending.push(Routed { session, shared, fanout, subs, deadline, pulled });
-        ticket
-    }
-
+impl<A, X, S> ShardRun<A, X, S>
+where
+    A: Scalar,
+    X: Scalar,
+    S: Semiring<A, X> + Clone + 'static,
+{
     /// Whether the router pulls `request`: the plan keeps the degrees of a
     /// square, structurally symmetric matrix, the mask keeps a row, and
     /// Adaptive's pull rule ([`crate::adaptive`]) holds on the whole
@@ -394,46 +346,74 @@ where
             .collect();
         (fanout, subs)
     }
+}
 
-    /// Scatter-execute-merge for everything queued: builds each involved
-    /// shard's batch from the queued requests (skipping those already
-    /// cancelled), hands the batches to the transport **in parallel** (one
-    /// scoped thread per shard), then folds each pushed request's partials
-    /// with the semiring's `⊕` in ascending shard order, or concatenates a
-    /// pulled request's row ranges in shard order, and resolves its ticket.
-    /// Every routed request resolves before this returns; a shard failure
-    /// resolves only the tickets routed through that shard.
-    pub fn flush(&self) -> ShardFlushOutcome {
-        let routed: Vec<Routed<X, S::Output>> = {
-            let mut pending = crate::engine::lock(&self.pending);
-            for depth in &self.metrics.queue_depth {
-                depth.set(0);
-            }
-            std::mem::take(&mut *pending)
-        };
+impl<A, X, S> Run for ShardRun<A, X, S>
+where
+    A: Scalar,
+    X: Scalar,
+    S: Semiring<A, X> + Clone + 'static,
+{
+    type Input = X;
+    type Output = S::Output;
+    type Entry = Routed<X>;
+    type Outcome = ShardFlushOutcome;
+    const PREFIX: &'static str = "shard";
+
+    fn registry(&self) -> &Registry {
+        &self.metrics.registry
+    }
+
+    /// Scattering happens here: the router decides whether to push or pull
+    /// the request (see the [module docs](super)). A pushed frontier is
+    /// sliced per owning shard
+    /// ([`SparseVec::slice_remap`](sparse_substrate::SparseVec::slice_remap));
+    /// a pulled one goes whole to each shard owning a kept row of its mask,
+    /// with that shard's rows of the mask. Like an engine's, panics with
+    /// [`MxvRequest`]'s shape message on a frontier or mask that does not
+    /// fit the matrix, over any transport.
+    fn admit(&self, id: u64, request: MxvRequest<X>) -> Routed<X> {
+        if let Some(msg) = request.shape_error(self.nrows, self.plan.ncols()) {
+            panic!("{msg}");
+        }
+        let pulled = self.pulls(&request);
+        let (fanout, subs) =
+            if pulled { self.scatter_pulled(id, request) } else { self.scatter(id, request) };
+        if pulled {
+            self.metrics.pulls.inc();
+        }
+        self.metrics.fanout.record(fanout.len() as u64);
+        Routed { fanout, subs, pulled }
+    }
+
+    /// Scatter-execute-merge for the live routed requests: builds each
+    /// involved shard's batch, hands the batches to the transport **in
+    /// parallel** (one scoped thread per shard), then folds each pushed
+    /// request's partials with the semiring's `⊕` in ascending shard
+    /// order, or concatenates a pulled request's row ranges in shard order,
+    /// and resolves its ticket. A shard failure resolves only the tickets
+    /// routed through that shard.
+    fn run(
+        &self,
+        mut live: Vec<Queued<Routed<X>, S::Output>>,
+        drained: Drained,
+    ) -> ShardFlushOutcome {
         let shards = self.transport.num_shards();
         let mut outcome = ShardFlushOutcome {
+            requests: drained.requests,
+            retired: drained.retired,
+            timeouts: drained.timeouts,
             per_shard: vec![FlushOutcome::default(); shards],
             ..ShardFlushOutcome::default()
         };
-        if routed.is_empty() {
+        if drained.requests == 0 {
             return outcome;
         }
-        if self.metrics.registry.enabled() {
-            self.metrics.registry.trace(TraceKind::FlushBegin { requests: routed.len() });
-        }
-
-        // Clients that cancelled between submit and flush: their
-        // sub-requests never leave the router.
-        let (cancelled, mut routed): (Vec<_>, Vec<_>) =
-            routed.into_iter().partition(|r| !r.shared.is_pending());
-        outcome.requests = cancelled.len();
-        outcome.retired = cancelled.len();
-        // Each shard's batch, and beside it the routed index of each entry.
+        // Each shard's batch, and beside it the live index of each entry.
         let mut batches: Vec<Vec<WireRequest<X>>> = (0..shards).map(|_| Vec::new()).collect();
         let mut owners: Vec<Vec<usize>> = (0..shards).map(|_| Vec::new()).collect();
-        for (i, r) in routed.iter_mut().enumerate() {
-            for (&s, sub) in r.fanout.iter().zip(r.subs.drain(..)) {
+        for (i, r) in live.iter_mut().enumerate() {
+            for (&s, sub) in r.entry.fanout.iter().zip(r.entry.subs.drain(..)) {
                 batches[s].push(sub);
                 owners[s].push(i);
             }
@@ -473,7 +453,7 @@ where
         // Each request's shard results, in ascending shard order (the merge
         // fold order): shards are visited in ascending order.
         let mut results: Vec<Results<S::Output>> =
-            routed.iter().map(|r| Vec::with_capacity(r.fanout.len())).collect();
+            live.iter().map(|r| Vec::with_capacity(r.entry.fanout.len())).collect();
         for (s, answer) in exchanged {
             match answer {
                 Ok((replies, done)) => {
@@ -496,39 +476,38 @@ where
         }
         outcome.lanes = outcome.per_shard.iter().map(|o| o.lanes).sum();
 
-        for (r, shard_results) in routed.into_iter().zip(results) {
-            outcome.requests += 1;
-            outcome.pulled += usize::from(r.pulled);
+        for (r, shard_results) in live.into_iter().zip(results) {
+            outcome.pulled += usize::from(r.entry.pulled);
             // The first error in ascending shard order wins.
             match shard_results.into_iter().collect::<Result<Vec<_>, _>>() {
                 Err(EngineError::DeadlineExceeded) => {
                     outcome.timeouts += 1;
-                    r.shared.fail(EngineError::DeadlineExceeded);
+                    r.ticket.fail(EngineError::DeadlineExceeded);
                 }
                 Err(e) => {
                     outcome.failed += 1;
                     self.metrics.failed.inc();
                     outcome.failures.push(e.to_string());
-                    r.shared.fail(e);
+                    r.ticket.fail(e);
                 }
                 Ok(partials) => {
                     // Deadline re-check at merge time: a result assembled
                     // too late is never delivered as if it were fresh.
                     if r.deadline.is_some_and(|d| Instant::now() >= d) {
                         outcome.timeouts += 1;
-                        r.shared.fail(EngineError::DeadlineExceeded);
+                        r.ticket.fail(EngineError::DeadlineExceeded);
                         continue;
                     }
                     let t_merge = Instant::now();
-                    let y = if r.pulled {
-                        let rows = r.fanout.iter().map(|&s| self.plan.range(s));
+                    let y = if r.entry.pulled {
+                        let rows = r.entry.fanout.iter().map(|&s| self.plan.range(s));
                         concatenate_rows(self.nrows, rows.zip(partials))
                     } else {
                         merge_partials(self.nrows, partials, |a, b| self.semiring.add(a, b))
                     };
                     outcome.merge_time += t_merge.elapsed();
                     outcome.merged += 1;
-                    r.shared.fulfil(y);
+                    r.ticket.fulfil(y);
                 }
             }
         }
@@ -537,85 +516,7 @@ where
         outcome
     }
 
-    /// Retires every still-pending routed request of `session` (its
-    /// sub-requests have not left the router); their tickets resolve as
-    /// [`EngineError::Cancelled`]. Returns how many were retired.
-    fn retire_session(&self, session: u64) -> usize {
-        let retired: Vec<Routed<X, S::Output>> = {
-            let mut pending = crate::engine::lock(&self.pending);
-            let (gone, keep) = pending.drain(..).partition(|r| r.session == session);
-            *pending = keep;
-            for r in &gone {
-                for &s in &r.fanout {
-                    self.metrics.queue_depth[s].sub(1);
-                }
-            }
-            gone
-        };
-        for r in &retired {
-            r.shared.fail(EngineError::Cancelled);
-        }
-        retired.len()
-    }
-}
-
-impl<A, X, S> Drop for ShardedEngine<A, X, S>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X> + Clone + 'static,
-{
-    fn drop(&mut self) {
-        // Queued sub-requests never left the router: only the routed
-        // tickets need resolving.
-        let routed = std::mem::take(&mut *crate::engine::lock(&self.pending));
-        for r in routed {
-            r.shared.fail(EngineError::Disconnected);
-        }
-    }
-}
-
-/// A logical client of a [`ShardedEngine`] — the sharded counterpart of
-/// [`crate::engine::Session`]. Dropping (or [`ShardSession::close`]-ing)
-/// the handle retires its still-queued requests as
-/// [`EngineError::Cancelled`].
-pub struct ShardSession<'r, A: Scalar, X: Scalar, S: Semiring<A, X> + Clone + 'static> {
-    router: &'r ShardedEngine<A, X, S>,
-    id: u64,
-}
-
-impl<'r, A, X, S> ShardSession<'r, A, X, S>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X> + Clone + 'static,
-{
-    /// This session's router-unique id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Submits a request under this session. See [`ShardedEngine::submit`].
-    pub fn submit(&self, request: MxvRequest<X>) -> Ticket<S::Output> {
-        self.router.submit_tagged(self.id, request)
-    }
-
-    /// Closes the session, retiring its still-queued requests. Returns how
-    /// many were retired.
-    pub fn close(self) -> usize {
-        let retired = self.router.retire_session(self.id);
-        std::mem::forget(self);
-        retired
-    }
-}
-
-impl<'r, A, X, S> Drop for ShardSession<'r, A, X, S>
-where
-    A: Scalar,
-    X: Scalar,
-    S: Semiring<A, X> + Clone + 'static,
-{
-    fn drop(&mut self) {
-        self.router.retire_session(self.id);
+    fn retired(outcome: &ShardFlushOutcome) -> usize {
+        outcome.retired
     }
 }

@@ -1,9 +1,9 @@
 //! Multi-source breadth-first search, expressed as `k` clients of the
 //! serving [`Engine`].
 //!
-//! `k` BFS traversals (one per source) advance in lock step: each source is
-//! one engine [`Session`] that submits its current frontier — with its own
-//! `¬visited` mask — as an [`MxvRequest`] every level, and **one**
+//! `k` BFS traversals (one per source) advance in lock step: each source
+//! submits its current frontier — with its own `¬visited` mask — as an
+//! [`MxvRequest`] every level, and **one**
 //! [`Engine::flush`] per level coalesces every still-active source into a
 //! single batched SpMSpV, whose lanes the kernel spreads over the thread
 //! pool. This is the workload batched SpMSpV exists for — betweenness
@@ -17,11 +17,11 @@
 //! frontier.
 //!
 //! Sources finish at different levels; a source whose frontier empties
-//! simply closes its session and stops submitting, so later levels' fused
+//! simply stops submitting, so later levels' fused
 //! batches only carry the still-active sources.
 //! [`MultiBfsResult::active_lanes_per_level`] records that shrinkage.
 //!
-//! The lock-step driver is generic over the serving front door: the same
+//! The lock-step driver is written once over a submit and a flush: the same
 //! traversal runs against a single [`Engine`] ([`multi_bfs`]) or a
 //! column-partitioned [`ShardedEngine`] fleet ([`multi_bfs_sharded`]) —
 //! BFS's `(min, select2nd)` semiring is exactly associative, so the
@@ -31,9 +31,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use sparse_substrate::{CscMatrix, MaskBits, Select2ndMin, SparseVec};
-use spmspv::engine::{Engine, EngineConfig, MxvRequest, Session, Ticket};
+use spmspv::engine::{Engine, EngineConfig, MxvRequest, Ticket};
 use spmspv::obs::TraceKind;
-use spmspv::shard::{ShardPlan, ShardSession, ShardedEngine};
+use spmspv::shard::{ShardPlan, ShardedEngine};
 use spmspv::stats::EngineStats;
 use spmspv::{BatchAlgorithmKind, MaskMode, SpMSpVOptions};
 
@@ -63,88 +63,6 @@ pub struct MultiBfsResult {
     pub engine_stats: EngineStats,
 }
 
-/// What the lock-step BFS driver needs from a serving front door. Both
-/// [`Engine`] and [`ShardedEngine`] qualify: per-client sessions submitting
-/// masked [`MxvRequest`]s, one flush per level, and engine-shaped stats.
-trait BfsFrontDoor {
-    /// The per-source client handle.
-    type Client<'e>
-    where
-        Self: 'e;
-
-    fn open(&self) -> Self::Client<'_>;
-    fn submit_via(&self, client: &Self::Client<'_>, request: MxvRequest<usize>) -> Ticket<usize>;
-    fn close_client(&self, client: Self::Client<'_>);
-    /// Flushes one level; returns the wall time spent executing kernels and
-    /// records the level trace event.
-    fn flush_level(&self, level: usize, active_lanes: usize) -> Duration;
-    fn final_stats(&self) -> EngineStats;
-}
-
-impl<'m> BfsFrontDoor for Engine<'m, f64, usize, Select2ndMin> {
-    type Client<'e>
-        = Session<'e, 'm, f64, usize, Select2ndMin>
-    where
-        Self: 'e;
-
-    fn open(&self) -> Self::Client<'_> {
-        self.session()
-    }
-
-    fn submit_via(&self, client: &Self::Client<'_>, request: MxvRequest<usize>) -> Ticket<usize> {
-        client.submit(request)
-    }
-
-    fn close_client(&self, client: Self::Client<'_>) {
-        client.close();
-    }
-
-    fn flush_level(&self, level: usize, active_lanes: usize) -> Duration {
-        let outcome = self.flush();
-        debug_assert_eq!(outcome.lanes, active_lanes);
-        // Per-level trace into the engine's ring: the traversal's shrinking
-        // batch width is the story the flush events alone don't tell.
-        self.obs().trace(TraceKind::Level { level, active_lanes });
-        outcome.timings.execute
-    }
-
-    fn final_stats(&self) -> EngineStats {
-        self.stats()
-    }
-}
-
-impl BfsFrontDoor for ShardedEngine<f64, usize, Select2ndMin> {
-    type Client<'e>
-        = ShardSession<'e, f64, usize, Select2ndMin>
-    where
-        Self: 'e;
-
-    fn open(&self) -> Self::Client<'_> {
-        self.session()
-    }
-
-    fn submit_via(&self, client: &Self::Client<'_>, request: MxvRequest<usize>) -> Ticket<usize> {
-        client.submit(request)
-    }
-
-    fn close_client(&self, client: Self::Client<'_>) {
-        client.close();
-    }
-
-    fn flush_level(&self, level: usize, active_lanes: usize) -> Duration {
-        let outcome = self.flush();
-        // One lane per (active source, owning shard) pair — ≥ active_lanes
-        // whenever a frontier straddles a shard boundary.
-        debug_assert!(outcome.lanes >= active_lanes || outcome.requests == 0);
-        self.obs().trace(TraceKind::Level { level, active_lanes });
-        outcome.execute_time
-    }
-
-    fn final_stats(&self) -> EngineStats {
-        self.stats()
-    }
-}
-
 /// Runs BFS from every vertex in `sources` simultaneously through the
 /// adaptive batched kernel: at every level, each source's frontier picks the
 /// single-vector kernel family that wins for its own density.
@@ -166,7 +84,7 @@ pub fn multi_bfs_using(
     options: SpMSpVOptions,
 ) -> MultiBfsResult {
     check_bfs_inputs(a, sources);
-    // One serving engine per traversal; every source is one client session.
+    // One serving engine per traversal; every source is one client.
     // `max_lanes(0)` lifts the width budget so each level stays exactly one
     // fused multiplication, preserving the pre-engine execution shape.
     let engine: Engine<'_, f64, usize, Select2ndMin> = Engine::over_with(
@@ -174,7 +92,21 @@ pub fn multi_bfs_using(
         Select2ndMin,
         EngineConfig::default().batch_algorithm(batch_kind).options(options).max_lanes(0),
     );
-    drive_lockstep(&engine, a.ncols(), sources)
+    let traversal = drive_lockstep(
+        a.ncols(),
+        sources,
+        |request| engine.submit(request),
+        |level, active_lanes| {
+            let outcome = engine.flush();
+            debug_assert_eq!(outcome.lanes, active_lanes);
+            // Per-level trace into the engine's ring: the traversal's
+            // shrinking batch width is the story the flush events alone
+            // don't tell.
+            engine.obs().trace(TraceKind::Level { level, active_lanes });
+            outcome.timings.execute
+        },
+    );
+    MultiBfsResult { engine_stats: engine.stats(), ..traversal }
 }
 
 /// [`multi_bfs`] over a [`ShardedEngine`]: the matrix is 1D
@@ -195,7 +127,7 @@ pub fn multi_bfs_sharded(
         ShardPlan::balanced(a, shards),
         EngineConfig::default().options(options).max_lanes(0),
     );
-    drive_lockstep(&engine, a.ncols(), sources)
+    multi_bfs_routed(&engine, sources)
 }
 
 /// [`multi_bfs`] through an **existing** router front door, whatever its
@@ -216,7 +148,20 @@ pub fn multi_bfs_routed(
     for &s in sources {
         assert!(s < n, "source vertex {s} out of range for {n} vertices");
     }
-    drive_lockstep(engine, n, sources)
+    let traversal = drive_lockstep(
+        n,
+        sources,
+        |request| engine.submit(request),
+        |level, active_lanes| {
+            let outcome = engine.flush();
+            // One lane per (active source, owning shard) pair — ≥
+            // active_lanes whenever a frontier straddles a shard boundary.
+            debug_assert!(outcome.lanes >= active_lanes || outcome.requests == 0);
+            engine.obs().trace(TraceKind::Level { level, active_lanes });
+            outcome.execute_time
+        },
+    );
+    MultiBfsResult { engine_stats: engine.stats(), ..traversal }
 }
 
 fn check_bfs_inputs(a: &CscMatrix<f64>, sources: &[usize]) {
@@ -226,18 +171,25 @@ fn check_bfs_inputs(a: &CscMatrix<f64>, sources: &[usize]) {
     }
 }
 
-/// The lock-step traversal over any [`BfsFrontDoor`].
-fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> MultiBfsResult {
+/// The lock-step traversal over one front door: `submit` queues a source's
+/// request, and `flush_level(level, active_lanes)` flushes one level and
+/// returns the time its kernels took (and records the level's trace
+/// event). The caller fills in [`MultiBfsResult::engine_stats`].
+fn drive_lockstep(
+    n: usize,
+    sources: &[usize],
+    submit: impl Fn(MxvRequest<usize>) -> Ticket<usize>,
+    mut flush_level: impl FnMut(usize, usize) -> Duration,
+) -> MultiBfsResult {
     let k = sources.len();
     let mut parents: Vec<Vec<Option<usize>>> = vec![vec![None; n]; k];
     let mut levels: Vec<Vec<Option<usize>>> = vec![vec![None; n]; k];
     let mut num_visited = vec![0usize; k];
 
     // active[lane] = source index this batch lane serves; a finished source
-    // closes its session and stops submitting, so the fused batch width
-    // tracks the number of unfinished sources.
+    // stops submitting, so the fused batch width tracks the number of
+    // unfinished sources.
     let mut active: Vec<usize> = Vec::with_capacity(k);
-    let mut sessions: Vec<Option<E::Client<'_>>> = Vec::with_capacity(k);
     // One Arc-shared visited set per source: each level's request carries a
     // refcount bump instead of an O(n)-bit copy, and between flushes the
     // engine has dropped its reference, so `Arc::make_mut` updates below
@@ -249,7 +201,6 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
         levels[s][src] = Some(0);
         num_visited[s] = 1;
         active.push(s);
-        sessions.push(Some(engine.open()));
         Arc::make_mut(&mut visited[s]).insert(src);
         frontiers.push(SparseVec::from_pairs(n, vec![(src, src)]).expect("source index in range"));
     }
@@ -270,11 +221,10 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
             .map(|(&s, frontier)| {
                 let request =
                     MxvRequest::new(frontier).mask(Arc::clone(&visited[s]), MaskMode::Complement);
-                let session = sessions[s].as_ref().expect("active source keeps its session");
-                engine.submit_via(session, request)
+                submit(request)
             })
             .collect();
-        spmspv_time += engine.flush_level(level, active.len());
+        spmspv_time += flush_level(level, active.len());
         iterations += 1;
         level += 1;
 
@@ -310,8 +260,6 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
             if !next.is_empty() {
                 next_active.push(s);
                 next_frontiers.push(next);
-            } else if let Some(session) = sessions[s].take() {
-                engine.close_client(session);
             }
         }
         active = next_active;
@@ -326,7 +274,7 @@ fn drive_lockstep<E: BfsFrontDoor>(engine: &E, n: usize, sources: &[usize]) -> M
         iterations,
         spmspv_time,
         active_lanes_per_level,
-        engine_stats: engine.final_stats(),
+        engine_stats: EngineStats::default(),
     }
 }
 

@@ -150,7 +150,7 @@ pub struct PersonalizedPageRankResult {
 
 /// Batched personalized PageRank: one rank vector per teleport target in
 /// `sources`, computed with a **single** batched SpMSpV per iteration —
-/// expressed as `k` client sessions of a serving [`spmspv::engine::Engine`],
+/// expressed as `k` clients of a serving [`spmspv::engine::Engine`],
 /// one request per still-active lane per iteration, one
 /// [`spmspv::engine::Engine::flush`] per iteration.
 ///
@@ -158,8 +158,8 @@ pub struct PersonalizedPageRankResult {
 /// mass of lane `l` is concentrated on `sources[l]` instead of spread
 /// uniformly: `π_l = (1−α) · Σ_{t≥0} (α·P)ᵗ · e_{sources[l]}`. All lanes
 /// share each iteration's traversal of `P`'s column structure; a lane whose
-/// surviving contributions drop below `tolerance` everywhere closes its
-/// session and stops submitting. Lane `l`'s result is identical to running
+/// surviving contributions drop below `tolerance` everywhere stops
+/// submitting. Lane `l`'s result is identical to running
 /// the function with `sources == [sources[l]]` alone — lanes never
 /// interact.
 pub fn pagerank_personalized_batch(
@@ -185,7 +185,7 @@ pub fn pagerank_personalized_batch(
 
     let p = transition_matrix(a);
     // One serving engine per computation; every teleport target is one
-    // client session. `max_lanes(0)` keeps each iteration one fused call.
+    // client. `max_lanes(0)` keeps each iteration one fused call.
     let engine: spmspv::engine::Engine<'_, f64, f64, PlusTimes> = spmspv::engine::Engine::over_with(
         &p,
         PlusTimes,
@@ -196,8 +196,6 @@ pub fn pagerank_personalized_batch(
     let mut ranks = vec![vec![0.0f64; n]; k];
     // active[lane] = source index this batch lane serves.
     let mut active: Vec<usize> = (0..k).collect();
-    let mut sessions: Vec<Option<spmspv::engine::Session<'_, '_, f64, f64, PlusTimes>>> =
-        (0..k).map(|_| Some(engine.session())).collect();
     let mut contribs: Vec<SparseVec<f64>> = sources
         .iter()
         .map(|&s| {
@@ -218,15 +216,9 @@ pub fn pagerank_personalized_batch(
             }
         }
 
-        let tickets: Vec<_> = active
-            .iter()
-            .zip(contribs.drain(..))
-            .map(|(&s, contrib)| {
-                sessions[s]
-                    .as_ref()
-                    .expect("active lane keeps its session")
-                    .submit(spmspv::engine::MxvRequest::new(contrib))
-            })
+        let tickets: Vec<_> = contribs
+            .drain(..)
+            .map(|contrib| engine.submit(spmspv::engine::MxvRequest::new(contrib)))
             .collect();
         engine.flush();
 
@@ -247,8 +239,6 @@ pub fn pagerank_personalized_batch(
             if !next.is_empty() {
                 next_active.push(s);
                 next_contribs.push(next);
-            } else if let Some(session) = sessions[s].take() {
-                session.close();
             }
         }
         active = next_active;

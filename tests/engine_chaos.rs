@@ -430,7 +430,7 @@ fn degrade_retry_is_recorded_in_choices_and_trace() {
     assert!(
         events.iter().any(|e| matches!(
             e.kind,
-            TraceKind::DegradeRetry { from: BatchAlgorithmKind::Bucket }
+            TraceKind::DegradeRetry { from: spmspv::AlgorithmKind::Bucket }
         )),
         "trace ring must contain the degrade.retry event, got: {events:?}"
     );

@@ -663,11 +663,11 @@ fn closed_and_dropped_sessions_retire_only_their_own_requests() {
                 "{what}: a {how} session's request resolves Cancelled"
             );
         }
-        let snap = router.obs().snapshot();
-        let queued: u64 = (0..router.num_shards())
-            .map(|s| snap.gauge(&format!("shard.queue_depth.{s}")).unwrap_or(0))
-            .sum();
-        assert_eq!(queued, router.num_shards() as u64, "{what}: the survivor's sub-requests");
+        assert_eq!(
+            router.obs().snapshot().gauge("shard.queue.depth"),
+            Some(1),
+            "{what}: the queue holds the survivor's routed request"
+        );
         let outcome = router.flush();
         assert_eq!((outcome.requests, outcome.merged, outcome.retired), (1, 1, 0), "{what}");
         let y = kept.try_take().expect("resolved").expect("the survivor's request merges");
